@@ -6,20 +6,38 @@ drive the DRAM scheduling engine through the
 channel failure rates, DRAM utilization, per-frame latency percentiles
 and frame energy per cell.  The benchmark times the batched bridge
 (``run_batched`` channel + vectorized ``address_arrays`` streams)
-against the per-frame scalar reference and keeps the bit-identity
-assertion live even under ``--benchmark-disable`` — the CI smoke job
-runs it on every push.
+against the per-frame scalar reference, and the DRAM phases on the
+batch-advance kernel (CAS-time latency fold) against the general
+engine (recorded-command latency scan).  Both bit-identity assertions
+stay live even under ``--benchmark-disable`` — the CI smoke job runs
+them on every push.
 """
 
+import math
 import time
 
 import pytest
 
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import coherence_params
+from repro.dram import _kernelc
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.system.e2e import E2ECell, run_e2e, run_e2e_reference
+from repro.system.e2e import (
+    E2ECell,
+    FrameStreamSource,
+    _build_mapping,
+    _run_dram_phase,
+    _run_dram_phase_reference,
+    run_e2e,
+    run_e2e_reference,
+)
 from repro.system.sweep import format_e2e_table, run_e2e_table
+
+#: The kernel DRAM phases must beat the general-engine phases (with
+#: command recording, the pre-kernel e2e path) by at least this factor
+#: in timed runs.
+KERNEL_REQUIRED_SPEEDUP = 5.0
 
 CELL = E2ECell(
     channel=coherence_params(60.0, 0.004, p_bad=0.7),
@@ -64,6 +82,56 @@ def test_e2e_batched_vs_reference(benchmark):
     benchmark.extra_info["write_p99_us"] = round(
         batched.write_latency_percentile(99) / 1e6, 3)
     benchmark.pedantic(run_e2e, args=(CELL,), rounds=1, iterations=1)
+
+
+def _dram_phases(phase):
+    """Both DRAM phases of ``CELL`` through ``phase``; (stats, latencies)."""
+    config, mapping = _build_mapping(CELL)
+    elements = CELL.interleaver.elements_per_frame
+    return [
+        phase(config, ControllerConfig(),
+              FrameStreamSource(mapping, CELL.interleaver, CELL.frames, op),
+              CELL.frames, elements, op)
+        for op in (OP_WRITE, OP_READ)
+    ]
+
+
+def _best_seconds(fn, rounds=3):
+    """Best wall-clock of ``rounds`` calls (plain timer: see below)."""
+    best = math.inf
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.paper_artifact("end-to-end DRAM phases (kernel vs general)")
+def test_e2e_dram_phases_kernel_vs_general(benchmark):
+    """The e2e DRAM phases: kernel + CAS-time fold vs general engine.
+
+    The general side records every command and scans the list; the
+    kernel side returns one CAS time per request and folds them in
+    NumPy.  Stats and per-frame latencies must be identical; the
+    speedup lands in ``extra_info`` and is asserted only in timed runs
+    with the compiled backend (``benchmark.stats`` is unavailable under
+    ``--benchmark-disable``, hence the plain timer).
+    """
+    kernel = benchmark.pedantic(_dram_phases, args=(_run_dram_phase,),
+                                rounds=1, iterations=1)
+    assert kernel == _dram_phases(_run_dram_phase_reference)
+
+    benchmark.extra_info["native_backend"] = _kernelc.available()
+    if benchmark.disabled:  # smoke runs only check for rot, not timing
+        return
+    general_s = _best_seconds(lambda: _dram_phases(_run_dram_phase_reference))
+    kernel_s = _best_seconds(lambda: _dram_phases(_run_dram_phase))
+    speedup = general_s / kernel_s
+    benchmark.extra_info["general_s"] = round(general_s, 4)
+    benchmark.extra_info["kernel_s"] = round(kernel_s, 4)
+    benchmark.extra_info["kernel_speedup"] = round(speedup, 2)
+    if _kernelc.available():
+        assert speedup >= KERNEL_REQUIRED_SPEEDUP
 
 
 @pytest.mark.paper_artifact("end-to-end co-simulation table")

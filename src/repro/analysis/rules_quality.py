@@ -33,8 +33,6 @@ from repro.analysis.findings import Finding
 HOT_PATHS: Dict[str, str] = {
     "repro.dram.engine.SchedulingEngine.run":
         "the engine arbiter walk (every scheduled command)",
-    "repro.dram.kernel.KernelEngine._run_python":
-        "the batch-advance kernel's pure-Python segment loop",
     "repro.dram.kernel.KernelEngine._run_native":
         "the compiled-kernel driver (segment re-entry per refresh)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":

@@ -33,15 +33,14 @@ and ``campaign`` also accept ``--store DIR``, the shared
 content-addressed result store: cells already persisted by *any*
 earlier run — the same command, a different sweep over the same
 (config, mapping, n) cells, or the ``serve`` job engine — are reused
-instead of re-simulated, byte-identically.  ``table1``, ``mixed``,
-``ablation`` and ``energy`` additionally accept ``--kernel`` to
-schedule through the batch-advance kernel engine
-(:mod:`repro.dram.kernel`): results and store keys are bit-identical
-to the reference arbiter, only faster, so kernel and reference runs
-share cache entries freely.  ``table1``, ``mixed``, ``energy`` and
-``e2e`` accept ``--policy DISCIPLINE`` (plus ``--cap K`` for
-``frfcfs-cap``) to swap the scheduling discipline; the default
-``open-page`` reproduces the historical behaviour bit-for-bit.
+instead of re-simulated, byte-identically.  Every DRAM phase schedules
+through the batch-advance kernel (:mod:`repro.dram.kernel`), which
+falls back to the reference arbiter by itself where it has no compiled
+path (no C toolchain, ``REPRO_KERNEL_NATIVE=0``, the closed-page and
+FR-FCFS-cap disciplines); either way the output is byte-identical.
+``table1``, ``mixed``, ``energy`` and ``e2e`` accept
+``--policy DISCIPLINE`` (plus ``--cap K`` for ``frfcfs-cap``) to swap
+the scheduling discipline; the default ``open-page`` reproduces the historical behaviour bit-for-bit.
 
 Every command prints plain text and exits non-zero on bad arguments, so
 the CLI is scriptable from shell pipelines.
@@ -59,8 +58,6 @@ import numpy as np
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
 from repro.dram.controller import (
-    ENGINE_GENERAL,
-    ENGINE_KERNEL,
     POLICY_NAMES,
     POLICY_OPEN_PAGE,
     ControllerConfig,
@@ -141,19 +138,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
                              "(0 = all cores, default 1 = serial)")
 
 
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", action="store_true",
-                        help="schedule through the batch-advance kernel "
-                             "engine instead of the reference arbiter "
-                             "(bit-identical results, faster; shares "
-                             "store entries with reference runs)")
-
-
-def _engine_from(args: argparse.Namespace) -> str:
-    """The ``engine=`` hook value a CLI invocation selected."""
-    return ENGINE_KERNEL if getattr(args, "kernel", False) else ENGINE_GENERAL
-
-
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", choices=POLICY_NAMES,
                         default=POLICY_OPEN_PAGE, metavar="DISCIPLINE",
@@ -204,7 +188,6 @@ def _add_table1(subparsers: Any) -> None:
     _add_policy_arguments(parser)
     _add_jobs_argument(parser)
     _add_store_argument(parser)
-    _add_kernel_argument(parser)
     parser.set_defaults(func=_cmd_table1)
 
 
@@ -220,8 +203,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         return 2
     policy = _policy_from(args)
     rows = run_table1(n=args.n, config_names=names, policy=policy,
-                      jobs=args.jobs, store=_open_store(args),
-                      engine=_engine_from(args))
+                      jobs=args.jobs, store=_open_store(args))
     print(format_table1(rows))
     return 0
 
@@ -242,7 +224,6 @@ def _add_mixed(subparsers: Any) -> None:
     _add_policy_arguments(parser)
     _add_jobs_argument(parser)
     _add_store_argument(parser)
-    _add_kernel_argument(parser)
     parser.set_defaults(func=_cmd_mixed)
 
 
@@ -262,8 +243,7 @@ def _cmd_mixed(args: argparse.Namespace) -> int:
     policy = _policy_from(args)
     rows = run_mixed_table(n=args.n, config_names=names, group=args.group,
                            policy=policy, jobs=args.jobs,
-                           store=_open_store(args),
-                           engine=_engine_from(args))
+                           store=_open_store(args))
     print(format_mixed_table(rows))
     return 0
 
@@ -278,7 +258,6 @@ def _add_ablation(subparsers: Any) -> None:
     parser.add_argument("--variants", nargs="*", metavar="VARIANT",
                         help="subset of ablation variants (default: all)")
     _add_jobs_argument(parser)
-    _add_kernel_argument(parser)
     parser.set_defaults(func=_cmd_ablation)
 
 
@@ -296,7 +275,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
               f"known: {sorted(known_variants)}", file=sys.stderr)
         return 2
     points = sweep_ablation(config_names=names, n=args.n, variants=variants,
-                            jobs=args.jobs, engine=_engine_from(args))
+                            jobs=args.jobs)
     print(f"{'configuration':14s} {'variant':18s} {'write':>8s} {'read':>8s} {'min':>8s}")
     for point in points:
         print(f"{point.config_name:14s} {point.variant:18s} "
@@ -327,7 +306,6 @@ def _add_energy(subparsers: Any) -> None:
     _add_policy_arguments(parser)
     _add_jobs_argument(parser)
     _add_store_argument(parser)
-    _add_kernel_argument(parser)
     parser.set_defaults(func=_cmd_energy)
 
 
@@ -350,8 +328,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         return 2
     policy = _policy_from(args)
     rows = run_energy_table(n=args.n, config_names=names, policy=policy,
-                            jobs=args.jobs, store=_open_store(args),
-                            engine=_engine_from(args))
+                            jobs=args.jobs, store=_open_store(args))
     print(format_energy_table(rows))
     if not args.no_pareto:
         cells = [
@@ -391,7 +368,6 @@ def _add_policy(subparsers: Any) -> None:
                              "(default 4)")
     _add_jobs_argument(parser)
     _add_store_argument(parser)
-    _add_kernel_argument(parser)
     parser.set_defaults(func=_cmd_policy)
 
 
@@ -417,8 +393,7 @@ def _cmd_policy(args: argparse.Namespace) -> int:
     rows = run_policy_table(n=args.n, config_names=names,
                             disciplines=disciplines, mapping=args.mapping,
                             policy=base, jobs=args.jobs,
-                            store=_open_store(args),
-                            engine=_engine_from(args))
+                            store=_open_store(args))
     print(format_policy_table(rows))
     return 0
 

@@ -1,23 +1,24 @@
 """Native backend for the batch-advance scheduling kernel.
 
-The kernel's hot loop (:mod:`repro.dram.kernel`) has two
-implementations: a pure-Python port of the general engine and this
-compiled *segment loop*.  The segment loop runs the eval / commit /
-arbitrate / pop / admit cycle over the flat int64 state tables and
-returns to Python only at **refresh boundaries** (and when the
-command-record buffer needs growing), so the Python
-:class:`~repro.dram.refresh.RefreshScheduler` is never duplicated: the
-wrapper in :mod:`repro.dram.kernel` applies refresh events on the same
-arrays the compiled code mutates and re-enters the segment.
+The kernel's hot loop (:mod:`repro.dram.kernel`) is this compiled
+*segment loop*.  It runs the eval / commit / arbitrate / pop / admit
+cycle over the flat int64 state tables and returns to Python only at
+**refresh boundaries** (and when the command-record buffer needs
+growing), so the Python :class:`~repro.dram.refresh.RefreshScheduler`
+is never duplicated: the wrapper in :mod:`repro.dram.kernel` applies
+refresh events on the same arrays the compiled code mutates and
+re-enters the segment.  Besides the optional command records the loop
+can write one CAS issue time per request (the ``cas_time`` column the
+end-to-end latency fold reads).
 
-The backend is strictly optional.  It compiles one translation unit
-with the system C compiler at first use (cached per source hash under
-the user's temp directory, override with ``REPRO_KERNELC_CACHE``) and
-loads it through ``cffi``.  When a compiler or ``cffi`` is
-unavailable — or ``REPRO_KERNEL_NATIVE=0`` is set — :func:`load`
-returns ``None`` and the kernel transparently falls back to its
-pure-Python loop, which is bit-identical by the same differential
-batteries.
+The backend compiles one translation unit with the system C compiler
+at first use (cached per source hash under the user's temp directory,
+override with ``REPRO_KERNELC_CACHE``) and loads it through ``cffi``.
+When a compiler or ``cffi`` is unavailable — or
+``REPRO_KERNEL_NATIVE=0`` is set — :func:`load` returns ``None`` and
+:meth:`~repro.dram.kernel.KernelEngine.run` delegates every phase to
+the general engine, bit-identically, with
+``PhaseStats.kernel_fallback`` set.
 
 All arithmetic is exact int64: timestamps in this project stay below
 ``10**15`` picoseconds and the far-future sentinel is ``10**18``, so no
@@ -49,8 +50,8 @@ N_SCALARS = 21
 (C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
  C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
  C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
- C_RECORD, C_N, C_REC_CAP) = range(22)
-N_CFG = 22
+ C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES) = range(23)
+N_CFG = 23
 
 #: Segment-exit reasons returned by ``run_segment``.
 EXIT_DONE = 0
@@ -74,7 +75,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
     int64_t *pre_allowed, int64_t *act_allowed,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *rec);
+    int64_t *fresh, int64_t *heap, int64_t *rec, int64_t *cas_time);
 """
 
 SOURCE = r"""
@@ -91,7 +92,7 @@ enum { S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
 enum { C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
   C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
   C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
-  C_RECORD, C_N, C_REC_CAP };
+  C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES };
 
 enum { REC_ACT = 0, REC_PRE = 1, REC_CAS = 2 };
 
@@ -124,7 +125,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
     int64_t *pre_allowed, int64_t *act_allowed,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *rec)
+    int64_t *fresh, int64_t *heap, int64_t *rec, int64_t *cas_time)
 {
     const int64_t n_banks = cfg[C_N_BANKS];
     const int64_t tck = cfg[C_TCK];
@@ -147,6 +148,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t do_record = cfg[C_RECORD];
     const int64_t nreq = cfg[C_N];
     const int64_t rec_cap = cfg[C_REC_CAP];
+    const int64_t want_cas_time = cfg[C_CAS_TIMES];
 
     int64_t last_cas = sc[S_LAST_CAS];
     int64_t last_act = sc[S_LAST_ACT];
@@ -384,6 +386,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             r[3] = rows[p_seq]; r[4] = cols[p_seq]; r[5] = n_requests;
             rec_count++;
         }
+        if (want_cas_time) cas_time[n_requests] = t_cas;
         n_requests++;
         if (pos < nreq && queued == queue_depth - 1) {
             int64_t b = banks[pos];
@@ -481,8 +484,8 @@ def load() -> Optional[Tuple[Any, Any]]:
     """Return ``(ffi, lib)`` for the compiled segment loop, or ``None``.
 
     The result is cached for the process; a failed attempt is not
-    retried.  Set ``REPRO_KERNEL_NATIVE=0`` to force the pure-Python
-    kernel loop regardless of toolchain availability.
+    retried.  Set ``REPRO_KERNEL_NATIVE=0`` to route every kernel
+    phase to the general engine regardless of toolchain availability.
     """
     global _loaded, _load_attempted
     if _load_attempted:

@@ -26,13 +26,13 @@ Architecture — the same one production controllers and DRAMSys use:
   bank groups rotating instead of clustering same-group CAS at
   ``tCCD_L``); ties go to the oldest request.
 
-Since the unified-engine refactor the scheduler itself lives in
-:mod:`repro.dram.engine` — :class:`MemoryController` is a thin adapter
-that normalizes the request stream into a
-:class:`~repro.dram.engine.WorkloadSource` and runs the shared
-:class:`~repro.dram.engine.SchedulingEngine` (the same core that powers
-:func:`repro.dram.mixed.run_mixed_phase` and trace replay).  The
-engine is *event-driven*: instead of ticking every clock it computes
+The scheduler itself lives in :mod:`repro.dram.engine` (the reference
+arbiter, the core that also powers
+:func:`repro.dram.mixed.run_mixed_phase` and trace replay) and
+:mod:`repro.dram.kernel` (its compiled, bit-identical fast path) —
+:class:`MemoryController` is a thin adapter that normalizes the request
+stream into a :class:`~repro.dram.engine.WorkloadSource` and runs it.
+The engine is *event-driven*: instead of ticking every clock it computes
 the earliest legal issue slot of each command directly and quantizes it
 up to the command-clock grid (``timing.tck``), which matches a
 cycle-ticking simulator for this command mix but runs orders of
@@ -65,15 +65,18 @@ Both paths feed the identical scheduler and yield identical
 the pre-engine scheduler is proven by the differential battery in
 ``tests/dram/test_engine_differential.py``.
 
-Two interchangeable arbiter implementations sit behind the adapter:
-the reference :class:`~repro.dram.engine.SchedulingEngine`
-(:data:`ENGINE_GENERAL`) and the batch-advance
-:class:`~repro.dram.kernel.KernelEngine` (:data:`ENGINE_KERNEL`),
-selected per controller or per :meth:`~MemoryController.run_phase`
-call via the ``engine=`` hook.  The two share one bank-state table by
-reference, so they can be alternated mid-controller with warm rows
-intact, and they produce bit-identical results (the kernel's contract;
-see :mod:`repro.dram.kernel`).
+Two interchangeable arbiter implementations sit behind the adapter.
+Every phase runs through the batch-advance
+:class:`~repro.dram.kernel.KernelEngine` (:data:`ENGINE_KERNEL`, the
+default), which schedules homogeneous phases in its compiled loop and
+delegates everything else — no toolchain, closed-page/cap disciplines,
+mixed traffic — to the reference
+:class:`~repro.dram.engine.SchedulingEngine` (:data:`ENGINE_GENERAL`).
+The ``engine=`` hook forces the reference arbiter (the differential
+batteries use it).  The two share one bank-state table by reference, so
+they can be alternated mid-controller with warm rows intact, and they
+produce bit-identical results (the kernel's contract; see
+:mod:`repro.dram.kernel`).
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ RequestStream = Union[Iterable[Tuple[int, int, int]], Iterable[RequestChunk]]
 #: ``engine=`` hook value: the reference oldest-first-walk scheduler.
 ENGINE_GENERAL = "general"
 
-#: ``engine=`` hook value: the batch-advance kernel (bit-identical).
+#: ``engine=`` hook value: the batch-advance kernel (the default;
+#: bit-identical).
 ENGINE_KERNEL = "kernel"
 
 #: All values the ``engine=`` hooks accept.
@@ -190,20 +194,19 @@ class MemoryController:
     phases are milliseconds long, so cross-phase boundary effects are
     negligible, and the paper reports the phases separately).
 
-    This class is an adapter over the shared
-    :class:`~repro.dram.engine.SchedulingEngine`; the engine's bank
-    state lives for the controller's lifetime, so consecutive
-    :meth:`run_phase` calls see warm rows exactly as before the
-    refactor.  With ``engine=`` (constructor default or per
-    :meth:`run_phase` call) the batch-advance
-    :class:`~repro.dram.kernel.KernelEngine` schedules instead — it
-    aliases the same bank-state table, so mixing the two across phases
+    This class is an adapter over the batch-advance
+    :class:`~repro.dram.kernel.KernelEngine`; the bank state lives for
+    the controller's lifetime, so consecutive :meth:`run_phase` calls
+    see warm rows.  With ``engine=ENGINE_GENERAL`` (constructor default
+    or per :meth:`run_phase` call) the reference
+    :class:`~repro.dram.engine.SchedulingEngine` schedules instead — it
+    owns the same bank-state table, so mixing the two across phases
     keeps warm rows coherent and results bit-identical.
     """
 
     def __init__(self, config: DramConfig,
                  policy: Optional[ControllerConfig] = None,
-                 engine: str = ENGINE_GENERAL) -> None:
+                 engine: str = ENGINE_KERNEL) -> None:
         _check_engine(engine)
         self.config = config
         self.policy = policy or ControllerConfig()
@@ -229,8 +232,8 @@ class MemoryController:
         if name == ENGINE_GENERAL:
             return self._engine
         if self._kernel is None:
-            # Imported here: the kernel module imports this one for the
-            # policy type, so a top-level import would be circular.
+            # Imported on first use, keeping the kernel module out of
+            # the package's import time.
             from repro.dram.kernel import KernelEngine
 
             self._kernel = KernelEngine(self.config, self.policy,
@@ -253,10 +256,10 @@ class MemoryController:
                 equal-length arrays/sequences (the vectorized fast
                 path).  The two shapes are scheduled identically.
             op: :data:`OP_READ` or :data:`OP_WRITE` for the whole phase.
-            engine: :data:`ENGINE_GENERAL`, :data:`ENGINE_KERNEL`, or
-                ``None`` for the controller's constructor-time default.
-                Both engines produce bit-identical results; the kernel
-                is faster on large phases.
+            engine: :data:`ENGINE_GENERAL` (the reference arbiter, a
+                test hook), :data:`ENGINE_KERNEL`, or ``None`` for the
+                controller's constructor-time default.  Both engines
+                produce bit-identical results.
 
         Returns:
             A :class:`PhaseResult` whose ``stats.utilization`` is the

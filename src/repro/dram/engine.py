@@ -328,6 +328,10 @@ class EngineResult:
             read phase, the direction split for mixed sources).
         writes: write bursts issued.
         turnarounds: data-bus direction switches (mixed sources only).
+        cas_times: on request (``run(..., cas_times=True)``), the CAS
+            issue time of every request as an int64 array in issue
+            order — entry ``k`` belongs to the command recording would
+            stamp with ``request_id=k`` — else ``None``.
     """
 
     stats: PhaseStats
@@ -335,6 +339,7 @@ class EngineResult:
     reads: int = 0
     writes: int = 0
     turnarounds: int = 0
+    cas_times: Optional[NDArray[np.int64]] = field(default=None, compare=False)
 
 
 class SchedulingEngine:
@@ -377,7 +382,8 @@ class SchedulingEngine:
             act_allowed_ps=self._act_allowed[bank],
         )
 
-    def run(self, source: WorkloadSource, op: str = OP_READ) -> EngineResult:
+    def run(self, source: WorkloadSource, op: str = OP_READ,
+            cas_times: bool = False) -> EngineResult:
         """Schedule one workload source to completion.
 
         Args:
@@ -386,6 +392,8 @@ class SchedulingEngine:
                 directions and additionally charges the turnaround
                 rules (``op`` is then ignored).
             op: :data:`OP_READ` or :data:`OP_WRITE`.
+            cas_times: fill ``EngineResult.cas_times`` (no command
+                objects are built for it).
 
         Returns:
             An :class:`EngineResult`; direction counters are filled for
@@ -457,6 +465,7 @@ class SchedulingEngine:
         auto_close = cap_limit > 0
         streak = [0] * self._banks
         commands: List[ScheduledCommand] = []
+        cas_log: Optional[List[int]] = [] if cas_times else None
         refresh = self._refresh
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
 
@@ -996,6 +1005,8 @@ class SchedulingEngine:
                         t_cas, kind, bank=chosen, row=row, column=col, request_id=n_requests
                     )
                 )
+            if cas_log is not None:
+                cas_log.append(t_cas)
             n_requests += 1
             if closing:
                 # Auto-precharge: close the row at its precharge-ready
@@ -1068,4 +1079,6 @@ class SchedulingEngine:
         stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
                                          ref=refs, makespan_ps=last_data_end)
         return EngineResult(stats=stats, commands=commands, reads=reads,
-                            writes=writes, turnarounds=turnarounds)
+                            writes=writes, turnarounds=turnarounds,
+                            cas_times=(None if cas_log is None
+                                       else np.array(cas_log, dtype=np.int64)))

@@ -1,4 +1,4 @@
-"""Batch-advance scheduling kernel: the fast homogeneous arbiter.
+"""Batch-advance scheduling kernel: the default homogeneous arbiter.
 
 This module is the raw-speed counterpart of
 :class:`repro.dram.engine.SchedulingEngine`.  Both engines are
@@ -32,13 +32,11 @@ producing **bit-identical** schedules:
   to the oldest) wins at its own slot.  This is exactly the general
   engine's decision rule, reached without maintaining any ordered
   structure per pop;
-* **compiled segment loop** — when a C toolchain is available
-  (:mod:`repro.dram._kernelc`), the eval / commit / arbitrate / pop /
-  admit cycle runs as a single compiled loop over the same int64
-  tables, returning to Python only at refresh boundaries, so the
-  Python :class:`~repro.dram.refresh.RefreshScheduler` stays the one
-  source of refresh truth.  Without a toolchain the pure-Python port
-  of the same loop runs instead; both paths are differential-tested.
+* **compiled segment loop** — the eval / commit / arbitrate / pop /
+  admit cycle runs as a single compiled loop (:mod:`repro.dram._kernelc`)
+  over the same int64 tables, returning to Python only at refresh
+  boundaries, so the Python :class:`~repro.dram.refresh.RefreshScheduler`
+  stays the one source of refresh truth.
 
 Eager row management is byte-for-byte the general engine's: misses and
 empties park in the same deferred-activation structure with fixed
@@ -51,10 +49,19 @@ command lists all match the general engine exactly — proven by the
 differential batteries in ``tests/dram/test_kernel_differential.py``
 across random scenarios and the full Table I grid.
 
-**Mixed sources** (per-request directions, turnaround rules) run
-through the shared general engine: :meth:`KernelEngine.run` delegates,
-so results are identical by construction and the kernel selection flag
-is safe for every workload shape.
+**Fallback.**  :meth:`KernelEngine.run` delegates a phase to the shared
+general engine — bit-identical by construction — whenever the
+compiled loop cannot run it:
+
+* no C toolchain or ``cffi`` (or ``REPRO_KERNEL_NATIVE=0``);
+* more banks than the compiled loop's commit buffer holds (64);
+* the closed-page and FR-FCFS-cap disciplines, whose auto-close
+  mechanism invalidates the kernel's precomputed row-hit table.
+
+Those delegations set
+``PhaseStats.kernel_fallback``.  **Mixed
+sources** (per-request directions, turnaround rules) delegate too,
+unflagged: the turnaround rule set only exists in the general engine.
 
 One intake difference is deliberate: the general engine validates bank
 indices lazily, batch by batch, so an invalid request deep in a stream
@@ -65,8 +72,6 @@ raises before mutating any state.
 
 from __future__ import annotations
 
-import heapq
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
@@ -90,16 +95,13 @@ if TYPE_CHECKING:
     from repro.dram.controller import ControllerConfig
 
 _FAR_PAST = -(10**15)
-_FAR_FUTURE = 10**18
 
-#: Heap-entry sort key for committing deferred activations in bank order.
-_ENTRY_BANK = itemgetter(1)
-
-#: Disciplines the kernel does not implement natively: the auto-close
-#: mechanism invalidates the kernel's precomputed row-hit table, so
-#: these delegate to the general engine with
-#: :attr:`~repro.dram.stats.PhaseStats.kernel_fallback` set.
+#: Disciplines the compiled loop does not implement: the auto-close
+#: mechanism invalidates its precomputed row-hit table.
 _FALLBACK_DISCIPLINES = frozenset({POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP})
+
+#: Bank-count limit of the compiled loop (its per-step commit buffer).
+_NATIVE_MAX_BANKS = 64
 
 
 class KernelEngine:
@@ -122,17 +124,9 @@ class KernelEngine:
     """
 
     def __init__(self, config: DramConfig, policy: "ControllerConfig",
-                 general: Optional[SchedulingEngine] = None,
-                 native: Optional[bool] = None) -> None:
+                 general: Optional[SchedulingEngine] = None) -> None:
         self.config = config
         self.policy = policy
-        if native is None:
-            native = _kernelc.available() and config.geometry.banks <= 64
-        elif native and not _kernelc.available():
-            raise RuntimeError(
-                "native kernel backend requested but unavailable "
-                "(no C toolchain, or REPRO_KERNEL_NATIVE=0)")
-        self._native = native
         self._general = general or SchedulingEngine(config, policy)
         # Shared by reference: both engines mutate the same table.
         self._open_row = self._general._open_row
@@ -143,6 +137,18 @@ class KernelEngine:
         self._refresh = self._general._refresh
         self._banks = self._general._banks
         self._bank_groups = self._general._bank_groups
+
+    @property
+    def native(self) -> bool:
+        """Whether homogeneous phases of this engine run compiled.
+
+        ``False`` without a usable toolchain, under
+        ``REPRO_KERNEL_NATIVE=0``, above the compiled loop's bank limit,
+        or for a discipline it does not implement.
+        """
+        return (self.policy.discipline not in _FALLBACK_DISCIPLINES
+                and self._banks <= _NATIVE_MAX_BANKS
+                and _kernelc.available())
 
     def bank_snapshot(self, bank: int) -> BankSnapshot:
         """Readable state of one bank (testing/debugging)."""
@@ -181,464 +187,41 @@ class KernelEngine:
         return (np.concatenate(banks_parts), np.concatenate(rows_parts),
                 np.concatenate(cols_parts))
 
-    def run(self, source: WorkloadSource, op: str = OP_READ) -> EngineResult:
+    def run(self, source: WorkloadSource, op: str = OP_READ,
+            cas_times: bool = False) -> EngineResult:
         """Schedule one workload source to completion.
 
         Same contract as
-        :meth:`repro.dram.engine.SchedulingEngine.run`; mixed sources are
-        delegated to the shared general engine (the turnaround rule set
-        has no fast path), homogeneous sources take the kernel loop.
+        :meth:`repro.dram.engine.SchedulingEngine.run`.  Homogeneous
+        sources take the compiled loop when :attr:`native` holds (bank
+        partitioning is an intake remap that keeps the kernel's row-hit
+        precompute valid); every other phase delegates to the shared
+        general engine, bit-identically, with ``stats.kernel_fallback``
+        set.  Mixed sources always delegate (the turnaround rule set
+        has no fast path), unflagged.
 
-        Policy dispatch (see :mod:`repro.dram.policy`): open-page runs
-        the kernel loop unchanged; bank partitioning is an intake remap
-        (the kernel's row-hit precompute stays valid on the remapped
-        stream) and also runs natively; closed-page and FR-FCFS-cap
-        delegate to the general engine — bit-identical results, with
-        the fallback visible as ``stats.kernel_fallback``.
+        Args:
+            source: the request stream.
+            op: :data:`~repro.dram.engine.OP_READ` or
+                :data:`~repro.dram.engine.OP_WRITE`.
+            cas_times: fill ``EngineResult.cas_times``
+                (one CAS issue time per request, in issue order).
         """
         if op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
         if source.mixed:
-            return self._general.run(source, op)
-        discipline = self.policy.discipline
-        if discipline in _FALLBACK_DISCIPLINES:
-            result = self._general.run(source, op)
+            return self._general.run(source, op, cas_times=cas_times)
+        if not self.native:
+            result = self._general.run(source, op, cas_times=cas_times)
             result.stats.kernel_fallback = True
             return result
-        if discipline == POLICY_BANK_PARTITION:
+        if self.policy.discipline == POLICY_BANK_PARTITION:
             partition_banks(self._banks)  # even bank count required
             source = _PartitionedSource(source, self._banks, op == OP_READ)
-        if self._native:
-            return self._run_native(source, op)
-        return self._run_python(source, op)
+        return self._run_native(source, op, cas_times)
 
-    def _run_python(self, source: WorkloadSource, op: str) -> EngineResult:
-        """The kernel scheduling loop (homogeneous phases).
-
-        A statement-for-statement port of the general engine's loop with
-        the intake incrementalism and the sorted ready list removed; see
-        the module docstring for the argument that every decision is
-        identical.
-        """
-        config = self.config
-        policy = self.policy
-        timing = config.timing
-        burst = config.burst_duration_ps
-        tck = timing.tck if burst % timing.tck == 0 else 1
-        quant = tck > 1
-        trp = timing.trp
-        trcd = timing.trcd
-        tras = timing.tras
-        trrd_s = timing.trrd_s
-        trrd_l = timing.trrd_l
-        tfaw = timing.tfaw
-        tccd_s = timing.tccd_s
-        tccd_l = timing.tccd_l
-        twr = timing.twr
-        trtp = timing.trtp
-        is_read = op == OP_READ
-        latency = timing.cl if is_read else timing.cwl
-        n_banks = self._banks
-        bank_groups = self._bank_groups
-
-        open_row = self._open_row
-        act_time = self._act_time
-        cas_allowed = self._cas_allowed
-        pre_allowed = self._pre_allowed
-        act_allowed = self._act_allowed
-
-        queue_depth = policy.queue_depth
-        per_bank_depth = policy.per_bank_depth
-        record = policy.record_commands
-        commands: List[ScheduledCommand] = []
-        refresh = self._refresh
-        all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
-
-        # ---- columnar intake: materialize, validate, partition ---------
-        banks_arr, rows_arr, cols_arr = self._materialize(source)
-        n = len(banks_arr)
-        if n:
-            bad = (banks_arr < 0) | (banks_arr >= n_banks)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(
-                    f"request #{k} (bank={int(banks_arr[k])}, "
-                    f"row={int(rows_arr[k])}, column={int(cols_arr[k])}): "
-                    f"bank out of range [0, {n_banks})"
-                )
-        banks_l: List[int] = banks_arr.tolist()
-        rows_l: List[int] = rows_arr.tolist()
-        cols_l: List[int] = cols_arr.tolist()
-        # Per-bank queues: each bank's ascending stream positions; the
-        # FIFO is the window between head[b] and adm[b] cursors.
-        seqs_q: List[List[int]] = [[] for _ in range(n_banks)]
-        if n:
-            order = np.argsort(banks_arr, kind="stable")
-            counts = np.bincount(banks_arr, minlength=n_banks)
-            starts = np.empty(n_banks, dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(counts[:-1], out=starts[1:])
-            for b in np.flatnonzero(counts).tolist():
-                s = int(starts[b])
-                seqs_q[b] = order[s:s + int(counts[b])].tolist()
-            # Page-hit classification: request row equals the previous
-            # same-bank row (exactly what the pop path compares, since
-            # a CAS issues only on its own open row).
-            banks_sorted = banks_arr[order]
-            rows_sorted = rows_arr[order]
-            hit_sorted = np.zeros(n, dtype=bool)
-            np.logical_and(banks_sorted[1:] == banks_sorted[:-1],
-                           rows_sorted[1:] == rows_sorted[:-1],
-                           out=hit_sorted[1:])
-            hit_arr = np.empty(n, dtype=bool)
-            hit_arr[order] = hit_sorted
-            is_hit: List[bool] = hit_arr.tolist()
-        else:
-            is_hit = []
-
-        head = [0] * n_banks
-        adm = [0] * n_banks
-        pos = 0                 # next stream position to admit
-        queued = 0
-
-        # Bank states: 0 = no admitted requests, 1 = pending (head needs
-        # a row cycle), 2 = ready (head's row is open).  `ready_count`
-        # replaces the general engine's sorted ready list; the oldest
-        # ready head is found by the min-unpopped shortcut (or an
-        # O(banks) scan when the minimum unpopped request is not ready).
-        bstate = [0] * n_banks
-        ready_count = 0
-        # Minimum unpopped stream position, maintained with a bitmap in
-        # amortized O(1) per pop (`popped[n]` is a stop sentinel).  When
-        # that position's bank head is ready it *is* the oldest ready
-        # head, found with two array reads and no sorted structure.
-        popped = bytearray(n + 1)
-        nxt = 0
-
-        bg_of = [b % bank_groups for b in range(n_banks)]
-        last_cas = _FAR_PAST
-        last_cas_bg = [_FAR_PAST] * bank_groups
-        last_act = _FAR_PAST
-        last_act_bg = -1
-        faw_ring = [_FAR_PAST] * 4
-        faw_idx = 0
-        bus_free = 0
-        last_data_end = 0
-
-        fresh: List[int] = []
-        defer_heap: List[Tuple[int, int, int, bool, int]] = []
-        rescan_all = False
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        stats = PhaseStats()
-        n_requests = 0
-        hits = misses = empties = acts = pres = refs = 0
-
-        def intake() -> None:
-            """Admit requests until the window is full or a bank blocks."""
-            nonlocal pos, queued
-            while queued < queue_depth and pos < n:
-                b = banks_l[pos]
-                if adm[b] - head[b] >= per_bank_depth:
-                    return
-                if adm[b] == head[b]:
-                    bstate[b] = 1
-                    fresh.append(b)
-                adm[b] += 1
-                pos += 1
-                queued += 1
-
-        intake()
-        deadline = refresh.next_deadline_ps
-        commit_buf: List[Tuple[int, int, int, bool, int]] = []
-
-        while queued:
-            # ---- refresh (port of the general engine) ------------------
-            while deadline is not None and last_cas >= deadline:
-                event = refresh.due(last_cas)
-                if event is None:
-                    break
-                ref_time = event.deadline_ps
-                for b in event.banks:
-                    if open_row[b] is not None:
-                        t_pre = pre_allowed[b]
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        if record:
-                            commands.append(
-                                ScheduledCommand(t_pre, CommandType.PRE, bank=b))
-                        pres += 1
-                        open_row[b] = None
-                        bank_free_at = t_pre + trp
-                    else:
-                        bank_free_at = act_allowed[b]
-                    if bank_free_at > ref_time:
-                        ref_time = bank_free_at
-                if quant:
-                    remainder = ref_time % tck
-                    if remainder:
-                        ref_time += tck - remainder
-                for b in event.banks:
-                    open_row[b] = None
-                    if bstate[b] == 2:
-                        bstate[b] = 1
-                        ready_count -= 1
-                    act_allowed[b] = ref_time + event.duration_ps
-                rescan_all = True
-                refs += 1
-                if record:
-                    kind = (CommandType.REF_ALL if all_bank_refresh
-                            else CommandType.REF_BANK)
-                    commands.append(
-                        ScheduledCommand(
-                            ref_time, kind,
-                            bank=-1 if all_bank_refresh else event.banks[0]))
-                deadline = refresh.next_deadline_ps
-
-            # ---- eager per-bank row management (port) ------------------
-            if rescan_all:
-                rescan_all = False
-                del fresh[:]
-                del defer_heap[:]
-                for b in range(n_banks):
-                    if bstate[b] != 1:
-                        continue
-                    row = rows_l[seqs_q[b][head[b]]]
-                    current = open_row[b]
-                    if current == row:
-                        bstate[b] = 2
-                        ready_count += 1
-                        hits += 1
-                    elif current is None:
-                        defer_heap.append((act_allowed[b], b, -1, True, row))
-                    else:
-                        t_pre = pre_allowed[b]
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        defer_heap.append((t_pre + trp, b, t_pre, False, row))
-                heapq.heapify(defer_heap)
-            elif fresh:
-                for b in sorted(fresh) if len(fresh) > 1 else fresh:
-                    row = rows_l[seqs_q[b][head[b]]]
-                    current = open_row[b]
-                    if current == row:
-                        bstate[b] = 2
-                        ready_count += 1
-                        hits += 1
-                    elif current is None:
-                        heappush(defer_heap, (act_allowed[b], b, -1, True, row))
-                    else:
-                        t_pre = pre_allowed[b]
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        heappush(defer_heap, (t_pre + trp, b, t_pre, False, row))
-                del fresh[:]
-
-            # ---- deferred-activation commits (port) --------------------
-            if defer_heap:
-                committable = None
-                if defer_heap[0][0] <= bus_free:
-                    entry = heappop(defer_heap)
-                    if defer_heap and defer_heap[0][0] <= bus_free:
-                        del commit_buf[:]
-                        commit_buf.append(entry)
-                        commit_buf.append(heappop(defer_heap))
-                        while defer_heap and defer_heap[0][0] <= bus_free:
-                            commit_buf.append(heappop(defer_heap))
-                        commit_buf.sort(key=_ENTRY_BANK)
-                        committable = commit_buf
-                    else:
-                        committable = (entry,)
-                elif not ready_count:
-                    committable = (heappop(defer_heap),)
-                if committable:
-                    for act_ready, b, t_pre, is_empty, row in committable:
-                        if is_empty:
-                            empties += 1
-                        else:
-                            misses += 1
-                            pres += 1
-                            if record:
-                                commands.append(
-                                    ScheduledCommand(t_pre, CommandType.PRE,
-                                                     bank=b))
-                        bg = bg_of[b]
-                        t_act = act_ready
-                        if last_act != _FAR_PAST:
-                            spacing = trrd_l if bg == last_act_bg else trrd_s
-                            t = last_act + spacing
-                            if t > t_act:
-                                t_act = t
-                        t = faw_ring[faw_idx] + tfaw
-                        if t > t_act:
-                            t_act = t
-                        if quant:
-                            remainder = t_act % tck
-                            if remainder:
-                                t_act += tck - remainder
-                        faw_ring[faw_idx] = t_act
-                        faw_idx = (faw_idx + 1) & 3
-                        last_act = t_act
-                        last_act_bg = bg
-                        acts += 1
-                        if record:
-                            commands.append(
-                                ScheduledCommand(t_act, CommandType.ACT,
-                                                 bank=b, row=row))
-                        open_row[b] = row
-                        act_time[b] = t_act
-                        cas_allowed[b] = t_act + trcd
-                        pre_allowed[b] = t_act + tras
-                        bstate[b] = 2
-                        ready_count += 1
-
-            # ---- CAS arbitration: min-unpopped shortcut ----------------
-            bound = last_cas + tccd_s
-            t = bus_free - latency
-            if t > bound:
-                bound = t
-            if quant:
-                remainder = bound % tck
-                if remainder:
-                    bound += tck - remainder
-            # Fast case: the minimum unpopped request is a ready head and
-            # achieves the bound — then it is the oldest ready head and
-            # the general engine's oldest-first walk would stop on it
-            # immediately, so it wins at the bound.
-            chosen = -1
-            b = banks_l[nxt]
-            if bstate[b] == 2 and seqs_q[b][head[b]] == nxt:
-                pb = cas_allowed[b]
-                t = last_cas_bg[bg_of[b]] + tccd_l
-                if t > pb:
-                    pb = t
-                if pb <= bound:
-                    chosen = b
-                    t_cas = bound
-            if chosen < 0:
-                # Exact fallback: one unsorted pass over the ready banks
-                # computes the walk's outcome — the oldest head that
-                # achieves the bound, else the earliest-slot head with
-                # ties to the oldest (min-reductions over the per-bank
-                # timestamp table).
-                best_seq = _FAR_FUTURE
-                best_pb = _FAR_FUTURE
-                best_pb_seq = _FAR_FUTURE
-                best_pb_bank = -1
-                for b in range(n_banks):
-                    if bstate[b] != 2:
-                        continue
-                    sq = seqs_q[b][head[b]]
-                    pb = cas_allowed[b]
-                    t = last_cas_bg[bg_of[b]] + tccd_l
-                    if t > pb:
-                        pb = t
-                    if pb <= bound:
-                        if sq < best_seq:
-                            best_seq = sq
-                            chosen = b
-                    elif pb < best_pb or (pb == best_pb and sq < best_pb_seq):
-                        best_pb = pb
-                        best_pb_seq = sq
-                        best_pb_bank = b
-                if chosen >= 0:
-                    t_cas = bound
-                elif best_pb_bank >= 0:
-                    chosen = best_pb_bank
-                    t_cas = best_pb
-                    if quant:
-                        remainder = t_cas % tck
-                        if remainder:
-                            t_cas += tck - remainder
-                else:
-                    raise RuntimeError(
-                        "scheduler deadlock: no prepared bank head")
-
-            # ---- pop, timeline update, intake (port) -------------------
-            hlist = seqs_q[chosen]
-            h = head[chosen]
-            p_seq = hlist[h]
-            h += 1
-            head[chosen] = h
-            queued -= 1
-            if adm[chosen] == h:
-                bstate[chosen] = 0
-                ready_count -= 1
-            elif is_hit[hlist[h]]:
-                hits += 1
-            else:
-                bstate[chosen] = 1
-                ready_count -= 1
-                fresh.append(chosen)
-            popped[p_seq] = 1
-            if p_seq == nxt:
-                nxt += 1
-                while popped[nxt]:
-                    nxt += 1
-
-            last_cas = t_cas
-            last_cas_bg[bg_of[chosen]] = t_cas
-            data_end = t_cas + latency + burst
-            bus_free = data_end
-            last_data_end = data_end
-            if is_read:
-                t = t_cas + trtp
-            else:
-                t = data_end + twr
-            if t > pre_allowed[chosen]:
-                pre_allowed[chosen] = t
-            if record:
-                commands.append(
-                    ScheduledCommand(
-                        t_cas, CommandType.RD if is_read else CommandType.WR,
-                        bank=chosen, row=rows_l[p_seq], column=cols_l[p_seq],
-                        request_id=n_requests))
-            n_requests += 1
-            # Inline single-slot admission (port of the general engine).
-            if pos < n and queued == queue_depth - 1:
-                b = banks_l[pos]
-                if adm[b] - head[b] < per_bank_depth:
-                    if adm[b] == head[b]:
-                        bstate[b] = 1
-                        fresh.append(b)
-                    adm[b] += 1
-                    pos += 1
-                    queued += 1
-            else:
-                intake()
-
-        stats.requests = n_requests
-        stats.page_hits = hits
-        stats.page_misses = misses
-        stats.page_empties = empties
-        stats.activates = acts
-        stats.precharges = pres
-        stats.refreshes = refs
-        stats.data_time_ps = n_requests * burst
-        stats.makespan_ps = last_data_end
-        reads = n_requests if is_read else 0
-        writes = 0 if is_read else n_requests
-        ref_key = (CommandType.REF_ALL if all_bank_refresh
-                   else CommandType.REF_BANK).value
-        stats.command_counts = {
-            CommandType.ACT.value: acts,
-            CommandType.PRE.value: pres,
-            (CommandType.RD if is_read else CommandType.WR).value: n_requests,
-            ref_key: refs,
-        }
-        stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
-                                         ref=refs, makespan_ps=last_data_end)
-        return EngineResult(stats=stats, commands=commands, reads=reads,
-                            writes=writes, turnarounds=0)
-
-    def _run_native(self, source: WorkloadSource, op: str) -> EngineResult:
+    def _run_native(self, source: WorkloadSource, op: str,
+                    cas_times: bool) -> EngineResult:
         """Homogeneous run through the compiled segment loop.
 
         The C side owns the eval / commit / arbitrate / pop / admit
@@ -647,10 +230,10 @@ class KernelEngine:
         exact general-engine block, on the same arrays) and re-enters.
         State is copied from the shared per-bank lists on entry and
         written back on exit, so warm-state swapping with the general
-        engine behaves identically to the pure-Python loop.
+        engine behaves identically to a general-engine run.
         """
         loaded = _kernelc.load()
-        assert loaded is not None  # guarded by self._native
+        assert loaded is not None  # guarded by self.native
         ffi, lib = loaded
         config = self.config
         policy = self.policy
@@ -699,6 +282,7 @@ class KernelEngine:
         heap = np.zeros((n_banks + 2) * 5, dtype=np.int64)
         rec_cap = (3 * n + 4096) if record else 1
         rec = np.zeros(rec_cap * 6, dtype=np.int64)
+        cas_col = np.zeros(max(n, 1) if cas_times else 1, dtype=np.int64)
 
         sc = np.zeros(_kernelc.N_SCALARS, dtype=np.int64)
         sc[_kernelc.S_LAST_CAS] = _FAR_PAST
@@ -728,6 +312,7 @@ class KernelEngine:
         cfg[_kernelc.C_RECORD] = 1 if record else 0
         cfg[_kernelc.C_N] = n
         cfg[_kernelc.C_REC_CAP] = rec_cap
+        cfg[_kernelc.C_CAS_TIMES] = 1 if cas_times else 0
 
         # Initial intake (the general engine's intake(), on the arrays).
         banks_head: List[int] = banks_arr[
@@ -757,7 +342,7 @@ class KernelEngine:
                 ptr(adm), ptr(bstate), ptr(open_arr), ptr(act_time),
                 ptr(cas_allowed), ptr(pre_allowed), ptr(act_allowed),
                 ptr(bg_of), ptr(last_cas_bg), ptr(faw_ring), ptr(fresh),
-                ptr(heap), ptr(rec)]
+                ptr(heap), ptr(rec), ptr(cas_col)]
 
         refs_total = 0
         deadline = refresh.next_deadline_ps
@@ -777,7 +362,7 @@ class KernelEngine:
                 rec = grown
                 rec_cap += n
                 cfg[_kernelc.C_REC_CAP] = rec_cap
-                args[-1] = ptr(rec)
+                args[-2] = ptr(rec)
                 continue
             # ---- refresh boundary: the general engine's block, on the
             # shared arrays (the scheduler object advances its own
@@ -795,7 +380,7 @@ class KernelEngine:
                     rec = grown
                     rec_cap += n
                     cfg[_kernelc.C_REC_CAP] = rec_cap
-                    args[-1] = ptr(rec)
+                    args[-2] = ptr(rec)
                 ref_time = event.deadline_ps
                 for b in event.banks:
                     if open_arr[b] >= 0:
@@ -901,4 +486,5 @@ class KernelEngine:
         stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
                                          ref=refs, makespan_ps=last_data_end)
         return EngineResult(stats=stats, commands=commands, reads=reads,
-                            writes=writes, turnarounds=0)
+                            writes=writes, turnarounds=0,
+                            cas_times=cas_col[:n] if cas_times else None)

@@ -29,18 +29,14 @@ mixed schedule can be dumped with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.dram.commands import ScheduledCommand
-from repro.dram.controller import ENGINE_GENERAL, ENGINE_KERNEL, \
-    ControllerConfig, _check_engine
+from repro.dram.controller import ControllerConfig
 from repro.dram.engine import MixedSource, SchedulingEngine
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats
 from repro.mapping.base import InterleaverMapping
-
-if TYPE_CHECKING:
-    from repro.dram.kernel import KernelEngine
 
 #: A mixed request: (is_read, bank, row, column).
 MixedRequest = Tuple[bool, int, int, int]
@@ -75,7 +71,6 @@ def run_mixed_phase(
     config: DramConfig,
     requests: Iterable[MixedRequest],
     policy: Optional[ControllerConfig] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> MixedResult:
     """Schedule a mixed read/write request stream.
 
@@ -88,23 +83,11 @@ def run_mixed_phase(
     * write -> read: ``RD`` command at least ``tWTR_S``/``tWTR_L``
       (bank-group-discriminated) after the end of write data.
 
-    The ``engine=`` hook mirrors the homogeneous one
-    (:data:`~repro.dram.controller.ENGINE_GENERAL` /
-    :data:`~repro.dram.controller.ENGINE_KERNEL`).  Mixed streams
-    always schedule through the shared general core — the kernel
-    delegates them by contract — so both values are valid for every
-    workload shape and produce identical results.
+    Mixed streams always schedule through the general core: the
+    turnaround rule set has no kernel fast path.
     """
     policy = policy or ControllerConfig()
-    _check_engine(engine)
-    scheduler: "Union[SchedulingEngine, KernelEngine]"
-    if engine == ENGINE_KERNEL:
-        from repro.dram.kernel import KernelEngine
-
-        scheduler = KernelEngine(config, policy)
-    else:
-        scheduler = SchedulingEngine(config, policy)
-    result = scheduler.run(MixedSource(requests))
+    result = SchedulingEngine(config, policy).run(MixedSource(requests))
     return MixedResult(stats=result.stats, reads=result.reads,
                        writes=result.writes, turnarounds=result.turnarounds,
                        commands=result.commands)
@@ -180,14 +163,12 @@ def steady_state_interleaver(
     mapping: InterleaverMapping,
     group: int = 1,
     policy: Optional[ControllerConfig] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> MixedResult:
     """Simulate the steady-state write(k+1)/read(k) operation.
 
     The read frame is double-buffered ``mapping.rows_used()`` rows above
-    the write frame so the two streams never share pages.  ``engine``
-    is the scheduler-selection hook of :func:`run_mixed_phase`.
+    the write frame so the two streams never share pages.
     """
     read_mapping = RowShiftedMapping(mapping, mapping.rows_used())
     stream = interleaved_stream(mapping, read_mapping, group)
-    return run_mixed_phase(config, stream, policy, engine=engine)
+    return run_mixed_phase(config, stream, policy)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.dram.controller import (
-    ENGINE_GENERAL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
@@ -70,7 +69,6 @@ def simulate_phase(
     *,
     use_arrays: Optional[bool] = None,
     chunk_size: Optional[int] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> PhaseStats:
     """Simulate a single write or read phase.
 
@@ -92,14 +90,10 @@ def simulate_phase(
         chunk_size: bursts per address chunk on the array path
             (``None`` = the mapping's default, bounded memory at paper
             scale).
-        engine: scheduling-engine selection hook
-            (:data:`~repro.dram.controller.ENGINE_GENERAL` /
-            :data:`~repro.dram.controller.ENGINE_KERNEL`); both produce
-            bit-identical statistics.
     """
     return simulate_phase_result(config, mapping, op, policy,
                                  use_arrays=use_arrays,
-                                 chunk_size=chunk_size, engine=engine).stats
+                                 chunk_size=chunk_size).stats
 
 
 def simulate_phase_result(
@@ -110,7 +104,6 @@ def simulate_phase_result(
     *,
     use_arrays: Optional[bool] = None,
     chunk_size: Optional[int] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> PhaseResult:
     """Like :func:`simulate_phase`, returning the full :class:`PhaseResult`.
 
@@ -119,7 +112,7 @@ def simulate_phase_result(
     (:mod:`repro.dram.trace`) — the integration tests replay one
     recorded run per Table I (config, mapping) pair.
     """
-    controller = MemoryController(config, policy, engine=engine)
+    controller = MemoryController(config, policy)
     if op not in (OP_WRITE, OP_READ):
         raise ValueError(f"op must be {OP_WRITE!r} or {OP_READ!r}, got {op!r}")
     if use_arrays is None:
@@ -145,15 +138,12 @@ def simulate_interleaver(
     *,
     use_arrays: Optional[bool] = None,
     chunk_size: Optional[int] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> InterleaverSimResult:
     """Simulate both phases of one interleaver frame (Table I cell pair)."""
     write = simulate_phase(config, mapping, OP_WRITE, policy,
-                           use_arrays=use_arrays, chunk_size=chunk_size,
-                           engine=engine)
+                           use_arrays=use_arrays, chunk_size=chunk_size)
     read = simulate_phase(config, mapping, OP_READ, policy,
-                          use_arrays=use_arrays, chunk_size=chunk_size,
-                          engine=engine)
+                          use_arrays=use_arrays, chunk_size=chunk_size)
     return InterleaverSimResult(
         config_name=config.name,
         mapping_name=mapping.name,
@@ -167,7 +157,6 @@ def simulate_mixed_interleaver(
     mapping: InterleaverMapping,
     group: int = 16,
     policy: Optional[ControllerConfig] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> "MixedResult":
     """Simulate the steady-state interleaved write(k+1)/read(k) operation.
 
@@ -182,4 +171,4 @@ def simulate_mixed_interleaver(
     from repro.dram.mixed import steady_state_interleaver
 
     return steady_state_interleaver(config, mapping, group=group,
-                                    policy=policy, engine=engine)
+                                    policy=policy)

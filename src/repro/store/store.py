@@ -6,8 +6,9 @@ named ``<kind>-<key>.json`` where ``key`` is the
 configuration.  The layout generalizes the campaign engine's per-cell
 cache (PR 2) to every sweep kind and keeps its two guarantees:
 
-* **atomic writes** — documents land via a temp file and
-  :func:`os.replace`, so a killed run never leaves torn entries;
+* **atomic writes** — documents land via a per-writer temp file and
+  :func:`os.replace`, so a killed run never leaves torn entries and
+  concurrent writers of one key never collide;
 * **never trust a hash alone** — every read compares the stored
   configuration against the requested one, so hash collisions and
   hand-edited files recompute instead of corrupting results.
@@ -29,9 +30,11 @@ guard).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
+import threading
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dram.controller import OP_READ, OP_WRITE
@@ -128,11 +131,32 @@ class ResultStore:
             "config": config,
             "payload": payload,
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as stream:
-            json.dump(document, stream, sort_keys=True, allow_nan=False)
-        os.replace(tmp, path)  # atomic: a killed run never leaves torn entries
+        text = json.dumps(document, sort_keys=True, allow_nan=False)
+        # One temp file per writer: concurrent writers of one key (CLI
+        # runs and ``repro serve`` over a shared store) never touch each
+        # other's half-written file.
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w") as stream:
+                stream.write(text)
+            os.replace(tmp, path)  # atomic: never a torn entry
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            # Lost the replace race (platforms where an open target
+            # blocks it): fine when the winner wrote these bytes.
+            if not self._holds(path, text):
+                raise
         return key
+
+    @staticmethod
+    def _holds(path: str, text: str) -> bool:
+        """Whether the document at ``path`` is exactly ``text``."""
+        try:
+            with open(path) as stream:
+                return stream.read() == text
+        except OSError:
+            return False
 
     def read(self, kind: str, config: JSONDict) -> Optional[JSONDict]:
         """Load the payload stored for ``(kind, config)``, if trustworthy.

@@ -19,9 +19,9 @@ full-phase address streams.  This module closes the loop:
   code-word failure rates, DRAM utilization, frame energy, *and*
   per-frame write/read latencies from a single description;
 * :func:`run_e2e_reference` is the per-frame scalar oracle (per-frame
-  channel loop, per-element address tuples) that the batched path is
-  differential-tested bit-identical against in
-  ``tests/system/test_e2e.py``.
+  channel loop, per-element address tuples, the general engine with
+  recorded commands) that the batched path is differential-tested
+  bit-identical against in ``tests/system/test_e2e.py``.
 
 Per-frame latency is defined as the *frame service time* on the data
 bus: with ``completion[f]`` the end of the last data burst belonging to
@@ -30,7 +30,10 @@ of frame ``f+1`` finish early), frame ``f``'s latency is
 ``completion[f] - completion[f-1]`` (``completion[-1] = 0``).  The sum
 of the latencies is exactly the phase makespan, and a frame that a
 refresh or a row-miss chain interrupts shows up as a tail-latency
-outlier — the quantity :func:`latency_percentile_ps` summarizes.
+outlier — the quantity :func:`latency_percentile_ps` summarizes.  The
+production path schedules on the batch-advance kernel and folds the
+latencies in NumPy from its per-request CAS issue times
+(``EngineResult.cas_times``); no command objects are built.
 
 Cells are declarative frozen dataclasses of primitives (the campaign
 engine's design rules): they pickle cheaply, every worker rebuilds its
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -317,6 +320,9 @@ def _frame_latencies(commands: Sequence[ScheduledCommand], frames: int,
                      op: str) -> Tuple[int, ...]:
     """Per-frame service times from a recorded homogeneous schedule.
 
+    The oracle twin of :func:`_fold_frame_latencies`, used by
+    :func:`run_e2e_reference`.
+
     Args:
         commands: the phase's scheduled command list (with
             ``record_commands`` the engine stamps every RD/WR with its
@@ -350,6 +356,38 @@ def _frame_latencies(commands: Sequence[ScheduledCommand], frames: int,
     return tuple(np.diff(completion, prepend=0).tolist())
 
 
+def _fold_frame_latencies(cas_times: "np.ndarray[Any, Any]", frames: int,
+                          elements_per_frame: int, config: DramConfig,
+                          op: str) -> Tuple[int, ...]:
+    """Per-frame service times from per-request CAS issue times.
+
+    ``cas_times[k]`` is the issue time of the request recording would
+    stamp ``request_id=k`` (see ``EngineResult.cas_times``), so the
+    frames are consecutive blocks of ``elements_per_frame`` entries:
+    one reshape and a row-wise maximum give every frame's last data
+    end.
+    Equal to :func:`_frame_latencies` over the recorded schedule.
+    """
+    if frames == 0:
+        return ()
+    timing = config.timing
+    latency = timing.cl if op == OP_READ else timing.cwl
+    ends = cas_times.reshape(frames, elements_per_frame).max(axis=1)
+    ends += latency + config.burst_duration_ps
+    completion = np.maximum.accumulate(ends)
+    return tuple(np.diff(completion, prepend=0).tolist())
+
+
+def _check_frame_bursts(stats: PhaseStats, frames: int,
+                        elements_per_frame: int) -> None:
+    """Fail loudly when a frame stream scheduled the wrong burst count."""
+    if stats.requests != frames * elements_per_frame:
+        raise RuntimeError(
+            f"frame stream scheduled {stats.requests} bursts, "
+            f"expected {frames} frames x {elements_per_frame} elements"
+        )
+
+
 def _run_dram_phase(config: DramConfig, policy: ControllerConfig,
                     source: WorkloadSource, frames: int,
                     elements_per_frame: int,
@@ -357,20 +395,37 @@ def _run_dram_phase(config: DramConfig, policy: ControllerConfig,
     """Schedule one co-simulation phase and extract per-frame latencies.
 
     A fresh engine per phase (the paper's cold-start semantics, like
-    :func:`repro.dram.simulator.simulate_interleaver`); commands are
-    always recorded internally because the latency extraction needs the
-    issue times, which leaves the returned :class:`PhaseStats`
-    untouched (recording is proven stats-invariant in
+    :func:`repro.dram.simulator.simulate_interleaver`).  The kernel
+    hands back one CAS issue time per request — natively, or from the
+    general engine when it falls back — and
+    :func:`_fold_frame_latencies` turns them into frame latencies.
+    """
+    # Imported on first use, keeping the kernel module out of the
+    # package's import time (as in the controller).
+    from repro.dram.kernel import KernelEngine
+
+    result = KernelEngine(config, policy).run(source, op=op, cas_times=True)
+    _check_frame_bursts(result.stats, frames, elements_per_frame)
+    assert result.cas_times is not None  # requested above
+    latencies = _fold_frame_latencies(result.cas_times, frames,
+                                      elements_per_frame, config, op)
+    return result.stats, latencies
+
+
+def _run_dram_phase_reference(
+        config: DramConfig, policy: ControllerConfig, source: WorkloadSource,
+        frames: int, elements_per_frame: int,
+        op: str) -> Tuple[PhaseStats, Tuple[int, ...]]:
+    """Oracle twin of :func:`_run_dram_phase`.
+
+    Schedules on the general engine with commands recorded and scans
+    them with :func:`_frame_latencies`; recording leaves the returned
+    :class:`PhaseStats` untouched (proven stats-invariant in
     ``tests/dram/test_energy_properties.py``).
     """
     engine = SchedulingEngine(config, replace(policy, record_commands=True))
     result = engine.run(source, op=op)
-    expected = frames * elements_per_frame
-    if result.stats.requests != expected:
-        raise RuntimeError(
-            f"frame stream scheduled {result.stats.requests} bursts, "
-            f"expected {frames} frames x {elements_per_frame} elements"
-        )
+    _check_frame_bursts(result.stats, frames, elements_per_frame)
     latencies = _frame_latencies(result.commands, frames, elements_per_frame,
                                  config, op)
     return result.stats, latencies
@@ -485,11 +540,11 @@ def run_e2e_reference(cell: E2ECell) -> E2EResult:
     _check_bridge(cell.interleaver, mapping)
     policy = cell.policy or ControllerConfig()
     elements = cell.interleaver.elements_per_frame
-    write, write_lat = _run_dram_phase(
+    write, write_lat = _run_dram_phase_reference(
         config, policy,
         TupleSource(_frame_tuple_requests(mapping, cell.frames, OP_WRITE)),
         cell.frames, elements, OP_WRITE)
-    read, read_lat = _run_dram_phase(
+    read, read_lat = _run_dram_phase_reference(
         config, policy,
         TupleSource(_frame_tuple_requests(mapping, cell.frames, OP_READ)),
         cell.frames, elements, OP_READ)

@@ -13,18 +13,14 @@ and a registry mapping key rather than holding live objects), so they
 pickle cheaply and each worker rebuilds its own space/mapping — no
 shared state, deterministic results, identical to the serial path.
 
-Two orthogonal knobs ride on every task:
-
-* ``engine`` selects the scheduling arbiter
-  (:data:`~repro.dram.controller.ENGINE_GENERAL` or the bit-identical
-  batch-advance :data:`~repro.dram.controller.ENGINE_KERNEL`); it is
-  an execution detail and deliberately **not** part of the store key —
-  a kernel run and a general run of the same cell share one cache
-  entry (pinned in ``tests/store``).
-* :func:`share_phase_chunks` swaps a task's rebuild-in-worker address
-  generation for a pre-materialized zero-copy
-  :class:`~repro.system.shm.SharedChunks` payload, bit-identical for
-  any ``jobs`` value.
+Every phase schedules through the controller's default arbiter, the
+batch-advance kernel (:mod:`repro.dram.kernel`), which falls back to
+the general engine by itself where it has no compiled path; which one
+ran is an execution detail and never part of a store key.
+:func:`share_phase_chunks` swaps a task's rebuild-in-worker address
+generation for a pre-materialized zero-copy
+:class:`~repro.system.shm.SharedChunks` payload, bit-identical for any
+``jobs`` value.
 """
 
 from __future__ import annotations
@@ -36,12 +32,10 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.dram.controller import (
-    ENGINE_GENERAL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
     MemoryController,
-    _check_engine,
 )
 from repro.dram.mixed import MixedResult
 from repro.dram.presets import DramConfig, get_config
@@ -88,10 +82,6 @@ class PhaseTask:
         policy: optional controller policy overrides (picklable).
         use_arrays: forwarded to :func:`~repro.dram.simulator.simulate_phase`
             (``None`` = auto-select the vectorized path).
-        engine: scheduling-engine hook
-            (:data:`~repro.dram.controller.ENGINE_GENERAL` /
-            :data:`~repro.dram.controller.ENGINE_KERNEL`); results are
-            bit-identical either way, so the store key excludes it.
         chunks: optional pre-materialized address payload (see
             :func:`share_phase_chunks`); excluded from equality — the
             declarative fields alone identify the cell.
@@ -103,7 +93,6 @@ class PhaseTask:
     n: int
     policy: Optional[ControllerConfig] = None
     use_arrays: Optional[bool] = None
-    engine: str = ENGINE_GENERAL
     chunks: Optional[SharedChunks] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -111,7 +100,6 @@ class PhaseTask:
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {self.op!r}")
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
-        _check_engine(self.engine)
 
 
 def _task_mapping(task_mapping: str, config_name: str,
@@ -178,13 +166,13 @@ def execute_phase_task(task: PhaseTask) -> PhaseStats:
     """
     if task.chunks is not None:
         config = get_config(task.config_name)
-        controller = MemoryController(config, task.policy, engine=task.engine)
+        controller = MemoryController(config, task.policy)
         stats = controller.run_phase(task.chunks.chunks(), task.op).stats
         task.chunks.release()  # detach the worker-side view promptly
         return stats
     config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
     return simulate_phase(config, mapping, task.op, task.policy,
-                          use_arrays=task.use_arrays, engine=task.engine)
+                          use_arrays=task.use_arrays)
 
 
 @dataclass(frozen=True)
@@ -204,20 +192,16 @@ class InterleaverTask:
         mapping: mapping registry key (e.g. ``"row-major"``).
         n: triangular interleaver dimension.
         policy: optional controller policy overrides (picklable).
-        engine: scheduling-engine hook (excluded from the store key;
-            results are bit-identical across engines).
     """
 
     config_name: str
     mapping: str
     n: int
     policy: Optional[ControllerConfig] = None
-    engine: str = ENGINE_GENERAL
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
-        _check_engine(self.engine)
 
 
 def execute_interleaver_task(task: InterleaverTask) -> InterleaverSimResult:
@@ -228,8 +212,7 @@ def execute_interleaver_task(task: InterleaverTask) -> InterleaverSimResult:
             known registry key.
     """
     config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
-    return simulate_interleaver(config, mapping, task.policy,
-                                engine=task.engine)
+    return simulate_interleaver(config, mapping, task.policy)
 
 
 @dataclass(frozen=True)
@@ -244,8 +227,6 @@ class MixedTask:
             stream switches direction (see
             :func:`repro.dram.mixed.interleaved_stream`).
         policy: optional controller policy overrides (picklable).
-        engine: scheduling-engine hook (excluded from the store key;
-            mixed streams always schedule through the general core).
     """
 
     config_name: str
@@ -253,14 +234,12 @@ class MixedTask:
     n: int
     group: int = 16
     policy: Optional[ControllerConfig] = None
-    engine: str = ENGINE_GENERAL
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
         if self.group < 1:
             raise ValueError(f"group must be >= 1, got {self.group}")
-        _check_engine(self.engine)
 
 
 def execute_mixed_task(task: MixedTask) -> MixedResult:
@@ -272,7 +251,7 @@ def execute_mixed_task(task: MixedTask) -> MixedResult:
     """
     config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
     return simulate_mixed_interleaver(config, mapping, group=task.group,
-                                      policy=task.policy, engine=task.engine)
+                                      policy=task.policy)
 
 
 @dataclass(frozen=True)

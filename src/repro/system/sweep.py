@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
 from repro.dram.controller import (
-    ENGINE_GENERAL,
     OP_READ,
     OP_WRITE,
     POLICY_NAMES,
@@ -129,7 +128,6 @@ def run_table1(
     jobs: Optional[int] = None,
     use_arrays: Optional[bool] = None,
     store: Optional["ResultStore"] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> List[Table1Row]:
     """Regenerate Table I at triangle size ``n``.
 
@@ -149,16 +147,12 @@ def run_table1(
         store: optional shared result store — cells persisted by any
             prior sweep (including ``energy``) are reused, the rest
             are written back for later runs.
-        engine: scheduling-engine hook
-            (:data:`~repro.dram.controller.ENGINE_GENERAL` /
-            :data:`~repro.dram.controller.ENGINE_KERNEL`); results and
-            store keys are identical either way.
     """
     mapping_names = ("row-major", "optimized")
     ops = (OP_WRITE, OP_READ)
     tasks = [
         PhaseTask(config_name=config_name, mapping=mapping_name, op=op, n=n,
-                  policy=policy, use_arrays=use_arrays, engine=engine)
+                  policy=policy, use_arrays=use_arrays)
         for config_name in config_names
         for mapping_name in mapping_names
         for op in ops
@@ -241,7 +235,6 @@ def run_mixed_table(
     policy: Optional[ControllerConfig] = None,
     jobs: Optional[int] = None,
     store: Optional["ResultStore"] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> List[MixedRow]:
     """Steady-state interleaved read/write utilization, Table I layout.
 
@@ -261,13 +254,11 @@ def run_mixed_table(
         policy: controller policy overrides applied to every cell.
         jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
         store: optional shared result store (hits skip simulation).
-        engine: scheduling-engine hook (mixed streams schedule through
-            the shared general core under either value).
     """
     mapping_names = ("row-major", "optimized")
     tasks = [
         MixedTask(config_name=config_name, mapping=mapping_name, n=n,
-                  group=group, policy=policy, engine=engine)
+                  group=group, policy=policy)
         for config_name in config_names
         for mapping_name in mapping_names
     ]
@@ -346,7 +337,6 @@ def run_energy_table(
     policy: Optional[ControllerConfig] = None,
     jobs: Optional[int] = None,
     store: Optional["ResultStore"] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> List[EnergyRow]:
     """Energy per interleaver frame, both mappings x every configuration.
 
@@ -366,13 +356,11 @@ def run_energy_table(
             two *phase* records, so an ``energy`` run reuses the exact
             entries a prior ``table1`` run at the same ``n`` persisted
             (and vice versa) with zero redundant engine invocations.
-        engine: scheduling-engine hook (bit-identical results, shared
-            store keys).
     """
     mapping_names = ("row-major", "optimized")
     tasks = [
         InterleaverTask(config_name=config_name, mapping=mapping_name, n=n,
-                        policy=policy, engine=engine)
+                        policy=policy)
         for config_name in config_names
         for mapping_name in mapping_names
     ]
@@ -627,7 +615,6 @@ def run_policy_table(
     policy: Optional[ControllerConfig] = None,
     jobs: Optional[int] = None,
     store: Optional["ResultStore"] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> List[PolicyRow]:
     """The scheduling-policy axis of Table I.
 
@@ -653,9 +640,6 @@ def run_policy_table(
         store: optional shared result store — the open-page cells key
             identically to plain Table I phases at the same ``n``, so a
             prior ``table1`` run pre-warms this sweep's default column.
-        engine: scheduling-engine hook (disciplines the kernel does not
-            implement delegate to the general engine; results are
-            identical either way).
 
     Raises:
         ValueError: on an unknown discipline name (via
@@ -664,7 +648,7 @@ def run_policy_table(
     base = policy or ControllerConfig()
     tasks = [
         PhaseTask(config_name=config_name, mapping=mapping, op=op, n=n,
-                  policy=replace(base, discipline=discipline), engine=engine)
+                  policy=replace(base, discipline=discipline))
         for config_name in config_names
         for discipline in disciplines
         for op in (OP_WRITE, OP_READ)
@@ -825,7 +809,6 @@ def sweep_ablation(
     variants: Optional[Sequence[str]] = None,
     policy: Optional[ControllerConfig] = None,
     jobs: Optional[int] = None,
-    engine: str = ENGINE_GENERAL,
 ) -> List[AblationPoint]:
     """Quantify each optimization's contribution (paper Sec. II).
 
@@ -840,7 +823,6 @@ def sweep_ablation(
             effects the ablation measures — pass an explicit
             ``ControllerConfig()`` to get them anyway).
         jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
-        engine: scheduling-engine hook (bit-identical results).
     """
     if policy is None:
         policy = ABLATION_POLICY
@@ -851,7 +833,7 @@ def sweep_ablation(
         raise KeyError(f"unknown ablation variants {unknown}; known: {sorted(known)}")
     tasks = [
         PhaseTask(config_name=config_name, mapping=variant, op=op, n=n,
-                  policy=policy, engine=engine)
+                  policy=policy)
         for config_name in config_names
         for variant in variant_names
         for op in (OP_WRITE, OP_READ)

@@ -28,6 +28,7 @@ import pytest
 
 from repro.dram._reference import reference_run_mixed_phase, reference_run_phase
 from repro.dram.controller import (
+    ENGINE_GENERAL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
@@ -116,7 +117,8 @@ def test_homogeneous_battery(index):
         stream = _as_chunks(requests, chunk_size)
     else:
         stream = iter(requests)
-    engine_result = MemoryController(config, policy).run_phase(stream, op)
+    engine_result = MemoryController(config, policy,
+                                     engine=ENGINE_GENERAL).run_phase(stream, op)
     reference_result = reference_run_phase(config, list(requests), op, policy)
 
     assert engine_result.stats == reference_result.stats
@@ -199,7 +201,8 @@ def test_multi_entry_deferred_commit_matches_reference():
     n_banks = config.geometry.banks
     requests = [(k % n_banks, (k // n_banks) % 8, k % 16)
                 for k in range(600)]
-    engine_result = MemoryController(config, policy).run_phase(
+    engine_result = MemoryController(config, policy,
+                                     engine=ENGINE_GENERAL).run_phase(
         iter(requests), OP_READ)
     reference_result = reference_run_phase(config, list(requests),
                                            OP_READ, policy)

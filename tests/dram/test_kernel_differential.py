@@ -4,10 +4,11 @@ The event-wheel kernel (:mod:`repro.dram.kernel`) must be bit-identical
 to the general :class:`~repro.dram.engine.SchedulingEngine` — same
 :class:`~repro.dram.stats.PhaseStats`, same ``command_counts``, same
 :class:`~repro.dram.stats.EnergyTally`, same recorded command list —
-on every Table I (configuration, mapping) pair, in both phases, through
-both backends (compiled segment loop and pure-Python fallback), and its
+on every Table I (configuration, mapping) pair, in both phases, and its
 schedules must independently satisfy the JEDEC replay checker
-(:mod:`repro.dram.trace`) for homogeneous and mixed traffic.
+(:mod:`repro.dram.trace`) for homogeneous and mixed traffic.  Where the
+compiled loop cannot run (no toolchain, ``REPRO_KERNEL_NATIVE=0``) the
+same battery checks the general-engine fallback route.
 """
 
 import pytest
@@ -21,9 +22,14 @@ from repro.dram.controller import (
     ControllerConfig,
     MemoryController,
 )
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.engine import MixedSource, SchedulingEngine, as_workload
 from repro.dram.kernel import KernelEngine
-from repro.dram.mixed import run_mixed_phase, steady_state_interleaver
+from repro.dram.mixed import (
+    RowShiftedMapping,
+    interleaved_stream,
+    run_mixed_phase,
+    steady_state_interleaver,
+)
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_phase_result
 from repro.dram.trace import check_phase_commands
@@ -49,17 +55,13 @@ TABLE1_PAIRS = [
 
 PAIR_IDS = [f"{c}-{m}" for c, m in TABLE1_PAIRS]
 
-#: Backends under test: the compiled segment loop only where a C
-#: toolchain produced one; the pure-Python port always.
-BACKENDS = [False] + ([True] if _kernelc.available() else [])
-
 
 def _mapping(config, mapping_name, n=N):
     space = TriangularIndexSpace(n)
     return MAPPING_FACTORIES[mapping_name](space, config.geometry)
 
 
-def _run_engines(config, mapping, op, native, policy=None):
+def _run_engines(config, mapping, op, policy=None):
     """One phase through general engine and kernel; returns both results."""
     policy = policy or ControllerConfig()
     chunks = (mapping.write_addresses_array() if op == OP_WRITE
@@ -67,9 +69,16 @@ def _run_engines(config, mapping, op, native, policy=None):
     general = SchedulingEngine(config, policy).run(as_workload(chunks), op=op)
     chunks = (mapping.write_addresses_array() if op == OP_WRITE
               else mapping.read_addresses_array())
-    kernel = KernelEngine(config, policy, native=native).run(
-        as_workload(chunks), op=op)
+    kernel = KernelEngine(config, policy).run(as_workload(chunks), op=op)
     return general, kernel
+
+
+def _assert_cas_times(result):
+    """``cas_times[k]`` is the time of the CAS stamped ``request_id=k``."""
+    cas = sorted((c.request_id, c.time_ps) for c in result.commands
+                 if c.moves_data)
+    assert [r for r, _ in cas] == list(range(result.stats.requests))
+    assert result.cas_times.tolist() == [t for _, t in cas]
 
 
 def _assert_identical(general, kernel):
@@ -81,19 +90,30 @@ def _assert_identical(general, kernel):
 
 
 class TestTable1Grid:
-    """Kernel == engine on the full production grid, both backends."""
+    """Kernel == engine on the full production grid."""
 
-    @pytest.mark.parametrize("native", BACKENDS,
-                             ids=lambda native: "native" if native else "python")
     @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
     @pytest.mark.parametrize("config_name,mapping_name", TABLE1_PAIRS,
                              ids=PAIR_IDS)
-    def test_phase_bit_identical(self, config_name, mapping_name, op, native):
+    def test_phase_bit_identical(self, config_name, mapping_name, op):
         config = get_config(config_name)
         mapping = _mapping(config, mapping_name)
-        general, kernel = _run_engines(config, mapping, op, native,
-                                       RECORDING_POLICY)
+        general, kernel = _run_engines(config, mapping, op, RECORDING_POLICY)
         _assert_identical(general, kernel)
+
+    @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
+    @pytest.mark.parametrize("config_name,mapping_name", TABLE1_PAIRS,
+                             ids=PAIR_IDS)
+    def test_cas_times_match_recorded_commands(self, config_name,
+                                               mapping_name, op):
+        """The CAS-time column is the recorded schedule's CAS times."""
+        config = get_config(config_name)
+        mapping = _mapping(config, mapping_name)
+        chunks = (mapping.write_addresses_array() if op == OP_WRITE
+                  else mapping.read_addresses_array())
+        result = KernelEngine(config, RECORDING_POLICY).run(
+            as_workload(chunks), op=op, cas_times=True)
+        _assert_cas_times(result)
 
 
 class TestControllerHook:
@@ -113,14 +133,19 @@ class TestControllerHook:
         with pytest.raises(ValueError, match="engine must be one of"):
             MemoryController(ddr4, engine="warp-drive")
 
+    def test_kernel_is_the_default(self, ddr4):
+        assert MemoryController(ddr4).engine == ENGINE_KERNEL
+
     def test_per_call_override(self, ddr4):
         """A general controller can route a single phase to the kernel."""
         mapping = _mapping(ddr4, "row-major")
-        controller = MemoryController(ddr4, ControllerConfig())
+        controller = MemoryController(ddr4, ControllerConfig(),
+                                      engine=ENGINE_GENERAL)
         kernel_stats = controller.run_phase(mapping.write_addresses_array(),
                                             OP_WRITE,
                                             engine=ENGINE_KERNEL).stats
-        baseline = MemoryController(ddr4, ControllerConfig()).run_phase(
+        baseline = MemoryController(ddr4, ControllerConfig(),
+                                    engine=ENGINE_GENERAL).run_phase(
             mapping.write_addresses_array(), OP_WRITE).stats
         assert kernel_stats == baseline
 
@@ -137,9 +162,11 @@ class TestControllerHook:
                                              OP_WRITE,
                                              engine=ENGINE_KERNEL).stats
         read_g = mixed_controller.run_phase(mapping.read_addresses_array(),
-                                            OP_READ).stats
+                                            OP_READ,
+                                            engine=ENGINE_GENERAL).stats
 
-        plain = MemoryController(ddr4, ControllerConfig())
+        plain = MemoryController(ddr4, ControllerConfig(),
+                                 engine=ENGINE_GENERAL)
         write_ref = plain.run_phase(mapping.write_addresses_array(),
                                     OP_WRITE).stats
         read_ref = plain.run_phase(mapping.read_addresses_array(),
@@ -148,28 +175,29 @@ class TestControllerHook:
 
 
 class TestMixedTraffic:
-    """Mixed streams through the kernel flag delegate bit-identically."""
+    """Mixed streams given to the kernel delegate bit-identically."""
 
     def test_mixed_phase_bit_identical(self, ddr4):
         mapping = _mapping(ddr4, "optimized", n=24)
-        results = {
-            engine: steady_state_interleaver(ddr4, mapping, group=4,
-                                             policy=RECORDING_POLICY,
-                                             engine=engine)
-            for engine in (ENGINE_GENERAL, ENGINE_KERNEL)
-        }
-        general, kernel = results[ENGINE_GENERAL], results[ENGINE_KERNEL]
+        read_mapping = RowShiftedMapping(mapping, mapping.rows_used())
+
+        def source():
+            return MixedSource(interleaved_stream(mapping, read_mapping, 4))
+
+        general = SchedulingEngine(ddr4, RECORDING_POLICY).run(source())
+        kernel = KernelEngine(ddr4, RECORDING_POLICY).run(source())
         assert kernel.stats == general.stats
         assert kernel.stats.energy_tally == general.stats.energy_tally
         assert (kernel.reads, kernel.writes, kernel.turnarounds) == (
             general.reads, general.writes, general.turnarounds)
         assert kernel.commands == general.commands
+        assert not kernel.stats.kernel_fallback  # delegation is unflagged
 
-    def test_mixed_requests_engine_keyword(self, tiny_config):
+    def test_controller_delegates_mixed_source(self, tiny_config):
         requests = [(False, 0, 0, 0), (False, 1, 0, 0),
                     (True, 0, 0, 0), (True, 2, 1, 3)]
         general = run_mixed_phase(tiny_config, requests)
-        kernel = run_mixed_phase(tiny_config, requests, engine=ENGINE_KERNEL)
+        kernel = MemoryController(tiny_config).run_phase(MixedSource(requests))
         assert kernel.stats == general.stats
 
 
@@ -182,8 +210,7 @@ class TestTraceReplay:
         config = get_config(config_name)
         mapping = _mapping(config, mapping_name)
         result = simulate_phase_result(config, mapping, OP_READ,
-                                       RECORDING_POLICY,
-                                       engine=ENGINE_KERNEL)
+                                       RECORDING_POLICY)
         assert result.commands, "recording policy produced no commands"
         violations = check_phase_commands(config, result.commands)
         assert violations == [], violations[:5]
@@ -191,30 +218,53 @@ class TestTraceReplay:
     def test_write_phase_replay_is_clean(self, ddr4):
         mapping = _mapping(ddr4, "row-major")
         result = simulate_phase_result(ddr4, mapping, OP_WRITE,
-                                       RECORDING_POLICY,
-                                       engine=ENGINE_KERNEL)
+                                       RECORDING_POLICY)
         violations = check_phase_commands(ddr4, result.commands)
         assert violations == [], violations[:5]
 
     def test_mixed_replay_is_clean(self, ddr4):
         mapping = _mapping(ddr4, "optimized", n=24)
         result = steady_state_interleaver(ddr4, mapping, group=4,
-                                          policy=RECORDING_POLICY,
-                                          engine=ENGINE_KERNEL)
+                                          policy=RECORDING_POLICY)
         assert result.commands, "recording policy produced no commands"
         violations = check_phase_commands(ddr4, result.commands)
         assert violations == [], violations[:5]
 
 
-class TestBackendSelection:
-    def test_explicit_native_requires_toolchain(self, ddr4, monkeypatch):
-        monkeypatch.setattr(_kernelc, "available", lambda: False)
-        with pytest.raises(RuntimeError, match="unavailable"):
-            KernelEngine(ddr4, ControllerConfig(), native=True)
+class TestFallback:
+    """Phases the compiled loop cannot run delegate, visibly."""
 
-    def test_python_fallback_always_constructs(self, ddr4):
-        engine = KernelEngine(ddr4, ControllerConfig(), native=False)
+    def _phase(self, config, policy):
+        mapping = _mapping(config, "row-major", n=16)
+        return KernelEngine(config, policy).run(
+            as_workload(mapping.write_addresses_array()), op=OP_WRITE)
+
+    def test_no_toolchain_delegates_with_flag(self, ddr4, monkeypatch):
+        monkeypatch.setattr(_kernelc, "available", lambda: False)
+        engine = KernelEngine(ddr4, ControllerConfig())
+        assert not engine.native
         mapping = _mapping(ddr4, "row-major", n=16)
         result = engine.run(as_workload(mapping.write_addresses_array()),
                             op=OP_WRITE)
-        assert result.stats.requests == mapping.space.num_elements
+        assert result.stats.kernel_fallback
+        general = SchedulingEngine(ddr4, ControllerConfig()).run(
+            as_workload(mapping.write_addresses_array()), op=OP_WRITE)
+        assert result.stats == general.stats
+
+    @pytest.mark.skipif(not _kernelc.available(),
+                        reason="needs the compiled segment loop")
+    def test_native_run_is_unflagged(self, ddr4):
+        assert not self._phase(ddr4, ControllerConfig()).stats.kernel_fallback
+
+    def test_fallback_cas_times_match_recorded_commands(self, ddr4,
+                                                        monkeypatch):
+        monkeypatch.setattr(_kernelc, "available", lambda: False)
+        mapping = _mapping(ddr4, "optimized", n=24)
+        result = KernelEngine(ddr4, RECORDING_POLICY).run(
+            as_workload(mapping.read_addresses_array()), op=OP_READ,
+            cas_times=True)
+        assert result.stats.kernel_fallback
+        _assert_cas_times(result)
+
+    def test_cas_times_off_by_default(self, ddr4):
+        assert self._phase(ddr4, ControllerConfig()).cas_times is None

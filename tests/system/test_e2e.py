@@ -7,7 +7,12 @@ import pytest
 
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import coherence_params
-from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.controller import (
+    OP_READ,
+    OP_WRITE,
+    POLICY_CLOSED_PAGE,
+    ControllerConfig,
+)
 from repro.dram.engine import SchedulingEngine
 from repro.dram.geometry import Geometry
 from repro.dram.presets import get_config
@@ -18,6 +23,8 @@ from repro.mapping.row_major import RowMajorMapping
 from repro.system.e2e import (
     E2ECell,
     FrameStreamSource,
+    _run_dram_phase,
+    _run_dram_phase_reference,
     latency_percentile_ps,
     run_e2e,
     run_e2e_reference,
@@ -233,20 +240,24 @@ class TestRunE2E:
 #: The seeded differential scenario grid: channel x geometry x DRAM
 #: configuration x mapping, covering the quantized (DDR4-3200) and the
 #: continuous-timeline (DDR5-6400) issue-slot paths, both Table I
-#: mappings, a good-state-error channel, and a non-default policy.
+#: mappings, a good-state-error channel, a non-default policy, and a
+#: closed-page cell (a discipline the kernel delegates to the general
+#: engine, so the fallback route's CAS times feed the latency fold).
 DIFFERENTIAL_GRID = [
     pytest.param(channel_args, n, config_name, mapping, policy,
                  id=f"fade{channel_args[0]:.0f}-n{n}-{config_name}-{mapping}"
-                    f"{'-shallow' if policy else ''}")
+                    f"{'-' + tag if tag else ''}")
     for channel_args in [(40.0, 0.002, 0.6, 0.0), (90.0, 0.008, 0.7, 0.001)]
     for n in [15, 32]
-    for config_name, mapping, policy in [
-        ("DDR4-3200", "row-major", None),
-        ("DDR4-3200", "optimized", None),
-        ("DDR5-6400", "optimized", None),
+    for config_name, mapping, policy, tag in [
+        ("DDR4-3200", "row-major", None, ""),
+        ("DDR4-3200", "optimized", None, ""),
+        ("DDR5-6400", "optimized", None, ""),
         ("LPDDR4-4266", "row-major",
          ControllerConfig(queue_depth=16, per_bank_depth=4,
-                          refresh_enabled=False)),
+                          refresh_enabled=False), "shallow"),
+        ("DDR4-3200", "optimized",
+         ControllerConfig(discipline=POLICY_CLOSED_PAGE), "closed-page"),
     ]
 ]
 
@@ -268,6 +279,7 @@ class TestDifferentialBattery:
             mapping=mapping,
             seed=97 + n,
             frames=6,
+            policy=policy,
         )
         batched = run_e2e(cell)
         reference = run_e2e_reference(cell)
@@ -280,6 +292,24 @@ class TestDifferentialBattery:
         assert batched.energy == reference.energy
         assert batched.write.energy_tally == reference.write.energy_tally
         assert batched.read.energy_tally == reference.read.energy_tally
+
+    @pytest.mark.parametrize("frames", [0, 1, 5])
+    @pytest.mark.parametrize("op", [OP_WRITE, OP_READ])
+    def test_dram_phase_equals_reference(self, frames, op):
+        """Phase level, where a cell cannot go: ``frames=0`` included."""
+        config = get_config("DDR4-3200")
+        interleaver = small_interleaver()
+        mapping = OptimizedMapping(TriangularIndexSpace(interleaver.triangle_n),
+                                   config.geometry, prefer_tall=False)
+
+        def run(phase):
+            source = FrameStreamSource(mapping, interleaver, frames, op)
+            return phase(config, ControllerConfig(), source, frames,
+                         interleaver.elements_per_frame, op)
+
+        stats, latencies = run(_run_dram_phase)
+        assert (stats, latencies) == run(_run_dram_phase_reference)
+        assert len(latencies) == frames
 
 
 class TestParallelTasks:

@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.dram.controller import ENGINE_GENERAL, ENGINE_KERNEL, OP_READ, OP_WRITE
+from repro.dram.controller import OP_READ, OP_WRITE
 from repro.system import shm as shm_module
 from repro.system.parallel import (
     PhaseTask,
@@ -120,9 +120,9 @@ class TestPhaseTaskIntegration:
 
     def _tasks(self):
         return [
-            PhaseTask(config_name="DDR4-3200", mapping="optimized", op=op,
-                      n=self.N, engine=engine)
-            for engine in (ENGINE_GENERAL, ENGINE_KERNEL)
+            PhaseTask(config_name="DDR4-3200", mapping=mapping, op=op,
+                      n=self.N)
+            for mapping in ("row-major", "optimized")
             for op in (OP_WRITE, OP_READ)
         ]
 
@@ -163,8 +163,3 @@ class TestPhaseTaskIntegration:
         finally:
             assert shared_task.chunks is not None
             shared_task.chunks.unlink()
-
-    def test_task_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            PhaseTask(config_name="DDR4-3200", mapping="optimized",
-                      op=OP_READ, n=8, engine="warp-drive")

@@ -1,8 +1,17 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.dram import _kernelc
+
+#: The ``src`` directory holding the package, for child interpreters.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestParser:
@@ -49,18 +58,69 @@ class TestTable1:
                      "--jobs", "2"]) == 0
         assert "DDR3-800" in capsys.readouterr().out
 
-    def test_kernel_flag_output_identical(self, capsys):
-        assert main(["table1", "--n", "48", "--configs", "DDR4-3200"]) == 0
-        general = capsys.readouterr().out
-        assert main(["table1", "--n", "48", "--configs", "DDR4-3200",
-                     "--kernel"]) == 0
-        assert capsys.readouterr().out == general
+    def test_kernel_flag_removed(self, capsys):
+        """Engine selection is automatic; the old opt-in flag is gone."""
+        for command in ("table1", "mixed", "ablation", "energy", "policy"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--kernel"])
+        capsys.readouterr()
 
-    def test_kernel_flag_registered_on_sweeps(self):
-        parser = build_parser()
-        for command in ("table1", "mixed", "ablation", "energy"):
-            args = parser.parse_args([command, "--kernel"])
-            assert args.kernel is True
+
+def _child_stdout(argv, native):
+    """Run ``python <argv>`` in a fresh process; its stdout.
+
+    ``native=False`` sets ``REPRO_KERNEL_NATIVE=0``, the switch that
+    routes every kernel phase to the general engine.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if not native:
+        env["REPRO_KERNEL_NATIVE"] = "0"
+    done = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestKernelFallbackIdentity:
+    """The general-engine fallback route prints the same bytes."""
+
+    @pytest.mark.parametrize("args", [
+        ["table1", "--n", "32"],
+        ["e2e", "--n", "15", "--frames", "4", "--configs", "DDR4-3200",
+         "LPDDR4-4266"],
+    ], ids=["table1", "e2e"])
+    def test_stdout_identical_without_native_kernel(self, args):
+        argv = ["-m", "repro", *args]
+        assert (_child_stdout(argv, native=False)
+                == _child_stdout(argv, native=True))
+
+    @pytest.mark.parametrize("native", (True, False),
+                             ids=("default", "no-native"))
+    def test_fallback_is_flagged(self, native):
+        probe = ("from repro.dram import _kernelc; "
+                 "from repro.system.sweep import run_table1; "
+                 "row, = run_table1(n=8, config_names=('DDR4-3200',)); "
+                 "print(_kernelc.available(), "
+                 "row.optimized.read.kernel_fallback)")
+        available, flagged = _child_stdout(["-c", probe], native).split()
+        assert flagged == str(available == "False")
+        if not native:
+            assert flagged == "True"
+
+    def test_compiler_failing_at_first_use(self, tmp_path, monkeypatch,
+                                           capsys):
+        """No compiler, empty cache: the table still prints, same bytes."""
+        assert main(["table1", "--n", "32", "--configs", "DDR4-3200"]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_KERNELC_CACHE", str(tmp_path))
+        monkeypatch.setattr(_kernelc, "which", lambda name: None)
+        monkeypatch.setattr(_kernelc, "_loaded", None)
+        monkeypatch.setattr(_kernelc, "_load_attempted", False)
+        assert main(["table1", "--n", "32", "--configs", "DDR4-3200"]) == 0
+        assert capsys.readouterr().out == expected
+        assert not _kernelc.available()
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestMixed:
