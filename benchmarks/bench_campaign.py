@@ -1,17 +1,21 @@
 """Campaign hot path: batched channel/decoder vs. the per-frame loop.
 
 The acceptance bar for the Monte Carlo campaign engine: at 1000 frames
-the batched path (2-D mask sampling, sparse position decode through the
-precomputed two-stage permutation) must be >= 5x faster than the
-per-frame ``run_frame`` loop while producing bit-identical results
-(equality is asserted here on the full aggregate, and per-field in
-``tests/channel/test_batched_channel.py``).
+the batched path (skip-ahead channel sampling, sparse position decode
+through the precomputed two-stage permutation) must be >= 5x faster
+than the per-frame ``run_frame`` loop while producing bit-identical
+results (equality is asserted here on the full aggregate, and per-field
+in ``tests/channel/test_batched_channel.py``).
 
-The speedup grows as frames shrink: per-frame overhead is fixed per
-frame while the batched cost is dominated by the RNG stream, which both
-paths must consume identically.  The assertion therefore runs on the
-campaign's small default cell (triangle 15); larger cells are reported
-in ``extra_info``.
+The batched channel draws only the uniforms inside fades, so its cost
+barely grows with the frame, while the per-frame loop still draws and
+compares one uniform per symbol.  The speedup is therefore smallest on
+small frames, and the assertion runs on the campaign's small default
+cell (triangle 15); larger cells are reported in ``extra_info``.
+
+The skip-ahead channel itself is guarded against the dense sampling it
+replaces, on a default-grid channel and on a short-dwell channel where
+its per-fade bookkeeping is the worst case.
 """
 
 import time
@@ -20,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.channel.codeword import CodewordConfig
-from repro.channel.gilbert_elliott import GilbertElliottParams
+from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.system.campaign import campaign_grid, run_campaign
 from repro.system.downlink import OpticalDownlink
@@ -29,6 +33,11 @@ FRAMES = 1000
 CHANNEL = GilbertElliottParams(p_g2b=0.004 / 0.996 / 60.0, p_b2g=1 / 60.0,
                                p_bad=0.7)
 CODE = CodewordConfig(n_symbols=24, t_correctable=2)
+#: Mean fade of two symbols: ~1200 fade runs in every n=48 frame.
+SHORT_DWELL = GilbertElliottParams(p_g2b=0.5, p_b2g=0.5, p_bad=0.7)
+#: Symbols of one n=48 campaign frame, and the downlink's batch size.
+SAMPLE_SYMBOLS = 4704
+SAMPLE_BATCH = 128
 
 
 def _downlink(triangle_n, seed=3):
@@ -76,6 +85,49 @@ def test_batched_channel_speedup(benchmark):
             f"batched path only {speedups[15]:.1f}x faster at 1000 frames; "
             f"all: { {n: round(s, 1) for n, s in speedups.items()} }"
         )
+
+
+def _dense_positions(channel, count, frames):
+    return np.nonzero(channel.error_masks(count, frames))
+
+
+def _sampler(params, sample, batches):
+    """A runner drawing ``batches`` n=48 batches from a fresh seed-11 channel."""
+    channel = GilbertElliottChannel(params, np.random.default_rng(11))
+    return lambda: [sample(channel, SAMPLE_SYMBOLS, SAMPLE_BATCH)
+                    for _ in range(batches)]
+
+
+@pytest.mark.paper_artifact("channel skip-ahead speedup")
+def test_skip_ahead_channel_sampling(benchmark):
+    """``error_positions`` (skip-ahead) vs ``nonzero(error_masks)`` (dense)."""
+    ratios = {}
+    for name, params, batches in (("default", CHANNEL, 8),
+                                  ("short_dwell", SHORT_DWELL, 1)):
+        dense_s, dense = _best_of(
+            lambda: _sampler(params, _dense_positions, batches))
+        skip_s, skip = _best_of(
+            lambda: _sampler(params, GilbertElliottChannel.error_positions,
+                             batches))
+        for got, expected in zip(skip, dense):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (
+                f"skip-ahead positions differ from the dense path on {name}")
+        ratios[name] = skip_s / dense_s
+        benchmark.extra_info[f"dense_ms_{name}"] = round(dense_s * 1e3, 2)
+        benchmark.extra_info[f"skip_ahead_ms_{name}"] = round(skip_s * 1e3, 2)
+    benchmark.extra_info["speedup_default"] = round(1 / ratios["default"], 2)
+    benchmark.extra_info["time_ratio_short_dwell"] = round(
+        ratios["short_dwell"], 2)
+
+    benchmark.pedantic(_sampler(CHANNEL, GilbertElliottChannel.error_positions,
+                                8), rounds=1, iterations=1)
+    if not benchmark.disabled:  # smoke runs only check for rot, not timing
+        assert ratios["default"] <= 1 / 3, (
+            f"skip-ahead only {1 / ratios['default']:.1f}x faster than dense "
+            f"on the default-grid channel (need >= 3x)")
+        assert ratios["short_dwell"] <= 1.5, (
+            f"skip-ahead takes {ratios['short_dwell']:.2f}x the dense time "
+            f"on the short-dwell channel (allowed <= 1.5x)")
 
 
 @pytest.mark.paper_artifact("campaign throughput")

@@ -35,10 +35,14 @@ HOT_PATHS: Dict[str, str] = {
         "the engine arbiter walk (every scheduled command)",
     "repro.dram.kernel.KernelEngine._run_native":
         "the compiled-kernel driver (segment re-entry per refresh)",
+    "repro.channel.gilbert_elliott.GilbertElliottChannel._fade_runs":
+        "the channel dwell loop (every sampled frame, both paths)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":
-        "the channel dwell sampler (every frame)",
+        "the dense fade-mask fill (every dense-path frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._sample_batch":
-        "the batched channel core (every campaign cell)",
+        "the dense batched channel core (every dense-path batch)",
+    "repro.channel.gilbert_elliott.GilbertElliottChannel._skip_ahead_positions":
+        "the skip-ahead channel sampler (every campaign frame)",
     "repro.dram.engine._PartitionedSource.batches":
         "the bank-partition intake remap (every partitioned chunk)",
     "repro.dram.energy.energy_from_commands":

@@ -20,10 +20,13 @@ rate are exposed in closed form for test cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.random import PCG64
 
 GOOD = 0
 BAD = 1
@@ -104,12 +107,26 @@ def coherence_params(
     return GilbertElliottParams(p_g2b=p_g2b, p_b2g=p_b2g, p_bad=p_bad, p_good=p_good)
 
 
+def _check_batch(count: int, frames: int) -> None:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if frames < 0:
+        raise ValueError(f"frames must be >= 0, got {frames}")
+
+
 class GilbertElliottChannel:
     """Samples error masks from the Gilbert–Elliott chain.
 
     The state sequence is generated vectorized: state dwell times are
     geometric, so the chain is simulated as alternating geometric run
     lengths rather than per-symbol coin flips.
+
+    Every entry point consumes the generator frame by frame: the
+    frame's geometric dwells, then one float64 uniform per symbol.
+    :meth:`error_positions` keeps that contract while drawing only the
+    uniforms that can matter: on a clean good state (``p_good == 0``)
+    and a plain ``PCG64`` generator it skips the stream past fade-free
+    symbols with ``PCG64.advance``, with bit-identical results.
     """
 
     def __init__(self, params: GilbertElliottParams,
@@ -119,30 +136,37 @@ class GilbertElliottChannel:
         self._state = BAD if self.rng.random() < params.stationary_bad else GOOD
         self._batch_buffers: Optional[Tuple[Tuple[int, int], NDArray[np.bool_], NDArray[np.float64]]] = None  # (shape, fades, draws) scratch reuse
 
-    def _fill_state_row(self, row: NDArray[np.bool_]) -> None:
-        """Fill ``row`` with one frame's fade mask, advancing the chain.
+    def _fade_runs(self, count: int) -> List[Tuple[int, int]]:
+        """Advance the chain over one frame; return its ``[start, end)`` fades.
 
-        This is the sampling core shared by the scalar and the batched
-        entry points: the draw order (one geometric per dwell, truncated
-        dwells redrawn next frame) is part of the reproducibility
-        contract, so both paths must run exactly this loop.
+        This dwell loop is the sampling core of every entry point: the
+        draw order (one geometric per dwell, truncated dwells redrawn
+        next frame) is part of the reproducibility contract, so every
+        path must run exactly this loop.
         """
-        count = row.size
         params = self.params
-        rng = self.rng
+        geometric = self.rng.geometric
+        runs: List[Tuple[int, int]] = []
         position = 0
         state = self._state
         while position < count:
             p_leave = params.p_b2g if state == BAD else params.p_g2b
-            run = rng.geometric(p_leave)
-            end = min(position + run, count)
-            row[position:end] = state == BAD
-            if position + run > count:
+            end = position + geometric(p_leave)
+            if state == BAD:
+                runs.append((position, min(end, count)))
+            if end > count:
                 # Dwell continues into the next call.
                 break
             position = end
             state = BAD if state == GOOD else GOOD
         self._state = state
+        return runs
+
+    def _fill_state_row(self, row: NDArray[np.bool_]) -> None:
+        """Fill ``row`` with one frame's fade mask, advancing the chain."""
+        row.fill(False)
+        for start, end in self._fade_runs(row.size):
+            row[start:end] = True
 
     def state_mask(self, count: int) -> NDArray[np.bool_]:
         """Boolean array: ``True`` where the channel is in a fade."""
@@ -160,10 +184,7 @@ class GilbertElliottChannel:
         (and its dwell carry-over) continues across rows exactly as it
         does across calls.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if frames < 0:
-            raise ValueError(f"frames must be >= 0, got {frames}")
+        _check_batch(count, frames)
         masks = np.empty((frames, count), dtype=bool)
         for f in range(frames):
             self._fill_state_row(masks[f])
@@ -181,21 +202,19 @@ class GilbertElliottChannel:
     def _sample_batch(
             self, count: int,
             frames: int) -> Tuple[NDArray[np.bool_], NDArray[np.float64]]:
-        """Fade masks and uniform draws for a frame batch (shared core).
+        """Fade masks and uniform draws for a frame batch (dense path).
 
         RNG consumption is frame-sequential — geometric dwells, then the
         frame's uniforms, identical to per-frame :meth:`error_mask`
         calls — which is what makes the batched entry points
         bit-identical to the scalar ones.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if frames < 0:
-            raise ValueError(f"frames must be >= 0, got {frames}")
-        # Scratch buffers are reused across same-shaped batches (the
-        # chunk loop of a campaign cell): refilling warm pages is much
-        # cheaper than faulting in fresh ones every chunk.  They never
-        # escape — every public entry point returns derived arrays.
+        _check_batch(count, frames)
+        # Scratch buffers are reused across same-shaped dense batches
+        # (error_masks, and the chunk loop of a cell the skip-ahead path
+        # cannot take): refilling warm pages is much cheaper than
+        # faulting in fresh ones every chunk.  They never escape — every
+        # public entry point returns derived arrays.
         shape = (frames, count)
         if self._batch_buffers is None or self._batch_buffers[0] != shape:
             self._batch_buffers = (
@@ -247,19 +266,87 @@ class GilbertElliottChannel:
 
         Returns ``(frame_idx, sym_idx)`` arrays in row-major order,
         exactly ``np.nonzero(self.error_masks(count, frames))`` from the
-        same generator state — but when ``p_good == 0`` the uniforms are
-        only compared *at fade positions*, so the per-symbol cost of the
-        whole error stage collapses to the uniform generation itself.
-        This is the campaign engine's channel entry point.
+        same generator state, and leaves the generator and the chain in
+        the state that call leaves them in.  This is the campaign
+        engine's channel entry point.
+
+        With ``p_good == 0`` only symbols inside a fade can be hit.  If
+        the generator is then exactly ``PCG64`` with no buffered 32-bit
+        half, the batch is sampled by skip-ahead: per frame, the dwells
+        as usual, ``PCG64.advance`` to the first fade symbol, one
+        uniform block up to the end of the frame's last fade, and
+        ``advance`` past the rest of the frame.  A float64 uniform
+        spends exactly one 64-bit draw, so the stream is consumed just
+        as the dense path consumes it.  Every other batch takes the
+        dense path.
         """
+        # Imported here so that importing repro never loads numpy.random.
+        from numpy.random import PCG64
+
+        bit_generator = self.rng.bit_generator
+        if self.params.p_good == 0.0 and type(bit_generator) is PCG64:
+            state = bit_generator.state
+            # advance() clears the buffered half and its word, so a
+            # generator holding either must take the dense path.
+            if state["has_uint32"] == 0 and state["uinteger"] == 0:
+                return self._skip_ahead_positions(count, frames,
+                                                  bit_generator)
         fades, draws = self._sample_batch(count, frames)
-        params = self.params
-        if params.p_good == 0.0:
-            frame_idx, sym_idx = np.nonzero(fades)
-            hits = draws[frame_idx, sym_idx] < params.p_bad
-            return frame_idx[hits], sym_idx[hits]
         frame_idx, sym_idx = np.nonzero(self._combine_errors(fades, draws))
         return frame_idx, sym_idx
+
+    def _skip_ahead_positions(
+            self, count: int, frames: int,
+            bit_generator: PCG64) -> Tuple[NDArray[Any], NDArray[Any]]:
+        """The skip-ahead path of :meth:`error_positions`.
+
+        Each frame with fades draws one uniform block, from its first
+        fade symbol to the end of its last fade; the block covers the
+        good dwells between those fades too, which are drawn and
+        ignored.  Fade symbols are expanded per batch in NumPy.
+        """
+        _check_batch(count, frames)
+        advance = bit_generator.advance
+        uniforms = self.rng.random
+        fade_runs = self._fade_runs
+        runs: List[Tuple[int, int]] = []
+        runs_per_frame: List[int] = []
+        fade_frames: List[int] = []
+        block_shifts: List[int] = []  # block index minus symbol index
+        blocks: List[NDArray[np.float64]] = []
+        drawn = 0
+        for frame in range(frames):
+            frame_runs = fade_runs(count)
+            if not frame_runs:
+                if count:
+                    advance(count)
+                continue
+            first = frame_runs[0][0]
+            last = frame_runs[-1][1]
+            if first:
+                advance(first)
+            blocks.append(uniforms(last - first))
+            if last < count:
+                advance(count - last)
+            runs += frame_runs
+            runs_per_frame.append(len(frame_runs))
+            fade_frames.append(frame)
+            block_shifts.append(drawn - first)
+            drawn += last - first
+        if not runs:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty.copy()
+        spans = np.array(runs, dtype=np.intp)
+        starts = spans[:, 0]
+        lengths = spans[:, 1] - starts
+        # The k-th fade symbol of the batch, in run r, is symbol
+        # k + starts[r] - (fade symbols before run r) of its frame.
+        sym_idx = np.arange(lengths.sum(), dtype=np.intp) + np.repeat(
+            starts - (np.cumsum(lengths) - lengths), lengths)
+        shifts = np.repeat(np.repeat(block_shifts, runs_per_frame), lengths)
+        hits = np.concatenate(blocks)[sym_idx + shifts] < self.params.p_bad
+        frame_idx = np.repeat(np.repeat(fade_frames, runs_per_frame), lengths)
+        return frame_idx[hits], sym_idx[hits]
 
     def corrupt(self, symbols: NDArray[Any],
                 bits_per_symbol: int = 3) -> NDArray[Any]:

@@ -16,7 +16,7 @@ Both operate on whole frames: one frame is ``num_elements`` symbols.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,15 +32,12 @@ def _permutation_from_orders(space: IndexSpace) -> NDArray[Any]:
     """Index permutation mapping write order to read order.
 
     ``out[k] = data[perm[k]]``: the k-th symbol *read* is the
-    ``perm[k]``-th symbol *written*.
+    ``perm[k]``-th symbol *written*.  Writes go row-wise, so a cell's
+    write slot is its row-major linear index, and the permutation is
+    the linear indices of the cells in read order.
     """
-    write_slot: Dict[Tuple[int, int], int] = {}
-    for slot, cell in enumerate(space.write_order()):
-        write_slot[cell] = slot
-    perm = np.empty(space.num_elements, dtype=np.int64)
-    for slot, cell in enumerate(space.read_order()):
-        perm[slot] = write_slot[cell]
-    return perm
+    rows, cols = zip(*space.read_coord_chunks())
+    return space.linear_indices(np.concatenate(rows), np.concatenate(cols))
 
 
 class _PermutationInterleaver:

@@ -193,9 +193,11 @@ class OpticalDownlink:
                     batch_frames: Optional[int] = None) -> DownlinkResult:
         """Vectorized :meth:`run`: same result, 2-D frame blocks per stage.
 
-        Frames are sampled in ``(batch_frames, symbols)`` mask blocks.
-        Error masks on fade channels are sparse, so everything past the
-        channel works on the ``nonzero`` error positions: per-code-word
+        Frames are sampled in blocks of ``batch_frames``, each as the
+        sparse error positions of
+        :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions`
+        (errors on fade channels are rare), so everything past the
+        channel works on those positions: per-code-word
         error counts are one ``bincount`` through the precomputed
         two-stage permutation (the full deinterleave gather never
         happens), and burst runs fall out of gaps in the sorted

@@ -475,8 +475,8 @@ def run_e2e(cell: E2ECell) -> E2EResult:
     """Run one joint co-simulation cell (also the worker entry point).
 
     The production path: the channel side runs through
-    :meth:`~repro.system.downlink.OpticalDownlink.run_batched` (2-D
-    mask blocks, sparse position decode), and the DRAM side feeds both
+    :meth:`~repro.system.downlink.OpticalDownlink.run_batched` (frame
+    blocks, sparse position decode), and the DRAM side feeds both
     phase traversals through :class:`FrameStreamSource` — the batched
     frame -> address bridge.  Bit-identical to
     :func:`run_e2e_reference` (differential-tested in

@@ -105,6 +105,90 @@ class TestChannelMasks:
             channel.error_masks(-1, 3)
         with pytest.raises(ValueError):
             channel.state_masks(5, -2)
+        with pytest.raises(ValueError):
+            channel.error_positions(-1, 3)
+        with pytest.raises(ValueError):
+            channel.error_positions(5, -2)
+
+
+def _same_state(a, b):
+    """Bit generator states are nested dicts; MT19937's holds an array."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _dense_only(*args):
+    raise AssertionError("skip-ahead batch took the dense path")
+
+
+def _skip_only(*args):
+    raise AssertionError("dense-path batch took the skip-ahead path")
+
+
+class TestSkipAhead:
+    """``error_positions`` against the dense ``error_masks`` path.
+
+    After every batch of three, the positions, the bit generator's
+    state and the chain state must all equal the dense path's.  Batches
+    with ``p_good == 0`` on a fresh ``default_rng`` must take the
+    skip-ahead path; every other generator must fall back to the dense
+    path.
+    """
+
+    SHAPES = [(0, 3), (5, 0), (311, 8), (4704, 128)]
+
+    @staticmethod
+    def _assert_batches_match(skip, dense, count, frames):
+        for _ in range(3):
+            frame_idx, sym_idx = skip.error_positions(count, frames)
+            expected = np.nonzero(dense.error_masks(count, frames))
+            assert np.array_equal(frame_idx, expected[0])
+            assert np.array_equal(sym_idx, expected[1])
+            assert _same_state(skip.rng.bit_generator.state,
+                               dense.rng.bit_generator.state)
+            assert skip._state == dense._state
+
+    @pytest.mark.parametrize("count,frames", SHAPES,
+                             ids=[f"{c}x{f}" for c, f in SHAPES])
+    @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
+    def test_matches_dense_path(self, seed, params, count, frames,
+                                monkeypatch):
+        skip, dense = _channel_pair(seed, params)
+        if params.p_good == 0.0:
+            monkeypatch.setattr(skip, "_sample_batch", _dense_only)
+        else:
+            monkeypatch.setattr(skip, "_skip_ahead_positions", _skip_only)
+        self._assert_batches_match(skip, dense, count, frames)
+
+    @pytest.mark.parametrize("bit_generator",
+                             ["MT19937", "SFC64", "Philox", "PCG64DXSM"])
+    def test_other_bit_generators_fall_back(self, bit_generator, monkeypatch):
+        params = PARAM_SETS[0][1]
+        skip, dense = (
+            GilbertElliottChannel(params, np.random.Generator(
+                getattr(np.random, bit_generator)(5)))
+            for _ in range(2))
+        monkeypatch.setattr(skip, "_skip_ahead_positions", _skip_only)
+        self._assert_batches_match(skip, dense, 311, 8)
+
+    @pytest.mark.parametrize("float32_draws", [1, 2],
+                             ids=["buffered-half", "stale-word"])
+    def test_buffered_half_falls_back(self, float32_draws, monkeypatch):
+        """``advance`` would clear the buffered half and its stored word.
+
+        One float32 draw buffers a 32-bit half; a second consumes it but
+        leaves the word in the state, where ``advance`` would zero it.
+        """
+        params = PARAM_SETS[0][1]
+        rngs = [np.random.default_rng(9) for _ in range(2)]
+        for rng in rngs:
+            for _ in range(float32_draws):
+                rng.random(dtype=np.float32)
+        assert rngs[0].bit_generator.state["uinteger"] != 0
+        skip, dense = (GilbertElliottChannel(params, rng) for rng in rngs)
+        monkeypatch.setattr(skip, "_skip_ahead_positions", _skip_only)
+        self._assert_batches_match(skip, dense, 311, 8)
 
 
 class TestBatchedDecoding:
