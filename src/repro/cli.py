@@ -91,14 +91,7 @@ from repro.system.campaign import (
     summarize_campaign,
 )
 from repro.system.downlink import OpticalDownlink
-from repro.system.parallel import (
-    AdaptiveTask,
-    RareEventTask,
-    ScenarioTask,
-    run_adaptive_tasks,
-    run_rare_event_tasks,
-    run_scenario_tasks,
-)
+from repro.system.parallel import run_tasks
 from repro.system.sweep import (
     ablation_factories,
     format_e2e_table,
@@ -596,8 +589,7 @@ def _cmd_campaign_adaptive(args: argparse.Namespace,
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    results = run_adaptive_tasks([AdaptiveTask(cell) for cell in cells],
-                                 jobs=args.jobs, store=store)
+    results = run_tasks(cells, jobs=args.jobs, store=store)
     print(format_adaptive(results))
     if not args.no_chart:
         print()
@@ -627,8 +619,7 @@ def _cmd_campaign_rare_event(args: argparse.Namespace,
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    results = run_rare_event_tasks([RareEventTask(cell) for cell in cells],
-                                   jobs=args.jobs, store=store)
+    results = run_tasks(cells, jobs=args.jobs, store=store)
     print(format_rare_event(results))
     return 0
 
@@ -697,8 +688,7 @@ def _cmd_campaign_scenario(args: argparse.Namespace,
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    results = run_scenario_tasks([ScenarioTask(cell) for cell in cells],
-                                 jobs=args.jobs, store=store)
+    results = run_tasks(cells, jobs=args.jobs, store=store)
     blocks = []
     for triangle_n in args.triangle_n:
         group = [result for result in results

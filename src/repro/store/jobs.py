@@ -238,7 +238,7 @@ class JobEngine:
                             store=self.store, resume=True)
 
     def completed(self, record: JobRecord) -> int:
-        """Cells of the job that already have a persisted result."""
+        """Cells of the job whose persisted result loads."""
         return self.store.campaign_progress(list(record.cells))
 
     def running(self, record: JobRecord) -> bool:
@@ -265,7 +265,7 @@ class JobEngine:
         The incremental-results primitive: pollers receive every cell
         completed so far while the rest of the grid is still running.
         """
-        return [self.store.load_campaign(cell) for cell in record.cells]
+        return [self.store.load(cell) for cell in record.cells]
 
     def table(self, record: JobRecord) -> Optional[str]:
         """The finished job's campaign report, or ``None`` if incomplete.

@@ -1,9 +1,10 @@
 """Typed result-record schema of the content-addressed store.
 
 Every sweep in this repository — ``table1``, ``mixed``, ``energy``,
-``e2e`` and ``campaign`` — decomposes into independent cells described
-by frozen dataclasses of primitives.  This module is the single place
-where those descriptions and their results cross the JSON boundary:
+``e2e``, ``campaign`` and the adaptive, rare-event and scenario
+estimators — decomposes into independent cells described by frozen
+dataclasses of primitives.  This module is the single place where those
+descriptions and their results cross the JSON boundary:
 
 * a **config dict** is the canonical JSON-friendly description of one
   cell (the content-address basis) — :func:`phase_task_config`,
@@ -11,10 +12,15 @@ where those descriptions and their results cross the JSON boundary:
   :func:`campaign_cell_config`;
 * a **payload dict** is the JSON form of the cell's result —
   :func:`phase_stats_to_payload` / :func:`phase_stats_from_payload` and
-  friends;
+  friends, or the result's own ``to_dict``/``from_dict`` for the Monte
+  Carlo kinds;
 * :func:`derive_key` hashes ``(kind, schema version, config)`` into the
   store's content address, so two cells share an entry exactly when
-  their full configuration is identical.
+  their full configuration is identical;
+* :data:`RECORDS` maps each task type to its :class:`Record` — kind,
+  config, payload encoder and decoder — which is all
+  :meth:`~repro.store.store.ResultStore.load` and
+  :meth:`~repro.store.store.ResultStore.save` need.
 
 Round-trips are **bit-identical**: every payload value is an int, a
 str, or a float serialized through :func:`json.dumps` (whose
@@ -26,7 +32,7 @@ that was stored, exact float equality included.  The batteries in
 Versioning: bump :data:`SCHEMA_VERSION` whenever a payload layout or a
 config-dict field changes — the version participates in the content
 address, so stale entries from older code *miss* instead of
-resurfacing.  The campaign kind additionally folds in
+resurfacing.  The Monte Carlo kinds additionally fold in
 :data:`repro.system.campaign.CACHE_VERSION`, the pre-store cache's
 evaluation version, preserving its bump-on-semantics-change contract.
 """
@@ -35,14 +41,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, cast
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Type,
+    Union,
+    cast,
+)
 
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.dram.controller import ControllerConfig
 from repro.dram.policy import POLICY_FRFCFS_CAP, POLICY_OPEN_PAGE
 from repro.dram.energy import EnergyReport
-from repro.dram.simulator import InterleaverSimResult
 from repro.dram.stats import EnergyTally, PhaseStats
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.system.adaptive import (
@@ -56,7 +71,7 @@ from repro.system.adaptive import (
 from repro.system.campaign import CACHE_VERSION, CampaignCell, CellResult
 from repro.system.downlink import DownlinkResult
 from repro.system.e2e import E2ECell, E2EResult
-from repro.system.parallel import InterleaverTask, MixedTask, PhaseTask
+from repro.system.parallel import MixedTask, PhaseTask
 from repro.channel.burst_stats import BurstProfile
 from repro.channel.codeword import DecodingReport
 from repro.dram.mixed import MixedResult
@@ -69,16 +84,6 @@ JSONDict = Dict[str, Any]
 #: older code miss instead of being misread.
 SCHEMA_VERSION = 2
 
-#: Mapping registry keys whose mapping display name equals the key —
-#: the precondition for reassembling an
-#: :class:`~repro.dram.simulator.InterleaverSimResult` from two cached
-#: phase records byte-identically (``simulate_interleaver`` stamps the
-#: result with ``mapping.name``; for these keys that is the key
-#: itself).  Ablation variants ("no-tiling", ...) all construct an
-#: ``OptimizedMapping`` whose display name differs from the registry
-#: key, so full-frame reuse skips them and simulates.
-FRAME_MAPPINGS = frozenset({"row-major", "optimized"})
-
 #: Record kinds known to the store (one namespace per result type).
 KIND_PHASE = "phase"
 KIND_MIXED = "mixed"
@@ -88,6 +93,10 @@ KIND_ADAPTIVE = "adaptive"
 KIND_RARE_EVENT = "rare-event"
 KIND_SCENARIO = "scenario"
 KIND_JOB = "job"
+
+#: The cells of the four Monte Carlo estimators; see
+#: :func:`campaign_cell_config`.
+MonteCarloCell = Union[CampaignCell, AdaptiveCell, RareEventCell, ScenarioCell]
 
 
 def canonical_json(value: Any) -> str:
@@ -182,25 +191,6 @@ def phase_task_config(task: PhaseTask) -> JSONDict:
     }
 
 
-def interleaver_phase_task(task: InterleaverTask, op: str) -> PhaseTask:
-    """The phase cell a full-frame interleaver task decomposes into.
-
-    ``simulate_interleaver`` is exactly two ``simulate_phase`` calls
-    with ``use_arrays=None``, so an :class:`~repro.system.parallel
-    .InterleaverTask` reads and writes the *same* store entries a
-    :class:`~repro.system.parallel.PhaseTask` of the matching direction
-    does — this function is where the two key spaces are glued
-    together.
-
-    Args:
-        task: the full write+read work item.
-        op: which half (:data:`~repro.dram.controller.OP_WRITE` or
-            :data:`~repro.dram.controller.OP_READ`).
-    """
-    return PhaseTask(config_name=task.config_name, mapping=task.mapping,
-                     op=op, n=task.n, policy=task.policy, use_arrays=None)
-
-
 def mixed_task_config(task: MixedTask) -> JSONDict:
     """Canonical description of one steady-state mixed-traffic cell."""
     return {
@@ -259,63 +249,18 @@ def e2e_cell_from_config(data: JSONDict) -> E2ECell:
     )
 
 
-def campaign_cell_config(cell: CampaignCell) -> JSONDict:
-    """Canonical description of one Monte Carlo campaign cell.
+def campaign_cell_config(cell: MonteCarloCell) -> JSONDict:
+    """Canonical description of one Monte Carlo cell of any estimator.
 
-    Folds in :data:`repro.system.campaign.CACHE_VERSION` — the
-    campaign evaluation's own version — so bumping either version
-    retires stale entries.
+    The cell's own ``to_dict()`` plus
+    :data:`repro.system.campaign.CACHE_VERSION`, the campaign
+    evaluation's version, so bumping either version retires stale
+    entries.  The naive, adaptive, rare-event and scenario kinds all
+    use it: their results embed or mirror a
+    :class:`~repro.system.campaign.CellResult`, so a bump of the
+    campaign evaluation semantics must retire them too.
     """
-    config = dict(cell.to_dict())
-    config["cache_version"] = CACHE_VERSION
-    return config
-
-
-def campaign_cell_from_config(data: JSONDict) -> CampaignCell:
-    """Inverse of :func:`campaign_cell_config`."""
-    return CampaignCell.from_dict(data)
-
-
-def adaptive_cell_config(cell: AdaptiveCell) -> JSONDict:
-    """Canonical description of one adaptive-stopping cell.
-
-    Folds in :data:`repro.system.campaign.CACHE_VERSION` like the
-    naive campaign kind — adaptive results embed a
-    :class:`~repro.system.campaign.CellResult`, so a campaign
-    evaluation-semantics bump must retire these entries too.
-    """
-    config = dict(cell.to_dict())
-    config["cache_version"] = CACHE_VERSION
-    return config
-
-
-def adaptive_cell_from_config(data: JSONDict) -> AdaptiveCell:
-    """Inverse of :func:`adaptive_cell_config`."""
-    return AdaptiveCell.from_dict(data)
-
-
-def rare_event_cell_config(cell: RareEventCell) -> JSONDict:
-    """Canonical description of one importance-sampled cell."""
-    config = dict(cell.to_dict())
-    config["cache_version"] = CACHE_VERSION
-    return config
-
-
-def rare_event_cell_from_config(data: JSONDict) -> RareEventCell:
-    """Inverse of :func:`rare_event_cell_config`."""
-    return RareEventCell.from_dict(data)
-
-
-def scenario_cell_config(cell: ScenarioCell) -> JSONDict:
-    """Canonical description of one time-varying channel scenario cell."""
-    config = dict(cell.to_dict())
-    config["cache_version"] = CACHE_VERSION
-    return config
-
-
-def scenario_cell_from_config(data: JSONDict) -> ScenarioCell:
-    """Inverse of :func:`scenario_cell_config`."""
-    return ScenarioCell.from_dict(data)
+    return dict(cell.to_dict(), cache_version=CACHE_VERSION)
 
 
 # ---------------------------------------------------------------------------
@@ -388,31 +333,13 @@ def phase_stats_from_payload(data: JSONDict) -> PhaseStats:
     )
 
 
-def interleaver_result_from_phases(task: InterleaverTask, write: PhaseStats,
-                                   read: PhaseStats) -> InterleaverSimResult:
-    """Assemble a full-frame result from two cached phase records.
-
-    The mapping display name equals the registry key for the Table I
-    mappings (``"row-major"``/``"optimized"``), which are the only
-    mapping keys the full-frame sweeps use — so reassembly is
-    byte-identical to :func:`~repro.dram.simulator.simulate_interleaver`
-    output for the same cell.
-    """
-    return InterleaverSimResult(
-        config_name=task.config_name,
-        mapping_name=task.mapping,
-        write=write,
-        read=read,
-    )
-
-
 def mixed_result_to_payload(result: MixedResult) -> JSONDict:
     """JSON form of a :class:`~repro.dram.mixed.MixedResult`.
 
     Recorded command lists are never persisted — the store refuses
     cells whose policy sets ``record_commands`` (see
-    :meth:`~repro.store.store.ResultStore.load_mixed`), so the empty
-    command list round-trips exactly.
+    :func:`record_for`), so the empty command list round-trips
+    exactly.
     """
     return {
         "stats": phase_stats_to_payload(result.stats),
@@ -523,51 +450,6 @@ def energy_report_from_payload(data: JSONDict) -> EnergyReport:
     )
 
 
-def campaign_result_to_payload(result: CellResult) -> JSONDict:
-    """JSON form of a campaign :class:`~repro.system.campaign.CellResult`."""
-    return result.to_dict()
-
-
-def campaign_result_from_payload(data: JSONDict) -> CellResult:
-    """Inverse of :func:`campaign_result_to_payload`."""
-    return CellResult.from_dict(data)
-
-
-def adaptive_result_to_payload(result: AdaptiveResult) -> JSONDict:
-    """JSON form of an :class:`~repro.system.adaptive.AdaptiveResult`."""
-    return result.to_dict()
-
-
-def adaptive_result_from_payload(data: JSONDict) -> AdaptiveResult:
-    """Inverse of :func:`adaptive_result_to_payload`."""
-    return AdaptiveResult.from_dict(data)
-
-
-def rare_event_result_to_payload(result: RareEventResult) -> JSONDict:
-    """JSON form of a :class:`~repro.system.adaptive.RareEventResult`.
-
-    The payload stores the exact accumulator moments (floats serialize
-    through ``repr`` and round-trip exactly), so a loaded record
-    compares ``==`` to the freshly computed one.
-    """
-    return result.to_dict()
-
-
-def rare_event_result_from_payload(data: JSONDict) -> RareEventResult:
-    """Inverse of :func:`rare_event_result_to_payload`."""
-    return RareEventResult.from_dict(data)
-
-
-def scenario_result_to_payload(result: ScenarioResult) -> JSONDict:
-    """JSON form of a :class:`~repro.system.adaptive.ScenarioResult`."""
-    return result.to_dict()
-
-
-def scenario_result_from_payload(data: JSONDict) -> ScenarioResult:
-    """Inverse of :func:`scenario_result_to_payload`."""
-    return ScenarioResult.from_dict(data)
-
-
 def e2e_result_to_payload(result: E2EResult) -> JSONDict:
     """JSON form of an :class:`~repro.system.e2e.E2EResult`.
 
@@ -603,3 +485,64 @@ def e2e_result_from_payload(data: JSONDict) -> E2EResult:
             cast(List[Any], data["read_latencies_ps"])),
         energy=energy_report_from_payload(cast(JSONDict, data["energy"])),
     )
+
+
+# ---------------------------------------------------------------------------
+# the task table — how each task type crosses the store boundary
+# ---------------------------------------------------------------------------
+
+
+class Record(NamedTuple):
+    """How the results of one task type are stored.
+
+    Attributes:
+        kind: the record namespace (:data:`KIND_PHASE` …
+            :data:`KIND_SCENARIO`): the entry's file-name prefix and a
+            key input.
+        config: task -> canonical description, the content-address
+            basis.
+        encode: result -> JSON payload.
+        decode: JSON payload -> result, the inverse of ``encode``.
+    """
+
+    kind: str
+    config: Callable[[Any], JSONDict]
+    encode: Callable[[Any], JSONDict]
+    decode: Callable[[JSONDict], Any]
+
+
+#: Task type -> its :class:`Record`: the one place the store learns
+#: what a task is.
+RECORDS: Dict[Type[Any], Record] = {
+    PhaseTask: Record(KIND_PHASE, phase_task_config, phase_stats_to_payload,
+                      phase_stats_from_payload),
+    MixedTask: Record(KIND_MIXED, mixed_task_config, mixed_result_to_payload,
+                      mixed_result_from_payload),
+    E2ECell: Record(KIND_E2E, e2e_cell_config, e2e_result_to_payload,
+                    e2e_result_from_payload),
+    CampaignCell: Record(KIND_CAMPAIGN, campaign_cell_config,
+                         CellResult.to_dict, CellResult.from_dict),
+    AdaptiveCell: Record(KIND_ADAPTIVE, campaign_cell_config,
+                         AdaptiveResult.to_dict, AdaptiveResult.from_dict),
+    RareEventCell: Record(KIND_RARE_EVENT, campaign_cell_config,
+                          RareEventResult.to_dict, RareEventResult.from_dict),
+    ScenarioCell: Record(KIND_SCENARIO, campaign_cell_config,
+                         ScenarioResult.to_dict, ScenarioResult.from_dict),
+}
+
+
+def record_for(task: Any) -> Optional[Record]:
+    """The :class:`Record` of ``task``, or ``None`` if it bypasses the store.
+
+    Mixed cells whose policy records per-command traces bypass it: the
+    command list is a debugging artifact the JSON schema deliberately
+    omits, and serving a recorded run from the store would silently
+    drop it.
+
+    Raises:
+        KeyError: for a task type :data:`RECORDS` does not list.
+    """
+    if (isinstance(task, MixedTask) and task.policy is not None
+            and task.policy.record_commands):
+        return None
+    return RECORDS[type(task)]

@@ -19,13 +19,15 @@ error, corrupt JSON, a directory squatting on the path — warns once to
 stderr before recomputing, so store corruption is visible instead of
 silently burning CPU.
 
-Cross-sweep reuse happens at the key level: a ``table1`` run persists
-each phase under its :func:`~repro.store.records.phase_task_config`
-key, and a later ``energy`` run finds the write/read pair of the same
-(config, mapping, n) cell via :meth:`ResultStore.load_interleaver`
-without re-entering the scheduling engine (see
-:data:`~repro.store.records.FRAME_MAPPINGS` for the applicability
-guard).
+Above the document layer sits one pair for every task type:
+:meth:`ResultStore.save` and :meth:`ResultStore.load` look the task's
+type up in :data:`~repro.store.records.RECORDS` for its record kind,
+canonical config and payload codec.  Cross-sweep reuse happens at the
+key level: a ``table1`` and an ``energy`` run both persist each phase
+as a :class:`~repro.system.parallel.PhaseTask` under its
+:func:`~repro.store.records.phase_task_config` key, so either sweep
+finds the other's write/read pair without re-entering the scheduling
+engine.
 """
 
 from __future__ import annotations
@@ -35,59 +37,13 @@ import json
 import os
 import sys
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple, TypeVar, cast
 
-from repro.dram.controller import OP_READ, OP_WRITE
-from repro.dram.mixed import MixedResult
-from repro.dram.simulator import InterleaverSimResult
-from repro.dram.stats import PhaseStats
-from repro.store.records import (
-    FRAME_MAPPINGS,
-    KIND_ADAPTIVE,
-    KIND_CAMPAIGN,
-    KIND_E2E,
-    KIND_MIXED,
-    KIND_PHASE,
-    KIND_RARE_EVENT,
-    KIND_SCENARIO,
-    JSONDict,
-    SCHEMA_VERSION,
-    adaptive_cell_config,
-    adaptive_result_from_payload,
-    adaptive_result_to_payload,
-    campaign_cell_config,
-    campaign_result_from_payload,
-    campaign_result_to_payload,
-    derive_key,
-    e2e_cell_config,
-    e2e_result_from_payload,
-    e2e_result_to_payload,
-    interleaver_phase_task,
-    interleaver_result_from_phases,
-    mixed_result_from_payload,
-    mixed_result_to_payload,
-    mixed_task_config,
-    phase_stats_from_payload,
-    phase_stats_to_payload,
-    phase_task_config,
-    rare_event_cell_config,
-    rare_event_result_from_payload,
-    rare_event_result_to_payload,
-    scenario_cell_config,
-    scenario_result_from_payload,
-    scenario_result_to_payload,
-)
-from repro.system.adaptive import (
-    AdaptiveCell,
-    AdaptiveResult,
-    RareEventCell,
-    RareEventResult,
-    ScenarioCell,
-    ScenarioResult,
-)
-from repro.system.campaign import CampaignCell, CellResult
-from repro.system.e2e import E2ECell, E2EResult
-from repro.system.parallel import InterleaverTask, MixedTask, PhaseTask
+from repro.store.records import SCHEMA_VERSION, JSONDict, derive_key, record_for
+from repro.system.campaign import CampaignCell
+from repro.system.parallel import Task
+
+_R = TypeVar("_R")
 
 
 class ResultStore:
@@ -235,190 +191,47 @@ class ResultStore:
                 entries.append((config, payload))
         return entries
 
-    # -- typed layer: one load/store pair per sweep kind ---------------
+    # -- task layer: one load/save pair for every task type -------------
 
-    def store_phase(self, task: PhaseTask, stats: PhaseStats) -> None:
-        """Persist one phase simulation result."""
-        self.write(KIND_PHASE, phase_task_config(task),
-                   phase_stats_to_payload(stats))
+    def save(self, task: Task[_R], result: _R) -> None:
+        """Persist ``task``'s result under its record kind and config.
 
-    def load_phase(self, task: PhaseTask) -> Optional[PhaseStats]:
-        """Load a phase result, or ``None`` on a miss."""
-        payload = self.read(KIND_PHASE, phase_task_config(task))
-        if payload is None:
-            return None
-        try:
-            return phase_stats_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None  # foreign payload shape: recompute
-        except AttributeError:
-            return None
-
-    def store_interleaver(self, task: InterleaverTask,
-                          result: InterleaverSimResult) -> None:
-        """Persist a full-frame result as its two phase records.
-
-        Decomposing instead of storing the pair as one blob is what
-        makes reuse *cross-sweep*: the write/read records land under
-        the exact keys a ``table1`` run uses, so either sweep can warm
-        the other.  Mappings whose display name differs from their
-        registry key (see :data:`~repro.store.records.FRAME_MAPPINGS`)
-        are not persisted — reassembly could not reproduce their
-        ``mapping_name`` byte-identically.
+        Tasks that bypass the store (see
+        :func:`~repro.store.records.record_for`) are not written.
         """
-        if task.mapping not in FRAME_MAPPINGS:
-            return
-        self.store_phase(interleaver_phase_task(task, OP_WRITE), result.write)
-        self.store_phase(interleaver_phase_task(task, OP_READ), result.read)
+        record = record_for(task)
+        if record is not None:
+            self.write(record.kind, record.config(task), record.encode(result))
 
-    def load_interleaver(self, task: InterleaverTask
-                         ) -> Optional[InterleaverSimResult]:
-        """Assemble a full-frame result from two cached phase records.
+    def load(self, task: Task[_R]) -> Optional[_R]:
+        """Load ``task``'s result, or ``None`` on a miss.
 
-        Hits only when *both* phases of the cell are present (a prior
-        ``table1`` or ``energy`` run persisted them) and the mapping is
-        reassembly-safe; any miss returns ``None`` and the caller
-        simulates.
+        On top of :meth:`read`'s refusals, three more cases miss and
+        the caller recomputes: a task that bypasses the store, a
+        payload that does not decode, and a payload whose embedded cell
+        is not ``task`` (a hand edit the config check cannot see).
         """
-        if task.mapping not in FRAME_MAPPINGS:
+        record = record_for(task)
+        if record is None:
             return None
-        write = self.load_phase(interleaver_phase_task(task, OP_WRITE))
-        if write is None:
-            return None
-        read = self.load_phase(interleaver_phase_task(task, OP_READ))
-        if read is None:
-            return None
-        return interleaver_result_from_phases(task, write, read)
-
-    def store_mixed(self, task: MixedTask, result: MixedResult) -> None:
-        """Persist one mixed-traffic result.
-
-        Cells whose policy records per-command traces are skipped: the
-        command list is a debugging artifact the JSON schema
-        deliberately omits, and serving a recorded run from the store
-        would silently drop it.
-        """
-        if task.policy is not None and task.policy.record_commands:
-            return
-        self.write(KIND_MIXED, mixed_task_config(task),
-                   mixed_result_to_payload(result))
-
-    def load_mixed(self, task: MixedTask) -> Optional[MixedResult]:
-        """Load a mixed-traffic result, or ``None`` on a miss."""
-        if task.policy is not None and task.policy.record_commands:
-            return None
-        payload = self.read(KIND_MIXED, mixed_task_config(task))
+        payload = self.read(record.kind, record.config(task))
         if payload is None:
             return None
         try:
-            return mixed_result_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def store_e2e(self, cell: E2ECell, result: E2EResult) -> None:
-        """Persist one end-to-end co-simulation result."""
-        self.write(KIND_E2E, e2e_cell_config(cell),
-                   e2e_result_to_payload(result))
-
-    def load_e2e(self, cell: E2ECell) -> Optional[E2EResult]:
-        """Load an end-to-end result, or ``None`` on a miss."""
-        payload = self.read(KIND_E2E, e2e_cell_config(cell))
-        if payload is None:
-            return None
-        try:
-            return e2e_result_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def store_campaign(self, result: CellResult) -> None:
-        """Persist one Monte Carlo campaign cell result."""
-        self.write(KIND_CAMPAIGN, campaign_cell_config(result.cell),
-                   campaign_result_to_payload(result))
-
-    def load_campaign(self, cell: CampaignCell) -> Optional[CellResult]:
-        """Load a campaign cell result, or ``None`` on a miss."""
-        payload = self.read(KIND_CAMPAIGN, campaign_cell_config(cell))
-        if payload is None:
-            return None
-        try:
-            result = campaign_result_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-        if result.cell != cell:
+            result = record.decode(payload)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None  # foreign payload shape: recompute, quietly
+        if getattr(result, "cell", task) != task:
             return None  # embedded cell drifted from the config: recompute
-        return result
-
-    def store_adaptive(self, result: AdaptiveResult) -> None:
-        """Persist one adaptive-stopping cell result."""
-        self.write(KIND_ADAPTIVE, adaptive_cell_config(result.cell),
-                   adaptive_result_to_payload(result))
-
-    def load_adaptive(self, cell: AdaptiveCell) -> Optional[AdaptiveResult]:
-        """Load an adaptive-stopping result, or ``None`` on a miss."""
-        payload = self.read(KIND_ADAPTIVE, adaptive_cell_config(cell))
-        if payload is None:
-            return None
-        try:
-            result = adaptive_result_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-        if result.cell != cell:
-            return None  # embedded cell drifted from the config: recompute
-        return result
-
-    def store_rare_event(self, result: RareEventResult) -> None:
-        """Persist one importance-sampled cell result."""
-        self.write(KIND_RARE_EVENT, rare_event_cell_config(result.cell),
-                   rare_event_result_to_payload(result))
-
-    def load_rare_event(self, cell: RareEventCell
-                        ) -> Optional[RareEventResult]:
-        """Load an importance-sampled result, or ``None`` on a miss."""
-        payload = self.read(KIND_RARE_EVENT, rare_event_cell_config(cell))
-        if payload is None:
-            return None
-        try:
-            result = rare_event_result_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-        if result.cell != cell:
-            return None
-        return result
-
-    def store_scenario(self, result: ScenarioResult) -> None:
-        """Persist one time-varying channel scenario result."""
-        self.write(KIND_SCENARIO, scenario_cell_config(result.cell),
-                   scenario_result_to_payload(result))
-
-    def load_scenario(self, cell: ScenarioCell) -> Optional[ScenarioResult]:
-        """Load a scenario result, or ``None`` on a miss."""
-        payload = self.read(KIND_SCENARIO, scenario_cell_config(cell))
-        if payload is None:
-            return None
-        try:
-            result = scenario_result_from_payload(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-        if result.cell != cell:
-            return None
-        return result
+        return cast(_R, result)
 
     def campaign_progress(self, cells: List[CampaignCell]) -> int:
-        """How many of ``cells`` already have a stored result.
+        """How many of ``cells`` have a stored result that loads.
 
         The job engine's progress counter: derived entirely from the
         store contents, so it is correct across interruptions, restarts
-        and concurrent writers without any mutable bookkeeping.
+        and concurrent writers without any mutable bookkeeping.  It
+        counts exactly the entries :meth:`load` serves, so a corrupt or
+        foreign entry leaves its cell pending until it is recomputed.
         """
-        count = 0
-        config_keys: Dict[str, bool] = {}
-        for cell in cells:
-            key = derive_key(KIND_CAMPAIGN, campaign_cell_config(cell))
-            if key in config_keys:
-                present = config_keys[key]
-            else:
-                present = os.path.exists(self.entry_path(KIND_CAMPAIGN, key))
-                config_keys[key] = present
-            if present:
-                count += 1
-        return count
+        return sum(self.load(cell) is not None for cell in cells)

@@ -222,6 +222,10 @@ class AdaptiveCell:
         return CampaignCell(channel=self.channel, interleaver=self.interleaver,
                             code=self.code, seed=self.seed, frames=frames)
 
+    def execute(self) -> AdaptiveResult:
+        """Run the cell to its stopping target (see :func:`evaluate_adaptive`)."""
+        return evaluate_adaptive(self)
+
 
 def half_width(failures: int, trials: int) -> float:
     """Half-width of the 95 % Wilson interval (the stopping criterion).
@@ -558,6 +562,10 @@ class RareEventCell:
             seed=int(cast(int, data["seed"])),
             frames=int(cast(int, data["frames"])),
         )
+
+    def execute(self) -> RareEventResult:
+        """Sample and reweight the cell (see :func:`evaluate_rare_event`)."""
+        return evaluate_rare_event(self)
 
 
 def _sample_frame_states(rng: np.random.Generator,
@@ -922,6 +930,10 @@ class ScenarioCell:
             code=_code_from_dict(data),
             seed=int(cast(int, data["seed"])),
         )
+
+    def execute(self) -> ScenarioResult:
+        """Run the trajectory (see :func:`evaluate_scenario`)."""
+        return evaluate_scenario(self)
 
 
 @dataclass(frozen=True)

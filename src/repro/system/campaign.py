@@ -36,11 +36,8 @@ later CLI invocations — reuse the same entries.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -59,7 +56,7 @@ from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.system.downlink import OpticalDownlink
-from repro.system.parallel import resolve_jobs
+from repro.system.parallel import TaskStore, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> campaign)
     from repro.store.store import ResultStore
@@ -163,12 +160,9 @@ class CampaignCell:
             frames=int(data["frames"]),
         )
 
-    def cache_key(self) -> str:
-        """Stable hash of the full cell configuration (resume cache key)."""
-        payload = dict(self.to_dict())
-        payload["cache_version"] = CACHE_VERSION
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:32]
+    def execute(self) -> "CellResult":
+        """Evaluate the cell (see :func:`evaluate_cell`)."""
+        return evaluate_cell(self)
 
 
 @dataclass(frozen=True)
@@ -350,6 +344,7 @@ def run_campaign(
         resume: reuse existing store entries instead of recomputing
             (entries whose configuration does not match are recomputed,
             never trusted; unreadable entries warn once to stderr).
+            Without it the store is written but never read.
         store: the shared :class:`~repro.store.store.ResultStore` to
             persist finished cells into (always written).  Takes
             precedence over ``cache_dir``.
@@ -363,35 +358,22 @@ def run_campaign(
         # (the store's record schema imports this module).
         from repro.store.store import ResultStore
         store = ResultStore(cache_dir)
-    cell_list: List[CampaignCell] = list(cells)
-    results: List[Optional[CellResult]] = [None] * len(cell_list)
-    if store is not None and resume:
-        for index, cell in enumerate(cell_list):
-            results[index] = store.load_campaign(cell)
-    pending = [index for index, result in enumerate(results) if result is None]
-    workers = min(resolve_jobs(jobs), len(pending)) if pending else 0
+    view: Optional[TaskStore] = (
+        _WriteOnly(store) if store is not None and not resume else store)
+    return run_tasks(cells, jobs=jobs, store=view)
 
-    def record(index: int, result: CellResult) -> None:
-        # Persist every cell the moment it finishes: an interrupted
-        # campaign must be resumable from the last completed cell, not
-        # from zero.
-        results[index] = result
-        if store is not None:
-            store.store_campaign(result)
 
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                ordered = pool.map(
-                    evaluate_cell, [cell_list[index] for index in pending])
-                for index, result in zip(pending, ordered):
-                    record(index, result)
-        except (OSError, BrokenProcessPool, PermissionError):
-            pass  # fall through to the serial path for whatever is left
-    for index in pending:
-        if results[index] is None:
-            record(index, evaluate_cell(cell_list[index]))
-    return [result for result in results if result is not None]
+class _WriteOnly:
+    """A store view that persists every finished cell but serves none."""
+
+    def __init__(self, store: "ResultStore") -> None:
+        self.store = store
+
+    def load(self, cell: CampaignCell) -> None:
+        return None
+
+    def save(self, cell: CampaignCell, result: CellResult) -> None:
+        self.store.save(cell, result)
 
 
 @dataclass(frozen=True)

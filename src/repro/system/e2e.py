@@ -243,6 +243,10 @@ class E2ECell:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
 
+    def execute(self) -> E2EResult:
+        """Co-simulate the cell (see :func:`run_e2e`)."""
+        return run_e2e(self)
+
 
 @dataclass(frozen=True)
 class E2EResult:

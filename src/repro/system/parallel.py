@@ -1,17 +1,25 @@
 """Process-pool execution engine for simulation sweeps.
 
-A sweep (Table I, size sweeps, ablations) decomposes into independent
-``(configuration, mapping, phase)`` work items — each one a full
-controller simulation that holds the GIL for seconds.  This module
-fans those items out over a :class:`concurrent.futures.ProcessPoolExecutor`
-and reassembles the results in submission order, with a serial fallback
-when multiprocessing is unavailable (restricted environments) or not
-worth the fork cost (``jobs=1``, single-item sweeps).
+Every sweep (Table I, size sweeps, ablations, mixed traffic, energy,
+e2e, campaigns and the adaptive, rare-event and scenario estimators)
+decomposes into independent cells.  A **task** is any frozen cell with
+an ``execute()`` method returning the cell's result (:class:`Task`):
+:class:`PhaseTask` and :class:`MixedTask` here, and the cells of
+:mod:`repro.system.e2e`, :mod:`repro.system.campaign` and
+:mod:`repro.system.adaptive`.  Cells are declarative (a
+:class:`PhaseTask` names a preset config and a registry mapping key
+rather than holding live objects), so they pickle cheaply and each
+worker rebuilds its own state — no shared state, deterministic results,
+identical to the serial path.
 
-Work items are declarative (:class:`PhaseTask` names a preset config
-and a registry mapping key rather than holding live objects), so they
-pickle cheaply and each worker rebuilds its own space/mapping — no
-shared state, deterministic results, identical to the serial path.
+:func:`run_tasks` is the one runner.  It fans a task list over a
+:class:`concurrent.futures.ProcessPoolExecutor` through the one worker,
+:func:`execute_task`, and returns the results in submission order.
+With a store, hits skip the worker and each miss is persisted the
+moment its result arrives, so an interrupted sweep resumes from its
+last finished cell.  The pool is an optimization, never a requirement:
+``jobs=1``, a single pending task and a pool that cannot start all run
+serially with identical results.
 
 Every phase schedules through the controller's default arbiter, the
 batch-advance kernel (:mod:`repro.dram.kernel`), which falls back to
@@ -29,7 +37,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    TypeVar,
+    cast,
+)
 
 from repro.dram.controller import (
     OP_READ,
@@ -39,31 +57,40 @@ from repro.dram.controller import (
 )
 from repro.dram.mixed import MixedResult
 from repro.dram.presets import DramConfig, get_config
-from repro.dram.simulator import (
-    InterleaverSimResult,
-    simulate_interleaver,
-    simulate_mixed_interleaver,
-    simulate_phase,
-)
+from repro.dram.simulator import simulate_mixed_interleaver, simulate_phase
 from repro.dram.stats import PhaseStats
 from repro.interleaver.triangular import TriangularIndexSpace
-from repro.system.e2e import E2ECell, E2EResult, run_e2e
 from repro.system.shm import SharedChunks
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> parallel,
-    # and campaign -> parallel, which rules out importing adaptive —
-    # a campaign client — at module level; the execute functions below
-    # import it lazily instead.
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep -> parallel)
     from repro.mapping.base import InterleaverMapping
-    from repro.store.store import ResultStore
-    from repro.system.adaptive import (
-        AdaptiveCell,
-        AdaptiveResult,
-        RareEventCell,
-        RareEventResult,
-        ScenarioCell,
-        ScenarioResult,
-    )
+
+_R = TypeVar("_R")
+_R_co = TypeVar("_R_co", covariant=True)
+
+
+class Task(Protocol[_R_co]):
+    """A frozen, picklable cell that computes its own result."""
+
+    def execute(self) -> _R_co:
+        """Run the cell to completion and return its result."""
+        ...
+
+
+class TaskStore(Protocol):
+    """What :func:`run_tasks` needs of a store.
+
+    :class:`~repro.store.store.ResultStore` is one; a view of it whose
+    ``load`` always misses makes a sweep that writes without reading.
+    """
+
+    def load(self, task: Any) -> Any:
+        """The stored result of ``task``, or ``None`` on a miss."""
+        ...
+
+    def save(self, task: Any, result: Any) -> None:
+        """Persist the result of ``task``."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -100,6 +127,29 @@ class PhaseTask:
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {self.op!r}")
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
+
+    def execute(self) -> PhaseStats:
+        """Simulate the phase to completion.
+
+        A chunk-bearing task (see :func:`share_phase_chunks`) feeds its
+        shared payload straight into the controller; a declarative one
+        rebuilds the mapping and simulates through
+        :func:`~repro.dram.simulator.simulate_phase`.  Both paths are
+        bit-identical.
+
+        Raises:
+            KeyError: if ``config_name`` or ``mapping`` is not a known
+                registry key.
+        """
+        if self.chunks is not None:
+            controller = MemoryController(get_config(self.config_name),
+                                          self.policy)
+            stats = controller.run_phase(self.chunks.chunks(), self.op).stats
+            self.chunks.release()  # detach the worker-side view promptly
+            return stats
+        config, mapping = _task_mapping(self.mapping, self.config_name, self.n)
+        return simulate_phase(config, mapping, self.op, self.policy,
+                              use_arrays=self.use_arrays)
 
 
 def _task_mapping(task_mapping: str, config_name: str,
@@ -151,70 +201,6 @@ def share_phase_chunks(task: PhaseTask,
     return replace(task, chunks=SharedChunks(stream, prefer_shared=prefer_shared))
 
 
-def execute_phase_task(task: PhaseTask) -> PhaseStats:
-    """Run one :class:`PhaseTask` to completion (also the worker entry).
-
-    A chunk-bearing task (see :func:`share_phase_chunks`) feeds its
-    shared payload straight into the controller; a declarative one
-    rebuilds the mapping and simulates through
-    :func:`~repro.dram.simulator.simulate_phase`.  Both paths are
-    bit-identical.
-
-    Raises:
-        KeyError: if ``task.config_name`` or ``task.mapping`` is not a
-            known registry key.
-    """
-    if task.chunks is not None:
-        config = get_config(task.config_name)
-        controller = MemoryController(config, task.policy)
-        stats = controller.run_phase(task.chunks.chunks(), task.op).stats
-        task.chunks.release()  # detach the worker-side view promptly
-        return stats
-    config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
-    return simulate_phase(config, mapping, task.op, task.policy,
-                          use_arrays=task.use_arrays)
-
-
-@dataclass(frozen=True)
-class InterleaverTask:
-    """One full write+read interleaver simulation work item.
-
-    One worker runs both phases of a (configuration, mapping) cell and
-    returns the complete :class:`~repro.dram.simulator
-    .InterleaverSimResult` — the unit the energy table and the
-    provisioning reports consume (the per-phase
-    :class:`~repro.dram.stats.EnergyTally` rides along on each
-    ``PhaseStats``, so energy accounting survives the process
-    boundary for free).
-
-    Attributes:
-        config_name: preset DRAM configuration name.
-        mapping: mapping registry key (e.g. ``"row-major"``).
-        n: triangular interleaver dimension.
-        policy: optional controller policy overrides (picklable).
-    """
-
-    config_name: str
-    mapping: str
-    n: int
-    policy: Optional[ControllerConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
-
-
-def execute_interleaver_task(task: InterleaverTask) -> InterleaverSimResult:
-    """Run one :class:`InterleaverTask` to completion (also the worker entry).
-
-    Raises:
-        KeyError: if ``task.config_name`` or ``task.mapping`` is not a
-            known registry key.
-    """
-    config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
-    return simulate_interleaver(config, mapping, task.policy)
-
-
 @dataclass(frozen=True)
 class MixedTask:
     """One steady-state mixed-traffic simulation work item.
@@ -241,113 +227,16 @@ class MixedTask:
         if self.group < 1:
             raise ValueError(f"group must be >= 1, got {self.group}")
 
+    def execute(self) -> MixedResult:
+        """Simulate the interleaved write/read stream to completion.
 
-def execute_mixed_task(task: MixedTask) -> MixedResult:
-    """Run one :class:`MixedTask` to completion (also the worker entry).
-
-    Raises:
-        KeyError: if ``task.config_name`` or ``task.mapping`` is not a
-            known registry key.
-    """
-    config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
-    return simulate_mixed_interleaver(config, mapping, group=task.group,
-                                      policy=task.policy)
-
-
-@dataclass(frozen=True)
-class E2ETask:
-    """One end-to-end downlink -> DRAM co-simulation work item.
-
-    Unlike the other task kinds the work description already *is* a
-    declarative frozen dataclass of primitives —
-    :class:`~repro.system.e2e.E2ECell` — so the task simply carries it;
-    keeping the wrapper gives the co-simulation the same task/worker
-    shape (and the same ``--jobs`` bit-identity contract) as every
-    other grid in this module.
-
-    Attributes:
-        cell: the joint (channel x interleaver x DRAM config x mapping
-            x seed) experiment to run.
-    """
-
-    cell: E2ECell
-
-
-def execute_e2e_task(task: E2ETask) -> E2EResult:
-    """Run one :class:`E2ETask` to completion (also the worker entry).
-
-    Args:
-        task: the work item.
-
-    Returns:
-        The joint :class:`~repro.system.e2e.E2EResult` of the cell.
-
-    Raises:
-        KeyError: if the cell names an unknown DRAM configuration or
-            mapping registry key.
-        ValueError: if the cell's channel/interleaver/code dimensions
-            are inconsistent or the mapping exceeds the device.
-    """
-    return run_e2e(task.cell)
-
-
-@dataclass(frozen=True)
-class AdaptiveTask:
-    """One adaptive-stopping Monte Carlo work item.
-
-    Like :class:`E2ETask`, the cell itself is already a declarative
-    frozen dataclass of primitives; the wrapper gives adaptive cells
-    the same task/worker shape — and the same ``--jobs`` bit-identity
-    contract — as every other grid in this module.
-
-    Attributes:
-        cell: the adaptive experiment to run.
-    """
-
-    cell: "AdaptiveCell"
-
-
-def execute_adaptive_task(task: AdaptiveTask) -> "AdaptiveResult":
-    """Run one :class:`AdaptiveTask` to completion (also the worker entry)."""
-    from repro.system.adaptive import evaluate_adaptive
-
-    return evaluate_adaptive(task.cell)
-
-
-@dataclass(frozen=True)
-class RareEventTask:
-    """One importance-sampled Monte Carlo work item.
-
-    Attributes:
-        cell: the rare-event experiment to run.
-    """
-
-    cell: "RareEventCell"
-
-
-def execute_rare_event_task(task: RareEventTask) -> "RareEventResult":
-    """Run one :class:`RareEventTask` to completion (also the worker entry)."""
-    from repro.system.adaptive import evaluate_rare_event
-
-    return evaluate_rare_event(task.cell)
-
-
-@dataclass(frozen=True)
-class ScenarioTask:
-    """One time-varying channel scenario work item.
-
-    Attributes:
-        cell: the piecewise-trajectory experiment to run.
-    """
-
-    cell: "ScenarioCell"
-
-
-def execute_scenario_task(task: ScenarioTask) -> "ScenarioResult":
-    """Run one :class:`ScenarioTask` to completion (also the worker entry)."""
-    from repro.system.adaptive import evaluate_scenario
-
-    return evaluate_scenario(task.cell)
+        Raises:
+            KeyError: if ``config_name`` or ``mapping`` is not a known
+                registry key.
+        """
+        config, mapping = _task_mapping(self.mapping, self.config_name, self.n)
+        return simulate_mixed_interleaver(config, mapping, group=self.group,
+                                          policy=self.policy)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -364,57 +253,47 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _run_tasks(worker: Callable[[Any], Any], tasks: Iterable[Any],
-               jobs: Optional[int]) -> List[Any]:
-    """Fan ``tasks`` over a process pool; serial fallback, stable order.
-
-    The process pool is an optimization, never a requirement: if worker
-    processes cannot be spawned (sandboxes, exotic start methods) the
-    engine silently degrades to the serial path, which produces the
-    identical result list.
-    """
-    task_list = list(tasks)
-    workers = min(resolve_jobs(jobs), len(task_list))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(worker, task_list))
-        except (OSError, BrokenProcessPool, PermissionError):
-            pass  # fall through to the serial path
-    return [worker(task) for task in task_list]
+def execute_task(task: Task[_R]) -> _R:
+    """Run one task to completion: the pool worker, and the serial path."""
+    return task.execute()
 
 
-def _run_tasks_stored(
-    worker: Callable[[Any], Any],
-    tasks: Iterable[Any],
-    jobs: Optional[int],
-    load: Callable[[Any], Any],
-    save: Callable[[Any, Any], None],
-) -> List[Any]:
-    """The store-aware twin of :func:`_run_tasks`.
+def run_tasks(
+    tasks: Iterable[Task[_R]],
+    jobs: Optional[int] = None,
+    store: Optional[TaskStore] = None,
+) -> List[_R]:
+    """Execute tasks, in parallel when asked; results in submission order.
 
-    Store hits skip the worker entirely (the cross-sweep-reuse
-    invocation-counting tests rely on that); misses run on the pool and
-    persist *the moment each result arrives*, so an interrupted sweep
-    resumes from its last completed cell — the same discipline as the
-    campaign engine.  Results are bit-identical to the storeless path:
-    a hit returns the exact record a previous run computed, and records
+    Results are bit-identical for any ``jobs`` value and with or without
+    a store: every task carries its whole description, a store hit
+    returns the exact record an earlier run computed, and records
     round-trip exactly.
+
+    Args:
+        tasks: work items; results come back in the same order.
+        jobs: worker processes (see :func:`resolve_jobs`).  With one
+            worker — or one pending task — everything runs in-process.
+        store: optional result store.  Hits skip the worker entirely;
+            misses are saved the moment each result arrives, so an
+            interrupted sweep resumes from its last finished cell.
     """
     task_list = list(tasks)
-    results: List[Any] = [load(task) for task in task_list]
-    pending = [index for index, result in enumerate(results)
-               if result is None]
-    workers = min(resolve_jobs(jobs), len(pending)) if pending else 0
+    results: List[Optional[_R]] = (
+        [None] * len(task_list) if store is None
+        else [store.load(task) for task in task_list])
+    pending = [index for index, result in enumerate(results) if result is None]
 
-    def record(index: int, result: Any) -> None:
+    def record(index: int, result: _R) -> None:
         results[index] = result
-        save(task_list[index], result)
+        if store is not None:
+            store.save(task_list[index], result)
 
+    workers = min(resolve_jobs(jobs), len(pending))
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                ordered = pool.map(worker,
+                ordered = pool.map(execute_task,
                                    [task_list[index] for index in pending])
                 for index, result in zip(pending, ordered):
                     record(index, result)
@@ -422,160 +301,12 @@ def _run_tasks_stored(
             pass  # fall through to the serial path for whatever is left
     for index in pending:
         if results[index] is None:
-            record(index, worker(task_list[index]))
-    return results
+            record(index, execute_task(task_list[index]))
+    return cast(List[_R], results)
 
 
-def run_phase_tasks(
-    tasks: Iterable[PhaseTask],
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[PhaseStats]:
-    """Execute phase tasks, parallel when asked, results in order.
-
-    Args:
-        tasks: work items; results come back in the same order.
-        jobs: worker processes (see :func:`resolve_jobs`).  With one
-            worker — or one task — everything runs in-process.
-        store: optional shared result store — hits skip simulation,
-            misses are persisted as they finish.
-    """
-    if store is None:
-        return _run_tasks(execute_phase_task, tasks, jobs)
-    return _run_tasks_stored(execute_phase_task, tasks, jobs,
-                             store.load_phase, store.store_phase)
-
-
-def run_mixed_tasks(
-    tasks: Iterable[MixedTask],
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[MixedResult]:
-    """Execute steady-state mixed-traffic tasks.
-
-    Same contract as :func:`run_phase_tasks`.
-
-    Args:
-        tasks: work items; results come back in the same order.
-        jobs: worker processes (see :func:`resolve_jobs`).
-        store: optional shared result store.
-    """
-    if store is None:
-        return _run_tasks(execute_mixed_task, tasks, jobs)
-    return _run_tasks_stored(execute_mixed_task, tasks, jobs,
-                             store.load_mixed, store.store_mixed)
-
-
-def run_interleaver_tasks(
-    tasks: Iterable[InterleaverTask],
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[InterleaverSimResult]:
-    """Execute full-frame interleaver tasks.
-
-    Same contract as :func:`run_phase_tasks`.  With a store, each cell
-    is persisted (and looked up) as its two *phase* records, so a
-    ``table1`` run and an ``energy`` run over the same (config,
-    mapping, n) grid share work in either direction.
-
-    Args:
-        tasks: work items; results come back in the same order.
-        jobs: worker processes (see :func:`resolve_jobs`).
-        store: optional shared result store.
-    """
-    if store is None:
-        return _run_tasks(execute_interleaver_task, tasks, jobs)
-    return _run_tasks_stored(execute_interleaver_task, tasks, jobs,
-                             store.load_interleaver, store.store_interleaver)
-
-
-def run_e2e_tasks(
-    tasks: Iterable[E2ETask],
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[E2EResult]:
-    """Execute end-to-end co-simulation tasks.
-
-    Same contract as :func:`run_phase_tasks`: results in submission
-    order, bit-identical for any ``jobs`` value, serial fallback when
-    the pool is unavailable.
-
-    Args:
-        tasks: work items; results come back in the same order.
-        jobs: worker processes (see :func:`resolve_jobs`).
-        store: optional shared result store.
-    """
-    if store is None:
-        return _run_tasks(execute_e2e_task, tasks, jobs)
-    return _run_tasks_stored(
-        execute_e2e_task, tasks, jobs,
-        lambda task: store.load_e2e(task.cell),
-        lambda task, result: store.store_e2e(task.cell, result))
-
-
-def run_adaptive_tasks(
-    tasks: Iterable[AdaptiveTask],
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[AdaptiveResult]:
-    """Execute adaptive-stopping campaign tasks.
-
-    Same contract as :func:`run_phase_tasks`: results in submission
-    order, bit-identical for any ``jobs`` value, serial fallback when
-    the pool is unavailable, store hits skipping the worker entirely.
-
-    Args:
-        tasks: work items; results come back in the same order.
-        jobs: worker processes (see :func:`resolve_jobs`).
-        store: optional shared result store.
-    """
-    if store is None:
-        return _run_tasks(execute_adaptive_task, tasks, jobs)
-    return _run_tasks_stored(
-        execute_adaptive_task, tasks, jobs,
-        lambda task: store.load_adaptive(task.cell),
-        lambda task, result: store.store_adaptive(result))
-
-
-def run_rare_event_tasks(
-    tasks: Iterable[RareEventTask],
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[RareEventResult]:
-    """Execute importance-sampled campaign tasks.
-
-    Same contract as :func:`run_phase_tasks`.
-
-    Args:
-        tasks: work items; results come back in the same order.
-        jobs: worker processes (see :func:`resolve_jobs`).
-        store: optional shared result store.
-    """
-    if store is None:
-        return _run_tasks(execute_rare_event_task, tasks, jobs)
-    return _run_tasks_stored(
-        execute_rare_event_task, tasks, jobs,
-        lambda task: store.load_rare_event(task.cell),
-        lambda task, result: store.store_rare_event(result))
-
-
-def run_scenario_tasks(
-    tasks: Iterable[ScenarioTask],
-    jobs: Optional[int] = None,
-    store: Optional["ResultStore"] = None,
-) -> List[ScenarioResult]:
-    """Execute time-varying channel scenario tasks.
-
-    Same contract as :func:`run_phase_tasks`.
-
-    Args:
-        tasks: work items; results come back in the same order.
-        jobs: worker processes (see :func:`resolve_jobs`).
-        store: optional shared result store.
-    """
-    if store is None:
-        return _run_tasks(execute_scenario_task, tasks, jobs)
-    return _run_tasks_stored(
-        execute_scenario_task, tasks, jobs,
-        lambda task: store.load_scenario(task.cell),
-        lambda task, result: store.store_scenario(result))
+# perfbench/tracer.py wraps the runner and the worker under these names.
+run_phase_tasks = run_interleaver_tasks = run_mixed_tasks = run_tasks
+run_e2e_tasks = run_tasks
+execute_phase_task = execute_interleaver_task = execute_mixed_task = execute_task
+execute_e2e_task = execute_task

@@ -40,16 +40,7 @@ from repro.mapping.base import InterleaverMapping
 from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
 from repro.system.e2e import E2ECell, E2EResult
-from repro.system.parallel import (
-    E2ETask,
-    InterleaverTask,
-    MixedTask,
-    PhaseTask,
-    run_e2e_tasks,
-    run_interleaver_tasks,
-    run_mixed_tasks,
-    run_phase_tasks,
-)
+from repro.system.parallel import MixedTask, PhaseTask, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> sweep deps)
     from repro.store.store import ResultStore
@@ -148,33 +139,48 @@ def run_table1(
             prior sweep (including ``energy``) are reused, the rest
             are written back for later runs.
     """
-    mapping_names = ("row-major", "optimized")
-    ops = (OP_WRITE, OP_READ)
+    results = _frame_results(n, config_names, policy, jobs, use_arrays, store)
+    return [
+        Table1Row(config_name=row_major.config_name, row_major=row_major,
+                  optimized=optimized)
+        for row_major, optimized in zip(results[::2], results[1::2])
+    ]
+
+
+def _frame_results(
+    n: int,
+    config_names: Sequence[str],
+    policy: Optional[ControllerConfig],
+    jobs: Optional[int],
+    use_arrays: Optional[bool],
+    store: Optional["ResultStore"],
+) -> List[InterleaverSimResult]:
+    """Both phases of every (configuration, Table I mapping) cell.
+
+    One write and one read :class:`~repro.system.parallel.PhaseTask`
+    per cell, so ``table1`` and ``energy`` address the same store
+    entries and warm each other in either direction.
+
+    Returns:
+        One result per cell: configurations outermost, then
+        ``row-major`` before ``optimized``.
+    """
+    cells = [(config_name, mapping_name)
+             for config_name in config_names
+             for mapping_name in ("row-major", "optimized")]
     tasks = [
         PhaseTask(config_name=config_name, mapping=mapping_name, op=op, n=n,
                   policy=policy, use_arrays=use_arrays)
-        for config_name in config_names
-        for mapping_name in mapping_names
-        for op in ops
+        for config_name, mapping_name in cells
+        for op in (OP_WRITE, OP_READ)
     ]
-    stats = run_phase_tasks(tasks, jobs=jobs, store=store)
-    rows = []
-    cursor = 0
-    for config_name in config_names:
-        results = {}
-        for mapping_name in mapping_names:
-            write, read = stats[cursor], stats[cursor + 1]
-            cursor += 2
-            results[mapping_name] = InterleaverSimResult(
-                config_name=config_name,
-                mapping_name=mapping_name,
-                write=write,
-                read=read,
-            )
-        rows.append(Table1Row(config_name=config_name,
-                              row_major=results["row-major"],
-                              optimized=results["optimized"]))
-    return rows
+    stats = run_tasks(tasks, jobs=jobs, store=store)
+    return [
+        InterleaverSimResult(config_name=config_name,
+                             mapping_name=mapping_name,
+                             write=stats[2 * index], read=stats[2 * index + 1])
+        for index, (config_name, mapping_name) in enumerate(cells)
+    ]
 
 
 def format_table1(rows: Sequence[Table1Row]) -> str:
@@ -262,7 +268,7 @@ def run_mixed_table(
         for config_name in config_names
         for mapping_name in mapping_names
     ]
-    results = run_mixed_tasks(tasks, jobs=jobs, store=store)
+    results = run_tasks(tasks, jobs=jobs, store=store)
     return [
         MixedRow(
             config_name=task.config_name,
@@ -343,9 +349,10 @@ def run_energy_table(
     The energy analogue of :func:`run_table1`: each (configuration,
     mapping) cell runs both phases through the scheduling engine, whose
     zero-cost :class:`~repro.dram.stats.EnergyTally` counters feed
-    :func:`~repro.dram.energy.energy_from_tally`.  Cells fan out over
-    :func:`~repro.system.parallel.run_interleaver_tasks`; results are
-    bit-identical for any ``jobs`` value.
+    :func:`~repro.dram.energy.energy_from_tally`.  The phases are the
+    same :class:`~repro.system.parallel.PhaseTask` grid
+    :func:`run_table1` runs; results are bit-identical for any ``jobs``
+    value.
 
     Args:
         n: triangular interleaver dimension.
@@ -357,23 +364,15 @@ def run_energy_table(
             entries a prior ``table1`` run at the same ``n`` persisted
             (and vice versa) with zero redundant engine invocations.
     """
-    mapping_names = ("row-major", "optimized")
-    tasks = [
-        InterleaverTask(config_name=config_name, mapping=mapping_name, n=n,
-                        policy=policy)
-        for config_name in config_names
-        for mapping_name in mapping_names
-    ]
-    results = run_interleaver_tasks(tasks, jobs=jobs, store=store)
     rows = []
-    for task, result in zip(tasks, results):
-        config = get_config(task.config_name)
+    for result in _frame_results(n, config_names, policy, jobs, None, store):
+        config = get_config(result.config_name)
         write_energy = _phase_energy_report(config, result.write, OP_WRITE)
         read_energy = _phase_energy_report(config, result.read, OP_READ)
         rows.append(
             EnergyRow(
-                config_name=task.config_name,
-                mapping_name=task.mapping,
+                config_name=result.config_name,
+                mapping_name=result.mapping_name,
                 result=result,
                 write_energy=write_energy,
                 read_energy=read_energy,
@@ -514,7 +513,7 @@ def run_e2e_table(
     code-word failure rates, DRAM utilization, per-frame latency
     percentiles and frame energy for every (configuration, mapping)
     cell.  Cells fan out over
-    :func:`~repro.system.parallel.run_e2e_tasks`; results are
+    :func:`~repro.system.parallel.run_tasks`; results are
     bit-identical for any ``jobs`` value.
 
     Args:
@@ -540,8 +539,7 @@ def run_e2e_table(
                      symbols_per_element=symbols_per_element,
                      codeword_symbols=codeword_symbols,
                      t_correctable=t_correctable, seed=seed, policy=policy)
-    results = run_e2e_tasks([E2ETask(cell=cell) for cell in cells], jobs=jobs,
-                            store=store)
+    results = run_tasks(cells, jobs=jobs, store=store)
     return [
         E2ERow(config_name=cell.config_name, mapping_name=cell.mapping,
                result=result)
@@ -653,7 +651,7 @@ def run_policy_table(
         for discipline in disciplines
         for op in (OP_WRITE, OP_READ)
     ]
-    stats = run_phase_tasks(tasks, jobs=jobs, store=store)
+    stats = run_tasks(tasks, jobs=jobs, store=store)
     rows = []
     cursor = 0
     for config_name in config_names:
@@ -746,7 +744,7 @@ def sweep_sizes(
             for name in names
             for op in (OP_WRITE, OP_READ)
         ]
-        stats = run_phase_tasks(tasks, jobs=jobs)
+        stats = run_tasks(tasks, jobs=jobs)
         points = []
         cursor = 0
         for n in sizes:
@@ -838,7 +836,7 @@ def sweep_ablation(
         for variant in variant_names
         for op in (OP_WRITE, OP_READ)
     ]
-    stats = run_phase_tasks(tasks, jobs=jobs)
+    stats = run_tasks(tasks, jobs=jobs)
     points = []
     cursor = 0
     for config_name in config_names:

@@ -10,6 +10,8 @@ import pytest
 
 from repro.store.store import ResultStore
 from repro.system import parallel as parallel_module
+from repro.system.e2e import E2ECell
+from repro.system.parallel import MixedTask, PhaseTask
 from repro.system.sweep import (
     format_energy_table,
     format_table1,
@@ -26,19 +28,16 @@ N = 16
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Count every entry into the simulation engine, per task kind."""
-    counts = {"phase": 0, "interleaver": 0, "mixed": 0, "e2e": 0}
-    for name, worker in (
-        ("phase", parallel_module.execute_phase_task),
-        ("interleaver", parallel_module.execute_interleaver_task),
-        ("mixed", parallel_module.execute_mixed_task),
-        ("e2e", parallel_module.execute_e2e_task),
-    ):
-        def counting(task, _name=name, _worker=worker):
-            counts[_name] += 1
-            return _worker(task)
+    """Count every entry into the simulation engine, per task type."""
+    counts = {"phase": 0, "mixed": 0, "e2e": 0}
+    names = {PhaseTask: "phase", MixedTask: "mixed", E2ECell: "e2e"}
+    worker = parallel_module.execute_task
 
-        monkeypatch.setattr(parallel_module, f"execute_{name}_task", counting)
+    def counting(task):
+        counts[names[type(task)]] += 1
+        return worker(task)
+
+    monkeypatch.setattr(parallel_module, "execute_task", counting)
     return counts
 
 
@@ -78,9 +77,10 @@ class TestTable1EnergyReuse:
     def test_different_n_does_not_reuse(self, tmp_path, counters):
         store = ResultStore(str(tmp_path))
         run_table1(n=N, config_names=CONFIGS, jobs=1, store=store)
-        before = counters["interleaver"]
+        before = counters["phase"]
         run_energy_table(n=N + 1, config_names=CONFIGS, jobs=1, store=store)
-        assert counters["interleaver"] == before + 2  # both mappings resimulate
+        # both mappings resimulate, both phases each
+        assert counters["phase"] == before + 4
 
 
 class TestSameSweepReuse:

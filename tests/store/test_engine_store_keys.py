@@ -70,15 +70,16 @@ class TestKeyDerivation:
 class TestCrossRouteCacheHits:
     @pytest.fixture
     def phase_counter(self, monkeypatch):
-        """Count entries into the phase worker."""
+        """Count phase tasks entering the worker."""
         counts = {"phase": 0}
-        inner = parallel_module.execute_phase_task
+        inner = parallel_module.execute_task
 
         def counting(task):
-            counts["phase"] += 1
+            if isinstance(task, PhaseTask):
+                counts["phase"] += 1
             return inner(task)
 
-        monkeypatch.setattr(parallel_module, "execute_phase_task", counting)
+        monkeypatch.setattr(parallel_module, "execute_task", counting)
         return counts
 
     def _sweep(self, store, monkeypatch, native):

@@ -1,5 +1,7 @@
 """Job engine: content-addressed identity, persistence, resume."""
 
+import time
+
 import pytest
 
 from repro.cli import _campaign_spec, build_parser
@@ -9,6 +11,7 @@ from repro.store.jobs import (
     grid_from_spec,
     normalize_spec,
 )
+from repro.store.records import KIND_CAMPAIGN, campaign_cell_config, derive_key
 from repro.store.store import ResultStore
 from repro.system import campaign as campaign_module
 from repro.system.campaign import (
@@ -139,3 +142,23 @@ class TestJobEngine:
             "running": False,
             "spec": normalize_spec(SMALL_SPEC),
         }
+
+    def test_corrupt_entry_reopens_a_finished_job(self, tmp_path):
+        """Progress counts entries that load, so a broken one recomputes."""
+        engine = small_engine(tmp_path)
+        record = engine.submit(SMALL_SPEC)
+        engine.run(record)
+        before = engine.table(record)
+        key = derive_key(KIND_CAMPAIGN, campaign_cell_config(record.cells[0]))
+        with open(engine.store.entry_path(KIND_CAMPAIGN, key), "w") as stream:
+            stream.write("{not json")
+        status = engine.status(record)
+        assert status["completed"] == 1
+        assert status["done"] is False
+        assert engine.table(record) is None
+        assert engine.start(record) is True
+        deadline = time.monotonic() + 60.0
+        while engine.running(record) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert engine.status(record)["done"] is True
+        assert engine.table(record) == before

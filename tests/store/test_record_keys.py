@@ -22,12 +22,9 @@ from repro.system.adaptive import (
     ScenarioCell,
     contact_pass_segments,
     default_proposal,
-    evaluate_adaptive,
-    evaluate_rare_event,
-    evaluate_scenario,
 )
-from repro.system.campaign import CampaignCell, evaluate_cell
-from repro.system.e2e import E2ECell, run_e2e
+from repro.system.campaign import CampaignCell
+from repro.system.e2e import E2ECell
 
 CHANNEL = GilbertElliottParams(p_g2b=0.004 / 0.996 / 60.0, p_b2g=1 / 60.0,
                                p_bad=0.7)
@@ -45,55 +42,33 @@ PINNED = {
     "scenario": "c21f6f506b7834798f4cd7fa4eaea431",
 }
 
-#: kind -> (cell, evaluate, save, load).
-CASES = {
-    "e2e": (
-        E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
-                config_name="DDR4-3200", mapping="optimized", seed=2024,
-                frames=2),
-        run_e2e,
-        lambda store, cell, result: store.store_e2e(cell, result),
-        lambda store, cell: store.load_e2e(cell),
-    ),
-    "campaign": (
-        CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=7, frames=10),
-        evaluate_cell,
-        lambda store, cell, result: store.store_campaign(result),
-        lambda store, cell: store.load_campaign(cell),
-    ),
-    "adaptive": (
-        AdaptiveCell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
-                     seed=7, max_frames=60, ci_width=0.05, batch_frames=16),
-        evaluate_adaptive,
-        lambda store, cell, result: store.store_adaptive(result),
-        lambda store, cell: store.load_adaptive(cell),
-    ),
-    "rare-event": (
-        RareEventCell(channel=CHANNEL,
-                      proposal=default_proposal(CHANNEL, 4.0),
-                      interleaver=INTERLEAVER, code=CODE, seed=7, frames=20),
-        evaluate_rare_event,
-        lambda store, cell, result: store.store_rare_event(result),
-        lambda store, cell: store.load_rare_event(cell),
-    ),
-    "scenario": (
-        ScenarioCell(segments=contact_pass_segments(frames_per_segment=2),
-                     interleaver=INTERLEAVER, code=CODE, seed=7),
-        evaluate_scenario,
-        lambda store, cell, result: store.store_scenario(result),
-        lambda store, cell: store.load_scenario(cell),
-    ),
+#: kind -> one cell of that kind.
+CELLS = {
+    "e2e": E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
+                   config_name="DDR4-3200", mapping="optimized", seed=2024,
+                   frames=2),
+    "campaign": CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=7, frames=10),
+    "adaptive": AdaptiveCell(channel=CHANNEL, interleaver=INTERLEAVER,
+                             code=CODE, seed=7, max_frames=60, ci_width=0.05,
+                             batch_frames=16),
+    "rare-event": RareEventCell(channel=CHANNEL,
+                                proposal=default_proposal(CHANNEL, 4.0),
+                                interleaver=INTERLEAVER, code=CODE, seed=7,
+                                frames=20),
+    "scenario": ScenarioCell(
+        segments=contact_pass_segments(frames_per_segment=2),
+        interleaver=INTERLEAVER, code=CODE, seed=7),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_saved_entry_name_is_pinned(tmp_path, kind):
-    cell, evaluate, save, load = CASES[kind]
+    cell = CELLS[kind]
     store = ResultStore(str(tmp_path))
-    result = evaluate(cell)
-    save(store, cell, result)
+    result = cell.execute()
+    store.save(cell, result)
     assert os.listdir(str(tmp_path)) == [f"{kind}-{PINNED[kind]}.json"]
-    assert load(store, cell) == result
+    assert store.load(cell) == result
 
 
 def test_every_kind_has_a_distinct_digest():

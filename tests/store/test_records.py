@@ -13,16 +13,13 @@ from repro.dram.stats import EnergyTally
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.store import records
 from repro.store.records import (
-    FRAME_MAPPINGS,
     KIND_CAMPAIGN,
     KIND_PHASE,
+    RECORDS,
     SCHEMA_VERSION,
     burst_profile_from_payload,
     burst_profile_to_payload,
     campaign_cell_config,
-    campaign_cell_from_config,
-    campaign_result_from_payload,
-    campaign_result_to_payload,
     canonical_json,
     decoding_report_from_payload,
     decoding_report_to_payload,
@@ -37,8 +34,6 @@ from repro.store.records import (
     energy_report_to_payload,
     energy_tally_from_payload,
     energy_tally_to_payload,
-    interleaver_phase_task,
-    interleaver_result_from_phases,
     mixed_result_from_payload,
     mixed_result_to_payload,
     mixed_task_config,
@@ -47,19 +42,11 @@ from repro.store.records import (
     phase_task_config,
     policy_config,
     policy_from_config,
+    record_for,
 )
 from repro.system.campaign import CACHE_VERSION, CampaignCell, evaluate_cell
 from repro.system.e2e import E2ECell
-from repro.system.parallel import (
-    E2ETask,
-    InterleaverTask,
-    MixedTask,
-    PhaseTask,
-    execute_e2e_task,
-    execute_interleaver_task,
-    execute_mixed_task,
-    execute_phase_task,
-)
+from repro.system.parallel import MixedTask, PhaseTask
 
 CHANNEL = GilbertElliottParams(p_g2b=0.004 / 0.996 / 60.0, p_b2g=1 / 60.0,
                                p_bad=0.7)
@@ -123,17 +110,6 @@ class TestConfigDicts:
                 for t in [base] + variants}
         assert len(keys) == len(variants) + 1
 
-    def test_interleaver_task_decomposes_to_phase_keys(self):
-        task = InterleaverTask(config_name="DDR4-3200", mapping="optimized", n=8)
-        write = interleaver_phase_task(task, OP_WRITE)
-        assert write == PhaseTask("DDR4-3200", "optimized", OP_WRITE, 8,
-                                  policy=None, use_arrays=None)
-        read = interleaver_phase_task(task, OP_READ)
-        assert read.op == OP_READ
-
-    def test_frame_mappings_are_exactly_the_table1_keys(self):
-        assert FRAME_MAPPINGS == {"row-major", "optimized"}
-
     def test_mixed_task_config_includes_group(self):
         a = mixed_task_config(MixedTask("DDR4-3200", "row-major", 8, group=4))
         b = mixed_task_config(MixedTask("DDR4-3200", "row-major", 8, group=8))
@@ -150,7 +126,7 @@ class TestConfigDicts:
         cell = CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=1, frames=5)
         config = campaign_cell_config(cell)
         assert config["cache_version"] == CACHE_VERSION
-        assert campaign_cell_from_config(through_json(config)) == cell
+        assert CampaignCell.from_dict(through_json(config)) == cell
 
 
 class TestPayloadRoundTrips:
@@ -161,8 +137,7 @@ class TestPayloadRoundTrips:
             through_json(energy_tally_to_payload(tally))) == tally
 
     def test_phase_stats_bit_identical_including_tally(self):
-        stats = execute_phase_task(
-            PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8))
+        stats = PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8).execute()
         loaded = phase_stats_from_payload(
             through_json(phase_stats_to_payload(stats)))
         assert loaded == stats
@@ -170,20 +145,8 @@ class TestPayloadRoundTrips:
         assert loaded.energy_tally == stats.energy_tally
         assert loaded.command_counts == stats.command_counts
 
-    def test_interleaver_result_reassembles_bit_identical(self):
-        task = InterleaverTask("DDR4-3200", "optimized", 8)
-        result = execute_interleaver_task(task)
-        write = phase_stats_from_payload(
-            through_json(phase_stats_to_payload(result.write)))
-        read = phase_stats_from_payload(
-            through_json(phase_stats_to_payload(result.read)))
-        rebuilt = interleaver_result_from_phases(task, write, read)
-        assert rebuilt == result
-        assert rebuilt.mapping_name == result.mapping_name
-
     def test_mixed_result(self):
-        result = execute_mixed_task(
-            MixedTask("DDR4-3200", "row-major", 8, group=4))
+        result = MixedTask("DDR4-3200", "row-major", 8, group=4).execute()
         loaded = mixed_result_from_payload(
             through_json(mixed_result_to_payload(result)))
         assert loaded == result
@@ -215,15 +178,15 @@ class TestPayloadRoundTrips:
     def test_campaign_cell_result(self):
         cell = CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=3, frames=10)
         result = evaluate_cell(cell)
-        loaded = campaign_result_from_payload(
-            through_json(campaign_result_to_payload(result)))
+        record = RECORDS[CampaignCell]
+        loaded = record.decode(through_json(record.encode(result)))
         assert loaded == result
 
     def test_e2e_result_with_downlink_and_latencies(self):
         cell = E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
                        config_name="DDR4-3200", mapping="row-major",
                        seed=2024, frames=2)
-        result = execute_e2e_task(E2ETask(cell))
+        result = cell.execute()
         payload = through_json(e2e_result_to_payload(result))
         loaded = e2e_result_from_payload(payload)
         assert loaded == result
@@ -269,37 +232,25 @@ class TestAdaptiveRecordKinds:
         assert len(keys) == 4
 
     def test_adaptive_config_and_payload_roundtrip(self):
-        from repro.store.records import (
-            adaptive_cell_config,
-            adaptive_cell_from_config,
-            adaptive_result_from_payload,
-            adaptive_result_to_payload,
-        )
-        from repro.system.adaptive import evaluate_adaptive
+        from repro.system.adaptive import AdaptiveCell, evaluate_adaptive
         cell = self._adaptive_cell()
-        config = adaptive_cell_config(cell)
+        config = campaign_cell_config(cell)
         assert config["cache_version"] == CACHE_VERSION
-        assert adaptive_cell_from_config(through_json(config)) == cell
+        assert AdaptiveCell.from_dict(through_json(config)) == cell
         result = evaluate_adaptive(cell)
-        loaded = adaptive_result_from_payload(
-            through_json(adaptive_result_to_payload(result)))
+        record = RECORDS[AdaptiveCell]
+        loaded = record.decode(through_json(record.encode(result)))
         assert loaded == result
 
     def test_rare_event_config_and_payload_roundtrip(self):
-        from repro.store.records import (
-            rare_event_cell_config,
-            rare_event_cell_from_config,
-            rare_event_result_from_payload,
-            rare_event_result_to_payload,
-        )
-        from repro.system.adaptive import evaluate_rare_event
+        from repro.system.adaptive import RareEventCell, evaluate_rare_event
         cell = self._rare_event_cell()
-        config = rare_event_cell_config(cell)
+        config = campaign_cell_config(cell)
         assert config["cache_version"] == CACHE_VERSION
-        assert rare_event_cell_from_config(through_json(config)) == cell
+        assert RareEventCell.from_dict(through_json(config)) == cell
         result = evaluate_rare_event(cell)
-        loaded = rare_event_result_from_payload(
-            through_json(rare_event_result_to_payload(result)))
+        record = RECORDS[RareEventCell]
+        loaded = record.decode(through_json(record.encode(result)))
         assert loaded == result
         # the float accumulators must survive the JSON trip exactly
         assert loaded.sum_weight == result.sum_weight
@@ -307,20 +258,14 @@ class TestAdaptiveRecordKinds:
                 == result.weighted_failed_baseline_sq)
 
     def test_scenario_config_and_payload_roundtrip(self):
-        from repro.store.records import (
-            scenario_cell_config,
-            scenario_cell_from_config,
-            scenario_result_from_payload,
-            scenario_result_to_payload,
-        )
-        from repro.system.adaptive import evaluate_scenario
+        from repro.system.adaptive import ScenarioCell, evaluate_scenario
         cell = self._scenario_cell()
-        config = scenario_cell_config(cell)
+        config = campaign_cell_config(cell)
         assert config["cache_version"] == CACHE_VERSION
-        assert scenario_cell_from_config(through_json(config)) == cell
+        assert ScenarioCell.from_dict(through_json(config)) == cell
         result = evaluate_scenario(cell)
-        loaded = scenario_result_from_payload(
-            through_json(scenario_result_to_payload(result)))
+        record = RECORDS[ScenarioCell]
+        loaded = record.decode(through_json(record.encode(result)))
         assert loaded == result
 
     def test_store_rejects_foreign_cell_payload(self, tmp_path):
@@ -328,9 +273,31 @@ class TestAdaptiveRecordKinds:
         from repro.system.adaptive import AdaptiveCell, evaluate_adaptive
         store = ResultStore(str(tmp_path))
         cell = self._adaptive_cell()
-        store.store_adaptive(evaluate_adaptive(cell))
+        store.save(cell, evaluate_adaptive(cell))
         other = AdaptiveCell(channel=CHANNEL, interleaver=INTERLEAVER,
                              code=CODE, seed=6, max_frames=60,
                              ci_width=0.05, batch_frames=16)
-        assert store.load_adaptive(cell) is not None
-        assert store.load_adaptive(other) is None
+        assert store.load(cell) is not None
+        assert store.load(other) is None
+
+
+class TestRecordTable:
+    def test_every_task_type_has_its_own_kind(self):
+        from repro.store import records as module
+        kinds = [record.kind for record in RECORDS.values()]
+        assert len(kinds) == len(set(kinds)) == 7
+        assert {module.KIND_PHASE, module.KIND_MIXED, module.KIND_E2E,
+                module.KIND_CAMPAIGN, module.KIND_ADAPTIVE,
+                module.KIND_RARE_EVENT, module.KIND_SCENARIO} == set(kinds)
+
+    def test_recording_mixed_cells_bypass_the_store(self):
+        plain = MixedTask("DDR4-3200", "row-major", 8, group=4)
+        recorded = MixedTask("DDR4-3200", "row-major", 8, group=4,
+                             policy=ControllerConfig(record_commands=True))
+        assert record_for(plain) is RECORDS[MixedTask]
+        assert record_for(recorded) is None
+
+    def test_recording_phase_cells_are_still_stored(self):
+        task = PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8,
+                         policy=ControllerConfig(record_commands=True))
+        assert record_for(task) is RECORDS[PhaseTask]

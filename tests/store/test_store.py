@@ -1,33 +1,26 @@
-"""ResultStore: atomicity, miss discipline, typed load/store pairs."""
+"""ResultStore: atomicity, miss discipline, the generic load/save pair."""
 
 import json
 import os
 
+import pytest
+
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
-from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.controller import OP_WRITE, ControllerConfig
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.store.records import (
     KIND_CAMPAIGN,
     KIND_PHASE,
     campaign_cell_config,
     derive_key,
-    interleaver_phase_task,
     phase_task_config,
 )
 from repro.store.store import ResultStore
 from repro.system.campaign import CampaignCell, evaluate_cell
 from repro.system.e2e import E2ECell
-from repro.system.parallel import (
-    E2ETask,
-    InterleaverTask,
-    MixedTask,
-    PhaseTask,
-    execute_e2e_task,
-    execute_interleaver_task,
-    execute_mixed_task,
-    execute_phase_task,
-)
+from repro.system.parallel import MixedTask, PhaseTask
+from repro.system.sweep import run_energy_table
 
 CHANNEL = GilbertElliottParams(p_g2b=0.004 / 0.996 / 60.0, p_b2g=1 / 60.0,
                                p_bad=0.7)
@@ -135,78 +128,53 @@ class TestDocumentLayer:
         assert "unreadable" in captured.err
 
 
-class TestTypedPairs:
+class TestLoadSave:
     def test_phase_roundtrip(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        stats = execute_phase_task(PHASE)
-        assert store.load_phase(PHASE) is None
-        store.store_phase(PHASE, stats)
-        loaded = store.load_phase(PHASE)
+        stats = PHASE.execute()
+        assert store.load(PHASE) is None
+        store.save(PHASE, stats)
+        loaded = store.load(PHASE)
         assert loaded == stats
         assert loaded.energy_tally == stats.energy_tally
 
-    def test_interleaver_roundtrip_via_phase_records(self, tmp_path):
+    def test_energy_cells_are_stored_as_phase_records(self, tmp_path):
+        """The cross-sweep glue: energy and table1 address the same records."""
         store = ResultStore(str(tmp_path))
-        task = InterleaverTask("DDR4-3200", "optimized", 8)
-        result = execute_interleaver_task(task)
-        store.store_interleaver(task, result)
-        # decomposed into the two phase entries, not one blob
+        [row, _] = run_energy_table(n=8, config_names=("DDR4-3200",),
+                                    store=store)
+        # two cells, each decomposed into its two phase entries
         names = sorted(os.listdir(str(tmp_path)))
-        assert len(names) == 2
+        assert len(names) == 4
         assert all(name.startswith("phase-") for name in names)
-        assert store.load_interleaver(task) == result
-
-    def test_interleaver_hits_only_with_both_phases(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        task = InterleaverTask("DDR4-3200", "optimized", 8)
-        result = execute_interleaver_task(task)
-        store.store_phase(interleaver_phase_task(task, OP_WRITE), result.write)
-        assert store.load_interleaver(task) is None
-        store.store_phase(interleaver_phase_task(task, OP_READ), result.read)
-        assert store.load_interleaver(task) == result
-
-    def test_interleaver_skips_ablation_mappings(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        task = InterleaverTask("DDR4-3200", "no-tiling", 8)
-        result = execute_interleaver_task(task)
-        store.store_interleaver(task, result)
-        assert os.listdir(str(tmp_path)) == []
-        assert store.load_interleaver(task) is None
-
-    def test_phase_and_table1_interleaver_share_entries(self, tmp_path):
-        """The cross-sweep glue: both key spaces address the same records."""
-        store = ResultStore(str(tmp_path))
-        task = InterleaverTask("DDR4-3200", "row-major", 8)
-        result = execute_interleaver_task(task)
-        store.store_interleaver(task, result)
         phase = PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8,
                           policy=None, use_arrays=None)
-        assert store.load_phase(phase) == result.write
+        assert store.load(phase) == row.result.write
 
     def test_mixed_roundtrip(self, tmp_path):
         store = ResultStore(str(tmp_path))
         task = MixedTask("DDR4-3200", "row-major", 8, group=4)
-        result = execute_mixed_task(task)
-        store.store_mixed(task, result)
-        assert store.load_mixed(task) == result
+        result = task.execute()
+        store.save(task, result)
+        assert store.load(task) == result
 
     def test_mixed_recording_policies_bypass_the_store(self, tmp_path):
         store = ResultStore(str(tmp_path))
         policy = ControllerConfig(record_commands=True)
         task = MixedTask("DDR4-3200", "row-major", 8, group=4, policy=policy)
-        result = execute_mixed_task(task)
-        store.store_mixed(task, result)
+        result = task.execute()
+        store.save(task, result)
         assert os.listdir(str(tmp_path)) == []
-        assert store.load_mixed(task) is None
+        assert store.load(task) is None
 
     def test_e2e_roundtrip(self, tmp_path):
         store = ResultStore(str(tmp_path))
         cell = E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
                        config_name="DDR4-3200", mapping="row-major",
                        seed=2024, frames=2)
-        result = execute_e2e_task(E2ETask(cell))
-        store.store_e2e(cell, result)
-        assert store.load_e2e(cell) == result
+        result = cell.execute()
+        store.save(cell, result)
+        assert store.load(cell) == result
 
     def test_campaign_roundtrip_and_progress(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -214,15 +182,20 @@ class TestTypedPairs:
                  for seed in (1, 2, 3)]
         assert store.campaign_progress(cells) == 0
         result = evaluate_cell(cells[0])
-        store.store_campaign(result)
-        assert store.load_campaign(cells[0]) == result
-        assert store.load_campaign(cells[1]) is None
+        store.save(cells[0], result)
+        assert store.load(cells[0]) == result
+        assert store.load(cells[1]) is None
         assert store.campaign_progress(cells) == 1
+        # progress counts entries that load, not files that exist
+        key = derive_key(KIND_CAMPAIGN, campaign_cell_config(cells[0]))
+        with open(store.entry_path(KIND_CAMPAIGN, key), "w") as stream:
+            stream.write("{not json")
+        assert store.campaign_progress(cells) == 0
 
     def test_malformed_payload_recomputes_quietly(self, tmp_path, capsys):
         store = ResultStore(str(tmp_path))
-        stats = execute_phase_task(PHASE)
-        store.store_phase(PHASE, stats)
+        stats = PHASE.execute()
+        store.save(PHASE, stats)
         key = derive_key(KIND_PHASE, phase_task_config(PHASE))
         path = store.entry_path(KIND_PHASE, key)
         with open(path) as stream:
@@ -230,13 +203,13 @@ class TestTypedPairs:
         del document["payload"]["requests"]  # foreign payload shape
         with open(path, "w") as stream:
             json.dump(document, stream)
-        assert store.load_phase(PHASE) is None
+        assert store.load(PHASE) is None
         assert capsys.readouterr().err == ""
 
     def test_campaign_embedded_cell_mismatch_recomputes(self, tmp_path):
         store = ResultStore(str(tmp_path))
         cell = CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=1, frames=10)
-        store.store_campaign(evaluate_cell(cell))
+        store.save(cell, evaluate_cell(cell))
         key = derive_key(KIND_CAMPAIGN, campaign_cell_config(cell))
         path = store.entry_path(KIND_CAMPAIGN, key)
         with open(path) as stream:
@@ -244,4 +217,11 @@ class TestTypedPairs:
         document["payload"]["cell"]["seed"] = 999
         with open(path, "w") as stream:
             json.dump(document, stream)
-        assert store.load_campaign(cell) is None
+        assert store.load(cell) is None
+
+    def test_unknown_task_type_is_refused(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        with pytest.raises(KeyError):
+            store.save(object(), {"value": 1})
+        with pytest.raises(KeyError):
+            store.load(object())

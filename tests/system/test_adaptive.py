@@ -45,14 +45,7 @@ from repro.system.adaptive import (
     transition_counts,
 )
 from repro.system.campaign import CampaignCell, evaluate_cell
-from repro.system.parallel import (
-    AdaptiveTask,
-    RareEventTask,
-    ScenarioTask,
-    run_adaptive_tasks,
-    run_rare_event_tasks,
-    run_scenario_tasks,
-)
+from repro.system.parallel import run_tasks
 from repro.viz import render_adaptive_savings
 
 CHANNEL = coherence_params(40.0, 0.002, p_bad=0.7)
@@ -152,20 +145,17 @@ class TestAdaptiveBitIdentity:
         assert 0.0 < low_high < 0.05
 
     def test_jobs_do_not_perturb_results(self):
-        tasks = [AdaptiveTask(_adaptive(seed=seed, max_frames=200))
-                 for seed in (1, 2, 3, 4)]
-        assert run_adaptive_tasks(tasks, jobs=1) == run_adaptive_tasks(
-            tasks, jobs=2)
+        cells = [_adaptive(seed=seed, max_frames=200) for seed in (1, 2, 3, 4)]
+        assert run_tasks(cells, jobs=1) == run_tasks(cells, jobs=2)
 
     def test_store_roundtrip_and_reuse(self, tmp_path):
-        tasks = [AdaptiveTask(_adaptive(seed=seed, max_frames=150))
-                 for seed in (1, 2)]
+        cells = [_adaptive(seed=seed, max_frames=150) for seed in (1, 2)]
         store = ResultStore(str(tmp_path))
-        first = run_adaptive_tasks(tasks, store=store)
-        assert first == run_adaptive_tasks(tasks)  # storeless differential
+        first = run_tasks(cells, store=store)
+        assert first == run_tasks(cells)  # storeless differential
         # Second run must be served from the store bit-identically.
-        assert run_adaptive_tasks(tasks, store=store) == first
-        loaded = store.load_adaptive(tasks[0].cell)
+        assert run_tasks(cells, store=store) == first
+        loaded = store.load(cells[0])
         assert loaded == first[0]
 
     def test_result_roundtrips_through_dict(self):
@@ -363,15 +353,15 @@ class TestRareEventExactness:
         assert result.interval_interleaved == (0.0, 1.0)
 
     def test_jobs_and_store_bit_identity(self, tmp_path):
-        tasks = [RareEventTask(RareEventCell(
+        cells = [RareEventCell(
             channel=CHANNEL, proposal=default_proposal(CHANNEL, 4.0),
-            interleaver=INTERLEAVER, code=CODE, seed=seed, frames=30))
+            interleaver=INTERLEAVER, code=CODE, seed=seed, frames=30)
             for seed in (1, 2, 3)]
-        serial = run_rare_event_tasks(tasks, jobs=1)
-        assert serial == run_rare_event_tasks(tasks, jobs=2)
+        serial = run_tasks(cells, jobs=1)
+        assert serial == run_tasks(cells, jobs=2)
         store = ResultStore(str(tmp_path))
-        assert run_rare_event_tasks(tasks, store=store) == serial
-        assert run_rare_event_tasks(tasks, store=store) == serial
+        assert run_tasks(cells, store=store) == serial
+        assert run_tasks(cells, store=store) == serial
 
     def test_result_roundtrips_through_dict(self):
         result = evaluate_rare_event(RareEventCell(
@@ -451,13 +441,12 @@ class TestScenario:
                          interleaver=INTERLEAVER, code=bad_code, seed=1)
 
     def test_jobs_and_store_bit_identity(self, tmp_path):
-        tasks = [ScenarioTask(_scenario(seed=seed, frames_per_segment=2))
-                 for seed in (1, 2)]
-        serial = run_scenario_tasks(tasks, jobs=1)
-        assert serial == run_scenario_tasks(tasks, jobs=2)
+        cells = [_scenario(seed=seed, frames_per_segment=2) for seed in (1, 2)]
+        serial = run_tasks(cells, jobs=1)
+        assert serial == run_tasks(cells, jobs=2)
         store = ResultStore(str(tmp_path))
-        assert run_scenario_tasks(tasks, store=store) == serial
-        assert run_scenario_tasks(tasks, store=store) == serial
+        assert run_tasks(cells, store=store) == serial
+        assert run_tasks(cells, store=store) == serial
 
     def test_result_roundtrips_through_dict(self):
         result = evaluate_scenario(_scenario(frames_per_segment=2))

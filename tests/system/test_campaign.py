@@ -12,6 +12,7 @@ import pytest
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
+from repro.store.records import KIND_CAMPAIGN, campaign_cell_config, derive_key
 from repro.system import campaign as campaign_module
 from repro.system.campaign import (
     CampaignCell,
@@ -35,6 +36,11 @@ CODE = CodewordConfig(n_symbols=24, t_correctable=2)
 
 def _cells(seeds=(1, 2, 3), frames=30):
     return campaign_grid([CHANNEL], [INTERLEAVER], [CODE], seeds, frames)
+
+
+def _store_key(cell):
+    """The key the result store files ``cell``'s result under."""
+    return derive_key(KIND_CAMPAIGN, campaign_cell_config(cell))
 
 
 class TestWilsonInterval:
@@ -115,7 +121,7 @@ class TestGridAndCells:
                     GilbertElliottParams(p_g2b=1e-4, p_b2g=1 / 40.0, p_bad=0.7)]
         cells = campaign_grid(channels, [INTERLEAVER], [CODE], range(5), 10)
         assert len(cells) == 2 * 1 * 1 * 5
-        assert len({cell.cache_key() for cell in cells}) == len(cells)
+        assert len({_store_key(cell) for cell in cells}) == len(cells)
 
     def test_grid_skips_mismatched_code_lengths(self):
         other_code = CodewordConfig(n_symbols=30, t_correctable=2)
@@ -137,7 +143,7 @@ class TestGridAndCells:
                 GilbertElliottParams(p_g2b=0.001, p_b2g=0.1, p_bad=0.7),
                 base.interleaver, base.code, 1, 30),
         ]
-        keys = {base.cache_key()} | {v.cache_key() for v in variants}
+        keys = {_store_key(base)} | {_store_key(v) for v in variants}
         assert len(keys) == 4
 
     def test_rejects_zero_frames(self):

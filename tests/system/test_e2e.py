@@ -29,7 +29,7 @@ from repro.system.e2e import (
     run_e2e,
     run_e2e_reference,
 )
-from repro.system.parallel import E2ETask, run_e2e_tasks
+from repro.system.parallel import run_tasks
 from repro.system.sweep import E2ERow, format_e2e_table, run_e2e_table
 
 CODE = CodewordConfig(n_symbols=24, t_correctable=2)
@@ -314,19 +314,19 @@ class TestDifferentialBattery:
 
 class TestParallelTasks:
     def test_jobs_bit_identical(self):
-        tasks = [
-            E2ETask(cell=small_cell(seed=seed, mapping=mapping))
+        cells = [
+            small_cell(seed=seed, mapping=mapping)
             for seed in (1, 2)
             for mapping in ("row-major", "optimized")
         ]
-        serial = run_e2e_tasks(tasks, jobs=1)
-        parallel = run_e2e_tasks(tasks, jobs=2)
+        serial = run_tasks(cells, jobs=1)
+        parallel = run_tasks(cells, jobs=2)
         assert serial == parallel
 
     def test_results_in_submission_order(self):
-        tasks = [E2ETask(cell=small_cell(config_name=name))
+        cells = [small_cell(config_name=name)
                  for name in ("DDR4-3200", "DDR3-800")]
-        results = run_e2e_tasks(tasks, jobs=2)
+        results = run_tasks(cells, jobs=2)
         assert [r.cell.config_name for r in results] == [
             "DDR4-3200", "DDR3-800"]
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.dram.controller import ControllerConfig
+from repro.dram.controller import OP_WRITE, ControllerConfig
 from repro.dram.presets import get_config
-from repro.system.parallel import InterleaverTask, run_interleaver_tasks
+from repro.system.parallel import PhaseTask, run_tasks
 from repro.system.sweep import format_energy_table, run_energy_table
 
 CONFIGS = ("DDR3-800", "LPDDR4-2133")
@@ -75,24 +75,33 @@ class TestFormatEnergyTable:
         assert format_energy_table(rows) == format_energy_table(rows)
 
 
-class TestInterleaverTask:
+class TestEnergyCells:
+    """Each energy cell is the write/read pair of Table I phase tasks."""
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
-            InterleaverTask(config_name="DDR3-800", mapping="row-major", n=0)
+            run_energy_table(n=0, config_names=("DDR3-800",))
 
     def test_unknown_mapping_raises(self):
         with pytest.raises(KeyError, match="unknown mapping"):
-            run_interleaver_tasks(
-                [InterleaverTask(config_name="DDR3-800", mapping="zigzag", n=8)])
+            run_tasks([PhaseTask(config_name="DDR3-800", mapping="zigzag",
+                                 op=OP_WRITE, n=8)])
 
     def test_matches_direct_simulation(self):
         from repro.dram.simulator import simulate_interleaver
         from repro.interleaver.triangular import TriangularIndexSpace
+        from repro.mapping.optimized import OptimizedMapping
         from repro.mapping.row_major import RowMajorMapping
 
         config = get_config("DDR3-800")
-        [result] = run_interleaver_tasks(
-            [InterleaverTask(config_name="DDR3-800", mapping="row-major", n=24)])
+        row_major, optimized = (
+            row.result for row in run_energy_table(n=24,
+                                                   config_names=("DDR3-800",)))
         space = TriangularIndexSpace(24)
         direct = simulate_interleaver(config, RowMajorMapping(space, config.geometry))
-        assert result == direct
+        assert row_major == direct
+        # the reassembled cell carries the mapping's own display name
+        direct = simulate_interleaver(
+            config, OptimizedMapping(space, config.geometry, prefer_tall=False))
+        assert optimized == direct
+        assert optimized.mapping_name == direct.mapping_name

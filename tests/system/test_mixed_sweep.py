@@ -8,7 +8,7 @@ from repro.dram.presets import get_config
 from repro.dram.simulator import simulate_mixed_interleaver
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
-from repro.system.parallel import MixedTask, execute_mixed_task, run_mixed_tasks
+from repro.system.parallel import MixedTask, run_tasks
 from repro.system.sweep import format_mixed_table, run_mixed_table
 
 
@@ -16,7 +16,7 @@ class TestMixedTask:
     def test_executes_like_direct_call(self):
         task = MixedTask(config_name="DDR4-3200", mapping="optimized", n=64,
                          group=8)
-        via_task = execute_mixed_task(task)
+        via_task = task.execute()
         config = get_config("DDR4-3200")
         mapping = OptimizedMapping(TriangularIndexSpace(64), config.geometry,
                                    prefer_tall=False)
@@ -42,12 +42,12 @@ class TestMixedTask:
     def test_unknown_mapping_raises(self):
         task = MixedTask(config_name="DDR4-3200", mapping="zigzag", n=16)
         with pytest.raises(KeyError, match="zigzag"):
-            execute_mixed_task(task)
+            task.execute()
 
     def test_policy_forwarded(self):
         task = MixedTask(config_name="DDR4-3200", mapping="optimized", n=48,
                          policy=ControllerConfig(refresh_enabled=False))
-        assert execute_mixed_task(task).stats.refreshes == 0
+        assert task.execute().stats.refreshes == 0
 
 
 class TestRunMixedTasks:
@@ -59,13 +59,13 @@ class TestRunMixedTasks:
         ]
 
     def test_serial_results_in_order(self):
-        results = run_mixed_tasks(self._tasks())
+        results = run_tasks(self._tasks())
         assert len(results) == 4
         assert all(r.stats.requests > 0 for r in results)
 
     def test_parallel_identical_to_serial(self):
-        serial = run_mixed_tasks(self._tasks(), jobs=1)
-        parallel = run_mixed_tasks(self._tasks(), jobs=2)
+        serial = run_tasks(self._tasks(), jobs=1)
+        parallel = run_tasks(self._tasks(), jobs=2)
         assert serial == parallel
 
 

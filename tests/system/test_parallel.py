@@ -7,11 +7,13 @@ from repro.dram.presets import get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
+from repro.store.store import ResultStore
+from repro.system import parallel as parallel_module
 from repro.system.parallel import (
     PhaseTask,
-    execute_phase_task,
+    execute_task,
     resolve_jobs,
-    run_phase_tasks,
+    run_tasks,
 )
 
 
@@ -40,29 +42,29 @@ class TestExecute:
         direct = simulate_phase(config, mapping, OP_READ)
         task = PhaseTask(config_name="DDR4-3200", mapping="optimized",
                          op=OP_READ, n=48)
-        assert execute_phase_task(task) == direct
+        assert task.execute() == direct
 
     def test_honors_policy(self):
         task = PhaseTask(config_name="DDR3-800", mapping="row-major", op=OP_WRITE,
                          n=32, policy=ControllerConfig(refresh_enabled=False))
-        assert execute_phase_task(task).refreshes == 0
+        assert task.execute().refreshes == 0
 
     def test_unknown_mapping(self):
         task = PhaseTask(config_name="DDR3-800", mapping="no-such-mapping",
                          op=OP_READ, n=32)
         with pytest.raises(KeyError, match="no-such-mapping"):
-            execute_phase_task(task)
+            task.execute()
 
     def test_unknown_config(self):
         task = PhaseTask(config_name="DDR9-9999", mapping="optimized",
                          op=OP_READ, n=32)
         with pytest.raises(KeyError):
-            execute_phase_task(task)
+            task.execute()
 
     def test_ablation_variants_dispatchable(self):
         task = PhaseTask(config_name="DDR4-3200", mapping="no-tiling",
                          op=OP_READ, n=32)
-        stats = execute_phase_task(task)
+        stats = task.execute()
         assert stats.requests == 32 * 33 // 2
 
 
@@ -89,18 +91,74 @@ class TestRunPhaseTasks:
     ]
 
     def test_serial_results_in_order(self):
-        results = run_phase_tasks(self.TASKS, jobs=1)
+        results = run_tasks(self.TASKS, jobs=1)
         assert len(results) == len(self.TASKS)
         assert all(r.requests == 40 * 41 // 2 for r in results)
 
     def test_parallel_matches_serial(self):
-        serial = run_phase_tasks(self.TASKS, jobs=1)
-        parallel = run_phase_tasks(self.TASKS, jobs=2)
+        serial = run_tasks(self.TASKS, jobs=1)
+        parallel = run_tasks(self.TASKS, jobs=2)
         assert parallel == serial
 
     def test_empty_task_list(self):
-        assert run_phase_tasks([], jobs=4) == []
+        assert run_tasks([], jobs=4) == []
 
     def test_single_task_stays_serial(self):
-        results = run_phase_tasks(self.TASKS[:1], jobs=8)
+        results = run_tasks(self.TASKS[:1], jobs=8)
         assert len(results) == 1
+
+
+class TestRunner:
+    """The one runner's contract, on cheap phase tasks."""
+
+    TASKS = [PhaseTask(config_name="DDR3-800", mapping="row-major", op=op,
+                       n=12)
+             for op in (OP_WRITE, OP_READ)]
+
+    @pytest.fixture
+    def worker_calls(self, monkeypatch):
+        calls = []
+
+        def counting(task):
+            calls.append(task)
+            return execute_task(task)
+
+        monkeypatch.setattr(parallel_module, "execute_task", counting)
+        return calls
+
+    def test_tracer_names_bind_the_one_runner_and_worker(self):
+        for name in ("run_phase_tasks", "run_interleaver_tasks",
+                     "run_mixed_tasks", "run_e2e_tasks"):
+            assert getattr(parallel_module, name) is run_tasks
+        for name in ("execute_phase_task", "execute_interleaver_task",
+                     "execute_mixed_task", "execute_e2e_task"):
+            assert getattr(parallel_module, name) is execute_task
+
+    def test_store_hits_skip_the_worker(self, tmp_path, worker_calls):
+        store = ResultStore(str(tmp_path))
+        first = run_tasks(self.TASKS, store=store)
+        assert len(worker_calls) == 2
+        assert run_tasks(self.TASKS, store=store) == first
+        assert len(worker_calls) == 2
+
+    def test_misses_are_saved_as_they_arrive(self, tmp_path, monkeypatch):
+        def dies_on_read(task):
+            if task.op == OP_READ:
+                raise RuntimeError("simulated kill")
+            return execute_task(task)
+
+        monkeypatch.setattr(parallel_module, "execute_task", dies_on_read)
+        store = ResultStore(str(tmp_path))
+        with pytest.raises(RuntimeError):
+            run_tasks(self.TASKS, store=store)
+        assert store.load(self.TASKS[0]) == self.TASKS[0].execute()
+        assert store.load(self.TASKS[1]) is None
+
+    def test_pool_that_cannot_start_runs_serially(self, monkeypatch,
+                                                  worker_calls):
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes here")
+
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
+        assert run_tasks(self.TASKS, jobs=2) == run_tasks(self.TASKS, jobs=1)
+        assert len(worker_calls) == 4

@@ -14,12 +14,7 @@ import pytest
 
 from repro.dram.controller import OP_READ, OP_WRITE
 from repro.system import shm as shm_module
-from repro.system.parallel import (
-    PhaseTask,
-    execute_phase_task,
-    run_phase_tasks,
-    share_phase_chunks,
-)
+from repro.system.parallel import PhaseTask, run_tasks, share_phase_chunks
 from repro.system.shm import SharedChunks
 
 
@@ -130,7 +125,7 @@ class TestPhaseTaskIntegration:
         for task in self._tasks():
             shared_task = share_phase_chunks(task)
             try:
-                assert execute_phase_task(shared_task) == execute_phase_task(task)
+                assert shared_task.execute() == task.execute()
             finally:
                 assert shared_task.chunks is not None
                 shared_task.chunks.unlink()
@@ -138,7 +133,7 @@ class TestPhaseTaskIntegration:
     def test_pool_fanout_bit_identical_to_serial(self):
         """Chunk-bearing tasks over a real pool == declarative serial run.
 
-        ``run_phase_tasks`` degrades to the serial path where worker
+        ``run_tasks`` degrades to the serial path where worker
         processes cannot spawn, so this holds in any environment; on
         hosts with a working pool it exercises the zero-copy attach in
         real workers.
@@ -146,20 +141,20 @@ class TestPhaseTaskIntegration:
         tasks = self._tasks()
         shared_tasks = [share_phase_chunks(task) for task in tasks]
         try:
-            pooled = run_phase_tasks(shared_tasks, jobs=2)
+            pooled = run_tasks(shared_tasks, jobs=2)
         finally:
             for task in shared_tasks:
                 assert task.chunks is not None
                 task.chunks.unlink()
-        assert pooled == run_phase_tasks(tasks, jobs=1)
+        assert pooled == run_tasks(tasks, jobs=1)
 
     def test_inline_fallback_tasks_match_serial(self):
         task = PhaseTask(config_name="DDR4-3200", mapping="row-major",
                          op=OP_WRITE, n=self.N)
         shared_task = share_phase_chunks(task, prefer_shared=False)
         try:
-            assert (run_phase_tasks([shared_task], jobs=2)
-                    == [execute_phase_task(task)])
+            assert (run_tasks([shared_task], jobs=2)
+                    == [task.execute()])
         finally:
             assert shared_task.chunks is not None
             shared_task.chunks.unlink()
