@@ -283,21 +283,14 @@ class TestAdaptiveRecordKinds:
 
 class TestRecordTable:
     def test_every_task_type_has_its_own_kind(self):
-        from repro.store import records as module
         kinds = [record.kind for record in RECORDS.values()]
         assert len(kinds) == len(set(kinds)) == 7
-        assert {module.KIND_PHASE, module.KIND_MIXED, module.KIND_E2E,
-                module.KIND_CAMPAIGN, module.KIND_ADAPTIVE,
-                module.KIND_RARE_EVENT, module.KIND_SCENARIO} == set(kinds)
-
-    def test_recording_mixed_cells_bypass_the_store(self):
-        plain = MixedTask("DDR4-3200", "row-major", 8, group=4)
-        recorded = MixedTask("DDR4-3200", "row-major", 8, group=4,
-                             policy=ControllerConfig(record_commands=True))
-        assert record_for(plain) is RECORDS[MixedTask]
-        assert record_for(recorded) is None
+        assert {records.KIND_PHASE, records.KIND_MIXED, records.KIND_E2E,
+                records.KIND_CAMPAIGN, records.KIND_ADAPTIVE,
+                records.KIND_RARE_EVENT, records.KIND_SCENARIO} == set(kinds)
 
     def test_recording_phase_cells_are_still_stored(self):
+        """Only mixed cells bypass the store when they record commands."""
         task = PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8,
                          policy=ControllerConfig(record_commands=True))
         assert record_for(task) is RECORDS[PhaseTask]

@@ -7,7 +7,6 @@ from repro.dram.presets import get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
-from repro.store.store import ResultStore
 from repro.system import parallel as parallel_module
 from repro.system.parallel import (
     PhaseTask,
@@ -109,22 +108,7 @@ class TestRunPhaseTasks:
 
 
 class TestRunner:
-    """The one runner's contract, on cheap phase tasks."""
-
-    TASKS = [PhaseTask(config_name="DDR3-800", mapping="row-major", op=op,
-                       n=12)
-             for op in (OP_WRITE, OP_READ)]
-
-    @pytest.fixture
-    def worker_calls(self, monkeypatch):
-        calls = []
-
-        def counting(task):
-            calls.append(task)
-            return execute_task(task)
-
-        monkeypatch.setattr(parallel_module, "execute_task", counting)
-        return calls
+    """The one runner's contract beyond what the sweep tests cover."""
 
     def test_tracer_names_bind_the_one_runner_and_worker(self):
         for name in ("run_phase_tasks", "run_interleaver_tasks",
@@ -134,31 +118,12 @@ class TestRunner:
                      "execute_mixed_task", "execute_e2e_task"):
             assert getattr(parallel_module, name) is execute_task
 
-    def test_store_hits_skip_the_worker(self, tmp_path, worker_calls):
-        store = ResultStore(str(tmp_path))
-        first = run_tasks(self.TASKS, store=store)
-        assert len(worker_calls) == 2
-        assert run_tasks(self.TASKS, store=store) == first
-        assert len(worker_calls) == 2
-
-    def test_misses_are_saved_as_they_arrive(self, tmp_path, monkeypatch):
-        def dies_on_read(task):
-            if task.op == OP_READ:
-                raise RuntimeError("simulated kill")
-            return execute_task(task)
-
-        monkeypatch.setattr(parallel_module, "execute_task", dies_on_read)
-        store = ResultStore(str(tmp_path))
-        with pytest.raises(RuntimeError):
-            run_tasks(self.TASKS, store=store)
-        assert store.load(self.TASKS[0]) == self.TASKS[0].execute()
-        assert store.load(self.TASKS[1]) is None
-
-    def test_pool_that_cannot_start_runs_serially(self, monkeypatch,
-                                                  worker_calls):
+    def test_pool_that_cannot_start_runs_serially(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise OSError("no processes here")
 
         monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
-        assert run_tasks(self.TASKS, jobs=2) == run_tasks(self.TASKS, jobs=1)
-        assert len(worker_calls) == 4
+        tasks = [PhaseTask(config_name="DDR3-800", mapping="row-major",
+                           op=op, n=12)
+                 for op in (OP_WRITE, OP_READ)]
+        assert run_tasks(tasks, jobs=2) == [task.execute() for task in tasks]
