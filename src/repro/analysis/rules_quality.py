@@ -36,13 +36,11 @@ HOT_PATHS: Dict[str, str] = {
     "repro.dram.kernel.KernelEngine._run_native":
         "the compiled-kernel driver (segment re-entry per refresh)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fade_runs":
-        "the channel dwell loop (every sampled frame, both paths)",
+        "the channel dwell loop (every dense-path frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":
         "the dense fade-mask fill (every dense-path frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._sample_batch":
         "the dense batched channel core (every dense-path batch)",
-    "repro.channel.gilbert_elliott.GilbertElliottChannel._skip_ahead_positions":
-        "the skip-ahead channel sampler (every campaign frame)",
     "repro.dram.engine._PartitionedSource.batches":
         "the bank-partition intake remap (every partitioned chunk)",
     "repro.dram.energy.energy_from_commands":

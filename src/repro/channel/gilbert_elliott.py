@@ -20,13 +20,12 @@ rate are exposed in closed form for test cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-if TYPE_CHECKING:
-    from numpy.random import PCG64
+from repro.dram import _kernelc
 
 GOOD = 0
 BAD = 1
@@ -107,6 +106,20 @@ def coherence_params(
     return GilbertElliottParams(p_g2b=p_g2b, p_b2g=p_b2g, p_bad=p_bad, p_good=p_good)
 
 
+#: Mask of the low 64 bits of a PCG64 state word.
+_LOW64 = (1 << 64) - 1
+
+
+def _hit_capacity(params: GilbertElliottParams, count: int,
+                  frames: int) -> int:
+    """First hit-buffer size of a native batch: twice the mean plus a frame.
+
+    Never more than the batch's symbols, which no batch can exceed.
+    """
+    mean = count * frames * params.stationary_bad * params.p_bad
+    return min(count * frames, int(2.0 * mean) + count + 16)
+
+
 def _check_batch(count: int, frames: int) -> None:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -125,8 +138,9 @@ class GilbertElliottChannel:
     frame's geometric dwells, then one float64 uniform per symbol.
     :meth:`error_positions` keeps that contract while drawing only the
     uniforms that can matter: on a clean good state (``p_good == 0``)
-    and a plain ``PCG64`` generator it skips the stream past fade-free
-    symbols with ``PCG64.advance``, with bit-identical results.
+    and a plain ``PCG64`` generator it runs the batch in the native
+    sampler, which jumps the stream over good symbols, with
+    bit-identical results.
     """
 
     def __init__(self, params: GilbertElliottParams,
@@ -142,7 +156,10 @@ class GilbertElliottChannel:
         This dwell loop is the sampling core of every entry point: the
         draw order (one geometric per dwell, truncated dwells redrawn
         next frame) is part of the reproducibility contract, so every
-        path must run exactly this loop.
+        path must run exactly this loop.  Its one twin is the C loop of
+        the native sampler (:data:`repro.dram._kernelc.SAMPLER_SOURCE`),
+        held to it by the differential tests in
+        ``tests/channel/test_batched_channel.py``.
         """
         params = self.params
         geometric = self.rng.geometric
@@ -211,7 +228,7 @@ class GilbertElliottChannel:
         """
         _check_batch(count, frames)
         # Scratch buffers are reused across same-shaped dense batches
-        # (error_masks, and the chunk loop of a cell the skip-ahead path
+        # (error_masks, and the chunk loop of a cell the native route
         # cannot take): refilling warm pages is much cheaper than
         # faulting in fresh ones every chunk.  They never escape — every
         # public entry point returns derived arrays.
@@ -272,81 +289,73 @@ class GilbertElliottChannel:
 
         With ``p_good == 0`` only symbols inside a fade can be hit.  If
         the generator is then exactly ``PCG64`` with no buffered 32-bit
-        half, the batch is sampled by skip-ahead: per frame, the dwells
-        as usual, ``PCG64.advance`` to the first fade symbol, one
-        uniform block up to the end of the frame's last fade, and
-        ``advance`` past the rest of the frame.  A float64 uniform
-        spends exactly one 64-bit draw, so the stream is consumed just
-        as the dense path consumes it.  Every other batch takes the
-        dense path.
+        half, and the native sampler
+        (:func:`repro.dram._kernelc.load_sampler`) loads, the batch
+        runs as one compiled call.  Per frame it draws the dwells with
+        NumPy's own ``random_geometric``, jumps the stream over good
+        symbols and draws one uniform per fade symbol.  A float64
+        uniform spends exactly one 64-bit draw, so the stream is
+        consumed just as the dense path consumes it.  Every other batch
+        takes the dense path.
         """
+        _check_batch(count, frames)
         # Imported here so that importing repro never loads numpy.random.
         from numpy.random import PCG64
 
         bit_generator = self.rng.bit_generator
         if self.params.p_good == 0.0 and type(bit_generator) is PCG64:
             state = bit_generator.state
-            # advance() clears the buffered half and its word, so a
-            # generator holding either must take the dense path.
-            if state["has_uint32"] == 0 and state["uinteger"] == 0:
-                return self._skip_ahead_positions(count, frames,
-                                                  bit_generator)
+            sampler = _kernelc.load_sampler()
+            if (sampler is not None and state["has_uint32"] == 0
+                    and state["uinteger"] == 0):
+                return self._native_positions(sampler, state, count, frames)
         fades, draws = self._sample_batch(count, frames)
         frame_idx, sym_idx = np.nonzero(self._combine_errors(fades, draws))
         return frame_idx, sym_idx
 
-    def _skip_ahead_positions(
-            self, count: int, frames: int,
-            bit_generator: PCG64) -> Tuple[NDArray[Any], NDArray[Any]]:
-        """The skip-ahead path of :meth:`error_positions`.
+    def _native_positions(
+            self, sampler: Tuple[Any, Any], state: Mapping[str, Any],
+            count: int, frames: int) -> Tuple[NDArray[Any], NDArray[Any]]:
+        """The native route of :meth:`error_positions`: one C call per batch.
 
-        Each frame with fades draws one uniform block, from its first
-        fade symbol to the end of its last fade; the block covers the
-        good dwells between those fades too, which are drawn and
-        ignored.  Fade symbols are expanded per batch in NumPy.
+        ``state`` is the bit generator's state dict.  The C side works
+        on a copy of it and of the chain state and commits both only
+        when every hit fits the position buffers; otherwise it returns
+        the hit count, and the batch runs again from the same state
+        with buffers of that size.
         """
-        _check_batch(count, frames)
-        advance = bit_generator.advance
-        uniforms = self.rng.random
-        fade_runs = self._fade_runs
-        runs: List[Tuple[int, int]] = []
-        runs_per_frame: List[int] = []
-        fade_frames: List[int] = []
-        block_shifts: List[int] = []  # block index minus symbol index
-        blocks: List[NDArray[np.float64]] = []
-        drawn = 0
-        for frame in range(frames):
-            frame_runs = fade_runs(count)
-            if not frame_runs:
-                if count:
-                    advance(count)
-                continue
-            first = frame_runs[0][0]
-            last = frame_runs[-1][1]
-            if first:
-                advance(first)
-            blocks.append(uniforms(last - first))
-            if last < count:
-                advance(count - last)
-            runs += frame_runs
-            runs_per_frame.append(len(frame_runs))
-            fade_frames.append(frame)
-            block_shifts.append(drawn - first)
-            drawn += last - first
-        if not runs:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty.copy()
-        spans = np.array(runs, dtype=np.intp)
-        starts = spans[:, 0]
-        lengths = spans[:, 1] - starts
-        # The k-th fade symbol of the batch, in run r, is symbol
-        # k + starts[r] - (fade symbols before run r) of its frame.
-        sym_idx = np.arange(lengths.sum(), dtype=np.intp) + np.repeat(
-            starts - (np.cumsum(lengths) - lengths), lengths)
-        shifts = np.repeat(np.repeat(block_shifts, runs_per_frame), lengths)
-        hits = np.concatenate(blocks)[sym_idx + shifts] < self.params.p_bad
-        frame_idx = np.repeat(np.repeat(fade_frames, runs_per_frame), lengths)
-        return frame_idx[hits], sym_idx[hits]
+        ffi, lib = sampler
+        params = self.params
+        words = state["state"]
+        stream, inc = words["state"], words["inc"]
+        rng_words = ffi.new("uint64_t[6]", [
+            stream >> 64, stream & _LOW64, inc >> 64, inc & _LOW64,
+            state["has_uint32"], state["uinteger"]])
+        chain = ffi.new("int64_t *", self._state)
+        runs = np.empty(count + 1, dtype=np.int64)
+        capacity = _hit_capacity(params, count, frames)
+        while True:
+            frame_idx = np.empty(capacity, dtype=np.intp)
+            sym_idx = np.empty(capacity, dtype=np.intp)
+            hits = lib.sample_fade_hits(
+                rng_words, chain, count, frames,
+                params.p_g2b, params.p_b2g, params.p_bad,
+                ffi.cast("int64_t *", ffi.from_buffer(runs)),
+                ffi.cast("intptr_t *", ffi.from_buffer(frame_idx)),
+                ffi.cast("intptr_t *", ffi.from_buffer(sym_idx)),
+                capacity)
+            if hits <= capacity:
+                break
+            capacity = hits
+        self.rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": rng_words[0] << 64 | rng_words[1],
+                      "inc": inc},
+            "has_uint32": rng_words[4],
+            "uinteger": rng_words[5],
+        }
+        self._state = chain[0]
+        return frame_idx[:hits], sym_idx[:hits]
 
     def corrupt(self, symbols: NDArray[Any],
                 bits_per_symbol: int = 3) -> NDArray[Any]:

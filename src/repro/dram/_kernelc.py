@@ -1,29 +1,47 @@
-"""Native backend for the batch-advance scheduling kernel.
+"""Native backend: the scheduler's segment loop and the channel sampler.
 
-The kernel's hot loop (:mod:`repro.dram.kernel`) is this compiled
-*segment loop*.  It runs the eval / commit / arbitrate / pop / admit
-cycle over the flat int64 state tables and returns to Python only at
-**refresh boundaries** (and when the command-record buffer needs
-growing), so the Python :class:`~repro.dram.refresh.RefreshScheduler`
-is never duplicated: the wrapper in :mod:`repro.dram.kernel` applies
-refresh events on the same arrays the compiled code mutates and
-re-enters the segment.  Besides the optional command records the loop
-can write one CAS issue time per request (the ``cas_time`` column the
-end-to-end latency fold reads).
+The backend has two entry points, each one compiled translation unit
+loaded through ``cffi``:
 
-The backend compiles one translation unit with the system C compiler
-at first use (cached per source hash under the user's temp directory,
-override with ``REPRO_KERNELC_CACHE``) and loads it through ``cffi``.
-When a compiler or ``cffi`` is unavailable — or
-``REPRO_KERNEL_NATIVE=0`` is set — :func:`load` returns ``None`` and
-:meth:`~repro.dram.kernel.KernelEngine.run` delegates every phase to
-the general engine, bit-identically, with
-``PhaseStats.kernel_fallback`` set.
+* :func:`load` — the batch-advance kernel's hot loop
+  (:mod:`repro.dram.kernel`), the compiled *segment loop*.  It runs the
+  eval / commit / arbitrate / pop / admit cycle over the flat int64
+  state tables and returns to Python only at **refresh boundaries**
+  (and when the command-record buffer needs growing), so the Python
+  :class:`~repro.dram.refresh.RefreshScheduler` is never duplicated:
+  the wrapper in :mod:`repro.dram.kernel` applies refresh events on the
+  same arrays the compiled code mutates and re-enters the segment.
+  Besides the optional command records the loop can write one CAS issue
+  time per request (the ``cas_time`` column the end-to-end latency fold
+  reads).
+* :func:`load_sampler` — the Gilbert–Elliott frame loop behind
+  :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions`.
+  It draws each frame's dwells with NumPy's own ``random_geometric``,
+  linked statically from ``numpy/random/lib/libnpyrandom.a`` and driven
+  through NumPy's public ``bitgen_t`` by a C port of ``PCG64``, jumps
+  the stream over good symbols and draws one uniform per fade symbol,
+  so positions and generator state match the dense path bit for bit.
 
-All arithmetic is exact int64: timestamps in this project stay below
-``10**15`` picoseconds and the far-future sentinel is ``10**18``, so no
-intermediate sum can overflow.  The one C-vs-Python arithmetic
-difference, truncating vs flooring ``%``, is handled by the
+Each entry point is compiled with the system C compiler at first use
+and cached under the user's temp directory (override with
+``REPRO_KERNELC_CACHE``).  The segment loop's cache key is its source;
+the sampler's also covers ``numpy.__version__`` and a digest of the
+archive, so a NumPy upgrade rebuilds it.  A cache entry that exists but
+does not load is rebuilt once.  :func:`available` builds and loads
+both, so a process that calls it first never compiles later.
+
+When an entry point cannot be built — no compiler or ``cffi``, no
+archive for the sampler — or ``REPRO_KERNEL_NATIVE=0`` is set, its
+loader returns ``None``, and the caller takes its bit-identical
+fallback: :meth:`~repro.dram.kernel.KernelEngine.run` delegates every
+phase to the general engine with ``PhaseStats.kernel_fallback`` set,
+and the channel samples on its dense path.  The two fail
+independently: a failed sampler build leaves the segment loop native.
+
+All segment-loop arithmetic is exact int64: timestamps in this project
+stay below ``10**15`` picoseconds and the far-future sentinel is
+``10**18``, so no intermediate sum can overflow.  The one C-vs-Python
+arithmetic difference, truncating vs flooring ``%``, is handled by the
 ``QUANTIZE`` helper which reproduces Python's floor-mod for negative
 operands (the issue-slot bound is legitimately negative before the
 first CAS of a phase).
@@ -36,7 +54,9 @@ import os
 import subprocess
 import tempfile
 from shutil import which
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+
+import numpy
 
 #: Scalar-slot indices shared with the C side (keep in sync with the
 #: ``S_*`` enum in :data:`SOURCE`).
@@ -437,33 +457,188 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
 # constant appearing twice; substitute it before compiling.
 SOURCE = SOURCE.replace("EXIT_DONE_SENTINEL", "0")
 
-_loaded: Optional[Tuple[Any, Any]] = None
-_load_attempted = False
+SAMPLER_CDEF = """
+int64_t sample_fade_hits(uint64_t *words, int64_t *chain, int64_t count,
+    int64_t frames, double p_g2b, double p_b2g, double p_bad,
+    int64_t *runs, intptr_t *frame_idx, intptr_t *sym_idx,
+    int64_t capacity);
+"""
+
+SAMPLER_SOURCE = r"""
+#include <stdint.h>
+#include "numpy/random/bitgen.h"
+
+/* NumPy's own geometric sampler, linked from libnpyrandom.a.  Declared
+ * here because numpy/random/distributions.h includes Python.h. */
+int64_t random_geometric(bitgen_t *bitgen_state, double p);
+
+typedef unsigned __int128 u128;
+
+#define PCG_MULT ((((u128)0x2360ED051FC65DA4ULL) << 64) | 0x4385DF649FCCF645ULL)
+
+/* numpy.random.PCG64: a 128-bit LCG with XSL-RR output, plus the
+ * buffered upper half of a 64-bit draw that next_uint32 hands out. */
+typedef struct {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_t;
+
+static uint64_t next64(void *st) {
+    pcg64_t *rng = (pcg64_t *)st;
+    rng->state = rng->state * PCG_MULT + rng->inc;
+    uint64_t xored = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return (xored >> rot) | (xored << ((-rot) & 63));
+}
+
+static uint32_t next32(void *st) {
+    pcg64_t *rng = (pcg64_t *)st;
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return rng->uinteger;
+    }
+    uint64_t next = next64(st);
+    rng->has_uint32 = 1;
+    rng->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double next_double(void *st) {
+    return (double)(next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The standard LCG jump: `delta` steps are one affine map
+ * state -> mult * state + plus, composed in O(log delta). */
+typedef struct { u128 mult, plus; } jump_t;
+
+static jump_t jump_of(uint64_t delta, u128 inc) {
+    jump_t acc = {1, 0};
+    u128 cur_mult = PCG_MULT, cur_plus = inc;
+    while (delta) {
+        if (delta & 1) {
+            acc.mult *= cur_mult;
+            acc.plus = acc.plus * cur_mult + cur_plus;
+        }
+        cur_plus = (cur_mult + 1) * cur_plus;
+        cur_mult *= cur_mult;
+        delta >>= 1;
+    }
+    return acc;
+}
+
+static void skip(pcg64_t *rng, int64_t delta) {
+    if (delta > 0) {
+        jump_t jump = jump_of((uint64_t)delta, rng->inc);
+        rng->state = jump.mult * rng->state + jump.plus;
+    }
+}
+
+/* `frames` frames of `count` symbols from the chain in *chain (1 = in a
+ * fade), drawing exactly what the dense path draws: per frame the
+ * geometric dwells, then one uniform per symbol -- drawn for fade
+ * symbols, jumped over for the rest.  Writes the (frame, symbol) of
+ * each hit while they fit in `capacity` and returns the hit count.
+ * words = {state_hi, state_lo, inc_hi, inc_lo, has_uint32, uinteger}
+ * and *chain are written back only when every hit fit; `runs` holds
+ * count + 1 slots for one frame's [start, end) fades. */
+int64_t sample_fade_hits(uint64_t *words, int64_t *chain, int64_t count,
+    int64_t frames, double p_g2b, double p_b2g, double p_bad,
+    int64_t *runs, intptr_t *frame_idx, intptr_t *sym_idx,
+    int64_t capacity) {
+    pcg64_t rng;
+    rng.state = ((u128)words[0] << 64) | words[1];
+    rng.inc = ((u128)words[2] << 64) | words[3];
+    rng.has_uint32 = (int)words[4];
+    rng.uinteger = (uint32_t)words[5];
+    bitgen_t bitgen = {&rng, next64, next32, next_double, next64};
+    jump_t whole_frame = jump_of((uint64_t)count, rng.inc);
+    int64_t state = *chain;
+    int64_t hits = 0;
+    for (int64_t frame = 0; frame < frames; frame++) {
+        int64_t n_runs = 0;
+        int64_t position = 0;
+        while (position < count) {
+            int64_t dwell = random_geometric(&bitgen, state ? p_b2g : p_g2b);
+            int64_t left = count - position;
+            if (state) {
+                runs[2 * n_runs] = position;
+                runs[2 * n_runs + 1] = dwell < left ? position + dwell : count;
+                n_runs++;
+            }
+            if (dwell > left) break;  /* the dwell continues next frame */
+            position += dwell;
+            state = !state;
+        }
+        if (n_runs == 0) {
+            rng.state = whole_frame.mult * rng.state + whole_frame.plus;
+            continue;
+        }
+        int64_t drawn = 0;  /* frame symbols whose uniform is spent */
+        for (int64_t r = 0; r < n_runs; r++) {
+            int64_t end = runs[2 * r + 1];
+            skip(&rng, runs[2 * r] - drawn);
+            for (int64_t s = runs[2 * r]; s < end; s++) {
+                if (next_double(&rng) < p_bad) {
+                    if (hits < capacity) {
+                        frame_idx[hits] = (intptr_t)frame;
+                        sym_idx[hits] = (intptr_t)s;
+                    }
+                    hits++;
+                }
+            }
+            drawn = end;
+        }
+        skip(&rng, count - drawn);
+    }
+    if (hits <= capacity) {
+        words[0] = (uint64_t)(rng.state >> 64);
+        words[1] = (uint64_t)rng.state;
+        words[4] = (uint64_t)rng.has_uint32;
+        words[5] = rng.uinteger;
+        *chain = state;
+    }
+    return hits;
+}
+"""
+
+#: ``(ffi, lib)`` per entry point once loaded; ``None`` records a failed
+#: attempt, which is not retried in this process.
+_libraries: Dict[str, Optional[Tuple[Any, Any]]] = {}
+
+#: What one entry point is built from: C source, cache key, and the
+#: extra compiler arguments (include flags, linker inputs).
+_Recipe = Tuple[str, bytes, Sequence[str]]
 
 
-def _cache_path() -> str:
-    """Shared-object path for the current source (per-user, per-hash)."""
-    digest = hashlib.sha256(SOURCE.encode("utf-8")).hexdigest()[:20]
+def _cache_path(stem: str, key: bytes) -> str:
+    """Shared-object path for one entry point (per-user, per-key)."""
+    digest = hashlib.sha256(key).hexdigest()[:20]
     uid = os.getuid() if hasattr(os, "getuid") else 0
     root = os.environ.get("REPRO_KERNELC_CACHE") or os.path.join(
         tempfile.gettempdir(), f"repro-kernelc-{uid}")
-    return os.path.join(root, f"kernel-{digest}.so")
+    return os.path.join(root, f"{stem}-{digest}.so")
 
 
-def _compile(so_path: str) -> bool:
-    """Compile :data:`SOURCE` to ``so_path``; ``False`` on any failure."""
+def _compile(so_path: str, source: str, extra: Sequence[str] = ()) -> bool:
+    """Compile ``source`` to ``so_path``; ``False`` on any failure.
+
+    ``extra`` follows the source file on the command line, so it can
+    carry include flags as well as archives and libraries to link.
+    """
     compiler = which("cc") or which("gcc")
     if compiler is None:
         return False
     directory = os.path.dirname(so_path)
+    c_path = so_path + f".{os.getpid()}.c"
+    tmp_so = so_path + f".{os.getpid()}.tmp"
     try:
         os.makedirs(directory, exist_ok=True)
-        c_path = so_path + f".{os.getpid()}.c"
-        tmp_so = so_path + f".{os.getpid()}.tmp"
         with open(c_path, "w", encoding="utf-8") as fh:
-            fh.write(SOURCE)
+            fh.write(source)
         proc = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
+            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path,
+             *extra],
             capture_output=True)
         if proc.returncode != 0:
             return False
@@ -472,12 +647,53 @@ def _compile(so_path: str) -> bool:
     except OSError:
         return False
     finally:
-        for leftover in (so_path + f".{os.getpid()}.c",
-                         so_path + f".{os.getpid()}.tmp"):
+        for leftover in (c_path, tmp_so):
             try:
                 os.unlink(leftover)
             except OSError:
                 pass
+
+
+def _load(stem: str, cdef: str,
+          recipe: Callable[[], Optional[_Recipe]]) -> Optional[Tuple[Any, Any]]:
+    """Return ``(ffi, lib)`` for one entry point, or ``None``.
+
+    Builds the shared object into the cache at first use.  A cache
+    entry that exists but does not load (truncated, or otherwise
+    corrupt) is rebuilt once and loaded again.  The result, failure
+    included, is kept for the process.
+    """
+    if stem in _libraries:
+        return _libraries[stem]
+    _libraries[stem] = None
+    if os.environ.get("REPRO_KERNEL_NATIVE", "1") == "0":
+        return None
+    try:
+        import cffi
+    except ImportError:  # pragma: no cover - cffi is in the toolchain
+        return None
+    built = recipe()
+    if built is None:
+        return None
+    source, key, extra = built
+    so_path = _cache_path(stem, key)
+
+    def dlopen() -> Optional[Tuple[Any, Any]]:
+        try:
+            ffi = cffi.FFI()
+            ffi.cdef(cdef)
+            return ffi, ffi.dlopen(so_path)
+        except (OSError, cffi.error.FFIError, cffi.error.CDefError):
+            return None
+
+    cached = os.path.exists(so_path)
+    if not cached and not _compile(so_path, source, extra):
+        return None
+    loaded = dlopen()
+    if loaded is None and cached and _compile(so_path, source, extra):
+        loaded = dlopen()
+    _libraries[stem] = loaded
+    return loaded
 
 
 def load() -> Optional[Tuple[Any, Any]]:
@@ -487,29 +703,52 @@ def load() -> Optional[Tuple[Any, Any]]:
     retried.  Set ``REPRO_KERNEL_NATIVE=0`` to route every kernel
     phase to the general engine regardless of toolchain availability.
     """
-    global _loaded, _load_attempted
-    if _load_attempted:
-        return _loaded
-    _load_attempted = True
-    if os.environ.get("REPRO_KERNEL_NATIVE", "1") == "0":
-        return None
+    return _load("kernel", CDEF,
+                 lambda: (SOURCE, SOURCE.encode("utf-8"), ()))
+
+
+def _npyrandom_archive() -> str:
+    """Path of NumPy's static random library, ``libnpyrandom.a``."""
+    return os.path.join(os.path.dirname(numpy.__file__), "random", "lib",
+                        "libnpyrandom.a")
+
+
+def _sampler_recipe() -> Optional[_Recipe]:
+    """Source, cache key and link inputs of the sampler; ``None`` without the archive.
+
+    The key covers the NumPy version and the archive's bytes, so a NumPy
+    upgrade rebuilds the sampler rather than keeping a stale
+    ``random_geometric``.
+    """
+    archive = _npyrandom_archive()
     try:
-        import cffi
-    except ImportError:  # pragma: no cover - cffi is in the toolchain
+        with open(archive, "rb") as fh:
+            archive_digest = hashlib.sha256(fh.read()).digest()
+    except OSError:
         return None
-    so_path = _cache_path()
-    if not os.path.exists(so_path) and not _compile(so_path):
-        return None
-    try:
-        ffi = cffi.FFI()
-        ffi.cdef(CDEF)
-        lib = ffi.dlopen(so_path)
-    except (OSError, cffi.error.FFIError, cffi.error.CDefError):
-        return None
-    _loaded = (ffi, lib)
-    return _loaded
+    key = b"\0".join((SAMPLER_SOURCE.encode("utf-8"),
+                      numpy.__version__.encode("utf-8"), archive_digest))
+    return SAMPLER_SOURCE, key, ("-I", numpy.get_include(), archive, "-lm")
+
+
+def load_sampler() -> Optional[Tuple[Any, Any]]:
+    """Return ``(ffi, lib)`` for the compiled channel sampler, or ``None``.
+
+    ``None`` without a compiler, without NumPy's ``libnpyrandom.a``, or
+    under ``REPRO_KERNEL_NATIVE=0``; the channel then samples on its
+    dense path.  Independent of :func:`load`: a failed sampler build
+    leaves the segment loop native.
+    """
+    return _load("sampler", SAMPLER_CDEF, _sampler_recipe)
 
 
 def available() -> bool:
-    """Whether the compiled segment loop can be used in this process."""
-    return load() is not None
+    """Whether the compiled segment loop can be used in this process.
+
+    Also builds and loads the channel sampler, so a process that calls
+    this first never compiles later; the sampler's availability does
+    not enter the answer (see :func:`load_sampler`).
+    """
+    native = load() is not None
+    load_sampler()
+    return native

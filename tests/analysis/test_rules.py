@@ -1,10 +1,15 @@
 """Per-rule fixture snippets: exact (rule, line, col) per finding."""
 
+import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import analyze_source
+from repro.analysis.rules_quality import HOT_PATHS, _walk_functions
+from repro.analysis.runner import module_name_of
 
 
 def _lint(source, **kwargs):
@@ -401,6 +406,16 @@ class TestR005HotLoop:
                             x = {1, 2}
             ''', module=self.HOT, path="src/repro/dram/engine.py")
         assert _triples(findings) == [("R005", 9, 20)]
+
+    def test_every_registered_hot_path_resolves(self):
+        """R005 visits only the names it finds, so a stale key checks nothing."""
+        src = Path(repro.__file__).resolve().parent.parent
+        found = set()
+        for path in src.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found.update(name for name, _ in
+                         _walk_functions(tree, module_name_of(path)))
+        assert sorted(set(HOT_PATHS) - found) == []
 
 
 class TestR006Docstrings:

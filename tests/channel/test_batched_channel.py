@@ -18,7 +18,13 @@ from repro.channel.burst_stats import (
     frame_burst_profiles,
 )
 from repro.channel.codeword import CodewordConfig, decode_mask, decode_masks
-from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
+from repro.channel.gilbert_elliott import (
+    BAD,
+    GilbertElliottChannel,
+    GilbertElliottParams,
+    _hit_capacity,
+)
+from repro.dram import _kernelc
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
 from repro.system.downlink import OpticalDownlink
 
@@ -119,11 +125,11 @@ def _same_state(a, b):
 
 
 def _dense_only(*args):
-    raise AssertionError("skip-ahead batch took the dense path")
+    raise AssertionError("native-route batch took the dense path")
 
 
-def _skip_only(*args):
-    raise AssertionError("dense-path batch took the skip-ahead path")
+def _native_only(*args):
+    raise AssertionError("dense-path batch took the native route")
 
 
 class TestSkipAhead:
@@ -131,12 +137,13 @@ class TestSkipAhead:
 
     After every batch of three, the positions, the bit generator's
     state and the chain state must all equal the dense path's.  Batches
-    with ``p_good == 0`` on a fresh ``default_rng`` must take the
-    skip-ahead path; every other generator must fall back to the dense
-    path.
+    with ``p_good == 0`` on a fresh ``default_rng`` must take the native
+    route when the sampler loads and the dense path when it does not
+    (no compiler, ``REPRO_KERNEL_NATIVE=0``); every other generator
+    must take the dense path.
     """
 
-    SHAPES = [(0, 3), (5, 0), (311, 8), (4704, 128)]
+    SHAPES = [(0, 3), (5, 0), (311, 8), (4704, 128), (480, 400), (1, 50)]
 
     @staticmethod
     def _assert_batches_match(skip, dense, count, frames):
@@ -149,17 +156,48 @@ class TestSkipAhead:
                                dense.rng.bit_generator.state)
             assert skip._state == dense._state
 
+    @staticmethod
+    def _pin_route(channel, monkeypatch):
+        """Make the route a fresh ``default_rng`` batch must not take raise."""
+        if (channel.params.p_good == 0.0
+                and _kernelc.load_sampler() is not None):
+            monkeypatch.setattr(channel, "_sample_batch", _dense_only)
+        else:
+            monkeypatch.setattr(channel, "_native_positions", _native_only)
+
     @pytest.mark.parametrize("count,frames", SHAPES,
                              ids=[f"{c}x{f}" for c, f in SHAPES])
     @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
     def test_matches_dense_path(self, seed, params, count, frames,
                                 monkeypatch):
         skip, dense = _channel_pair(seed, params)
-        if params.p_good == 0.0:
-            monkeypatch.setattr(skip, "_sample_batch", _dense_only)
-        else:
-            monkeypatch.setattr(skip, "_skip_ahead_positions", _skip_only)
+        self._pin_route(skip, monkeypatch)
         self._assert_batches_match(skip, dense, count, frames)
+
+    def test_hits_beyond_the_first_buffer(self, monkeypatch):
+        """A batch with more hits than the first buffer holds reruns from the same state."""
+        params = GilbertElliottParams(p_g2b=1e-6, p_b2g=1e-5, p_bad=0.9)
+        probe, skip, dense = (
+            GilbertElliottChannel(params, np.random.default_rng(3))
+            for _ in range(3))
+        for channel in (probe, skip, dense):
+            channel._state = BAD  # a fade that outlasts the batches
+        hits = np.count_nonzero(probe.error_masks(311, 8))
+        assert hits > _hit_capacity(params, 311, 8)
+        self._pin_route(skip, monkeypatch)
+        self._assert_batches_match(skip, dense, 311, 8)
+
+    def test_missing_archive_takes_dense_path(self, tmp_path, monkeypatch):
+        """Without NumPy's ``libnpyrandom.a`` only the channel leaves the native route."""
+        kernel_native = _kernelc.available()
+        monkeypatch.setattr(_kernelc, "_libraries", {})
+        monkeypatch.setattr(_kernelc, "_npyrandom_archive",
+                            lambda: str(tmp_path / "libnpyrandom.a"))
+        assert _kernelc.available() == kernel_native
+        assert _kernelc.load_sampler() is None
+        skip, dense = _channel_pair(*PARAM_SETS[0])
+        monkeypatch.setattr(skip, "_native_positions", _native_only)
+        self._assert_batches_match(skip, dense, 4704, 128)
 
     @pytest.mark.parametrize("bit_generator",
                              ["MT19937", "SFC64", "Philox", "PCG64DXSM"])
@@ -169,16 +207,16 @@ class TestSkipAhead:
             GilbertElliottChannel(params, np.random.Generator(
                 getattr(np.random, bit_generator)(5)))
             for _ in range(2))
-        monkeypatch.setattr(skip, "_skip_ahead_positions", _skip_only)
+        monkeypatch.setattr(skip, "_native_positions", _native_only)
         self._assert_batches_match(skip, dense, 311, 8)
 
     @pytest.mark.parametrize("float32_draws", [1, 2],
                              ids=["buffered-half", "stale-word"])
     def test_buffered_half_falls_back(self, float32_draws, monkeypatch):
-        """``advance`` would clear the buffered half and its stored word.
+        """A generator holding a buffered half or its stale word goes dense.
 
         One float32 draw buffers a 32-bit half; a second consumes it but
-        leaves the word in the state, where ``advance`` would zero it.
+        leaves the word in the state.
         """
         params = PARAM_SETS[0][1]
         rngs = [np.random.default_rng(9) for _ in range(2)]
@@ -187,7 +225,7 @@ class TestSkipAhead:
                 rng.random(dtype=np.float32)
         assert rngs[0].bit_generator.state["uinteger"] != 0
         skip, dense = (GilbertElliottChannel(params, rng) for rng in rngs)
-        monkeypatch.setattr(skip, "_skip_ahead_positions", _skip_only)
+        monkeypatch.setattr(skip, "_native_positions", _native_only)
         self._assert_batches_match(skip, dense, 311, 8)
 
 

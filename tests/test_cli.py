@@ -66,13 +66,15 @@ class TestTable1:
         capsys.readouterr()
 
 
-def _child_stdout(argv, native):
+def _child_stdout(argv, native, env=None):
     """Run ``python <argv>`` in a fresh process; its stdout.
 
     ``native=False`` sets ``REPRO_KERNEL_NATIVE=0``, the switch that
-    routes every kernel phase to the general engine.
+    routes every kernel phase to the general engine and every channel
+    batch to the dense path.  ``env`` adds variables to the child's
+    environment.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if not native:
         env["REPRO_KERNEL_NATIVE"] = "0"
@@ -82,14 +84,22 @@ def _child_stdout(argv, native):
     return done.stdout
 
 
+#: A small campaign whose channel sees a few hundred fades.
+CAMPAIGN_FADES = [
+    "campaign", "--fade-symbols", "60", "--fade-fraction", "0.02",
+    "--triangle-n", "15", "--seeds", "2", "--frames", "200", "--no-chart",
+]
+
+
 class TestKernelFallbackIdentity:
-    """The general-engine fallback route prints the same bytes."""
+    """The general-engine and dense-channel fallbacks print the same bytes."""
 
     @pytest.mark.parametrize("args", [
         ["table1", "--n", "32"],
         ["e2e", "--n", "15", "--frames", "4", "--configs", "DDR4-3200",
          "LPDDR4-4266"],
-    ], ids=["table1", "e2e"])
+        CAMPAIGN_FADES,
+    ], ids=["table1", "e2e", "campaign"])
     def test_stdout_identical_without_native_kernel(self, args):
         argv = ["-m", "repro", *args]
         assert (_child_stdout(argv, native=False)
@@ -110,17 +120,39 @@ class TestKernelFallbackIdentity:
 
     def test_compiler_failing_at_first_use(self, tmp_path, monkeypatch,
                                            capsys):
-        """No compiler, empty cache: the table still prints, same bytes."""
-        assert main(["table1", "--n", "32", "--configs", "DDR4-3200"]) == 0
-        expected = capsys.readouterr().out
+        """No compiler, empty cache: the tables still print, same bytes."""
+        commands = (["table1", "--n", "32", "--configs", "DDR4-3200"],
+                    CAMPAIGN_FADES)
+        expected = []
+        for argv in commands:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
         monkeypatch.setenv("REPRO_KERNELC_CACHE", str(tmp_path))
         monkeypatch.setattr(_kernelc, "which", lambda name: None)
-        monkeypatch.setattr(_kernelc, "_loaded", None)
-        monkeypatch.setattr(_kernelc, "_load_attempted", False)
-        assert main(["table1", "--n", "32", "--configs", "DDR4-3200"]) == 0
-        assert capsys.readouterr().out == expected
+        monkeypatch.setattr(_kernelc, "_libraries", {})
+        for argv, out in zip(commands, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
         assert not _kernelc.available()
+        assert _kernelc.load_sampler() is None
         assert os.listdir(str(tmp_path)) == []
+
+    def test_corrupt_cache_entries_are_rebuilt(self, tmp_path):
+        """A truncated shared object is rebuilt once, not a fallback for good."""
+        if not _kernelc.available():
+            pytest.skip("no native backend to corrupt")
+        env = {"REPRO_KERNELC_CACHE": str(tmp_path)}
+        probe = ("from repro.cli import main; from repro.dram import _kernelc; "
+                 "main(['table1', '--n', '32', '--configs', 'DDR4-3200']); "
+                 "print(_kernelc.available(), "
+                 "_kernelc.load_sampler() is not None)")
+        clean = _child_stdout(["-c", probe], native=True, env=env)
+        entries = sorted(os.listdir(str(tmp_path)))
+        assert any(name.startswith("kernel-") for name in entries)
+        for name in entries:
+            os.truncate(str(tmp_path / name), 100)
+        assert _child_stdout(["-c", probe], native=True, env=env) == clean
+        assert sorted(os.listdir(str(tmp_path))) == entries
 
 
 class TestMixed:
