@@ -1,6 +1,10 @@
 """Public API surface: everything advertised in __all__ exists and the
 README quickstart actually runs."""
 
+import os
+import subprocess
+import sys
+
 import repro
 
 
@@ -29,6 +33,20 @@ class TestSurface:
         import repro.mapping as mapping
         for name in mapping.__all__:
             assert hasattr(mapping, name), name
+
+    def test_import_loads_neither_cffi_nor_numpy_random(self):
+        """The native backend and the channel's generators load at first use."""
+        probe = ("import sys, numpy; before = set(sys.modules); import repro; "
+                 "print(sorted(m for m in set(sys.modules) - before "
+                 "if m.split('.')[0] == 'cffi' "
+                 "or m.startswith('numpy.random')))")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestQuickstart:
