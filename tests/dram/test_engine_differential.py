@@ -21,105 +21,29 @@ Scenario construction is deterministic per index, so a failure names a
 reproducible case.
 """
 
-import random
-
-import numpy as np
 import pytest
 
-from repro.dram._reference import reference_run_mixed_phase, reference_run_phase
+from oracles.cases import (N_HOMOGENEOUS, N_MIXED, SCHEDULE_FIELDS,
+                           engine_case, engine_mixed_case, engine_rng)
+from oracles.scheduler import reference_run_mixed_phase, reference_run_phase
 from repro.dram.controller import (
     ENGINE_GENERAL,
     OP_READ,
-    OP_WRITE,
     ControllerConfig,
     MemoryController,
 )
 from repro.dram.mixed import run_mixed_phase
-from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
-
-#: PhaseStats fields that describe the schedule itself.
-SCHEDULE_FIELDS = (
-    "requests", "page_hits", "page_misses", "page_empties",
-    "activates", "precharges", "refreshes", "data_time_ps", "makespan_ps",
-)
-
-N_HOMOGENEOUS = 300
-N_MIXED = 100
-
-
-def _scenario_rng(index: int) -> random.Random:
-    return random.Random(0xD1FF * 1000 + index)
-
-
-def _pick_policy(rng: random.Random) -> ControllerConfig:
-    return ControllerConfig(
-        queue_depth=rng.choice([1, 2, 8, 16, 64, 128]),
-        per_bank_depth=rng.choice([1, 2, 4, 16]),
-        refresh_enabled=rng.random() < 0.6,
-        record_commands=True,
-    )
-
-
-def _pick_stream(rng: random.Random, n_banks: int):
-    """A request stream with a randomly chosen locality pattern."""
-    count = rng.choice([0, 1, 7, 60, 250, 800])
-    pattern = rng.choice(["uniform", "thrash", "hot-bank", "runs", "rotate"])
-    rows = rng.choice([2, 8, 128])
-    requests = []
-    if pattern == "uniform":
-        for _ in range(count):
-            requests.append((rng.randrange(n_banks), rng.randrange(rows),
-                             rng.randrange(16)))
-    elif pattern == "thrash":
-        for k in range(count):
-            requests.append((k % n_banks, k % rows, 0))
-    elif pattern == "hot-bank":
-        hot = rng.randrange(n_banks)
-        for _ in range(count):
-            bank = hot if rng.random() < 0.8 else rng.randrange(n_banks)
-            requests.append((bank, rng.randrange(rows), rng.randrange(16)))
-    elif pattern == "runs":
-        k = 0
-        while k < count:
-            bank = rng.randrange(n_banks)
-            row = rng.randrange(rows)
-            for _ in range(min(rng.randrange(1, 12), count - k)):
-                requests.append((bank, row, rng.randrange(16)))
-                k += 1
-    else:  # rotate: bank-group rotation with occasional row switches
-        row = 0
-        for k in range(count):
-            if rng.random() < 0.05:
-                row = rng.randrange(rows)
-            requests.append((k % n_banks, row, k % 16))
-    return requests
-
-
-def _as_chunks(requests, chunk_size):
-    for start in range(0, len(requests), chunk_size):
-        part = requests[start:start + chunk_size]
-        yield (np.asarray([r[0] for r in part], dtype=np.int64),
-               np.asarray([r[1] for r in part], dtype=np.int64),
-               np.asarray([r[2] for r in part], dtype=np.int64))
+from repro.dram.presets import get_config
 
 
 @pytest.mark.parametrize("index", range(N_HOMOGENEOUS))
 def test_homogeneous_battery(index):
-    rng = _scenario_rng(index)
-    config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
-    policy = _pick_policy(rng)
-    requests = _pick_stream(rng, config.geometry.banks)
-    op = rng.choice([OP_READ, OP_WRITE])
-    chunked = rng.random() < 0.5
-
-    if chunked:
-        chunk_size = rng.choice([1, 13, 200, 4096])
-        stream = _as_chunks(requests, chunk_size)
-    else:
-        stream = iter(requests)
-    engine_result = MemoryController(config, policy,
-                                     engine=ENGINE_GENERAL).run_phase(stream, op)
-    reference_result = reference_run_phase(config, list(requests), op, policy)
+    case = engine_case(index)
+    engine_result = MemoryController(case.config, case.policy,
+                                     engine=ENGINE_GENERAL).run_phase(
+        case.stream(), case.op)
+    reference_result = reference_run_phase(case.config, list(case.requests),
+                                           case.op, case.policy)
 
     assert engine_result.stats == reference_result.stats
     assert engine_result.commands == reference_result.commands
@@ -127,20 +51,13 @@ def test_homogeneous_battery(index):
 
 @pytest.mark.parametrize("index", range(N_MIXED))
 def test_mixed_battery(index):
-    rng = _scenario_rng(10_000 + index)
-    config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
-    policy = _pick_policy(rng)
     # The reference records nothing for mixed runs; recording is an
     # engine addition checked separately below.
-    quiet = ControllerConfig(queue_depth=policy.queue_depth,
-                             per_bank_depth=policy.per_bank_depth,
-                             refresh_enabled=policy.refresh_enabled)
-    read_fraction = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
-    base = _pick_stream(rng, config.geometry.banks)
-    requests = [(rng.random() < read_fraction, b, r, c) for b, r, c in base]
-
-    engine_result = run_mixed_phase(config, list(requests), quiet)
-    reference_result = reference_run_mixed_phase(config, list(requests), quiet)
+    case = engine_mixed_case(index)
+    engine_result = run_mixed_phase(case.config, list(case.requests),
+                                    case.policy)
+    reference_result = reference_run_mixed_phase(
+        case.config, list(case.requests), case.policy)
 
     for field in SCHEDULE_FIELDS:
         assert getattr(engine_result.stats, field) == \
@@ -160,7 +77,7 @@ def test_mixed_battery(index):
 def test_mixed_recording_matches_quiet_run(ddr4):
     """``record_commands`` must not change mixed scheduling, and the
     recorded CAS commands must mirror the request stream."""
-    rng = _scenario_rng(77_777)
+    rng = engine_rng(77_777)
     requests = [(rng.random() < 0.5, rng.randrange(ddr4.geometry.banks),
                  rng.randrange(16), rng.randrange(16)) for _ in range(600)]
     quiet = run_mixed_phase(ddr4, list(requests), ControllerConfig())

@@ -23,16 +23,14 @@ Scenario construction is deterministic per index, so a failure names a
 reproducible case.
 """
 
-import random
-
 import pytest
 
+from oracles.cases import (N_MIXED_PER_POLICY, N_PER_POLICY, NEW_DISCIPLINES,
+                           SCHEDULE_FIELDS, TABLE1_PAIRS, phase_chunks,
+                           pick_stream, policy_case, policy_mixed_case,
+                           policy_rng, table1_mapping)
+from oracles.scheduler import reference_run_mixed_phase, reference_run_phase
 from repro.dram import _kernelc
-from repro.dram._policy_reference import (
-    reference_policy_run_mixed_phase,
-    reference_policy_run_phase,
-)
-from repro.dram._reference import reference_run_phase
 from repro.dram.controller import (
     ENGINE_GENERAL,
     ENGINE_KERNEL,
@@ -49,88 +47,9 @@ from repro.dram.policy import (
     POLICY_NAMES,
     POLICY_OPEN_PAGE,
 )
-from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
-from repro.interleaver.triangular import TriangularIndexSpace
-from repro.mapping.optimized import OptimizedMapping
-from repro.mapping.row_major import RowMajorMapping
+from repro.dram.presets import get_config
 
-N = 32
-
-#: Disciplines that did not exist before this PR.
-NEW_DISCIPLINES = (POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP,
-                   POLICY_BANK_PARTITION)
-
-#: Seeded scenarios per new discipline (homogeneous battery).
-N_PER_POLICY = 100
-
-#: Seeded mixed scenarios per new discipline.
-N_MIXED_PER_POLICY = 40
-
-#: PhaseStats fields the mixed reference exposes (no recording there).
-SCHEDULE_FIELDS = (
-    "requests", "page_hits", "page_misses", "page_empties",
-    "activates", "precharges", "refreshes", "data_time_ps", "makespan_ps",
-)
-
-MAPPING_FACTORIES = {
-    "row-major": lambda space, geometry: RowMajorMapping(space, geometry),
-    "optimized": lambda space, geometry: OptimizedMapping(
-        space, geometry, prefer_tall=False),
-}
-
-TABLE1_PAIRS = [(c, m) for c in TABLE1_CONFIG_NAMES
-                for m in MAPPING_FACTORIES]
 PAIR_IDS = [f"{c}-{m}" for c, m in TABLE1_PAIRS]
-
-
-def _scenario_rng(salt: int, index: int) -> random.Random:
-    return random.Random(0x90CC * 100_000 + salt * 1_000 + index)
-
-
-def _pick_policy(rng: random.Random, discipline: str) -> ControllerConfig:
-    return ControllerConfig(
-        queue_depth=rng.choice([1, 2, 8, 16, 64, 128]),
-        per_bank_depth=rng.choice([1, 2, 4, 16]),
-        refresh_enabled=rng.random() < 0.6,
-        record_commands=True,
-        discipline=discipline,
-        cap=rng.choice([1, 2, 3, 4, 8]),
-    )
-
-
-def _pick_stream(rng: random.Random, n_banks: int):
-    """A request stream with a randomly chosen locality pattern."""
-    count = rng.choice([0, 1, 7, 60, 250, 800])
-    pattern = rng.choice(["uniform", "thrash", "hot-bank", "runs", "rotate"])
-    rows = rng.choice([2, 8, 128])
-    requests = []
-    if pattern == "uniform":
-        for _ in range(count):
-            requests.append((rng.randrange(n_banks), rng.randrange(rows),
-                             rng.randrange(16)))
-    elif pattern == "thrash":
-        for k in range(count):
-            requests.append((k % n_banks, k % rows, 0))
-    elif pattern == "hot-bank":
-        hot = rng.randrange(n_banks)
-        for _ in range(count):
-            bank = hot if rng.random() < 0.8 else rng.randrange(n_banks)
-            requests.append((bank, rng.randrange(rows), rng.randrange(16)))
-    elif pattern == "runs":
-        k = 0
-        while k < count:
-            bank = rng.randrange(n_banks)
-            row = rng.randrange(rows)
-            for _ in range(min(rng.randrange(1, 12), count - k)):
-                requests.append((bank, row, rng.randrange(16)))
-                k += 1
-    else:  # rotate: bank rotation with occasional row switches
-        row = 0
-        for k in range(count):
-            if rng.random() < 0.05:
-                row = rng.randrange(rows)
-            requests.append((k % n_banks, row, k % 16))
-    return requests
 
 
 def _assert_matches_oracle(result, oracle):
@@ -155,22 +74,17 @@ class TestOpenPageIsThePrePolicyEngine:
                              ids=PAIR_IDS)
     def test_grid_cell_bit_identical(self, config_name, mapping_name, op):
         config = get_config(config_name)
-        space = TriangularIndexSpace(N)
-        mapping = MAPPING_FACTORIES[mapping_name](space, config.geometry)
+        mapping = table1_mapping(config, mapping_name)
         policy = ControllerConfig(record_commands=True,
                                   discipline=POLICY_OPEN_PAGE)
-
-        def chunks():
-            return (mapping.write_addresses_array() if op == OP_WRITE
-                    else mapping.read_addresses_array())
-
         general = MemoryController(config, policy,
                                    engine=ENGINE_GENERAL).run_phase(
-            chunks(), op)
+            phase_chunks(mapping, op), op)
         kernel = MemoryController(config, policy,
                                   engine=ENGINE_KERNEL).run_phase(
-            chunks(), op)
-        oracle = reference_run_phase(config, chunks(), op, policy)
+            phase_chunks(mapping, op), op)
+        oracle = reference_run_phase(config, phase_chunks(mapping, op), op,
+                                     policy)
 
         _assert_matches_oracle(general, oracle)
         _assert_identical(kernel, general)
@@ -184,18 +98,12 @@ class TestNewPolicyHomogeneousBattery:
     @pytest.mark.parametrize("index", range(N_PER_POLICY))
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
     def test_engine_matches_reference(self, discipline, index):
-        salt = NEW_DISCIPLINES.index(discipline)
-        rng = _scenario_rng(salt, index)
-        config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
-        policy = _pick_policy(rng, discipline)
-        requests = _pick_stream(rng, config.geometry.banks)
-        op = rng.choice([OP_READ, OP_WRITE])
-
-        engine_result = MemoryController(config, policy,
+        case = policy_case(discipline, index)
+        engine_result = MemoryController(case.config, case.policy,
                                          engine=ENGINE_GENERAL).run_phase(
-            iter(requests), op)
-        reference_result = reference_policy_run_phase(
-            config, list(requests), op, policy)
+            case.stream(), case.op)
+        reference_result = reference_run_phase(
+            case.config, list(case.requests), case.op, case.policy)
 
         _assert_matches_oracle(engine_result, reference_result)
 
@@ -205,21 +113,15 @@ class TestNewPolicyHomogeneousBattery:
         """The ``engine="kernel"`` route — native for bank partitioning,
         visible fallback for the auto-close disciplines — must land on
         the same schedule as the scalar reference."""
-        salt = NEW_DISCIPLINES.index(discipline)
-        rng = _scenario_rng(salt, index)
-        config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
-        policy = _pick_policy(rng, discipline)
-        requests = _pick_stream(rng, config.geometry.banks)
-        op = rng.choice([OP_READ, OP_WRITE])
-
-        kernel_result = MemoryController(config, policy,
+        case = policy_case(discipline, index)
+        kernel_result = MemoryController(case.config, case.policy,
                                          engine=ENGINE_KERNEL).run_phase(
-            iter(requests), op)
-        general_result = MemoryController(config, policy,
+            case.stream(), case.op)
+        general_result = MemoryController(case.config, case.policy,
                                           engine=ENGINE_GENERAL).run_phase(
-            iter(requests), op)
-        reference_result = reference_policy_run_phase(
-            config, list(requests), op, policy)
+            case.stream(), case.op)
+        reference_result = reference_run_phase(
+            case.config, list(case.requests), case.op, case.policy)
 
         _assert_matches_oracle(kernel_result, reference_result)
         _assert_identical(kernel_result, general_result)
@@ -235,23 +137,12 @@ class TestNewPolicyMixedBattery:
     @pytest.mark.parametrize("index", range(N_MIXED_PER_POLICY))
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
     def test_mixed_matches_reference(self, discipline, index):
-        salt = 50 + NEW_DISCIPLINES.index(discipline)
-        rng = _scenario_rng(salt, index)
-        config = get_config(rng.choice(TABLE1_CONFIG_NAMES))
-        loud = _pick_policy(rng, discipline)
         # The reference records nothing for mixed runs.
-        policy = ControllerConfig(queue_depth=loud.queue_depth,
-                                  per_bank_depth=loud.per_bank_depth,
-                                  refresh_enabled=loud.refresh_enabled,
-                                  discipline=discipline, cap=loud.cap)
-        read_fraction = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
-        base = _pick_stream(rng, config.geometry.banks)
-        requests = [(rng.random() < read_fraction, b, r, c)
-                    for b, r, c in base]
-
-        engine_result = run_mixed_phase(config, list(requests), policy)
-        reference_result = reference_policy_run_mixed_phase(
-            config, list(requests), policy)
+        case = policy_mixed_case(discipline, index)
+        engine_result = run_mixed_phase(case.config, list(case.requests),
+                                        case.policy)
+        reference_result = reference_run_mixed_phase(
+            case.config, list(case.requests), case.policy)
 
         for field in SCHEDULE_FIELDS:
             assert getattr(engine_result.stats, field) == \
@@ -265,8 +156,8 @@ class TestPolicyAlgebra:
     """Structural identities between disciplines."""
 
     def test_closed_page_is_cap_one(self, ddr4):
-        rng = _scenario_rng(99, 0)
-        requests = _pick_stream(rng, ddr4.geometry.banks)
+        rng = policy_rng(99, 0)
+        requests = pick_stream(rng, ddr4.geometry.banks)
         results = [
             MemoryController(ddr4, ControllerConfig(
                 record_commands=True, discipline=discipline,
@@ -277,8 +168,8 @@ class TestPolicyAlgebra:
         _assert_identical(results[0], results[1])
 
     def test_huge_cap_converges_to_open_page(self, ddr4):
-        rng = _scenario_rng(99, 1)
-        requests = _pick_stream(rng, ddr4.geometry.banks)
+        rng = policy_rng(99, 1)
+        requests = pick_stream(rng, ddr4.geometry.banks)
         capped = MemoryController(ddr4, ControllerConfig(
             record_commands=True, discipline=POLICY_FRFCFS_CAP,
             cap=10**9)).run_phase(iter(requests), OP_READ)
@@ -290,8 +181,8 @@ class TestPolicyAlgebra:
         """Re-running an already-partitioned stream schedules it
         identically: remapped banks stay inside their partition."""
         from repro.dram._policy_reference import partition_tuple_stream
-        rng = _scenario_rng(99, 2)
-        requests = _pick_stream(rng, ddr4.geometry.banks)
+        rng = policy_rng(99, 2)
+        requests = pick_stream(rng, ddr4.geometry.banks)
         once = partition_tuple_stream(requests, ddr4.geometry.banks, True)
         twice = partition_tuple_stream(once, ddr4.geometry.banks, True)
         assert once == twice
