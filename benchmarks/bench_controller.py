@@ -5,7 +5,7 @@ mappings, both phases, n=512, vectorized address chunks) through three
 arbiters: the event-wheel batch-advance kernel
 (:mod:`repro.dram.kernel`), the unified scheduling engine
 (:mod:`repro.dram.engine`) and the frozen pre-engine scheduler
-(:mod:`repro.dram._reference`).  All three must be bit-identical; the
+(``tests/oracles/scheduler.py``).  All three must be bit-identical; the
 engine must beat the seed and the kernel must beat the engine by the
 pinned factors below.  A small mixed-traffic cell times the turnaround
 rule set through the shared engine core.
@@ -21,8 +21,8 @@ import time
 
 import pytest
 
+from oracles.scheduler import reference_run_phase
 from repro.dram import _kernelc
-from repro.dram._reference import reference_run_phase
 from repro.dram.controller import (
     ENGINE_GENERAL,
     OP_READ,

@@ -21,10 +21,15 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 from typing import Any, Dict, Generator, List
 
 import pytest
+
+# The bit-identity benchmarks compare against the test-only oracles in
+# tests/oracles; `pytest tests` puts the same directory on the path.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Environment variable overriding where BENCH_*.json artifacts go.
 ARTIFACT_DIR_ENV = "REPRO_BENCH_ARTIFACT_DIR"

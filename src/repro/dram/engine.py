@@ -33,9 +33,9 @@ adapters over the single engine here, which layers as
   :class:`~repro.dram.commands.ScheduledCommand` list.
 
 The engine is proven bit-identical to both pre-refactor schedulers
-(frozen in :mod:`repro.dram._reference`) by the differential batteries
-in ``tests/dram/test_engine_differential.py``, and is measurably faster
-on the Table I phase workload (pinned by
+(kept as the test-only oracle ``tests/oracles/scheduler.py``) by the
+differential batteries in ``tests/dram/test_engine_differential.py``,
+and is measurably faster on the Table I phase workload (pinned by
 ``benchmarks/bench_controller.py``).
 """
 

@@ -7,18 +7,18 @@ independent scheduler loops.  These batteries prove the replacement is
 * ~300 homogeneous scenarios — random (configuration, policy, stream
   pattern, op, intake shape) combinations run through the engine-backed
   ``MemoryController.run_phase`` and the frozen pre-engine scheduler
-  (:func:`repro.dram._reference.reference_run_phase`); stats *and* the
-  full recorded command lists must match exactly.
+  (``oracles.scheduler.reference_run_phase``); stats *and* the full
+  recorded command lists must match exactly.
 * ~100 mixed-stream scenarios — random read/write mixes through the
   engine-backed ``run_mixed_phase`` vs the frozen
-  :func:`repro.dram._reference.reference_run_mixed_phase`; every
+  ``oracles.scheduler.reference_run_mixed_phase``; every
   scheduling-visible field must match.  (``command_counts`` is compared
   for *consistency* instead of equality: filling it for mixed runs is a
   deliberate engine fix — the seed left it empty, which was the one
   divergence the mixed fork had accumulated against ``run_phase``.)
 
-Scenario construction is deterministic per index, so a failure names a
-reproducible case.
+The cases come from ``oracles.cases``, deterministic per index, so a
+failure names a reproducible case.
 """
 
 import pytest

@@ -7,20 +7,19 @@ Two layers of proof for the scheduling-policy zoo
   Table I (configuration, mapping) grid, both phases, an explicit
   ``discipline="open-page"`` run through the engine *and* the
   batch-advance kernel must equal the frozen seed oracle
-  (:func:`repro.dram._reference.reference_run_phase`) —
+  (``oracles.scheduler.reference_run_phase``) —
   :class:`~repro.dram.stats.PhaseStats`, ``command_counts``, the
   :class:`~repro.dram.stats.EnergyTally` and the full recorded command
   list — with the ``kernel_fallback`` flag unset.
 * **Each new discipline equals its scalar reference.**  100 seeded
   random (configuration, queue-shape, stream-locality, op, cap)
   scenarios per discipline through ``MemoryController.run_phase`` vs
-  :func:`repro.dram._policy_reference.reference_policy_run_phase`
-  (a verbatim port of the frozen oracle plus the auto-close additions,
-  or the frozen oracle on the partition-remapped stream), plus mixed
-  batteries against ``reference_policy_run_mixed_phase``.
+  the same oracle (the frozen scheduler plus the auto-close additions,
+  or on the partition-remapped stream), plus mixed batteries against
+  ``oracles.scheduler.reference_run_mixed_phase``.
 
-Scenario construction is deterministic per index, so a failure names a
-reproducible case.
+The cases come from ``oracles.cases``, deterministic per index, so a
+failure names a reproducible case.
 """
 
 import pytest
@@ -180,7 +179,7 @@ class TestPolicyAlgebra:
     def test_partition_remap_is_idempotent(self, ddr4):
         """Re-running an already-partitioned stream schedules it
         identically: remapped banks stay inside their partition."""
-        from repro.dram._policy_reference import partition_tuple_stream
+        from oracles.scheduler import partition_tuple_stream
         rng = policy_rng(99, 2)
         requests = pick_stream(rng, ddr4.geometry.banks)
         once = partition_tuple_stream(requests, ddr4.geometry.banks, True)
