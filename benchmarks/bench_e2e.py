@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from oracles.e2e import run_dram_phase_reference, run_e2e_reference
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import coherence_params
 from repro.dram import _kernelc
@@ -28,9 +29,7 @@ from repro.system.e2e import (
     FrameStreamSource,
     _build_mapping,
     _run_dram_phase,
-    _run_dram_phase_reference,
     run_e2e,
-    run_e2e_reference,
 )
 from repro.system.sweep import format_e2e_table, run_e2e_table
 
@@ -119,12 +118,12 @@ def test_e2e_dram_phases_kernel_vs_general(benchmark):
     """
     kernel = benchmark.pedantic(_dram_phases, args=(_run_dram_phase,),
                                 rounds=1, iterations=1)
-    assert kernel == _dram_phases(_run_dram_phase_reference)
+    assert kernel == _dram_phases(run_dram_phase_reference)
 
     benchmark.extra_info["native_backend"] = _kernelc.available()
     if benchmark.disabled:  # smoke runs only check for rot, not timing
         return
-    general_s = _best_seconds(lambda: _dram_phases(_run_dram_phase_reference))
+    general_s = _best_seconds(lambda: _dram_phases(run_dram_phase_reference))
     kernel_s = _best_seconds(lambda: _dram_phases(_run_dram_phase))
     speedup = general_s / kernel_s
     benchmark.extra_info["general_s"] = round(general_s, 4)

@@ -10,11 +10,11 @@ import time
 
 import pytest
 
+from oracles.energy import energy_from_commands_reference
 from repro.dram.controller import OP_READ, ControllerConfig
 from repro.dram.energy import (
     command_arrays,
     energy_from_commands,
-    energy_from_commands_reference,
     energy_from_tally,
     interleaver_energy,
 )

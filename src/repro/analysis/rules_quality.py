@@ -45,10 +45,6 @@ HOT_PATHS: Dict[str, str] = {
         "the bank-partition intake remap (every partitioned chunk)",
     "repro.dram.energy.energy_from_commands":
         "the vectorized energy recount",
-    "repro.dram.energy.energy_from_commands_reference":
-        "the scalar recount benchmark baseline",
-    "repro.system.e2e._frame_latencies":
-        "the per-frame latency scan (every co-simulated phase)",
     "repro.system.adaptive.evaluate_adaptive":
         "the adaptive-stopping batch loop (every adaptive cell)",
     "repro.system.adaptive.evaluate_rare_event":

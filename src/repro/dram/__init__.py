@@ -24,7 +24,6 @@ from repro.dram.energy import (
     combine_interleaver_reports,
     command_arrays,
     energy_from_commands,
-    energy_from_commands_reference,
     energy_from_tally,
     energy_params_for,
     interleaver_energy,
@@ -117,7 +116,6 @@ __all__ = [
     "combine_interleaver_reports",
     "command_arrays",
     "energy_from_commands",
-    "energy_from_commands_reference",
     "energy_from_tally",
     "energy_params_for",
     "refresh_command_energy_pj",

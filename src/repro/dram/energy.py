@@ -25,27 +25,27 @@ its own preset (:func:`energy_params_for`): the faster grade of each
 family pays slightly less per access (newer bins) but more background
 power (interface and clocking running at speed).
 
-Three equivalent accounting paths exist, proven exactly equal by the
-differential battery in ``tests/dram/test_energy_differential.py``:
+Two equivalent accounting paths exist, proven exactly equal to each
+other and to a scalar per-command recount (the test-only oracle
+``tests/oracles/energy.py``, also the baseline of the
+``benchmarks/bench_energy.py`` speedup assertion) by the differential
+battery in ``tests/dram/test_energy_differential.py``:
 
 * :func:`energy_from_tally` — from the integer
   :class:`~repro.dram.stats.EnergyTally` the scheduling engine fills on
   every :class:`~repro.dram.stats.PhaseStats` (free: the engine already
   keeps every counter the model charges);
 * :func:`energy_from_commands` — the vectorized NumPy recount over a
-  recorded command list or prebuilt :func:`command_arrays`;
-* :func:`energy_from_commands_reference` — the scalar per-command
-  Python loop, kept as the readable oracle (and the baseline the
-  ``benchmarks/bench_energy.py`` speedup assertion is pinned against).
+  recorded command list or prebuilt :func:`command_arrays`.
 
-All three count commands first and multiply counts by per-command
+All of them count commands first and multiply counts by per-command
 energies once, so float summation order can never make them disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -377,43 +377,6 @@ def energy_from_commands(
                 + counts[_CODE_OF[CommandType.REF_BANK]]),
         makespan_ps=makespan,
     )
-
-
-def energy_from_commands_reference(
-    config: DramConfig,
-    commands: Iterable[ScheduledCommand],
-    params: Optional[EnergyParams] = None,
-) -> EnergyReport:
-    """Scalar per-command recount — the readable oracle.
-
-    Pure-Python loop over the command list; exactly equal to
-    :func:`energy_from_commands` (same counts, same arithmetic) and the
-    baseline for the pinned vectorized speedup in
-    ``benchmarks/bench_energy.py``.
-    """
-    params = params or energy_params_for(config)
-    timing = config.timing
-    burst = config.burst_duration_ps
-    act = rd = wr = ref = 0
-    makespan = 0
-    for command in commands:
-        kind = command.command
-        if kind is CommandType.RD:
-            rd += 1
-            end = command.time_ps + timing.cl + burst
-            if end > makespan:
-                makespan = end
-        elif kind is CommandType.WR:
-            wr += 1
-            end = command.time_ps + timing.cwl + burst
-            if end > makespan:
-                makespan = end
-        elif kind is CommandType.ACT:
-            act += 1
-        elif kind is CommandType.REF_ALL or kind is CommandType.REF_BANK:
-            ref += 1
-    return _build_report(config, params, act_pre=act, rd=rd, wr=wr, ref=ref,
-                         makespan_ps=makespan)
 
 
 def combine_interleaver_reports(write: EnergyReport,

@@ -33,8 +33,8 @@ exact channel/decoder machinery the naive path proved correct:
   trajectories — e.g. the elevation-dependent contact pass of
   :func:`contact_pass_segments` — compiled down to the existing batched
   channel path, one :class:`~repro.system.downlink.OpticalDownlink` per
-  segment sharing a single generator, proven bit-identical to the
-  scalar per-segment reference :func:`evaluate_scenario_reference`.
+  segment sharing a single generator, proven bit-identical to a
+  scalar per-frame reference (``tests/oracles/adaptive.py``).
 
 Every estimator keeps the campaign design rules: cells are frozen
 declarative dataclasses of primitives (pickle cheaply, rebuild all
@@ -1112,9 +1112,9 @@ def evaluate_scenario(cell: ScenarioCell) -> ScenarioResult:
     Each segment builds an :class:`~repro.system.downlink.OpticalDownlink`
     for its parameters on the *shared* cell generator and runs
     :meth:`~repro.system.downlink.OpticalDownlink.run_batched` —
-    bit-identical to the scalar reference
-    :func:`evaluate_scenario_reference` because the batched and scalar
-    downlink paths consume the generator identically.
+    bit-identical to the per-frame
+    :meth:`~repro.system.downlink.OpticalDownlink.run` loop because the
+    batched and scalar downlink paths consume the generator identically.
     """
     rng = np.random.default_rng(cell.seed)
     results = []
@@ -1123,24 +1123,6 @@ def evaluate_scenario(cell: ScenarioCell) -> ScenarioResult:
                                    segment.channel, rng=rng)
         results.append(_segment_result(segment,
                                        downlink.run_batched(segment.frames)))
-    return ScenarioResult(cell=cell, segments=tuple(results))
-
-
-def evaluate_scenario_reference(cell: ScenarioCell) -> ScenarioResult:
-    """Scalar per-frame reference of :func:`evaluate_scenario`.
-
-    Identical segment construction on the shared generator, but each
-    segment runs the per-frame
-    :meth:`~repro.system.downlink.OpticalDownlink.run` loop.  Exists
-    for the differential battery; results are bit-identical.
-    """
-    rng = np.random.default_rng(cell.seed)
-    results = []
-    for segment in cell.segments:
-        downlink = OpticalDownlink(cell.interleaver, cell.code,
-                                   segment.channel, rng=rng)
-        results.append(_segment_result(segment,
-                                       downlink.run(segment.frames)))
     return ScenarioResult(cell=cell, segments=tuple(results))
 
 

@@ -17,11 +17,12 @@ full-phase address streams.  This module closes the loop:
 * :func:`run_e2e` runs one joint cell — (channel params x interleaver
   geometry x DRAM configuration x mapping) — and returns channel
   code-word failure rates, DRAM utilization, frame energy, *and*
-  per-frame write/read latencies from a single description;
-* :func:`run_e2e_reference` is the per-frame scalar oracle (per-frame
-  channel loop, per-element address tuples, the general engine with
-  recorded commands) that the batched path is differential-tested
-  bit-identical against in ``tests/system/test_e2e.py``.
+  per-frame write/read latencies from a single description.
+
+``tests/system/test_e2e.py`` proves the batched path bit-identical to
+a per-frame scalar oracle (``tests/oracles/e2e.py``: per-frame channel
+loop, per-element address tuples, the general engine with recorded
+commands).
 
 Per-frame latency is defined as the *frame service time* on the data
 bus: with ``completion[f]`` the end of the last data burst belonging to
@@ -44,13 +45,12 @@ for any ``--jobs`` value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.channel.codeword import CodewordConfig
-from repro.dram.commands import ScheduledCommand
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.energy import (
@@ -58,7 +58,7 @@ from repro.dram.energy import (
     combine_interleaver_reports,
     energy_from_tally,
 )
-from repro.dram.engine import Batch, SchedulingEngine, TupleSource, WorkloadSource
+from repro.dram.engine import Batch, WorkloadSource
 from repro.dram.presets import DramConfig, get_config
 from repro.dram.stats import PhaseStats
 from repro.interleaver.two_stage import TwoStageConfig
@@ -156,23 +156,6 @@ class FrameStreamSource(WorkloadSource):
         for _ in range(self.frames):
             for banks, rows, cols in self._chunks:
                 yield banks, rows, cols, None
-
-
-def _frame_tuple_requests(mapping: InterleaverMapping, frames: int,
-                          op: str) -> Iterator[Tuple[int, int, int]]:
-    """Per-frame, per-element scalar address stream (the reference shape).
-
-    Yields the exact request sequence of a same-parameter
-    :class:`FrameStreamSource`, but one ``(bank, row, column)`` tuple at
-    a time from scalar :meth:`~repro.mapping.base.InterleaverMapping
-    .address_tuple` calls — the oracle :func:`run_e2e_reference` feeds
-    through a :class:`~repro.dram.engine.TupleSource`.
-    """
-    for _ in range(frames):
-        if op == OP_WRITE:
-            yield from mapping.write_addresses()
-        else:
-            yield from mapping.read_addresses()
 
 
 def latency_percentile_ps(latencies: Sequence[int], q: float) -> int:
@@ -319,47 +302,6 @@ class E2EResult:
         return latency_percentile_ps(self.read_latencies_ps, q)
 
 
-def _frame_latencies(commands: Sequence[ScheduledCommand], frames: int,
-                     elements_per_frame: int, config: DramConfig,
-                     op: str) -> Tuple[int, ...]:
-    """Per-frame service times from a recorded homogeneous schedule.
-
-    The oracle twin of :func:`_fold_frame_latencies`, used by
-    :func:`run_e2e_reference`.
-
-    Args:
-        commands: the phase's scheduled command list (with
-            ``record_commands`` the engine stamps every RD/WR with its
-            sequential ``request_id``; request ``r`` belongs to frame
-            ``r // elements_per_frame``).
-        frames: frames in the stream.
-        elements_per_frame: bursts per frame.
-        config: DRAM configuration (CAS latency + burst duration turn
-            issue slots into data-end times).
-        op: phase direction (selects CL vs CWL).
-
-    Returns:
-        One latency per frame; they sum to the phase makespan.
-    """
-    if frames == 0:
-        return ()
-    timing = config.timing
-    latency = timing.cl if op == OP_READ else timing.cwl
-    burst = config.burst_duration_ps
-    times = []
-    ids = []
-    for command in commands:
-        if command.moves_data:
-            times.append(command.time_ps)
-            ids.append(command.request_id)
-    ends = np.asarray(times, dtype=np.int64) + latency + burst
-    frame_of = np.asarray(ids, dtype=np.int64) // elements_per_frame
-    completion = np.zeros(frames, dtype=np.int64)
-    np.maximum.at(completion, frame_of, ends)
-    np.maximum.accumulate(completion, out=completion)
-    return tuple(np.diff(completion, prepend=0).tolist())
-
-
 def _fold_frame_latencies(cas_times: "np.ndarray[Any, Any]", frames: int,
                           elements_per_frame: int, config: DramConfig,
                           op: str) -> Tuple[int, ...]:
@@ -370,7 +312,6 @@ def _fold_frame_latencies(cas_times: "np.ndarray[Any, Any]", frames: int,
     frames are consecutive blocks of ``elements_per_frame`` entries:
     one reshape and a row-wise maximum give every frame's last data
     end.
-    Equal to :func:`_frame_latencies` over the recorded schedule.
     """
     if frames == 0:
         return ()
@@ -413,25 +354,6 @@ def _run_dram_phase(config: DramConfig, policy: ControllerConfig,
     assert result.cas_times is not None  # requested above
     latencies = _fold_frame_latencies(result.cas_times, frames,
                                       elements_per_frame, config, op)
-    return result.stats, latencies
-
-
-def _run_dram_phase_reference(
-        config: DramConfig, policy: ControllerConfig, source: WorkloadSource,
-        frames: int, elements_per_frame: int,
-        op: str) -> Tuple[PhaseStats, Tuple[int, ...]]:
-    """Oracle twin of :func:`_run_dram_phase`.
-
-    Schedules on the general engine with commands recorded and scans
-    them with :func:`_frame_latencies`; recording leaves the returned
-    :class:`PhaseStats` untouched (proven stats-invariant in
-    ``tests/dram/test_energy_properties.py``).
-    """
-    engine = SchedulingEngine(config, replace(policy, record_commands=True))
-    result = engine.run(source, op=op)
-    _check_frame_bursts(result.stats, frames, elements_per_frame)
-    latencies = _frame_latencies(result.commands, frames, elements_per_frame,
-                                 config, op)
     return result.stats, latencies
 
 
@@ -482,9 +404,8 @@ def run_e2e(cell: E2ECell) -> E2EResult:
     :meth:`~repro.system.downlink.OpticalDownlink.run_batched` (frame
     blocks, sparse position decode), and the DRAM side feeds both
     phase traversals through :class:`FrameStreamSource` — the batched
-    frame -> address bridge.  Bit-identical to
-    :func:`run_e2e_reference` (differential-tested in
-    ``tests/system/test_e2e.py``).
+    frame -> address bridge.  Bit-identical to the per-frame scalar
+    oracle (differential-tested in ``tests/system/test_e2e.py``).
 
     Args:
         cell: the joint experiment description.
@@ -512,44 +433,5 @@ def run_e2e(cell: E2ECell) -> E2EResult:
     read, read_lat = _run_dram_phase(
         config, policy,
         FrameStreamSource(mapping, cell.interleaver, cell.frames, OP_READ),
-        cell.frames, elements, OP_READ)
-    return _finalize(cell, outcome, write, write_lat, read, read_lat, config)
-
-
-def run_e2e_reference(cell: E2ECell) -> E2EResult:
-    """Per-frame scalar oracle of :func:`run_e2e`.
-
-    Everything the batched path vectorizes runs element by element
-    here: the channel side is the per-frame
-    :meth:`~repro.system.downlink.OpticalDownlink.run` loop, and the
-    DRAM side feeds per-element ``address_tuple`` streams through a
-    :class:`~repro.dram.engine.TupleSource`.  Kept in the library (like
-    :func:`repro.dram.energy.energy_from_commands_reference`) as the
-    readable reference the differential battery and the e2e benchmark
-    pin the batched bridge against.
-
-    Args:
-        cell: the joint experiment description.
-
-    Returns:
-        An :class:`E2EResult` that must compare equal to
-        ``run_e2e(cell)``.
-    """
-    downlink = OpticalDownlink(
-        cell.interleaver, cell.code, cell.channel,
-        rng=np.random.default_rng(cell.seed),
-    )
-    outcome = downlink.run(cell.frames)
-    config, mapping = _build_mapping(cell)
-    _check_bridge(cell.interleaver, mapping)
-    policy = cell.policy or ControllerConfig()
-    elements = cell.interleaver.elements_per_frame
-    write, write_lat = _run_dram_phase_reference(
-        config, policy,
-        TupleSource(_frame_tuple_requests(mapping, cell.frames, OP_WRITE)),
-        cell.frames, elements, OP_WRITE)
-    read, read_lat = _run_dram_phase_reference(
-        config, policy,
-        TupleSource(_frame_tuple_requests(mapping, cell.frames, OP_READ)),
         cell.frames, elements, OP_READ)
     return _finalize(cell, outcome, write, write_lat, read, read_lat, config)

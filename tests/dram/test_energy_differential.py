@@ -12,8 +12,8 @@ mirroring the scheduling battery in ``test_engine_differential.py``:
 * :func:`~repro.dram.energy.energy_from_commands` (vectorized NumPy
   recount, over both a raw command list and prebuilt
   :func:`~repro.dram.energy.command_arrays`),
-* :func:`~repro.dram.energy.energy_from_commands_reference` (the
-  scalar per-command oracle)
+* ``oracles.energy.energy_from_commands_reference`` (the scalar
+  per-command oracle)
 
 must all return identical — not approximately equal — reports.
 
@@ -26,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from oracles.energy import energy_from_commands_reference
 from repro.dram.controller import (
     OP_READ,
     OP_WRITE,
@@ -35,7 +36,6 @@ from repro.dram.controller import (
 from repro.dram.energy import (
     command_arrays,
     energy_from_commands,
-    energy_from_commands_reference,
     energy_from_tally,
 )
 from repro.dram.mixed import run_mixed_phase

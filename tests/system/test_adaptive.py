@@ -16,6 +16,7 @@ Three proof obligations, mirroring the module's claims:
 import numpy as np
 import pytest
 
+from oracles.adaptive import evaluate_scenario_reference
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import (
     GilbertElliottParams,
@@ -36,7 +37,6 @@ from repro.system.adaptive import (
     evaluate_adaptive,
     evaluate_rare_event,
     evaluate_scenario,
-    evaluate_scenario_reference,
     format_adaptive,
     format_rare_event,
     format_scenario,

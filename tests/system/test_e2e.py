@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles.e2e import run_dram_phase_reference, run_e2e_reference
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import coherence_params
 from repro.dram.controller import (
@@ -24,10 +25,8 @@ from repro.system.e2e import (
     E2ECell,
     FrameStreamSource,
     _run_dram_phase,
-    _run_dram_phase_reference,
     latency_percentile_ps,
     run_e2e,
-    run_e2e_reference,
 )
 from repro.system.parallel import run_tasks
 from repro.system.sweep import E2ERow, format_e2e_table, run_e2e_table
@@ -308,7 +307,7 @@ class TestDifferentialBattery:
                          interleaver.elements_per_frame, op)
 
         stats, latencies = run(_run_dram_phase)
-        assert (stats, latencies) == run(_run_dram_phase_reference)
+        assert (stats, latencies) == run(run_dram_phase_reference)
         assert len(latencies) == frames
 
 

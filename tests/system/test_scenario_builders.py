@@ -16,7 +16,7 @@ falsifiable promises (:mod:`repro.system.adaptive`):
 
 Both builders run through the batched/scalar differential
 (:func:`~repro.system.adaptive.evaluate_scenario` vs
-:func:`~repro.system.adaptive.evaluate_scenario_reference`,
+``oracles.adaptive.evaluate_scenario_reference``,
 bit-identical), and the two new headline tables — the policy-axis
 utilization grid and the multi-pass scenario table — are golden-pinned
 byte-for-byte under ``tests/golden/``.
@@ -28,6 +28,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles.adaptive import evaluate_scenario_reference
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import coherence_params
 from repro.interleaver.two_stage import TwoStageConfig
@@ -37,7 +38,6 @@ from repro.system.adaptive import (
     ScenarioCell,
     contact_pass_segments,
     evaluate_scenario,
-    evaluate_scenario_reference,
     format_scenario,
     multi_pass_segments,
     weather_segments,
