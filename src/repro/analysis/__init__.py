@@ -2,11 +2,11 @@
 discipline.
 
 Every claim this reproduction makes rests on invariants that used to be
-enforced only by convention — vectorized paths stay bit-identical to
-frozen scalar oracles, results are seed-deterministic, timing/energy
-arithmetic never mixes unit families.  This package checks those
-invariants on every commit with a small AST-based analyzer (stdlib
-``ast`` only, no new runtime dependencies):
+enforced only by convention — results are seed-deterministic,
+timing/energy arithmetic never mixes unit families, hot loops do not
+allocate per iteration.  This package checks those invariants on every
+commit with a small AST-based analyzer (stdlib ``ast`` only, no new
+runtime dependencies):
 
 * :mod:`repro.analysis.base` — the rule protocol and registry;
 * :mod:`repro.analysis.findings` — the :class:`~repro.analysis.findings.Finding`
@@ -16,7 +16,7 @@ invariants on every commit with a small AST-based analyzer (stdlib
   detection);
 * :mod:`repro.analysis.lint` — the ``repro lint`` CLI (human and JSON
   output);
-* ``rules_*`` modules — the six repo-specific rules R001–R006 (see the
+* ``rules_*`` modules — the five repo-specific rules R002–R006 (see the
   docs-site *Static analysis* page for the catalogue and rationale).
 
 Run it as ``python -m repro lint src`` (exits non-zero on findings) or

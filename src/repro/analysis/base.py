@@ -1,16 +1,17 @@
 """Rule protocol and registry.
 
-A rule is a small class with a stable id (``R001`` …), a kebab-case
-name, a severity, and a :meth:`Rule.check` method that walks one parsed
-file and yields :class:`~repro.analysis.findings.Finding` records.
+A rule is a small class with a stable id (``R002`` …; a retired id is
+never reused, since suppressions name rules by id), a kebab-case name,
+a severity, and a :meth:`Rule.check` method that walks one parsed file
+and yields :class:`~repro.analysis.findings.Finding` records.
 Rules register themselves with the :func:`register` decorator at import
 time; :func:`all_rules` returns one instance of each, id-ordered, and
 is what the runner and the CLI consume.
 
 Rules also declare the file *roles* they apply to: the proof discipline
 constrains production code under ``src/``, while ``tests/`` and
-``benchmarks/`` are exactly where oracles may be imported and wall
-clocks may be read — so most rules default to the ``src`` role only.
+``benchmarks/`` are exactly where wall clocks may be read — so most
+rules default to the ``src`` role only.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ class FileContext:
         module: the dotted module name when the file lies under a
             ``src`` root (e.g. ``repro.dram.engine``), else ``None`` —
             rules keyed by dotted names (hot-path registration) need it.
-        is_package_init: whether the file is an ``__init__.py`` (public
-            re-export surface; R001's name check exempts it).
     """
 
     path: str
@@ -49,7 +48,6 @@ class FileContext:
     tree: ast.Module
     role: str = "src"
     module: Optional[str] = None
-    is_package_init: bool = False
 
     def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         """Build a finding for ``rule`` at ``node``'s position."""
@@ -66,7 +64,7 @@ class Rule(abc.ABC):
     summary (``repro lint --list-rules`` and the docs-site page).
     """
 
-    #: Stable rule id (``R001`` … ``R006``).
+    #: Stable rule id (``R002`` … ``R006``).
     id: str = ""
     #: Kebab-case rule name (shown in ``--list-rules``).
     name: str = ""
@@ -142,6 +140,5 @@ def _load_builtin_rules() -> None:
     """Import the built-in rule modules (registration side effect)."""
     import repro.analysis.rules_determinism  # noqa: F401
     import repro.analysis.rules_docs  # noqa: F401
-    import repro.analysis.rules_isolation  # noqa: F401
     import repro.analysis.rules_quality  # noqa: F401
     import repro.analysis.rules_units  # noqa: F401

@@ -25,7 +25,7 @@ class Finding:
         path: the analyzed file (as given to the runner).
         line: 1-based source line of the violating node.
         col: 0-based column of the violating node.
-        rule: rule id (``R001`` … ``R006``; ``R000`` for suppression
+        rule: rule id (``R002`` … ``R006``; ``R000`` for suppression
             bookkeeping violations).
         message: human-readable description of the violation.
         severity: ``error`` or ``warning`` (see :data:`SEVERITIES`).

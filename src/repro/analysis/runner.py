@@ -148,9 +148,8 @@ def analyze_source(
         col = (error.offset or 1) - 1
         return [Finding(path=path, line=line, col=max(col, 0), rule="E999",
                         message=f"syntax error: {error.msg}")]
-    context = FileContext(
-        path=path, source=source, tree=tree, role=role, module=module,
-        is_package_init=Path(path).name == "__init__.py")
+    context = FileContext(path=path, source=source, tree=tree, role=role,
+                          module=module)
     raw: List[Finding] = []
     for rule in rules:
         if role in rule.roles:

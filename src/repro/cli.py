@@ -22,7 +22,7 @@ Commands:
   campaign grid, poll progress, stream incremental results)
 * ``trace``     — record a phase's command trace and replay-check it
 * ``configs``   — list the built-in device configurations
-* ``lint``      — run the repo-specific static analyzer (R001–R006)
+* ``lint``      — run the repo-specific static analyzer (R002–R006)
 
 Simulation grids (``table1``, ``mixed``, ``ablation``, ``energy``,
 ``e2e``)
@@ -986,7 +986,7 @@ def _add_lint(subparsers: Any) -> None:
     parser = subparsers.add_parser(
         "lint",
         help="run the repo-specific static analyzer (proof-discipline "
-             "rules R001-R006)")
+             "rules R002-R006)")
     parser.add_argument("paths", nargs="*", default=["src"], metavar="PATH",
                         help="files/directories to analyze (default: src)")
     parser.add_argument("--select", nargs="*", metavar="RULE",

@@ -34,12 +34,12 @@ class TestRoundTrip:
         findings = _lint(
             '''\
             """Doc."""
-            from repro.dram._reference import energy_reference  # repro: noqa[R001, R002]
+            import random  # repro: noqa[R002, R004]
             ''')
-        # R001 fires on that line and is suppressed; R002 does not,
+        # R002 fires on that line and is suppressed; R004 does not,
         # so its half of the directive is reported unused.
         assert [f.rule for f in findings] == ["R000"]
-        assert "R002" in findings[0].message
+        assert "R004" in findings[0].message
 
     def test_suppression_is_line_scoped(self):
         findings = _lint(

@@ -23,52 +23,6 @@ def _triples(findings):
     return [(f.rule, f.line, f.col) for f in findings]
 
 
-class TestR001OracleIsolation:
-    def test_import_from_reference_module(self):
-        findings = _lint(
-            '''\
-            """Doc."""
-            from repro.dram._reference import simulate_reference
-            ''')
-        assert _triples(findings) == [("R001", 2, 0)]
-        assert "_reference" in findings[0].message
-
-    def test_plain_import_of_reference_module(self):
-        findings = _lint(
-            '''\
-            """Doc."""
-            import repro.dram._reference
-            ''')
-        assert _triples(findings) == [("R001", 2, 0)]
-
-    def test_reference_suffixed_name_from_public_module(self):
-        findings = _lint(
-            '''\
-            """Doc."""
-            from repro.dram.energy import energy_from_commands_reference
-            ''')
-        assert _triples(findings) == [("R001", 2, 0)]
-
-    def test_package_init_may_reexport_reference_names(self):
-        # Documented refinement: __init__.py re-exports *_reference
-        # names as public API for the tests and benchmarks.
-        findings = _lint(
-            '''\
-            """Doc."""
-            from repro.dram.energy import energy_from_commands_reference
-            ''',
-            path="src/repro/dram/__init__.py", module="repro.dram")
-        assert findings == []
-
-    def test_tests_and_benchmarks_may_import_the_oracle(self):
-        source = '''\
-            """Doc."""
-            from repro.dram._reference import simulate_reference
-            '''
-        assert _lint(source, role="tests") == []
-        assert _lint(source, role="benchmarks") == []
-
-
 class TestR002Determinism:
     def test_import_random(self):
         findings = _lint(

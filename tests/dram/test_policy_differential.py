@@ -187,28 +187,6 @@ class TestPolicyAlgebra:
         assert once == twice
 
 
-class TestOracleIsolation:
-    """The policy oracle must stay test-only, like the seed oracle."""
-
-    def test_policy_reference_not_imported_by_production_code(self):
-        import repro.dram as dram_pkg
-        import repro.dram.controller as controller
-        import repro.dram.engine as engine
-        import repro.dram.mixed as mixed
-        import repro.dram.policy as policy_module
-        assert not hasattr(dram_pkg, "reference_policy_run_phase")
-        for module in (dram_pkg, controller, engine, mixed, policy_module):
-            source = open(module.__file__).read()
-            assert "import" + " _policy_reference" not in source
-            assert "from repro.dram import _policy_reference" not in source
-            assert "from repro.dram._policy_reference import" not in source
-
-    def test_isolation_rule_registers_the_policy_oracle(self):
-        from repro.analysis.rules_isolation import ORACLE_MODULES
-        assert "_policy_reference" in ORACLE_MODULES
-        assert "_reference" in ORACLE_MODULES
-
-
 def test_policy_names_are_the_four_disciplines():
     assert POLICY_NAMES == (POLICY_OPEN_PAGE, POLICY_CLOSED_PAGE,
                             POLICY_FRFCFS_CAP, POLICY_BANK_PARTITION)

@@ -48,6 +48,27 @@ class TestSurface:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_every_module_imports_with_only_src_on_the_path(self):
+        """Library code never imports the test-only ``oracles`` package.
+
+        A child interpreter whose only added path is ``src/`` imports
+        every ``repro`` module except ``__main__``; a module importing
+        from ``tests/oracles`` fails there.
+        """
+        probe = ("import importlib, pkgutil, repro\n"
+                 "names = [info.name for info in pkgutil.walk_packages("
+                 "repro.__path__, 'repro.')]\n"
+                 "for name in names:\n"
+                 "    if name != 'repro.__main__':\n"
+                 "        importlib.import_module(name)\n"
+                 "print(len(names))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", probe], cwd=src, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > 40  # the whole package, not an empty walk
+
 
 class TestQuickstart:
     def test_readme_quickstart(self):
