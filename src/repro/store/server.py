@@ -21,6 +21,10 @@ Routes::
 All state lives in the store: killing the server loses nothing, and a
 restarted server resumes any unfinished job on resubmission of its
 spec (same content-addressed id).
+
+A submission whose ``Content-Length`` is not a non-negative integer
+gets 400, and one declaring more than :data:`MAX_BODY_BYTES` gets 413;
+neither body is read.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from typing import Any, Optional, Tuple
 
 from repro.store.jobs import JobEngine, JobRecord
 from repro.store.store import ResultStore
+
+#: Largest accepted request body; grid specs are a few hundred bytes.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -150,7 +157,15 @@ class RequestHandler(BaseHTTPRequestHandler):
         if parts != ["jobs"]:
             self._send_json(404, {"error": f"no route {self.path}"})
             return
-        length = int(self.headers.get("Content-Length") or "0")
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            self._send_json(400, {"error": f"bad Content-Length {declared!r}"})
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {"error": f"request body over "
+                                           f"{MAX_BODY_BYTES} bytes"})
+            return
         body = self.rfile.read(length) if length else b""
         try:
             spec = json.loads(body) if body.strip() else {}

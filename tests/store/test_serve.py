@@ -1,5 +1,6 @@
 """``repro serve`` HTTP API: submit, poll, results, table, errors."""
 
+import http.client
 import json
 import threading
 import time
@@ -8,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.store.server import create_server
+from repro.store.server import MAX_BODY_BYTES, create_server
 from repro.system.campaign import campaign_report, summarize_campaign
 
 #: Two cells, ~10 frames each: the whole job finishes in well under a second.
@@ -54,6 +55,20 @@ def request_json(server, path, body=None, method=None):
     return status, json.loads(raw)
 
 
+def post_declaring(server, content_length):
+    """POST /jobs with a hand-set Content-Length header and no body."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 def poll_until_done(server, job_id):
     deadline = time.monotonic() + DEADLINE_S
     while time.monotonic() < deadline:
@@ -93,6 +108,23 @@ class TestRoutes:
             status, raw = error.code, error.read()
         assert status == 400
         assert "not JSON" in json.loads(raw)["error"]
+
+    def test_post_non_integer_content_length_400(self, server):
+        status, body = post_declaring(server, "abc")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_post_negative_content_length_400(self, server):
+        status, body = post_declaring(server, "-1")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_post_oversized_content_length_413(self, server):
+        status, body = post_declaring(server, "99999999999")
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        # nothing was read or registered, and the server still answers
+        assert request_json(server, "/jobs") == (200, {"jobs": []})
 
     def test_post_non_object_400(self, server):
         status, body = request_json(server, "/jobs", body=[1, 2],
