@@ -1,1 +1,3 @@
 """Test-only oracles and the seeded scenarios they are checked on."""
+
+from __future__ import annotations

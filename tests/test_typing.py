@@ -1,10 +1,11 @@
-"""The strict-typing gate: ``mypy --strict src/repro`` must pass.
+"""The strict-typing gate: ``mypy --strict`` must pass over the library
+(``src/repro``) and the test-only oracles (``tests/oracles``).
 
 mypy is a CI-only tool, not a runtime dependency — when it is not
 importable (the common case in minimal containers) the gate skips and
 the fallback checks below still enforce the *mechanical* half of the
 contract with the stdlib ``ast`` module alone: every function signature
-in ``src/repro`` carries complete parameter and return annotations, and
+in both trees carries complete parameter and return annotations, and
 no annotation uses a bare ``list``/``dict``/``set``/``tuple``/
 ``frozenset`` generic (which strict mode's ``disallow_any_generics``
 would reject).  CI runs the real ``mypy --strict`` in the ``typecheck``
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import configparser
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
+ORACLES = REPO / "tests" / "oracles"
 
 try:
     import mypy.api  # noqa: F401
@@ -35,9 +38,10 @@ except ImportError:
 
 
 def _iter_source_files() -> Iterator[Path]:
-    for path in sorted(SRC.rglob("*.py")):
-        if "__pycache__" not in path.parts:
-            yield path
+    for root in (SRC, ORACLES):
+        for path in sorted(root.rglob("*.py")):
+            if "__pycache__" not in path.parts:
+                yield path
 
 
 def _unannotated_signatures(tree: ast.AST) -> List[Tuple[int, str, str]]:
@@ -147,10 +151,15 @@ class TestMypyConfig:
 class TestMypyStrict:
     """The real gate — runs wherever mypy is importable (always in CI)."""
 
-    def test_src_repro_passes_strict(self) -> None:
+    def test_src_repro_and_oracles_pass_strict(self) -> None:
+        # The oracles import each other as ``oracles.*``, so their
+        # package base (tests/) joins mypy_path, as in the CI job.
+        env = dict(os.environ, MYPYPATH="tests")
         result = subprocess.run(
-            [sys.executable, "-m", "mypy", "--strict", "src/repro"],
+            [sys.executable, "-m", "mypy", "--strict", "src/repro",
+             "tests/oracles"],
             cwd=REPO,
+            env=env,
             capture_output=True,
             text=True,
         )
