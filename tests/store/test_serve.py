@@ -109,21 +109,17 @@ class TestRoutes:
         assert status == 400
         assert "not JSON" in json.loads(raw)["error"]
 
-    def test_post_non_integer_content_length_400(self, server):
-        status, body = post_declaring(server, "abc")
-        assert status == 400
-        assert "Content-Length" in body["error"]
-
-    def test_post_negative_content_length_400(self, server):
-        status, body = post_declaring(server, "-1")
-        assert status == 400
-        assert "Content-Length" in body["error"]
-
-    def test_post_oversized_content_length_413(self, server):
-        status, body = post_declaring(server, "99999999999")
-        assert status == 413
-        assert str(MAX_BODY_BYTES) in body["error"]
-        # nothing was read or registered, and the server still answers
+    @pytest.mark.parametrize("declared,expected,message", [
+        ("abc", 400, "Content-Length"),
+        ("-1", 400, "Content-Length"),
+        ("99999999999", 413, str(MAX_BODY_BYTES)),
+    ])
+    def test_post_bad_content_length(self, server, declared, expected,
+                                     message):
+        status, body = post_declaring(server, declared)
+        assert status == expected
+        assert message in body["error"]
+        # nothing was registered, and the server still answers
         assert request_json(server, "/jobs") == (200, {"jobs": []})
 
     def test_post_non_object_400(self, server):
