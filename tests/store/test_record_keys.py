@@ -5,9 +5,12 @@
 result kind, read off the file name the store gives the entry when the
 result is saved: a store warmed by older code must stay warm, so the
 same ``<kind>-<key>.json`` has to come out for as long as the schema
-version stays put.
+version stays put.  The sha256 of each saved file pins the entry's
+bytes too (config plus payload), so a change to what a cell computes
+or how it is serialized cannot hide behind an unchanged name.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -42,6 +45,19 @@ PINNED = {
     "scenario": "c21f6f506b7834798f4cd7fa4eaea431",
 }
 
+#: sha256 of each cell's saved entry file (config plus payload).
+ENTRY_SHA256 = {
+    "e2e": "81d0f3706b863cd278d4a110a8efd62b1a578d258adfd1d60f43bbf5a975833c",
+    "campaign":
+        "ff00c52534c7a2d92f51da7b2762e8e8ef299fdc4238a45e3f4e0892c7001d2c",
+    "adaptive":
+        "2850a32d5b26eaaafa313b7e6af2a8a680f4e4da7296029fdf11137d30ffda0c",
+    "rare-event":
+        "42076c7ae97fb66a0497cd218379090189fd77f0d694ba13a49eafe18e8597ec",
+    "scenario":
+        "41a4d3b98f30d1c4286c82a4661dcadc77d89950d8c5ada0ba7b8c3c0f518dc6",
+}
+
 #: kind -> one cell of that kind.
 CELLS = {
     "e2e": E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
@@ -69,6 +85,16 @@ def test_saved_entry_name_is_pinned(tmp_path, kind):
     store.save(cell, result)
     assert os.listdir(str(tmp_path)) == [f"{kind}-{PINNED[kind]}.json"]
     assert store.load(cell) == result
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_SHA256))
+def test_saved_entry_bytes_are_pinned(tmp_path, kind):
+    cell = CELLS[kind]
+    ResultStore(str(tmp_path)).save(cell, cell.execute())
+    (name,) = os.listdir(str(tmp_path))
+    with open(os.path.join(str(tmp_path), name), "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert digest == ENTRY_SHA256[kind]
 
 
 def test_every_kind_has_a_distinct_digest():
