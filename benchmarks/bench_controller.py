@@ -24,12 +24,12 @@ import pytest
 from oracles.scheduler import reference_run_phase
 from repro.dram import _kernelc
 from repro.dram.controller import (
-    ENGINE_GENERAL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
     MemoryController,
 )
+from repro.dram.engine import SchedulingEngine, as_workload
 from repro.dram.mixed import steady_state_interleaver
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -69,8 +69,8 @@ def _chunks(mapping, op):
 
 def _engine_grid():
     return [
-        MemoryController(config, ControllerConfig(), engine=ENGINE_GENERAL)
-        .run_phase(_chunks(mapping, op), op).stats
+        SchedulingEngine(config, ControllerConfig())
+        .run(as_workload(_chunks(mapping, op)), op).stats
         for config, mapping, op in _phase_grid()
     ]
 
@@ -140,8 +140,9 @@ def test_engine_vs_seed_scheduler_speedup(benchmark):
 def test_kernel_vs_engine_speedup(benchmark):
     """Wall-clock of every Table I phase, batch-advance kernel vs engine.
 
-    The kernel (the controller default) must be bit-identical to the
-    general engine (``engine="general"``) on the full grid and — with
+    The kernel (the controller's scheduler) must be bit-identical to
+    the general engine (a ``SchedulingEngine`` run directly) on the
+    full grid and — with
     the compiled backend available — at least
     ``KERNEL_REQUIRED_SPEEDUP`` times faster.  Without a toolchain the
     kernel delegates to the general engine, so only the identity

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.dram.controller import OP_READ, OP_WRITE
+from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -74,24 +74,50 @@ def test_table1_cell(benchmark, config_name, mapping_name, op, bench_triangle_n)
     assert 0.0 < stats.utilization <= 1.0
 
 
+def _tuple_cells(n):
+    """Every Table I utilization through per-element tuple streams.
+
+    The reference intake: scalar ``write_addresses`` /
+    ``read_addresses`` tuples into the controller, in the cell order
+    of ``Table1Row.cells()`` row by row.
+    """
+    cells = []
+    for config_name in TABLE1_CONFIG_NAMES:
+        config = get_config(config_name)
+        space = TriangularIndexSpace(n)
+        for mapping_name in ("row-major", "optimized"):
+            mapping = _mapping(mapping_name, space, config.geometry)
+            for op in (OP_WRITE, OP_READ):
+                stream = (mapping.write_addresses() if op == OP_WRITE
+                          else mapping.read_addresses())
+                stats = MemoryController(config).run_phase(stream, op).stats
+                cells.append(stats.utilization)
+    return cells
+
+
+def _row_cells(rows):
+    return [cell for row in rows for cell in row.cells()]
+
+
 @pytest.mark.paper_artifact("Table I (request pipeline)")
 def test_table1_pipeline_speedup(benchmark):
     """Wall-clock of the full Table I grid at n=512, three ways.
 
     Compares the per-element tuple reference path against the vectorized
-    address pipeline (columnar chunks into the controller's bulk intake)
-    and, when the host has more than one core, the process-parallel
-    sweep engine on top.  The wall-clocks and speedups land in
-    ``extra_info``; results must be identical across all paths.
+    address pipeline (columnar chunks into the controller's bulk intake,
+    what ``run_table1`` runs) and, when the host has more than one core,
+    the process-parallel sweep engine on top.  The wall-clocks and
+    speedups land in ``extra_info``; results must be identical across
+    all paths.
     """
     n = 512
 
     t0 = time.perf_counter()
-    tuple_rows = run_table1(n=n, use_arrays=False)
+    tuple_cells = _tuple_cells(n)
     t1 = time.perf_counter()
 
     def vectorized():
-        return run_table1(n=n, use_arrays=True)
+        return run_table1(n=n)
 
     # Wall-clock around pedantic: benchmark.stats is unavailable under
     # --benchmark-disable (the CI smoke run), a plain timer always is.
@@ -99,7 +125,7 @@ def test_table1_pipeline_speedup(benchmark):
     array_rows = benchmark.pedantic(vectorized, rounds=1, iterations=1)
     array_seconds = time.perf_counter() - t1b
 
-    assert [r.cells() for r in array_rows] == [r.cells() for r in tuple_rows]
+    assert _row_cells(array_rows) == tuple_cells
 
     tuple_seconds = t1 - t0
     benchmark.extra_info["tuple_path_s"] = round(tuple_seconds, 2)
@@ -110,9 +136,9 @@ def test_table1_pipeline_speedup(benchmark):
     cores = os.cpu_count() or 1
     if cores > 1:
         t2 = time.perf_counter()
-        parallel_rows = run_table1(n=n, use_arrays=True, jobs=0)
+        parallel_rows = run_table1(n=n, jobs=0)
         t3 = time.perf_counter()
-        assert [r.cells() for r in parallel_rows] == [r.cells() for r in tuple_rows]
+        assert _row_cells(parallel_rows) == tuple_cells
         benchmark.extra_info["parallel_jobs"] = cores
         benchmark.extra_info["parallel_s"] = round(t3 - t2, 2)
         benchmark.extra_info["pipeline_speedup"] = round(tuple_seconds / (t3 - t2), 2)

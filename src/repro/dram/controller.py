@@ -65,28 +65,24 @@ Both paths feed the identical scheduler and yield identical
 the pre-engine scheduler is proven by the differential battery in
 ``tests/dram/test_engine_differential.py``.
 
-Two interchangeable arbiter implementations sit behind the adapter.
 Every phase runs through the batch-advance
-:class:`~repro.dram.kernel.KernelEngine` (:data:`ENGINE_KERNEL`, the
-default), which schedules homogeneous phases in its compiled loop and
-delegates everything else — no toolchain, closed-page/cap disciplines,
-mixed traffic — to the reference
-:class:`~repro.dram.engine.SchedulingEngine` (:data:`ENGINE_GENERAL`).
-The ``engine=`` hook forces the reference arbiter (the differential
-batteries use it).  The two share one bank-state table by reference, so
-they can be alternated mid-controller with warm rows intact, and they
-produce bit-identical results (the kernel's contract; see
-:mod:`repro.dram.kernel`).
+:class:`~repro.dram.kernel.KernelEngine`, which schedules homogeneous
+phases in its compiled loop and delegates everything else — no
+toolchain, closed-page/cap disciplines, mixed traffic — to the
+reference :class:`~repro.dram.engine.SchedulingEngine` it wraps.  The
+two share one bank-state table by reference and produce bit-identical
+results (the kernel's contract; see :mod:`repro.dram.kernel`); the
+differential batteries run the reference engine directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.dram.bank import BankSnapshot
 from repro.dram.commands import ScheduledCommand
-from repro.dram.engine import OP_READ, OP_WRITE, SchedulingEngine, as_workload
+from repro.dram.engine import OP_READ, OP_WRITE, as_workload
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
     POLICY_CLOSED_PAGE,
@@ -98,29 +94,13 @@ from repro.dram.policy import (
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats
 
-if TYPE_CHECKING:
-    from repro.dram.kernel import KernelEngine
-
 #: One columnar request chunk: (banks, rows, columns) of equal length.
 RequestChunk = Tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 #: The request-stream shapes accepted by :meth:`MemoryController.run_phase`.
 RequestStream = Union[Iterable[Tuple[int, int, int]], Iterable[RequestChunk]]
 
-#: ``engine=`` hook value: the reference oldest-first-walk scheduler.
-ENGINE_GENERAL = "general"
-
-#: ``engine=`` hook value: the batch-advance kernel (the default;
-#: bit-identical).
-ENGINE_KERNEL = "kernel"
-
-#: All values the ``engine=`` hooks accept.
-ENGINE_NAMES = (ENGINE_GENERAL, ENGINE_KERNEL)
-
 __all__ = [
-    "ENGINE_GENERAL",
-    "ENGINE_KERNEL",
-    "ENGINE_NAMES",
     "OP_READ",
     "OP_WRITE",
     "POLICY_BANK_PARTITION",
@@ -197,55 +177,26 @@ class MemoryController:
     This class is an adapter over the batch-advance
     :class:`~repro.dram.kernel.KernelEngine`; the bank state lives for
     the controller's lifetime, so consecutive :meth:`run_phase` calls
-    see warm rows.  With ``engine=ENGINE_GENERAL`` (constructor default
-    or per :meth:`run_phase` call) the reference
-    :class:`~repro.dram.engine.SchedulingEngine` schedules instead — it
-    owns the same bank-state table, so mixing the two across phases
-    keeps warm rows coherent and results bit-identical.
+    see warm rows, whether the kernel ran a phase natively or
+    delegated it to the general engine.
     """
 
     def __init__(self, config: DramConfig,
-                 policy: Optional[ControllerConfig] = None,
-                 engine: str = ENGINE_KERNEL) -> None:
-        _check_engine(engine)
+                 policy: Optional[ControllerConfig] = None) -> None:
+        # Imported on first use, keeping the kernel module out of the
+        # package's import time.
+        from repro.dram.kernel import KernelEngine
+
         self.config = config
         self.policy = policy or ControllerConfig()
-        self.engine = engine
-        self._engine = SchedulingEngine(config, self.policy)
-        self._kernel: Optional["KernelEngine"] = None
+        self._kernel = KernelEngine(config, self.policy)
 
     def bank_snapshot(self, bank: int) -> BankSnapshot:
         """Readable state of one bank (testing/debugging)."""
-        return self._engine.bank_snapshot(bank)
+        return self._kernel.bank_snapshot(bank)
 
-    def _scheduler(
-            self,
-            engine: Optional[str]) -> "Union[SchedulingEngine, KernelEngine]":
-        """The engine implementation one run should use.
-
-        ``None`` falls back to the controller-level default.  The
-        kernel is built lazily on first use and wraps (and shares bank
-        state with) the resident general engine.
-        """
-        name = self.engine if engine is None else engine
-        _check_engine(name)
-        if name == ENGINE_GENERAL:
-            return self._engine
-        if self._kernel is None:
-            # Imported on first use, keeping the kernel module out of
-            # the package's import time.
-            from repro.dram.kernel import KernelEngine
-
-            self._kernel = KernelEngine(self.config, self.policy,
-                                        general=self._engine)
-        return self._kernel
-
-    def run_phase(
-        self,
-        requests: RequestStream,
-        op: str = OP_READ,
-        engine: Optional[str] = None,
-    ) -> PhaseResult:
+    def run_phase(self, requests: RequestStream,
+                  op: str = OP_READ) -> PhaseResult:
         """Simulate one phase and return its statistics.
 
         Args:
@@ -256,27 +207,15 @@ class MemoryController:
                 equal-length arrays/sequences (the vectorized fast
                 path).  The two shapes are scheduled identically.
             op: :data:`OP_READ` or :data:`OP_WRITE` for the whole phase.
-            engine: :data:`ENGINE_GENERAL` (the reference arbiter, a
-                test hook), :data:`ENGINE_KERNEL`, or ``None`` for the
-                controller's constructor-time default.  Both engines
-                produce bit-identical results.
 
         Returns:
             A :class:`PhaseResult` whose ``stats.utilization`` is the
             data-bus utilization of the phase.
 
         Raises:
-            ValueError: on an unknown ``op`` or ``engine``, or when a
-                request carries a bank index outside
-                ``[0, geometry.banks)`` (validated at intake, naming
-                the offending request).
+            ValueError: on an unknown ``op``, or when a request carries
+                a bank index outside ``[0, geometry.banks)`` (validated
+                at intake, naming the offending request).
         """
-        result = self._scheduler(engine).run(as_workload(requests), op=op)
+        result = self._kernel.run(as_workload(requests), op=op)
         return PhaseResult(stats=result.stats, commands=result.commands)
-
-
-def _check_engine(engine: str) -> None:
-    """Reject unknown ``engine=`` hook values with the known set named."""
-    if engine not in ENGINE_NAMES:
-        raise ValueError(
-            f"engine must be one of {ENGINE_NAMES}, got {engine!r}")

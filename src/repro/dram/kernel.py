@@ -20,9 +20,9 @@ producing **bit-identical** schedules:
   Python tuple per request;
 * **timestamp table** — per-bank next-ready timestamps
   (``cas_allowed``/``pre_allowed``/``act_allowed``/``act_time``) live
-  in the same flat table the general engine keeps, shared by reference
-  so the two engines can be swapped mid-controller with warm bank
-  state intact;
+  in the same flat table the wrapped general engine keeps, shared by
+  reference, so native and delegated phases on one engine see the same
+  warm bank state;
 * **min-reduction arbitration** — the sorted ready list and the
   oldest-first walk are replaced by one unsorted pass over the bank
   columns computing the walk's outcome directly: the oldest head whose
@@ -72,7 +72,7 @@ raises before mutating any state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 import numpy as np
 
@@ -111,23 +111,20 @@ class KernelEngine:
     :class:`~repro.dram.engine.SchedulingEngine` (``run`` /
     ``bank_snapshot`` and warm per-bank state across runs) and wraps a
     general engine internally: the per-bank timestamp table and the
-    refresh scheduler are shared **by reference**, so a controller can
-    route one phase through the kernel and the next through the general
-    engine and see exactly the warm rows either would have left behind.
+    refresh scheduler are shared **by reference**, so a phase the
+    kernel delegates sees exactly the warm rows a native phase left
+    behind, and vice versa.
 
     Args:
         config: DRAM configuration (geometry + timing + refresh mode).
         policy: controller policy
             (:class:`~repro.dram.controller.ControllerConfig`).
-        general: an existing general engine to share state with; a
-            fresh one is created when omitted.
     """
 
-    def __init__(self, config: DramConfig, policy: "ControllerConfig",
-                 general: Optional[SchedulingEngine] = None) -> None:
+    def __init__(self, config: DramConfig, policy: "ControllerConfig") -> None:
         self.config = config
         self.policy = policy
-        self._general = general or SchedulingEngine(config, policy)
+        self._general = SchedulingEngine(config, policy)
         # Shared by reference: both engines mutate the same table.
         self._open_row = self._general._open_row
         self._act_time = self._general._act_time
@@ -229,8 +226,9 @@ class KernelEngine:
         refresh boundaries; this wrapper applies refresh events (the
         exact general-engine block, on the same arrays) and re-enters.
         State is copied from the shared per-bank lists on entry and
-        written back on exit, so warm-state swapping with the general
-        engine behaves identically to a general-engine run.
+        written back on exit, so a phase delegated to the general engine
+        afterwards starts from the warm state a general-engine run would
+        have left.
         """
         loaded = _kernelc.load()
         assert loaded is not None  # guarded by self.native

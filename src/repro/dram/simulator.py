@@ -66,11 +66,15 @@ def simulate_phase(
     mapping: InterleaverMapping,
     op: str,
     policy: Optional[ControllerConfig] = None,
-    *,
-    use_arrays: Optional[bool] = None,
-    chunk_size: Optional[int] = None,
 ) -> PhaseStats:
     """Simulate a single write or read phase.
+
+    The mapping's columnar address chunks
+    (:meth:`~repro.mapping.base.InterleaverMapping.write_addresses_array`
+    or :meth:`~repro.mapping.base.InterleaverMapping.read_addresses_array`)
+    feed the controller.  A mapping without a NumPy kernel still works,
+    through the base class's per-element
+    :meth:`~repro.mapping.base.InterleaverMapping.address_arrays`.
 
     Args:
         config: DRAM configuration to simulate.
@@ -80,20 +84,8 @@ def simulate_phase(
             command type and the traversal order (writes are row-wise,
             reads column-wise).
         policy: controller policy overrides.
-        use_arrays: feed the controller columnar address chunks from the
-            mapping's vectorized kernel instead of per-element tuples.
-            ``None`` (the default) auto-selects: arrays whenever the
-            mapping advertises a true NumPy kernel
-            (``mapping.vectorized``), tuples otherwise.  Both paths
-            produce identical :class:`PhaseStats` (property-tested in
-            ``tests/integration/test_vectorized_equivalence.py``).
-        chunk_size: bursts per address chunk on the array path
-            (``None`` = the mapping's default, bounded memory at paper
-            scale).
     """
-    return simulate_phase_result(config, mapping, op, policy,
-                                 use_arrays=use_arrays,
-                                 chunk_size=chunk_size).stats
+    return simulate_phase_result(config, mapping, op, policy).stats
 
 
 def simulate_phase_result(
@@ -101,9 +93,6 @@ def simulate_phase_result(
     mapping: InterleaverMapping,
     op: str,
     policy: Optional[ControllerConfig] = None,
-    *,
-    use_arrays: Optional[bool] = None,
-    chunk_size: Optional[int] = None,
 ) -> PhaseResult:
     """Like :func:`simulate_phase`, returning the full :class:`PhaseResult`.
 
@@ -115,19 +104,8 @@ def simulate_phase_result(
     controller = MemoryController(config, policy)
     if op not in (OP_WRITE, OP_READ):
         raise ValueError(f"op must be {OP_WRITE!r} or {OP_READ!r}, got {op!r}")
-    if use_arrays is None:
-        use_arrays = mapping.vectorized
-    if use_arrays:
-        kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
-        addresses = (
-            mapping.write_addresses_array(**kwargs)
-            if op == OP_WRITE
-            else mapping.read_addresses_array(**kwargs)
-        )
-    else:
-        addresses = (
-            mapping.write_addresses() if op == OP_WRITE else mapping.read_addresses()
-        )
+    addresses = (mapping.write_addresses_array() if op == OP_WRITE
+                 else mapping.read_addresses_array())
     return controller.run_phase(addresses, op)
 
 
@@ -135,20 +113,13 @@ def simulate_interleaver(
     config: DramConfig,
     mapping: InterleaverMapping,
     policy: Optional[ControllerConfig] = None,
-    *,
-    use_arrays: Optional[bool] = None,
-    chunk_size: Optional[int] = None,
 ) -> InterleaverSimResult:
     """Simulate both phases of one interleaver frame (Table I cell pair)."""
-    write = simulate_phase(config, mapping, OP_WRITE, policy,
-                           use_arrays=use_arrays, chunk_size=chunk_size)
-    read = simulate_phase(config, mapping, OP_READ, policy,
-                          use_arrays=use_arrays, chunk_size=chunk_size)
     return InterleaverSimResult(
         config_name=config.name,
         mapping_name=mapping.name,
-        write=write,
-        read=read,
+        write=simulate_phase(config, mapping, OP_WRITE, policy),
+        read=simulate_phase(config, mapping, OP_READ, policy),
     )
 
 

@@ -62,13 +62,6 @@ class InterleaverMapping(abc.ABC):
     #: Short identifier used in benchmark tables.
     name: str = "abstract"
 
-    #: Whether :meth:`address_arrays` is a true NumPy kernel (overridden
-    #: by subclasses).  ``False`` means the array traversal falls back
-    #: to per-element :meth:`address_tuple` calls — correct, but slower
-    #: than the tuple iterators; the simulator then prefers the tuple
-    #: reference path unless arrays are requested explicitly.
-    vectorized: bool = False
-
     def __init__(self, space: IndexSpace, geometry: Geometry) -> None:
         self.space = space
         self.geometry = geometry
@@ -109,8 +102,8 @@ class InterleaverMapping(abc.ABC):
             ``(bank, row, column)`` int64 arrays.
 
         The base implementation is the per-element reference path;
-        subclasses with ``vectorized = True`` override it with a real
-        NumPy kernel and are property-tested against this one.
+        subclasses with a real NumPy kernel override it and are
+        property-tested against this one.
         """
         import numpy as np
 

@@ -250,8 +250,6 @@ class OptimizedMapping(InterleaverMapping):
 
     # -- vectorized kernel ------------------------------------------------
 
-    vectorized = True
-
     def address_arrays(self, i: Any, j: Any) -> AddressArrays:
         """NumPy mirror of :meth:`address_tuple` over coordinate arrays.
 

@@ -94,8 +94,6 @@ class RowMajorMapping(InterleaverMapping):
 
     # -- vectorized kernel ------------------------------------------------
 
-    vectorized = True
-
     def address_arrays(self, i: Any, j: Any) -> AddressArrays:
         """Vectorized linearize-and-decode over coordinate arrays."""
         return self.decoder.decode_arrays(

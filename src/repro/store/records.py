@@ -187,7 +187,10 @@ def phase_task_config(task: PhaseTask) -> JSONDict:
         "op": task.op,
         "n": task.n,
         "policy": policy_config(task.policy),
-        "use_arrays": task.use_arrays,
+        # The retired ``PhaseTask.use_arrays`` field, at the only value
+        # any production sweep stored: keeps every phase key, and so
+        # every warm store, byte-identical without a schema bump.
+        "use_arrays": None,
     }
 
 

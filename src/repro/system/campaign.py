@@ -26,7 +26,7 @@ Design rules mirrored from the sweep engine:
   results.
 
 Campaigns can be long; results persist in the content-addressed
-:class:`repro.store.store.ResultStore` (``store`` / ``cache_dir``), one
+:class:`repro.store.store.ResultStore` (``store``), one
 atomic JSON entry per cell keyed by a hash of its full configuration,
 so an interrupted campaign resumes without recomputing finished cells
 (``--resume``) and other consumers — the ``repro serve`` job engine,
@@ -328,7 +328,6 @@ def campaign_grid(
 def run_campaign(
     cells: Iterable[CampaignCell],
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
     resume: bool = False,
     store: Optional["ResultStore"] = None,
 ) -> List[CellResult]:
@@ -338,26 +337,17 @@ def run_campaign(
         cells: work items; results come back in the same order.
         jobs: worker processes (see
             :func:`repro.system.parallel.resolve_jobs`).
-        cache_dir: directory for a per-cell result store; created if
-            missing.  Shorthand for ``store=ResultStore(cache_dir)``,
-            kept for API compatibility with the PR 2 cache.
         resume: reuse existing store entries instead of recomputing
             (entries whose configuration does not match are recomputed,
             never trusted; unreadable entries warn once to stderr).
             Without it the store is written but never read.
         store: the shared :class:`~repro.store.store.ResultStore` to
-            persist finished cells into (always written).  Takes
-            precedence over ``cache_dir``.
+            persist finished cells into (always written).
 
     Results are bit-identical for any ``jobs`` value: every cell's
     randomness comes from its own seed, and the pool falls back to the
     serial path when worker processes cannot be spawned.
     """
-    if store is None and cache_dir:
-        # Imported here to avoid a circular import at module load time
-        # (the store's record schema imports this module).
-        from repro.store.store import ResultStore
-        store = ResultStore(cache_dir)
     view: Optional[TaskStore] = (
         _WriteOnly(store) if store is not None and not resume else store)
     return run_tasks(cells, jobs=jobs, store=view)

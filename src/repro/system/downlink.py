@@ -189,11 +189,10 @@ class OpticalDownlink:
     #: instead of streaming multi-hundred-MB temporaries through DRAM.
     BATCH_FRAMES = 128
 
-    def run_batched(self, frames: int,
-                    batch_frames: Optional[int] = None) -> DownlinkResult:
+    def run_batched(self, frames: int) -> DownlinkResult:
         """Vectorized :meth:`run`: same result, 2-D frame blocks per stage.
 
-        Frames are sampled in blocks of ``batch_frames``, each as the
+        Frames are sampled in blocks of ``BATCH_FRAMES``, each as the
         sparse error positions of
         :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions`
         (errors on fade channels are rare), so everything past the
@@ -208,22 +207,15 @@ class OpticalDownlink:
 
         Args:
             frames: frames to transmit (>= 1).
-            batch_frames: frames sampled per 2-D block
-                (default ``BATCH_FRAMES``).
 
         Returns:
             The aggregate :class:`DownlinkResult` over all frames.
 
         Raises:
-            ValueError: on a non-positive ``frames`` or
-                ``batch_frames``.
+            ValueError: on a non-positive ``frames``.
         """
         if frames < 1:
             raise ValueError(f"frames must be >= 1, got {frames}")
-        if batch_frames is None:
-            batch_frames = self.BATCH_FRAMES
-        if batch_frames < 1:
-            raise ValueError(f"batch_frames must be >= 1, got {batch_frames}")
         symbols = self.interleaver.frame_symbols
         codeword_symbols = self.code.n_symbols
         words = symbols // codeword_symbols
@@ -238,7 +230,7 @@ class OpticalDownlink:
         max_base = 0
         done = 0
         while done < frames:
-            block = min(batch_frames, frames - done)
+            block = min(self.BATCH_FRAMES, frames - done)
             frame_idx, sym_idx = self.channel.error_positions(symbols, block)
             word_slots = frame_idx * words
             counts_int = np.bincount(

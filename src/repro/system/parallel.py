@@ -107,8 +107,6 @@ class PhaseTask:
             :data:`~repro.dram.controller.OP_READ`.
         n: triangular interleaver dimension.
         policy: optional controller policy overrides (picklable).
-        use_arrays: forwarded to :func:`~repro.dram.simulator.simulate_phase`
-            (``None`` = auto-select the vectorized path).
         chunks: optional pre-materialized address payload (see
             :func:`share_phase_chunks`); excluded from equality — the
             declarative fields alone identify the cell.
@@ -119,7 +117,6 @@ class PhaseTask:
     op: str
     n: int
     policy: Optional[ControllerConfig] = None
-    use_arrays: Optional[bool] = None
     chunks: Optional[SharedChunks] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -148,8 +145,7 @@ class PhaseTask:
             self.chunks.release()  # detach the worker-side view promptly
             return stats
         config, mapping = _task_mapping(self.mapping, self.config_name, self.n)
-        return simulate_phase(config, mapping, self.op, self.policy,
-                              use_arrays=self.use_arrays)
+        return simulate_phase(config, mapping, self.op, self.policy)
 
 
 def _task_mapping(task_mapping: str, config_name: str,

@@ -117,7 +117,6 @@ def run_table1(
     config_names: Sequence[str] = TABLE1_CONFIG_NAMES,
     policy: Optional[ControllerConfig] = None,
     jobs: Optional[int] = None,
-    use_arrays: Optional[bool] = None,
     store: Optional["ResultStore"] = None,
 ) -> List[Table1Row]:
     """Regenerate Table I at triangle size ``n``.
@@ -133,13 +132,11 @@ def run_table1(
         policy: controller policy overrides applied to every cell.
         jobs: worker processes for the grid (``None``/``1`` serial,
             ``0`` = all cores).
-        use_arrays: forwarded to the simulator (``None`` auto-selects
-            the vectorized address path).
         store: optional shared result store — cells persisted by any
             prior sweep (including ``energy``) are reused, the rest
             are written back for later runs.
     """
-    results = _frame_results(n, config_names, policy, jobs, use_arrays, store)
+    results = _frame_results(n, config_names, policy, jobs, store)
     return [
         Table1Row(config_name=row_major.config_name, row_major=row_major,
                   optimized=optimized)
@@ -152,7 +149,6 @@ def _frame_results(
     config_names: Sequence[str],
     policy: Optional[ControllerConfig],
     jobs: Optional[int],
-    use_arrays: Optional[bool],
     store: Optional["ResultStore"],
 ) -> List[InterleaverSimResult]:
     """Both phases of every (configuration, Table I mapping) cell.
@@ -170,7 +166,7 @@ def _frame_results(
              for mapping_name in ("row-major", "optimized")]
     tasks = [
         PhaseTask(config_name=config_name, mapping=mapping_name, op=op, n=n,
-                  policy=policy, use_arrays=use_arrays)
+                  policy=policy)
         for config_name, mapping_name in cells
         for op in (OP_WRITE, OP_READ)
     ]
@@ -365,7 +361,7 @@ def run_energy_table(
             (and vice versa) with zero redundant engine invocations.
     """
     rows = []
-    for result in _frame_results(n, config_names, policy, jobs, None, store):
+    for result in _frame_results(n, config_names, policy, jobs, store):
         config = get_config(result.config_name)
         write_energy = _phase_energy_report(config, result.write, OP_WRITE)
         read_energy = _phase_energy_report(config, result.read, OP_READ)

@@ -328,15 +328,14 @@ class TestBatchedDownlink:
         batched = self._downlink(seed, n, p_good).run_batched(40)
         assert batched == reference
 
-    def test_chunking_does_not_change_results(self):
-        reference = self._downlink(3, 32, 0.0).run_batched(50, batch_frames=50)
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(OpticalDownlink, "BATCH_FRAMES", 50)
+        reference = self._downlink(3, 32, 0.0).run_batched(50)
         for batch_frames in (1, 7, 16, 49, 128):
-            assert self._downlink(3, 32, 0.0).run_batched(
-                50, batch_frames=batch_frames) == reference
+            monkeypatch.setattr(OpticalDownlink, "BATCH_FRAMES", batch_frames)
+            assert self._downlink(3, 32, 0.0).run_batched(50) == reference
 
     def test_run_batched_rejects_bad_arguments(self):
         downlink = self._downlink(0, 15, 0.0)
         with pytest.raises(ValueError):
             downlink.run_batched(0)
-        with pytest.raises(ValueError):
-            downlink.run_batched(10, batch_frames=0)

@@ -5,8 +5,8 @@ independent scheduler loops.  These batteries prove the replacement is
 **bit-identical**:
 
 * ~300 homogeneous scenarios — random (configuration, policy, stream
-  pattern, op, intake shape) combinations run through the engine-backed
-  ``MemoryController.run_phase`` and the frozen pre-engine scheduler
+  pattern, op, intake shape) combinations run through the
+  ``SchedulingEngine`` and the frozen pre-engine scheduler
   (``oracles.scheduler.reference_run_phase``); stats *and* the full
   recorded command lists must match exactly.
 * ~100 mixed-stream scenarios — random read/write mixes through the
@@ -26,12 +26,8 @@ import pytest
 from oracles.cases import (N_HOMOGENEOUS, N_MIXED, SCHEDULE_FIELDS,
                            engine_case, engine_mixed_case, engine_rng)
 from oracles.scheduler import reference_run_mixed_phase, reference_run_phase
-from repro.dram.controller import (
-    ENGINE_GENERAL,
-    OP_READ,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, ControllerConfig
+from repro.dram.engine import SchedulingEngine, as_workload
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.presets import get_config
 
@@ -39,9 +35,8 @@ from repro.dram.presets import get_config
 @pytest.mark.parametrize("index", range(N_HOMOGENEOUS))
 def test_homogeneous_battery(index):
     case = engine_case(index)
-    engine_result = MemoryController(case.config, case.policy,
-                                     engine=ENGINE_GENERAL).run_phase(
-        case.stream(), case.op)
+    engine_result = SchedulingEngine(case.config, case.policy).run(
+        as_workload(case.stream()), case.op)
     reference_result = reference_run_phase(case.config, list(case.requests),
                                            case.op, case.policy)
 
@@ -104,9 +99,8 @@ def test_multi_entry_deferred_commit_matches_reference():
     n_banks = config.geometry.banks
     requests = [(k % n_banks, (k // n_banks) % 8, k % 16)
                 for k in range(600)]
-    engine_result = MemoryController(config, policy,
-                                     engine=ENGINE_GENERAL).run_phase(
-        iter(requests), OP_READ)
+    engine_result = SchedulingEngine(config, policy).run(
+        as_workload(iter(requests)), OP_READ)
     reference_result = reference_run_phase(config, list(requests),
                                            OP_READ, policy)
     assert engine_result.stats == reference_result.stats

@@ -15,8 +15,6 @@ import pytest
 
 from repro.dram import _kernelc
 from repro.dram.controller import (
-    ENGINE_GENERAL,
-    ENGINE_KERNEL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
@@ -116,62 +114,37 @@ class TestTable1Grid:
         _assert_cas_times(result)
 
 
-class TestControllerHook:
-    """The ``engine=`` selection hook routes through the kernel."""
+class TestController:
+    """The controller schedules through the kernel, bit-identically."""
 
-    def test_run_phase_engine_keyword(self, ddr4):
+    def test_run_phase_matches_general_engine(self, ddr4):
         mapping = _mapping(ddr4, "optimized")
-        stats = {}
-        for engine in (ENGINE_GENERAL, ENGINE_KERNEL):
-            controller = MemoryController(ddr4, ControllerConfig(),
-                                          engine=engine)
-            stats[engine] = controller.run_phase(
-                mapping.read_addresses_array(), OP_READ).stats
-        assert stats[ENGINE_KERNEL] == stats[ENGINE_GENERAL]
-
-    def test_rejects_unknown_engine(self, ddr4):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            MemoryController(ddr4, engine="warp-drive")
-
-    def test_kernel_is_the_default(self, ddr4):
-        assert MemoryController(ddr4).engine == ENGINE_KERNEL
-
-    def test_per_call_override(self, ddr4):
-        """A general controller can route a single phase to the kernel."""
-        mapping = _mapping(ddr4, "row-major")
-        controller = MemoryController(ddr4, ControllerConfig(),
-                                      engine=ENGINE_GENERAL)
-        kernel_stats = controller.run_phase(mapping.write_addresses_array(),
-                                            OP_WRITE,
-                                            engine=ENGINE_KERNEL).stats
-        baseline = MemoryController(ddr4, ControllerConfig(),
-                                    engine=ENGINE_GENERAL).run_phase(
-            mapping.write_addresses_array(), OP_WRITE).stats
-        assert kernel_stats == baseline
+        stats = MemoryController(ddr4, ControllerConfig()).run_phase(
+            mapping.read_addresses_array(), OP_READ).stats
+        general = SchedulingEngine(ddr4, ControllerConfig()).run(
+            as_workload(mapping.read_addresses_array()), OP_READ).stats
+        assert stats == general
 
     def test_warm_state_alternation(self, ddr4):
-        """Kernel write then general read == all-general two-phase run.
+        """Two phases on one controller == two on one general engine.
 
         The kernel shares the per-bank timestamp table with its general
-        engine by reference, so rows left open by one arbiter must be
-        visible — and identically charged — by the other.
+        engine by reference, so rows the write phase leaves open must be
+        visible to — and identically charged by — the read phase.
         """
         mapping = _mapping(ddr4, "optimized")
-        mixed_controller = MemoryController(ddr4, ControllerConfig())
-        write_k = mixed_controller.run_phase(mapping.write_addresses_array(),
-                                             OP_WRITE,
-                                             engine=ENGINE_KERNEL).stats
-        read_g = mixed_controller.run_phase(mapping.read_addresses_array(),
-                                            OP_READ,
-                                            engine=ENGINE_GENERAL).stats
+        controller = MemoryController(ddr4, ControllerConfig())
+        write = controller.run_phase(mapping.write_addresses_array(),
+                                     OP_WRITE).stats
+        read = controller.run_phase(mapping.read_addresses_array(),
+                                    OP_READ).stats
 
-        plain = MemoryController(ddr4, ControllerConfig(),
-                                 engine=ENGINE_GENERAL)
-        write_ref = plain.run_phase(mapping.write_addresses_array(),
-                                    OP_WRITE).stats
-        read_ref = plain.run_phase(mapping.read_addresses_array(),
-                                   OP_READ).stats
-        assert (write_k, read_g) == (write_ref, read_ref)
+        engine = SchedulingEngine(ddr4, ControllerConfig())
+        write_ref = engine.run(as_workload(mapping.write_addresses_array()),
+                               OP_WRITE).stats
+        read_ref = engine.run(as_workload(mapping.read_addresses_array()),
+                              OP_READ).stats
+        assert (write, read) == (write_ref, read_ref)
 
 
 class TestMixedTraffic:

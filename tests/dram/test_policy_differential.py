@@ -13,7 +13,8 @@ Two layers of proof for the scheduling-policy zoo
   list — with the ``kernel_fallback`` flag unset.
 * **Each new discipline equals its scalar reference.**  100 seeded
   random (configuration, queue-shape, stream-locality, op, cap)
-  scenarios per discipline through ``MemoryController.run_phase`` vs
+  scenarios per discipline through the general engine (every fourth
+  also through ``MemoryController.run_phase``, the kernel route) vs
   the same oracle (the frozen scheduler plus the auto-close additions,
   or on the partition-remapped stream), plus mixed batteries against
   ``oracles.scheduler.reference_run_mixed_phase``.
@@ -31,13 +32,12 @@ from oracles.cases import (N_MIXED_PER_POLICY, N_PER_POLICY, NEW_DISCIPLINES,
 from oracles.scheduler import reference_run_mixed_phase, reference_run_phase
 from repro.dram import _kernelc
 from repro.dram.controller import (
-    ENGINE_GENERAL,
-    ENGINE_KERNEL,
     OP_READ,
     OP_WRITE,
     ControllerConfig,
     MemoryController,
 )
+from repro.dram.engine import SchedulingEngine, as_workload
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
@@ -49,6 +49,11 @@ from repro.dram.policy import (
 from repro.dram.presets import get_config
 
 PAIR_IDS = [f"{c}-{m}" for c, m in TABLE1_PAIRS]
+
+
+def _general(config, policy, stream, op):
+    """One phase on the general engine, the kernel's fallback route."""
+    return SchedulingEngine(config, policy).run(as_workload(stream), op)
 
 
 def _assert_matches_oracle(result, oracle):
@@ -76,11 +81,8 @@ class TestOpenPageIsThePrePolicyEngine:
         mapping = table1_mapping(config, mapping_name)
         policy = ControllerConfig(record_commands=True,
                                   discipline=POLICY_OPEN_PAGE)
-        general = MemoryController(config, policy,
-                                   engine=ENGINE_GENERAL).run_phase(
-            phase_chunks(mapping, op), op)
-        kernel = MemoryController(config, policy,
-                                  engine=ENGINE_KERNEL).run_phase(
+        general = _general(config, policy, phase_chunks(mapping, op), op)
+        kernel = MemoryController(config, policy).run_phase(
             phase_chunks(mapping, op), op)
         oracle = reference_run_phase(config, phase_chunks(mapping, op), op,
                                      policy)
@@ -98,9 +100,8 @@ class TestNewPolicyHomogeneousBattery:
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
     def test_engine_matches_reference(self, discipline, index):
         case = policy_case(discipline, index)
-        engine_result = MemoryController(case.config, case.policy,
-                                         engine=ENGINE_GENERAL).run_phase(
-            case.stream(), case.op)
+        engine_result = _general(case.config, case.policy, case.stream(),
+                                 case.op)
         reference_result = reference_run_phase(
             case.config, list(case.requests), case.op, case.policy)
 
@@ -109,16 +110,14 @@ class TestNewPolicyHomogeneousBattery:
     @pytest.mark.parametrize("index", range(0, N_PER_POLICY, 4))
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
     def test_kernel_route_matches_reference(self, discipline, index):
-        """The ``engine="kernel"`` route — native for bank partitioning,
+        """The controller's kernel route — native for bank partitioning,
         visible fallback for the auto-close disciplines — must land on
         the same schedule as the scalar reference."""
         case = policy_case(discipline, index)
-        kernel_result = MemoryController(case.config, case.policy,
-                                         engine=ENGINE_KERNEL).run_phase(
+        kernel_result = MemoryController(case.config, case.policy).run_phase(
             case.stream(), case.op)
-        general_result = MemoryController(case.config, case.policy,
-                                          engine=ENGINE_GENERAL).run_phase(
-            case.stream(), case.op)
+        general_result = _general(case.config, case.policy, case.stream(),
+                                  case.op)
         reference_result = reference_run_phase(
             case.config, list(case.requests), case.op, case.policy)
 

@@ -1,16 +1,17 @@
 """Acceptance gate: the vectorized pipeline must be invisible in results.
 
 For every Table I ``(configuration, mapping)`` pair, feeding the
-controller columnar array chunks (the NumPy fast path) must produce
-:class:`~repro.dram.stats.PhaseStats` identical — field for field — to
-the per-element tuple reference path, for both phases.
+controller columnar array chunks (the NumPy fast path every simulation
+takes) must produce :class:`~repro.dram.stats.PhaseStats` identical —
+field for field — to the per-element tuple reference path, for both
+phases.
 """
 
 import pytest
 
-from repro.dram.controller import OP_READ, OP_WRITE
+from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
-from repro.dram.simulator import simulate_interleaver, simulate_phase
+from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
@@ -24,6 +25,13 @@ def build_mapping(mapping_name, space, geometry):
     return OptimizedMapping(space, geometry, prefer_tall=False)
 
 
+def tuple_stats(config, mapping, op):
+    """One phase through per-element ``(bank, row, column)`` tuples."""
+    stream = (mapping.write_addresses() if op == OP_WRITE
+              else mapping.read_addresses())
+    return MemoryController(config).run_phase(stream, op).stats
+
+
 @pytest.mark.parametrize("config_name", TABLE1_CONFIG_NAMES)
 @pytest.mark.parametrize("mapping_name", ["row-major", "optimized"])
 @pytest.mark.parametrize("op", [OP_WRITE, OP_READ])
@@ -31,30 +39,18 @@ def test_phase_stats_identical(config_name, mapping_name, op):
     config = get_config(config_name)
     space = TriangularIndexSpace(N)
     mapping = build_mapping(mapping_name, space, config.geometry)
-    tuple_stats = simulate_phase(config, mapping, op, use_arrays=False)
-    array_stats = simulate_phase(config, mapping, op, use_arrays=True)
-    assert tuple_stats == array_stats
+    assert simulate_phase(config, mapping, op) == tuple_stats(config,
+                                                              mapping, op)
 
 
-def test_small_chunks_do_not_change_results():
+@pytest.mark.parametrize("op", [OP_WRITE, OP_READ])
+def test_small_chunks_do_not_change_results(op):
     """Chunk boundaries are invisible: a tiny chunk size still schedules
     identically (the intake drains chunks strictly in order)."""
     config = get_config("DDR4-3200")
     space = TriangularIndexSpace(48)
     mapping = build_mapping("optimized", space, config.geometry)
-    baseline = simulate_interleaver(config, mapping, use_arrays=False)
-    tiny_chunks = simulate_interleaver(config, mapping, use_arrays=True,
-                                       chunk_size=13)
-    assert baseline.write == tiny_chunks.write
-    assert baseline.read == tiny_chunks.read
-
-
-def test_auto_selects_vectorized_path():
-    """``use_arrays=None`` must pick the array path for kernel-bearing
-    mappings and agree with both explicit paths."""
-    config = get_config("DDR3-1600")
-    space = TriangularIndexSpace(48)
-    mapping = build_mapping("row-major", space, config.geometry)
-    auto = simulate_phase(config, mapping, OP_READ)
-    explicit = simulate_phase(config, mapping, OP_READ, use_arrays=True)
-    assert auto == explicit
+    chunks = (mapping.write_addresses_array(chunk_size=13) if op == OP_WRITE
+              else mapping.read_addresses_array(chunk_size=13))
+    tiny_chunks = MemoryController(config).run_phase(chunks, op).stats
+    assert tiny_chunks == tuple_stats(config, mapping, op)

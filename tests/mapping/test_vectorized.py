@@ -18,7 +18,9 @@ from repro.dram.address import (
     PAGE_CONTIGUOUS_SCHEME,
     LinearDecoder,
 )
+from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
 from repro.dram.presets import get_config
+from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import RectangularIndexSpace, TriangularIndexSpace
 from repro.mapping.base import InterleaverMapping
 from repro.mapping.optimized import OptimizedMapping
@@ -57,7 +59,6 @@ class TestOptimizedKernel:
     def test_streams_identical(self, space, variant):
         kwargs = {"prefer_tall": False, **OPTIMIZED_VARIANTS[variant]}
         mapping = OptimizedMapping(space, GEOMETRY, **kwargs)
-        assert mapping.vectorized
         assert flatten(mapping.write_addresses_array(chunk_size=257)) == list(
             mapping.write_addresses())
         assert flatten(mapping.read_addresses_array(chunk_size=257)) == list(
@@ -79,7 +80,6 @@ class TestRowMajorKernel:
         "scheme", [DEFAULT_SCHEME, PAGE_CONTIGUOUS_SCHEME, BANK_LOW_SCHEME])
     def test_streams_identical(self, space, scheme):
         mapping = RowMajorMapping(space, GEOMETRY, scheme=scheme)
-        assert mapping.vectorized
         assert flatten(mapping.write_addresses_array(chunk_size=123)) == list(
             mapping.write_addresses())
         assert flatten(mapping.read_addresses_array(chunk_size=123)) == list(
@@ -152,22 +152,34 @@ class TestCoordChunks:
             small_triangle.linear_indices([0, 47], [0, 1])
 
 
+class ShiftMapping(InterleaverMapping):
+    """A mapping with no NumPy kernel of its own."""
+
+    name = "shift"
+
+    def address_tuple(self, i, j):
+        return (i + j) % self.geometry.banks, i, j % 8
+
+
 class TestBaseFallback:
     """Mappings without a NumPy kernel still get a correct array path."""
 
     def test_reference_array_path(self, small_triangle):
-        class ShiftMapping(InterleaverMapping):
-            name = "shift"
-
-            def address_tuple(self, i, j):
-                return (i + j) % self.geometry.banks, i, j % 8
-
         mapping = ShiftMapping(small_triangle, GEOMETRY)
-        assert not mapping.vectorized
         assert flatten(mapping.write_addresses_array(chunk_size=97)) == list(
             mapping.write_addresses())
         assert flatten(mapping.read_addresses_array(chunk_size=97)) == list(
             mapping.read_addresses())
+
+    @pytest.mark.parametrize("op", [OP_WRITE, OP_READ])
+    def test_simulates_through_the_reference_array_path(self, small_triangle,
+                                                        op):
+        config = get_config("DDR4-3200")
+        mapping = ShiftMapping(small_triangle, config.geometry)
+        tuples = (mapping.write_addresses() if op == OP_WRITE
+                  else mapping.read_addresses())
+        expected = MemoryController(config).run_phase(tuples, op).stats
+        assert simulate_phase(config, mapping, op) == expected
 
     def test_generic_space_without_coord_chunks(self):
         class TinySpace:

@@ -104,7 +104,6 @@ class TestConfigDicts:
             PhaseTask("DDR4-3200", "row-major", OP_WRITE, 9),
             PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8,
                       policy=ControllerConfig(refresh_enabled=False)),
-            PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8, use_arrays=False),
         ]
         keys = {derive_key(KIND_PHASE, phase_task_config(t))
                 for t in [base] + variants}

@@ -147,8 +147,7 @@ class TestLoadSave:
         names = sorted(os.listdir(str(tmp_path)))
         assert len(names) == 4
         assert all(name.startswith("phase-") for name in names)
-        phase = PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8,
-                          policy=None, use_arrays=None)
+        phase = PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8, policy=None)
         assert store.load(phase) == row.result.write
 
     def test_mixed_roundtrip(self, tmp_path):

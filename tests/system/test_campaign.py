@@ -13,6 +13,7 @@ from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.store.records import KIND_CAMPAIGN, campaign_cell_config, derive_key
+from repro.store.store import ResultStore
 from repro.system import campaign as campaign_module
 from repro.system.campaign import (
     CampaignCell,
@@ -232,7 +233,7 @@ class TestCache:
     def test_cache_written_and_reused(self, tmp_path, monkeypatch):
         cells = _cells(seeds=(1, 2), frames=15)
         cache_dir = str(tmp_path / "cache")
-        first = run_campaign(cells, cache_dir=cache_dir)
+        first = run_campaign(cells, store=ResultStore(cache_dir))
         assert len(os.listdir(cache_dir)) == len(cells)
 
         calls = []
@@ -243,14 +244,14 @@ class TestCache:
             return real(cell)
 
         monkeypatch.setattr(campaign_module, "evaluate_cell", counting)
-        resumed = run_campaign(cells, cache_dir=cache_dir, resume=True)
+        resumed = run_campaign(cells, store=ResultStore(cache_dir), resume=True)
         assert calls == []
         assert resumed == first
 
     def test_without_resume_cells_recompute(self, tmp_path, monkeypatch):
         cells = _cells(seeds=(1,), frames=15)
         cache_dir = str(tmp_path / "cache")
-        run_campaign(cells, cache_dir=cache_dir)
+        run_campaign(cells, store=ResultStore(cache_dir))
 
         calls = []
         real = campaign_module.evaluate_cell
@@ -260,14 +261,14 @@ class TestCache:
             return real(cell)
 
         monkeypatch.setattr(campaign_module, "evaluate_cell", counting)
-        run_campaign(cells, cache_dir=cache_dir)
+        run_campaign(cells, store=ResultStore(cache_dir))
         assert len(calls) == 1
 
     def test_partial_cache_fills_gaps(self, tmp_path):
         cells = _cells(seeds=(1, 2, 3), frames=15)
         cache_dir = str(tmp_path / "cache")
-        run_campaign(cells[:1], cache_dir=cache_dir)
-        results = run_campaign(cells, cache_dir=cache_dir, resume=True)
+        run_campaign(cells[:1], store=ResultStore(cache_dir))
+        results = run_campaign(cells, store=ResultStore(cache_dir), resume=True)
         assert [r.cell.seed for r in results] == [1, 2, 3]
         assert results == run_campaign(cells)
 
@@ -284,7 +285,7 @@ class TestCache:
 
         monkeypatch.setattr(campaign_module, "evaluate_cell", dies_on_last)
         with pytest.raises(RuntimeError):
-            run_campaign(cells, cache_dir=cache_dir)
+            run_campaign(cells, store=ResultStore(cache_dir))
         # The two finished cells must already be on disk...
         assert len(os.listdir(cache_dir)) == 2
 
@@ -295,7 +296,7 @@ class TestCache:
             return real(cell)
 
         monkeypatch.setattr(campaign_module, "evaluate_cell", counting)
-        resumed = run_campaign(cells, cache_dir=cache_dir, resume=True)
+        resumed = run_campaign(cells, store=ResultStore(cache_dir), resume=True)
         # ...so the resumed run computes only the interrupted cell.
         assert calls == [3]
         assert resumed == run_campaign(cells)
@@ -303,24 +304,24 @@ class TestCache:
     def test_corrupt_entries_are_recomputed(self, tmp_path):
         cells = _cells(seeds=(8,), frames=15)
         cache_dir = str(tmp_path / "cache")
-        run_campaign(cells, cache_dir=cache_dir)
+        run_campaign(cells, store=ResultStore(cache_dir))
         entry = os.path.join(cache_dir, os.listdir(cache_dir)[0])
         with open(entry, "w") as stream:
             stream.write("{not json")
-        results = run_campaign(cells, cache_dir=cache_dir, resume=True)
+        results = run_campaign(cells, store=ResultStore(cache_dir), resume=True)
         assert results == run_campaign(cells)
 
     def test_mismatched_cell_payload_rejected(self, tmp_path):
         cells = _cells(seeds=(8,), frames=15)
         cache_dir = str(tmp_path / "cache")
-        run_campaign(cells, cache_dir=cache_dir)
+        run_campaign(cells, store=ResultStore(cache_dir))
         entry = os.path.join(cache_dir, os.listdir(cache_dir)[0])
         with open(entry) as stream:
             data = json.load(stream)
         data["payload"]["cell"]["seed"] = 999  # entry lies about its config
         with open(entry, "w") as stream:
             json.dump(data, stream)
-        results = run_campaign(cells, cache_dir=cache_dir, resume=True)
+        results = run_campaign(cells, store=ResultStore(cache_dir), resume=True)
         assert results[0].cell.seed == 8
 
 

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.dram.controller import ControllerConfig
+from repro.dram.controller import (OP_READ, OP_WRITE, ControllerConfig,
+                                   MemoryController)
 from repro.dram.presets import get_config
 from repro.dram.stats import PhaseStats
 from repro.dram.simulator import InterleaverSimResult
+from repro.interleaver.triangular import TriangularIndexSpace
 from repro.system.sweep import (
     Table1Row,
     ablation_factories,
@@ -126,9 +128,18 @@ class TestParallelPlumbing:
         assert serial == parallel
 
     def test_tuple_and_array_table1_agree(self):
-        arrays = run_table1(n=40, config_names=("DDR4-3200",), use_arrays=True)
-        tuples = run_table1(n=40, config_names=("DDR4-3200",), use_arrays=False)
-        assert arrays[0].cells() == tuples[0].cells()
+        """``run_table1`` (array chunks) equals per-element tuple intake."""
+        [row] = run_table1(n=40, config_names=("DDR4-3200",))
+        config = get_config("DDR4-3200")
+        space = TriangularIndexSpace(40)
+        tuples = []
+        for factory in default_mappings().values():
+            mapping = factory(space, config.geometry)
+            for op, stream in ((OP_WRITE, mapping.write_addresses()),
+                               (OP_READ, mapping.read_addresses())):
+                stats = MemoryController(config).run_phase(stream, op).stats
+                tuples.append(stats.utilization)
+        assert list(row.cells()) == tuples
 
 
 class TestAblationSweep:
@@ -170,7 +181,6 @@ class TestFactories:
         assert set(ablation_factories()) <= set(registry)
 
     def test_ablation_factories_build(self):
-        from repro.interleaver.triangular import TriangularIndexSpace
         config = get_config("DDR4-3200")
         space = TriangularIndexSpace(64)
         for name, factory in ablation_factories().items():
@@ -178,7 +188,6 @@ class TestFactories:
             assert mapping.address_tuple(0, 0) is not None, name
 
     def test_ablation_flags(self):
-        from repro.interleaver.triangular import TriangularIndexSpace
         config = get_config("DDR4-3200")
         space = TriangularIndexSpace(64)
         factories = ablation_factories()
