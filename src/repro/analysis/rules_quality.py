@@ -45,8 +45,9 @@ HOT_PATHS: Dict[str, str] = {
         "the bank-partition intake remap (every partitioned chunk)",
     "repro.dram.energy.energy_from_commands":
         "the vectorized energy recount",
-    "repro.system.adaptive.evaluate_adaptive":
-        "the adaptive-stopping batch loop (every adaptive cell)",
+    "repro.system.campaign.run_frames":
+        "the Monte Carlo batch loop (every campaign, adaptive and "
+        "scenario cell)",
     "repro.system.adaptive.evaluate_rare_event":
         "the importance-sampling frame loop (every rare-event cell)",
     "repro.system.adaptive._sample_frame_states":

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
@@ -55,8 +56,9 @@ from numpy.typing import NDArray
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
-from repro.system.campaign import CampaignCell, CellResult, wilson_interval
-from repro.system.downlink import DownlinkResult, OpticalDownlink
+from repro.system.campaign import (CampaignCell, CellResult, run_frames,
+                                   wilson_interval)
+from repro.system.downlink import OpticalDownlink
 
 
 def _check_dimensions(interleaver: TwoStageConfig, code: CodewordConfig) -> None:
@@ -315,9 +317,9 @@ class AdaptiveResult:
 def evaluate_adaptive(cell: AdaptiveCell) -> AdaptiveResult:
     """Run one adaptive cell to its stopping target (also the worker entry).
 
-    Batches run through the same
-    :meth:`~repro.system.downlink.OpticalDownlink.run_batched` path as
-    the naive campaign on one shared generator.  RNG consumption is
+    Batches run through the naive campaign's
+    :func:`~repro.system.campaign.run_frames` loop on one shared
+    generator, checking the target after each.  RNG consumption is
     frame-sequential regardless of chunking and every accumulated field
     is an integer sum or max, so the returned counts are bit-identical
     to a fixed-frame run of ``frames_used`` frames — stopping early
@@ -330,45 +332,15 @@ def evaluate_adaptive(cell: AdaptiveCell) -> AdaptiveResult:
         cell.channel,
         rng=np.random.default_rng(cell.seed),
     )
-    codewords = 0
-    failed_interleaved = 0
-    failed_baseline = 0
-    error_symbols = 0
-    max_burst = 0
-    max_errors_interleaved = 0
-    max_errors_baseline = 0
-    frames_run = 0
-    batches = 0
-    converged = False
-    while frames_run < cell.max_frames:
-        block = min(cell.batch_frames, cell.max_frames - frames_run)
-        outcome = downlink.run_batched(block)
-        batches += 1
-        frames_run += block
-        codewords += outcome.interleaved.codewords
-        failed_interleaved += outcome.interleaved.failed
-        failed_baseline += outcome.baseline.failed
-        error_symbols += outcome.channel_profile.error_symbols
-        max_burst = max(max_burst, outcome.channel_profile.max_burst)
-        max_errors_interleaved = max(max_errors_interleaved,
-                                     outcome.max_errors_interleaved)
-        max_errors_baseline = max(max_errors_baseline,
-                                  outcome.max_errors_baseline)
-        if _target_met(cell, failed_interleaved, codewords):
-            converged = True
-            break
-    result = CellResult(
-        cell=cell.fixed_cell(frames_run),
-        codewords=codewords,
-        failed_interleaved=failed_interleaved,
-        failed_baseline=failed_baseline,
-        error_symbols=error_symbols,
-        max_burst=max_burst,
-        max_errors_interleaved=max_errors_interleaved,
-        max_errors_baseline=max_errors_baseline,
-    )
-    return AdaptiveResult(cell=cell, result=result, batches=batches,
-                          converged=converged)
+    frames, counts = run_frames(downlink, cell.max_frames, cell.batch_frames,
+                                stop=partial(_target_met, cell))
+    result = CellResult(cell=cell.fixed_cell(frames), **counts)
+    # Every batch but the last is full, and the loop stops exactly when
+    # the target is met at its final counts.
+    return AdaptiveResult(
+        cell=cell, result=result, batches=-(-frames // cell.batch_frames),
+        converged=_target_met(cell, result.failed_interleaved,
+                              result.codewords))
 
 
 def format_adaptive(results: Sequence[AdaptiveResult]) -> str:
@@ -1090,28 +1062,12 @@ class ScenarioResult:
         )
 
 
-def _segment_result(segment: ScenarioSegment,
-                    outcome: DownlinkResult) -> SegmentResult:
-    """Package one segment's :class:`~repro.system.downlink.DownlinkResult`."""
-    return SegmentResult(
-        label=segment.label,
-        frames=segment.frames,
-        codewords=outcome.interleaved.codewords,
-        failed_interleaved=outcome.interleaved.failed,
-        failed_baseline=outcome.baseline.failed,
-        error_symbols=outcome.channel_profile.error_symbols,
-        max_burst=outcome.channel_profile.max_burst,
-        max_errors_interleaved=outcome.max_errors_interleaved,
-        max_errors_baseline=outcome.max_errors_baseline,
-    )
-
-
 def evaluate_scenario(cell: ScenarioCell) -> ScenarioResult:
     """Run one scenario through the batched channel path (worker entry).
 
     Each segment builds an :class:`~repro.system.downlink.OpticalDownlink`
-    for its parameters on the *shared* cell generator and runs
-    :meth:`~repro.system.downlink.OpticalDownlink.run_batched` —
+    for its parameters on the *shared* cell generator and runs its
+    frames as one block of :func:`~repro.system.campaign.run_frames` —
     bit-identical to the per-frame
     :meth:`~repro.system.downlink.OpticalDownlink.run` loop because the
     batched and scalar downlink paths consume the generator identically.
@@ -1121,8 +1077,9 @@ def evaluate_scenario(cell: ScenarioCell) -> ScenarioResult:
     for segment in cell.segments:
         downlink = OpticalDownlink(cell.interleaver, cell.code,
                                    segment.channel, rng=rng)
-        results.append(_segment_result(segment,
-                                       downlink.run_batched(segment.frames)))
+        _, counts = run_frames(downlink, segment.frames, segment.frames)
+        results.append(SegmentResult(label=segment.label,
+                                     frames=segment.frames, **counts))
     return ScenarioResult(cell=cell, segments=tuple(results))
 
 

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -256,12 +257,61 @@ class CellResult:
         )
 
 
+def run_frames(
+    downlink: OpticalDownlink,
+    frames: int,
+    batch_frames: int,
+    stop: Optional[Callable[[int, int], bool]] = None,
+) -> Tuple[int, Dict[str, int]]:
+    """The Monte Carlo batch loop: run frames, tally the cell counts.
+
+    Runs up to ``frames`` frames through
+    :meth:`~repro.system.downlink.OpticalDownlink.run_batched` in blocks
+    of ``batch_frames``.  After each block, ``stop(failed_interleaved,
+    codewords)`` may end the run early.  RNG consumption is
+    frame-sequential regardless of blocking and every count is an
+    integer sum or max, so a run stopped after N frames is
+    bit-identical to one block of N frames.
+
+    Returns:
+        The frames run, and the counts keyed by their
+        :class:`CellResult` field names.
+    """
+    codewords = failed_interleaved = failed_baseline = error_symbols = 0
+    max_burst = max_errors_interleaved = max_errors_baseline = 0
+    done = 0
+    while done < frames:
+        block = min(batch_frames, frames - done)
+        outcome = downlink.run_batched(block)
+        done += block
+        codewords += outcome.interleaved.codewords
+        failed_interleaved += outcome.interleaved.failed
+        failed_baseline += outcome.baseline.failed
+        error_symbols += outcome.channel_profile.error_symbols
+        max_burst = max(max_burst, outcome.channel_profile.max_burst)
+        max_errors_interleaved = max(max_errors_interleaved,
+                                     outcome.max_errors_interleaved)
+        max_errors_baseline = max(max_errors_baseline,
+                                  outcome.max_errors_baseline)
+        if stop is not None and stop(failed_interleaved, codewords):
+            break
+    return done, {
+        "codewords": codewords,
+        "failed_interleaved": failed_interleaved,
+        "failed_baseline": failed_baseline,
+        "error_symbols": error_symbols,
+        "max_burst": max_burst,
+        "max_errors_interleaved": max_errors_interleaved,
+        "max_errors_baseline": max_errors_baseline,
+    }
+
+
 def evaluate_cell(cell: CampaignCell) -> CellResult:
     """Run one cell to completion (also the process-pool worker entry).
 
     The cell's generator is derived from its seed alone, and the frames
-    run through :meth:`~repro.system.downlink.OpticalDownlink.run_batched`
-    — bit-identical to the per-frame loop, several times faster.
+    run as one block of :func:`run_frames` — bit-identical to the
+    per-frame loop, several times faster.
     """
     downlink = OpticalDownlink(
         cell.interleaver,
@@ -269,17 +319,8 @@ def evaluate_cell(cell: CampaignCell) -> CellResult:
         cell.channel,
         rng=np.random.default_rng(cell.seed),
     )
-    outcome = downlink.run_batched(cell.frames)
-    return CellResult(
-        cell=cell,
-        codewords=outcome.interleaved.codewords,
-        failed_interleaved=outcome.interleaved.failed,
-        failed_baseline=outcome.baseline.failed,
-        error_symbols=outcome.channel_profile.error_symbols,
-        max_burst=outcome.channel_profile.max_burst,
-        max_errors_interleaved=outcome.max_errors_interleaved,
-        max_errors_baseline=outcome.max_errors_baseline,
-    )
+    _, counts = run_frames(downlink, cell.frames, cell.frames)
+    return CellResult(cell=cell, **counts)
 
 
 def campaign_grid(
