@@ -24,13 +24,8 @@ from repro.channel.gilbert_elliott import coherence_params
 from repro.dram import _kernelc
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.system.e2e import (
-    E2ECell,
-    FrameStreamSource,
-    _build_mapping,
-    _run_dram_phase,
-    run_e2e,
-)
+from repro.system.e2e import E2ECell, FrameStreamSource, _run_dram_phase, run_e2e
+from repro.system.parallel import _task_mapping
 from repro.system.sweep import format_e2e_table, run_e2e_table
 
 #: The kernel DRAM phases must beat the general-engine phases (with
@@ -85,7 +80,8 @@ def test_e2e_batched_vs_reference(benchmark):
 
 def _dram_phases(phase):
     """Both DRAM phases of ``CELL`` through ``phase``; (stats, latencies)."""
-    config, mapping = _build_mapping(CELL)
+    config, mapping = _task_mapping(CELL.mapping, CELL.config_name,
+                                    CELL.interleaver.triangle_n)
     elements = CELL.interleaver.elements_per_frame
     return [
         phase(config, ControllerConfig(),

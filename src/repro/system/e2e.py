@@ -59,11 +59,12 @@ from repro.dram.energy import (
     energy_from_tally,
 )
 from repro.dram.engine import Batch, WorkloadSource
-from repro.dram.presets import DramConfig, get_config
+from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.mapping.base import AddressArrays, InterleaverMapping
 from repro.system.downlink import DownlinkResult, OpticalDownlink
+from repro.system.parallel import _task_mapping
 
 
 def _check_bridge(interleaver: TwoStageConfig,
@@ -357,33 +358,15 @@ def _run_dram_phase(config: DramConfig, policy: ControllerConfig,
     return result.stats, latencies
 
 
-def _build_mapping(cell: E2ECell) -> Tuple[DramConfig, InterleaverMapping]:
-    """Resolve a cell's DRAM configuration and mapping from the registry.
-
-    Raises:
-        KeyError: on an unknown ``config_name`` or ``mapping`` key.
-    """
-    # Imported here to avoid a circular import at module load time
-    # (sweep imports this module for the e2e table).
-    from repro.interleaver.triangular import TriangularIndexSpace
-    from repro.system.sweep import mapping_registry
-
-    registry = mapping_registry()
-    try:
-        factory = registry[cell.mapping]
-    except KeyError:
-        known = ", ".join(sorted(registry))
-        raise KeyError(f"unknown mapping {cell.mapping!r}; known: {known}") from None
-    config = get_config(cell.config_name)
-    space = TriangularIndexSpace(cell.interleaver.triangle_n)
-    return config, factory(space, config.geometry)
-
-
 def _finalize(cell: E2ECell, downlink_outcome: DownlinkResult,
               write: PhaseStats, write_lat: Tuple[int, ...],
               read: PhaseStats, read_lat: Tuple[int, ...],
               config: DramConfig) -> E2EResult:
-    """Assemble the joint result (shared by both evaluation paths)."""
+    """Assemble the joint result from its downlink and DRAM halves.
+
+    :func:`run_e2e` and the scalar oracle in ``tests/oracles/e2e.py``
+    both finish through it.
+    """
     write_energy = energy_from_tally(config, write.energy_tally)
     read_energy = energy_from_tally(config, read.energy_tally)
     return E2EResult(
@@ -423,7 +406,8 @@ def run_e2e(cell: E2ECell) -> E2EResult:
         rng=np.random.default_rng(cell.seed),
     )
     outcome = downlink.run_batched(cell.frames)
-    config, mapping = _build_mapping(cell)
+    config, mapping = _task_mapping(cell.mapping, cell.config_name,
+                                    cell.interleaver.triangle_n)
     policy = cell.policy or ControllerConfig()
     elements = cell.interleaver.elements_per_frame
     write, write_lat = _run_dram_phase(

@@ -23,8 +23,9 @@ from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats
 from repro.mapping.base import InterleaverMapping
 from repro.system.downlink import OpticalDownlink
-from repro.system.e2e import (E2ECell, E2EResult, _build_mapping,
-                              _check_bridge, _check_frame_bursts, _finalize)
+from repro.system.e2e import (E2ECell, E2EResult, _check_bridge,
+                              _check_frame_bursts, _finalize)
+from repro.system.parallel import _task_mapping
 
 
 def _frame_tuple_requests(mapping: InterleaverMapping, frames: int,
@@ -103,7 +104,8 @@ def run_e2e_reference(cell: E2ECell) -> E2EResult:
         rng=np.random.default_rng(cell.seed),
     )
     outcome = downlink.run(cell.frames)
-    config, mapping = _build_mapping(cell)
+    config, mapping = _task_mapping(cell.mapping, cell.config_name,
+                                    cell.interleaver.triangle_n)
     _check_bridge(cell.interleaver, mapping)
     policy = cell.policy or ControllerConfig()
     elements = cell.interleaver.elements_per_frame
