@@ -101,6 +101,10 @@ def main() -> int:
                     print(f"progress: {completed}/{total}")
                 if snapshot["done"]:
                     break
+                if snapshot["error"]:
+                    print(f"error: job failed: {snapshot['error']}",
+                          file=sys.stderr)
+                    return 1
                 time.sleep(1.0)
             else:
                 print("error: job did not finish before the deadline",

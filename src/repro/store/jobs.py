@@ -4,7 +4,7 @@ A *job* is one campaign grid submitted for asynchronous execution.  Its
 identity is content-addressed — the job id is the store key of its
 normalized grid specification — so submitting the same grid twice
 yields the same job, and "resubmit after a crash" is indistinguishable
-from "resume".  No timestamps, counters or other mutable bookkeeping
+from "resume".  No timestamps, counters or other persisted bookkeeping
 exist anywhere: progress is derived by counting the per-cell results
 the campaign engine has already persisted in the store, which makes the
 engine correct across interruptions, server restarts and concurrent
@@ -21,6 +21,7 @@ invocation, a crashed job or another client paid for them.
 from __future__ import annotations
 
 import threading
+import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -171,6 +172,7 @@ class JobEngine:
         self.store = store
         self.jobs = jobs
         self._threads: Dict[str, threading.Thread] = {}
+        self._errors: Dict[str, str] = {}
         self._lock = threading.Lock()
 
     def submit(self, spec: JSONDict) -> JobRecord:
@@ -211,7 +213,8 @@ class JobEngine:
 
         Returns ``True`` when a worker thread was launched, ``False``
         when the job is already running or already complete — starting
-        is idempotent, like everything else here.
+        is idempotent, like everything else here.  A launch clears the
+        error a previous failed run left.
         """
         with self._lock:
             thread = self._threads.get(record.job_id)
@@ -219,14 +222,25 @@ class JobEngine:
                 return False
             if self.completed(record) >= len(record.cells):
                 return False
-            thread = threading.Thread(target=self.run, args=(record,),
-                                      daemon=True)
+            self._errors.pop(record.job_id, None)
+            thread = threading.Thread(target=self._run_in_thread,
+                                      args=(record,), daemon=True)
             self._threads[record.job_id] = thread
             thread.start()
             return True
 
+    def _run_in_thread(self, record: JobRecord) -> None:
+        """The worker-thread body: :meth:`run`, a failure logged and kept."""
+        try:
+            self.run(record)
+        except Exception as error:
+            traceback.print_exc()
+            with self._lock:
+                self._errors[record.job_id] = (
+                    f"{type(error).__name__}: {error}")
+
     def run(self, record: JobRecord) -> List[CellResult]:
-        """Execute a job synchronously (the worker-thread body).
+        """Execute a job synchronously (what the worker thread runs).
 
         Runs the grid through the standard campaign engine with
         ``resume=True`` over the shared store: cells persisted by
@@ -247,7 +261,11 @@ class JobEngine:
         return thread is not None and thread.is_alive()
 
     def status(self, record: JobRecord) -> JSONDict:
-        """Progress snapshot of a job (the ``GET /jobs/<id>`` body)."""
+        """Progress snapshot of a job (the ``GET /jobs/<id>`` body).
+
+        ``error`` is ``"<Type>: <message>"`` of the exception the job's
+        last run died with, or ``None``.
+        """
         completed = self.completed(record)
         total = len(record.cells)
         return {
@@ -256,6 +274,7 @@ class JobEngine:
             "completed": completed,
             "done": completed >= total,
             "running": self.running(record),
+            "error": self._errors.get(record.job_id),
             "spec": record.spec,
         }
 

@@ -34,6 +34,14 @@ def small_engine(tmp_path):
     return JobEngine(ResultStore(str(tmp_path / "store")), jobs=1)
 
 
+def _wait_for(engine, record, timeout_s=60.0):
+    """Block until the job's worker thread has exited."""
+    deadline = time.monotonic() + timeout_s
+    while engine.running(record) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not engine.running(record)
+
+
 class TestGridSpec:
     def test_default_spec_is_the_162_cell_grid(self):
         cells = grid_from_spec({})
@@ -140,8 +148,35 @@ class TestJobEngine:
             "completed": 0,
             "done": False,
             "running": False,
+            "error": None,
             "spec": normalize_spec(SMALL_SPEC),
         }
+
+    def test_failed_run_reports_its_error(self, tmp_path, monkeypatch,
+                                          capsys):
+        """A job whose thread raises says so, and a restart clears it."""
+        engine = small_engine(tmp_path)
+        record = engine.submit(SMALL_SPEC)
+        real = campaign_module.evaluate_cell
+
+        def broken(cell):
+            raise RuntimeError("simulated worker fault")
+
+        monkeypatch.setattr(campaign_module, "evaluate_cell", broken)
+        assert engine.start(record) is True
+        _wait_for(engine, record)
+        status = engine.status(record)
+        assert status["running"] is False
+        assert status["done"] is False
+        assert status["error"] == "RuntimeError: simulated worker fault"
+        assert "Traceback" in capsys.readouterr().err
+
+        monkeypatch.setattr(campaign_module, "evaluate_cell", real)
+        assert engine.start(record) is True
+        _wait_for(engine, record)
+        status = engine.status(record)
+        assert status["done"] is True
+        assert status["error"] is None
 
     def test_corrupt_entry_reopens_a_finished_job(self, tmp_path):
         """Progress counts entries that load, so a broken one recomputes."""
@@ -157,8 +192,6 @@ class TestJobEngine:
         assert status["done"] is False
         assert engine.table(record) is None
         assert engine.start(record) is True
-        deadline = time.monotonic() + 60.0
-        while engine.running(record) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        _wait_for(engine, record)
         assert engine.status(record)["done"] is True
         assert engine.table(record) == before
