@@ -34,7 +34,7 @@ HOT_PATHS: Dict[str, str] = {
     "repro.dram.engine.SchedulingEngine.run":
         "the engine arbiter walk (every scheduled command)",
     "repro.dram.kernel.KernelEngine._run_native":
-        "the compiled-kernel driver (segment re-entry per refresh)",
+        "the compiled-kernel driver (every native phase)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fade_runs":
         "the channel dwell loop (every dense-path frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":

@@ -5,15 +5,15 @@ loaded through ``cffi``:
 
 * :func:`load` — the batch-advance kernel's hot loop
   (:mod:`repro.dram.kernel`), the compiled *segment loop*.  It runs the
-  eval / commit / arbitrate / pop / admit cycle over the flat int64
-  state tables and returns to Python only at **refresh boundaries**
-  (and when the command-record buffer needs growing), so the Python
-  :class:`~repro.dram.refresh.RefreshScheduler` is never duplicated:
-  the wrapper in :mod:`repro.dram.kernel` applies refresh events on the
-  same arrays the compiled code mutates and re-enters the segment.
-  Besides the optional command records the loop can write one CAS issue
-  time per request (the ``cas_time`` column the end-to-end latency fold
-  reads).
+  refresh / eval / commit / arbitrate / pop / admit cycle over the flat
+  int64 state tables and returns to Python only when the phase is done,
+  when the command-record buffer needs growing, or on deadlock.  Refresh
+  events are a port of the general engine's refresh block: the loop
+  takes the :class:`~repro.dram.refresh.RefreshScheduler`'s next
+  deadline and round-robin bank in, hands them back advanced, and counts
+  the events it applied.  Besides the optional command records the loop
+  can write one CAS issue time per request (the ``cas_time`` column the
+  end-to-end latency fold reads).
 * :func:`load_sampler` — the Gilbert–Elliott frame loop behind
   :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions`.
   It draws each frame's dwells with NumPy's own ``random_geometric``,
@@ -59,29 +59,30 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 import numpy
 
 #: Scalar-slot indices shared with the C side (keep in sync with the
-#: ``S_*`` enum in :data:`SOURCE`).
+#: ``S_*`` enum in :data:`SOURCE`).  ``S_DEADLINE`` and ``S_REF_BANK``
+#: carry the refresh state in and out; ``S_REFRESHES`` counts the
+#: events the loop applied.
 (S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
  S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
  S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
- S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT) = range(21)
-N_SCALARS = 21
+ S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_REFRESHES,
+ S_REF_BANK) = range(23)
+N_SCALARS = 23
 
 #: Config-slot indices shared with the C side (``C_*`` enum).
 (C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
  C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
  C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
- C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES) = range(23)
-N_CFG = 23
+ C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES, C_REF_INTERVAL, C_REF_DURATION,
+ C_REF_ALL_BANK) = range(26)
+N_CFG = 26
 
-#: Segment-exit reasons returned by ``run_segment``.
+#: Segment-exit reasons returned by ``run_segment`` (``EXIT_*`` enum).
 EXIT_DONE = 0
-EXIT_REFRESH = 1
-EXIT_RECORD_FULL = 2
-EXIT_DEADLOCK = 3
+EXIT_RECORD_FULL = 1
+EXIT_DEADLOCK = 2
 
 #: Command kinds in the record columns (decoded by the kernel wrapper).
-#: ``REC_REF`` is written by the Python refresh section only; the C
-#: side records ACT/PRE/CAS.
 REC_ACT = 0
 REC_PRE = 1
 REC_CAS = 2
@@ -107,14 +108,18 @@ SOURCE = r"""
 enum { S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
   S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
   S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
-  S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT };
+  S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_REFRESHES,
+  S_REF_BANK };
 
 enum { C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
   C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
   C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
-  C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES };
+  C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES, C_REF_INTERVAL, C_REF_DURATION,
+  C_REF_ALL_BANK };
 
-enum { REC_ACT = 0, REC_PRE = 1, REC_CAS = 2 };
+enum { EXIT_DONE, EXIT_RECORD_FULL, EXIT_DEADLOCK };
+
+enum { REC_ACT = 0, REC_PRE = 1, REC_CAS = 2, REC_REF = 3 };
 
 /* Python floor-mod quantization: round v up to the command-clock grid.
  * C's % truncates toward zero; Python's floors, and the issue-slot
@@ -137,6 +142,13 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
 #define H_P(i)   heap[(i) * 5 + 2]
 #define H_E(i)   heap[(i) * 5 + 3]
 #define H_R(i)   heap[(i) * 5 + 4]
+
+/* Append one command record: time, kind, bank, row, column, request. */
+#define RECORD(t, kind, bank, row, col, req) do {                    \
+        int64_t *r_ = rec + rec_count++ * 6;                         \
+        r_[0] = (t); r_[1] = (kind); r_[2] = (bank);                 \
+        r_[3] = (row); r_[4] = (col); r_[5] = (req);                 \
+    } while (0)
 
 int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t *banks, const int64_t *rows, const int64_t *cols,
@@ -169,6 +181,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t nreq = cfg[C_N];
     const int64_t rec_cap = cfg[C_REC_CAP];
     const int64_t want_cas_time = cfg[C_CAS_TIMES];
+    const int64_t ref_interval = cfg[C_REF_INTERVAL];
+    const int64_t ref_duration = cfg[C_REF_DURATION];
+    const int64_t ref_all_bank = cfg[C_REF_ALL_BANK];
 
     int64_t last_cas = sc[S_LAST_CAS];
     int64_t last_act = sc[S_LAST_ACT];
@@ -186,20 +201,55 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t pres = sc[S_PRES];
     int64_t rescan_all = sc[S_RESCAN_ALL];
     const int64_t have_deadline = sc[S_HAVE_DEADLINE];
-    const int64_t deadline = sc[S_DEADLINE];
+    int64_t deadline = sc[S_DEADLINE];
     int64_t ready_count = sc[S_READY_COUNT];
     int64_t heap_size = sc[S_HEAP_SIZE];
     int64_t fresh_count = sc[S_FRESH_COUNT];
     int64_t rec_count = sc[S_REC_COUNT];
+    int64_t refreshes = sc[S_REFRESHES];
+    int64_t ref_bank = sc[S_REF_BANK];
 
     int64_t commit_idx[64];
-    int64_t exit_reason = EXIT_DONE_SENTINEL;
+    int64_t exit_reason = EXIT_DONE;
 
     for (;;) {
-        if (!queued) { exit_reason = 0; break; }
-        if (have_deadline && last_cas >= deadline) { exit_reason = 1; break; }
+        if (!queued) break;
+        /* Room for one step (2 * n_banks + 1 records) or one refresh
+         * event (n_banks + 1). */
         if (do_record && rec_cap - rec_count < 2 * n_banks + 2) {
-            exit_reason = 2; break;
+            exit_reason = EXIT_RECORD_FULL; break;
+        }
+
+        /* ---- refresh: one event per pass while a deadline is due --- */
+        if (have_deadline && last_cas >= deadline) {
+            int64_t first = ref_all_bank ? 0 : ref_bank;
+            int64_t end = ref_all_bank ? n_banks : ref_bank + 1;
+            int64_t ref_time = deadline;
+            for (int64_t b = first; b < end; b++) {
+                int64_t free_at = act_allowed[b];
+                if (open_row[b] >= 0) {
+                    int64_t t_pre = pre_allowed[b];
+                    if (quant) t_pre = quantize(t_pre, tck);
+                    if (do_record) RECORD(t_pre, REC_PRE, b, -1, -1, -1);
+                    pres++;
+                    open_row[b] = -1;
+                    free_at = t_pre + trp;
+                }
+                if (free_at > ref_time) ref_time = free_at;
+            }
+            if (quant) ref_time = quantize(ref_time, tck);
+            for (int64_t b = first; b < end; b++) {
+                if (bstate[b] == 2) { bstate[b] = 1; ready_count--; }
+                act_allowed[b] = ref_time + ref_duration;
+            }
+            rescan_all = 1;
+            refreshes++;
+            if (do_record)
+                RECORD(ref_time, REC_REF, ref_all_bank ? -1 : ref_bank,
+                       -1, -1, -1);
+            deadline += ref_interval;
+            if (!ref_all_bank) ref_bank = (ref_bank + 1) % n_banks;
+            continue;
         }
 
         /* ---- eager per-bank row management ------------------------- */
@@ -287,12 +337,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                         empties++;
                     } else {
                         misses++; pres++;
-                        if (do_record) {
-                            int64_t *r = rec + rec_count * 6;
-                            r[0] = t_pre; r[1] = REC_PRE; r[2] = b;
-                            r[3] = -1; r[4] = -1; r[5] = -1;
-                            rec_count++;
-                        }
+                        if (do_record) RECORD(t_pre, REC_PRE, b, -1, -1, -1);
                     }
                     int64_t bg = bg_of[b];
                     int64_t t_act = act_ready;
@@ -312,12 +357,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                     last_act = t_act;
                     last_act_bg = bg;
                     acts++;
-                    if (do_record) {
-                        int64_t *r = rec + rec_count * 6;
-                        r[0] = t_act; r[1] = REC_ACT; r[2] = b;
-                        r[3] = row; r[4] = -1; r[5] = -1;
-                        rec_count++;
-                    }
+                    if (do_record) RECORD(t_act, REC_ACT, b, row, -1, -1);
                     open_row[b] = row;
                     act_time[b] = t_act;
                     cas_allowed[b] = t_act + trcd;
@@ -375,7 +415,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             t_cas = best_pb;
             if (quant) t_cas = quantize(t_cas, tck);
         } else {
-            exit_reason = 3; break;
+            exit_reason = EXIT_DEADLOCK; break;
         }
 
         /* ---- pop, timeline update, admission ----------------------- */
@@ -400,12 +440,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             int64_t t = is_read ? t_cas + trtp : data_end + twr;
             if (t > pre_allowed[chosen]) pre_allowed[chosen] = t;
         }
-        if (do_record) {
-            int64_t *r = rec + rec_count * 6;
-            r[0] = t_cas; r[1] = REC_CAS; r[2] = chosen;
-            r[3] = rows[p_seq]; r[4] = cols[p_seq]; r[5] = n_requests;
-            rec_count++;
-        }
+        if (do_record)
+            RECORD(t_cas, REC_CAS, chosen, rows[p_seq], cols[p_seq],
+                   n_requests);
         if (want_cas_time) cas_time[n_requests] = t_cas;
         n_requests++;
         if (pos < nreq && queued == queue_depth - 1) {
@@ -449,13 +486,12 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     sc[S_HEAP_SIZE] = heap_size;
     sc[S_FRESH_COUNT] = fresh_count;
     sc[S_REC_COUNT] = rec_count;
+    sc[S_DEADLINE] = deadline;
+    sc[S_REFRESHES] = refreshes;
+    sc[S_REF_BANK] = ref_bank;
     return exit_reason;
 }
 """
-
-# `EXIT_DONE_SENTINEL` keeps the variable initialized without a magic
-# constant appearing twice; substitute it before compiling.
-SOURCE = SOURCE.replace("EXIT_DONE_SENTINEL", "0")
 
 SAMPLER_CDEF = """
 int64_t sample_fade_hits(uint64_t *words, int64_t *chain, int64_t count,

@@ -214,8 +214,9 @@ class MemoryController:
 
         Raises:
             ValueError: on an unknown ``op``, or when a request carries
-                a bank index outside ``[0, geometry.banks)`` (validated
-                at intake, naming the offending request).
+                a bank index outside ``[0, geometry.banks)`` or a
+                negative row (validated at intake, naming the offending
+                request).
         """
         result = self._kernel.run(as_workload(requests), op=op)
         return PhaseResult(stats=result.stats, commands=result.commands)

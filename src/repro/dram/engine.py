@@ -96,6 +96,15 @@ def _as_list(values: Any) -> List[int]:
     return list(values)
 
 
+def _intake_error(index: int, bank: int, row: int, column: int,
+                  n_banks: int) -> ValueError:
+    """The intake error naming request ``index``: its bank, else its row."""
+    reason = (f"bank out of range [0, {n_banks})" if not 0 <= bank < n_banks
+              else "row must be >= 0")
+    return ValueError(
+        f"request #{index} (bank={bank}, row={row}, column={column}): {reason}")
+
+
 # ---------------------------------------------------------------------------
 # Workload sources
 # ---------------------------------------------------------------------------
@@ -246,7 +255,8 @@ class _PartitionedSource(WorkloadSource):
 
     Original bank indices are validated here, with the engine's exact
     error message, because the modulo fold would silently wrap
-    out-of-range banks into valid partition slots.
+    out-of-range banks into valid partition slots.  Rows are checked
+    with them, so the first bad request is the one reported.
     """
 
     def __init__(self, inner: WorkloadSource, n_banks: int,
@@ -264,11 +274,10 @@ class _PartitionedSource(WorkloadSource):
         count = 0
         for banks_col, rows_col, cols_col, dirs_col in self._inner.batches():
             banks = np.asarray(banks_col)
-            if len(banks):
-                lo = int(banks.min())
-                hi = int(banks.max())
-                if lo < 0 or hi >= n_banks:
-                    self._reject(banks, rows_col, cols_col, count)
+            if len(banks) and (int(banks.min()) < 0
+                               or int(banks.max()) >= n_banks
+                               or int(np.min(rows_col)) < 0):
+                self._reject(banks, rows_col, cols_col, count)
             if dirs_col is None:
                 remapped = banks % half + offset
             else:
@@ -279,16 +288,13 @@ class _PartitionedSource(WorkloadSource):
 
     def _reject(self, banks: NDArray[Any], rows_col: Any, cols_col: Any,
                 count: int) -> None:
-        """Raise the engine's out-of-range error for the first bad bank."""
+        """Raise the engine's intake error for the first bad request."""
         n_banks = self._n_banks
         rows = _as_list(rows_col)
         cols = _as_list(cols_col)
         for k, bank in enumerate(banks.tolist()):
-            if bank < 0 or bank >= n_banks:
-                raise ValueError(
-                    f"request #{count + k} (bank={bank}, row={rows[k]}, "
-                    f"column={cols[k]}): bank out of range [0, {n_banks})"
-                )
+            if not 0 <= bank < n_banks or rows[k] < 0:
+                raise _intake_error(count + k, bank, rows[k], cols[k], n_banks)
 
 
 def as_workload(requests: Any) -> WorkloadSource:
@@ -401,8 +407,9 @@ class SchedulingEngine:
 
         Raises:
             ValueError: on an unknown ``op`` or a request whose bank
-                index lies outside ``[0, geometry.banks)`` (validated
-                at intake, naming the offending request).
+                index lies outside ``[0, geometry.banks)`` or whose row
+                is negative (validated at intake, naming the offending
+                request).
         """
         if op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
@@ -597,25 +604,17 @@ class SchedulingEngine:
         def _partition_numpy(banks_arr: NDArray[Any], rows_col: Any,
                              cols_col: Any) -> None:
             """Bulk per-bank partition of one columnar chunk."""
-            m = len(banks_arr)
-            lo = int(banks_arr.min())
-            hi = int(banks_arr.max())
-            if lo < 0 or hi >= n_banks:
-                banks = banks_arr.tolist()
-                rows = _as_list(rows_col)
-                cols = _as_list(cols_col)
-                for k, bank in enumerate(banks):
-                    if not 0 <= bank < n_banks:
-                        raise ValueError(
-                            f"request #{loaded + k} (bank={bank}, row={rows[k]}, "
-                            f"column={cols[k]}): bank out of range [0, {n_banks})"
-                        )
+            rows_arr = np.asarray(rows_col)
+            if (int(banks_arr.min()) < 0 or int(banks_arr.max()) >= n_banks
+                    or int(rows_arr.min()) < 0):
+                # Raises, naming the first bad request.
+                _partition_python(banks_arr, rows_arr, cols_col, None)
             order = np.argsort(banks_arr, kind="stable")
             counts = np.bincount(banks_arr, minlength=n_banks)
             starts = np.empty(n_banks, dtype=np.int64)
             starts[0] = 0
             np.cumsum(counts[:-1], out=starts[1:])
-            rows_sorted = np.asarray(rows_col)[order]
+            rows_sorted = rows_arr[order]
             cols_sorted = np.asarray(cols_col)[order]
             seq_sorted = order + loaded
             for b in np.flatnonzero(counts).tolist():
@@ -635,11 +634,9 @@ class SchedulingEngine:
             dirs = _as_list(dirs_col) if mixed else None
             base = loaded
             for k, bank in enumerate(banks):
-                if bank < 0 or bank >= n_banks:
-                    raise ValueError(
-                        f"request #{base + k} (bank={bank}, row={rows[k]}, "
-                        f"column={cols[k]}): bank out of range [0, {n_banks})"
-                    )
+                if bank < 0 or bank >= n_banks or rows[k] < 0:
+                    raise _intake_error(base + k, bank, rows[k], cols[k],
+                                        n_banks)
                 rows_q[bank].append(rows[k])
                 cols_q[bank].append(cols[k])
                 seqs_q[bank].append(base + k)

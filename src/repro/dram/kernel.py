@@ -15,9 +15,9 @@ producing **bit-identical** schedules:
 
 * **columnar intake** — the whole request stream is materialized up
   front into flat NumPy int64 columns, validated and partitioned per
-  bank in bulk (stable argsort + bincount prefix sums), so the
-  scheduling loop reads flat timestamp/queue tables and never builds a
-  Python tuple per request;
+  bank in bulk (a stable radix sort of 8-bit bank keys + bincount
+  prefix sums), so the scheduling loop reads flat timestamp/queue
+  tables and never builds a Python tuple per request;
 * **timestamp table** — per-bank next-ready timestamps
   (``cas_allowed``/``pre_allowed``/``act_allowed``/``act_time``) live
   in the same flat table the wrapped general engine keeps, shared by
@@ -32,11 +32,15 @@ producing **bit-identical** schedules:
   to the oldest) wins at its own slot.  This is exactly the general
   engine's decision rule, reached without maintaining any ordered
   structure per pop;
-* **compiled segment loop** — the eval / commit / arbitrate / pop /
-  admit cycle runs as a single compiled loop (:mod:`repro.dram._kernelc`)
-  over the same int64 tables, returning to Python only at refresh
-  boundaries, so the Python :class:`~repro.dram.refresh.RefreshScheduler`
-  stays the one source of refresh truth.
+* **compiled segment loop** — the refresh / eval / commit / arbitrate /
+  pop / admit cycle runs as a single compiled loop
+  (:mod:`repro.dram._kernelc`) over the same int64 tables, one call per
+  phase.  The loop applies refresh events itself from the shared
+  :class:`~repro.dram.refresh.RefreshScheduler`'s deadline, interval
+  and round-robin bank, and the driver advances the scheduler past the
+  events it applied (:meth:`~repro.dram.refresh.RefreshScheduler.skip`),
+  so the next phase on the engine, on either route, starts from the
+  same refresh state.
 
 Eager row management is byte-for-byte the general engine's: misses and
 empties park in the same deferred-activation structure with fixed
@@ -64,10 +68,10 @@ sources** (per-request directions, turnaround rules) delegate too,
 unflagged: the turnaround rule set only exists in the general engine.
 
 One intake difference is deliberate: the general engine validates bank
-indices lazily, batch by batch, so an invalid request deep in a stream
-raises only after the earlier requests were scheduled.  The kernel
-validates the whole stream up front (same exception, same message) and
-raises before mutating any state.
+indices and rows lazily, batch by batch, so an invalid request deep in
+a stream raises only after the earlier requests were scheduled.  The
+kernel validates the whole stream up front (same exception, same
+message) and raises before mutating any state.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ from repro.dram.bank import BankSnapshot
 from repro.dram.commands import CommandType, ScheduledCommand
 from repro.dram.engine import (OP_READ, OP_WRITE, EngineResult,
                                SchedulingEngine, WorkloadSource,
-                               _PartitionedSource)
+                               _intake_error, _PartitionedSource)
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
     POLICY_CLOSED_PAGE,
@@ -221,14 +225,14 @@ class KernelEngine:
                     cas_times: bool) -> EngineResult:
         """Homogeneous run through the compiled segment loop.
 
-        The C side owns the eval / commit / arbitrate / pop / admit
-        cycle over flat int64 state tables and returns control at
-        refresh boundaries; this wrapper applies refresh events (the
-        exact general-engine block, on the same arrays) and re-enters.
-        State is copied from the shared per-bank lists on entry and
-        written back on exit, so a phase delegated to the general engine
-        afterwards starts from the warm state a general-engine run would
-        have left.
+        The C side owns the whole cycle, refresh events included (a
+        port of the general engine's refresh block), over flat int64
+        state tables, and returns only when the phase is done, the
+        command-record buffer needs growing, or it deadlocks.  State is
+        copied from the shared per-bank lists and the refresh scheduler
+        on entry and written back on exit, so a phase delegated to the
+        general engine afterwards starts from the warm state a
+        general-engine run would have left.
         """
         loaded = _kernelc.load()
         assert loaded is not None  # guarded by self.native
@@ -238,11 +242,9 @@ class KernelEngine:
         timing = config.timing
         burst = config.burst_duration_ps
         tck = timing.tck if burst % timing.tck == 0 else 1
-        quant = tck > 1
         is_read = op == OP_READ
         latency = timing.cl if is_read else timing.cwl
         n_banks = self._banks
-        trp = timing.trp
         record = policy.record_commands
         refresh = self._refresh
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
@@ -250,15 +252,15 @@ class KernelEngine:
         banks_arr, rows_arr, cols_arr = self._materialize(source)
         n = len(banks_arr)
         if n:
-            bad = (banks_arr < 0) | (banks_arr >= n_banks)
+            bad = (banks_arr < 0) | (banks_arr >= n_banks) | (rows_arr < 0)
             if bad.any():
                 k = int(np.argmax(bad))
-                raise ValueError(
-                    f"request #{k} (bank={int(banks_arr[k])}, "
-                    f"row={int(rows_arr[k])}, column={int(cols_arr[k])}): "
-                    f"bank out of range [0, {n_banks})"
-                )
-        qseqs = np.argsort(banks_arr, kind="stable").astype(np.int64)
+                raise _intake_error(k, int(banks_arr[k]), int(rows_arr[k]),
+                                    int(cols_arr[k]), n_banks)
+        # Banks are in [0, 64) here: a stable sort of 8-bit keys is a
+        # radix sort with the same permutation as the int64 one.
+        qseqs = np.argsort(banks_arr.astype(np.uint8),
+                           kind="stable").astype(np.int64, copy=False)
         counts = np.bincount(banks_arr, minlength=n_banks)
         qstart = np.zeros(n_banks, dtype=np.int64)
         np.cumsum(counts[:-1], out=qstart[1:])
@@ -286,13 +288,17 @@ class KernelEngine:
         sc[_kernelc.S_LAST_CAS] = _FAR_PAST
         sc[_kernelc.S_LAST_ACT] = _FAR_PAST
         sc[_kernelc.S_LAST_ACT_BG] = -1
+        deadline = refresh.next_deadline_ps
+        sc[_kernelc.S_HAVE_DEADLINE] = deadline is not None
+        sc[_kernelc.S_DEADLINE] = deadline or 0
+        sc[_kernelc.S_REF_BANK] = refresh.next_bank
 
         cfg = np.zeros(_kernelc.N_CFG, dtype=np.int64)
         cfg[_kernelc.C_N_BANKS] = n_banks
         cfg[_kernelc.C_BANK_GROUPS] = self._bank_groups
         cfg[_kernelc.C_TCK] = tck
-        cfg[_kernelc.C_QUANT] = 1 if quant else 0
-        cfg[_kernelc.C_TRP] = trp
+        cfg[_kernelc.C_QUANT] = 1 if tck > 1 else 0
+        cfg[_kernelc.C_TRP] = timing.trp
         cfg[_kernelc.C_TRCD] = timing.trcd
         cfg[_kernelc.C_TRAS] = timing.tras
         cfg[_kernelc.C_TRRD_S] = timing.trrd_s
@@ -311,6 +317,9 @@ class KernelEngine:
         cfg[_kernelc.C_N] = n
         cfg[_kernelc.C_REC_CAP] = rec_cap
         cfg[_kernelc.C_CAS_TIMES] = 1 if cas_times else 0
+        cfg[_kernelc.C_REF_INTERVAL] = refresh.interval_ps
+        cfg[_kernelc.C_REF_DURATION] = refresh.duration_ps
+        cfg[_kernelc.C_REF_ALL_BANK] = 1 if all_bank_refresh else 0
 
         # Initial intake (the general engine's intake(), on the arrays).
         banks_head: List[int] = banks_arr[
@@ -342,90 +351,23 @@ class KernelEngine:
                 ptr(bg_of), ptr(last_cas_bg), ptr(faw_ring), ptr(fresh),
                 ptr(heap), ptr(rec), ptr(cas_col)]
 
-        refs_total = 0
-        deadline = refresh.next_deadline_ps
-        # The C side owns termination (it returns EXIT_DONE once the
-        # queues drain); this loop only services its exit reasons.
-        while queued:
-            sc[_kernelc.S_HAVE_DEADLINE] = 0 if deadline is None else 1
-            sc[_kernelc.S_DEADLINE] = 0 if deadline is None else deadline
+        # The C side applies refresh events itself; it returns only when
+        # the queues drain, the record buffer needs growing, or no bank
+        # head can ever issue.
+        while True:
             reason = lib.run_segment(*args)
-            if reason == _kernelc.EXIT_DONE:
+            if reason != _kernelc.EXIT_RECORD_FULL:
                 break
-            if reason == _kernelc.EXIT_DEADLOCK:
-                raise RuntimeError("scheduler deadlock: no prepared bank head")
-            if reason == _kernelc.EXIT_RECORD_FULL:
-                grown = np.zeros((rec_cap + n) * 6, dtype=np.int64)
-                grown[:rec_cap * 6] = rec
-                rec = grown
-                rec_cap += n
-                cfg[_kernelc.C_REC_CAP] = rec_cap
-                args[-2] = ptr(rec)
-                continue
-            # ---- refresh boundary: the general engine's block, on the
-            # shared arrays (the scheduler object advances its own
-            # deadline state, exactly as in the Python loops) ----------
-            last_cas = int(sc[_kernelc.S_LAST_CAS])
-            rec_count = int(sc[_kernelc.S_REC_COUNT])
-            pres = int(sc[_kernelc.S_PRES])
-            while deadline is not None and last_cas >= deadline:
-                event = refresh.due(last_cas)
-                if event is None:
-                    break
-                if record and rec_cap - rec_count < n_banks + 2:
-                    grown = np.zeros((rec_cap + n) * 6, dtype=np.int64)
-                    grown[:rec_cap * 6] = rec
-                    rec = grown
-                    rec_cap += n
-                    cfg[_kernelc.C_REC_CAP] = rec_cap
-                    args[-2] = ptr(rec)
-                ref_time = event.deadline_ps
-                for b in event.banks:
-                    if open_arr[b] >= 0:
-                        t_pre = int(pre_allowed[b])
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        if record:
-                            rec[rec_count * 6:rec_count * 6 + 6] = (
-                                t_pre, _kernelc.REC_PRE, b, -1, -1, -1)
-                            rec_count += 1
-                        pres += 1
-                        open_arr[b] = -1
-                        bank_free_at = t_pre + trp
-                    else:
-                        bank_free_at = int(act_allowed[b])
-                    if bank_free_at > ref_time:
-                        ref_time = bank_free_at
-                if quant:
-                    remainder = ref_time % tck
-                    if remainder:
-                        ref_time += tck - remainder
-                for b in event.banks:
-                    open_arr[b] = -1
-                    if bstate[b] == 2:
-                        bstate[b] = 1
-                        sc[_kernelc.S_READY_COUNT] -= 1
-                    act_allowed[b] = ref_time + event.duration_ps
-                sc[_kernelc.S_RESCAN_ALL] = 1
-                refs_total += 1
-                if record:
-                    rec[rec_count * 6:rec_count * 6 + 6] = (
-                        ref_time, _kernelc.REC_REF,
-                        -1 if all_bank_refresh else event.banks[0],
-                        -1, -1, -1)
-                    rec_count += 1
-                deadline = refresh.next_deadline_ps
-            sc[_kernelc.S_PRES] = pres
-            sc[_kernelc.S_REC_COUNT] = rec_count
-            if deadline is not None and last_cas >= deadline:
-                # due() declined with the deadline in the past — only
-                # its defensive disabled-guard path.  The deadline can
-                # never fire for the rest of the run, so stop asking
-                # (the general engine re-asks and re-breaks each
-                # iteration with the same observable outcome).
-                deadline = None
+            grown = np.zeros((rec_cap + n) * 6, dtype=np.int64)
+            grown[:rec_cap * 6] = rec
+            rec = grown
+            rec_cap += n
+            cfg[_kernelc.C_REC_CAP] = rec_cap
+            args[-2] = ptr(rec)
+        if reason == _kernelc.EXIT_DEADLOCK:
+            raise RuntimeError("scheduler deadlock: no prepared bank head")
+        refs = int(sc[_kernelc.S_REFRESHES])
+        refresh.skip(refs)
 
         # ---- finalize: stats, commands, shared-state writeback ---------
         n_requests = int(sc[_kernelc.S_N_REQUESTS])
@@ -434,7 +376,6 @@ class KernelEngine:
         empties = int(sc[_kernelc.S_EMPTIES])
         acts = int(sc[_kernelc.S_ACTS])
         pres = int(sc[_kernelc.S_PRES])
-        refs = refs_total
         last_data_end = int(sc[_kernelc.S_LAST_DATA_END])
 
         self._open_row[:] = [

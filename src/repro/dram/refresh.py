@@ -67,6 +67,32 @@ class RefreshScheduler:
         """Next refresh deadline, or ``None`` when refresh is disabled."""
         return self._next_deadline if self.enabled else None
 
+    @property
+    def interval_ps(self) -> int:
+        """Spacing of consecutive deadlines (tREFI)."""
+        return self._interval
+
+    @property
+    def duration_ps(self) -> int:
+        """Time an event keeps its banks unavailable (tRFC or tRFCpb)."""
+        return self._duration
+
+    @property
+    def next_bank(self) -> int:
+        """Bank the next per-bank event refreshes (round-robin)."""
+        return self._rr_bank
+
+    def skip(self, events: int) -> None:
+        """Consume ``events`` deadlines applied elsewhere.
+
+        Leaves the same state as that many :meth:`due` calls that each
+        fired, for a caller that applies the events itself (the
+        compiled segment loop of :mod:`repro.dram.kernel`).
+        """
+        self._next_deadline += events * self._interval
+        if self.config.refresh_mode != REFRESH_ALL_BANK:
+            self._rr_bank = (self._rr_bank + events) % self.config.geometry.banks
+
     def due(self, now_ps: int) -> Optional[RefreshEvent]:
         """Return the pending refresh event if one is due at ``now_ps``.
 

@@ -20,6 +20,7 @@ from repro.dram.controller import (
     ControllerConfig,
     MemoryController,
 )
+from repro.dram.engine import SchedulingEngine, as_workload
 from repro.dram.presets import get_config
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
@@ -96,6 +97,18 @@ class TestChunkedIntake:
             MemoryController(tiny_config, policy).run_phase(stream, OP_READ)
 
 
+def _run_controller(config, policy, stream):
+    return MemoryController(config, policy).run_phase(stream, OP_READ)
+
+
+def _run_general(config, policy, stream):
+    return SchedulingEngine(config, policy).run(as_workload(stream), OP_READ)
+
+
+#: The controller's default route and the general engine it falls back to.
+SCHEDULERS = {"controller": _run_controller, "general": _run_general}
+
+
 class TestBankValidation:
     def test_tuple_path_rejects_high_bank(self, tiny_config, policy):
         banks = tiny_config.geometry.banks
@@ -120,6 +133,40 @@ class TestBankValidation:
         bad = (np.asarray([0, -2]), np.asarray([0, 0]), np.asarray([0, 0]))
         with pytest.raises(ValueError, match=r"request #3 \(bank=-2"):
             MemoryController(tiny_config, policy).run_phase([good, bad], OP_READ)
+
+    @pytest.mark.parametrize("run", SCHEDULERS.values(), ids=SCHEDULERS)
+    def test_tuple_path_rejects_negative_row(self, tiny_config, policy, run):
+        with pytest.raises(ValueError, match=r"^request #1 \(bank=1, row=-1, "
+                                             r"column=2\): row must be >= 0$"):
+            run(tiny_config, policy, [(0, 0, 0), (1, -1, 2), (2, 3, 0)])
+
+    @pytest.mark.parametrize("chunk_size", [7, 100])
+    @pytest.mark.parametrize("run", SCHEDULERS.values(), ids=SCHEDULERS)
+    def test_chunk_path_rejects_negative_row(self, tiny_config, policy, run,
+                                             chunk_size):
+        """Small chunks partition per element, large ones in bulk."""
+        requests = [(k % 4, 0, k % 8) for k in range(80)]
+        requests[75] = (2, -3, 4)
+        with pytest.raises(ValueError, match=r"^request #75 \(bank=2, row=-3, "
+                                             r"column=4\): row must be >= 0$"):
+            run(tiny_config, policy, chunked(requests, chunk_size))
+
+    @pytest.mark.parametrize("shape", ["tuples", "chunk"])
+    @pytest.mark.parametrize("run", SCHEDULERS.values(), ids=SCHEDULERS)
+    def test_first_bad_request_reported_bank_first(self, tiny_config, policy,
+                                                   run, shape):
+        banks = tiny_config.geometry.banks
+        requests = [(0, 0, 0)] * 70 + [(banks, -1, 0), (0, -1, 0)]
+
+        def stream(requests):
+            return (list(requests) if shape == "tuples"
+                    else chunked(requests, 100))
+
+        with pytest.raises(ValueError, match=r"request #70 .*bank out of range"):
+            run(tiny_config, policy, stream(requests))
+        requests[70] = (0, 0, 0)
+        with pytest.raises(ValueError, match=r"request #71 .*row must be >= 0"):
+            run(tiny_config, policy, stream(requests))
 
     def test_valid_banks_pass(self, tiny_config, policy):
         banks = tiny_config.geometry.banks

@@ -4,8 +4,9 @@ The event-wheel kernel (:mod:`repro.dram.kernel`) must be bit-identical
 to the general :class:`~repro.dram.engine.SchedulingEngine` — same
 :class:`~repro.dram.stats.PhaseStats`, same ``command_counts``, same
 :class:`~repro.dram.stats.EnergyTally`, same recorded command list —
-on every Table I (configuration, mapping) pair, in both phases, and its
-schedules must independently satisfy the JEDEC replay checker
+on every Table I (configuration, mapping) pair, in both phases, and on
+the engine battery's homogeneous cases, and its schedules must
+independently satisfy the JEDEC replay checker
 (:mod:`repro.dram.trace`) for homogeneous and mixed traffic.  Where the
 compiled loop cannot run (no toolchain, ``REPRO_KERNEL_NATIVE=0``) the
 same battery checks the general-engine fallback route.
@@ -13,6 +14,7 @@ same battery checks the general-engine fallback route.
 
 import pytest
 
+from oracles.cases import N_HOMOGENEOUS, engine_case
 from repro.dram import _kernelc
 from repro.dram.controller import (
     OP_READ,
@@ -29,6 +31,7 @@ from repro.dram.mixed import (
     steady_state_interleaver,
 )
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
+from repro.dram.refresh import RefreshScheduler
 from repro.dram.simulator import simulate_phase_result
 from repro.dram.trace import check_phase_commands
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -87,6 +90,13 @@ def _assert_identical(general, kernel):
     assert kernel.commands == general.commands
 
 
+def _assert_same_refresh_state(general, kernel):
+    """Both engines' refresh schedulers wait for the same next event."""
+    expected, actual = general._refresh, kernel._refresh
+    assert actual.next_deadline_ps == expected.next_deadline_ps
+    assert actual.next_bank == expected.next_bank
+
+
 class TestTable1Grid:
     """Kernel == engine on the full production grid."""
 
@@ -112,6 +122,55 @@ class TestTable1Grid:
         result = KernelEngine(config, RECORDING_POLICY).run(
             as_workload(chunks), op=op, cas_times=True)
         _assert_cas_times(result)
+
+
+class TestEngineBattery:
+    """Kernel == engine on the engine battery's homogeneous cases.
+
+    The cases span all ten configurations, queue depths 1-128, refresh
+    on and off, both intake shapes and recorded commands.  Each engine
+    runs its case twice, so the second run starts from the warm bank
+    and refresh state the first left behind.
+    """
+
+    @pytest.mark.parametrize("index", range(N_HOMOGENEOUS))
+    def test_case_bit_identical(self, index):
+        case = engine_case(index)
+        kernel = KernelEngine(case.config, case.policy)
+        general = SchedulingEngine(case.config, case.policy)
+        for _ in range(2):
+            expected = general.run(as_workload(case.stream()), case.op)
+            result = kernel.run(as_workload(case.stream()), case.op)
+            _assert_identical(expected, result)
+            assert result.stats.kernel_fallback is not _kernelc.available()
+            _assert_same_refresh_state(general, kernel)
+
+
+class TestNativeRefresh:
+    """The compiled loop applies refresh events without calling ``due``."""
+
+    @pytest.mark.skipif(not _kernelc.available(),
+                        reason="needs the compiled segment loop")
+    @pytest.mark.parametrize("config_name", ("DDR3-800", "LPDDR4-2133"))
+    def test_phase_never_asks_the_scheduler(self, config_name, monkeypatch):
+        """One all-bank and one per-bank configuration."""
+        config = get_config(config_name)
+        mapping = _mapping(config, "row-major")
+        general = SchedulingEngine(config, RECORDING_POLICY)
+        expected = general.run(as_workload(mapping.write_addresses_array()),
+                               OP_WRITE)
+        assert expected.stats.refreshes > 0
+
+        def due(self, now_ps):
+            raise AssertionError("the native route called RefreshScheduler.due")
+
+        monkeypatch.setattr(RefreshScheduler, "due", due)
+        kernel = KernelEngine(config, RECORDING_POLICY)
+        result = kernel.run(as_workload(mapping.write_addresses_array()),
+                            OP_WRITE)
+        assert not result.stats.kernel_fallback
+        _assert_identical(expected, result)
+        _assert_same_refresh_state(general, kernel)
 
 
 class TestController:

@@ -1,5 +1,8 @@
 """Parallel sweep engine: task execution, fan-out, serial equivalence."""
 
+import os
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
@@ -14,6 +17,19 @@ from repro.system.parallel import (
     resolve_jobs,
     run_tasks,
 )
+
+
+@dataclass(frozen=True)
+class _DiesInWorker:
+    """A task that kills every process but the one that built it."""
+
+    pid: int = field(default_factory=os.getpid)
+
+    def execute(self) -> int:
+        """The builder's pid, after exiting abruptly anywhere else."""
+        if os.getpid() != self.pid:
+            os._exit(1)
+        return self.pid
 
 
 class TestPhaseTask:
@@ -126,4 +142,12 @@ class TestRunner:
         tasks = [PhaseTask(config_name="DDR3-800", mapping="row-major",
                            op=op, n=12)
                  for op in (OP_WRITE, OP_READ)]
+        assert run_tasks(tasks, jobs=2) == [task.execute() for task in tasks]
+
+    def test_worker_that_dies_mid_sweep_finishes_serially(self):
+        tasks = [PhaseTask(config_name="DDR3-800", mapping="row-major",
+                           op=OP_WRITE, n=12),
+                 _DiesInWorker(),
+                 PhaseTask(config_name="DDR3-800", mapping="row-major",
+                           op=OP_READ, n=12)]
         assert run_tasks(tasks, jobs=2) == [task.execute() for task in tasks]
