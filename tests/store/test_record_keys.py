@@ -1,13 +1,14 @@
-"""Store keys of the cell kinds the phase/mixed key tests do not cover.
+"""Store entry names and bytes of one cell of every result kind.
 
-``test_engine_store_keys.py`` and ``test_policy_store_keys.py`` pin the
-``phase`` and ``mixed`` digests.  This file pins one cell of every other
-result kind, read off the file name the store gives the entry when the
-result is saved: a store warmed by older code must stay warm, so the
-same ``<kind>-<key>.json`` has to come out for as long as the schema
-version stays put.  The sha256 of each saved file pins the entry's
-bytes too (config plus payload), so a change to what a cell computes
-or how it is serialized cannot hide behind an unchanged name.
+``test_engine_store_keys.py`` and ``test_policy_store_keys.py`` pin more
+``phase`` and ``mixed`` digests.  This file pins one cell of each of
+the seven kinds, read off the file name the store gives the entry when
+the result is saved: a store warmed by older code must stay warm, so
+the same ``<kind>-<key>.json`` has to come out for as long as the
+schema version stays put.  The sha256 of each saved file pins the
+entry's bytes too (config plus payload), so a change to what a cell
+computes or how it is serialized — a renamed stored field, say —
+cannot hide behind an unchanged name.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
+from repro.dram.controller import OP_WRITE, ControllerConfig
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.store.store import ResultStore
 from repro.system.adaptive import (
@@ -28,6 +30,7 @@ from repro.system.adaptive import (
 )
 from repro.system.campaign import CampaignCell
 from repro.system.e2e import E2ECell
+from repro.system.parallel import MixedTask, PhaseTask
 
 CHANNEL = GilbertElliottParams(p_g2b=0.004 / 0.996 / 60.0, p_b2g=1 / 60.0,
                                p_bad=0.7)
@@ -38,6 +41,8 @@ CODE = CodewordConfig(n_symbols=24, t_correctable=2)
 #: Digest of each cell below, as the store named its entry when the
 #: digests were frozen.
 PINNED = {
+    "phase": "da6aa8bce7df806eb8cf1b2bce16d9b3",
+    "mixed": "1dd40247e8f6b1cd7d1e2ce39fedba8a",
     "e2e": "6b36d7e765707fb404c004d9ad9758b5",
     "campaign": "61852528f35518124c03ed25e3861afb",
     "adaptive": "f871a965c848c89e55c5b988dc35a8b0",
@@ -47,6 +52,10 @@ PINNED = {
 
 #: sha256 of each cell's saved entry file (config plus payload).
 ENTRY_SHA256 = {
+    "phase":
+        "733ea2a6817f95f68f642a24d51da11ec17f0c232e316d56b062bcf3a65eea24",
+    "mixed":
+        "4d57ba21b0300d76f68b433eae963f112298e59be00aa6a618049df062d18c9d",
     "e2e": "81d0f3706b863cd278d4a110a8efd62b1a578d258adfd1d60f43bbf5a975833c",
     "campaign":
         "ff00c52534c7a2d92f51da7b2762e8e8ef299fdc4238a45e3f4e0892c7001d2c",
@@ -60,6 +69,11 @@ ENTRY_SHA256 = {
 
 #: kind -> one cell of that kind.
 CELLS = {
+    # the cap discipline covers the one policy key written only for it
+    "phase": PhaseTask("DDR4-3200", "optimized", OP_WRITE, 16,
+                       policy=ControllerConfig(discipline="frfcfs-cap",
+                                               cap=3)),
+    "mixed": MixedTask("LPDDR4-4266", "row-major", 12, group=4),
     "e2e": E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
                    config_name="DDR4-3200", mapping="optimized", seed=2024,
                    frames=2),
