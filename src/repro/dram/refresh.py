@@ -49,9 +49,17 @@ class RefreshScheduler:
     Args:
         config: the DRAM configuration (interval/duration/policy).
         enabled: when ``False``, :meth:`due` never fires.
+
+    Raises:
+        ValueError: when refresh is enabled and ``tREFI`` is not
+            positive: every deadline would be due forever, and the
+            engines would never leave their refresh loop.
     """
 
     def __init__(self, config: DramConfig, enabled: bool = True) -> None:
+        if enabled and config.timing.trefi <= 0:
+            raise ValueError("trefi must be positive when refresh is "
+                             f"enabled, got {config.timing.trefi}")
         self.config = config
         self.enabled = enabled
         self._interval = config.timing.trefi

@@ -1,9 +1,12 @@
 """Refresh scheduling: policy objects and controller integration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dram.commands import CommandType
 from repro.dram.controller import OP_READ, ControllerConfig, MemoryController
+from repro.dram.engine import SchedulingEngine, as_workload
 from repro.dram.presets import get_config
 from repro.dram.refresh import RefreshScheduler
 
@@ -130,3 +133,31 @@ class TestControllerIntegration:
         assert stats.refreshes > 0
         # Page-hit streaming with hidden refresh: utilization stays high.
         assert stats.utilization > 0.95
+
+
+class TestZeroInterval:
+    """``TimingParams`` accepts ``trefi = 0``, but with refresh on every
+    deadline is due forever: both engines hung in their refresh loop."""
+
+    @staticmethod
+    def _config():
+        config = get_config("DDR4-3200")
+        return replace(config, timing=replace(config.timing, trefi=0))
+
+    def test_both_engines_reject_it_at_construction(self):
+        config = self._config()
+        with pytest.raises(ValueError, match="trefi"):
+            MemoryController(config)
+        with pytest.raises(ValueError, match="trefi"):
+            SchedulingEngine(config, ControllerConfig())
+
+    def test_phase_runs_with_refresh_disabled(self):
+        config = self._config()
+        policy = ControllerConfig(refresh_enabled=False)
+        requests = [(0, 0, 0), (1, 0, 0)]
+        kernel = MemoryController(config, policy).run_phase(requests, OP_READ)
+        general = SchedulingEngine(config, policy).run(
+            as_workload(requests), OP_READ)
+        assert kernel.stats.requests == general.stats.requests == 2
+        assert kernel.stats == general.stats
+        assert kernel.stats.refreshes == 0
