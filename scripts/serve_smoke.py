@@ -5,7 +5,9 @@ campaign grid over HTTP (the bare default 162-cell grid unless a spec
 is given), polls the job to completion, fetches the served table, and
 diffs it against the stdout of ``repro campaign`` over the same store —
 the two must be byte-identical, proving the server, the job engine and
-the CLI share one execution path.
+the CLI share one execution path.  It then checks the served per-cell
+results: each must equal, as parsed JSON, the payload of its entry in
+the store directory.
 
 Usage::
 
@@ -13,7 +15,7 @@ Usage::
     PYTHONPATH=src python scripts/serve_smoke.py \
         --spec '{"triangle_n": [15], "seeds": 2, "frames": 10}'
 
-Exit status 0 on a byte-identical diff, 1 otherwise.  Stdlib only.
+Exit status 0 when both checks pass, 1 otherwise.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -66,6 +68,41 @@ def request(url: str, data: "bytes | None" = None) -> "tuple[int, bytes]":
         return response.status, response.read()
 
 
+def stored_payloads(store: str) -> "dict[str, object]":
+    """Payload of every campaign entry in ``store``, by its cell as JSON.
+
+    The cell is the entry's config without the ``cache_version`` key the
+    store adds to it.
+    """
+    payloads = {}
+    for name in os.listdir(store):
+        if not (name.startswith("campaign-") and name.endswith(".json")):
+            continue
+        with open(os.path.join(store, name)) as stream:
+            document = json.load(stream)
+        cell = dict(document["config"])
+        cell.pop("cache_version")
+        payloads[json.dumps(cell, sort_keys=True)] = document["payload"]
+    return payloads
+
+
+def result_mismatches(results: dict, store: str) -> "list[str]":
+    """Why the served ``/results`` document differs from the store, if so."""
+    cells = results["cells"]
+    problems = []
+    if not results["completed"] == results["total"] == len(cells):
+        problems.append(f"{len(cells)} cells served, {results['completed']} "
+                        f"completed of {results['total']}")
+    payloads = stored_payloads(store)
+    for cell in cells:
+        key = json.dumps(cell["cell"], sort_keys=True)
+        if key not in payloads:
+            problems.append(f"no store entry for served cell {key}")
+        elif payloads[key] != cell:
+            problems.append(f"served cell {key} differs from its store entry")
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--spec", default="{}",
@@ -113,6 +150,9 @@ def main() -> int:
 
             status, served = request(f"{base}/jobs/{job_id}/table")
             assert status == 200, (status, served)
+            status, body = request(f"{base}/jobs/{job_id}/results")
+            assert status == 200, (status, body)
+            results = json.loads(body)
         finally:
             server.terminate()
             server.wait(timeout=30)
@@ -149,7 +189,15 @@ def main() -> int:
             print("--- campaign ---", file=sys.stderr)
             sys.stderr.buffer.write(cli.stdout)
             return 1
-        print("serve-smoke OK: served table byte-identical to repro campaign")
+        print("served table byte-identical to repro campaign")
+
+        problems = result_mismatches(results, store)
+        if problems:
+            for problem in problems:
+                print(f"error: {problem}", file=sys.stderr)
+            return 1
+        print(f"serve-smoke OK: {len(results['cells'])} served cells equal "
+              "their store entries")
         return 0
 
 

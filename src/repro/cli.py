@@ -49,7 +49,6 @@ the CLI is scriptable from shell pipelines.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -90,7 +89,7 @@ from repro.system.campaign import (
     run_campaign,
     summarize_campaign,
 )
-from repro.system.downlink import OpticalDownlink
+from repro.system.downlink import OpticalDownlink, format_gain
 from repro.system.parallel import run_tasks
 from repro.system.sweep import (
     ablation_factories,
@@ -452,8 +451,7 @@ def _cmd_downlink(args: argparse.Namespace) -> int:
           f" / {result.baseline.codewords}")
     print(f"code-word failures with    interleaver: {result.interleaved.failed}"
           f" / {result.interleaved.codewords}")
-    gain = result.gain
-    print(f"gain: {'inf' if math.isinf(gain) else f'{gain:.1f}x'}")
+    print(f"gain: {format_gain(result.gain)}")
     return 0
 
 

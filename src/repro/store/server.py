@@ -34,6 +34,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
 
 from repro.store.jobs import JobEngine, JobRecord
+from repro.store.records import encode
 from repro.store.store import ResultStore
 
 #: Largest accepted request body; grid specs are a few hundred bytes.
@@ -137,7 +138,7 @@ class RequestHandler(BaseHTTPRequestHandler):
                     "job": record.job_id,
                     "total": len(results),
                     "completed": sum(1 for r in results if r is not None),
-                    "cells": [r.to_dict() for r in results if r is not None],
+                    "cells": [encode(r) for r in results if r is not None],
                 })
             return
         if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "table":

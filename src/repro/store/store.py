@@ -22,7 +22,9 @@ silently burning CPU.
 Above the document layer sits one pair for every task type:
 :meth:`ResultStore.save` and :meth:`ResultStore.load` look the task's
 type up in :data:`~repro.store.records.RECORDS` for its record kind,
-canonical config and payload codec.  Cross-sweep reuse happens at the
+canonical config and result type, and cross the JSON boundary through
+the one codec, :func:`~repro.store.records.encode` and
+:func:`~repro.store.records.decode`.  Cross-sweep reuse happens at the
 key level: a ``table1`` and an ``energy`` run both persist each phase
 as a :class:`~repro.system.parallel.PhaseTask` under its
 :func:`~repro.store.records.phase_task_config` key, so either sweep
@@ -39,7 +41,8 @@ import sys
 import threading
 from typing import List, Optional, Set, Tuple, TypeVar, cast
 
-from repro.store.records import SCHEMA_VERSION, JSONDict, derive_key, record_for
+from repro.store.records import (SCHEMA_VERSION, JSONDict, decode, derive_key,
+                                 encode, record_for)
 from repro.system.campaign import CampaignCell
 from repro.system.parallel import Task
 
@@ -201,7 +204,7 @@ class ResultStore:
         """
         record = record_for(task)
         if record is not None:
-            self.write(record.kind, record.config(task), record.encode(result))
+            self.write(record.kind, record.config(task), encode(result))
 
     def load(self, task: Task[_R]) -> Optional[_R]:
         """Load ``task``'s result, or ``None`` on a miss.
@@ -218,7 +221,7 @@ class ResultStore:
         if payload is None:
             return None
         try:
-            result = record.decode(payload)
+            result = decode(record.result, payload)
         except (AttributeError, KeyError, TypeError, ValueError):
             return None  # foreign payload shape: recompute, quietly
         if getattr(result, "cell", task) != task:

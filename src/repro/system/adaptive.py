@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,84 +56,9 @@ from numpy.typing import NDArray
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
-from repro.system.campaign import (CampaignCell, CellResult, run_frames,
-                                   wilson_interval)
-from repro.system.downlink import OpticalDownlink
-
-
-def _check_dimensions(interleaver: TwoStageConfig, code: CodewordConfig) -> None:
-    """Fail fast when interleaver grouping and code length disagree.
-
-    The same check :class:`~repro.system.downlink.OpticalDownlink`
-    performs, hoisted to cell construction so a bad grid dies with a
-    field-naming error before any worker is spawned.
-    """
-    if interleaver.codeword_symbols != code.n_symbols:
-        raise ValueError(
-            "interleaver.codeword_symbols and code.n_symbols disagree: "
-            f"{interleaver.codeword_symbols} vs {code.n_symbols}"
-        )
-
-
-def _channel_dict(params: GilbertElliottParams,
-                  prefix: str = "") -> Dict[str, object]:
-    """Flat JSON-friendly form of one parameter set, keys prefixed."""
-    return {
-        prefix + "p_g2b": params.p_g2b,
-        prefix + "p_b2g": params.p_b2g,
-        prefix + "p_bad": params.p_bad,
-        prefix + "p_good": params.p_good,
-    }
-
-
-def _channel_from_dict(data: Dict[str, object],
-                       prefix: str = "") -> GilbertElliottParams:
-    """Inverse of :func:`_channel_dict`."""
-    return GilbertElliottParams(
-        p_g2b=float(cast(float, data[prefix + "p_g2b"])),
-        p_b2g=float(cast(float, data[prefix + "p_b2g"])),
-        p_bad=float(cast(float, data[prefix + "p_bad"])),
-        p_good=float(cast(float, data[prefix + "p_good"])),
-    )
-
-
-def _geometry_dict(interleaver: TwoStageConfig,
-                   code: CodewordConfig) -> Dict[str, object]:
-    """Flat JSON-friendly form of the interleaver/code axes."""
-    return {
-        "triangle_n": interleaver.triangle_n,
-        "symbols_per_element": interleaver.symbols_per_element,
-        "codeword_symbols": interleaver.codeword_symbols,
-        "n_symbols": code.n_symbols,
-        "t_correctable": code.t_correctable,
-    }
-
-
-def _interleaver_from_dict(data: Dict[str, object]) -> TwoStageConfig:
-    """Rebuild the interleaver axis of :func:`_geometry_dict`."""
-    return TwoStageConfig(
-        triangle_n=int(cast(int, data["triangle_n"])),
-        symbols_per_element=int(cast(int, data["symbols_per_element"])),
-        codeword_symbols=int(cast(int, data["codeword_symbols"])),
-    )
-
-
-def _code_from_dict(data: Dict[str, object]) -> CodewordConfig:
-    """Rebuild the code axis of :func:`_geometry_dict`."""
-    return CodewordConfig(
-        n_symbols=int(cast(int, data["n_symbols"])),
-        t_correctable=int(cast(int, data["t_correctable"])),
-    )
-
-
-def _format_ci(low: float, high: float) -> str:
-    """Compact ``[low,high]`` interval cell (same format as the campaign table)."""
-    return f"[{low:.2e},{high:.2e}]"
-
-
-def _format_gain(gain: float) -> str:
-    """Gain column text (``inf`` = every baseline failure rescued)."""
-    return "inf" if math.isinf(gain) else f"{gain:.1f}x"
+from repro.system.campaign import (CampaignCell, CellResult, check_dimensions,
+                                   format_ci, run_frames, wilson_interval)
+from repro.system.downlink import OpticalDownlink, format_gain, gain_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -188,36 +113,7 @@ class AdaptiveCell:
             raise ValueError(f"ci_width must be positive, got {self.ci_width}")
         if self.ci_rel is not None and self.ci_rel <= 0:
             raise ValueError(f"ci_rel must be positive, got {self.ci_rel}")
-        _check_dimensions(self.interleaver, self.code)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly description (also the store-config basis)."""
-        data = _channel_dict(self.channel)
-        data.update(_geometry_dict(self.interleaver, self.code))
-        data.update(
-            seed=self.seed,
-            max_frames=self.max_frames,
-            ci_width=self.ci_width,
-            ci_rel=self.ci_rel,
-            batch_frames=self.batch_frames,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AdaptiveCell":
-        """Inverse of :meth:`to_dict`."""
-        ci_width = data["ci_width"]
-        ci_rel = data["ci_rel"]
-        return cls(
-            channel=_channel_from_dict(data),
-            interleaver=_interleaver_from_dict(data),
-            code=_code_from_dict(data),
-            seed=int(cast(int, data["seed"])),
-            max_frames=int(cast(int, data["max_frames"])),
-            ci_width=None if ci_width is None else float(cast(float, ci_width)),
-            ci_rel=None if ci_rel is None else float(cast(float, ci_rel)),
-            batch_frames=int(cast(int, data["batch_frames"])),
-        )
+        check_dimensions(self.interleaver, self.code)
 
     def fixed_cell(self, frames: int) -> CampaignCell:
         """The naive fixed-frame cell this one is bit-identical to at ``frames``."""
@@ -292,27 +188,6 @@ class AdaptiveResult:
         return half_width(self.result.failed_interleaved,
                           self.result.codewords)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (store payloads)."""
-        return {
-            "cell": self.cell.to_dict(),
-            "result": self.result.to_dict(),
-            "batches": self.batches,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AdaptiveResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            cell=AdaptiveCell.from_dict(
-                cast(Dict[str, object], data["cell"])),
-            result=CellResult.from_dict(
-                cast(Dict[str, object], data["result"])),
-            batches=int(cast(int, data["batches"])),
-            converged=bool(data["converged"]),
-        )
-
 
 def evaluate_adaptive(cell: AdaptiveCell) -> AdaptiveResult:
     """Run one adaptive cell to its stopping target (also the worker entry).
@@ -370,8 +245,8 @@ def format_adaptive(results: Sequence[AdaptiveResult]) -> str:
             f"{cell.interleaver.triangle_n:4d} {cell.seed:6d} "
             f"{frames_text:>13s} {outcome.achieved_half_width:10.2e} "
             f"{result.failure_rate_interleaved:10.2e} "
-            f"{_format_ci(*result.interval_interleaved):>21s} "
-            f"{_format_gain(result.gain):>8s} "
+            f"{format_ci(*result.interval_interleaved):>21s} "
+            f"{format_gain(result.gain):>8s} "
             f"{'yes' if outcome.converged else 'cap':>4s}"
         )
     if total_used:
@@ -513,27 +388,7 @@ class RareEventCell:
                 f"only): p_bad {self.proposal.p_bad} vs "
                 f"{self.channel.p_bad}, p_good {self.proposal.p_good} vs "
                 f"{self.channel.p_good}")
-        _check_dimensions(self.interleaver, self.code)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly description (also the store-config basis)."""
-        data = _channel_dict(self.channel)
-        data.update(_channel_dict(self.proposal, prefix="q_"))
-        data.update(_geometry_dict(self.interleaver, self.code))
-        data.update(seed=self.seed, frames=self.frames)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RareEventCell":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            channel=_channel_from_dict(data),
-            proposal=_channel_from_dict(data, prefix="q_"),
-            interleaver=_interleaver_from_dict(data),
-            code=_code_from_dict(data),
-            seed=int(cast(int, data["seed"])),
-            frames=int(cast(int, data["frames"])),
-        )
+        check_dimensions(self.interleaver, self.code)
 
     def execute(self) -> RareEventResult:
         """Sample and reweight the cell (see :func:`evaluate_rare_event`)."""
@@ -642,9 +497,8 @@ class RareEventResult:
     @property
     def gain(self) -> float:
         """Failure-rate ratio baseline / interleaved (``inf`` = rescued all)."""
-        if self.weighted_failed_interleaved == 0.0:
-            return 1.0 if self.weighted_failed_baseline == 0.0 else float("inf")
-        return self.weighted_failed_baseline / self.weighted_failed_interleaved
+        return gain_ratio(self.weighted_failed_baseline,
+                          self.weighted_failed_interleaved)
 
     def _interval(self, weighted_sum: float,
                   weighted_sq_sum: float) -> Tuple[float, float]:
@@ -663,46 +517,6 @@ class RareEventResult:
         half = 1.96 * math.sqrt(max(0.0, variance) / frames) / words
         rate = mean / words
         return (max(0.0, rate - half), min(1.0, rate + half))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (store payloads; floats round-trip exactly)."""
-        return {
-            "cell": self.cell.to_dict(),
-            "codewords": self.codewords,
-            "sum_weight": self.sum_weight,
-            "sum_weight_sq": self.sum_weight_sq,
-            "weighted_failed_interleaved": self.weighted_failed_interleaved,
-            "weighted_failed_interleaved_sq":
-                self.weighted_failed_interleaved_sq,
-            "weighted_failed_baseline": self.weighted_failed_baseline,
-            "weighted_failed_baseline_sq": self.weighted_failed_baseline_sq,
-            "raw_failed_interleaved": self.raw_failed_interleaved,
-            "raw_failed_baseline": self.raw_failed_baseline,
-            "error_symbols": self.error_symbols,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RareEventResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            cell=RareEventCell.from_dict(
-                cast(Dict[str, object], data["cell"])),
-            codewords=int(cast(int, data["codewords"])),
-            sum_weight=float(cast(float, data["sum_weight"])),
-            sum_weight_sq=float(cast(float, data["sum_weight_sq"])),
-            weighted_failed_interleaved=float(
-                cast(float, data["weighted_failed_interleaved"])),
-            weighted_failed_interleaved_sq=float(
-                cast(float, data["weighted_failed_interleaved_sq"])),
-            weighted_failed_baseline=float(
-                cast(float, data["weighted_failed_baseline"])),
-            weighted_failed_baseline_sq=float(
-                cast(float, data["weighted_failed_baseline_sq"])),
-            raw_failed_interleaved=int(
-                cast(int, data["raw_failed_interleaved"])),
-            raw_failed_baseline=int(cast(int, data["raw_failed_baseline"])),
-            error_symbols=int(cast(int, data["error_symbols"])),
-        )
 
 
 def evaluate_rare_event(cell: RareEventCell) -> RareEventResult:
@@ -804,10 +618,10 @@ def format_rare_event(results: Sequence[RareEventResult]) -> str:
             f"{cell.interleaver.triangle_n:4d} {cell.seed:6d} "
             f"{cell.frames:7d} {result.effective_sample_size:8.1f} "
             f"{result.failure_rate_baseline:10.2e} "
-            f"{_format_ci(*result.interval_baseline):>21s} "
+            f"{format_ci(*result.interval_baseline):>21s} "
             f"{result.failure_rate_interleaved:10.2e} "
-            f"{_format_ci(*result.interval_interleaved):>21s} "
-            f"{_format_gain(result.gain):>8s}"
+            f"{format_ci(*result.interval_interleaved):>21s} "
+            f"{format_gain(result.gain):>8s}"
         )
     lines.append("(importance sampling on the fade-boosted proposal; "
                  "ESS = Kish effective sample size of the weights)")
@@ -837,19 +651,6 @@ class ScenarioSegment:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
 
-    def to_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly description."""
-        data = _channel_dict(self.channel)
-        data.update(frames=self.frames, label=self.label)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSegment":
-        """Inverse of :meth:`to_dict`."""
-        return cls(channel=_channel_from_dict(data),
-                   frames=int(cast(int, data["frames"])),
-                   label=str(data["label"]))
-
 
 @dataclass(frozen=True)
 class ScenarioCell:
@@ -875,33 +676,12 @@ class ScenarioCell:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("segments must be non-empty")
-        _check_dimensions(self.interleaver, self.code)
+        check_dimensions(self.interleaver, self.code)
 
     @property
     def total_frames(self) -> int:
         """Frames across the whole trajectory."""
         return sum(segment.frames for segment in self.segments)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly description (also the store-config basis)."""
-        data: Dict[str, object] = {
-            "segments": [segment.to_dict() for segment in self.segments],
-        }
-        data.update(_geometry_dict(self.interleaver, self.code))
-        data.update(seed=self.seed)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioCell":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            segments=tuple(
-                ScenarioSegment.from_dict(cast(Dict[str, object], entry))
-                for entry in cast(List[object], data["segments"])),
-            interleaver=_interleaver_from_dict(data),
-            code=_code_from_dict(data),
-            seed=int(cast(int, data["seed"])),
-        )
 
     def execute(self) -> ScenarioResult:
         """Run the trajectory (see :func:`evaluate_scenario`)."""
@@ -946,39 +726,7 @@ class SegmentResult:
     @property
     def gain(self) -> float:
         """Failure-rate ratio baseline / interleaved (``inf`` = rescued all)."""
-        if self.failed_interleaved == 0:
-            return 1.0 if self.failed_baseline == 0 else float("inf")
-        return self.failed_baseline / self.failed_interleaved
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (store payloads)."""
-        return {
-            "label": self.label,
-            "frames": self.frames,
-            "codewords": self.codewords,
-            "failed_interleaved": self.failed_interleaved,
-            "failed_baseline": self.failed_baseline,
-            "error_symbols": self.error_symbols,
-            "max_burst": self.max_burst,
-            "max_errors_interleaved": self.max_errors_interleaved,
-            "max_errors_baseline": self.max_errors_baseline,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SegmentResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            label=str(data["label"]),
-            frames=int(cast(int, data["frames"])),
-            codewords=int(cast(int, data["codewords"])),
-            failed_interleaved=int(cast(int, data["failed_interleaved"])),
-            failed_baseline=int(cast(int, data["failed_baseline"])),
-            error_symbols=int(cast(int, data["error_symbols"])),
-            max_burst=int(cast(int, data["max_burst"])),
-            max_errors_interleaved=int(
-                cast(int, data["max_errors_interleaved"])),
-            max_errors_baseline=int(cast(int, data["max_errors_baseline"])),
-        )
+        return gain_ratio(self.failed_baseline, self.failed_interleaved)
 
 
 @dataclass(frozen=True)
@@ -1034,32 +782,12 @@ class ScenarioResult:
     @property
     def gain(self) -> float:
         """Pooled failure-rate ratio baseline / interleaved."""
-        if self.failed_interleaved == 0:
-            return 1.0 if self.failed_baseline == 0 else float("inf")
-        return self.failed_baseline / self.failed_interleaved
+        return gain_ratio(self.failed_baseline, self.failed_interleaved)
 
     @property
     def max_burst(self) -> int:
         """Longest fade observed anywhere in the trajectory."""
         return max(segment.max_burst for segment in self.segments)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (store payloads)."""
-        return {
-            "cell": self.cell.to_dict(),
-            "segments": [segment.to_dict() for segment in self.segments],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            cell=ScenarioCell.from_dict(
-                cast(Dict[str, object], data["cell"])),
-            segments=tuple(
-                SegmentResult.from_dict(cast(Dict[str, object], entry))
-                for entry in cast(List[object], data["segments"])),
-        )
 
 
 def evaluate_scenario(cell: ScenarioCell) -> ScenarioResult:
@@ -1322,16 +1050,12 @@ def format_scenario(results: Sequence[ScenarioResult]) -> str:
             f"{segment.codewords:8d} "
             f"{segment.failure_rate_baseline:10.2e} "
             f"{segment.failure_rate_interleaved:10.2e} "
-            f"{_format_ci(low, high):>21s} "
-            f"{_format_gain(segment.gain):>8s}"
+            f"{format_ci(low, high):>21s} "
+            f"{format_gain(segment.gain):>8s}"
         )
     total_codewords = sum(segment.codewords for segment in pooled)
     total_failed_int = sum(segment.failed_interleaved for segment in pooled)
     total_failed_base = sum(segment.failed_baseline for segment in pooled)
-    if total_failed_int:
-        total_gain = total_failed_base / total_failed_int
-    else:
-        total_gain = 1.0 if total_failed_base == 0 else float("inf")
     low, high = wilson_interval(total_failed_int, total_codewords)
     rate_base = total_failed_base / total_codewords
     rate_int = total_failed_int / total_codewords
@@ -1339,7 +1063,8 @@ def format_scenario(results: Sequence[ScenarioResult]) -> str:
     lines.append(
         f"{'total':>10s} {'':>6s} {'':>7s} {total_frames:7d} "
         f"{total_codewords:8d} {rate_base:10.2e} {rate_int:10.2e} "
-        f"{_format_ci(low, high):>21s} {_format_gain(total_gain):>8s}"
+        f"{format_ci(low, high):>21s} "
+        f"{format_gain(gain_ratio(total_failed_base, total_failed_int)):>8s}"
     )
     lines.append("(per-segment rows pool all seeds at the same trajectory "
                  "position; total pools the whole pass)")

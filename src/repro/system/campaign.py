@@ -56,7 +56,7 @@ import numpy as np
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.system.downlink import OpticalDownlink
+from repro.system.downlink import OpticalDownlink, format_gain, gain_ratio
 from repro.system.parallel import TaskStore, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> campaign)
@@ -65,6 +65,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> campaign)
 #: Bump when the cell evaluation or result schema changes: stale cache
 #: entries from older code must miss, not resurface.
 CACHE_VERSION = 1
+
+
+def check_dimensions(interleaver: TwoStageConfig,
+                     code: CodewordConfig) -> None:
+    """Fail fast when interleaver grouping and code length disagree.
+
+    The check :class:`~repro.system.downlink.OpticalDownlink` makes,
+    hoisted to cell construction so a bad grid dies with a field-naming
+    error before any worker is spawned.
+    """
+    if interleaver.codeword_symbols != code.n_symbols:
+        raise ValueError(
+            "interleaver.codeword_symbols and code.n_symbols disagree: "
+            f"{interleaver.codeword_symbols} vs {code.n_symbols}")
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
@@ -116,50 +130,7 @@ class CampaignCell:
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.interleaver.codeword_symbols != self.code.n_symbols:
-            raise ValueError(
-                "interleaver.codeword_symbols and code.n_symbols disagree: "
-                f"{self.interleaver.codeword_symbols} vs "
-                f"{self.code.n_symbols}")
-
-    def to_dict(self) -> Dict[str, object]:
-        """Flat JSON-friendly description (also the cache-key basis)."""
-        return {
-            "p_g2b": self.channel.p_g2b,
-            "p_b2g": self.channel.p_b2g,
-            "p_bad": self.channel.p_bad,
-            "p_good": self.channel.p_good,
-            "triangle_n": self.interleaver.triangle_n,
-            "symbols_per_element": self.interleaver.symbols_per_element,
-            "codeword_symbols": self.interleaver.codeword_symbols,
-            "n_symbols": self.code.n_symbols,
-            "t_correctable": self.code.t_correctable,
-            "seed": self.seed,
-            "frames": self.frames,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CampaignCell":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            channel=GilbertElliottParams(
-                p_g2b=float(data["p_g2b"]),
-                p_b2g=float(data["p_b2g"]),
-                p_bad=float(data["p_bad"]),
-                p_good=float(data["p_good"]),
-            ),
-            interleaver=TwoStageConfig(
-                triangle_n=int(data["triangle_n"]),
-                symbols_per_element=int(data["symbols_per_element"]),
-                codeword_symbols=int(data["codeword_symbols"]),
-            ),
-            code=CodewordConfig(
-                n_symbols=int(data["n_symbols"]),
-                t_correctable=int(data["t_correctable"]),
-            ),
-            seed=int(data["seed"]),
-            frames=int(data["frames"]),
-        )
+        check_dimensions(self.interleaver, self.code)
 
     def execute(self) -> "CellResult":
         """Evaluate the cell (see :func:`evaluate_cell`)."""
@@ -218,43 +189,13 @@ class CellResult:
     @property
     def gain(self) -> float:
         """Failure-rate ratio baseline / interleaved (``inf`` = rescued all)."""
-        if self.failed_interleaved == 0:
-            return 1.0 if self.failed_baseline == 0 else float("inf")
-        return self.failed_baseline / self.failed_interleaved
+        return gain_ratio(self.failed_baseline, self.failed_interleaved)
 
     @property
     def symbol_error_rate(self) -> float:
         """Observed channel symbol error rate over the whole cell."""
         total = self.cell.frames * self.cell.interleaver.symbols_per_frame
         return self.error_symbols / total if total else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (cache entries and exports)."""
-        data = {"cell": self.cell.to_dict()}
-        data.update(
-            codewords=self.codewords,
-            failed_interleaved=self.failed_interleaved,
-            failed_baseline=self.failed_baseline,
-            error_symbols=self.error_symbols,
-            max_burst=self.max_burst,
-            max_errors_interleaved=self.max_errors_interleaved,
-            max_errors_baseline=self.max_errors_baseline,
-        )
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CellResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            cell=CampaignCell.from_dict(data["cell"]),
-            codewords=int(data["codewords"]),
-            failed_interleaved=int(data["failed_interleaved"]),
-            failed_baseline=int(data["failed_baseline"]),
-            error_symbols=int(data["error_symbols"]),
-            max_burst=int(data["max_burst"]),
-            max_errors_interleaved=int(data["max_errors_interleaved"]),
-            max_errors_baseline=int(data["max_errors_baseline"]),
-        )
 
 
 def run_frames(
@@ -459,9 +400,7 @@ class CampaignSummary:
     @property
     def pooled_gain(self) -> float:
         """Gain of the pooled failure counts (robust to zero-failure seeds)."""
-        if self.failed_interleaved == 0:
-            return 1.0 if self.failed_baseline == 0 else float("inf")
-        return self.failed_baseline / self.failed_interleaved
+        return gain_ratio(self.failed_baseline, self.failed_interleaved)
 
     @property
     def mean_fade_symbols(self) -> float:
@@ -550,7 +489,8 @@ def summarize_campaign(results: Sequence[CellResult]) -> List[CampaignSummary]:
     return summaries
 
 
-def _format_ci(low: float, high: float) -> str:
+def format_ci(low: float, high: float) -> str:
+    """Compact ``[low,high]`` interval cell of the campaign tables."""
     return f"[{low:.2e},{high:.2e}]"
 
 
@@ -568,17 +508,16 @@ def format_campaign(summaries: Sequence[CampaignSummary]) -> str:
     )
     lines = [header]
     for summary in summaries:
-        gain = summary.pooled_gain
-        gain_text = "inf" if math.isinf(gain) else f"{gain:.1f}x"
         lines.append(
             f"{summary.mean_fade_symbols:6.0f} {summary.fade_fraction:7.4f} "
             f"{summary.interleaver.triangle_n:4d} {summary.code.t_correctable:3d} "
             f"{summary.codewords:9d} "
             f"{summary.failure_rate_baseline:10.2e} "
-            f"{_format_ci(*summary.interval_baseline):>21s} "
+            f"{format_ci(*summary.interval_baseline):>21s} "
             f"{summary.failure_rate_interleaved:10.2e} "
-            f"{_format_ci(*summary.interval_interleaved):>21s} "
-            f"{gain_text:>8s} {summary.max_errors_interleaved:5d}"
+            f"{format_ci(*summary.interval_interleaved):>21s} "
+            f"{format_gain(summary.pooled_gain):>8s} "
+            f"{summary.max_errors_interleaved:5d}"
         )
     lines.append("(CWER = code-word failure rate; gain = pooled base/intl ratio; "
                  "worst = max errors in any interleaved code word)")
@@ -613,10 +552,14 @@ def export_json(results: Sequence[CellResult],
             ``"summaries"``.
         stream: writable text stream receiving the document.
     """
+    # Imported here to avoid a circular import at module load time
+    # (the store's records import this module).
+    from repro.store.records import encode
+
     json.dump(
         {
             "cache_version": CACHE_VERSION,
-            "cells": [result.to_dict() for result in results],
+            "cells": [encode(result) for result in results],
             "summaries": [summary.to_dict() for summary in summaries],
         },
         stream,
@@ -646,10 +589,14 @@ def export_csv(results: Sequence[CellResult], stream: TextIO) -> None:
         results: per-cell outcomes; one :data:`CSV_FIELDS` row each.
         stream: writable text stream receiving header plus rows.
     """
+    # Imported here to avoid a circular import at module load time
+    # (the store's records import this module).
+    from repro.store.records import encode
+
     writer = csv.DictWriter(stream, fieldnames=list(CSV_FIELDS))
     writer.writeheader()
     for result in results:
-        row = dict(result.cell.to_dict())
+        row = encode(result.cell)
         low_i, high_i = result.interval_interleaved
         low_b, high_b = result.interval_baseline
         row.update(

@@ -17,6 +17,7 @@ count below the correction radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,6 +38,23 @@ from repro.channel.codeword import (
 )
 from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
+
+
+def gain_ratio(baseline: float, interleaved: float) -> float:
+    """Interleaving gain: the failure ratio baseline / interleaved.
+
+    ``inf`` when only the baseline fails (the interleaver rescued every
+    failure) and 1 when neither arm fails.  Either argument may be a
+    failure count or rate, as long as both are the same kind.
+    """
+    if interleaved == 0:
+        return 1.0 if baseline == 0 else float("inf")
+    return baseline / interleaved
+
+
+def format_gain(gain: float) -> str:
+    """Gain column text (``inf`` = every baseline failure rescued)."""
+    return "inf" if math.isinf(gain) else f"{gain:.1f}x"
 
 
 @dataclass(frozen=True)
@@ -61,11 +79,8 @@ class DownlinkResult:
     @property
     def gain(self) -> float:
         """Code-word failure-rate ratio baseline / interleaved."""
-        if self.interleaved.codeword_error_rate == 0.0:
-            if self.baseline.codeword_error_rate == 0.0:
-                return 1.0
-            return float("inf")
-        return self.baseline.codeword_error_rate / self.interleaved.codeword_error_rate
+        return gain_ratio(self.baseline.codeword_error_rate,
+                          self.interleaved.codeword_error_rate)
 
 
 def merge_burst_profiles(profiles: Sequence[BurstProfile]) -> BurstProfile:

@@ -13,7 +13,6 @@ serial and produces identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +38,7 @@ from repro.interleaver.two_stage import TwoStageConfig
 from repro.mapping.base import InterleaverMapping
 from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
+from repro.system.downlink import format_gain
 from repro.system.e2e import E2ECell, E2EResult
 from repro.system.parallel import MixedTask, PhaseTask, run_tasks
 
@@ -561,11 +561,9 @@ def format_e2e_table(rows: Sequence[E2ERow]) -> str:
     ]
     for row in rows:
         result = row.result
-        gain = result.gain
-        gain_text = "inf" if math.isinf(gain) else f"{gain:.1f}x"
         lines.append(
             f"{row.config_name:14s} {row.mapping_name:10s} "
-            f"{result.cwer_interleaved:10.2e} {gain_text:>7s} "
+            f"{result.cwer_interleaved:10.2e} {format_gain(result.gain):>7s} "
             f"{result.write_utilization:8.2%} {result.read_utilization:8.2%} "
             f"{result.write_latency_percentile(50) / 1e6:9.3f} "
             f"{result.write_latency_percentile(99) / 1e6:9.3f} "

@@ -20,7 +20,7 @@ from repro.store.records import (
     KIND_MIXED,
     KIND_PHASE,
     derive_key,
-    mixed_task_config,
+    encode,
     phase_task_config,
 )
 from repro.store.store import ResultStore
@@ -49,7 +49,7 @@ class TestKeyDerivation:
     def test_mixed_key_pinned(self):
         task = MixedTask(config_name="DDR4-3200", mapping="optimized",
                          n=N, group=4)
-        assert derive_key(KIND_MIXED, mixed_task_config(task)) == MIXED_KEY
+        assert derive_key(KIND_MIXED, encode(task)) == MIXED_KEY
 
     def test_phase_config_excludes_chunk_payload(self):
         task = _phase_task()

@@ -1,6 +1,9 @@
 """Record schema: bit-identical JSON round-trips and key derivation."""
 
 import json
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import List
 
 import pytest
 
@@ -17,34 +20,24 @@ from repro.store.records import (
     KIND_PHASE,
     RECORDS,
     SCHEMA_VERSION,
-    burst_profile_from_payload,
-    burst_profile_to_payload,
     campaign_cell_config,
     canonical_json,
-    decoding_report_from_payload,
-    decoding_report_to_payload,
+    decode,
     derive_key,
-    downlink_result_from_payload,
-    downlink_result_to_payload,
-    e2e_cell_config,
-    e2e_cell_from_config,
-    e2e_result_from_payload,
-    e2e_result_to_payload,
-    energy_report_from_payload,
-    energy_report_to_payload,
-    energy_tally_from_payload,
-    energy_tally_to_payload,
-    mixed_result_from_payload,
-    mixed_result_to_payload,
-    mixed_task_config,
-    phase_stats_from_payload,
-    phase_stats_to_payload,
+    encode,
     phase_task_config,
     policy_config,
     policy_from_config,
     record_for,
 )
-from repro.system.campaign import CACHE_VERSION, CampaignCell, evaluate_cell
+from repro.system.adaptive import (
+    AdaptiveCell,
+    RareEventCell,
+    ScenarioCell,
+    contact_pass_segments,
+    default_proposal,
+)
+from repro.system.campaign import CACHE_VERSION, CampaignCell
 from repro.system.e2e import E2ECell
 from repro.system.parallel import MixedTask, PhaseTask
 
@@ -54,10 +47,89 @@ INTERLEAVER = TwoStageConfig(triangle_n=15, symbols_per_element=4,
                              codeword_symbols=24)
 CODE = CodewordConfig(n_symbols=24, t_correctable=2)
 
+#: One cell of every stored kind (each task type of ``RECORDS``).
+CELLS = {
+    "phase": PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8),
+    "mixed": MixedTask("DDR4-3200", "row-major", 8, group=4),
+    "e2e": E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
+                   config_name="DDR4-3200", mapping="row-major",
+                   seed=2024, frames=2,
+                   policy=ControllerConfig(refresh_enabled=False)),
+    "campaign": CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=3, frames=10),
+    "adaptive": AdaptiveCell(channel=CHANNEL, interleaver=INTERLEAVER,
+                             code=CODE, seed=5, max_frames=60,
+                             ci_width=0.05, batch_frames=16),
+    "rare-event": RareEventCell(channel=CHANNEL,
+                                proposal=default_proposal(CHANNEL, 4.0),
+                                interleaver=INTERLEAVER, code=CODE,
+                                seed=5, frames=20),
+    "scenario": ScenarioCell(segments=contact_pass_segments(
+        frames_per_segment=2), interleaver=INTERLEAVER, code=CODE, seed=5),
+}
+
+#: Values of the stored dataclasses no cell result above carries.
+VALUES = {
+    "EnergyTally": EnergyTally(act_pre=12, rd=34, wr=56, ref=7,
+                               makespan_ps=987654321012345),
+    "BurstProfile": BurstProfile(total_symbols=100, error_symbols=7,
+                                 burst_count=3, max_burst=4,
+                                 mean_burst=7 / 3),
+    "DecodingReport": DecodingReport(codewords=20, failed=3,
+                                     corrected_symbols=11,
+                                     residual_symbol_errors=9),
+    "EnergyReport": EnergyReport(activation_nj=0.1 + 0.2, burst_nj=1 / 3,
+                                 refresh_nj=2 / 7, background_nj=1e-17,
+                                 payload_bytes=480, makespan_ps=123456789),
+}
+
+#: Per case, the parts dataclass equality skips (energy tallies,
+#: command counts) or the floats that must come back exact, not approx.
+EXACT = {
+    "result:phase": ("energy_tally", "command_counts"),
+    "result:mixed": ("stats.energy_tally",),
+    "result:e2e": ("write.energy_tally", "read.energy_tally", "downlink"),
+    "result:rare-event": ("sum_weight", "weighted_failed_baseline_sq"),
+    "BurstProfile": ("mean_burst",),
+    "EnergyReport": ("burst_nj",),
+}
+
 
 def through_json(payload):
     """The exact trip a payload takes through a store document."""
     return json.loads(json.dumps(payload, sort_keys=True, allow_nan=False))
+
+
+def _stored_value(case):
+    """The value a round-trip case encodes: a cell, its result or a part."""
+    role, _, name = case.partition(":")
+    if role == "cell":
+        return CELLS[name]
+    if role == "result":
+        return CELLS[name].execute()
+    return VALUES[case]
+
+
+@pytest.mark.parametrize("case", [f"{role}:{kind}" for kind in CELLS
+                                  for role in ("cell", "result")]
+                         + sorted(VALUES))
+def test_round_trip_is_bit_identical(case):
+    value = _stored_value(case)
+    payload = through_json(encode(value))
+    loaded = decode(type(value), payload)
+    assert loaded == value
+    for path in EXACT.get(case, ()):
+        assert attrgetter(path)(loaded) == attrgetter(path)(value)
+    # every stored field, equality-skipped or not, encodes back the same
+    assert through_json(encode(loaded)) == payload
+
+
+def test_unrepresentable_field_type_is_named():
+    @dataclass
+    class Odd:
+        values: List[int]
+
+    with pytest.raises(TypeError, match="Odd.values"):
+        encode(Odd([1]))
 
 
 class TestKeyDerivation:
@@ -109,114 +181,22 @@ class TestConfigDicts:
                 for t in [base] + variants}
         assert len(keys) == len(variants) + 1
 
-    def test_mixed_task_config_includes_group(self):
-        a = mixed_task_config(MixedTask("DDR4-3200", "row-major", 8, group=4))
-        b = mixed_task_config(MixedTask("DDR4-3200", "row-major", 8, group=8))
+    def test_mixed_config_includes_group(self):
+        a = encode(MixedTask("DDR4-3200", "row-major", 8, group=4))
+        b = encode(MixedTask("DDR4-3200", "row-major", 8, group=8))
         assert a != b
 
-    def test_e2e_cell_config_roundtrip(self):
-        cell = E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
-                       config_name="DDR4-3200", mapping="optimized",
-                       seed=7, frames=3,
-                       policy=ControllerConfig(refresh_enabled=False))
-        assert e2e_cell_from_config(through_json(e2e_cell_config(cell))) == cell
-
-    def test_campaign_cell_config_folds_in_cache_version(self):
-        cell = CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=1, frames=5)
+    @pytest.mark.parametrize("kind", ["campaign", "adaptive", "rare-event",
+                                      "scenario"])
+    def test_campaign_cell_config_folds_in_cache_version(self, kind):
+        cell = CELLS[kind]
         config = campaign_cell_config(cell)
         assert config["cache_version"] == CACHE_VERSION
-        assert CampaignCell.from_dict(through_json(config)) == cell
-
-
-class TestPayloadRoundTrips:
-    def test_energy_tally(self):
-        tally = EnergyTally(act_pre=12, rd=34, wr=56, ref=7,
-                            makespan_ps=987654321012345)
-        assert energy_tally_from_payload(
-            through_json(energy_tally_to_payload(tally))) == tally
-
-    def test_phase_stats_bit_identical_including_tally(self):
-        stats = PhaseTask("DDR4-3200", "row-major", OP_WRITE, 8).execute()
-        loaded = phase_stats_from_payload(
-            through_json(phase_stats_to_payload(stats)))
-        assert loaded == stats
-        # equality excludes the tally and the command counts; pin them too
-        assert loaded.energy_tally == stats.energy_tally
-        assert loaded.command_counts == stats.command_counts
-
-    def test_mixed_result(self):
-        result = MixedTask("DDR4-3200", "row-major", 8, group=4).execute()
-        loaded = mixed_result_from_payload(
-            through_json(mixed_result_to_payload(result)))
-        assert loaded == result
-        assert loaded.stats.energy_tally == result.stats.energy_tally
-
-    def test_burst_profile_exact_floats(self):
-        profile = BurstProfile(total_symbols=100, error_symbols=7,
-                               burst_count=3, max_burst=4, mean_burst=7 / 3)
-        loaded = burst_profile_from_payload(
-            through_json(burst_profile_to_payload(profile)))
-        assert loaded == profile
-        assert loaded.mean_burst == profile.mean_burst  # exact, not approx
-
-    def test_decoding_report(self):
-        report = DecodingReport(codewords=20, failed=3, corrected_symbols=11,
-                                residual_symbol_errors=9)
-        assert decoding_report_from_payload(
-            through_json(decoding_report_to_payload(report))) == report
-
-    def test_energy_report_exact_floats(self):
-        report = EnergyReport(activation_nj=0.1 + 0.2, burst_nj=1 / 3,
-                              refresh_nj=2 / 7, background_nj=1e-17,
-                              payload_bytes=480, makespan_ps=123456789)
-        loaded = energy_report_from_payload(
-            through_json(energy_report_to_payload(report)))
-        assert loaded == report
-        assert loaded.burst_nj == report.burst_nj
-
-    def test_campaign_cell_result(self):
-        cell = CampaignCell(CHANNEL, INTERLEAVER, CODE, seed=3, frames=10)
-        result = evaluate_cell(cell)
-        record = RECORDS[CampaignCell]
-        loaded = record.decode(through_json(record.encode(result)))
-        assert loaded == result
-
-    def test_e2e_result_with_downlink_and_latencies(self):
-        cell = E2ECell(channel=CHANNEL, interleaver=INTERLEAVER, code=CODE,
-                       config_name="DDR4-3200", mapping="row-major",
-                       seed=2024, frames=2)
-        result = cell.execute()
-        payload = through_json(e2e_result_to_payload(result))
-        loaded = e2e_result_from_payload(payload)
-        assert loaded == result
-        assert loaded.write.energy_tally == result.write.energy_tally
-        assert loaded.read.energy_tally == result.read.energy_tally
-        # the downlink half round-trips on its own too
-        downlink = downlink_result_from_payload(
-            through_json(downlink_result_to_payload(result.downlink)))
-        assert downlink == result.downlink
+        assert decode(type(cell), through_json(config)) == cell
 
 
 class TestAdaptiveRecordKinds:
     """The three estimator kinds added with schema version 2."""
-
-    def _adaptive_cell(self):
-        from repro.system.adaptive import AdaptiveCell
-        return AdaptiveCell(channel=CHANNEL, interleaver=INTERLEAVER,
-                            code=CODE, seed=5, max_frames=60,
-                            ci_width=0.05, batch_frames=16)
-
-    def _rare_event_cell(self):
-        from repro.system.adaptive import RareEventCell, default_proposal
-        return RareEventCell(channel=CHANNEL,
-                             proposal=default_proposal(CHANNEL, 4.0),
-                             interleaver=INTERLEAVER, code=CODE,
-                             seed=5, frames=20)
-
-    def _scenario_cell(self):
-        from repro.system.adaptive import ScenarioCell, contact_pass_segments
-        return ScenarioCell(segments=contact_pass_segments(
-            frames_per_segment=2), interleaver=INTERLEAVER, code=CODE, seed=5)
 
     def test_kinds_are_distinct_namespaces(self):
         from repro.store.records import (
@@ -230,49 +210,11 @@ class TestAdaptiveRecordKinds:
         keys = {derive_key(kind, config) for kind in kinds}
         assert len(keys) == 4
 
-    def test_adaptive_config_and_payload_roundtrip(self):
-        from repro.system.adaptive import AdaptiveCell, evaluate_adaptive
-        cell = self._adaptive_cell()
-        config = campaign_cell_config(cell)
-        assert config["cache_version"] == CACHE_VERSION
-        assert AdaptiveCell.from_dict(through_json(config)) == cell
-        result = evaluate_adaptive(cell)
-        record = RECORDS[AdaptiveCell]
-        loaded = record.decode(through_json(record.encode(result)))
-        assert loaded == result
-
-    def test_rare_event_config_and_payload_roundtrip(self):
-        from repro.system.adaptive import RareEventCell, evaluate_rare_event
-        cell = self._rare_event_cell()
-        config = campaign_cell_config(cell)
-        assert config["cache_version"] == CACHE_VERSION
-        assert RareEventCell.from_dict(through_json(config)) == cell
-        result = evaluate_rare_event(cell)
-        record = RECORDS[RareEventCell]
-        loaded = record.decode(through_json(record.encode(result)))
-        assert loaded == result
-        # the float accumulators must survive the JSON trip exactly
-        assert loaded.sum_weight == result.sum_weight
-        assert (loaded.weighted_failed_baseline_sq
-                == result.weighted_failed_baseline_sq)
-
-    def test_scenario_config_and_payload_roundtrip(self):
-        from repro.system.adaptive import ScenarioCell, evaluate_scenario
-        cell = self._scenario_cell()
-        config = campaign_cell_config(cell)
-        assert config["cache_version"] == CACHE_VERSION
-        assert ScenarioCell.from_dict(through_json(config)) == cell
-        result = evaluate_scenario(cell)
-        record = RECORDS[ScenarioCell]
-        loaded = record.decode(through_json(record.encode(result)))
-        assert loaded == result
-
     def test_store_rejects_foreign_cell_payload(self, tmp_path):
         from repro.store.store import ResultStore
-        from repro.system.adaptive import AdaptiveCell, evaluate_adaptive
         store = ResultStore(str(tmp_path))
-        cell = self._adaptive_cell()
-        store.save(cell, evaluate_adaptive(cell))
+        cell = CELLS["adaptive"]
+        store.save(cell, cell.execute())
         other = AdaptiveCell(channel=CHANNEL, interleaver=INTERLEAVER,
                              code=CODE, seed=6, max_frames=60,
                              ci_width=0.05, batch_frames=16)

@@ -23,6 +23,7 @@ from repro.channel.gilbert_elliott import (
     coherence_params,
 )
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
+from repro.store.records import decode, encode
 from repro.store.store import ResultStore
 from repro.system.adaptive import (
     AdaptiveCell,
@@ -89,7 +90,7 @@ class TestAdaptiveCellValidation:
 
     def test_roundtrips_through_dict(self):
         cell = _adaptive(ci_rel=0.25)
-        assert AdaptiveCell.from_dict(cell.to_dict()) == cell
+        assert decode(AdaptiveCell, encode(cell)) == cell
 
 
 class TestAdaptiveBitIdentity:
@@ -160,7 +161,7 @@ class TestAdaptiveBitIdentity:
 
     def test_result_roundtrips_through_dict(self):
         outcome = evaluate_adaptive(_adaptive(max_frames=100))
-        assert AdaptiveResult.from_dict(outcome.to_dict()) == outcome
+        assert decode(AdaptiveResult, encode(outcome)) == outcome
 
 
 # A frame small enough to enumerate every state trajectory: triangle 3
@@ -367,7 +368,7 @@ class TestRareEventExactness:
         result = evaluate_rare_event(RareEventCell(
             channel=CHANNEL, proposal=default_proposal(CHANNEL, 4.0),
             interleaver=INTERLEAVER, code=CODE, seed=3, frames=25))
-        assert RareEventResult.from_dict(result.to_dict()) == result
+        assert decode(RareEventResult, encode(result)) == result
 
 
 def _scenario(seed=3, frames_per_segment=5):
@@ -450,7 +451,7 @@ class TestScenario:
 
     def test_result_roundtrips_through_dict(self):
         result = evaluate_scenario(_scenario(frames_per_segment=2))
-        assert ScenarioResult.from_dict(result.to_dict()) == result
+        assert decode(ScenarioResult, encode(result)) == result
 
 
 class TestFormatting:

@@ -12,7 +12,13 @@ import pytest
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.store.records import KIND_CAMPAIGN, campaign_cell_config, derive_key
+from repro.store.records import (
+    KIND_CAMPAIGN,
+    campaign_cell_config,
+    decode,
+    derive_key,
+    encode,
+)
 from repro.store.store import ResultStore
 from repro.system import campaign as campaign_module
 from repro.system.campaign import (
@@ -133,7 +139,7 @@ class TestGridAndCells:
 
     def test_cell_roundtrips_through_dict(self):
         cell = _cells()[0]
-        assert CampaignCell.from_dict(cell.to_dict()) == cell
+        assert decode(CampaignCell, encode(cell)) == cell
 
     def test_cache_key_depends_on_every_axis(self):
         base = _cells(seeds=[1], frames=30)[0]
@@ -197,7 +203,7 @@ class TestEvaluateCell:
 
     def test_result_roundtrips_through_dict(self):
         result = evaluate_cell(_cells(seeds=[4], frames=10)[0])
-        assert CellResult.from_dict(result.to_dict()) == result
+        assert decode(CellResult, encode(result)) == result
 
     def test_gain_semantics(self):
         cell = _cells(seeds=[4], frames=10)[0]
@@ -372,7 +378,7 @@ class TestSummaryAndExports:
         document = json.loads(stream.getvalue())
         assert len(document["cells"]) == 2
         assert len(document["summaries"]) == 1
-        restored = CellResult.from_dict(document["cells"][0])
+        restored = decode(CellResult, document["cells"][0])
         assert restored == results[0]
 
     def test_export_json_infinite_gain_is_null(self):
