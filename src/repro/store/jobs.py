@@ -92,7 +92,7 @@ def normalize_spec(spec: JSONDict) -> JSONDict:
             "seed_base": int(merged["seed_base"]),
             "frames": int(merged["frames"]),
         }
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ValueError(f"malformed grid spec: {error}") from None
 
 

@@ -65,8 +65,11 @@ class TestGridSpec:
             normalize_spec({"framez": 10})
 
     def test_malformed_value_rejected(self):
-        with pytest.raises(ValueError, match="malformed grid spec"):
-            normalize_spec({"frames": "many"})
+        # int() of an infinity raises OverflowError, not ValueError
+        for spec in ({"frames": "many"}, {"frames": float("inf")},
+                     {"triangle_n": [float("-inf")]}):
+            with pytest.raises(ValueError, match="malformed grid spec"):
+                normalize_spec(spec)
 
     def test_non_positive_counts_rejected(self):
         with pytest.raises(ValueError, match="seeds and frames"):

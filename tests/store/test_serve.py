@@ -122,6 +122,20 @@ class TestRoutes:
         # nothing was registered, and the server still answers
         assert request_json(server, "/jobs") == (200, {"jobs": []})
 
+    def test_post_non_finite_number_400(self, server):
+        """A number that overflows to infinity is a malformed spec, not a crash."""
+        host, port = server.server_address[:2]
+        req = urllib.request.Request(f"http://{host}:{port}/jobs",
+                                     data=b'{"frames": 1e400}', method="POST")
+        try:
+            with urllib.request.urlopen(req, timeout=30) as response:
+                status, raw = response.status, response.read()
+        except urllib.error.HTTPError as error:
+            status, raw = error.code, error.read()
+        assert status == 400
+        assert "malformed grid spec" in json.loads(raw)["error"]
+        assert request_json(server, "/jobs") == (200, {"jobs": []})
+
     def test_post_non_object_400(self, server):
         status, body = request_json(server, "/jobs", body=[1, 2],
                                     method="POST")
