@@ -13,9 +13,10 @@ compares one uniform per symbol.  The speedup is therefore smallest on
 small frames, and the assertion runs on the campaign's small default
 cell (triangle 15); larger cells are reported in ``extra_info``.
 
-The native channel sampler itself is timed against the dense sampling
-it skips, on a default-grid channel and on a short-dwell channel where
-its per-fade bookkeeping is the worst case.
+The native route of ``run_batched`` (one call that samples the channel
+and decodes both arms) is timed against the dense route it replaces,
+on a default-grid channel and on a short-dwell channel where its
+per-fade bookkeeping is the worst case.
 """
 
 import time
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.channel.codeword import CodewordConfig
-from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
+from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.dram import _kernelc
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.system.campaign import campaign_grid, run_campaign
@@ -36,17 +37,16 @@ CHANNEL = GilbertElliottParams(p_g2b=0.004 / 0.996 / 60.0, p_b2g=1 / 60.0,
 CODE = CodewordConfig(n_symbols=24, t_correctable=2)
 #: Mean fade of two symbols: ~1200 fade runs in every n=48 frame.
 SHORT_DWELL = GilbertElliottParams(p_g2b=0.5, p_b2g=0.5, p_bad=0.7)
-#: Symbols of one n=48 campaign frame, and the downlink's batch size.
-SAMPLE_SYMBOLS = 4704
-SAMPLE_BATCH = 128
+#: Frames per ``run_batched`` call: one dense-route block.
+SAMPLE_BATCH = OpticalDownlink.BATCH_FRAMES
 
 
-def _downlink(triangle_n, seed=3):
+def _downlink(triangle_n, seed=3, params=CHANNEL):
     return OpticalDownlink(
         TwoStageConfig(triangle_n=triangle_n, symbols_per_element=4,
                        codeword_symbols=24),
         CODE,
-        CHANNEL,
+        params,
         rng=np.random.default_rng(seed),
     )
 
@@ -88,36 +88,29 @@ def test_batched_channel_speedup(benchmark):
         )
 
 
-def _dense_positions(channel, count, frames):
-    return np.nonzero(channel.error_masks(count, frames))
-
-
-def _sampler(params, sample, batches):
-    """A runner drawing ``batches`` n=48 batches from a fresh seed-11 channel."""
-    channel = GilbertElliottChannel(params, np.random.default_rng(11))
-    return lambda: [sample(channel, SAMPLE_SYMBOLS, SAMPLE_BATCH)
+def _route_runner(params, batches):
+    """A runner making ``batches`` n=48 ``run_batched`` calls from a fresh seed-11 downlink."""
+    downlink = _downlink(48, seed=11, params=params)
+    return lambda: [downlink.run_batched(SAMPLE_BATCH)
                     for _ in range(batches)]
 
 
 @pytest.mark.paper_artifact("channel skip-ahead speedup")
-def test_skip_ahead_channel_sampling(benchmark):
-    """``error_positions`` (native sampler) vs ``nonzero(error_masks)`` (dense)."""
+def test_skip_ahead_channel_sampling(benchmark, monkeypatch):
+    """``run_batched`` on the native route vs the dense route (sampler patched out)."""
     if _kernelc.load_sampler() is None:
         pytest.skip("native channel sampler unavailable (no compiler, no "
                     "libnpyrandom.a, or REPRO_KERNEL_NATIVE=0): "
-                    "error_positions would time the dense path")
+                    "run_batched would time the dense route twice")
     ratios = {}
     for name, params, batches in (("default", CHANNEL, 8),
                                   ("short_dwell", SHORT_DWELL, 1)):
-        dense_s, dense = _best_of(
-            lambda: _sampler(params, _dense_positions, batches))
-        native_s, native = _best_of(
-            lambda: _sampler(params, GilbertElliottChannel.error_positions,
-                             batches))
-        for got, expected in zip(native, dense):
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (
-                f"native sampler positions differ from the dense path on "
-                f"{name}")
+        with monkeypatch.context() as patch:
+            patch.setitem(_kernelc._libraries, "sampler", None)
+            dense_s, dense = _best_of(lambda: _route_runner(params, batches))
+        native_s, native = _best_of(lambda: _route_runner(params, batches))
+        assert native == dense, (
+            f"native route results differ from the dense route on {name}")
         ratios[name] = native_s / dense_s
         benchmark.extra_info[f"dense_ms_{name}"] = round(dense_s * 1e3, 2)
         benchmark.extra_info[f"native_ms_{name}"] = round(native_s * 1e3, 2)
@@ -125,14 +118,13 @@ def test_skip_ahead_channel_sampling(benchmark):
     benchmark.extra_info["time_ratio_short_dwell"] = round(
         ratios["short_dwell"], 2)
 
-    benchmark.pedantic(_sampler(CHANNEL, GilbertElliottChannel.error_positions,
-                                8), rounds=1, iterations=1)
+    benchmark.pedantic(_route_runner(CHANNEL, 8), rounds=1, iterations=1)
     if not benchmark.disabled:  # smoke runs only check for rot, not timing
         assert ratios["default"] <= 1 / 3, (
-            f"native sampler only {1 / ratios['default']:.1f}x faster than "
+            f"native route only {1 / ratios['default']:.1f}x faster than "
             f"dense on the default-grid channel (need >= 3x)")
         assert ratios["short_dwell"] <= 1.5, (
-            f"native sampler takes {ratios['short_dwell']:.2f}x the dense "
+            f"native route takes {ratios['short_dwell']:.2f}x the dense "
             f"time on the short-dwell channel (allowed <= 1.5x)")
 
 

@@ -80,10 +80,13 @@ def report_from_counts(counts: NDArray[Any],
                        config: CodewordConfig) -> DecodingReport:
     """Aggregate decoding report from per-code-word error counts.
 
-    The single home of the bounded-distance failure criterion
-    (``count > t``) and the corrected/residual split — every decode
-    entry point (scalar, batched, campaign hot path) folds through
-    here, so the criterion cannot silently diverge between paths.
+    The Python home of the bounded-distance failure criterion
+    (``count > t``) and the corrected/residual split — every Python
+    decode entry point (scalar, batched, the downlink's dense route)
+    folds through here, so the criterion cannot silently diverge
+    between paths.  Its one twin is the native sampler's per-frame fold
+    (:data:`repro.dram._kernelc.SAMPLER_SOURCE`), held to it by the
+    differential tests in ``tests/channel/test_batched_channel.py``.
 
     Args:
         counts: integer error counts, one entry per code word (any

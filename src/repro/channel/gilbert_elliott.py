@@ -20,11 +20,12 @@ rate are exposed in closed form for test cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.channel.codeword import CodewordConfig
 from repro.dram import _kernelc
 
 GOOD = 0
@@ -110,16 +111,6 @@ def coherence_params(
 _LOW64 = (1 << 64) - 1
 
 
-def _hit_capacity(params: GilbertElliottParams, count: int,
-                  frames: int) -> int:
-    """First hit-buffer size of a native batch: twice the mean plus a frame.
-
-    Never more than the batch's symbols, which no batch can exceed.
-    """
-    mean = count * frames * params.stationary_bad * params.p_bad
-    return min(count * frames, int(2.0 * mean) + count + 16)
-
-
 def _check_batch(count: int, frames: int) -> None:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
@@ -136,7 +127,7 @@ class GilbertElliottChannel:
 
     Every entry point consumes the generator frame by frame: the
     frame's geometric dwells, then one float64 uniform per symbol.
-    :meth:`error_positions` keeps that contract while drawing only the
+    :meth:`sample_decode` keeps that contract while drawing only the
     uniforms that can matter: on a clean good state (``p_good == 0``)
     and a plain ``PCG64`` generator it runs the batch in the native
     sampler, which jumps the stream over good symbols, with
@@ -282,72 +273,92 @@ class GilbertElliottChannel:
         """Sparse coordinates of corrupted symbols across a frame batch.
 
         Returns ``(frame_idx, sym_idx)`` arrays in row-major order,
-        exactly ``np.nonzero(self.error_masks(count, frames))`` from the
-        same generator state, and leaves the generator and the chain in
-        the state that call leaves them in.  This is the campaign
-        engine's channel entry point.
+        exactly ``np.nonzero(self.error_masks(count, frames))``.  This is
+        the channel entry point of the downlink's dense route; batches
+        the native sampler can take go through :meth:`sample_decode`.
+        """
+        frame_idx, sym_idx = np.nonzero(self.error_masks(count, frames))
+        return frame_idx, sym_idx
 
-        With ``p_good == 0`` only symbols inside a fade can be hit.  If
-        the generator is then exactly ``PCG64`` with no buffered 32-bit
-        half, and the native sampler
-        (:func:`repro.dram._kernelc.load_sampler`) loads, the batch
-        runs as one compiled call.  Per frame it draws the dwells with
+    def sample_decode(
+            self, word_of: NDArray[np.int64], code: CodewordConfig,
+            frames: int) -> Optional[Tuple[NDArray[np.int64],
+                                           NDArray[np.int64]]]:
+        """Sample and decode a frame batch in one native call, if it can.
+
+        ``word_of`` maps each of a frame's channel positions to the
+        payload code word it lands in after deinterleaving.  Its length
+        is the frame's symbol count, a whole number of code words; the
+        baseline arm's code word of position ``s`` is
+        ``s // code.n_symbols``.
+
+        The batch runs in the native sampler
+        (:func:`repro.dram._kernelc.load_sampler`) when ``p_good == 0``,
+        the generator is exactly ``PCG64`` with no buffered 32-bit
+        half, and the sampler loads.  Per frame it draws the dwells with
         NumPy's own ``random_geometric``, jumps the stream over good
         symbols and draws one uniform per fade symbol.  A float64
         uniform spends exactly one 64-bit draw, so the stream is
-        consumed just as the dense path consumes it.  Every other batch
-        takes the dense path.
+        consumed just as :meth:`error_positions` consumes it, and the
+        generator and chain are left in the state that call leaves them
+        in.
+
+        Raises:
+            ValueError: before any draw, when ``word_of`` does not cover
+                whole code words or maps a position outside them.
+
+        Returns:
+            ``None``, drawing nothing, when the batch must take the
+            dense route.  Otherwise ``(columns, tallies)``: ``columns``
+            has shape ``(3, frames)`` and holds each frame's error
+            count, burst count and longest burst (a frame's burst
+            lengths sum to its error count); ``tallies`` holds six
+            counts, the failed code words (more
+            than ``t`` errors), their residual errors and the largest
+            per-word count, of the interleaved arm and then of the
+            baseline arm.
         """
-        _check_batch(count, frames)
+        _check_batch(word_of.size, frames)
+        if self.params.p_good != 0.0:
+            return None
         # Imported here so that importing repro never loads numpy.random.
         from numpy.random import PCG64
 
         bit_generator = self.rng.bit_generator
-        if self.params.p_good == 0.0 and type(bit_generator) is PCG64:
-            state = bit_generator.state
-            sampler = _kernelc.load_sampler()
-            if (sampler is not None and state["has_uint32"] == 0
-                    and state["uinteger"] == 0):
-                return self._native_positions(sampler, state, count, frames)
-        fades, draws = self._sample_batch(count, frames)
-        frame_idx, sym_idx = np.nonzero(self._combine_errors(fades, draws))
-        return frame_idx, sym_idx
-
-    def _native_positions(
-            self, sampler: Tuple[Any, Any], state: Mapping[str, Any],
-            count: int, frames: int) -> Tuple[NDArray[Any], NDArray[Any]]:
-        """The native route of :meth:`error_positions`: one C call per batch.
-
-        ``state`` is the bit generator's state dict.  The C side works
-        on a copy of it and of the chain state and commits both only
-        when every hit fits the position buffers; otherwise it returns
-        the hit count, and the batch runs again from the same state
-        with buffers of that size.
-        """
+        if type(bit_generator) is not PCG64:
+            return None
+        state = bit_generator.state
+        sampler = _kernelc.load_sampler()
+        if sampler is None or state["has_uint32"] or state["uinteger"]:
+            return None
         ffi, lib = sampler
         params = self.params
+        word_of = np.ascontiguousarray(word_of, dtype=np.int64)
+        count = word_of.size
         words = state["state"]
         stream, inc = words["state"], words["inc"]
         rng_words = ffi.new("uint64_t[6]", [
             stream >> 64, stream & _LOW64, inc >> 64, inc & _LOW64,
             state["has_uint32"], state["uinteger"]])
         chain = ffi.new("int64_t *", self._state)
-        runs = np.empty(count + 1, dtype=np.int64)
-        capacity = _hit_capacity(params, count, frames)
-        while True:
-            frame_idx = np.empty(capacity, dtype=np.intp)
-            sym_idx = np.empty(capacity, dtype=np.intp)
-            hits = lib.sample_fade_hits(
-                rng_words, chain, count, frames,
-                params.p_g2b, params.p_b2g, params.p_bad,
-                ffi.cast("int64_t *", ffi.from_buffer(runs)),
-                ffi.cast("intptr_t *", ffi.from_buffer(frame_idx)),
-                ffi.cast("intptr_t *", ffi.from_buffer(sym_idx)),
-                capacity)
-            if hits <= capacity:
-                break
-            capacity = hits
-        self.rng.bit_generator.state = {
+        scratch = np.zeros(count + 1 + 2 * (count // code.n_symbols),
+                           dtype=np.int64)
+        columns = np.empty((3, frames), dtype=np.int64)
+        tallies = np.zeros(6, dtype=np.int64)
+        status = lib.sample_fade_decode(
+            rng_words, chain, count, frames,
+            params.p_g2b, params.p_b2g, params.p_bad,
+            ffi.cast("int64_t *", ffi.from_buffer(word_of)),
+            code.n_symbols, code.t_correctable,
+            ffi.cast("int64_t *", ffi.from_buffer(scratch)),
+            ffi.cast("int64_t *", ffi.from_buffer(columns)),
+            ffi.cast("int64_t *", ffi.from_buffer(tallies)))
+        if status < 0:
+            raise ValueError(
+                f"word_of must map {count} channel positions into "
+                f"{count // code.n_symbols} whole code words of "
+                f"{code.n_symbols} symbols")
+        bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": rng_words[0] << 64 | rng_words[1],
                       "inc": inc},
@@ -355,7 +366,7 @@ class GilbertElliottChannel:
             "uinteger": rng_words[5],
         }
         self._state = chain[0]
-        return frame_idx[:hits], sym_idx[:hits]
+        return columns, tallies
 
     def corrupt(self, symbols: NDArray[Any],
                 bits_per_symbol: int = 3) -> NDArray[Any]:

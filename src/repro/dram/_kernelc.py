@@ -15,12 +15,18 @@ loaded through ``cffi``:
   can write one CAS issue time per request (the ``cas_time`` column the
   end-to-end latency fold reads).
 * :func:`load_sampler` — the Gilbert–Elliott frame loop behind
-  :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions`.
-  It draws each frame's dwells with NumPy's own ``random_geometric``,
-  linked statically from ``numpy/random/lib/libnpyrandom.a`` and driven
-  through NumPy's public ``bitgen_t`` by a C port of ``PCG64``, jumps
-  the stream over good symbols and draws one uniform per fade symbol,
-  so positions and generator state match the dense path bit for bit.
+  :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.sample_decode`,
+  which samples and decodes a whole
+  :meth:`~repro.system.downlink.OpticalDownlink.run_batched` batch in
+  one call.  It draws each frame's dwells with NumPy's own
+  ``random_geometric``, linked statically from
+  ``numpy/random/lib/libnpyrandom.a`` and driven through NumPy's public
+  ``bitgen_t`` by a C port of ``PCG64``, jumps the stream over good
+  symbols and draws one uniform per fade symbol, so hits and generator
+  state match the dense path bit for bit.  Each hit goes straight into
+  both arms' per-code-word counts and the frame's error bursts; the
+  call returns per-frame burst columns and six decode tallies, all
+  sized by its inputs, so there is no hit buffer to outgrow.
 
 Each entry point is compiled with the system C compiler at first use
 and cached under the user's temp directory (override with
@@ -494,10 +500,10 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
 """
 
 SAMPLER_CDEF = """
-int64_t sample_fade_hits(uint64_t *words, int64_t *chain, int64_t count,
+int64_t sample_fade_decode(uint64_t *words, int64_t *chain, int64_t count,
     int64_t frames, double p_g2b, double p_b2g, double p_bad,
-    int64_t *runs, intptr_t *frame_idx, intptr_t *sym_idx,
-    int64_t capacity);
+    const int64_t *word_of, int64_t codeword_symbols, int64_t t,
+    int64_t *scratch, int64_t *columns, int64_t *tallies);
 """
 
 SAMPLER_SOURCE = r"""
@@ -570,27 +576,56 @@ static void skip(pcg64_t *rng, int64_t delta) {
     }
 }
 
+/* Fold one frame's per-word error counts into an arm's tallies
+ * {failed words (count > t), their residual errors, largest count}
+ * and clear them for the next frame. */
+static void fold_words(int64_t *counts, int64_t n_words, int64_t t,
+                       int64_t *tally) {
+    for (int64_t w = 0; w < n_words; w++) {
+        int64_t c = counts[w];
+        if (!c) continue;
+        if (c > t) { tally[0]++; tally[1] += c; }
+        if (c > tally[2]) tally[2] = c;
+        counts[w] = 0;
+    }
+}
+
 /* `frames` frames of `count` symbols from the chain in *chain (1 = in a
  * fade), drawing exactly what the dense path draws: per frame the
  * geometric dwells, then one uniform per symbol -- drawn for fade
- * symbols, jumped over for the rest.  Writes the (frame, symbol) of
- * each hit while they fit in `capacity` and returns the hit count.
+ * symbols, jumped over for the rest.  A hit at symbol s counts one
+ * error in interleaved code word word_of[s] and in baseline code word
+ * s / codeword_symbols, and starts or extends an error burst.  columns
+ * holds three rows of `frames`: errors, bursts and longest burst per
+ * frame (a frame's burst lengths sum to its errors).  After each frame
+ * with hits both arms' word counts fold into tallies = {failed,
+ * residual, largest} of the interleaved arm, then of the baseline arm.
  * words = {state_hi, state_lo, inc_hi, inc_lo, has_uint32, uinteger}
- * and *chain are written back only when every hit fit; `runs` holds
- * count + 1 slots for one frame's [start, end) fades. */
-int64_t sample_fade_hits(uint64_t *words, int64_t *chain, int64_t count,
+ * and *chain are written back.  scratch holds count + 1 slots for one
+ * frame's [start, end) fades, then two zeroed runs of
+ * count / codeword_symbols word counts.  Returns 0, or -1 before any
+ * draw when the frame is not whole code words or word_of leaves them. */
+int64_t sample_fade_decode(uint64_t *words, int64_t *chain, int64_t count,
     int64_t frames, double p_g2b, double p_b2g, double p_bad,
-    int64_t *runs, intptr_t *frame_idx, intptr_t *sym_idx,
-    int64_t capacity) {
+    const int64_t *word_of, int64_t codeword_symbols, int64_t t,
+    int64_t *scratch, int64_t *columns, int64_t *tallies) {
     pcg64_t rng;
     rng.state = ((u128)words[0] << 64) | words[1];
     rng.inc = ((u128)words[2] << 64) | words[3];
     rng.has_uint32 = (int)words[4];
     rng.uinteger = (uint32_t)words[5];
     bitgen_t bitgen = {&rng, next64, next32, next_double, next64};
+    const int64_t n_words = count / codeword_symbols;
+    if (n_words * codeword_symbols != count) return -1;
+    for (int64_t s = 0; s < count; s++)
+        if (word_of[s] < 0 || word_of[s] >= n_words) return -1;
     jump_t whole_frame = jump_of((uint64_t)count, rng.inc);
+    int64_t *runs = scratch;
+    int64_t *counts_int = scratch + count + 1;
+    int64_t *counts_base = counts_int + n_words;
+    int64_t *errors = columns, *bursts = columns + frames;
+    int64_t *longest = columns + 2 * frames;
     int64_t state = *chain;
-    int64_t hits = 0;
     for (int64_t frame = 0; frame < frames; frame++) {
         int64_t n_runs = 0;
         int64_t position = 0;
@@ -608,33 +643,42 @@ int64_t sample_fade_hits(uint64_t *words, int64_t *chain, int64_t count,
         }
         if (n_runs == 0) {
             rng.state = whole_frame.mult * rng.state + whole_frame.plus;
+            errors[frame] = bursts[frame] = longest[frame] = 0;
             continue;
         }
+        int64_t hits = 0, n_bursts = 0, max_length = 0;
+        int64_t last = -2, length = 0;  /* last hit, its burst so far */
         int64_t drawn = 0;  /* frame symbols whose uniform is spent */
         for (int64_t r = 0; r < n_runs; r++) {
             int64_t end = runs[2 * r + 1];
             skip(&rng, runs[2 * r] - drawn);
             for (int64_t s = runs[2 * r]; s < end; s++) {
                 if (next_double(&rng) < p_bad) {
-                    if (hits < capacity) {
-                        frame_idx[hits] = (intptr_t)frame;
-                        sym_idx[hits] = (intptr_t)s;
-                    }
                     hits++;
+                    counts_int[word_of[s]]++;
+                    counts_base[s / codeword_symbols]++;
+                    if (s != last + 1) { n_bursts++; length = 0; }
+                    if (++length > max_length) max_length = length;
+                    last = s;
                 }
             }
             drawn = end;
         }
         skip(&rng, count - drawn);
+        if (hits) {
+            fold_words(counts_int, n_words, t, tallies);
+            fold_words(counts_base, n_words, t, tallies + 3);
+        }
+        errors[frame] = hits;
+        bursts[frame] = n_bursts;
+        longest[frame] = max_length;
     }
-    if (hits <= capacity) {
-        words[0] = (uint64_t)(rng.state >> 64);
-        words[1] = (uint64_t)rng.state;
-        words[4] = (uint64_t)rng.has_uint32;
-        words[5] = rng.uinteger;
-        *chain = state;
-    }
-    return hits;
+    words[0] = (uint64_t)(rng.state >> 64);
+    words[1] = (uint64_t)rng.state;
+    words[4] = (uint64_t)rng.has_uint32;
+    words[5] = rng.uinteger;
+    *chain = state;
+    return 0;
 }
 """
 

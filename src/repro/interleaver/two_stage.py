@@ -23,7 +23,8 @@ The receiver applies the exact inverse pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import lru_cache
+from typing import Any, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -197,3 +198,21 @@ class TwoStageInterleaver:
             raise ValueError(
                 f"frame must be 1-D with {self.frame_symbols} symbols, got shape {frame.shape}"
             )
+
+
+@lru_cache(maxsize=8)
+def cached_interleaver(
+        config: TwoStageConfig) -> Tuple[TwoStageInterleaver, NDArray[np.int64]]:
+    """The interleaver of one geometry and its decode map, built once per process.
+
+    Returns the :class:`TwoStageInterleaver` for ``config`` and a
+    read-only int64 map from each channel position ``s`` to the payload
+    code word the receiver puts it in, ``permutation()[s] //
+    codeword_symbols``.  Building both permutations is the costly part
+    of a downlink cell, and a campaign grid holds only a few geometries.
+    The cache is bounded (a ``triangle_n = 48`` entry is about 113 KB).
+    """
+    interleaver = TwoStageInterleaver(config)
+    word_of = interleaver.permutation() // config.codeword_symbols
+    word_of.flags.writeable = False
+    return interleaver, word_of

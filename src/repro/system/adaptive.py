@@ -55,10 +55,11 @@ from numpy.typing import NDArray
 
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
-from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
-from repro.system.campaign import (CampaignCell, CellResult, check_dimensions,
-                                   format_ci, run_frames, wilson_interval)
-from repro.system.downlink import OpticalDownlink, format_gain, gain_ratio
+from repro.interleaver.two_stage import TwoStageConfig, cached_interleaver
+from repro.system.campaign import (CampaignCell, CellResult, format_ci,
+                                   run_frames, wilson_interval)
+from repro.system.downlink import (OpticalDownlink, check_dimensions,
+                                   format_gain, gain_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +532,13 @@ def evaluate_rare_event(cell: RareEventCell) -> RareEventResult:
     per-frame weighted observations i.i.d. and the normal CI valid.
     """
     rng = np.random.default_rng(cell.seed)
-    interleaver = TwoStageInterleaver(cell.interleaver)
-    symbols = interleaver.frame_symbols
+    symbols = cell.interleaver.symbols_per_frame
     codeword_symbols = cell.code.n_symbols
     words = symbols // codeword_symbols
     threshold = cell.code.t_correctable
     # Channel position s lands in payload code word perm[s] // n — the
-    # same sparse decode the batched campaign path uses.
-    word_of_channel_pos = interleaver.permutation() // codeword_symbols
+    # decode map the batched campaign path uses.
+    _, word_of_channel_pos = cached_interleaver(cell.interleaver)
     stationary_bad = cell.channel.stationary_bad
     proposal = cell.proposal
     p_bad = proposal.p_bad

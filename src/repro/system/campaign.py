@@ -56,7 +56,8 @@ import numpy as np
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.system.downlink import OpticalDownlink, format_gain, gain_ratio
+from repro.system.downlink import (OpticalDownlink, check_dimensions,
+                                   format_gain, gain_ratio)
 from repro.system.parallel import TaskStore, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> campaign)
@@ -65,20 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> campaign)
 #: Bump when the cell evaluation or result schema changes: stale cache
 #: entries from older code must miss, not resurface.
 CACHE_VERSION = 1
-
-
-def check_dimensions(interleaver: TwoStageConfig,
-                     code: CodewordConfig) -> None:
-    """Fail fast when interleaver grouping and code length disagree.
-
-    The check :class:`~repro.system.downlink.OpticalDownlink` makes,
-    hoisted to cell construction so a bad grid dies with a field-naming
-    error before any worker is spawned.
-    """
-    if interleaver.codeword_symbols != code.n_symbols:
-        raise ValueError(
-            "interleaver.codeword_symbols and code.n_symbols disagree: "
-            f"{interleaver.codeword_symbols} vs {code.n_symbols}")
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> Tuple[float, float]:

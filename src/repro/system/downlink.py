@@ -37,7 +37,21 @@ from repro.channel.codeword import (
     report_from_counts,
 )
 from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
-from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
+from repro.interleaver.two_stage import TwoStageConfig, cached_interleaver
+
+
+def check_dimensions(interleaver: TwoStageConfig,
+                     code: CodewordConfig) -> None:
+    """Fail fast when interleaver grouping and code length disagree.
+
+    :class:`OpticalDownlink` makes this check, and every campaign cell
+    repeats it at construction, so a bad grid dies with a field-naming
+    error before any worker is spawned.
+    """
+    if interleaver.codeword_symbols != code.n_symbols:
+        raise ValueError(
+            "interleaver.codeword_symbols and code.n_symbols disagree: "
+            f"{interleaver.codeword_symbols} vs {code.n_symbols}")
 
 
 def gain_ratio(baseline: float, interleaved: float) -> float:
@@ -145,12 +159,12 @@ class OpticalDownlink:
         channel_params: GilbertElliottParams,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if interleaver_config.codeword_symbols != code.n_symbols:
-            raise ValueError(
-                "interleaver grouping and code length disagree: "
-                f"{interleaver_config.codeword_symbols} vs {code.n_symbols}"
-            )
-        self.interleaver = TwoStageInterleaver(interleaver_config)
+        check_dimensions(interleaver_config, code)
+        # Channel position s lands at payload position perm[s] (the
+        # receiver applies the inverse permutation), hence in payload
+        # code word perm[s] // codeword_symbols.
+        self.interleaver, self._word_of = cached_interleaver(
+            interleaver_config)
         self.code = code
         self.channel = GilbertElliottChannel(channel_params, rng)
 
@@ -198,27 +212,29 @@ class OpticalDownlink:
             max_errors_baseline=max(r.max_errors_baseline for r in results),
         )
 
-    #: Frames per batch in :meth:`run_batched`.  Large enough to
-    #: amortize NumPy call overhead over the whole block, small enough
-    #: that the block's mask/uniform buffers stay cache-resident
-    #: instead of streaming multi-hundred-MB temporaries through DRAM.
+    #: Frames per block of :meth:`run_batched`'s dense route.  Large
+    #: enough to amortize NumPy call overhead over the whole block,
+    #: small enough that the block's mask/uniform buffers stay
+    #: cache-resident instead of streaming multi-hundred-MB temporaries
+    #: through DRAM.
     BATCH_FRAMES = 128
 
     def run_batched(self, frames: int) -> DownlinkResult:
-        """Vectorized :meth:`run`: same result, 2-D frame blocks per stage.
+        """Vectorized :meth:`run`: same result, whole frame batches per stage.
 
-        Frames are sampled in blocks of ``BATCH_FRAMES``, each as the
-        sparse error positions of
-        :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions`
-        (errors on fade channels are rare), so everything past the
-        channel works on those positions: per-code-word
-        error counts are one ``bincount`` through the precomputed
-        two-stage permutation (the full deinterleave gather never
-        happens), and burst runs fall out of gaps in the sorted
-        positions.  The returned :class:`DownlinkResult` is
-        bit-identical to :meth:`run` from the same generator state
-        (differential-tested in
-        ``tests/channel/test_batched_channel.py``).
+        The native route samples and decodes all ``frames`` in one call,
+        :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.sample_decode`,
+        which hands back per-frame burst columns and both arms' decode
+        tallies.  A batch that route cannot take (see that method) runs
+        densely in blocks of ``BATCH_FRAMES``, each as the sparse error
+        positions of
+        :meth:`~repro.channel.gilbert_elliott.GilbertElliottChannel.error_positions`:
+        per-code-word error counts are one ``bincount`` through the
+        cached decode map (the full deinterleave gather never happens),
+        and burst runs fall out of gaps in the sorted positions.  Either
+        way the returned :class:`DownlinkResult` is bit-identical to
+        :meth:`run` from the same generator state (differential-tested
+        in ``tests/channel/test_batched_channel.py``).
 
         Args:
             frames: frames to transmit (>= 1).
@@ -234,22 +250,40 @@ class OpticalDownlink:
         symbols = self.interleaver.frame_symbols
         codeword_symbols = self.code.n_symbols
         words = symbols // codeword_symbols
-        # Channel position s lands at payload position perm[s] (the
-        # receiver applies the inverse permutation), hence in payload
-        # code word perm[s] // codeword_symbols.
-        word_of_channel_pos = self.interleaver.permutation() // codeword_symbols
         bursts = []
         reports_int = []
         reports_base = []
         max_int = 0
         max_base = 0
         done = 0
+        fused = self.channel.sample_decode(self._word_of, self.code, frames)
+        if fused is not None:
+            columns, tallies = fused
+            errors, burst_counts, longest = columns
+            # A frame's burst lengths sum to its error count.
+            mean_lengths = np.divide(errors, burst_counts,
+                                     out=np.zeros(frames, dtype=np.float64),
+                                     where=burst_counts > 0)
+            bursts.append(FrameBurstArrays(symbols, errors, burst_counts,
+                                           longest, mean_lengths))
+            error_symbols = int(errors.sum())
+            (failed_int, residual_int, max_int,
+             failed_base, residual_base, max_base) = tallies.tolist()
+            reports_int.append(DecodingReport(
+                codewords=frames * words, failed=failed_int,
+                corrected_symbols=error_symbols - residual_int,
+                residual_symbol_errors=residual_int))
+            reports_base.append(DecodingReport(
+                codewords=frames * words, failed=failed_base,
+                corrected_symbols=error_symbols - residual_base,
+                residual_symbol_errors=residual_base))
+            done = frames
         while done < frames:
             block = min(self.BATCH_FRAMES, frames - done)
             frame_idx, sym_idx = self.channel.error_positions(symbols, block)
             word_slots = frame_idx * words
             counts_int = np.bincount(
-                word_slots + word_of_channel_pos[sym_idx],
+                word_slots + self._word_of[sym_idx],
                 minlength=block * words).reshape(block, words)
             counts_base = np.bincount(
                 word_slots + sym_idx // codeword_symbols,

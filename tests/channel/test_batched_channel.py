@@ -22,7 +22,6 @@ from repro.channel.gilbert_elliott import (
     BAD,
     GilbertElliottChannel,
     GilbertElliottParams,
-    _hit_capacity,
 )
 from repro.dram import _kernelc
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
@@ -128,66 +127,134 @@ def _dense_only(*args):
     raise AssertionError("native-route batch took the dense path")
 
 
-def _native_only(*args):
-    raise AssertionError("dense-path batch took the native route")
+#: Downlink geometries of the native-vs-dense battery: the smallest
+#: triangle, and the campaign grid's smallest and largest.
+GEOMETRIES = [
+    (TwoStageConfig(triangle_n=3, symbols_per_element=1, codeword_symbols=6),
+     CodewordConfig(n_symbols=6, t_correctable=1)),
+    (TwoStageConfig(triangle_n=15, symbols_per_element=4, codeword_symbols=24),
+     CodewordConfig(n_symbols=24, t_correctable=2)),
+    (TwoStageConfig(triangle_n=48, symbols_per_element=4, codeword_symbols=24),
+     CodewordConfig(n_symbols=24, t_correctable=2)),
+]
 
 
 class TestSkipAhead:
-    """``error_positions`` against the dense ``error_masks`` path.
+    """``run_batched`` on the native route against the dense route.
 
-    After every batch of three, the positions, the bit generator's
-    state and the chain state must all equal the dense path's.  Batches
-    with ``p_good == 0`` on a fresh ``default_rng`` must take the native
-    route when the sampler loads and the dense path when it does not
-    (no compiler, ``REPRO_KERNEL_NATIVE=0``); every other generator
-    must take the dense path.
+    The reference is the same downlink with the native sampler patched
+    out.  After every call of three, the ``DownlinkResult``, the bit
+    generator's state and the chain state must all equal the
+    reference's.  Calls with ``p_good == 0`` on a fresh ``default_rng``
+    must take the native route, one ``sample_fade_decode`` call per
+    ``run_batched``, when the sampler loads, and the dense route when
+    it does not (no compiler, ``REPRO_KERNEL_NATIVE=0``); every other
+    generator must take the dense route.
     """
 
-    SHAPES = [(0, 3), (5, 0), (311, 8), (4704, 128), (480, 400), (1, 50)]
+    #: Frame counts on each geometry: one frame, a partial, a full and
+    #: a multi-block dense batch.  400 frames of n=48 are left out: on
+    #: the short-dwell channels their dense reference alone takes
+    #: longer than the rest of the battery.
+    SHAPES = [(geometry, frames)
+              for geometry in GEOMETRIES for frames in (1, 50, 128, 400)
+              if (geometry[0].triangle_n, frames) != (48, 400)]
+    SHAPE_IDS = [f"n{geometry[0].triangle_n}-{frames}"
+                 for geometry, frames in SHAPES]
 
     @staticmethod
-    def _assert_batches_match(skip, dense, count, frames):
+    def _downlink(seed, params, geometry=GEOMETRIES[1], rng=None):
+        config, code = geometry
+        return OpticalDownlink(config, code, params,
+                               rng=rng or np.random.default_rng(seed))
+
+    @staticmethod
+    def _assert_calls_match(downlink, reference, frames, monkeypatch):
         for _ in range(3):
-            frame_idx, sym_idx = skip.error_positions(count, frames)
-            expected = np.nonzero(dense.error_masks(count, frames))
-            assert np.array_equal(frame_idx, expected[0])
-            assert np.array_equal(sym_idx, expected[1])
-            assert _same_state(skip.rng.bit_generator.state,
-                               dense.rng.bit_generator.state)
-            assert skip._state == dense._state
+            got = downlink.run_batched(frames)
+            with monkeypatch.context() as patch:
+                patch.setitem(_kernelc._libraries, "sampler", None)
+                expected = reference.run_batched(frames)
+            assert got == expected
+            assert _same_state(downlink.channel.rng.bit_generator.state,
+                               reference.channel.rng.bit_generator.state)
+            assert downlink.channel._state == reference.channel._state
 
     @staticmethod
-    def _pin_route(channel, monkeypatch):
+    def _pin_dense(downlink, monkeypatch):
+        """Fail the test if the downlink's batches take the native route."""
+        sample_decode = downlink.channel.sample_decode
+
+        def dense_only(*args):
+            fused = sample_decode(*args)
+            assert fused is None, "dense-route batch took the native route"
+            return fused
+        monkeypatch.setattr(downlink.channel, "sample_decode", dense_only)
+
+    @classmethod
+    def _pin_route(cls, downlink, monkeypatch):
         """Make the route a fresh ``default_rng`` batch must not take raise."""
-        if (channel.params.p_good == 0.0
+        if (downlink.channel.params.p_good == 0.0
                 and _kernelc.load_sampler() is not None):
-            monkeypatch.setattr(channel, "_sample_batch", _dense_only)
+            monkeypatch.setattr(downlink.channel, "error_positions",
+                                _dense_only)
         else:
-            monkeypatch.setattr(channel, "_native_positions", _native_only)
+            cls._pin_dense(downlink, monkeypatch)
 
-    @pytest.mark.parametrize("count,frames", SHAPES,
-                             ids=[f"{c}x{f}" for c, f in SHAPES])
+    @pytest.mark.parametrize("geometry,frames", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
-    def test_matches_dense_path(self, seed, params, count, frames,
-                                monkeypatch):
-        skip, dense = _channel_pair(seed, params)
-        self._pin_route(skip, monkeypatch)
-        self._assert_batches_match(skip, dense, count, frames)
+    def test_matches_dense_route(self, seed, params, geometry, frames,
+                                 monkeypatch):
+        downlink, reference = (self._downlink(seed, params, geometry)
+                               for _ in range(2))
+        self._pin_route(downlink, monkeypatch)
+        self._assert_calls_match(downlink, reference, frames, monkeypatch)
 
-    def test_hits_beyond_the_first_buffer(self, monkeypatch):
-        """A batch with more hits than the first buffer holds reruns from the same state."""
-        params = GilbertElliottParams(p_g2b=1e-6, p_b2g=1e-5, p_bad=0.9)
-        probe, skip, dense = (
-            GilbertElliottChannel(params, np.random.default_rng(3))
-            for _ in range(3))
-        for channel in (probe, skip, dense):
+    def test_one_native_call_per_batch(self, monkeypatch):
+        sampler = _kernelc.load_sampler()
+        if sampler is None:
+            pytest.skip("native channel sampler unavailable")
+        ffi, lib = sampler
+        calls = []
+
+        class CountingSampler:
+            def sample_fade_decode(self, *args):
+                calls.append(args[3])  # the batch's frame count
+                return lib.sample_fade_decode(*args)
+        monkeypatch.setitem(_kernelc._libraries, "sampler",
+                            (ffi, CountingSampler()))
+        downlink = self._downlink(*PARAM_SETS[0], GEOMETRIES[2])
+        self._pin_route(downlink, monkeypatch)
+        downlink.run_batched(400)
+        assert calls == [400]
+
+    def test_batch_inside_one_fade(self, monkeypatch):
+        """Every symbol of every frame in a fade, so every uniform is drawn."""
+        params = GilbertElliottParams(p_g2b=1e-6, p_b2g=1e-9, p_bad=0.9)
+        downlink, reference = (self._downlink(3, params) for _ in range(2))
+        for channel in (downlink.channel, reference.channel):
             channel._state = BAD  # a fade that outlasts the batches
-        hits = np.count_nonzero(probe.error_masks(311, 8))
-        assert hits > _hit_capacity(params, 311, 8)
-        self._pin_route(skip, monkeypatch)
-        self._assert_batches_match(skip, dense, 311, 8)
+        self._pin_route(downlink, monkeypatch)
+        self._assert_calls_match(downlink, reference, 128, monkeypatch)
+        assert downlink.channel._state == BAD
+        profile = downlink.run_batched(8).channel_profile
+        assert profile.error_symbols > 0.8 * profile.total_symbols
 
-    def test_missing_archive_takes_dense_path(self, tmp_path, monkeypatch):
+    def test_rejects_a_map_outside_the_code_words(self):
+        """A bad decode map fails before the native call draws anything."""
+        if _kernelc.load_sampler() is None:
+            pytest.skip("native channel sampler unavailable")
+        channel = GilbertElliottChannel(PARAM_SETS[0][1],
+                                        np.random.default_rng(1))
+        before = channel.rng.bit_generator.state
+        code = CodewordConfig(n_symbols=6, t_correctable=1)
+        for word_of in (np.full(12, 2), np.zeros(13, dtype=np.int64),
+                        np.full(12, -1)):
+            with pytest.raises(ValueError, match="whole code words"):
+                channel.sample_decode(word_of, code, 3)
+        assert _same_state(channel.rng.bit_generator.state, before)
+
+    def test_missing_archive_takes_dense_route(self, tmp_path, monkeypatch):
         """Without NumPy's ``libnpyrandom.a`` only the channel leaves the native route."""
         kernel_native = _kernelc.available()
         monkeypatch.setattr(_kernelc, "_libraries", {})
@@ -195,20 +262,21 @@ class TestSkipAhead:
                             lambda: str(tmp_path / "libnpyrandom.a"))
         assert _kernelc.available() == kernel_native
         assert _kernelc.load_sampler() is None
-        skip, dense = _channel_pair(*PARAM_SETS[0])
-        monkeypatch.setattr(skip, "_native_positions", _native_only)
-        self._assert_batches_match(skip, dense, 4704, 128)
+        downlink, reference = (self._downlink(*PARAM_SETS[0], GEOMETRIES[2])
+                               for _ in range(2))
+        self._pin_dense(downlink, monkeypatch)
+        self._assert_calls_match(downlink, reference, 128, monkeypatch)
 
     @pytest.mark.parametrize("bit_generator",
                              ["MT19937", "SFC64", "Philox", "PCG64DXSM"])
     def test_other_bit_generators_fall_back(self, bit_generator, monkeypatch):
         params = PARAM_SETS[0][1]
-        skip, dense = (
-            GilbertElliottChannel(params, np.random.Generator(
+        downlink, reference = (
+            self._downlink(0, params, rng=np.random.Generator(
                 getattr(np.random, bit_generator)(5)))
             for _ in range(2))
-        monkeypatch.setattr(skip, "_native_positions", _native_only)
-        self._assert_batches_match(skip, dense, 311, 8)
+        self._pin_dense(downlink, monkeypatch)
+        self._assert_calls_match(downlink, reference, 50, monkeypatch)
 
     @pytest.mark.parametrize("float32_draws", [1, 2],
                              ids=["buffered-half", "stale-word"])
@@ -224,9 +292,10 @@ class TestSkipAhead:
             for _ in range(float32_draws):
                 rng.random(dtype=np.float32)
         assert rngs[0].bit_generator.state["uinteger"] != 0
-        skip, dense = (GilbertElliottChannel(params, rng) for rng in rngs)
-        monkeypatch.setattr(skip, "_native_positions", _native_only)
-        self._assert_batches_match(skip, dense, 311, 8)
+        downlink, reference = (self._downlink(0, params, rng=rng)
+                               for rng in rngs)
+        self._pin_dense(downlink, monkeypatch)
+        self._assert_calls_match(downlink, reference, 50, monkeypatch)
 
 
 class TestBatchedDecoding:
@@ -329,11 +398,12 @@ class TestBatchedDownlink:
         assert batched == reference
 
     def test_chunking_does_not_change_results(self, monkeypatch):
+        """Dense-route blocking (``p_good > 0``) leaves the result alone."""
         monkeypatch.setattr(OpticalDownlink, "BATCH_FRAMES", 50)
-        reference = self._downlink(3, 32, 0.0).run_batched(50)
+        reference = self._downlink(3, 32, 0.004).run_batched(50)
         for batch_frames in (1, 7, 16, 49, 128):
             monkeypatch.setattr(OpticalDownlink, "BATCH_FRAMES", batch_frames)
-            assert self._downlink(3, 32, 0.0).run_batched(50) == reference
+            assert self._downlink(3, 32, 0.004).run_batched(50) == reference
 
     def test_run_batched_rejects_bad_arguments(self):
         downlink = self._downlink(0, 15, 0.0)

@@ -17,11 +17,15 @@ import pytest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
-#: Six cells slow enough (~0.1 s+ each) to kill one mid-grid reliably.
+#: Six cells slow enough (~25 ms each) to kill one mid-grid reliably.
+#: A nonzero ``p_good`` keeps them on the dense channel route: the
+#: native sampler runs such a cell in about a millisecond, too fast for
+#: the kill to land between two cells.
 CAMPAIGN_ARGS = [
     "campaign",
     "--fade-symbols", "60",
     "--fade-fraction", "0.004",
+    "--p-good", "0.001",
     "--triangle-n", "15",
     "--seeds", "6",
     "--frames", "2500",
