@@ -23,6 +23,7 @@ from repro.channel.codeword import (
     decode_masks,
     random_burst_tolerance,
     report_from_counts,
+    report_from_tallies,
 )
 from repro.channel.gilbert_elliott import (
     BAD,
@@ -54,6 +55,7 @@ __all__ = [
     "frame_burst_profiles",
     "random_burst_tolerance",
     "report_from_counts",
+    "report_from_tallies",
     "run_length_histogram",
     "worst_window_errors",
 ]

@@ -76,17 +76,35 @@ class DecodingReport:
         return self.failed == 0
 
 
+def report_from_tallies(codewords: int, errors: int, failed: int,
+                        residual: int) -> DecodingReport:
+    """Decoding report from pooled tallies.
+
+    The home of the corrected/residual split: of the ``errors`` symbol
+    errors that fell on ``codewords`` code words, the ``failed`` words
+    keep their ``residual`` errors and the decoder corrects the rest.
+    :func:`report_from_counts` folds through here, and so does the
+    downlink's native route, whose tallies come from the sampler.
+    """
+    return DecodingReport(
+        codewords=codewords,
+        failed=failed,
+        corrected_symbols=errors - residual,
+        residual_symbol_errors=residual,
+    )
+
+
 def report_from_counts(counts: NDArray[Any],
                        config: CodewordConfig) -> DecodingReport:
     """Aggregate decoding report from per-code-word error counts.
 
     The Python home of the bounded-distance failure criterion
-    (``count > t``) and the corrected/residual split — every Python
-    decode entry point (scalar, batched, the downlink's dense route)
-    folds through here, so the criterion cannot silently diverge
-    between paths.  Its one twin is the native sampler's per-frame fold
-    (:data:`repro.dram._kernelc.SAMPLER_SOURCE`), held to it by the
-    differential tests in ``tests/channel/test_batched_channel.py``.
+    (``count > t``) — every Python decode entry point (scalar, batched,
+    the downlink's dense route) folds through here, so the criterion
+    cannot silently diverge between paths.  Its one twin is the native
+    sampler's per-frame fold (:data:`repro.dram._kernelc.SAMPLER_SOURCE`),
+    held to it by the differential tests in
+    ``tests/channel/test_batched_channel.py``.
 
     Args:
         counts: integer error counts, one entry per code word (any
@@ -94,13 +112,8 @@ def report_from_counts(counts: NDArray[Any],
         config: code parameters.
     """
     failed = counts > config.t_correctable
-    residual = int(counts[failed].sum())
-    return DecodingReport(
-        codewords=int(counts.size),
-        failed=int(failed.sum()),
-        corrected_symbols=int(counts.sum()) - residual,
-        residual_symbol_errors=residual,
-    )
+    return report_from_tallies(int(counts.size), int(counts.sum()),
+                               int(failed.sum()), int(counts[failed].sum()))
 
 
 def decode_mask(mask: NDArray[np.bool_],

@@ -35,6 +35,7 @@ from repro.channel.codeword import (
     DecodingReport,
     decode_mask,
     report_from_counts,
+    report_from_tallies,
 )
 from repro.channel.gilbert_elliott import GilbertElliottChannel, GilbertElliottParams
 from repro.interleaver.two_stage import TwoStageConfig, cached_interleaver
@@ -269,14 +270,10 @@ class OpticalDownlink:
             error_symbols = int(errors.sum())
             (failed_int, residual_int, max_int,
              failed_base, residual_base, max_base) = tallies.tolist()
-            reports_int.append(DecodingReport(
-                codewords=frames * words, failed=failed_int,
-                corrected_symbols=error_symbols - residual_int,
-                residual_symbol_errors=residual_int))
-            reports_base.append(DecodingReport(
-                codewords=frames * words, failed=failed_base,
-                corrected_symbols=error_symbols - residual_base,
-                residual_symbol_errors=residual_base))
+            reports_int.append(report_from_tallies(
+                frames * words, error_symbols, failed_int, residual_int))
+            reports_base.append(report_from_tallies(
+                frames * words, error_symbols, failed_base, residual_base))
             done = frames
         while done < frames:
             block = min(self.BATCH_FRAMES, frames - done)

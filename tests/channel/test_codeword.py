@@ -5,8 +5,10 @@ import pytest
 
 from repro.channel.codeword import (
     CodewordConfig,
+    DecodingReport,
     decode_mask,
     random_burst_tolerance,
+    report_from_tallies,
 )
 
 
@@ -58,6 +60,17 @@ class TestDecode:
         report = decode_mask(np.zeros(0, dtype=bool), CodewordConfig(8, 2))
         assert report.codewords == 0
         assert report.codeword_error_rate == 0.0
+
+    def test_tallies_split_corrected_from_residual(self):
+        """The failed words keep their errors; the decoder fixes the rest."""
+        config = CodewordConfig(8, 2)
+        mask = np.zeros(24, dtype=bool)
+        mask[[0, 1, 2, 3, 9, 17, 18]] = True  # 4 in word 0, 1 in 1, 2 in 2
+        assert decode_mask(mask, config) == report_from_tallies(
+            codewords=3, errors=7, failed=1, residual=4)
+        assert report_from_tallies(3, 7, 1, 4) == DecodingReport(
+            codewords=3, failed=1, corrected_symbols=3,
+            residual_symbol_errors=4)
 
 
 class TestBurstTolerance:
