@@ -200,7 +200,24 @@ class TwoStageInterleaver:
             )
 
 
-@lru_cache(maxsize=8)
+#: Largest frame, in symbols, whose interleaver :func:`cached_interleaver`
+#: keeps.  An entry holds about 32 bytes per symbol (both stages'
+#: permutations and the decode map), so it stays under ~4 MiB; that
+#: admits ``triangle_n`` up to 255 at four symbols per element.
+CACHED_FRAME_SYMBOLS = 1 << 17
+
+
+def _interleaver_with_map(
+        config: TwoStageConfig) -> Tuple[TwoStageInterleaver, NDArray[np.int64]]:
+    interleaver = TwoStageInterleaver(config)
+    word_of = interleaver.permutation() // config.codeword_symbols
+    word_of.flags.writeable = False
+    return interleaver, word_of
+
+
+_cached_interleaver_with_map = lru_cache(maxsize=4)(_interleaver_with_map)
+
+
 def cached_interleaver(
         config: TwoStageConfig) -> Tuple[TwoStageInterleaver, NDArray[np.int64]]:
     """The interleaver of one geometry and its decode map, built once per process.
@@ -209,10 +226,12 @@ def cached_interleaver(
     read-only int64 map from each channel position ``s`` to the payload
     code word the receiver puts it in, ``permutation()[s] //
     codeword_symbols``.  Building both permutations is the costly part
-    of a downlink cell, and a campaign grid holds only a few geometries.
-    The cache is bounded (a ``triangle_n = 48`` entry is about 113 KB).
+    of a downlink cell, and a campaign grid holds only a few geometries
+    (the default grid three), so the four most recently used ones are
+    kept.  A frame above :data:`CACHED_FRAME_SYMBOLS` is built afresh on
+    every call, so a long-running ``repro serve`` holds at most ~16 MiB
+    here whatever ``triangle_n`` its jobs ask for.
     """
-    interleaver = TwoStageInterleaver(config)
-    word_of = interleaver.permutation() // config.codeword_symbols
-    word_of.flags.writeable = False
-    return interleaver, word_of
+    if config.symbols_per_frame > CACHED_FRAME_SYMBOLS:
+        return _interleaver_with_map(config)
+    return _cached_interleaver_with_map(config)

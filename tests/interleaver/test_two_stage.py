@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.interleaver import two_stage
 from repro.interleaver.stream import sequential_symbols
-from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
+from repro.interleaver.two_stage import (TwoStageConfig, TwoStageInterleaver,
+                                           cached_interleaver)
 
 
 def _config(n=8, spe=4, cw=9):
@@ -101,3 +103,23 @@ class TestBurstDiversity:
             interleaver.codeword_of_symbol(-1)
         with pytest.raises(ValueError):
             interleaver.codeword_of_symbol(interleaver.frame_symbols)
+
+
+class TestCachedInterleaver:
+    def test_one_build_per_geometry(self):
+        config = _config(n=15, spe=4, cw=24)
+        interleaver, word_of = cached_interleaver(config)
+        again, same_map = cached_interleaver(_config(n=15, spe=4, cw=24))
+        assert again is interleaver and same_map is word_of
+        assert word_of.dtype == np.int64 and not word_of.flags.writeable
+        np.testing.assert_array_equal(
+            word_of, TwoStageInterleaver(config).permutation() // 24)
+
+    def test_large_frames_are_not_kept(self, monkeypatch):
+        config = _config(n=15, spe=4, cw=24)
+        monkeypatch.setattr(two_stage, "CACHED_FRAME_SYMBOLS",
+                            config.symbols_per_frame - 1)
+        first, word_of = cached_interleaver(config)
+        second, _ = cached_interleaver(config)
+        assert first is not second
+        np.testing.assert_array_equal(word_of, first.permutation() // 24)
