@@ -3,10 +3,13 @@
 
 Renders the four panels for a figure-scale device (2 banks, 4-burst
 pages) on an 8x8 index-space excerpt, plus the triangular variant that
-the real interleaver uses (footnote 1 of the paper).
+the real interleaver uses and its compacted rows on a device too small
+for the rectangular layout (footnote 1 of the paper).
 
 Run:  python examples/mapping_visualizer.py
 """
+
+from dataclasses import replace
 
 from repro import OptimizedMapping, RectangularIndexSpace, TriangularIndexSpace
 from repro.dram.geometry import Geometry
@@ -40,16 +43,19 @@ def main() -> None:
     print(render_full(mapping))
 
     # Storage comparison on a larger triangle where whole tiles fall
-    # into the empty half (footnote 1 of the paper).
-    big = TriangularIndexSpace(32)
+    # into the empty half (footnote 1 of the paper).  The rectangular
+    # tile grid needs 200 rows; on a copy of the device with only 128
+    # the mapping renumbers just the tiles in use.
+    big = TriangularIndexSpace(40)
     rect_alloc = OptimizedMapping(big, geometry)
-    compact = OptimizedMapping(big, geometry, compact_rows=True)
+    small = replace(geometry, rows=128)
+    compact = OptimizedMapping(big, small)
     print()
     print(f"Storage at N={big.n}: rectangular allocation uses "
           f"{rect_alloc.rows_used()} DRAM rows "
           f"({rect_alloc.storage_efficiency():.0%} of allocated capacity holds data);")
-    print(f"compact triangular allocation uses {compact.rows_used()} rows "
-          f"({compact.storage_efficiency():.0%}).")
+    print(f"on a {small.rows}-row device the mapping compacts to "
+          f"{compact.rows_used()} rows ({compact.storage_efficiency():.0%}).")
 
 
 if __name__ == "__main__":

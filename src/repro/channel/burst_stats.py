@@ -11,7 +11,7 @@ the same number of errors almost uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,18 +64,6 @@ def burst_profile(mask: NDArray[np.bool_]) -> BurstProfile:
     )
 
 
-def run_length_histogram(mask: NDArray[np.bool_]) -> Dict[int, int]:
-    """Histogram of error-run lengths in a boolean mask."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return {}
-    padded = np.concatenate(([False], mask, [False]))
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    lengths = changes[1::2] - changes[0::2]
-    values, counts = np.unique(lengths, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
 def errors_per_codeword(mask: NDArray[np.bool_],
                         codeword_symbols: int) -> NDArray[Any]:
     """Number of corrupted symbols in each full code word.
@@ -97,58 +85,14 @@ def errors_per_codeword(mask: NDArray[np.bool_],
     return counts
 
 
-def errors_per_codeword_frames(masks: NDArray[np.bool_],
-                               codeword_symbols: int) -> NDArray[Any]:
-    """Batched :func:`errors_per_codeword` over stacked frame masks.
-
-    Args:
-        masks: boolean array of shape ``(frames, symbols)``.
-        codeword_symbols: symbols per code word; a trailing partial
-            code word in each frame is ignored.
-
-    Returns:
-        ``int64`` array of shape ``(frames, full_codewords)``; row ``f``
-        equals ``errors_per_codeword(masks[f], codeword_symbols)``.
-    """
-    if codeword_symbols < 1:
-        raise ValueError(f"codeword_symbols must be >= 1, got {codeword_symbols}")
-    masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 2:
-        raise ValueError(f"masks must be 2-D (frames, symbols), got shape {masks.shape}")
-    frames, symbols = masks.shape
-    full = symbols // codeword_symbols
-    if full == 0:
-        return np.zeros((frames, 0), dtype=np.int64)
-    trimmed = masks[:, : full * codeword_symbols]
-    counts: NDArray[Any] = trimmed.reshape(
-        frames, full, codeword_symbols).sum(axis=2, dtype=np.int64)
-    return counts
-
-
-def frame_burst_profiles(masks: NDArray[np.bool_]) -> List[BurstProfile]:
-    """Per-frame :class:`BurstProfile` of stacked masks, in one pass.
-
-    Rows of ``masks`` are independent frames: a burst never spans two
-    frames.  Entry ``f`` is bit-identical to ``burst_profile(masks[f])``;
-    the run-length analysis works on the sparse error positions, so the
-    cost beyond one ``nonzero`` scan grows with the number of errors,
-    not the mask size (burst channels of interest are sparse).
-    """
-    masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 2:
-        raise ValueError(f"masks must be 2-D (frames, symbols), got shape {masks.shape}")
-    frame_idx, sym_idx = np.nonzero(masks)
-    return burst_profiles_from_positions(frame_idx, sym_idx,
-                                         masks.shape[0], masks.shape[1])
-
-
 @dataclass(frozen=True)
 class FrameBurstArrays:
     """Columnar per-frame burst statistics of an error-mask batch.
 
     The array form of a list of :class:`BurstProfile` — what the
     campaign hot path aggregates without building per-frame objects.
-    Attributes are indexed by frame:
+    Attributes are indexed by frame; entry ``f`` holds the fields of
+    :func:`burst_profile` of frame ``f``'s mask.
 
     Attributes:
         symbols: mask length common to all frames.
@@ -164,24 +108,6 @@ class FrameBurstArrays:
     burst_counts: NDArray[Any]
     max_lengths: NDArray[Any]
     mean_lengths: NDArray[Any]
-
-    @property
-    def frames(self) -> int:
-        """Number of frames covered by the chunk."""
-        return self.error_counts.size
-
-    def profiles(self) -> List[BurstProfile]:
-        """Expand to per-frame :class:`BurstProfile` objects."""
-        return [
-            BurstProfile(
-                total_symbols=self.symbols,
-                error_symbols=int(self.error_counts[f]),
-                burst_count=int(self.burst_counts[f]),
-                max_burst=int(self.max_lengths[f]),
-                mean_burst=float(self.mean_lengths[f]),
-            )
-            for f in range(self.frames)
-        ]
 
 
 def frame_burst_arrays(frame_idx: NDArray[Any], sym_idx: NDArray[Any],
@@ -218,53 +144,3 @@ def frame_burst_arrays(frame_idx: NDArray[Any], sym_idx: NDArray[Any],
                              where=burst_counts > 0)
     return FrameBurstArrays(symbols, error_counts, burst_counts, max_lengths,
                             mean_lengths)
-
-
-def burst_profiles_from_positions(frame_idx: NDArray[Any],
-                                  sym_idx: NDArray[Any], frames: int,
-                                  symbols: int) -> List[BurstProfile]:
-    """Per-frame burst profiles from sorted sparse error positions."""
-    return frame_burst_arrays(frame_idx, sym_idx, frames, symbols).profiles()
-
-
-def codeword_failure_rate(mask: NDArray[np.bool_], codeword_symbols: int,
-                          correctable: int) -> float:
-    """Fraction of code words with more than ``correctable`` errors."""
-    counts = errors_per_codeword(mask, codeword_symbols)
-    if counts.size == 0:
-        return 0.0
-    return float((counts > correctable).mean())
-
-
-def dispersion_gain(raw_mask: NDArray[np.bool_],
-                    deinterleaved_mask: NDArray[np.bool_],
-                    codeword_symbols: int, correctable: int) -> float:
-    """Ratio of code-word failure rates without/with interleaving.
-
-    Values ``> 1`` mean the interleaver rescued code words; ``inf``
-    means interleaving eliminated all failures that the raw channel
-    caused.
-    """
-    raw = codeword_failure_rate(raw_mask, codeword_symbols, correctable)
-    spread = codeword_failure_rate(deinterleaved_mask, codeword_symbols, correctable)
-    if spread == 0.0:
-        return float("inf") if raw > 0.0 else 1.0
-    return raw / spread
-
-
-def worst_window_errors(mask: NDArray[np.bool_], window: int) -> int:
-    """Maximum number of errors in any sliding window of given size."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    hits = np.asarray(mask, dtype=np.int64)
-    if hits.size < window:
-        return int(hits.sum())
-    cumulative = np.concatenate(([0], np.cumsum(hits)))
-    return int((cumulative[window:] - cumulative[:-window]).max())
-
-
-def spread_positions(mask: NDArray[np.bool_]) -> List[int]:
-    """Indices of corrupted symbols (small helper for tests/examples)."""
-    positions: List[int] = np.flatnonzero(
-        np.asarray(mask, dtype=bool)).tolist()
-    return positions

@@ -12,12 +12,12 @@ that interleaver fast enough.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.channel.burst_stats import errors_per_codeword, errors_per_codeword_frames
+from repro.channel.burst_stats import errors_per_codeword
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,12 @@ def report_from_counts(counts: NDArray[Any],
     """Aggregate decoding report from per-code-word error counts.
 
     The Python home of the bounded-distance failure criterion
-    (``count > t``) — every Python decode entry point (scalar, batched,
-    the downlink's dense route) folds through here, so the criterion
-    cannot silently diverge between paths.  Its one twin is the native
-    sampler's per-frame fold (:data:`repro.dram._kernelc.SAMPLER_SOURCE`),
-    held to it by the differential tests in
-    ``tests/channel/test_batched_channel.py``.
+    (``count > t``) — every Python decode entry point (scalar, the
+    downlink's dense route, the rare-event estimator) folds through
+    here, so the criterion cannot silently diverge between paths.  Its
+    one twin is the native sampler's per-frame fold
+    (:data:`repro.dram._kernelc.SAMPLER_SOURCE`), held to it by the
+    differential tests in ``tests/channel/test_batched_channel.py``.
 
     Args:
         counts: integer error counts, one entry per code word (any
@@ -126,35 +126,3 @@ def decode_mask(mask: NDArray[np.bool_],
         config: code parameters.
     """
     return report_from_counts(errors_per_codeword(mask, config.n_symbols), config)
-
-
-def decode_masks(masks: NDArray[np.bool_],
-                 config: CodewordConfig) -> List[DecodingReport]:
-    """Batched :func:`decode_mask` over stacked frame masks.
-
-    Args:
-        masks: boolean array of shape ``(frames, symbols)``, each row a
-            symbol-error mask in code word order.
-        config: code parameters.
-
-    Returns:
-        One :class:`DecodingReport` per frame, bit-identical to calling
-        :func:`decode_mask` on each row — the per-code-word error
-        counting runs once over the whole 2-D batch, and each row folds
-        through the same :func:`report_from_counts` criterion as every
-        other decode path.
-    """
-    counts = errors_per_codeword_frames(masks, config.n_symbols)
-    return [report_from_counts(row, config) for row in counts]
-
-
-def random_burst_tolerance(config: CodewordConfig, interleaver_depth: int) -> int:
-    """Longest channel burst a perfect depth-``d`` interleaver absorbs.
-
-    A burst of ``L`` consecutive channel symbols lands at most
-    ``ceil(L / d)`` errors in any one code word after deinterleaving
-    with depth ``d``; the decoder survives while that stays <= ``t``.
-    """
-    if interleaver_depth < 1:
-        raise ValueError(f"interleaver_depth must be >= 1, got {interleaver_depth}")
-    return config.t_correctable * interleaver_depth

@@ -107,6 +107,26 @@ def coherence_params(
     return GilbertElliottParams(p_g2b=p_g2b, p_b2g=p_b2g, p_bad=p_bad, p_good=p_good)
 
 
+def combine_errors(fades: NDArray[np.bool_], draws: NDArray[np.float64],
+                   params: GilbertElliottParams) -> NDArray[np.bool_]:
+    """Error mask from a fade mask and one uniform per symbol.
+
+    A symbol is hit when its uniform falls below ``p_bad`` inside a
+    fade or below ``p_good`` outside one: the predicate ``draws <
+    where(fades, p_bad, p_good)``, combined in boolean space so no
+    float64 probability array is built (it would be 8x wider than the
+    masks).  Every channel entry point and the rare-event estimator
+    decide hits here.
+    """
+    errors = np.less(draws, params.p_bad)
+    errors &= fades
+    if params.p_good > 0.0:
+        good_hits = np.less(draws, params.p_good)
+        good_hits &= ~fades
+        errors |= good_hits
+    return errors
+
+
 #: Mask of the low 64 bits of a PCG64 state word.
 _LOW64 = (1 << 64) - 1
 
@@ -184,28 +204,10 @@ class GilbertElliottChannel:
         self._fill_state_row(mask)
         return mask
 
-    def state_masks(self, count: int, frames: int) -> NDArray[np.bool_]:
-        """Fade masks for ``frames`` consecutive frames, shape ``(frames, count)``.
-
-        Row ``f`` is bit-identical to the ``f``-th sequential
-        :meth:`state_mask` call on the same generator state: the chain
-        (and its dwell carry-over) continues across rows exactly as it
-        does across calls.
-        """
-        _check_batch(count, frames)
-        masks = np.empty((frames, count), dtype=bool)
-        for f in range(frames):
-            self._fill_state_row(masks[f])
-        return masks
-
     def error_mask(self, count: int) -> NDArray[np.bool_]:
         """Boolean array: ``True`` where a symbol is corrupted."""
-        params = self.params
         fades = self.state_mask(count)
-        draws = self.rng.random(count)
-        probabilities = np.where(fades, params.p_bad, params.p_good)
-        errors: NDArray[np.bool_] = draws < probabilities
-        return errors
+        return combine_errors(fades, self.rng.random(count), self.params)
 
     def _sample_batch(
             self, count: int,
@@ -237,24 +239,6 @@ class GilbertElliottChannel:
                 self.rng.random(out=draws[f])
         return fades, draws
 
-    def _combine_errors(self, fades: NDArray[np.bool_],
-                        draws: NDArray[np.float64]) -> NDArray[np.bool_]:
-        """Error mask from fade mask + uniforms, in boolean space.
-
-        Same predicate as error_mask's ``draws < where(fades, p_bad,
-        p_good)``, but combined without the float64 probability array —
-        that would be the largest temporary of the whole batch, an 8x
-        wider memory stream than the bool masks.
-        """
-        params = self.params
-        errors = np.less(draws, params.p_bad)
-        errors &= fades
-        if params.p_good > 0.0:
-            good_hits = np.less(draws, params.p_good)
-            good_hits &= ~fades
-            errors |= good_hits
-        return errors
-
     def error_masks(self, count: int, frames: int) -> NDArray[np.bool_]:
         """Error masks for ``frames`` consecutive frames, shape ``(frames, count)``.
 
@@ -265,7 +249,7 @@ class GilbertElliottChannel:
         comparison runs once over the whole 2-D batch.
         """
         fades, draws = self._sample_batch(count, frames)
-        return self._combine_errors(fades, draws)
+        return combine_errors(fades, draws, self.params)
 
     def error_positions(
             self, count: int,

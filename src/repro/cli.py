@@ -62,11 +62,8 @@ from repro.dram.controller import (
     ControllerConfig,
 )
 from repro.dram.presets import TABLE1_CONFIG_NAMES, all_configs, get_config
-from repro.dram.simulator import simulate_interleaver
-from repro.interleaver.triangular import RectangularIndexSpace, TriangularIndexSpace
+from repro.interleaver.triangular import RectangularIndexSpace
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.mapping.optimized import OptimizedMapping
-from repro.mapping.row_major import RowMajorMapping
 from repro.store.export import open_export, write_csv_rows
 from repro.store.jobs import grid_from_spec
 from repro.store.store import ResultStore
@@ -90,7 +87,7 @@ from repro.system.campaign import (
     summarize_campaign,
 )
 from repro.system.downlink import OpticalDownlink, format_gain
-from repro.system.parallel import run_tasks
+from repro.system.parallel import _task_mapping, run_tasks
 from repro.system.sweep import (
     ablation_factories,
     format_e2e_table,
@@ -194,8 +191,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         print(f"error: {policy_error}", file=sys.stderr)
         return 2
     policy = _policy_from(args)
-    rows = run_table1(n=args.n, config_names=names, policy=policy,
-                      jobs=args.jobs, store=_open_store(args))
+    try:
+        rows = run_table1(n=args.n, config_names=names, policy=policy,
+                          jobs=args.jobs, store=_open_store(args))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(format_table1(rows))
     return 0
 
@@ -319,8 +320,12 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         print(f"error: {policy_error}", file=sys.stderr)
         return 2
     policy = _policy_from(args)
-    rows = run_energy_table(n=args.n, config_names=names, policy=policy,
-                            jobs=args.jobs, store=_open_store(args))
+    try:
+        rows = run_energy_table(n=args.n, config_names=names, policy=policy,
+                                jobs=args.jobs, store=_open_store(args))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(format_energy_table(rows))
     if not args.no_pareto:
         cells = [
@@ -834,14 +839,13 @@ def _cmd_provision(args: argparse.Namespace) -> int:
     if unknown:
         print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
         return 2
-    space = TriangularIndexSpace(args.n)
-    reports = []
-    for name in names:
-        config = get_config(name)
-        for mapping in (RowMajorMapping(space, config.geometry),
-                        OptimizedMapping(space, config.geometry, prefer_tall=False)):
-            reports.append(
-                throughput_report(config, simulate_interleaver(config, mapping)))
+    try:
+        rows = run_table1(n=args.n, config_names=names)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    reports = [throughput_report(get_config(row.config_name), result)
+               for row in rows for result in (row.row_major, row.optimized)]
     choices = provision(reports, args.target_gbit)
     print(f"{'rank':4s} {'configuration':14s} {'mapping':10s} "
           f"{'channels':>8s} {'raw Gbit/s':>11s} {'oversizing':>11s}")
@@ -959,11 +963,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1 if original_violations or replay_violations else 0
 
     op = OP_WRITE if args.phase == "write" else OP_READ
-    space = TriangularIndexSpace(args.n)
-    if args.mapping == "row-major":
-        mapping = RowMajorMapping(space, config.geometry)
-    else:
-        mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
+    _, mapping = _task_mapping(args.mapping, config.name, args.n)
     result = simulate_phase_result(config, mapping, op, policy)
     violations = check_phase_commands(config, result.commands)
     print(f"{config.name} {mapping.name} {args.phase}: "

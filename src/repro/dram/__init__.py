@@ -46,7 +46,6 @@ from repro.dram.engine import (
     TupleSource,
     WorkloadSource,
     as_workload,
-    trace_requests,
 )
 from repro.dram.geometry import Geometry
 from repro.dram.presets import (
@@ -132,6 +131,5 @@ __all__ = [
     "steady_state_interleaver",
     "simulate_phase",
     "simulate_phase_result",
-    "trace_requests",
     "write_trace",
 ]

@@ -225,22 +225,6 @@ class TraceReplaySource(WorkloadSource):
                    [c.command is CommandType.RD for c in part])
 
 
-def trace_requests(
-    commands: Iterable[ScheduledCommand],
-) -> Iterator[Tuple[bool, int, int, int]]:
-    """The RD/WR commands of a trace as ``MixedRequest`` tuples.
-
-    Convenience for feeding a recorded trace into
-    :func:`repro.dram.mixed.run_mixed_phase`; equivalent to what
-    :class:`TraceReplaySource` presents to the engine.
-    """
-    cas = sorted((c for c in commands if c.command in CAS_COMMANDS),
-                 key=lambda c: c.time_ps)
-    for command in cas:
-        yield (command.command is CommandType.RD, command.bank,
-               command.row, command.column)
-
-
 class _PartitionedSource(WorkloadSource):
     """Static bank partitioning as an intake transformation.
 

@@ -29,14 +29,14 @@ mixed schedule can be dumped with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dram.commands import ScheduledCommand
 from repro.dram.controller import ControllerConfig
 from repro.dram.engine import MixedSource, SchedulingEngine
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats
-from repro.mapping.base import InterleaverMapping
+from repro.mapping.base import AddressArrays, InterleaverMapping
 
 #: A mixed request: (is_read, bank, row, column).
 MixedRequest = Tuple[bool, int, int, int]
@@ -119,9 +119,20 @@ class RowShiftedMapping(InterleaverMapping):
         bank, row, column = self.inner.address_tuple(i, j)
         return bank, row + self.row_offset, column
 
+    def address_arrays(self, i: Any, j: Any) -> AddressArrays:
+        """The inner mapping's address arrays, shifted ``row_offset`` rows up."""
+        bank, row, column = self.inner.address_arrays(i, j)
+        return bank, row + self.row_offset, column
+
     def rows_used(self) -> int:
         """Rows of the *unshifted* frame (the shift is capacity-checked)."""
         return self.inner.rows_used()
+
+
+def _address_tuples(chunks: Iterable[AddressArrays]) -> Iterator[Tuple[int, int, int]]:
+    """``(bank, row, column)`` tuples of Python ints from columnar chunks."""
+    for banks, rows, columns in chunks:
+        yield from zip(banks.tolist(), rows.tolist(), columns.tolist())
 
 
 def interleaved_stream(
@@ -141,8 +152,8 @@ def interleaved_stream(
     """
     if group < 1:
         raise ValueError(f"group must be >= 1, got {group}")
-    writers = iter(write_mapping.write_addresses())
-    readers = iter(read_mapping.read_addresses())
+    writers = _address_tuples(write_mapping.write_addresses_array())
+    readers = _address_tuples(read_mapping.read_addresses_array())
     live = True
     while live:
         live = False

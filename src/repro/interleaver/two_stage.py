@@ -102,11 +102,9 @@ class TwoStageInterleaver:
         self._groups = config.symbols_per_frame // (
             config.symbols_per_element * config.codeword_symbols)
         # The whole two-stage pipeline is one fixed frame permutation;
-        # precomputing it collapses batched (de)interleaving to a single
-        # fancy-index gather (the campaign engine's hot path).
-        identity = np.arange(config.symbols_per_frame, dtype=np.int64)
-        self._perm = self.interleave(identity)
-        self._inverse = self.deinterleave(identity)
+        # the downlink decodes through it (see cached_interleaver).
+        self._perm = self.interleave(
+            np.arange(config.symbols_per_frame, dtype=np.int64))
 
     @property
     def frame_symbols(self) -> int:
@@ -136,36 +134,9 @@ class TwoStageInterleaver:
         sram_in = unpermuted.reshape(self._groups, -1)
         return self._sram.deinterleave(sram_in).reshape(-1)
 
-    # -- batched frame path (precomputed permutation arrays) --------------
-
     def permutation(self) -> NDArray[Any]:
         """Copy of the transmit permutation: ``interleave(x) == x[perm]``."""
         return self._perm.copy()
-
-    def inverse_permutation(self) -> NDArray[Any]:
-        """Copy of the receive permutation: ``deinterleave(y) == y[inv]``."""
-        return self._inverse.copy()
-
-    def interleave_frames(self, frames: NDArray[Any]) -> NDArray[Any]:
-        """Interleave stacked frames (last axis = frame symbols) at once.
-
-        A single gather through the precomputed permutation; each row is
-        bit-identical to :meth:`interleave` of that row.
-        """
-        self._check_frames(frames)
-        return frames[..., self._perm]
-
-    def deinterleave_frames(self, frames: NDArray[Any]) -> NDArray[Any]:
-        """Exact batched inverse of :meth:`interleave_frames`."""
-        self._check_frames(frames)
-        return frames[..., self._inverse]
-
-    def _check_frames(self, frames: NDArray[Any]) -> None:
-        if frames.ndim < 1 or frames.shape[-1] != self.frame_symbols:
-            raise ValueError(
-                f"frames must have {self.frame_symbols} symbols on the last axis, "
-                f"got shape {frames.shape}"
-            )
 
     # -- properties the paper relies on -----------------------------------
 
@@ -201,9 +172,10 @@ class TwoStageInterleaver:
 
 
 #: Largest frame, in symbols, whose interleaver :func:`cached_interleaver`
-#: keeps.  An entry holds about 32 bytes per symbol (both stages'
-#: permutations and the decode map), so it stays under ~4 MiB; that
-#: admits ``triangle_n`` up to 255 at four symbols per element.
+#: keeps.  An entry holds about 20 bytes per symbol at four symbols per
+#: element (the frame permutation, the decode map and the triangular
+#: stage's two permutations), so it stays under ~2.5 MiB; that admits
+#: ``triangle_n`` up to 255 at four symbols per element.
 CACHED_FRAME_SYMBOLS = 1 << 17
 
 
@@ -229,7 +201,7 @@ def cached_interleaver(
     of a downlink cell, and a campaign grid holds only a few geometries
     (the default grid three), so the four most recently used ones are
     kept.  A frame above :data:`CACHED_FRAME_SYMBOLS` is built afresh on
-    every call, so a long-running ``repro serve`` holds at most ~16 MiB
+    every call, so a long-running ``repro serve`` holds at most ~10 MiB
     here whatever ``triangle_n`` its jobs ask for.
     """
     if config.symbols_per_frame > CACHED_FRAME_SYMBOLS:

@@ -10,7 +10,7 @@ share a (bank, row, column) triple — which is property-tested in
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.dram.address import DramAddress
 from repro.dram.geometry import Geometry
@@ -54,8 +54,9 @@ class InterleaverMapping(abc.ABC):
 
     Args:
         space: index space with ``write_order`` / ``read_order``
-            iterators and a ``contains`` predicate (triangular or
-            rectangular, see :mod:`repro.interleaver.triangular`).
+            iterators, their coordinate-chunk forms and a ``contains``
+            predicate (triangular or rectangular, see
+            :mod:`repro.interleaver.triangular`).
         geometry: the target DRAM channel organization.
     """
 
@@ -76,13 +77,20 @@ class InterleaverMapping(abc.ABC):
         return DramAddress(bank=bank, row=row, column=column)
 
     def write_addresses(self) -> Iterator[AddressTuple]:
-        """Addresses in write (row-wise) order."""
+        """Addresses in write (row-wise) order, one cell at a time.
+
+        The per-element reference the array paths are tested against;
+        simulations draw from :meth:`write_addresses_array`.
+        """
         address_tuple = self.address_tuple
         for i, j in self.space.write_order():
             yield address_tuple(i, j)
 
     def read_addresses(self) -> Iterator[AddressTuple]:
-        """Addresses in read (column-wise) order."""
+        """Addresses in read (column-wise) order, one cell at a time.
+
+        The per-element reference of :meth:`read_addresses_array`.
+        """
         address_tuple = self.address_tuple
         for i, j in self.space.read_order():
             yield address_tuple(i, j)
@@ -139,7 +147,7 @@ class InterleaverMapping(abc.ABC):
         the address sequence, only its batching.
         """
         cells = _resolve_chunk_size(chunk_size, chunk_bytes)
-        for i, j in self._coord_chunks(cells, write=True):
+        for i, j in self.space.write_coord_chunks(cells):
             yield self.address_arrays(i, j)
 
     def read_addresses_array(self, chunk_size: Optional[int] = None, *,
@@ -150,37 +158,8 @@ class InterleaverMapping(abc.ABC):
         Same granularity contract as :meth:`write_addresses_array`.
         """
         cells = _resolve_chunk_size(chunk_size, chunk_bytes)
-        for i, j in self._coord_chunks(cells, write=False):
+        for i, j in self.space.read_coord_chunks(cells):
             yield self.address_arrays(i, j)
-
-    def _coord_chunks(self, chunk_size: int,
-                      write: bool) -> Iterator[Tuple[Any, Any]]:
-        """Coordinate chunks from the space, or from the tuple order.
-
-        Index spaces expose ``write_coord_chunks`` / ``read_coord_chunks``
-        (see :mod:`repro.interleaver.triangular`); any other space is
-        chunked generically from its scalar traversal iterators.
-        """
-        import numpy as np
-
-        space = self.space
-        if write and hasattr(space, "write_coord_chunks"):
-            yield from space.write_coord_chunks(chunk_size)
-            return
-        if not write and hasattr(space, "read_coord_chunks"):
-            yield from space.read_coord_chunks(chunk_size)
-            return
-        order = space.write_order() if write else space.read_order()
-        buf_i: List[int] = []
-        buf_j: List[int] = []
-        for i, j in order:
-            buf_i.append(i)
-            buf_j.append(j)
-            if len(buf_i) >= chunk_size:
-                yield np.asarray(buf_i, dtype=np.int64), np.asarray(buf_j, dtype=np.int64)
-                buf_i, buf_j = [], []
-        if buf_i:
-            yield np.asarray(buf_i, dtype=np.int64), np.asarray(buf_j, dtype=np.int64)
 
     def rows_used(self) -> int:
         """Upper bound on distinct DRAM row indices the mapping uses.

@@ -36,15 +36,17 @@ tile dimensions are powers of two — the low-complexity hardware
 property claimed by the paper.
 
 Storage layout: tile ``(ti, tj)`` owns DRAM row ``ti * tiles_x + tj``
-in *every* bank.  For a triangular index space the default rectangular
-allocation wastes the rows of the empty lower-right half; passing
-``compact_rows=True`` renumbers only the tiles actually touched
-(paper, footnote 1) at the cost of a one-time scan.
+in *every* bank.  For a triangular index space this rectangular
+allocation wastes the rows of the empty lower-right half.  When the
+rectangular grid needs more rows than the device has, the mapping
+renumbers only the tiles actually touched (paper, footnote 1) at the
+cost of a one-time scan; tile order and in-tile columns stay, so row
+hits and misses are those of the rectangular layout.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.dram.geometry import Geometry
 from repro.interleaver.triangular import IndexSpace
@@ -80,9 +82,10 @@ class OptimizedMapping(InterleaverMapping):
         enable_offset: optimization 3 (bank-staggered circular shift).
         prefer_tall: give the column-wise (read) direction the longer
             page runs when the balanced tile cannot be square.
-        compact_rows: renumber DRAM rows over the tiles actually used
-            by the (triangular) index space instead of the bounding
-            box.
+
+    The device picks the row layout: rectangular when its tile grid
+    fits in ``geometry.rows``, compacted over the tiles in use
+    otherwise.
     """
 
     name = "optimized"
@@ -96,7 +99,6 @@ class OptimizedMapping(InterleaverMapping):
         enable_tiling: bool = True,
         enable_offset: bool = True,
         prefer_tall: bool = True,
-        compact_rows: bool = False,
     ) -> None:
         super().__init__(space, geometry)
         self.enable_bank_rotation = enable_bank_rotation
@@ -141,12 +143,13 @@ class OptimizedMapping(InterleaverMapping):
         else:
             self._offsets = [(0, 0)] * banks
 
-        self._row_table: Optional[Dict[int, int]] = None
-        if compact_rows:
-            self._row_table = self._build_compact_rows()
-        # Lazily-built NumPy views used by the vectorized kernel.
+        # Lazily-built NumPy view of the offsets used by the vectorized kernel.
         self._np_offsets = None
-        self._np_row_table = None
+        # Compacted row of each tile id, or None for the rectangular layout.
+        self._row_table: Optional[Any] = None
+        self._rows = self._tiles_x * self._tiles_y
+        if self._rows > geometry.rows:
+            self._row_table, self._rows = self._compact_rows()
         self.check_capacity()
 
     # -- public helpers -------------------------------------------------
@@ -165,15 +168,14 @@ class OptimizedMapping(InterleaverMapping):
 
     def rows_used(self) -> int:
         """Distinct DRAM rows the tiling occupies (exact)."""
-        if self._row_table is not None:
-            return len(self._row_table)
-        return self._tiles_x * self._tiles_y
+        return self._rows
 
     def storage_efficiency(self) -> float:
         """Fraction of allocated page capacity holding real cells.
 
         Rectangular allocation of a triangular space wastes nearly half
-        the rows; ``compact_rows`` recovers most of it (footnote 1).
+        the rows; the compacted layout a small device gets recovers most
+        of it (footnote 1).
         """
         allocated = self.rows_used() * self._banks * self._page
         if allocated == 0:
@@ -229,24 +231,8 @@ class OptimizedMapping(InterleaverMapping):
 
         tile_id = ti * self._tiles_x + tj
         if self._row_table is not None:
-            row = self._row_table[tile_id]
-        else:
-            row = tile_id
-        return bank, row, column
-
-    # -- traversal fast paths ---------------------------------------------
-
-    def write_addresses(self) -> Iterator[AddressTuple]:
-        """Addresses in write (row-wise) order, hot-loop-bound inline."""
-        address_tuple = self.address_tuple
-        for i, j in self.space.write_order():
-            yield address_tuple(i, j)
-
-    def read_addresses(self) -> Iterator[AddressTuple]:
-        """Addresses in read (column-wise) order, hot-loop-bound inline."""
-        address_tuple = self.address_tuple
-        for i, j in self.space.read_order():
-            yield address_tuple(i, j)
+            return bank, int(self._row_table[tile_id]), column
+        return bank, tile_id, column
 
     # -- vectorized kernel ------------------------------------------------
 
@@ -293,51 +279,21 @@ class OptimizedMapping(InterleaverMapping):
 
         tile_id = ti * self._tiles_x + tj
         if self._row_table is not None:
-            if self._np_row_table is None:
-                table = np.zeros(self._tiles_x * self._tiles_y, dtype=np.int64)
-                for tid, compact in self._row_table.items():
-                    table[tid] = compact
-                self._np_row_table = table
-            row = self._np_row_table[tile_id]
-        else:
-            row = tile_id
-        return bank, row, column
+            return bank, self._row_table[tile_id], column
+        return bank, tile_id, column
 
     # -- internals -----------------------------------------------------------
 
-    def _build_compact_rows(self) -> Dict[int, int]:
-        """Scan the index space and renumber only the tiles in use.
+    def _compact_rows(self) -> Tuple[Any, int]:
+        """Renumber the tiles the index space touches, in tile-id order.
 
-        Uses numpy when available to keep paper-scale spaces (12.5 M
-        cells) tractable; falls back to a pure-Python scan.
+        Runs before a row table exists, so the row :meth:`address_arrays`
+        returns is the tile id.  Returns the table (the compacted row of
+        each used tile id) and the number of rows it uses.
         """
-        used = set()
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a dependency
-            np = None
-        space = self.space
-        if np is not None and hasattr(space, "height"):
-            tile_h = self._tile_h
-            tile_w = self._tile_w
-            tiles_x = self._tiles_x
-            delta_rows = np.asarray([d[0] for d in self._offsets], dtype=np.int64)
-            delta_cols = np.asarray([d[1] for d in self._offsets], dtype=np.int64)
-            for i in range(space.height):
-                length = space.row_length(i)
-                j = np.arange(length, dtype=np.int64)
-                if self.enable_bank_rotation:
-                    bank = (i + j) % self._banks
-                else:
-                    bank = (i // tile_h + j // tile_w) % self._banks
-                si = (i + delta_rows[bank]) % self._h_pad
-                sj = (j + delta_cols[bank]) % self._w_pad
-                tiles = (si // tile_h) * tiles_x + sj // tile_w
-                used.update(np.unique(tiles).tolist())
-        else:  # pragma: no cover - exercised only without numpy
-            for i, j in space.write_order():
-                delta_row, delta_col = self._offsets[self.bank_of(i, j)]
-                si = (i + delta_row) % self._h_pad
-                sj = (j + delta_col) % self._w_pad
-                used.add((si // self._tile_h) * self._tiles_x + sj // self._tile_w)
-        return {tile_id: index for index, tile_id in enumerate(sorted(used))}
+        import numpy as np
+
+        used = np.zeros(self._tiles_x * self._tiles_y, dtype=bool)
+        for i, j in self.space.write_coord_chunks():
+            used[self.address_arrays(i, j)[1]] = True
+        return np.cumsum(used, dtype=np.int64) - 1, int(np.count_nonzero(used))

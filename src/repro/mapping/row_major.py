@@ -68,30 +68,6 @@ class RowMajorMapping(InterleaverMapping):
         address = self.decoder.decode(self.base_burst + self.space.linear_index(i, j))
         return address.bank, address.row, address.column
 
-    def write_addresses(self) -> Iterator[AddressTuple]:
-        """Sequential burst indices 0..E-1 decoded in order (fast path)."""
-        decode = self.decoder.decode
-        base = self.base_burst
-        for linear in range(self.space.num_elements):
-            address = decode(base + linear)
-            yield address.bank, address.row, address.column
-
-    def read_addresses(self) -> Iterator[AddressTuple]:
-        """Column-wise traversal: linear index strides by the row length."""
-        decode = self.decoder.decode
-        base = self.base_burst
-        space = self.space
-        height = space.height
-        # Per-row linear offsets, computed once: offset[i] is the linear
-        # index of (i, 0); cell (i, j) lives at offset[i] + j.
-        offsets = [space.row_offset(i) for i in range(height)]
-        for j in range(space.width):
-            for i in range(height):
-                if not space.contains(i, j):
-                    break
-                address = decode(base + offsets[i] + j)
-                yield address.bank, address.row, address.column
-
     # -- vectorized kernel ------------------------------------------------
 
     def address_arrays(self, i: Any, j: Any) -> AddressArrays:

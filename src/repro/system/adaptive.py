@@ -53,8 +53,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.channel.codeword import CodewordConfig
-from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
+from repro.channel.codeword import CodewordConfig, report_from_counts
+from repro.channel.gilbert_elliott import (GilbertElliottParams, coherence_params,
+                                           combine_errors)
 from repro.interleaver.two_stage import TwoStageConfig, cached_interleaver
 from repro.system.campaign import (CampaignCell, CellResult, format_ci,
                                    run_frames, wilson_interval)
@@ -535,14 +536,11 @@ def evaluate_rare_event(cell: RareEventCell) -> RareEventResult:
     symbols = cell.interleaver.symbols_per_frame
     codeword_symbols = cell.code.n_symbols
     words = symbols // codeword_symbols
-    threshold = cell.code.t_correctable
     # Channel position s lands in payload code word perm[s] // n — the
     # decode map the batched campaign path uses.
     _, word_of_channel_pos = cached_interleaver(cell.interleaver)
     stationary_bad = cell.channel.stationary_bad
     proposal = cell.proposal
-    p_bad = proposal.p_bad
-    p_good = proposal.p_good
     states = np.empty(symbols, dtype=bool)
     sum_weight = 0.0
     sum_weight_sq = 0.0
@@ -557,20 +555,14 @@ def evaluate_rare_event(cell: RareEventCell) -> RareEventResult:
         init_bad = bool(rng.random() < stationary_bad)
         _sample_frame_states(rng, proposal, states, init_bad)
         weight = frame_weight(cell.channel, proposal, states)
-        draws = rng.random(symbols)
-        errors = np.less(draws, p_bad)
-        errors &= states
-        if p_good > 0.0:
-            good_hits = np.less(draws, p_good)
-            good_hits &= ~states
-            errors |= good_hits
+        errors = combine_errors(states, rng.random(symbols), proposal)
         sym_idx = np.nonzero(errors)[0]
-        counts_int = np.bincount(word_of_channel_pos[sym_idx],
-                                 minlength=words)
-        counts_base = np.bincount(sym_idx // codeword_symbols,
-                                  minlength=words)
-        failed_int = int(np.count_nonzero(counts_int > threshold))
-        failed_base = int(np.count_nonzero(counts_base > threshold))
+        failed_int = report_from_counts(
+            np.bincount(word_of_channel_pos[sym_idx], minlength=words),
+            cell.code).failed
+        failed_base = report_from_counts(
+            np.bincount(sym_idx // codeword_symbols, minlength=words),
+            cell.code).failed
         term_int = weight * failed_int
         term_base = weight * failed_base
         sum_weight += weight

@@ -40,7 +40,7 @@ from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
 from repro.system.downlink import format_gain
 from repro.system.e2e import E2ECell, E2EResult
-from repro.system.parallel import MixedTask, PhaseTask, run_tasks
+from repro.system.parallel import MixedTask, PhaseTask, _task_mapping, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> sweep deps)
     from repro.store.store import ResultStore
@@ -135,6 +135,10 @@ def run_table1(
         store: optional shared result store — cells persisted by any
             prior sweep (including ``energy``) are reused, the rest
             are written back for later runs.
+
+    Raises:
+        ValueError: before any phase runs, when a cell's mapping does
+            not fit its device.
     """
     results = _frame_results(n, config_names, policy, jobs, store)
     return [
@@ -157,13 +161,26 @@ def _frame_results(
     per cell, so ``table1`` and ``energy`` address the same store
     entries and warm each other in either direction.
 
+    Every cell's mapping is built once before the first phase runs, so
+    a device too small for a cell stops the sweep before any work.
+
     Returns:
         One result per cell: configurations outermost, then
         ``row-major`` before ``optimized``.
+
+    Raises:
+        ValueError: naming configuration, mapping and ``n``, when a
+            cell's mapping does not fit its device.
     """
     cells = [(config_name, mapping_name)
              for config_name in config_names
              for mapping_name in ("row-major", "optimized")]
+    for config_name, mapping_name in cells:
+        try:
+            _task_mapping(mapping_name, config_name, n)
+        except ValueError as error:
+            raise ValueError(f"{config_name}, {mapping_name} mapping, n={n}: "
+                             f"{error}") from None
     tasks = [
         PhaseTask(config_name=config_name, mapping=mapping_name, op=op, n=n,
                   policy=policy)
@@ -359,6 +376,10 @@ def run_energy_table(
             two *phase* records, so an ``energy`` run reuses the exact
             entries a prior ``table1`` run at the same ``n`` persisted
             (and vice versa) with zero redundant engine invocations.
+
+    Raises:
+        ValueError: before any phase runs, when a cell's mapping does
+            not fit its device.
     """
     rows = []
     for result in _frame_results(n, config_names, policy, jobs, store):

@@ -14,10 +14,9 @@ import pytest
 from repro.channel.burst_stats import (
     burst_profile,
     errors_per_codeword,
-    errors_per_codeword_frames,
-    frame_burst_profiles,
+    frame_burst_arrays,
 )
-from repro.channel.codeword import CodewordConfig, decode_mask, decode_masks
+from repro.channel.codeword import CodewordConfig, decode_mask, report_from_counts
 from repro.channel.gilbert_elliott import (
     BAD,
     GilbertElliottChannel,
@@ -25,7 +24,7 @@ from repro.channel.gilbert_elliott import (
 )
 from repro.dram import _kernelc
 from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
-from repro.system.downlink import OpticalDownlink
+from repro.system.downlink import OpticalDownlink, merge_decoding_reports
 
 # >= 20 seeded parameter sets spanning sparse/dense fades, short/long
 # dwells, clean and noisy good states.
@@ -68,10 +67,16 @@ def _channel_pair(seed, params):
 class TestChannelMasks:
     @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
     def test_state_masks_match_sequential(self, seed, params):
+        """The dense route's batch draws each frame as sequential calls do.
+
+        Fades and uniforms are compared apart, so a chain that drifts
+        shows even where ``p_bad == 0`` leaves every error mask clear.
+        """
         batched, sequential = _channel_pair(seed, params)
-        got = batched.state_masks(257, 9)
-        expected = np.stack([sequential.state_mask(257) for _ in range(9)])
-        assert np.array_equal(got, expected)
+        fades, draws = batched._sample_batch(257, 9)
+        for f in range(9):
+            assert np.array_equal(fades[f], sequential.state_mask(257))
+            assert np.array_equal(draws[f], sequential.rng.random(257))
 
     @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
     def test_error_masks_match_sequential(self, seed, params):
@@ -108,8 +113,6 @@ class TestChannelMasks:
         channel = GilbertElliottChannel(params, np.random.default_rng(0))
         with pytest.raises(ValueError):
             channel.error_masks(-1, 3)
-        with pytest.raises(ValueError):
-            channel.state_masks(5, -2)
         with pytest.raises(ValueError):
             channel.error_positions(-1, 3)
         with pytest.raises(ValueError):
@@ -298,44 +301,42 @@ class TestSkipAhead:
         self._assert_calls_match(downlink, reference, 50, monkeypatch)
 
 
+def _assert_columns_match_profiles(masks):
+    """``frame_burst_arrays`` of a batch holds ``burst_profile`` of each row."""
+    arrays = frame_burst_arrays(*np.nonzero(masks), *masks.shape)
+    profiles = [burst_profile(row) for row in masks]
+    assert arrays.symbols == masks.shape[1]
+    assert arrays.error_counts.tolist() == [p.error_symbols for p in profiles]
+    assert arrays.burst_counts.tolist() == [p.burst_count for p in profiles]
+    assert arrays.max_lengths.tolist() == [p.max_burst for p in profiles]
+    assert arrays.mean_lengths.tolist() == [p.mean_burst for p in profiles]
+
+
 class TestBatchedDecoding:
     @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
-    def test_decode_masks_match_per_frame(self, seed, params):
+    def test_block_report_matches_per_frame(self, seed, params):
+        """One fold of a block's 2-D counts, as the dense route decodes,
+        equals each frame's ``decode_mask`` merged."""
         channel = GilbertElliottChannel(params, np.random.default_rng(seed))
         masks = channel.error_masks(312, 6)
         config = CodewordConfig(n_symbols=24, t_correctable=2)
-        batched = decode_masks(masks, config)
-        expected = [decode_mask(row, config) for row in masks]
-        assert batched == expected
+        counts = np.stack([errors_per_codeword(row, 24) for row in masks])
+        assert report_from_counts(counts, config) == merge_decoding_reports(
+            [decode_mask(row, config) for row in masks])
 
-    @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
-    def test_errors_per_codeword_frames_match(self, seed, params):
-        channel = GilbertElliottChannel(params, np.random.default_rng(seed))
-        masks = channel.error_masks(310, 5)  # 310 = 12*25 + 10: partial tail
-        got = errors_per_codeword_frames(masks, 25)
-        expected = np.stack([errors_per_codeword(row, 25) for row in masks])
-        assert np.array_equal(got, expected)
 
+class TestFrameBurstArrays:
     @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
-    def test_frame_burst_profiles_match(self, seed, params):
+    def test_frame_burst_arrays_match(self, seed, params):
         channel = GilbertElliottChannel(params, np.random.default_rng(seed))
-        masks = channel.error_masks(311, 7)
-        got = frame_burst_profiles(masks)
-        expected = [burst_profile(row) for row in masks]
-        assert got == expected
+        _assert_columns_match_profiles(channel.error_masks(311, 7))
 
     def test_empty_and_full_masks(self):
-        config = CodewordConfig(n_symbols=8, t_correctable=1)
-        empty = np.zeros((3, 32), dtype=bool)
-        full = np.ones((3, 32), dtype=bool)
-        for masks in (empty, full):
-            assert decode_masks(masks, config) == [
-                decode_mask(row, config) for row in masks]
-            assert frame_burst_profiles(masks) == [
-                burst_profile(row) for row in masks]
+        _assert_columns_match_profiles(np.zeros((3, 32), dtype=bool))
+        _assert_columns_match_profiles(np.ones((3, 32), dtype=bool))
 
 
-class TestBatchedTwoStage:
+class TestTwoStagePermutation:
     CONFIGS = [
         TwoStageConfig(triangle_n=8, symbols_per_element=4, codeword_symbols=36),
         TwoStageConfig(triangle_n=15, symbols_per_element=4, codeword_symbols=24),
@@ -344,30 +345,13 @@ class TestBatchedTwoStage:
 
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=lambda c: f"n{c.triangle_n}")
-    def test_frames_methods_match_per_frame(self, config):
+    def test_permutation_realizes_interleave(self, config):
         interleaver = TwoStageInterleaver(config)
-        rng = np.random.default_rng(5)
-        frames = rng.integers(0, 255, size=(6, interleaver.frame_symbols),
-                              dtype=np.uint8)
-        batched = interleaver.interleave_frames(frames)
-        expected = np.stack([interleaver.interleave(row) for row in frames])
-        assert np.array_equal(batched, expected)
-        back = interleaver.deinterleave_frames(batched)
-        assert np.array_equal(back, frames)
-
-    def test_permutation_realizes_interleave(self):
-        interleaver = TwoStageInterleaver(self.CONFIGS[0])
         data = np.random.default_rng(2).integers(
             0, 1000, size=interleaver.frame_symbols)
-        assert np.array_equal(interleaver.interleave(data),
-                              data[interleaver.permutation()])
-        assert np.array_equal(interleaver.deinterleave(data),
-                              data[interleaver.inverse_permutation()])
-
-    def test_frames_shape_check(self):
-        interleaver = TwoStageInterleaver(self.CONFIGS[0])
-        with pytest.raises(ValueError, match="last axis"):
-            interleaver.interleave_frames(np.zeros((2, 3)))
+        perm = interleaver.permutation()
+        assert np.array_equal(interleaver.interleave(data), data[perm])
+        assert np.array_equal(interleaver.deinterleave(data[perm]), data)
 
 
 class TestBatchedDownlink:
@@ -396,6 +380,17 @@ class TestBatchedDownlink:
         reference = self._downlink(seed, n, p_good).run(40)
         batched = self._downlink(seed, n, p_good).run_batched(40)
         assert batched == reference
+
+    @pytest.mark.parametrize("seed,params", PARAM_SETS, ids=PARAM_IDS)
+    def test_run_batched_matches_run_frame(self, seed, params):
+        """Frame by frame, either route equals the per-frame reference."""
+        config, code = GEOMETRIES[1]
+        batched, reference = (
+            OpticalDownlink(config, code, params,
+                            rng=np.random.default_rng(seed))
+            for _ in range(2))
+        for _ in range(5):
+            assert batched.run_batched(1) == reference.run_frame()
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         """Dense-route blocking (``p_good > 0``) leaves the result alone."""

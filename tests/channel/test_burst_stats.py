@@ -1,17 +1,9 @@
-"""Burst statistics and dispersion metrics."""
+"""Burst statistics and per-code-word error counts."""
 
 import numpy as np
 import pytest
 
-from repro.channel.burst_stats import (
-    burst_profile,
-    codeword_failure_rate,
-    dispersion_gain,
-    errors_per_codeword,
-    run_length_histogram,
-    spread_positions,
-    worst_window_errors,
-)
+from repro.channel.burst_stats import burst_profile, errors_per_codeword
 
 
 def _mask(*positions, size=32):
@@ -54,15 +46,6 @@ class TestBurstProfile:
         assert burst_profile(_mask(0, 1, size=10)).symbol_error_rate == 0.2
 
 
-class TestRunLengthHistogram:
-    def test_empty(self):
-        assert run_length_histogram(np.zeros(5, dtype=bool)) == {}
-
-    def test_histogram(self):
-        mask = _mask(0, 1, 2, 5, 8, 9)
-        assert run_length_histogram(mask) == {3: 1, 1: 1, 2: 1}
-
-
 class TestErrorsPerCodeword:
     def test_counts(self):
         mask = _mask(0, 1, 9, size=12)
@@ -79,52 +62,3 @@ class TestErrorsPerCodeword:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             errors_per_codeword(np.ones(8, dtype=bool), 0)
-
-
-class TestFailureRate:
-    def test_all_pass(self):
-        mask = _mask(0, 4, 8, size=12)
-        assert codeword_failure_rate(mask, 4, correctable=1) == 0.0
-
-    def test_some_fail(self):
-        mask = _mask(0, 1, 2, size=12)  # 3 errors in word 0
-        assert codeword_failure_rate(mask, 4, correctable=2) == pytest.approx(1 / 3)
-
-    def test_empty(self):
-        assert codeword_failure_rate(np.zeros(2, dtype=bool), 4, 1) == 0.0
-
-
-class TestDispersionGain:
-    def test_interleaving_helps(self):
-        burst = np.zeros(40, dtype=bool)
-        burst[0:8] = True                      # one long burst
-        spread = _mask(0, 5, 10, 15, 20, 25, 30, 35, size=40)  # same 8 errors
-        gain = dispersion_gain(burst, spread, codeword_symbols=4, correctable=1)
-        assert gain == float("inf")  # burst kills words, spread kills none
-
-    def test_no_failures_anywhere(self):
-        clean = np.zeros(16, dtype=bool)
-        assert dispersion_gain(clean, clean, 4, 1) == 1.0
-
-    def test_finite_ratio(self):
-        raw = _mask(0, 1, 4, 5, size=16)       # words 0,1 fail with t=1
-        spread = _mask(0, 1, 8, 12, size=16)   # only word 0 fails
-        gain = dispersion_gain(raw, spread, 4, 1)
-        assert gain == pytest.approx(2.0)
-
-
-class TestWindows:
-    def test_worst_window(self):
-        mask = _mask(3, 4, 5, 20, size=30)
-        assert worst_window_errors(mask, 4) == 3
-        assert worst_window_errors(mask, 1) == 1
-
-    def test_window_larger_than_mask(self):
-        assert worst_window_errors(_mask(0, 1, size=4), 10) == 2
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            worst_window_errors(np.zeros(4, dtype=bool), 0)
-
-    def test_spread_positions(self):
-        assert spread_positions(_mask(2, 7, size=10)) == [2, 7]

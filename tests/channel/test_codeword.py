@@ -7,7 +7,6 @@ from repro.channel.codeword import (
     CodewordConfig,
     DecodingReport,
     decode_mask,
-    random_burst_tolerance,
     report_from_tallies,
 )
 
@@ -71,14 +70,3 @@ class TestDecode:
         assert report_from_tallies(3, 7, 1, 4) == DecodingReport(
             codewords=3, failed=1, corrected_symbols=3,
             residual_symbol_errors=4)
-
-
-class TestBurstTolerance:
-    def test_scales_with_depth(self):
-        config = CodewordConfig(255, 16)
-        assert random_burst_tolerance(config, 1) == 16
-        assert random_burst_tolerance(config, 1000) == 16_000
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            random_burst_tolerance(CodewordConfig(8, 2), 0)

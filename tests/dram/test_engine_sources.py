@@ -20,7 +20,6 @@ from repro.dram.engine import (
     TupleSource,
     WorkloadSource,
     as_workload,
-    trace_requests,
 )
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.trace import check_phase_commands, read_trace, write_trace
@@ -88,15 +87,22 @@ class TestTraceReplay:
         policy = ControllerConfig(record_commands=True, refresh_enabled=False)
         return MemoryController(config, policy).run_phase(requests, op)
 
-    def test_trace_requests_preserves_cas_sequence(self, tiny_config):
+    @staticmethod
+    def _columns(commands):
+        """Bank, row, column and direction columns replay presents, joined."""
+        batches = list(TraceReplaySource(commands).batches())
+        return [[value for batch in batches for value in batch[k]]
+                for k in range(4)]
+
+    def test_replay_preserves_cas_sequence(self, tiny_config):
         result = self._recorded(tiny_config)
         cas = [c for c in sorted(result.commands, key=lambda c: c.time_ps)
                if c.command in (CommandType.RD, CommandType.WR)]
-        replayed = list(trace_requests(result.commands))
-        assert len(replayed) == len(cas)
-        for request, command in zip(replayed, cas):
-            assert request == (command.command is CommandType.RD,
-                               command.bank, command.row, command.column)
+        banks, rows, columns, reads = self._columns(result.commands)
+        assert banks == [c.bank for c in cas]
+        assert rows == [c.row for c in cas]
+        assert columns == [c.column for c in cas]
+        assert reads == [c.command is CommandType.RD for c in cas]
 
     def test_replay_schedules_and_passes_checker(self, tiny_config):
         result = self._recorded(tiny_config)
@@ -138,9 +144,9 @@ class TestTraceReplay:
     def test_non_cas_commands_dropped(self, tiny_config):
         """ACT/PRE/REF are controller decisions; replay re-derives them."""
         result = self._recorded(tiny_config)
-        replayed = list(trace_requests(result.commands))
-        assert len(replayed) < len(result.commands)
-        assert len(replayed) == result.stats.requests
+        banks = self._columns(result.commands)[0]
+        assert len(banks) < len(result.commands)
+        assert len(banks) == result.stats.requests
 
 
 class TestHomogeneousCounters:

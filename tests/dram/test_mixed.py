@@ -14,6 +14,7 @@ from repro.dram.simulator import simulate_interleaver
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.validate import assert_valid
+from repro.system.sweep import default_mappings
 
 
 @pytest.fixture
@@ -101,6 +102,25 @@ class TestInterleavedStream:
     def test_rejects_bad_group(self, ddr4_mapping):
         with pytest.raises(ValueError):
             list(interleaved_stream(ddr4_mapping, ddr4_mapping, group=0))
+
+    @pytest.mark.parametrize("mapping_name", ["row-major", "optimized"])
+    @pytest.mark.parametrize("group", [1, 16])
+    def test_matches_per_element_reference(self, ddr4, mapping_name, group):
+        """The array-drawn stream is the per-element one, tuple for tuple.
+
+        n = 37 gives 703 cells per frame, not a multiple of the group.
+        """
+        mapping = default_mappings()[mapping_name](TriangularIndexSpace(37),
+                                                   ddr4.geometry)
+        shifted = RowShiftedMapping(mapping, mapping.rows_used())
+        writes = [(False,) + a for a in mapping.write_addresses()]
+        reads = [(True,) + a for a in shifted.read_addresses()]
+        expected = []
+        for start in range(0, len(writes), group):
+            expected += writes[start:start + group] + reads[start:start + group]
+        stream = list(interleaved_stream(mapping, shifted, group))
+        assert stream == expected
+        assert {type(value) for request in stream for value in request[1:]} == {int}
 
 
 class TestSteadyState:

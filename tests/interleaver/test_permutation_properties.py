@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repro.interleaver.block import BlockInterleaver, TriangularInterleaver
-from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
+from repro.interleaver.two_stage import (
+    TwoStageConfig,
+    TwoStageInterleaver,
+    cached_interleaver,
+)
 
 BLOCK_SHAPES = [
     (1, 1), (1, 2), (2, 1), (1, 17), (17, 1), (2, 2), (2, 3), (3, 2),
@@ -110,25 +114,26 @@ class TestTwoStageInterleaver:
         _assert_permutation_properties(interleaver, interleaver.frame_symbols)
 
     @pytest.mark.parametrize("shape", TWO_STAGE_SHAPES, ids=_two_stage_id)
-    def test_precomputed_permutations_are_inverse(self, shape):
+    def test_precomputed_permutation_is_interleave(self, shape):
         n, spe, cw = shape
         interleaver = TwoStageInterleaver(
             TwoStageConfig(triangle_n=n, symbols_per_element=spe,
                            codeword_symbols=cw))
         perm = interleaver.permutation()
-        inverse = interleaver.inverse_permutation()
         identity = np.arange(interleaver.frame_symbols)
-        assert np.array_equal(perm[inverse], identity)
-        assert np.array_equal(inverse[perm], identity)
+        assert np.array_equal(perm, interleaver.interleave(identity))
+        assert np.array_equal(interleaver.deinterleave(perm), identity)
 
     @pytest.mark.parametrize("shape", TWO_STAGE_SHAPES, ids=_two_stage_id)
-    def test_batched_roundtrip(self, shape):
+    def test_decode_map_follows_deinterleave(self, shape):
+        """The downlink's decode map puts each channel position in the
+        code word the deinterleaver moves it to."""
         n, spe, cw = shape
-        interleaver = TwoStageInterleaver(
+        interleaver, word_of = cached_interleaver(
             TwoStageConfig(triangle_n=n, symbols_per_element=spe,
                            codeword_symbols=cw))
-        frames = np.random.default_rng(1).integers(
-            0, 255, size=(4, interleaver.frame_symbols), dtype=np.uint8)
-        roundtrip = interleaver.deinterleave_frames(
-            interleaver.interleave_frames(frames))
-        assert np.array_equal(roundtrip, frames)
+        identity = np.arange(interleaver.frame_symbols)
+        # deinterleave(identity)[p] is the channel position that lands
+        # at payload position p.
+        assert np.array_equal(word_of[interleaver.deinterleave(identity)],
+                              identity // cw)

@@ -190,22 +190,28 @@ class TestStorage:
         tiles_y = -(-40 // tile_h)
         assert mapping.rows_used() == tiles_x * tiles_y
 
-    def test_compact_rows_saves_storage(self):
-        geometry = _geometry(rows=512)
+    def test_exact_fit_keeps_rectangular_rows(self):
+        """A grid that just fits keeps its rows; compaction starts beyond."""
+        space = TriangularIndexSpace(64)
+        roomy = OptimizedMapping(space, _geometry(rows=512))
+        assert roomy.rows_used() == 128
+        exact = OptimizedMapping(space, _geometry(rows=128))
+        assert list(exact.write_addresses()) == list(roomy.write_addresses())
+
+    def test_small_device_gets_compacted_rows(self):
         space = TriangularIndexSpace(48)
-        full = OptimizedMapping(space, geometry)
-        compact = OptimizedMapping(space, geometry, compact_rows=True)
-        assert compact.rows_used() <= full.rows_used()
-        assert compact.storage_efficiency() >= full.storage_efficiency()
+        full = OptimizedMapping(space, _geometry(rows=512))
+        compact = OptimizedMapping(space, _geometry(rows=64))
+        assert compact.rows_used() <= 64 < full.rows_used()
+        assert compact.storage_efficiency() > full.storage_efficiency()
         assert_valid(compact)
 
-    def test_compact_rows_rectangle_keeps_all_tiles(self):
-        geometry = _geometry(rows=512)
-        space = RectangularIndexSpace(32, 64)
-        compact = OptimizedMapping(space, geometry, compact_rows=True)
-        full = OptimizedMapping(space, geometry)
+    def test_dense_rectangle_cannot_compact(self):
         # A dense rectangle touches every tile; compaction saves nothing.
-        assert compact.rows_used() == full.rows_used()
+        space = RectangularIndexSpace(32, 64)
+        need = OptimizedMapping(space, _geometry(rows=512)).rows_used()
+        with pytest.raises(ValueError, match=f"needs {need} rows"):
+            OptimizedMapping(space, _geometry(rows=need // 2))
 
     def test_capacity_error_when_device_too_small(self):
         geometry = _geometry(rows=2)

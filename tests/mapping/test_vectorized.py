@@ -9,6 +9,8 @@ spaces across every ablation switch, plus the space-level coordinate
 chunking and the decoder's bulk path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.dram.address import (
     LinearDecoder,
 )
 from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
+from repro.dram.geometry import Geometry
 from repro.dram.presets import get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import RectangularIndexSpace, TriangularIndexSpace
@@ -27,6 +30,9 @@ from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
 
 GEOMETRY = get_config("DDR4-3200").geometry
+#: Four banks and 8-burst pages, so small triangles span many tiles.
+SMALL_PAGE_GEOMETRY = Geometry(bank_groups=2, banks_per_group=2, rows=1 << 16,
+                               columns=64, bus_width_bits=64, burst_length=8)
 
 
 def flatten(chunks):
@@ -49,7 +55,6 @@ OPTIMIZED_VARIANTS = {
     "tiling-only": {"enable_bank_rotation": False, "enable_offset": False},
     "rotation-only": {"enable_tiling": False, "enable_offset": False},
     "prefer-tall": {"prefer_tall": True},
-    "compact-rows": {"compact_rows": True},
 }
 
 
@@ -59,6 +64,23 @@ class TestOptimizedKernel:
     def test_streams_identical(self, space, variant):
         kwargs = {"prefer_tall": False, **OPTIMIZED_VARIANTS[variant]}
         mapping = OptimizedMapping(space, GEOMETRY, **kwargs)
+        assert flatten(mapping.write_addresses_array(chunk_size=257)) == list(
+            mapping.write_addresses())
+        assert flatten(mapping.read_addresses_array(chunk_size=257)) == list(
+            mapping.read_addresses())
+
+    @pytest.mark.parametrize("variant", sorted(OPTIMIZED_VARIANTS))
+    def test_compacted_streams_identical(self, variant):
+        """A device too small for the rectangular grid gets compacted rows."""
+        space = TriangularIndexSpace(200)
+        kwargs = {"prefer_tall": False, **OPTIMIZED_VARIANTS[variant]}
+        need = OptimizedMapping(space, SMALL_PAGE_GEOMETRY, **kwargs).rows_used()
+        # The largest device below the rectangular need: each variant's
+        # compacted layout still fits it at this size.
+        rows = 1 << ((need - 1).bit_length() - 1)
+        mapping = OptimizedMapping(space, replace(SMALL_PAGE_GEOMETRY, rows=rows),
+                                   **kwargs)
+        assert mapping.rows_used() <= rows < need
         assert flatten(mapping.write_addresses_array(chunk_size=257)) == list(
             mapping.write_addresses())
         assert flatten(mapping.read_addresses_array(chunk_size=257)) == list(
@@ -180,28 +202,3 @@ class TestBaseFallback:
                   else mapping.read_addresses())
         expected = MemoryController(config).run_phase(tuples, op).stats
         assert simulate_phase(config, mapping, op) == expected
-
-    def test_generic_space_without_coord_chunks(self):
-        class TinySpace:
-            height = 4
-            width = 4
-            num_elements = 16
-
-            def contains(self, i, j):
-                return 0 <= i < 4 and 0 <= j < 4
-
-            def write_order(self):
-                return ((i, j) for i in range(4) for j in range(4))
-
-            def read_order(self):
-                return ((i, j) for j in range(4) for i in range(4))
-
-        class PlainMapping(InterleaverMapping):
-            name = "plain"
-
-            def address_tuple(self, i, j):
-                return 0, i, j
-
-        mapping = PlainMapping(TinySpace(), GEOMETRY)
-        assert flatten(mapping.write_addresses_array(chunk_size=5)) == list(
-            mapping.write_addresses())

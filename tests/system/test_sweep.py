@@ -8,6 +8,7 @@ from repro.dram.presets import get_config
 from repro.dram.stats import PhaseStats
 from repro.dram.simulator import InterleaverSimResult
 from repro.interleaver.triangular import TriangularIndexSpace
+from repro.system import sweep
 from repro.system.sweep import (
     Table1Row,
     ablation_factories,
@@ -43,6 +44,19 @@ class TestRunTable1:
         rows = run_table1(n=48, config_names=("DDR3-800",),
                           policy=ControllerConfig(refresh_enabled=False))
         assert rows[0].row_major.write.refreshes == 0
+
+    @pytest.mark.parametrize("n,mapping", [(6000, "row-major"),
+                                           (5792, "optimized")])
+    def test_device_too_small_fails_before_any_phase(self, n, mapping,
+                                                     monkeypatch):
+        """LPDDR4's channel holds n = 5792 row-major, but not compacted."""
+        def no_phases(*args, **kwargs):
+            raise AssertionError("a phase ran before the capacity check")
+
+        monkeypatch.setattr(sweep, "run_tasks", no_phases)
+        with pytest.raises(ValueError,
+                           match=f"^LPDDR4-4266, {mapping} mapping, n={n}: "):
+            run_table1(n=n, config_names=("LPDDR4-4266",))
 
 
 class TestFormat:

@@ -48,6 +48,14 @@ class TestTable1:
         assert main(["table1", "--configs", "DDR9-1"]) == 2
         assert "unknown configurations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["table1", "energy"])
+    def test_device_too_small_is_a_named_error(self, command, capsys):
+        assert main([command, "--n", "6000", "--configs", "LPDDR4-4266"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: LPDDR4-4266, row-major mapping, n=6000: ")
+
     def test_no_refresh_flag(self, capsys):
         assert main(["table1", "--n", "48", "--no-refresh",
                      "--configs", "DDR3-800"]) == 0
