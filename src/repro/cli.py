@@ -90,6 +90,7 @@ from repro.system.downlink import OpticalDownlink, format_gain
 from repro.system.parallel import _task_mapping, run_tasks
 from repro.system.sweep import (
     ablation_factories,
+    check_cells,
     format_e2e_table,
     format_energy_table,
     format_mixed_table,
@@ -234,9 +235,13 @@ def _cmd_mixed(args: argparse.Namespace) -> int:
         print(f"error: {policy_error}", file=sys.stderr)
         return 2
     policy = _policy_from(args)
-    rows = run_mixed_table(n=args.n, config_names=names, group=args.group,
-                           policy=policy, jobs=args.jobs,
-                           store=_open_store(args))
+    try:
+        rows = run_mixed_table(n=args.n, config_names=names, group=args.group,
+                               policy=policy, jobs=args.jobs,
+                               store=_open_store(args))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(format_mixed_table(rows))
     return 0
 
@@ -267,8 +272,12 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         print(f"error: unknown variants {sorted(unknown)}; "
               f"known: {sorted(known_variants)}", file=sys.stderr)
         return 2
-    points = sweep_ablation(config_names=names, n=args.n, variants=variants,
-                            jobs=args.jobs)
+    try:
+        points = sweep_ablation(config_names=names, n=args.n,
+                                variants=variants, jobs=args.jobs)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"{'configuration':14s} {'variant':18s} {'write':>8s} {'read':>8s} {'min':>8s}")
     for point in points:
         print(f"{point.config_name:14s} {point.variant:18s} "
@@ -387,10 +396,14 @@ def _cmd_policy(args: argparse.Namespace) -> int:
         return 2
     base = ControllerConfig(refresh_enabled=not args.no_refresh,
                             cap=args.cap)
-    rows = run_policy_table(n=args.n, config_names=names,
-                            disciplines=disciplines, mapping=args.mapping,
-                            policy=base, jobs=args.jobs,
-                            store=_open_store(args))
+    try:
+        rows = run_policy_table(n=args.n, config_names=names,
+                                disciplines=disciplines, mapping=args.mapping,
+                                policy=base, jobs=args.jobs,
+                                store=_open_store(args))
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(format_policy_table(rows))
     return 0
 
@@ -963,6 +976,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1 if original_violations or replay_violations else 0
 
     op = OP_WRITE if args.phase == "write" else OP_READ
+    try:
+        check_cells([(config.name, args.mapping)], args.n)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     _, mapping = _task_mapping(args.mapping, config.name, args.n)
     result = simulate_phase_result(config, mapping, op, policy)
     violations = check_phase_commands(config, result.commands)

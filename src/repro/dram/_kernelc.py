@@ -5,8 +5,14 @@ loaded through ``cffi``:
 
 * :func:`load` — the batch-advance kernel's hot loop
   (:mod:`repro.dram.kernel`), the compiled *segment loop*.  It runs the
-  refresh / eval / commit / arbitrate / pop / admit cycle over the flat
-  int64 state tables and returns to Python only when the phase is done,
+  admit / refresh / eval / commit / arbitrate / pop cycle over the flat
+  int64 state tables, taking the request stream one batch at a time:
+  admission copies each request into its bank's ring, whose capacity is
+  the power of two at or above the most requests a bank can hold
+  (``per_bank_depth``, or ``queue_depth`` if smaller), so ring slots
+  are found with a mask.  It returns to Python only when admission reaches
+  the end of a batch with room left in the window, when the phase is
+  done (after a last, empty batch flagged as the end of the stream),
   when the command-record buffer needs growing, or on deadlock.  Refresh
   events are a port of the general engine's refresh block: the loop
   takes the :class:`~repro.dram.refresh.RefreshScheduler`'s next
@@ -67,7 +73,8 @@ import numpy
 #: Scalar-slot indices shared with the C side (keep in sync with the
 #: ``S_*`` enum in :data:`SOURCE`).  ``S_DEADLINE`` and ``S_REF_BANK``
 #: carry the refresh state in and out; ``S_REFRESHES`` counts the
-#: events the loop applied.
+#: events the loop applied.  ``S_POS`` is the next request of the
+#: current batch to admit.
 (S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
  S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
  S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
@@ -76,17 +83,20 @@ import numpy
 N_SCALARS = 23
 
 #: Config-slot indices shared with the C side (``C_*`` enum).
+#: ``C_BATCH`` is the current batch's request count and ``C_LAST`` flags
+#: the end of the stream; ``C_RING`` is the per-bank ring capacity.
 (C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
  C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
  C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
- C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES, C_REF_INTERVAL, C_REF_DURATION,
- C_REF_ALL_BANK) = range(26)
-N_CFG = 26
+ C_RECORD, C_BATCH, C_LAST, C_REC_CAP, C_CAS_TIMES, C_REF_INTERVAL,
+ C_REF_DURATION, C_REF_ALL_BANK, C_RING) = range(28)
+N_CFG = 28
 
 #: Segment-exit reasons returned by ``run_segment`` (``EXIT_*`` enum).
 EXIT_DONE = 0
 EXIT_RECORD_FULL = 1
 EXIT_DEADLOCK = 2
+EXIT_NEED_INPUT = 3
 
 #: Command kinds in the record columns (decoded by the kernel wrapper).
 REC_ACT = 0
@@ -97,8 +107,7 @@ REC_REF = 3
 CDEF = """
 int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t *banks, const int64_t *rows, const int64_t *cols,
-    const int64_t *qseqs, const int64_t *qstart,
-    int64_t *head, int64_t *adm, int64_t *bstate,
+    int64_t *ring, int64_t *head, int64_t *adm, int64_t *bstate,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
     int64_t *pre_allowed, int64_t *act_allowed,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
@@ -120,10 +129,10 @@ enum { S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
 enum { C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
   C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
   C_IS_READ, C_LATENCY, C_BURST, C_QUEUE_DEPTH, C_PER_BANK_DEPTH,
-  C_RECORD, C_N, C_REC_CAP, C_CAS_TIMES, C_REF_INTERVAL, C_REF_DURATION,
-  C_REF_ALL_BANK };
+  C_RECORD, C_BATCH, C_LAST, C_REC_CAP, C_CAS_TIMES, C_REF_INTERVAL,
+  C_REF_DURATION, C_REF_ALL_BANK, C_RING };
 
-enum { EXIT_DONE, EXIT_RECORD_FULL, EXIT_DEADLOCK };
+enum { EXIT_DONE, EXIT_RECORD_FULL, EXIT_DEADLOCK, EXIT_NEED_INPUT };
 
 enum { REC_ACT = 0, REC_PRE = 1, REC_CAS = 2, REC_REF = 3 };
 
@@ -137,6 +146,14 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
     if (r) v += tck - r;
     return v;
 }
+
+/* Per-bank request rings, 3 int64 columns per slot: stream sequence
+ * number, row, column.  head[b] and adm[b] count bank b's served and
+ * admitted requests; its k-th request sits in slot k & (ring_cap - 1)
+ * of its ring.  At most min(queue_depth, per_bank_depth) <= ring_cap
+ * requests of a bank are admitted and unserved, so no live slot is
+ * ever overwritten. */
+#define Q_AT(b, k) (ring + ((b) * ring_cap + ((k) & ring_mask)) * 3)
 
 /* Deferred-activation entries, 5 int64 columns per slot (same fields
  * as the general engine's heap tuples).  The store is an unsorted
@@ -156,10 +173,32 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
         r_[3] = (row); r_[4] = (col); r_[5] = (req);                 \
     } while (0)
 
+/* Evaluate a newly pending bank's queue head once: a row hit goes
+ * ready, otherwise its row cycle (empty bank, or a precharge first) is
+ * parked in the deferred-activation store with its fixed
+ * activation-ready time. */
+#define EVAL_HEAD(bank) do {                                         \
+        int64_t e_ = (bank);                                         \
+        int64_t row_ = Q_AT(e_, head[e_])[1];                        \
+        int64_t open_ = open_row[e_];                                \
+        if (open_ == row_) {                                         \
+            bstate[e_] = 2; ready_count++; hits++;                   \
+        } else {                                                     \
+            int64_t t_pre_ = -1, ready_ = act_allowed[e_];           \
+            if (open_ >= 0) {                                        \
+                t_pre_ = pre_allowed[e_];                            \
+                if (quant) t_pre_ = quantize(t_pre_, tck);           \
+                ready_ = t_pre_ + trp;                               \
+            }                                                        \
+            H_T(heap_size) = ready_; H_B(heap_size) = e_;            \
+            H_P(heap_size) = t_pre_; H_E(heap_size) = open_ < 0;     \
+            H_R(heap_size) = row_; heap_size++;                      \
+        }                                                            \
+    } while (0)
+
 int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t *banks, const int64_t *rows, const int64_t *cols,
-    const int64_t *qseqs, const int64_t *qstart,
-    int64_t *head, int64_t *adm, int64_t *bstate,
+    int64_t *ring, int64_t *head, int64_t *adm, int64_t *bstate,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
     int64_t *pre_allowed, int64_t *act_allowed,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
@@ -184,12 +223,15 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t queue_depth = cfg[C_QUEUE_DEPTH];
     const int64_t per_bank_depth = cfg[C_PER_BANK_DEPTH];
     const int64_t do_record = cfg[C_RECORD];
-    const int64_t nreq = cfg[C_N];
+    const int64_t batch = cfg[C_BATCH];
+    const int64_t last = cfg[C_LAST];
     const int64_t rec_cap = cfg[C_REC_CAP];
     const int64_t want_cas_time = cfg[C_CAS_TIMES];
     const int64_t ref_interval = cfg[C_REF_INTERVAL];
     const int64_t ref_duration = cfg[C_REF_DURATION];
     const int64_t ref_all_bank = cfg[C_REF_ALL_BANK];
+    const int64_t ring_cap = cfg[C_RING];
+    const int64_t ring_mask = ring_cap - 1;
 
     int64_t last_cas = sc[S_LAST_CAS];
     int64_t last_act = sc[S_LAST_ACT];
@@ -219,6 +261,26 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t exit_reason = EXIT_DONE;
 
     for (;;) {
+        /* ---- admission: the stream head enters its bank's ring until
+         * the window is full or a bank at per_bank_depth blocks it.
+         * Every request admitted so far is served or queued, so
+         * n_requests + queued is the next stream sequence number. --- */
+        while (queued < queue_depth && pos < batch) {
+            int64_t b = banks[pos];
+            if (adm[b] - head[b] >= per_bank_depth) break;
+            if (adm[b] == head[b]) {
+                bstate[b] = 1;
+                fresh[fresh_count++] = b;
+            }
+            int64_t *q = Q_AT(b, adm[b]);
+            q[0] = n_requests + queued; q[1] = rows[pos]; q[2] = cols[pos];
+            adm[b]++; pos++; queued++;
+        }
+        /* Room left at the end of a batch: the next one may hold the
+         * requests that fill it. */
+        if (queued < queue_depth && pos == batch && !last) {
+            exit_reason = EXIT_NEED_INPUT; break;
+        }
         if (!queued) break;
         /* Room for one step (2 * n_banks + 1 records) or one refresh
          * event (n_banks + 1). */
@@ -263,47 +325,14 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             rescan_all = 0;
             fresh_count = 0;
             heap_size = 0;
-            for (int64_t b = 0; b < n_banks; b++) {
-                if (bstate[b] != 1) continue;
-                int64_t row = rows[qseqs[qstart[b] + head[b]]];
-                int64_t current = open_row[b];
-                if (current == row) {
-                    bstate[b] = 2; ready_count++; hits++;
-                } else if (current < 0) {
-                    H_T(heap_size) = act_allowed[b]; H_B(heap_size) = b;
-                    H_P(heap_size) = -1; H_E(heap_size) = 1;
-                    H_R(heap_size) = row; heap_size++;
-                } else {
-                    int64_t t_pre = pre_allowed[b];
-                    if (quant) t_pre = quantize(t_pre, tck);
-                    H_T(heap_size) = t_pre + trp; H_B(heap_size) = b;
-                    H_P(heap_size) = t_pre; H_E(heap_size) = 0;
-                    H_R(heap_size) = row; heap_size++;
-                }
-            }
+            for (int64_t b = 0; b < n_banks; b++)
+                if (bstate[b] == 1) EVAL_HEAD(b);
         } else if (fresh_count) {
             /* The general engine visits fresh banks in sorted order,
              * but eval touches no shared timeline state, so per-bank
              * outcomes are order-independent; heap extraction is by
              * (act_ready, bank), not insertion order. */
-            for (int64_t i = 0; i < fresh_count; i++) {
-                int64_t b = fresh[i];
-                int64_t row = rows[qseqs[qstart[b] + head[b]]];
-                int64_t current = open_row[b];
-                if (current == row) {
-                    bstate[b] = 2; ready_count++; hits++;
-                } else if (current < 0) {
-                    H_T(heap_size) = act_allowed[b]; H_B(heap_size) = b;
-                    H_P(heap_size) = -1; H_E(heap_size) = 1;
-                    H_R(heap_size) = row; heap_size++;
-                } else {
-                    int64_t t_pre = pre_allowed[b];
-                    if (quant) t_pre = quantize(t_pre, tck);
-                    H_T(heap_size) = t_pre + trp; H_B(heap_size) = b;
-                    H_P(heap_size) = t_pre; H_E(heap_size) = 0;
-                    H_R(heap_size) = row; heap_size++;
-                }
-            }
+            for (int64_t i = 0; i < fresh_count; i++) EVAL_HEAD(fresh[i]);
             fresh_count = 0;
         }
 
@@ -403,7 +432,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         int64_t best_pb_bank = -1;
         for (int64_t b = 0; b < n_banks; b++) {
             if (bstate[b] != 2) continue;
-            int64_t sq = qseqs[qstart[b] + head[b]];
+            int64_t sq = Q_AT(b, head[b])[0];
             int64_t pb = cas_allowed[b];
             int64_t t = last_cas_bg[bg_of[b]] + tccd_l;
             if (t > pb) pb = t;
@@ -424,14 +453,14 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             exit_reason = EXIT_DEADLOCK; break;
         }
 
-        /* ---- pop, timeline update, admission ----------------------- */
-        int64_t hidx = qstart[chosen] + head[chosen];
-        int64_t p_seq = qseqs[hidx];
+        /* ---- pop and timeline update ------------------------------- */
+        int64_t *p = Q_AT(chosen, head[chosen]);
+        int64_t p_row = p[1], p_col = p[2];
         head[chosen]++;
         queued--;
         if (adm[chosen] == head[chosen]) {
             bstate[chosen] = 0; ready_count--;
-        } else if (rows[qseqs[hidx + 1]] == open_row[chosen]) {
+        } else if (Q_AT(chosen, head[chosen])[1] == open_row[chosen]) {
             hits++;
         } else {
             bstate[chosen] = 1; ready_count--;
@@ -447,30 +476,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             if (t > pre_allowed[chosen]) pre_allowed[chosen] = t;
         }
         if (do_record)
-            RECORD(t_cas, REC_CAS, chosen, rows[p_seq], cols[p_seq],
-                   n_requests);
+            RECORD(t_cas, REC_CAS, chosen, p_row, p_col, n_requests);
         if (want_cas_time) cas_time[n_requests] = t_cas;
         n_requests++;
-        if (pos < nreq && queued == queue_depth - 1) {
-            int64_t b = banks[pos];
-            if (adm[b] - head[b] < per_bank_depth) {
-                if (adm[b] == head[b]) {
-                    bstate[b] = 1;
-                    fresh[fresh_count++] = b;
-                }
-                adm[b]++; pos++; queued++;
-            }
-        } else {
-            while (queued < queue_depth && pos < nreq) {
-                int64_t b = banks[pos];
-                if (adm[b] - head[b] >= per_bank_depth) break;
-                if (adm[b] == head[b]) {
-                    bstate[b] = 1;
-                    fresh[fresh_count++] = b;
-                }
-                adm[b]++; pos++; queued++;
-            }
-        }
     }
 
     sc[S_LAST_CAS] = last_cas;

@@ -83,26 +83,39 @@ _ENTRY_BANK = itemgetter(1)
 #: Requests buffered per batch when normalizing per-element streams.
 _STREAM_BATCH = 1024
 
-#: Below this chunk size the Python partition loop beats NumPy setup.
-_NUMPY_PARTITION_MIN = 64
 
+def check_batch(
+    banks: Sequence[int], rows: Sequence[int], columns: Sequence[int],
+    n_banks: int, base: int,
+) -> Tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.int64]]:
+    """One intake batch's columns as int64 arrays, validated.
 
-def _as_list(values: Any) -> List[int]:
-    """Bulk-convert one batch column to a plain Python list."""
-    tolist = getattr(values, "tolist", None)
-    if tolist is not None:
-        converted: List[int] = tolist()
-        return converted
-    return list(values)
+    Every intake route checks its batches here.  ``base`` is the stream
+    position of the batch's first request: errors name requests by it.
 
-
-def _intake_error(index: int, bank: int, row: int, column: int,
-                  n_banks: int) -> ValueError:
-    """The intake error naming request ``index``: its bank, else its row."""
-    reason = (f"bank out of range [0, {n_banks})" if not 0 <= bank < n_banks
-              else "row must be >= 0")
-    return ValueError(
-        f"request #{index} (bank={bank}, row={row}, column={column}): {reason}")
+    Raises:
+        ValueError: when the columns disagree in length, or naming the
+            first request whose bank lies outside ``[0, n_banks)`` or
+            whose row is negative (its bank is reported first).
+    """
+    m = len(banks)
+    if len(rows) != m or len(columns) != m:
+        raise ValueError(
+            f"request chunk columns disagree in length: "
+            f"{m} banks, {len(rows)} rows, {len(columns)} columns")
+    banks_arr = np.ascontiguousarray(banks, dtype=np.int64)
+    rows_arr = np.ascontiguousarray(rows, dtype=np.int64)
+    cols_arr = np.ascontiguousarray(columns, dtype=np.int64)
+    bad = (banks_arr < 0) | (banks_arr >= n_banks) | (rows_arr < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        bank = int(banks_arr[k])
+        reason = (f"bank out of range [0, {n_banks})"
+                  if not 0 <= bank < n_banks else "row must be >= 0")
+        raise ValueError(
+            f"request #{base + k} (bank={bank}, row={int(rows_arr[k])}, "
+            f"column={int(cols_arr[k])}): {reason}")
+    return banks_arr, rows_arr, cols_arr
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +250,9 @@ class _PartitionedSource(WorkloadSource):
     discipline's scalar reference trivial (the frozen open-page oracle
     on the remapped stream).
 
-    Original bank indices are validated here, with the engine's exact
-    error message, because the modulo fold would silently wrap
-    out-of-range banks into valid partition slots.  Rows are checked
-    with them, so the first bad request is the one reported.
+    Original bank indices are validated here (:func:`check_batch`),
+    because the modulo fold would silently wrap out-of-range banks into
+    valid partition slots.
     """
 
     def __init__(self, inner: WorkloadSource, n_banks: int,
@@ -257,28 +269,15 @@ class _PartitionedSource(WorkloadSource):
         offset = half if self._is_read else 0
         count = 0
         for banks_col, rows_col, cols_col, dirs_col in self._inner.batches():
-            banks = np.asarray(banks_col)
-            if len(banks) and (int(banks.min()) < 0
-                               or int(banks.max()) >= n_banks
-                               or int(np.min(rows_col)) < 0):
-                self._reject(banks, rows_col, cols_col, count)
+            banks, rows, cols = check_batch(banks_col, rows_col, cols_col,
+                                            n_banks, count)
             if dirs_col is None:
                 remapped = banks % half + offset
             else:
                 reads = np.asarray(dirs_col, dtype=bool)
                 remapped = banks % half + np.where(reads, half, 0)
-            yield remapped, rows_col, cols_col, dirs_col
+            yield remapped, rows, cols, dirs_col
             count += len(banks)
-
-    def _reject(self, banks: NDArray[Any], rows_col: Any, cols_col: Any,
-                count: int) -> None:
-        """Raise the engine's intake error for the first bad request."""
-        n_banks = self._n_banks
-        rows = _as_list(rows_col)
-        cols = _as_list(cols_col)
-        for k, bank in enumerate(banks.tolist()):
-            if not 0 <= bank < n_banks or rows[k] < 0:
-                raise _intake_error(count + k, bank, rows[k], cols[k], n_banks)
 
 
 def as_workload(requests: Any) -> WorkloadSource:
@@ -563,70 +562,31 @@ class SchedulingEngine:
             """Pull, validate and partition the next non-empty batch."""
             nonlocal loaded, exhausted
             compact()
-            while True:
-                item = next(batch_iter, None)
-                if item is None:
-                    exhausted = True
-                    return False
-                banks_col, rows_col, cols_col, dirs_col = item
-                m = len(banks_col)
-                if not m:
+            for banks_col, rows_col, cols_col, dirs_col in batch_iter:
+                banks, rows, cols = check_batch(banks_col, rows_col, cols_col,
+                                                n_banks, loaded)
+                if not len(banks):
                     continue
-                if len(rows_col) != m or len(cols_col) != m:
-                    raise ValueError(
-                        f"request chunk columns disagree in length: "
-                        f"{m} banks, {len(rows_col)} rows, {len(cols_col)} columns"
-                    )
-                if (not mixed and m >= _NUMPY_PARTITION_MIN
-                        and isinstance(banks_col, np.ndarray)):
-                    _partition_numpy(banks_col, rows_col, cols_col)
-                else:
-                    _partition_python(banks_col, rows_col, cols_col, dirs_col)
-                loaded += m
-                return True
-
-        def _partition_numpy(banks_arr: NDArray[Any], rows_col: Any,
-                             cols_col: Any) -> None:
-            """Bulk per-bank partition of one columnar chunk."""
-            rows_arr = np.asarray(rows_col)
-            if (int(banks_arr.min()) < 0 or int(banks_arr.max()) >= n_banks
-                    or int(rows_arr.min()) < 0):
-                # Raises, naming the first bad request.
-                _partition_python(banks_arr, rows_arr, cols_col, None)
-            order = np.argsort(banks_arr, kind="stable")
-            counts = np.bincount(banks_arr, minlength=n_banks)
-            starts = np.empty(n_banks, dtype=np.int64)
-            starts[0] = 0
-            np.cumsum(counts[:-1], out=starts[1:])
-            rows_sorted = rows_arr[order]
-            cols_sorted = np.asarray(cols_col)[order]
-            seq_sorted = order + loaded
-            for b in np.flatnonzero(counts).tolist():
-                s = int(starts[b])
-                e = s + int(counts[b])
-                rows_q[b].extend(rows_sorted[s:e].tolist())
-                cols_q[b].extend(cols_sorted[s:e].tolist())
-                seqs_q[b].extend(seq_sorted[s:e].tolist())
-            bank_stream.extend(banks_arr.tolist())
-
-        def _partition_python(banks_col: Any, rows_col: Any, cols_col: Any,
-                              dirs_col: Any) -> None:
-            """Per-element partition (small or direction-carrying batches)."""
-            banks = _as_list(banks_col)
-            rows = _as_list(rows_col)
-            cols = _as_list(cols_col)
-            dirs = _as_list(dirs_col) if mixed else None
-            base = loaded
-            for k, bank in enumerate(banks):
-                if bank < 0 or bank >= n_banks or rows[k] < 0:
-                    raise _intake_error(base + k, bank, rows[k], cols[k],
-                                        n_banks)
-                rows_q[bank].append(rows[k])
-                cols_q[bank].append(cols[k])
-                seqs_q[bank].append(base + k)
+                # A stable sort by bank keeps each bank's requests in
+                # stream order.
+                order = np.argsort(banks, kind="stable")
+                counts = np.bincount(banks, minlength=n_banks)
+                ends = np.cumsum(counts).tolist()
+                columns: Tuple[Tuple[Any, NDArray[Any]], ...] = (
+                    (rows_q, rows[order]), (cols_q, cols[order]),
+                    (seqs_q, order + loaded))
                 if mixed:
-                    dirs_q[bank].append(dirs[k])
-            bank_stream.extend(banks)
+                    columns += (
+                        (dirs_q, np.asarray(dirs_col, dtype=bool)[order]),)
+                for b in np.flatnonzero(counts).tolist():
+                    start = ends[b] - int(counts[b])
+                    for queue, column in columns:
+                        queue[b].extend(column[start:ends[b]].tolist())
+                bank_stream.extend(banks.tolist())
+                loaded += len(banks)
+                return True
+            exhausted = True
+            return False
 
         def intake() -> None:
             """Admit requests until the queue window is full or a bank

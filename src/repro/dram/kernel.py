@@ -13,11 +13,15 @@ of the wall clock.
 :class:`KernelEngine` removes both costs for homogeneous phases while
 producing **bit-identical** schedules:
 
-* **columnar intake** — the whole request stream is materialized up
-  front into flat NumPy int64 columns, validated and partitioned per
-  bank in bulk (a stable radix sort of 8-bit bank keys + bincount
-  prefix sums), so the scheduling loop reads flat timestamp/queue
-  tables and never builds a Python tuple per request;
+* **batch intake into per-bank rings** — the request stream arrives
+  one batch at a time, exactly as the general engine reads it: each
+  batch is validated as int64 columns
+  (:func:`~repro.dram.engine.check_batch`) and handed to the compiled
+  loop, which admits requests in stream order into per-bank rings of
+  ``(sequence, row, column)`` entries and asks for the next batch when
+  the window has room left at a batch's end.  The loop reads flat
+  timestamp/queue tables and never builds a Python tuple per request,
+  and no phase is ever held in memory whole;
 * **timestamp table** — per-bank next-ready timestamps
   (``cas_allowed``/``pre_allowed``/``act_allowed``/``act_time``) live
   in the same flat table the wrapped general engine keeps, shared by
@@ -32,10 +36,10 @@ producing **bit-identical** schedules:
   to the oldest) wins at its own slot.  This is exactly the general
   engine's decision rule, reached without maintaining any ordered
   structure per pop;
-* **compiled segment loop** — the refresh / eval / commit / arbitrate /
-  pop / admit cycle runs as a single compiled loop
+* **compiled segment loop** — the admit / refresh / eval / commit /
+  arbitrate / pop cycle runs as a single compiled loop
   (:mod:`repro.dram._kernelc`) over the same int64 tables, one call per
-  phase.  The loop applies refresh events itself from the shared
+  batch.  The loop applies refresh events itself from the shared
   :class:`~repro.dram.refresh.RefreshScheduler`'s deadline, interval
   and round-robin bank, and the driver advances the scheduler past the
   events it applied (:meth:`~repro.dram.refresh.RefreshScheduler.skip`),
@@ -67,16 +71,17 @@ Those delegations set
 sources** (per-request directions, turnaround rules) delegate too,
 unflagged: the turnaround rule set only exists in the general engine.
 
-One intake difference is deliberate: the general engine validates bank
-indices and rows lazily, batch by batch, so an invalid request deep in
-a stream raises only after the earlier requests were scheduled.  The
-kernel validates the whole stream up front (same exception, same
-message) and raises before mutating any state.
+Both engines share one intake contract: batches are validated as they
+arrive, so an invalid request deep in a stream raises (same exception,
+same message) only after the earlier requests were scheduled, and
+batch boundaries are invisible to scheduling.  The kernel writes the
+shared bank and refresh state back only when a phase completes, so an
+intake error leaves the engine as it was before the phase.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, Any, List
 
 import numpy as np
 
@@ -85,7 +90,7 @@ from repro.dram.bank import BankSnapshot
 from repro.dram.commands import CommandType, ScheduledCommand
 from repro.dram.engine import (OP_READ, OP_WRITE, EngineResult,
                                SchedulingEngine, WorkloadSource,
-                               _intake_error, _PartitionedSource)
+                               _PartitionedSource, check_batch)
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
     POLICY_CLOSED_PAGE,
@@ -155,39 +160,6 @@ class KernelEngine:
         """Readable state of one bank (testing/debugging)."""
         return self._general.bank_snapshot(bank)
 
-    def _materialize(
-        self, source: WorkloadSource
-    ) -> Tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]",
-               "np.ndarray[Any, Any]"]:
-        """Drain ``source`` into flat int64 columns, validating shape.
-
-        Batch boundaries are invisible to scheduling, so concatenating
-        them up front is observationally equivalent to the general
-        engine's incremental loads for any valid stream.
-        """
-        banks_parts: List["np.ndarray[Any, Any]"] = []
-        rows_parts: List["np.ndarray[Any, Any]"] = []
-        cols_parts: List["np.ndarray[Any, Any]"] = []
-        for banks_col, rows_col, cols_col, _dirs in source.batches():
-            m = len(banks_col)
-            if not m:
-                continue
-            if len(rows_col) != m or len(cols_col) != m:
-                raise ValueError(
-                    f"request chunk columns disagree in length: "
-                    f"{m} banks, {len(rows_col)} rows, {len(cols_col)} columns"
-                )
-            banks_parts.append(np.asarray(banks_col, dtype=np.int64))
-            rows_parts.append(np.asarray(rows_col, dtype=np.int64))
-            cols_parts.append(np.asarray(cols_col, dtype=np.int64))
-        if not banks_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        if len(banks_parts) == 1:
-            return banks_parts[0], rows_parts[0], cols_parts[0]
-        return (np.concatenate(banks_parts), np.concatenate(rows_parts),
-                np.concatenate(cols_parts))
-
     def run(self, source: WorkloadSource, op: str = OP_READ,
             cas_times: bool = False) -> EngineResult:
         """Schedule one workload source to completion.
@@ -225,14 +197,18 @@ class KernelEngine:
                     cas_times: bool) -> EngineResult:
         """Homogeneous run through the compiled segment loop.
 
-        The C side owns the whole cycle, refresh events included (a
-        port of the general engine's refresh block), over flat int64
-        state tables, and returns only when the phase is done, the
-        command-record buffer needs growing, or it deadlocks.  State is
-        copied from the shared per-bank lists and the refresh scheduler
-        on entry and written back on exit, so a phase delegated to the
-        general engine afterwards starts from the warm state a
-        general-engine run would have left.
+        The C side owns the whole cycle, admission and refresh events
+        included (ports of the general engine's intake and refresh
+        blocks), over flat int64 state tables.  It takes the stream one
+        validated batch at a time, copying each admitted request into
+        its bank's ring, and returns when it needs the next batch, when
+        the command-record buffer needs growing, when the phase is done,
+        or on deadlock; a last, empty batch flags the end of the stream.
+        State is copied from the shared per-bank lists and the refresh
+        scheduler on entry and written back only when the phase
+        completes, so a phase delegated to the general engine afterwards
+        starts from the warm state a general-engine run would have left,
+        and an intake error leaves the engine untouched.
         """
         loaded = _kernelc.load()
         assert loaded is not None  # guarded by self.native
@@ -248,23 +224,11 @@ class KernelEngine:
         record = policy.record_commands
         refresh = self._refresh
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
+        # A bank never holds more than either depth allows.
+        depth = min(policy.queue_depth, policy.per_bank_depth)
+        ring_cap = 1 << (depth - 1).bit_length()
 
-        banks_arr, rows_arr, cols_arr = self._materialize(source)
-        n = len(banks_arr)
-        if n:
-            bad = (banks_arr < 0) | (banks_arr >= n_banks) | (rows_arr < 0)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise _intake_error(k, int(banks_arr[k]), int(rows_arr[k]),
-                                    int(cols_arr[k]), n_banks)
-        # Banks are in [0, 64) here: a stable sort of 8-bit keys is a
-        # radix sort with the same permutation as the int64 one.
-        qseqs = np.argsort(banks_arr.astype(np.uint8),
-                           kind="stable").astype(np.int64, copy=False)
-        counts = np.bincount(banks_arr, minlength=n_banks)
-        qstart = np.zeros(n_banks, dtype=np.int64)
-        np.cumsum(counts[:-1], out=qstart[1:])
-
+        ring = np.zeros(n_banks * ring_cap * 3, dtype=np.int64)
         head = np.zeros(n_banks, dtype=np.int64)
         adm = np.zeros(n_banks, dtype=np.int64)
         bstate = np.zeros(n_banks, dtype=np.int64)
@@ -280,9 +244,8 @@ class KernelEngine:
         faw_ring = np.full(4, _FAR_PAST, dtype=np.int64)
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
         heap = np.zeros((n_banks + 2) * 5, dtype=np.int64)
-        rec_cap = (3 * n + 4096) if record else 1
-        rec = np.zeros(rec_cap * 6, dtype=np.int64)
-        cas_col = np.zeros(max(n, 1) if cas_times else 1, dtype=np.int64)
+        rec = np.zeros(4096 * 6 if record else 6, dtype=np.int64)
+        cas_col = np.zeros(1, dtype=np.int64)
 
         sc = np.zeros(_kernelc.N_SCALARS, dtype=np.int64)
         sc[_kernelc.S_LAST_CAS] = _FAR_PAST
@@ -314,56 +277,49 @@ class KernelEngine:
         cfg[_kernelc.C_QUEUE_DEPTH] = policy.queue_depth
         cfg[_kernelc.C_PER_BANK_DEPTH] = policy.per_bank_depth
         cfg[_kernelc.C_RECORD] = 1 if record else 0
-        cfg[_kernelc.C_N] = n
-        cfg[_kernelc.C_REC_CAP] = rec_cap
+        cfg[_kernelc.C_REC_CAP] = len(rec) // 6
         cfg[_kernelc.C_CAS_TIMES] = 1 if cas_times else 0
         cfg[_kernelc.C_REF_INTERVAL] = refresh.interval_ps
         cfg[_kernelc.C_REF_DURATION] = refresh.duration_ps
         cfg[_kernelc.C_REF_ALL_BANK] = 1 if all_bank_refresh else 0
-
-        # Initial intake (the general engine's intake(), on the arrays).
-        banks_head: List[int] = banks_arr[
-            :min(n, policy.queue_depth * 2)].tolist()
-        pos = queued = 0
-        fresh_count = 0
-        while queued < policy.queue_depth and pos < n:
-            b = banks_head[pos]
-            if int(adm[b] - head[b]) >= policy.per_bank_depth:
-                break
-            if adm[b] == head[b]:
-                bstate[b] = 1
-                fresh[fresh_count] = b
-                fresh_count += 1
-            adm[b] += 1
-            pos += 1
-            queued += 1
-        sc[_kernelc.S_POS] = pos
-        sc[_kernelc.S_QUEUED] = queued
-        sc[_kernelc.S_FRESH_COUNT] = fresh_count
+        cfg[_kernelc.C_RING] = ring_cap
 
         def ptr(a: "np.ndarray[Any, Any]") -> Any:
             return ffi.cast("int64_t *", ffi.from_buffer(a))
 
-        args = [ptr(cfg), ptr(sc), ptr(banks_arr), ptr(rows_arr),
-                ptr(cols_arr), ptr(qseqs), ptr(qstart), ptr(head),
+        # Slots 2-4 take each batch's (bank, row, column) columns.
+        args = [ptr(cfg), ptr(sc), None, None, None, ptr(ring), ptr(head),
                 ptr(adm), ptr(bstate), ptr(open_arr), ptr(act_time),
                 ptr(cas_allowed), ptr(pre_allowed), ptr(act_allowed),
                 ptr(bg_of), ptr(last_cas_bg), ptr(faw_ring), ptr(fresh),
                 ptr(heap), ptr(rec), ptr(cas_col)]
 
-        # The C side applies refresh events itself; it returns only when
-        # the queues drain, the record buffer needs growing, or no bank
-        # head can ever issue.
-        while True:
+        empty = np.empty(0, dtype=np.int64)
+        batches = source.batches()
+        stream_length = 0
+        reason = _kernelc.EXIT_NEED_INPUT
+        while reason == _kernelc.EXIT_NEED_INPUT:
+            batch = next(batches, None)
+            columns = ((empty,) * 3 if batch is None else
+                       check_batch(*batch[:3], n_banks, stream_length))
+            stream_length += len(columns[0])
+            if cas_times and len(cas_col) < stream_length:
+                cas_col = np.concatenate(
+                    (cas_col, np.zeros(stream_length, dtype=np.int64)))
+                args[-1] = ptr(cas_col)
+            cfg[_kernelc.C_BATCH] = len(columns[0])
+            cfg[_kernelc.C_LAST] = batch is None
+            sc[_kernelc.S_POS] = 0
+            args[2:5] = map(ptr, columns)
+            # The C side applies refresh events itself; it returns when
+            # it needs the next batch, the queues drain, the record
+            # buffer needs growing, or no bank head can ever issue.
             reason = lib.run_segment(*args)
-            if reason != _kernelc.EXIT_RECORD_FULL:
-                break
-            grown = np.zeros((rec_cap + n) * 6, dtype=np.int64)
-            grown[:rec_cap * 6] = rec
-            rec = grown
-            rec_cap += n
-            cfg[_kernelc.C_REC_CAP] = rec_cap
-            args[-2] = ptr(rec)
+            while reason == _kernelc.EXIT_RECORD_FULL:
+                rec = np.concatenate((rec, np.zeros_like(rec)))
+                cfg[_kernelc.C_REC_CAP] = len(rec) // 6
+                args[-2] = ptr(rec)
+                reason = lib.run_segment(*args)
         if reason == _kernelc.EXIT_DEADLOCK:
             raise RuntimeError("scheduler deadlock: no prepared bank head")
         refs = int(sc[_kernelc.S_REFRESHES])
@@ -426,4 +382,5 @@ class KernelEngine:
                                          ref=refs, makespan_ps=last_data_end)
         return EngineResult(stats=stats, commands=commands, reads=reads,
                             writes=writes, turnarounds=0,
-                            cas_times=cas_col[:n] if cas_times else None)
+                            cas_times=cas_col[:n_requests] if cas_times else None)
+

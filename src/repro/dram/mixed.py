@@ -169,6 +169,11 @@ def interleaved_stream(
                 yield (True,) + item
 
 
+def read_frame_mapping(mapping: InterleaverMapping) -> RowShiftedMapping:
+    """The read frame, ``mapping.rows_used()`` rows above the write frame."""
+    return RowShiftedMapping(mapping, mapping.rows_used())
+
+
 def steady_state_interleaver(
     config: DramConfig,
     mapping: InterleaverMapping,
@@ -177,9 +182,8 @@ def steady_state_interleaver(
 ) -> MixedResult:
     """Simulate the steady-state write(k+1)/read(k) operation.
 
-    The read frame is double-buffered ``mapping.rows_used()`` rows above
-    the write frame so the two streams never share pages.
+    The read frame is double-buffered above the write frame
+    (:func:`read_frame_mapping`) so the two streams never share pages.
     """
-    read_mapping = RowShiftedMapping(mapping, mapping.rows_used())
-    stream = interleaved_stream(mapping, read_mapping, group)
+    stream = interleaved_stream(mapping, read_frame_mapping(mapping), group)
     return run_mixed_phase(config, stream, policy)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +61,9 @@ from repro.dram.energy import (
 from repro.dram.engine import Batch, WorkloadSource
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats
+from repro.interleaver.triangular import DEFAULT_COORD_CHUNK
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.mapping.base import AddressArrays, InterleaverMapping
+from repro.mapping.base import InterleaverMapping
 from repro.system.downlink import DownlinkResult, OpticalDownlink
 from repro.system.parallel import _task_mapping
 
@@ -145,7 +146,7 @@ class FrameStreamSource(WorkloadSource):
         self.op = op
         chunks = (mapping.write_addresses_array() if op == OP_WRITE
                   else mapping.read_addresses_array())
-        self._chunks: List[AddressArrays] = list(chunks)
+        self._frame = [np.concatenate(column) for column in zip(*chunks)]
 
     @property
     def elements_per_frame(self) -> int:
@@ -153,10 +154,18 @@ class FrameStreamSource(WorkloadSource):
         return self.interleaver.elements_per_frame
 
     def batches(self) -> Iterator[Batch]:
-        """Yield every frame's address chunks, frames back to back."""
-        for _ in range(self.frames):
-            for banks, rows, cols in self._chunks:
-                yield banks, rows, cols, None
+        """Yield the frames back to back, in batches of whole frames.
+
+        A batch holds as many frames as
+        :data:`~repro.interleaver.triangular.DEFAULT_COORD_CHUNK`
+        bursts allow, and at least one.
+        """
+        per_batch = max(1, DEFAULT_COORD_CHUNK // self.elements_per_frame)
+        for start in range(0, self.frames, per_batch):
+            count = min(per_batch, self.frames - start)
+            banks, rows, cols = (np.tile(column, count)
+                                 for column in self._frame)
+            yield banks, rows, cols, None
 
 
 def latency_percentile_ps(latencies: Sequence[int], q: float) -> int:

@@ -30,6 +30,7 @@ from repro.dram.energy import (
     energy_from_tally,
     phase_energy,
 )
+from repro.dram.mixed import read_frame_mapping
 from repro.dram.presets import TABLE1_CONFIG_NAMES, DramConfig, get_config
 from repro.dram.simulator import InterleaverSimResult, simulate_interleaver
 from repro.dram.stats import PhaseStats
@@ -112,6 +113,29 @@ class Table1Row:
         )
 
 
+def check_cells(cells: Sequence[Tuple[str, str]], n: int,
+                double_buffered: bool = False) -> None:
+    """Build every ``(configuration, mapping key)`` cell's mapping once.
+
+    Sweeps call this before their first task, so a device too small for
+    any cell stops the sweep before any work.  ``double_buffered`` also
+    builds each cell's read frame, which mixed traffic places above the
+    write frame (:func:`~repro.dram.mixed.read_frame_mapping`).
+
+    Raises:
+        ValueError: naming configuration, mapping and ``n``, when a
+            cell does not fit its device.
+    """
+    for config_name, mapping_name in cells:
+        try:
+            _, mapping = _task_mapping(mapping_name, config_name, n)
+            if double_buffered:
+                read_frame_mapping(mapping)
+        except ValueError as error:
+            raise ValueError(f"{config_name}, {mapping_name} mapping, n={n}: "
+                             f"{error}") from None
+
+
 def run_table1(
     n: int = 512,
     config_names: Sequence[str] = TABLE1_CONFIG_NAMES,
@@ -161,8 +185,7 @@ def _frame_results(
     per cell, so ``table1`` and ``energy`` address the same store
     entries and warm each other in either direction.
 
-    Every cell's mapping is built once before the first phase runs, so
-    a device too small for a cell stops the sweep before any work.
+    Every cell's mapping is checked before the first phase runs.
 
     Returns:
         One result per cell: configurations outermost, then
@@ -175,12 +198,7 @@ def _frame_results(
     cells = [(config_name, mapping_name)
              for config_name in config_names
              for mapping_name in ("row-major", "optimized")]
-    for config_name, mapping_name in cells:
-        try:
-            _task_mapping(mapping_name, config_name, n)
-        except ValueError as error:
-            raise ValueError(f"{config_name}, {mapping_name} mapping, n={n}: "
-                             f"{error}") from None
+    check_cells(cells, n)
     tasks = [
         PhaseTask(config_name=config_name, mapping=mapping_name, op=op, n=n,
                   policy=policy)
@@ -273,8 +291,15 @@ def run_mixed_table(
         policy: controller policy overrides applied to every cell.
         jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
         store: optional shared result store (hits skip simulation).
+
+    Raises:
+        ValueError: before any cell runs, when a cell's frame or its
+            double-buffered read frame does not fit its device.
     """
     mapping_names = ("row-major", "optimized")
+    check_cells([(config_name, mapping_name)
+                  for config_name in config_names
+                  for mapping_name in mapping_names], n, double_buffered=True)
     tasks = [
         MixedTask(config_name=config_name, mapping=mapping_name, n=n,
                   group=group, policy=policy)
@@ -550,12 +575,18 @@ def run_e2e_table(
     Returns:
         One :class:`E2ERow` per (configuration, mapping) cell, in grid
         order.
+
+    Raises:
+        ValueError: on inconsistent interleaver/code dimensions, or
+            before any cell runs, when a cell's mapping does not fit
+            its device.
     """
     cells = e2e_grid(n=n, config_names=config_names, frames=frames,
                      channel=channel,
                      symbols_per_element=symbols_per_element,
                      codeword_symbols=codeword_symbols,
                      t_correctable=t_correctable, seed=seed, policy=policy)
+    check_cells([(cell.config_name, cell.mapping) for cell in cells], n)
     results = run_tasks(cells, jobs=jobs, store=store)
     return [
         E2ERow(config_name=cell.config_name, mapping_name=cell.mapping,
@@ -656,9 +687,12 @@ def run_policy_table(
 
     Raises:
         ValueError: on an unknown discipline name (via
-            :class:`~repro.dram.controller.ControllerConfig`).
+            :class:`~repro.dram.controller.ControllerConfig`), or before
+            any cell runs, when a configuration's mapping does not fit
+            its device.
     """
     base = policy or ControllerConfig()
+    check_cells([(config_name, mapping) for config_name in config_names], n)
     tasks = [
         PhaseTask(config_name=config_name, mapping=mapping, op=op, n=n,
                   policy=replace(base, discipline=discipline))
@@ -836,6 +870,11 @@ def sweep_ablation(
             effects the ablation measures — pass an explicit
             ``ControllerConfig()`` to get them anyway).
         jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
+
+    Raises:
+        KeyError: on an unknown variant.
+        ValueError: before any cell runs, when a variant does not fit a
+            configuration's device.
     """
     if policy is None:
         policy = ABLATION_POLICY
@@ -844,6 +883,8 @@ def sweep_ablation(
     unknown = [v for v in variant_names if v not in known]
     if unknown:
         raise KeyError(f"unknown ablation variants {unknown}; known: {sorted(known)}")
+    check_cells([(config_name, variant) for config_name in config_names
+                  for variant in variant_names], n)
     tasks = [
         PhaseTask(config_name=config_name, mapping=variant, op=op, n=n,
                   policy=policy)

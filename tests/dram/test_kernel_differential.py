@@ -12,6 +12,8 @@ compiled loop cannot run (no toolchain, ``REPRO_KERNEL_NATIVE=0``) the
 same battery checks the general-engine fallback route.
 """
 
+import tracemalloc
+
 import pytest
 
 from oracles.cases import N_HOMOGENEOUS, engine_case
@@ -171,6 +173,54 @@ class TestNativeRefresh:
         assert not result.stats.kernel_fallback
         _assert_identical(expected, result)
         _assert_same_refresh_state(general, kernel)
+
+
+class TestBoundedIntake:
+    """The compiled loop holds one batch of the stream at a time."""
+
+    @pytest.mark.skipif(not _kernelc.available(),
+                        reason="needs the compiled segment loop")
+    @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
+    def test_small_chunks_keep_the_phase_small(self, ddr4, op):
+        """525 k requests in 4096-request chunks: a few MiB at most."""
+        mapping = _mapping(ddr4, "optimized", n=1024)
+
+        def phase(**chunking):
+            chunks = (mapping.write_addresses_array(**chunking)
+                      if op == OP_WRITE
+                      else mapping.read_addresses_array(**chunking))
+            return KernelEngine(ddr4, ControllerConfig()).run(
+                as_workload(chunks), op=op).stats
+
+        expected = phase()
+        tracemalloc.start()
+        try:
+            stats = phase(chunk_size=4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats == expected
+        assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.skipif(not _kernelc.available(),
+                        reason="needs the compiled segment loop")
+    def test_intake_error_leaves_the_engine_untouched(self, ddr4):
+        """A bad request in a later batch raises after the earlier
+        batches were scheduled, but the shared state is written back
+        only when a phase completes."""
+        mapping = _mapping(ddr4, "optimized")
+        kernel = KernelEngine(ddr4, ControllerConfig())
+        kernel.run(as_workload(mapping.write_addresses_array()), OP_WRITE)
+        before = [kernel.bank_snapshot(b) for b in range(ddr4.geometry.banks)]
+        deadline = kernel._refresh.next_deadline_ps
+        chunks = list(mapping.read_addresses_array(chunk_size=256))
+        banks, rows, cols = chunks[-1]
+        chunks[-1] = (banks, rows - rows.max() - 1, cols)
+        with pytest.raises(ValueError, match="row must be >= 0"):
+            kernel.run(as_workload(chunks), OP_READ)
+        assert [kernel.bank_snapshot(b)
+                for b in range(ddr4.geometry.banks)] == before
+        assert kernel._refresh.next_deadline_ps == deadline
 
 
 class TestController:

@@ -45,18 +45,26 @@ class TestRunTable1:
                           policy=ControllerConfig(refresh_enabled=False))
         assert rows[0].row_major.write.refreshes == 0
 
-    @pytest.mark.parametrize("n,mapping", [(6000, "row-major"),
-                                           (5792, "optimized")])
-    def test_device_too_small_fails_before_any_phase(self, n, mapping,
+    @pytest.mark.parametrize("run,n,prefix", [
+        (run_table1, 6000, "row-major mapping, n=6000: "),
+        (run_table1, 5792, "optimized mapping, n=5792: "),
+        (sweep.run_mixed_table, 3000, "optimized mapping, n=3000: shifted"),
+        (sweep.run_policy_table, 6000, "optimized mapping, n=6000: "),
+        (sweep_ablation, 6000, "full mapping, n=6000: "),
+        (sweep.run_e2e_table, 6000, "row-major mapping, n=6000: "),
+    ], ids=["6000-row-major", "5792-optimized", "mixed", "policy",
+            "ablation", "e2e"])
+    def test_device_too_small_fails_before_any_phase(self, run, n, prefix,
                                                      monkeypatch):
-        """LPDDR4's channel holds n = 5792 row-major, but not compacted."""
+        """LPDDR4's channel holds n = 5792 row-major, but not compacted;
+        at n = 3000 only the mixed grid's double-buffered read frame
+        overflows it."""
         def no_phases(*args, **kwargs):
             raise AssertionError("a phase ran before the capacity check")
 
         monkeypatch.setattr(sweep, "run_tasks", no_phases)
-        with pytest.raises(ValueError,
-                           match=f"^LPDDR4-4266, {mapping} mapping, n={n}: "):
-            run_table1(n=n, config_names=("LPDDR4-4266",))
+        with pytest.raises(ValueError, match=f"^LPDDR4-4266, {prefix}"):
+            run(n=n, config_names=("LPDDR4-4266",))
 
 
 class TestFormat:

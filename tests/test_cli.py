@@ -48,13 +48,20 @@ class TestTable1:
         assert main(["table1", "--configs", "DDR9-1"]) == 2
         assert "unknown configurations" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["table1", "energy"])
+    #: The first cell each grid command checks on LPDDR4-4266.
+    FIRST_CELL = {"table1": "row-major", "energy": "row-major",
+                  "provision": "row-major", "mixed": "row-major",
+                  "policy": "optimized", "ablation": "full",
+                  "e2e": "row-major"}
+
+    @pytest.mark.parametrize("command", list(FIRST_CELL))
     def test_device_too_small_is_a_named_error(self, command, capsys):
         assert main([command, "--n", "6000", "--configs", "LPDDR4-4266"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: LPDDR4-4266, row-major mapping, n=6000: ")
+            f"error: LPDDR4-4266, {self.FIRST_CELL[command]} mapping, "
+            f"n=6000: ")
 
     def test_no_refresh_flag(self, capsys):
         assert main(["table1", "--n", "48", "--no-refresh",
@@ -194,6 +201,14 @@ class TestMixed:
                      "--configs", "DDR3-800"]) == 0
         capsys.readouterr()
 
+    def test_read_frame_too_large_is_a_named_error(self, capsys):
+        """The frame fits LPDDR4 at n=3000, its double buffer does not."""
+        assert main(["mixed", "--n", "3000", "--configs", "LPDDR4-4266"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: LPDDR4-4266, optimized mapping, n=3000: shifted frame ")
+
 
 class TestTrace:
     def test_schedules_and_checks(self, capsys):
@@ -235,6 +250,13 @@ class TestTrace:
     def test_unknown_config_fails(self, capsys):
         assert main(["trace", "--config", "HBM9"]) == 2
         capsys.readouterr()
+
+    def test_device_too_small_is_a_named_error(self, capsys):
+        assert main(["trace", "--config", "LPDDR4-4266", "--n", "6000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: LPDDR4-4266, optimized mapping, n=6000: ")
 
 
 class TestAblation:
