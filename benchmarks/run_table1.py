@@ -10,7 +10,7 @@ Usage::
     python benchmarks/run_table1.py --configs DDR4-3200 LPDDR4-4266
 
 The paper simulates 12.5 M elements (N=5000); ``--paper-scale`` runs
-that size serially in about 75 s with a 111 MiB peak RSS (2-core Xeon,
+that size serially in about 65 s with a 99 MiB peak RSS (2-core Xeon,
 Python 3.11, NumPy 2.4; the output is kept in paper_scale_table1.txt).
 Utilizations stabilize well before that (see
 bench_interleaver_size.py).

@@ -10,7 +10,9 @@ loaded through ``cffi``:
   admission copies each request into its bank's ring, whose capacity is
   the power of two at or above the most requests a bank can hold
   (``per_bank_depth``, or ``queue_depth`` if smaller), so ring slots
-  are found with a mask.  It returns to Python only when admission reaches
+  are found with a mask.  The CAS arbiter walks the ready bank heads
+  oldest-first, as the general engine does, from an array kept in head
+  sequence order.  The loop returns to Python only when admission reaches
   the end of a batch with room left in the window, when the phase is
   done (after a last, empty batch flagged as the end of the stream),
   when the command-record buffer needs growing, or on deadlock.  Refresh
@@ -111,7 +113,8 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
     int64_t *pre_allowed, int64_t *act_allowed,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *rec, int64_t *cas_time);
+    int64_t *fresh, int64_t *heap, int64_t *ready, int64_t *rec,
+    int64_t *cas_time);
 """
 
 SOURCE = r"""
@@ -166,6 +169,42 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
 #define H_E(i)   heap[(i) * 5 + 3]
 #define H_R(i)   heap[(i) * 5 + 4]
 
+/* Ready heads, 2 int64 columns per entry: bank, sequence number of its
+ * queue head.  A bank is ready while its head is a row hit on its open
+ * row.  Entries stay in sequence order, as the general engine's
+ * ready_order does, so the CAS walk visits the heads oldest-first. */
+#define R_B(k)   ready[(k) * 2 + 0]
+#define R_S(k)   ready[(k) * 2 + 1]
+
+/* Insert bank b, whose head has sequence number seq, into the first
+ * count entries. */
+static inline void ready_insert(int64_t *ready, int64_t count, int64_t b,
+                                int64_t seq) {
+    int64_t k = count;
+    for (; k > 0 && R_S(k - 1) > seq; k--) {
+        R_B(k) = R_B(k - 1); R_S(k) = R_S(k - 1);
+    }
+    R_B(k) = b; R_S(k) = seq;
+}
+
+/* Drop entry k of the first count entries. */
+static inline void ready_remove(int64_t *ready, int64_t count, int64_t k) {
+    for (; k + 1 < count; k++) {
+        R_B(k) = R_B(k + 1); R_S(k) = R_S(k + 1);
+    }
+}
+
+/* Entry k's head advanced to the later sequence number seq: move it
+ * back past every entry that is now older. */
+static inline void ready_advance(int64_t *ready, int64_t count, int64_t k,
+                                 int64_t seq) {
+    int64_t b = R_B(k);
+    for (; k + 1 < count && R_S(k + 1) < seq; k++) {
+        R_B(k) = R_B(k + 1); R_S(k) = R_S(k + 1);
+    }
+    R_B(k) = b; R_S(k) = seq;
+}
+
 /* Append one command record: time, kind, bank, row, column, request. */
 #define RECORD(t, kind, bank, row, col, req) do {                    \
         int64_t *r_ = rec + rec_count++ * 6;                         \
@@ -179,10 +218,12 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
  * activation-ready time. */
 #define EVAL_HEAD(bank) do {                                         \
         int64_t e_ = (bank);                                         \
-        int64_t row_ = Q_AT(e_, head[e_])[1];                        \
+        const int64_t *q_ = Q_AT(e_, head[e_]);                      \
+        int64_t row_ = q_[1];                                        \
         int64_t open_ = open_row[e_];                                \
         if (open_ == row_) {                                         \
-            bstate[e_] = 2; ready_count++; hits++;                   \
+            bstate[e_] = 2; hits++;                                  \
+            ready_insert(ready, ready_count++, e_, q_[0]);           \
         } else {                                                     \
             int64_t t_pre_ = -1, ready_ = act_allowed[e_];           \
             if (open_ >= 0) {                                        \
@@ -202,7 +243,8 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
     int64_t *pre_allowed, int64_t *act_allowed,
     const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *rec, int64_t *cas_time)
+    int64_t *fresh, int64_t *heap, int64_t *ready, int64_t *rec,
+    int64_t *cas_time)
 {
     const int64_t n_banks = cfg[C_N_BANKS];
     const int64_t tck = cfg[C_TCK];
@@ -307,8 +349,16 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             }
             if (quant) ref_time = quantize(ref_time, tck);
             for (int64_t b = first; b < end; b++) {
-                if (bstate[b] == 2) { bstate[b] = 1; ready_count--; }
+                if (bstate[b] == 2) bstate[b] = 1;
                 act_allowed[b] = ref_time + ref_duration;
+            }
+            {   /* The refreshed banks are closed: drop their heads. */
+                int64_t w = 0;
+                for (int64_t k = 0; k < ready_count; k++) {
+                    if (bstate[R_B(k)] != 2) continue;
+                    R_B(w) = R_B(k); R_S(w) = R_S(k); w++;
+                }
+                ready_count = w;
             }
             rescan_all = 1;
             refreshes++;
@@ -398,7 +448,8 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                     cas_allowed[b] = t_act + trcd;
                     pre_allowed[b] = t_act + tras;
                     bstate[b] = 2;
-                    ready_count++;
+                    ready_insert(ready, ready_count++, b,
+                                 Q_AT(b, head[b])[0]);
                 }
                 /* Compact the committed entries out of the store. */
                 int64_t w = 0;
@@ -417,41 +468,39 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             }
         }
 
-        /* ---- CAS arbitration: min-reductions over the ready heads -- */
+        /* ---- CAS arbitration: the general engine's walk over the
+         * ready heads, oldest first.  `bound` is the earliest slot any
+         * head could get; the first head that reaches it issues there.
+         * If none does, the strictly earliest slot wins, so ties go to
+         * the older head. --------------------------------------------- */
         int64_t bound = last_cas + tccd_s;
         {
             int64_t t = bus_free - latency;
             if (t > bound) bound = t;
         }
         if (quant) bound = quantize(bound, tck);
-        int64_t chosen = -1;
-        int64_t t_cas = 0;
-        int64_t best_seq = FAR_FUTURE;
+        int64_t k = 0;
+        int64_t chosen_i = -1;
         int64_t best_pb = FAR_FUTURE;
-        int64_t best_pb_seq = FAR_FUTURE;
-        int64_t best_pb_bank = -1;
-        for (int64_t b = 0; b < n_banks; b++) {
-            if (bstate[b] != 2) continue;
-            int64_t sq = Q_AT(b, head[b])[0];
+        for (; k < ready_count; k++) {
+            int64_t b = R_B(k);
             int64_t pb = cas_allowed[b];
             int64_t t = last_cas_bg[bg_of[b]] + tccd_l;
             if (t > pb) pb = t;
-            if (pb <= bound) {
-                if (sq < best_seq) { best_seq = sq; chosen = b; }
-            } else if (pb < best_pb ||
-                       (pb == best_pb && sq < best_pb_seq)) {
-                best_pb = pb; best_pb_seq = sq; best_pb_bank = b;
-            }
+            if (pb <= bound) break;
+            if (pb < best_pb) { best_pb = pb; chosen_i = k; }
         }
-        if (chosen >= 0) {
+        int64_t t_cas;
+        if (k < ready_count) {
+            chosen_i = k;
             t_cas = bound;
-        } else if (best_pb_bank >= 0) {
-            chosen = best_pb_bank;
+        } else if (chosen_i >= 0) {
             t_cas = best_pb;
             if (quant) t_cas = quantize(t_cas, tck);
         } else {
             exit_reason = EXIT_DEADLOCK; break;
         }
+        const int64_t chosen = R_B(chosen_i);
 
         /* ---- pop and timeline update ------------------------------- */
         int64_t *p = Q_AT(chosen, head[chosen]);
@@ -459,11 +508,15 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         head[chosen]++;
         queued--;
         if (adm[chosen] == head[chosen]) {
-            bstate[chosen] = 0; ready_count--;
+            bstate[chosen] = 0;
+            ready_remove(ready, ready_count--, chosen_i);
         } else if (Q_AT(chosen, head[chosen])[1] == open_row[chosen]) {
             hits++;
+            ready_advance(ready, ready_count, chosen_i,
+                          Q_AT(chosen, head[chosen])[0]);
         } else {
-            bstate[chosen] = 1; ready_count--;
+            bstate[chosen] = 1;
+            ready_remove(ready, ready_count--, chosen_i);
             fresh[fresh_count++] = chosen;
         }
         last_cas = t_cas;

@@ -3,15 +3,13 @@
 This module is the raw-speed counterpart of
 :class:`repro.dram.engine.SchedulingEngine`.  Both engines are
 event-driven (no clock ticking; issue slots are computed directly and
-quantized to the command clock), but the general engine pays a
-per-command price that has nothing to do with the schedule itself:
-every pop maintains a sorted ``ready_order`` list (``insort`` +
-positional delete) and every arbitration walks the ready heads
-oldest-first.  On the Table I phase workload those two account for most
-of the wall clock.
+quantized to the command clock), but the general engine pays an
+interpreter's price per command: every pop maintains a sorted
+``ready_order`` list (``insort`` + positional delete) of Python ints
+and every arbitration walks it in Python.
 
-:class:`KernelEngine` removes both costs for homogeneous phases while
-producing **bit-identical** schedules:
+:class:`KernelEngine` runs the same cycle compiled for homogeneous
+phases while producing **bit-identical** schedules:
 
 * **batch intake into per-bank rings** — the request stream arrives
   one batch at a time, exactly as the general engine reads it: each
@@ -27,15 +25,16 @@ producing **bit-identical** schedules:
   in the same flat table the wrapped general engine keeps, shared by
   reference, so native and delegated phases on one engine see the same
   warm bank state;
-* **min-reduction arbitration** — the sorted ready list and the
-  oldest-first walk are replaced by one unsorted pass over the bank
-  columns computing the walk's outcome directly: the oldest head whose
-  earliest slot achieves the global bound
-  (``max(last_cas + tCCD_S, bus_free - latency)``, quantized) wins at
-  the bound, otherwise the head with the strictly earliest slot (ties
-  to the oldest) wins at its own slot.  This is exactly the general
-  engine's decision rule, reached without maintaining any ordered
-  structure per pop;
+* **oldest-first arbitration** — the ready heads (banks whose queue
+  head is a row hit on the open row) live in a small array of
+  ``(bank, head sequence number)`` entries kept in sequence order, the
+  compiled twin of ``ready_order``.  Each CAS walks it oldest-first and
+  stops at the first head whose earliest slot reaches the global bound
+  (``max(last_cas + tCCD_S, bus_free - latency)``, quantized), which
+  issues at the bound; if none does, the head with the strictly
+  earliest slot (ties to the oldest) issues at its own slot.  This is
+  the general engine's loop, and it reads only ready heads, not every
+  bank;
 * **compiled segment loop** — the admit / refresh / eval / commit /
   arbitrate / pop cycle runs as a single compiled loop
   (:mod:`repro.dram._kernelc`) over the same int64 tables, one call per
@@ -244,6 +243,7 @@ class KernelEngine:
         faw_ring = np.full(4, _FAR_PAST, dtype=np.int64)
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
         heap = np.zeros((n_banks + 2) * 5, dtype=np.int64)
+        ready = np.zeros(2 * n_banks, dtype=np.int64)
         rec = np.zeros(4096 * 6 if record else 6, dtype=np.int64)
         cas_col = np.zeros(1, dtype=np.int64)
 
@@ -292,7 +292,7 @@ class KernelEngine:
                 ptr(adm), ptr(bstate), ptr(open_arr), ptr(act_time),
                 ptr(cas_allowed), ptr(pre_allowed), ptr(act_allowed),
                 ptr(bg_of), ptr(last_cas_bg), ptr(faw_ring), ptr(fresh),
-                ptr(heap), ptr(rec), ptr(cas_col)]
+                ptr(heap), ptr(ready), ptr(rec), ptr(cas_col)]
 
         empty = np.empty(0, dtype=np.int64)
         batches = source.batches()

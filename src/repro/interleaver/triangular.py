@@ -23,7 +23,7 @@ rectangular block interleaver used in the SRAM pre-stage.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, Protocol, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,6 +68,17 @@ def chunk_cells(target_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
 #: ``1 << 18`` for the 6 MiB default, pinned by the chunking tests so
 #: chunk boundaries — and therefore results — never drift).
 DEFAULT_COORD_CHUNK = chunk_cells()
+
+
+def check_chunk_size(chunk_size: int) -> None:
+    """Reject a traversal chunk size below one cell.
+
+    Raises:
+        ValueError: when ``chunk_size < 1``.
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+
 
 #: One columnar coordinate chunk: equal-length ``(i, j)`` index arrays.
 CoordChunk = Tuple["NDArray[Any]", "NDArray[Any]"]
@@ -138,13 +149,20 @@ class IndexSpace(Protocol):
     def write_coord_chunks(
             self,
             chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[CoordChunk]:
-        """Write-order coordinates as columnar array chunks."""
+        """Write-order coordinates as columnar array chunks.
+
+        Iterating raises :class:`ValueError` for ``chunk_size < 1``
+        (:func:`check_chunk_size`).
+        """
         ...
 
     def read_coord_chunks(
             self,
             chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[CoordChunk]:
-        """Read-order coordinates as columnar array chunks."""
+        """Read-order coordinates as columnar array chunks.
+
+        Same chunk-size contract as :meth:`write_coord_chunks`.
+        """
         ...
 
 
@@ -202,7 +220,7 @@ class TriangularIndexSpace:
         ``i * N - i (i - 1) / 2``.
         """
         self._check_row(i)
-        return i * self.n - i * (i - 1) // 2
+        return _line_start(self.n, i)
 
     def linear_index(self, i: int, j: int) -> int:
         """Row-major linear index of cell ``(i, j)``."""
@@ -214,17 +232,8 @@ class TriangularIndexSpace:
         """Inverse of :meth:`linear_index`."""
         if not 0 <= index < self.num_elements:
             raise ValueError(f"linear index {index} out of range [0, {self.num_elements})")
-        # Row i satisfies row_offset(i) <= index < row_offset(i + 1).
-        # Solving i*N - i(i-1)/2 <= index for i gives a closed form; a
-        # float seed plus a local fix-up avoids precision traps.
-        n = self.n
-        i = int(n + 0.5 - math.sqrt((n + 0.5) ** 2 - 2 * index))
-        i = max(0, min(i, n - 1))
-        while i + 1 < n and self.row_offset(i + 1) <= index:
-            i += 1
-        while i > 0 and self.row_offset(i) > index:
-            i -= 1
-        return i, index - self.row_offset(i)
+        i = _line_of(self.n, index)
+        return i, index - _line_start(self.n, i)
 
     # -- traversal orders ----------------------------------------------
 
@@ -270,22 +279,27 @@ class TriangularIndexSpace:
         """Write-order (row-wise) coordinates as ``(i, j)`` array chunks.
 
         Yields ``int64`` array pairs covering the same cells, in the
-        same order, as :meth:`write_order`; each chunk holds whole rows
-        and at least ``chunk_size`` cells (except the last).
-        """
-        import numpy as np
+        same order, as :meth:`write_order`.  A chunk ends at the first
+        whole row where its cell count reaches ``chunk_size`` (the last
+        chunk may hold fewer).
 
-        yield from _row_wise_chunks(np, self.n, lambda i: self.n - i, chunk_size,
-                                    major_is_row=True)
+        Raises:
+            ValueError: when ``chunk_size < 1``.
+        """
+        yield from _row_wise_chunks(self.n, chunk_size, major_is_row=True)
 
     def read_coord_chunks(
             self,
             chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[CoordChunk]:
-        """Read-order (column-wise) coordinates as ``(i, j)`` array chunks."""
-        import numpy as np
+        """Read-order (column-wise) coordinates as ``(i, j)`` array chunks.
 
-        yield from _row_wise_chunks(np, self.n, lambda j: self.n - j, chunk_size,
-                                    major_is_row=False)
+        Column ``j`` holds as many cells as row ``j``, so the chunks end
+        at whole columns by the rule of :meth:`write_coord_chunks`.
+
+        Raises:
+            ValueError: when ``chunk_size < 1``.
+        """
+        yield from _row_wise_chunks(self.n, chunk_size, major_is_row=False)
 
     def _check_row(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -370,9 +384,14 @@ class RectangularIndexSpace:
     def write_coord_chunks(
             self,
             chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[CoordChunk]:
-        """Write-order coordinates as ``(i, j)`` array chunks."""
+        """Write-order coordinates as ``(i, j)`` chunks of ``chunk_size`` cells.
+
+        Raises:
+            ValueError: when ``chunk_size < 1``.
+        """
         import numpy as np
 
+        check_chunk_size(chunk_size)
         total = self.num_elements
         for start in range(0, total, chunk_size):
             linear = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
@@ -381,9 +400,14 @@ class RectangularIndexSpace:
     def read_coord_chunks(
             self,
             chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[CoordChunk]:
-        """Read-order coordinates as ``(i, j)`` array chunks."""
+        """Read-order coordinates as ``(i, j)`` chunks of ``chunk_size`` cells.
+
+        Raises:
+            ValueError: when ``chunk_size < 1``.
+        """
         import numpy as np
 
+        check_chunk_size(chunk_size)
         total = self.num_elements
         for start in range(0, total, chunk_size):
             linear = np.arange(start, min(start + chunk_size, total), dtype=np.int64)
@@ -393,32 +417,56 @@ class RectangularIndexSpace:
         return f"RectangularIndexSpace({self.height}, {self.width})"
 
 
-def _row_wise_chunks(np: Any, n: int, length_of: Callable[[int], int],
-                     chunk_size: int, major_is_row: bool) -> Iterator[CoordChunk]:
-    """Concatenate triangle rows (or columns) into coordinate chunks.
+def _line_start(n: int, k: int) -> int:
+    """Cells before line ``k`` of a size-``n`` triangle.
 
-    Walks the major axis of a size-``n`` triangle; index ``k`` of the
-    major axis carries ``length_of(k)`` cells along the minor axis.
-    With ``major_is_row`` the yielded pair is ``(i, j) = (k, minor)``
-    (write order), otherwise ``(minor, k)`` (read order).
+    Line ``k`` (row ``k``, or column ``k``) holds ``n - k`` cells.
     """
-    major_parts = []
-    minor_parts = []
-    filled = 0
-    for k in range(n):
-        length = length_of(k)
-        major_parts.append(np.full(length, k, dtype=np.int64))
-        minor_parts.append(np.arange(length, dtype=np.int64))
-        filled += length
-        if filled >= chunk_size:
-            major = np.concatenate(major_parts)
-            minor = np.concatenate(minor_parts)
-            yield (major, minor) if major_is_row else (minor, major)
-            major_parts, minor_parts, filled = [], [], 0
-    if filled:
-        major = np.concatenate(major_parts)
-        minor = np.concatenate(minor_parts)
+    return k * n - k * (k - 1) // 2
+
+
+def _line_of(n: int, index: int) -> int:
+    """The line of a size-``n`` triangle holding cell ``index``.
+
+    Solving ``_line_start(n, k) <= index`` for ``k`` gives a closed
+    form; a float seed plus a local fix-up avoids precision traps.
+    """
+    k = int(n + 0.5 - math.sqrt((n + 0.5) ** 2 - 2 * index))
+    k = max(0, min(k, n - 1))
+    while k + 1 < n and _line_start(n, k + 1) <= index:
+        k += 1
+    while k > 0 and _line_start(n, k) > index:
+        k -= 1
+    return k
+
+
+def _row_wise_chunks(n: int, chunk_size: int,
+                     major_is_row: bool) -> Iterator[CoordChunk]:
+    """Cut a size-``n`` triangle's rows (or columns) into coordinate chunks.
+
+    Walks the major axis, whose line ``k`` carries ``n - k`` cells along
+    the minor axis.  A chunk ends at the first whole line where its cell
+    count reaches ``chunk_size``, found in closed form, and
+    is built from a fixed number of NumPy calls however many lines it
+    holds.  With ``major_is_row`` the yielded pair is ``(i, j) = (k,
+    minor)`` (write order), otherwise ``(minor, k)`` (read order).
+    """
+    import numpy as np
+
+    check_chunk_size(chunk_size)
+    total = n * (n + 1) // 2
+    first = 0
+    while first < n:
+        start = _line_start(n, first)
+        end = start + chunk_size
+        stop = n if end >= total else _line_of(n, end - 1) + 1
+        lines = np.arange(first, stop, dtype=np.int64)
+        lengths = n - lines
+        major = np.repeat(lines, lengths)
+        minor = np.arange(_line_start(n, stop) - start, dtype=np.int64)
+        minor -= np.repeat(lines * n - lines * (lines - 1) // 2 - start, lengths)
         yield (major, minor) if major_is_row else (minor, major)
+        first = stop
 
 
 def triangle_size_for_elements(num_elements: int) -> int:

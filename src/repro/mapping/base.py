@@ -17,6 +17,7 @@ from repro.dram.geometry import Geometry
 from repro.interleaver.triangular import (
     DEFAULT_COORD_CHUNK,
     IndexSpace,
+    check_chunk_size,
     chunk_cells,
 )
 
@@ -44,8 +45,7 @@ def _resolve_chunk_size(chunk_size: Optional[int],
         return chunk_cells(chunk_bytes)
     if chunk_size is None:
         return DEFAULT_CHUNK
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    check_chunk_size(chunk_size)
     return chunk_size
 
 

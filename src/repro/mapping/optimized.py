@@ -31,9 +31,13 @@ toggleable so the ablation benchmarks can quantify its contribution:
    the per-bank address sets disjoint (proof sketch in
    :func:`OptimizedMapping.address_tuple`).
 
-The mapping uses only additions, comparisons, shifts and masks when the
-tile dimensions are powers of two — the low-complexity hardware
-property claimed by the paper.
+The bank count and page size are powers of two
+(:class:`~repro.dram.geometry.Geometry` enforces it), so every tile side
+is one too, and the mapping needs only additions, comparisons, shifts
+and masks — the low-complexity hardware property claimed by the paper.
+:meth:`OptimizedMapping.address_arrays` computes it with shifts and
+masks; only the wrap around the padded extents, which need not be
+powers of two, stays a floor division there.
 
 Storage layout: tile ``(ti, tj)`` owns DRAM row ``ti * tiles_x + tj``
 in *every* bank.  For a triangular index space this rectangular
@@ -52,6 +56,7 @@ from repro.dram.geometry import Geometry
 from repro.interleaver.triangular import IndexSpace
 from repro.mapping.base import AddressArrays, AddressTuple, InterleaverMapping
 from repro.mapping.tiling import TileGeometry, balanced_tile, row_strip_tile, tiles_covering
+from repro.units import log2_int
 
 
 def _single_bank_tile(bursts_per_page: int) -> Tuple[int, int]:
@@ -143,8 +148,6 @@ class OptimizedMapping(InterleaverMapping):
         else:
             self._offsets = [(0, 0)] * banks
 
-        # Lazily-built NumPy view of the offsets used by the vectorized kernel.
-        self._np_offsets = None
         # Compacted row of each tile id, or None for the rectangular layout.
         self._row_table: Optional[Any] = None
         self._rows = self._tiles_x * self._tiles_y
@@ -249,35 +252,32 @@ class OptimizedMapping(InterleaverMapping):
 
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
-        banks = self._banks
-        tile_h = self._tile_h
-        tile_w = self._tile_w
+        bank_bits = log2_int(self._banks)
+        h_bits = log2_int(self._tile_h)
+        w_bits = log2_int(self._tile_w)
 
         if self.enable_bank_rotation:
-            bank = (i + j) % banks
+            bank = i + j
         else:
-            bank = (i // tile_h + j // tile_w) % banks
+            bank = (i >> h_bits) + (j >> w_bits)
+        bank &= self._banks - 1
 
-        if self._np_offsets is None:
-            self._np_offsets = (
-                np.asarray([d[0] for d in self._offsets], dtype=np.int64),
-                np.asarray([d[1] for d in self._offsets], dtype=np.int64),
-            )
-        delta_rows, delta_cols = self._np_offsets
-        si = (i + delta_rows[bank]) % self._h_pad
-        sj = (j + delta_cols[bank]) % self._w_pad
+        # Bank b's offset is b times the stagger step: no table lookup.
+        # The wrap is x - x // m * m, which NumPy does faster than x % m.
+        row_step, col_step = self.stagger_step
+        si = i + bank * row_step
+        si -= si // self._h_pad * self._h_pad
+        sj = j + bank * col_step
+        sj -= sj // self._w_pad * self._w_pad
 
-        ti = si // tile_h
-        li = si - ti * tile_h
-        tj = sj // tile_w
-        lj = sj - tj * tile_w
-
+        li = si & (self._tile_h - 1)
+        lj = sj & (self._tile_w - 1)
         if self.enable_bank_rotation:
-            column = li * self._wpb + lj // banks
+            column = (li << log2_int(self._wpb)) + (lj >> bank_bits)
         else:
-            column = li * tile_w + lj
+            column = (li << w_bits) + lj
 
-        tile_id = ti * self._tiles_x + tj
+        tile_id = (si >> h_bits) * self._tiles_x + (sj >> w_bits)
         if self._row_table is not None:
             return bank, self._row_table[tile_id], column
         return bank, tile_id, column

@@ -8,33 +8,50 @@ presets — and requires that every produced schedule, homogeneous *and*
 mixed (mixed schedules were never checker-validated before the engine
 made them recordable), passes :func:`check_phase_commands` with zero
 violations.
+
+A third battery runs random devices through both schedulers: the
+batch-advance kernel must match the general engine exactly, in
+``PhaseStats`` and in the recorded command list.  Every third of those
+devices has 8 bank groups of 8 banks, the compiled loop's bank limit.
 """
 
 import random
 
 import pytest
 
+from repro.dram import _kernelc
 from repro.dram.controller import (
     OP_READ,
     OP_WRITE,
     ControllerConfig,
     MemoryController,
 )
+from repro.dram.engine import SchedulingEngine, as_workload
 from repro.dram.geometry import Geometry
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.presets import REFRESH_ALL_BANK, REFRESH_PER_BANK, DramConfig
 from repro.dram.timing import from_datasheet
 from repro.dram.trace import check_phase_commands
 
 N_COMBOS = 50
+N_KERNEL_COMBOS = 60
 
 
-def random_config(rng: random.Random) -> DramConfig:
-    """A random but JEDEC-shaped device the presets never cover."""
+def random_config(rng: random.Random, widest: bool = False) -> DramConfig:
+    """A random but JEDEC-shaped device the presets never cover.
+
+    ``widest`` makes it 8 bank groups of 8 banks; the other fields are
+    drawn as before.
+    """
     burst_length = rng.choice([8, 16])
+    bank_groups = rng.choice([1, 2, 4])
+    banks_per_group = rng.choice([2, 4, 8])
+    if widest:
+        bank_groups = banks_per_group = 8
     geometry = Geometry(
-        bank_groups=rng.choice([1, 2, 4]),
-        banks_per_group=rng.choice([2, 4, 8]),
+        bank_groups=bank_groups,
+        banks_per_group=banks_per_group,
         rows=1024,
         columns=burst_length * rng.choice([4, 16, 64]),
         bus_width_bits=rng.choice([16, 32, 64]),
@@ -122,3 +139,18 @@ def test_mixed_schedule_passes_replay_checker(index):
     violations = check_phase_commands(config, result.commands)
     assert violations == []
     assert result.reads + result.writes == len(requests)
+
+
+@pytest.mark.parametrize("index", range(N_KERNEL_COMBOS))
+def test_kernel_matches_general_engine(index):
+    rng = random.Random(0xC0DE * 100 + index)
+    config = random_config(rng, widest=index % 3 == 0)
+    policy = random_policy(rng)
+    requests = random_stream(rng, config.geometry, rng.choice([60, 250, 700]))
+    op = rng.choice([OP_READ, OP_WRITE])
+
+    expected = SchedulingEngine(config, policy).run(as_workload(requests), op)
+    result = KernelEngine(config, policy).run(as_workload(requests), op)
+    assert result.stats == expected.stats
+    assert result.commands == expected.commands
+    assert result.stats.kernel_fallback is not _kernelc.available()

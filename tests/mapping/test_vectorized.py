@@ -138,7 +138,67 @@ class TestDecoderArrays:
         assert len(banks) == len(rows) == len(columns) == 0
 
 
+def expected_chunk_lengths(line_lengths, chunk_size):
+    """A chunk ends at the first whole line where its count reaches chunk_size."""
+    lengths, filled = [], 0
+    for length in line_lengths:
+        filled += length
+        if filled >= chunk_size:
+            lengths.append(filled)
+            filled = 0
+    if filled:
+        lengths.append(filled)
+    return lengths
+
+
+def triangle_chunk_cases():
+    """(n, chunk_size) pairs around every boundary a chunker can miss."""
+    cases = []
+    for n in (1, 2, 7, 64):
+        total = n * (n + 1) // 2
+        sizes = {1, n - 1, n, n + 1, total - 1, total, 10 * total}
+        cases += [(n, size) for size in sorted(sizes) if size >= 1]
+    return cases
+
+
 class TestCoordChunks:
+    @pytest.mark.parametrize("order", ("write", "read"))
+    @pytest.mark.parametrize("n,chunk_size", triangle_chunk_cases())
+    def test_triangle_chunks_end_at_whole_lines(self, n, chunk_size, order):
+        space = TriangularIndexSpace(n)
+        if order == "write":
+            chunks = list(space.write_coord_chunks(chunk_size))
+            line_lengths = [space.row_length(i) for i in range(n)]
+            cells = list(space.write_order())
+        else:
+            chunks = list(space.read_coord_chunks(chunk_size))
+            line_lengths = [space.col_length(j) for j in range(n)]
+            cells = list(space.read_order())
+        assert [len(i) for i, _ in chunks] == expected_chunk_lengths(
+            line_lengths, chunk_size)
+        assert all(i.dtype == j.dtype == np.int64 for i, j in chunks)
+        assert [(int(a), int(b)) for i, j in chunks
+                for a, b in zip(i, j)] == cells
+
+    @pytest.mark.parametrize("order", ("write", "read"))
+    @pytest.mark.parametrize("chunk_size", (1, 5, 100, 960, 10_000))
+    def test_rectangle_chunks_hold_chunk_size_cells(self, chunk_size, order):
+        space = RectangularIndexSpace(24, 40)
+        chunks = (space.write_coord_chunks(chunk_size) if order == "write"
+                  else space.read_coord_chunks(chunk_size))
+        full, rest = divmod(space.num_elements, chunk_size)
+        assert [len(i) for i, _ in chunks] == [chunk_size] * full + (
+            [rest] if rest else [])
+
+    @pytest.mark.parametrize("order", ("write", "read"))
+    @pytest.mark.parametrize("chunk_size", (0, -1))
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+    def test_chunk_size_below_one_is_rejected(self, space, chunk_size, order):
+        chunks = (space.write_coord_chunks if order == "write"
+                  else space.read_coord_chunks)
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            list(chunks(chunk_size))
+
     @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
     def test_write_chunks_cover_write_order(self, space):
         coords = [(int(i), int(j))
