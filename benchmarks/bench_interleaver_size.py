@@ -8,7 +8,6 @@ spread of the optimized mapping's utilization.
 
 import pytest
 
-from repro.dram.presets import get_config
 from repro.system.sweep import sweep_sizes
 
 SIZES = (256, 384, 512)
@@ -17,9 +16,7 @@ SIZES = (256, 384, 512)
 @pytest.mark.paper_artifact("size insensitivity")
 @pytest.mark.parametrize("config_name", ["DDR4-3200", "LPDDR4-4266"])
 def test_optimized_utilization_stable_across_sizes(benchmark, config_name):
-    config = get_config(config_name)
-
-    points = benchmark.pedantic(sweep_sizes, args=(config, SIZES),
+    points = benchmark.pedantic(sweep_sizes, args=(config_name, SIZES),
                                 rounds=1, iterations=1)
     optimized = [p for p in points if p.mapping_name == "optimized"]
     values = [p.min_utilization for p in optimized]
@@ -36,8 +33,7 @@ def test_optimized_utilization_stable_across_sizes(benchmark, config_name):
 def test_row_major_read_worsens_with_size(benchmark):
     """Unlike the optimized mapping, the baseline read *degrades* as the
     triangle grows (column strides leave the page span)."""
-    config = get_config("DDR4-3200")
-    points = benchmark.pedantic(sweep_sizes, args=(config, (64, 512)),
+    points = benchmark.pedantic(sweep_sizes, args=("DDR4-3200", (64, 512)),
                                 rounds=1, iterations=1)
     row_major = {p.n: p for p in points if p.mapping_name == "row-major"}
     benchmark.extra_info["n64_read_pct"] = round(row_major[64].read_utilization * 100, 2)

@@ -936,7 +936,8 @@ def _add_trace(subparsers: Any) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.dram.engine import SchedulingEngine, TraceReplaySource
+    from repro.dram.engine import TraceReplaySource
+    from repro.dram.kernel import KernelEngine
     from repro.dram.simulator import simulate_phase_result
     from repro.dram.trace import check_phase_commands, read_trace, write_trace
     from repro.dram.controller import OP_READ, OP_WRITE
@@ -957,8 +958,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
         original_violations = check_phase_commands(config, commands)
-        engine = SchedulingEngine(config, policy)
-        result = engine.run(TraceReplaySource(commands))
+        result = KernelEngine(config, policy).run(TraceReplaySource(commands))
         replay_violations = check_phase_commands(config, result.commands)
         print(f"trace: {len(commands)} commands, "
               f"{result.stats.requests} data bursts "

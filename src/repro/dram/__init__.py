@@ -67,7 +67,6 @@ from repro.dram.refresh import RefreshEvent, RefreshScheduler
 from repro.dram.simulator import (
     InterleaverSimResult,
     simulate_interleaver,
-    simulate_mixed_interleaver,
     simulate_phase,
     simulate_phase_result,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "min_phase_utilization",
     "phase_energy",
     "simulate_interleaver",
-    "simulate_mixed_interleaver",
     "read_trace",
     "run_mixed_phase",
     "steady_state_interleaver",

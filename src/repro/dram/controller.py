@@ -68,10 +68,10 @@ the pre-engine scheduler is proven by the differential battery in
 Every phase runs through the batch-advance
 :class:`~repro.dram.kernel.KernelEngine`, which schedules homogeneous
 phases in its compiled loop and delegates everything else — no
-toolchain, closed-page/cap disciplines, mixed traffic — to the
-reference :class:`~repro.dram.engine.SchedulingEngine` it wraps.  The
-two share one bank-state table by reference and produce bit-identical
-results (the kernel's contract; see :mod:`repro.dram.kernel`); the
+toolchain, closed-page/cap disciplines, mixed traffic — to a fresh
+reference :class:`~repro.dram.engine.SchedulingEngine`.  The two
+produce bit-identical results (the kernel's contract; see
+:mod:`repro.dram.kernel`), and every phase on either starts cold; the
 differential batteries run the reference engine directly.
 """
 
@@ -80,7 +80,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.dram.bank import BankSnapshot
 from repro.dram.commands import ScheduledCommand
 from repro.dram.engine import OP_READ, OP_WRITE, as_workload
 from repro.dram.policy import (
@@ -169,16 +168,18 @@ class PhaseResult:
 class MemoryController:
     """Schedules one access phase against one DRAM configuration.
 
-    A fresh controller starts with all banks precharged and the refresh
-    timer at zero; create one controller per phase (the interleaver's
+    Every :meth:`run_phase` call is one cold phase: it starts with all
+    banks precharged and the refresh timer at zero (the interleaver's
     phases are milliseconds long, so cross-phase boundary effects are
-    negligible, and the paper reports the phases separately).
+    negligible, and the paper reports the phases separately).  The
+    controller keeps no bank state between calls.
 
     This class is an adapter over the batch-advance
-    :class:`~repro.dram.kernel.KernelEngine`; the bank state lives for
-    the controller's lifetime, so consecutive :meth:`run_phase` calls
-    see warm rows, whether the kernel ran a phase natively or
-    delegated it to the general engine.
+    :class:`~repro.dram.kernel.KernelEngine`.
+
+    Raises:
+        ValueError: when refresh is enabled and ``tREFI`` is not
+            positive (:func:`~repro.dram.refresh.check_interval`).
     """
 
     def __init__(self, config: DramConfig,
@@ -190,10 +191,6 @@ class MemoryController:
         self.config = config
         self.policy = policy or ControllerConfig()
         self._kernel = KernelEngine(config, self.policy)
-
-    def bank_snapshot(self, bank: int) -> BankSnapshot:
-        """Readable state of one bank (testing/debugging)."""
-        return self._kernel.bank_snapshot(bank)
 
     def run_phase(self, requests: RequestStream,
                   op: str = OP_READ) -> PhaseResult:

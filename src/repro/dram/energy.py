@@ -34,7 +34,8 @@ battery in ``tests/dram/test_energy_differential.py``:
 * :func:`energy_from_tally` — from the integer
   :class:`~repro.dram.stats.EnergyTally` the scheduling engine fills on
   every :class:`~repro.dram.stats.PhaseStats` (free: the engine already
-  keeps every counter the model charges);
+  keeps every counter the model charges; :func:`energy_from_stats`
+  reads it off the statistics);
 * :func:`energy_from_commands` — the vectorized NumPy recount over a
   recorded command list or prebuilt :func:`command_arrays`.
 
@@ -281,6 +282,20 @@ def energy_from_tally(config: DramConfig, tally: EnergyTally,
     return _build_report(config, params, act_pre=tally.act_pre, rd=tally.rd,
                          wr=tally.wr, ref=tally.ref,
                          makespan_ps=tally.makespan_ps)
+
+
+def energy_from_stats(config: DramConfig, stats: PhaseStats) -> EnergyReport:
+    """Energy of one phase from the tally its statistics carry.
+
+    Every sweep and the co-simulation take phase energy this way.
+
+    Raises:
+        ValueError: when ``stats`` carries no
+            :class:`~repro.dram.stats.EnergyTally`.
+    """
+    if stats.energy_tally is None:
+        raise ValueError("phase statistics carry no energy tally")
+    return energy_from_tally(config, stats.energy_tally)
 
 
 #: Integer codes for the vectorized command recount.

@@ -3,8 +3,9 @@
 Before this module existed the repository carried **two** copies of the
 scheduler: ``MemoryController.run_phase`` (homogeneous all-read or
 all-write phases) and ``repro.dram.mixed.run_mixed_phase`` (a fork with
-the tRTW/tWTR direction-turnaround rules bolted on).  Both are now thin
-adapters over the single engine here, which layers as
+the tRTW/tWTR direction-turnaround rules bolted on).  Both now run
+through the single engine here (homogeneous phases through its compiled
+twin, :mod:`repro.dram.kernel`), which layers as
 
 * **intake** — a :class:`WorkloadSource` normalizes any request-stream
   shape into columnar batches: per-element tuples, the PR 1 columnar
@@ -13,7 +14,8 @@ adapters over the single engine here, which layers as
 * **per-bank state** — array-backed per-bank queues (no per-request
   tuple or deque node is ever allocated: each bank owns flat
   ``rows``/``columns``/``sequence`` columns and a head/admitted cursor
-  pair) plus the open-row and tRCD/tRAS/tRP/tRFC timing windows;
+  pair) plus the open-row and tRCD/tRAS/tRP/tRFC timing windows, all
+  built by each run: every run is one cold phase;
 * **eager row management** — any bank whose queue head needs a
   different row gets its PRE/ACT pair scheduled at the earliest legal
   time, overlapping row cycles with data transfers on other banks
@@ -53,7 +55,6 @@ from typing import (TYPE_CHECKING, Any, Iterable, Iterator, List, Optional,
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.dram.bank import BankSnapshot
 from repro.dram.commands import CAS_COMMANDS, CommandType, ScheduledCommand
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
@@ -62,7 +63,7 @@ from repro.dram.policy import (
     partition_banks,
 )
 from repro.dram.presets import REFRESH_ALL_BANK, DramConfig
-from repro.dram.refresh import RefreshScheduler
+from repro.dram.refresh import RefreshScheduler, check_interval
 from repro.dram.stats import EnergyTally, PhaseStats
 
 if TYPE_CHECKING:
@@ -331,45 +332,84 @@ class EngineResult:
     cas_times: Optional[NDArray[np.int64]] = field(default=None, compare=False)
 
 
+def build_result(
+    config: DramConfig, op: str, counters: Sequence[int],
+    commands: List[ScheduledCommand],
+    cas_times: Optional[NDArray[np.int64]],
+    directions: Optional[Tuple[int, int, int]] = None,
+) -> EngineResult:
+    """One run's counters as an :class:`EngineResult`.
+
+    Both engines finish through this function.  Energy tallies cost
+    nothing extra: every counter the energy model charges already
+    exists for the scheduling statistics.
+
+    Args:
+        config: the configuration the run scheduled against.
+        op: the direction of a homogeneous run.
+        counters: ``(requests, page_hits, page_misses, page_empties,
+            activates, precharges, refreshes, makespan_ps)``.
+        commands: the recorded commands (empty unless recording).
+        cas_times: the CAS-time column, when the run was asked for it.
+        directions: a mixed run's ``(reads, writes, turnarounds)``;
+            ``None`` for a homogeneous run, whose every request moves
+            data in direction ``op``.
+    """
+    requests, hits, misses, empties, acts, pres, refs, makespan = counters
+    ref_key = (CommandType.REF_ALL if config.refresh_mode == REFRESH_ALL_BANK
+               else CommandType.REF_BANK).value
+    counts = {CommandType.ACT.value: acts, CommandType.PRE.value: pres}
+    if directions is None:
+        is_read = op == OP_READ
+        reads, writes, turnarounds = (requests, 0, 0) if is_read else (0, requests, 0)
+        # A homogeneous run reports its CAS key even with no requests.
+        counts[(CommandType.RD if is_read else CommandType.WR).value] = requests
+        counts[ref_key] = refs
+    else:
+        reads, writes, turnarounds = directions
+        counts[ref_key] = refs
+        # Only directions that actually occurred get a CAS key, so a
+        # single-direction mixed stream produces the exact dict a
+        # homogeneous phase reports.
+        if reads:
+            counts[CommandType.RD.value] = reads
+        if writes:
+            counts[CommandType.WR.value] = writes
+    stats = PhaseStats(
+        requests=requests, page_hits=hits, page_misses=misses,
+        page_empties=empties, activates=acts, precharges=pres,
+        refreshes=refs, data_time_ps=requests * config.burst_duration_ps,
+        makespan_ps=makespan, command_counts=counts,
+        energy_tally=EnergyTally(act_pre=acts, rd=reads, wr=writes, ref=refs,
+                                 makespan_ps=makespan))
+    return EngineResult(stats=stats, commands=commands, reads=reads,
+                        writes=writes, turnarounds=turnarounds,
+                        cas_times=cas_times)
+
+
 class SchedulingEngine:
     """Schedules workload sources against one DRAM configuration.
 
-    Owns the per-bank state (open rows and timing windows) and the
-    refresh scheduler, so consecutive :meth:`run` calls on one engine
-    see warm bank state — exactly like the pre-engine
-    ``MemoryController``.  Create a fresh engine per phase for the
-    paper's cold-start semantics.
+    Every :meth:`run` is one cold phase, the paper's per-phase
+    semantics: it starts with every bank precharged and the refresh
+    timer at zero, and builds its per-bank tables and refresh scheduler
+    itself.  The engine keeps only its configuration and policy.
 
     Args:
         config: DRAM configuration (geometry + timing + refresh mode).
         policy: controller policy (queue depths, refresh, recording);
             an instance of
             :class:`~repro.dram.controller.ControllerConfig`.
+
+    Raises:
+        ValueError: when refresh is enabled and ``tREFI`` is not
+            positive (:func:`~repro.dram.refresh.check_interval`).
     """
 
     def __init__(self, config: DramConfig, policy: ControllerConfig) -> None:
+        check_interval(config, policy.refresh_enabled)
         self.config = config
         self.policy = policy
-        geometry = config.geometry
-        self._banks = geometry.banks
-        self._bank_groups = geometry.bank_groups
-        self._open_row: List[Optional[int]] = [None] * self._banks
-        self._act_time = [_FAR_PAST] * self._banks
-        self._cas_allowed = [0] * self._banks
-        self._pre_allowed = [0] * self._banks
-        self._act_allowed = [0] * self._banks
-        self._refresh = RefreshScheduler(config, enabled=policy.refresh_enabled)
-
-    def bank_snapshot(self, bank: int) -> BankSnapshot:
-        """Readable state of one bank (testing/debugging)."""
-        return BankSnapshot(
-            bank=bank,
-            open_row=self._open_row[bank],
-            act_time_ps=self._act_time[bank],
-            cas_allowed_ps=self._cas_allowed[bank],
-            pre_allowed_ps=self._pre_allowed[bank],
-            act_allowed_ps=self._act_allowed[bank],
-        )
 
     def run(self, source: WorkloadSource, op: str = OP_READ,
             cas_times: bool = False) -> EngineResult:
@@ -396,14 +436,16 @@ class SchedulingEngine:
         """
         if op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
-        discipline = self.policy.discipline
-        if discipline == POLICY_BANK_PARTITION:
-            partition_banks(self._banks)  # even bank count required
-            source = _PartitionedSource(source, self._banks, op == OP_READ)
-        mixed = source.mixed
-
         config = self.config
         policy = self.policy
+        n_banks = config.geometry.banks
+        bank_groups = config.geometry.bank_groups
+        discipline = policy.discipline
+        if discipline == POLICY_BANK_PARTITION:
+            partition_banks(n_banks)  # even bank count required
+            source = _PartitionedSource(source, n_banks, op == OP_READ)
+        mixed = source.mixed
+
         timing = config.timing
         burst = config.burst_duration_ps
         # Command-clock grid for issue-slot quantization (see the
@@ -428,14 +470,12 @@ class SchedulingEngine:
         cwl = timing.cwl
         is_read = op == OP_READ
         latency = cl if is_read else cwl
-        n_banks = self._banks
-        bank_groups = self._bank_groups
 
-        open_row = self._open_row
-        act_time = self._act_time
-        cas_allowed = self._cas_allowed
-        pre_allowed = self._pre_allowed
-        act_allowed = self._act_allowed
+        # Per-bank row state of a cold phase: every bank precharged.
+        open_row: List[Optional[int]] = [None] * n_banks
+        cas_allowed = [0] * n_banks
+        pre_allowed = [0] * n_banks
+        act_allowed = [0] * n_banks
 
         queue_depth = policy.queue_depth
         per_bank_depth = policy.per_bank_depth
@@ -453,10 +493,10 @@ class SchedulingEngine:
         else:
             cap_limit = 0
         auto_close = cap_limit > 0
-        streak = [0] * self._banks
+        streak = [0] * n_banks
         commands: List[ScheduledCommand] = []
         cas_log: Optional[List[int]] = [] if cas_times else None
-        refresh = self._refresh
+        refresh = RefreshScheduler(config, enabled=policy.refresh_enabled)
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
 
         # Global channel state.
@@ -606,7 +646,6 @@ class SchedulingEngine:
                 pos += 1
                 queued += 1
 
-        stats = PhaseStats()
         n_requests = 0
         hits = misses = empties = acts = pres = refs = 0
         reads = writes = turnarounds = 0
@@ -673,31 +712,17 @@ class SchedulingEngine:
             # in the deferral heap with its fixed activation-ready time.
             if rescan_all:
                 # Refresh moved timing windows and open rows: every
-                # cached evaluation is stale, rebuild from scratch
-                # (ascending bank order, like the pre-engine scan).
+                # cached evaluation is stale, so every pending bank is
+                # evaluated again (ascending bank order, like the
+                # pre-engine scan).  Heap entries are unique per bank,
+                # so their pop order does not depend on how they went in.
                 rescan_all = False
-                del fresh[:]
                 del defer_heap[:]
+                del fresh[:]
                 for b in range(n_banks):
-                    if bstate[b] != 1:
-                        continue
-                    row = rows_q[b][head[b]]
-                    current = open_row[b]
-                    if current == row:
-                        bstate[b] = 2
-                        insort(ready_order, seqs_q[b][head[b]])
-                        hits += 1
-                    elif current is None:
-                        defer_heap.append((act_allowed[b], b, -1, True, row))
-                    else:
-                        t_pre = pre_allowed[b]
-                        if quant:
-                            remainder = t_pre % tck
-                            if remainder:
-                                t_pre += tck - remainder
-                        defer_heap.append((t_pre + trp, b, t_pre, False, row))
-                heapq.heapify(defer_heap)
-            elif fresh:
+                    if bstate[b] == 1:
+                        fresh.append(b)
+            if fresh:
                 for b in sorted(fresh) if len(fresh) > 1 else fresh:
                     row = rows_q[b][head[b]]
                     current = open_row[b]
@@ -768,7 +793,6 @@ class SchedulingEngine:
                         if record:
                             commands.append(ScheduledCommand(t_act, CommandType.ACT, bank=b, row=row))
                         open_row[b] = row
-                        act_time[b] = t_act
                         cas_allowed[b] = t_act + trcd
                         pre_allowed[b] = t_act + tras
                         if auto_close:
@@ -979,47 +1003,9 @@ class SchedulingEngine:
             else:
                 intake()
 
-        stats.requests = n_requests
-        stats.page_hits = hits
-        stats.page_misses = misses
-        stats.page_empties = empties
-        stats.activates = acts
-        stats.precharges = pres
-        stats.refreshes = refs
-        stats.data_time_ps = n_requests * burst
-        stats.makespan_ps = last_data_end
-        if not mixed:
-            if is_read:
-                reads = n_requests
-            else:
-                writes = n_requests
-        ref_key = (CommandType.REF_ALL if all_bank_refresh else CommandType.REF_BANK).value
-        if mixed:
-            counts = {
-                CommandType.ACT.value: acts,
-                CommandType.PRE.value: pres,
-                ref_key: refs,
-            }
-            # Only directions that actually occurred get a CAS key, so a
-            # single-direction mixed stream produces the exact dict a
-            # homogeneous phase reports.
-            if reads:
-                counts[CommandType.RD.value] = reads
-            if writes:
-                counts[CommandType.WR.value] = writes
-            stats.command_counts = counts
-        else:
-            stats.command_counts = {
-                CommandType.ACT.value: acts,
-                CommandType.PRE.value: pres,
-                (CommandType.RD if is_read else CommandType.WR).value: n_requests,
-                ref_key: refs,
-            }
-        # Energy tallies cost nothing extra: every counter the energy
-        # model charges already exists for the scheduling statistics.
-        stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
-                                         ref=refs, makespan_ps=last_data_end)
-        return EngineResult(stats=stats, commands=commands, reads=reads,
-                            writes=writes, turnarounds=turnarounds,
-                            cas_times=(None if cas_log is None
-                                       else np.array(cas_log, dtype=np.int64)))
+        return build_result(
+            config, op,
+            (n_requests, hits, misses, empties, acts, pres, refs, last_data_end),
+            commands,
+            None if cas_log is None else np.array(cas_log, dtype=np.int64),
+            (reads, writes, turnarounds) if mixed else None)

@@ -22,9 +22,8 @@ phases while producing **bit-identical** schedules:
   and no phase is ever held in memory whole;
 * **timestamp table** — per-bank next-ready timestamps
   (``cas_allowed``/``pre_allowed``/``act_allowed``/``act_time``) live
-  in the same flat table the wrapped general engine keeps, shared by
-  reference, so native and delegated phases on one engine see the same
-  warm bank state;
+  in flat int64 arrays that every run builds cold: every bank
+  precharged, every window open, as the general engine starts;
 * **oldest-first arbitration** — the ready heads (banks whose queue
   head is a row hit on the open row) live in a small array of
   ``(bank, head sequence number)`` entries kept in sequence order, the
@@ -38,12 +37,9 @@ phases while producing **bit-identical** schedules:
 * **compiled segment loop** — the admit / refresh / eval / commit /
   arbitrate / pop cycle runs as a single compiled loop
   (:mod:`repro.dram._kernelc`) over the same int64 tables, one call per
-  batch.  The loop applies refresh events itself from the shared
-  :class:`~repro.dram.refresh.RefreshScheduler`'s deadline, interval
-  and round-robin bank, and the driver advances the scheduler past the
-  events it applied (:meth:`~repro.dram.refresh.RefreshScheduler.skip`),
-  so the next phase on the engine, on either route, starts from the
-  same refresh state.
+  batch.  The loop applies refresh events itself, starting from a
+  fresh :class:`~repro.dram.refresh.RefreshScheduler`'s deadline,
+  interval and round-robin bank.
 
 Eager row management is byte-for-byte the general engine's: misses and
 empties park in the same deferred-activation structure with fixed
@@ -56,7 +52,7 @@ command lists all match the general engine exactly — proven by the
 differential batteries in ``tests/dram/test_kernel_differential.py``
 across random scenarios and the full Table I grid.
 
-**Fallback.**  :meth:`KernelEngine.run` delegates a phase to the shared
+**Fallback.**  :meth:`KernelEngine.run` delegates a phase to a fresh
 general engine — bit-identical by construction — whenever the
 compiled loop cannot run it:
 
@@ -69,13 +65,17 @@ Those delegations set
 ``PhaseStats.kernel_fallback``.  **Mixed
 sources** (per-request directions, turnaround rules) delegate too,
 unflagged: the turnaround rule set only exists in the general engine.
+Every library route — the controller, the co-simulation, mixed traffic
+and trace replay — enters through :class:`KernelEngine`, so this is the
+only module that builds a general engine.
 
 Both engines share one intake contract: batches are validated as they
 arrive, so an invalid request deep in a stream raises (same exception,
 same message) only after the earlier requests were scheduled, and
-batch boundaries are invisible to scheduling.  The kernel writes the
-shared bank and refresh state back only when a phase completes, so an
-intake error leaves the engine as it was before the phase.
+batch boundaries are invisible to scheduling.  Every run is one cold
+phase on either route: the engines keep no bank or refresh state
+between runs, so a run cut short by an intake error leaves nothing
+behind either.
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ from typing import TYPE_CHECKING, Any, List
 import numpy as np
 
 from repro.dram import _kernelc
-from repro.dram.bank import BankSnapshot
 from repro.dram.commands import CommandType, ScheduledCommand
 from repro.dram.engine import (OP_READ, OP_WRITE, EngineResult,
                                SchedulingEngine, WorkloadSource,
-                               _PartitionedSource, check_batch)
+                               _PartitionedSource, build_result, check_batch)
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
     POLICY_CLOSED_PAGE,
@@ -97,7 +96,7 @@ from repro.dram.policy import (
     partition_banks,
 )
 from repro.dram.presets import REFRESH_ALL_BANK, DramConfig
-from repro.dram.stats import EnergyTally, PhaseStats
+from repro.dram.refresh import RefreshScheduler, check_interval
 
 if TYPE_CHECKING:
     from repro.dram.controller import ControllerConfig
@@ -111,37 +110,36 @@ _FALLBACK_DISCIPLINES = frozenset({POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP})
 #: Bank-count limit of the compiled loop (its per-step commit buffer).
 _NATIVE_MAX_BANKS = 64
 
+#: The scalar slots :func:`~repro.dram.engine.build_result` reads its
+#: counters from, in its order.
+_COUNTER_SLOTS = [_kernelc.S_N_REQUESTS, _kernelc.S_HITS, _kernelc.S_MISSES,
+                  _kernelc.S_EMPTIES, _kernelc.S_ACTS, _kernelc.S_PRES,
+                  _kernelc.S_REFRESHES, _kernelc.S_LAST_DATA_END]
+
 
 class KernelEngine:
-    """Drop-in fast scheduler sharing the general engine's bank state.
+    """Drop-in fast scheduler with the general engine's surface.
 
-    Exposes the same surface as
-    :class:`~repro.dram.engine.SchedulingEngine` (``run`` /
-    ``bank_snapshot`` and warm per-bank state across runs) and wraps a
-    general engine internally: the per-bank timestamp table and the
-    refresh scheduler are shared **by reference**, so a phase the
-    kernel delegates sees exactly the warm rows a native phase left
-    behind, and vice versa.
+    Same constructor and :meth:`run` as
+    :class:`~repro.dram.engine.SchedulingEngine`, and the same
+    semantics: every run is one cold phase, and the engine keeps only
+    its configuration and policy.  Phases the compiled loop cannot run
+    go to a fresh general engine.
 
     Args:
         config: DRAM configuration (geometry + timing + refresh mode).
         policy: controller policy
             (:class:`~repro.dram.controller.ControllerConfig`).
+
+    Raises:
+        ValueError: when refresh is enabled and ``tREFI`` is not
+            positive (:func:`~repro.dram.refresh.check_interval`).
     """
 
     def __init__(self, config: DramConfig, policy: "ControllerConfig") -> None:
+        check_interval(config, policy.refresh_enabled)
         self.config = config
         self.policy = policy
-        self._general = SchedulingEngine(config, policy)
-        # Shared by reference: both engines mutate the same table.
-        self._open_row = self._general._open_row
-        self._act_time = self._general._act_time
-        self._cas_allowed = self._general._cas_allowed
-        self._pre_allowed = self._general._pre_allowed
-        self._act_allowed = self._general._act_allowed
-        self._refresh = self._general._refresh
-        self._banks = self._general._banks
-        self._bank_groups = self._general._bank_groups
 
     @property
     def native(self) -> bool:
@@ -152,12 +150,8 @@ class KernelEngine:
         or for a discipline it does not implement.
         """
         return (self.policy.discipline not in _FALLBACK_DISCIPLINES
-                and self._banks <= _NATIVE_MAX_BANKS
+                and self.config.geometry.banks <= _NATIVE_MAX_BANKS
                 and _kernelc.available())
-
-    def bank_snapshot(self, bank: int) -> BankSnapshot:
-        """Readable state of one bank (testing/debugging)."""
-        return self._general.bank_snapshot(bank)
 
     def run(self, source: WorkloadSource, op: str = OP_READ,
             cas_times: bool = False) -> EngineResult:
@@ -167,7 +161,7 @@ class KernelEngine:
         :meth:`repro.dram.engine.SchedulingEngine.run`.  Homogeneous
         sources take the compiled loop when :attr:`native` holds (bank
         partitioning is an intake remap that keeps the kernel's row-hit
-        precompute valid); every other phase delegates to the shared
+        precompute valid); every other phase delegates to a fresh
         general engine, bit-identically, with ``stats.kernel_fallback``
         set.  Mixed sources always delegate (the turnaround rule set
         has no fast path), unflagged.
@@ -181,15 +175,15 @@ class KernelEngine:
         """
         if op not in (OP_READ, OP_WRITE):
             raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
-        if source.mixed:
-            return self._general.run(source, op, cas_times=cas_times)
-        if not self.native:
-            result = self._general.run(source, op, cas_times=cas_times)
-            result.stats.kernel_fallback = True
+        if source.mixed or not self.native:
+            result = SchedulingEngine(self.config, self.policy).run(
+                source, op, cas_times=cas_times)
+            result.stats.kernel_fallback = not source.mixed
             return result
         if self.policy.discipline == POLICY_BANK_PARTITION:
-            partition_banks(self._banks)  # even bank count required
-            source = _PartitionedSource(source, self._banks, op == OP_READ)
+            n_banks = self.config.geometry.banks
+            partition_banks(n_banks)  # even bank count required
+            source = _PartitionedSource(source, n_banks, op == OP_READ)
         return self._run_native(source, op, cas_times)
 
     def _run_native(self, source: WorkloadSource, op: str,
@@ -203,11 +197,7 @@ class KernelEngine:
         its bank's ring, and returns when it needs the next batch, when
         the command-record buffer needs growing, when the phase is done,
         or on deadlock; a last, empty batch flags the end of the stream.
-        State is copied from the shared per-bank lists and the refresh
-        scheduler on entry and written back only when the phase
-        completes, so a phase delegated to the general engine afterwards
-        starts from the warm state a general-engine run would have left,
-        and an intake error leaves the engine untouched.
+        The tables start cold, as the general engine's do.
         """
         loaded = _kernelc.load()
         assert loaded is not None  # guarded by self.native
@@ -219,9 +209,10 @@ class KernelEngine:
         tck = timing.tck if burst % timing.tck == 0 else 1
         is_read = op == OP_READ
         latency = timing.cl if is_read else timing.cwl
-        n_banks = self._banks
+        n_banks = config.geometry.banks
+        bank_groups = config.geometry.bank_groups
         record = policy.record_commands
-        refresh = self._refresh
+        refresh = RefreshScheduler(config, enabled=policy.refresh_enabled)
         all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
         # A bank never holds more than either depth allows.
         depth = min(policy.queue_depth, policy.per_bank_depth)
@@ -231,15 +222,14 @@ class KernelEngine:
         head = np.zeros(n_banks, dtype=np.int64)
         adm = np.zeros(n_banks, dtype=np.int64)
         bstate = np.zeros(n_banks, dtype=np.int64)
-        open_arr = np.array(
-            [-1 if r is None else r for r in self._open_row], dtype=np.int64)
-        act_time = np.array(self._act_time, dtype=np.int64)
-        cas_allowed = np.array(self._cas_allowed, dtype=np.int64)
-        pre_allowed = np.array(self._pre_allowed, dtype=np.int64)
-        act_allowed = np.array(self._act_allowed, dtype=np.int64)
-        bg_of = np.array([b % self._bank_groups for b in range(n_banks)],
-                         dtype=np.int64)
-        last_cas_bg = np.full(self._bank_groups, _FAR_PAST, dtype=np.int64)
+        # Every bank precharged (open row -1), every window open.
+        open_arr = np.full(n_banks, -1, dtype=np.int64)
+        act_time = np.full(n_banks, _FAR_PAST, dtype=np.int64)
+        cas_allowed = np.zeros(n_banks, dtype=np.int64)
+        pre_allowed = np.zeros(n_banks, dtype=np.int64)
+        act_allowed = np.zeros(n_banks, dtype=np.int64)
+        bg_of = np.arange(n_banks, dtype=np.int64) % bank_groups
+        last_cas_bg = np.full(bank_groups, _FAR_PAST, dtype=np.int64)
         faw_ring = np.full(4, _FAR_PAST, dtype=np.int64)
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
         heap = np.zeros((n_banks + 2) * 5, dtype=np.int64)
@@ -258,7 +248,7 @@ class KernelEngine:
 
         cfg = np.zeros(_kernelc.N_CFG, dtype=np.int64)
         cfg[_kernelc.C_N_BANKS] = n_banks
-        cfg[_kernelc.C_BANK_GROUPS] = self._bank_groups
+        cfg[_kernelc.C_BANK_GROUPS] = bank_groups
         cfg[_kernelc.C_TCK] = tck
         cfg[_kernelc.C_QUANT] = 1 if tck > 1 else 0
         cfg[_kernelc.C_TRP] = timing.trp
@@ -322,24 +312,6 @@ class KernelEngine:
                 reason = lib.run_segment(*args)
         if reason == _kernelc.EXIT_DEADLOCK:
             raise RuntimeError("scheduler deadlock: no prepared bank head")
-        refs = int(sc[_kernelc.S_REFRESHES])
-        refresh.skip(refs)
-
-        # ---- finalize: stats, commands, shared-state writeback ---------
-        n_requests = int(sc[_kernelc.S_N_REQUESTS])
-        hits = int(sc[_kernelc.S_HITS])
-        misses = int(sc[_kernelc.S_MISSES])
-        empties = int(sc[_kernelc.S_EMPTIES])
-        acts = int(sc[_kernelc.S_ACTS])
-        pres = int(sc[_kernelc.S_PRES])
-        last_data_end = int(sc[_kernelc.S_LAST_DATA_END])
-
-        self._open_row[:] = [
-            None if v < 0 else v for v in open_arr.tolist()]
-        self._act_time[:] = act_time.tolist()
-        self._cas_allowed[:] = cas_allowed.tolist()
-        self._pre_allowed[:] = pre_allowed.tolist()
-        self._act_allowed[:] = act_allowed.tolist()
 
         commands: List[ScheduledCommand] = []
         if record:
@@ -358,29 +330,8 @@ class KernelEngine:
                     row=flat[i + 3], column=flat[i + 4],
                     request_id=flat[i + 5]))
 
-        stats = PhaseStats()
-        stats.requests = n_requests
-        stats.page_hits = hits
-        stats.page_misses = misses
-        stats.page_empties = empties
-        stats.activates = acts
-        stats.precharges = pres
-        stats.refreshes = refs
-        stats.data_time_ps = n_requests * burst
-        stats.makespan_ps = last_data_end
-        reads = n_requests if is_read else 0
-        writes = 0 if is_read else n_requests
-        ref_key = (CommandType.REF_ALL if all_bank_refresh
-                   else CommandType.REF_BANK).value
-        stats.command_counts = {
-            CommandType.ACT.value: acts,
-            CommandType.PRE.value: pres,
-            (CommandType.RD if is_read else CommandType.WR).value: n_requests,
-            ref_key: refs,
-        }
-        stats.energy_tally = EnergyTally(act_pre=acts, rd=reads, wr=writes,
-                                         ref=refs, makespan_ps=last_data_end)
-        return EngineResult(stats=stats, commands=commands, reads=reads,
-                            writes=writes, turnarounds=0,
-                            cas_times=cas_col[:n_requests] if cas_times else None)
+        counters = sc[_COUNTER_SLOTS].tolist()
+        n_requests = counters[0]
+        return build_result(config, op, counters, commands,
+                            cas_col[:n_requests] if cas_times else None)
 

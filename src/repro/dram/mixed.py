@@ -8,8 +8,10 @@ request — writing frame k+1 while reading frame k — at the price of
 data-bus turnaround penalties (tRTW between a read and a write command,
 tWTR between write data and a read command).
 
-:func:`run_mixed_phase` schedules such a mixed stream through the
-shared :class:`~repro.dram.engine.SchedulingEngine` — the same per-bank
+:func:`run_mixed_phase` schedules such a mixed stream as one cold
+phase through the scheduler front door,
+:class:`~repro.dram.kernel.KernelEngine`, which hands it to a fresh
+:class:`~repro.dram.engine.SchedulingEngine` — the same per-bank
 queues, eager row management and age-fair CAS arbiter as the
 homogeneous :meth:`~repro.dram.controller.MemoryController.run_phase`,
 with the engine's direction-turnaround rule set active;
@@ -33,7 +35,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dram.commands import ScheduledCommand
 from repro.dram.controller import ControllerConfig
-from repro.dram.engine import MixedSource, SchedulingEngine
+from repro.dram.engine import MixedSource
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats
 from repro.mapping.base import AddressArrays, InterleaverMapping
@@ -86,8 +88,12 @@ def run_mixed_phase(
     Mixed streams always schedule through the general core: the
     turnaround rule set has no kernel fast path.
     """
+    # Imported on first use, keeping the kernel module out of the
+    # package's import time (as in the controller).
+    from repro.dram.kernel import KernelEngine
+
     policy = policy or ControllerConfig()
-    result = SchedulingEngine(config, policy).run(MixedSource(requests))
+    result = KernelEngine(config, policy).run(MixedSource(requests))
     return MixedResult(stats=result.stats, reads=result.reads,
                        writes=result.writes, turnarounds=result.turnarounds,
                        commands=result.commands)

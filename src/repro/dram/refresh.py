@@ -43,6 +43,22 @@ class RefreshEvent:
     duration_ps: int
 
 
+def check_interval(config: DramConfig, enabled: bool) -> None:
+    """Reject a refresh interval no scheduler could ever leave.
+
+    The engines call this when they are built, so a bad configuration
+    fails before any phase runs.
+
+    Raises:
+        ValueError: when refresh is enabled and ``tREFI`` is not
+            positive: every deadline would be due forever, and the
+            engines would never leave their refresh loop.
+    """
+    if enabled and config.timing.trefi <= 0:
+        raise ValueError("trefi must be positive when refresh is "
+                         f"enabled, got {config.timing.trefi}")
+
+
 class RefreshScheduler:
     """Generates the refresh event stream for one configuration.
 
@@ -51,15 +67,11 @@ class RefreshScheduler:
         enabled: when ``False``, :meth:`due` never fires.
 
     Raises:
-        ValueError: when refresh is enabled and ``tREFI`` is not
-            positive: every deadline would be due forever, and the
-            engines would never leave their refresh loop.
+        ValueError: as :func:`check_interval`.
     """
 
     def __init__(self, config: DramConfig, enabled: bool = True) -> None:
-        if enabled and config.timing.trefi <= 0:
-            raise ValueError("trefi must be positive when refresh is "
-                             f"enabled, got {config.timing.trefi}")
+        check_interval(config, enabled)
         self.config = config
         self.enabled = enabled
         self._interval = config.timing.trefi
@@ -89,17 +101,6 @@ class RefreshScheduler:
     def next_bank(self) -> int:
         """Bank the next per-bank event refreshes (round-robin)."""
         return self._rr_bank
-
-    def skip(self, events: int) -> None:
-        """Consume ``events`` deadlines applied elsewhere.
-
-        Leaves the same state as that many :meth:`due` calls that each
-        fired, for a caller that applies the events itself (the
-        compiled segment loop of :mod:`repro.dram.kernel`).
-        """
-        self._next_deadline += events * self._interval
-        if self.config.refresh_mode != REFRESH_ALL_BANK:
-            self._rr_bank = (self._rr_bank + events) % self.config.geometry.banks
 
     def due(self, now_ps: int) -> Optional[RefreshEvent]:
         """Return the pending refresh event if one is due at ``now_ps``.

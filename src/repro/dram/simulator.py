@@ -8,7 +8,7 @@ that the paper's Table I reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.dram.controller import (
     OP_READ,
@@ -20,9 +20,6 @@ from repro.dram.controller import (
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats, min_phase_utilization
 from repro.mapping.base import InterleaverMapping
-
-if TYPE_CHECKING:
-    from repro.dram.mixed import MixedResult
 
 
 @dataclass(frozen=True)
@@ -121,25 +118,3 @@ def simulate_interleaver(
         write=simulate_phase(config, mapping, OP_WRITE, policy),
         read=simulate_phase(config, mapping, OP_READ, policy),
     )
-
-
-def simulate_mixed_interleaver(
-    config: DramConfig,
-    mapping: InterleaverMapping,
-    group: int = 16,
-    policy: Optional[ControllerConfig] = None,
-) -> "MixedResult":
-    """Simulate the steady-state interleaved write(k+1)/read(k) operation.
-
-    The single-device counterpart of :func:`simulate_interleaver`: both
-    frames run through one channel with the requests interleaved in
-    same-direction blocks of ``group``, so the engine's turnaround rule
-    set (tRTW/tWTR) is charged.  Returns a
-    :class:`~repro.dram.mixed.MixedResult`.
-    """
-    # Imported here to keep the simulator importable without the mixed
-    # module at module-load time (mixed imports the mapping base).
-    from repro.dram.mixed import steady_state_interleaver
-
-    return steady_state_interleaver(config, mapping, group=group,
-                                    policy=policy)

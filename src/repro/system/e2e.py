@@ -56,7 +56,7 @@ from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.energy import (
     EnergyReport,
     combine_interleaver_reports,
-    energy_from_tally,
+    energy_from_stats,
 )
 from repro.dram.engine import Batch, WorkloadSource
 from repro.dram.presets import DramConfig
@@ -376,8 +376,8 @@ def _finalize(cell: E2ECell, downlink_outcome: DownlinkResult,
     :func:`run_e2e` and the scalar oracle in ``tests/oracles/e2e.py``
     both finish through it.
     """
-    write_energy = energy_from_tally(config, write.energy_tally)
-    read_energy = energy_from_tally(config, read.energy_tally)
+    write_energy = energy_from_stats(config, write)
+    read_energy = energy_from_stats(config, read)
     return E2EResult(
         cell=cell,
         downlink=downlink_outcome,

@@ -55,9 +55,9 @@ from repro.dram.controller import (
     ControllerConfig,
     MemoryController,
 )
-from repro.dram.mixed import MixedResult
+from repro.dram.mixed import MixedResult, steady_state_interleaver
 from repro.dram.presets import DramConfig, get_config
-from repro.dram.simulator import simulate_mixed_interleaver, simulate_phase
+from repro.dram.simulator import simulate_phase
 from repro.dram.stats import PhaseStats
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.system.shm import SharedChunks
@@ -231,8 +231,8 @@ class MixedTask:
                 registry key.
         """
         config, mapping = _task_mapping(self.mapping, self.config_name, self.n)
-        return simulate_mixed_interleaver(config, mapping, group=self.group,
-                                          policy=self.policy)
+        return steady_state_interleaver(config, mapping, group=self.group,
+                                        policy=self.policy)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:

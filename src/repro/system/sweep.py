@@ -27,13 +27,11 @@ from repro.dram.controller import (
 from repro.dram.energy import (
     EnergyReport,
     combine_interleaver_reports,
-    energy_from_tally,
-    phase_energy,
+    energy_from_stats,
 )
 from repro.dram.mixed import read_frame_mapping
-from repro.dram.presets import TABLE1_CONFIG_NAMES, DramConfig, get_config
-from repro.dram.simulator import InterleaverSimResult, simulate_interleaver
-from repro.dram.stats import PhaseStats
+from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
+from repro.dram.simulator import InterleaverSimResult
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.mapping.base import InterleaverMapping
@@ -279,7 +277,7 @@ def run_mixed_table(
     engine's turnaround rule set active) for every requested
     configuration under both Table I mappings.  All cells run through
     the unified engine via
-    :func:`~repro.dram.simulator.simulate_mixed_interleaver`, so mixed
+    :func:`~repro.dram.mixed.steady_state_interleaver`, so mixed
     rows carry the same ``command_counts``/recording capabilities as
     the homogeneous tables.
 
@@ -334,14 +332,6 @@ def format_mixed_table(rows: Sequence[MixedRow]) -> str:
     return "\n".join(lines)
 
 
-def _phase_energy_report(config: DramConfig, stats: PhaseStats,
-                         op: str) -> EnergyReport:
-    """Per-phase energy, preferring the engine's zero-cost tallies."""
-    if stats.energy_tally is not None:
-        return energy_from_tally(config, stats.energy_tally)
-    return phase_energy(config, stats, op)
-
-
 @dataclass(frozen=True)
 class EnergyRow:
     """Energy accounting of one (configuration, mapping) Table I cell.
@@ -387,7 +377,7 @@ def run_energy_table(
     The energy analogue of :func:`run_table1`: each (configuration,
     mapping) cell runs both phases through the scheduling engine, whose
     zero-cost :class:`~repro.dram.stats.EnergyTally` counters feed
-    :func:`~repro.dram.energy.energy_from_tally`.  The phases are the
+    :func:`~repro.dram.energy.energy_from_stats`.  The phases are the
     same :class:`~repro.system.parallel.PhaseTask` grid
     :func:`run_table1` runs; results are bit-identical for any ``jobs``
     value.
@@ -409,8 +399,8 @@ def run_energy_table(
     rows = []
     for result in _frame_results(n, config_names, policy, jobs, store):
         config = get_config(result.config_name)
-        write_energy = _phase_energy_report(config, result.write, OP_WRITE)
-        read_energy = _phase_energy_report(config, result.read, OP_READ)
+        write_energy = energy_from_stats(config, result.write)
+        read_energy = energy_from_stats(config, result.read)
         rows.append(
             EnergyRow(
                 config_name=result.config_name,
@@ -756,74 +746,54 @@ class SizeSweepPoint:
 
 
 def sweep_sizes(
-    config: DramConfig,
+    config_name: str,
     sizes: Sequence[int],
-    mapping_factories: Optional[Dict[str, MappingFactory]] = None,
     policy: Optional[ControllerConfig] = None,
     jobs: Optional[int] = None,
 ) -> List[SizeSweepPoint]:
     """Utilization vs. interleaver dimension (paper: "differ only slightly").
 
-    With ``jobs`` set, the (size x mapping) grid fans out over worker
-    processes when the default Table I mappings are swept on a preset
-    configuration; custom factories or configurations fall back to the
-    serial path (callables do not travel across processes).
+    The (size x Table I mapping) grid runs as phase tasks, fanned out
+    over worker processes with ``jobs``.
 
     Args:
-        config: DRAM configuration to sweep on.
+        config_name: DRAM configuration to sweep on.
         sizes: triangular interleaver dimensions to sample.
-        mapping_factories: named mapping constructors
-            (default: the two Table I mappings).
         policy: controller policy overrides applied to every sample.
         jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
 
     Returns:
         One point per (size, mapping) sample, sizes outermost.
-    """
-    factories = mapping_factories or default_mappings()
-    parallelizable = (
-        mapping_factories is None and config.name in TABLE1_CONFIG_NAMES
-    )
-    if parallelizable:
-        names = list(factories)
-        tasks = [
-            PhaseTask(config_name=config.name, mapping=name, op=op, n=n,
-                      policy=policy)
-            for n in sizes
-            for name in names
-            for op in (OP_WRITE, OP_READ)
-        ]
-        stats = run_tasks(tasks, jobs=jobs)
-        points = []
-        cursor = 0
-        for n in sizes:
-            elements = TriangularIndexSpace(n).num_elements
-            for name in names:
-                write, read = stats[cursor], stats[cursor + 1]
-                cursor += 2
-                points.append(
-                    SizeSweepPoint(
-                        n=n,
-                        elements=elements,
-                        mapping_name=name,
-                        write_utilization=write.utilization,
-                        read_utilization=read.utilization,
-                    )
-                )
-        return points
 
-    points = []
+    Raises:
+        ValueError: before any phase runs, when a mapping does not fit
+            the device at one of the sizes.
+    """
+    names = list(default_mappings())
     for n in sizes:
-        space = TriangularIndexSpace(n)
-        for name, factory in factories.items():
-            result = simulate_interleaver(config, factory(space, config.geometry), policy)
+        check_cells([(config_name, name) for name in names], n)
+    tasks = [
+        PhaseTask(config_name=config_name, mapping=name, op=op, n=n,
+                  policy=policy)
+        for n in sizes
+        for name in names
+        for op in (OP_WRITE, OP_READ)
+    ]
+    stats = run_tasks(tasks, jobs=jobs)
+    points = []
+    cursor = 0
+    for n in sizes:
+        elements = TriangularIndexSpace(n).num_elements
+        for name in names:
+            write, read = stats[cursor], stats[cursor + 1]
+            cursor += 2
             points.append(
                 SizeSweepPoint(
                     n=n,
-                    elements=space.num_elements,
+                    elements=elements,
                     mapping_name=name,
-                    write_utilization=result.write_utilization,
-                    read_utilization=result.read_utilization,
+                    write_utilization=write.utilization,
+                    read_utilization=read.utilization,
                 )
             )
     return points

@@ -223,17 +223,12 @@ def energy_pareto(
         max_channels: channel counts spanned per cell (>= 1).
 
     Returns:
-        All provisioning points ordered by sustained bandwidth then
-        power, with the Pareto-optimal ones flagged.
+        All provisioning points, sorted ascending by sustained
+        bandwidth, then power, then configuration and mapping name,
+        with the Pareto-optimal ones flagged ``on_frontier``.
 
     Raises:
         ValueError: when ``max_channels`` is not positive.
-
-    Returns:
-        All points sorted by (sustained bandwidth, power) ascending.
-
-    Raises:
-        ValueError: if ``max_channels`` is not positive.
     """
     if max_channels < 1:
         raise ValueError(f"max_channels must be >= 1, got {max_channels}")

@@ -7,13 +7,15 @@ import pytest
 from repro.dram.energy import (
     EnergyParams,
     combine_interleaver_reports,
+    energy_from_stats,
+    energy_from_tally,
     energy_params_for,
     interleaver_energy,
     phase_energy,
 )
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_interleaver
-from repro.dram.stats import PhaseStats
+from repro.dram.stats import EnergyTally, PhaseStats
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
@@ -119,6 +121,20 @@ class TestPhaseEnergy:
         # nJ over ps: total_nj / makespan_ps * 1e6 mW.
         assert report.avg_power_mw == pytest.approx(report.total_nj)
         assert phase_energy(config, PhaseStats(), "RD").avg_power_mw == 0.0
+
+
+class TestEnergyFromStats:
+    def test_reads_the_tally(self):
+        config = get_config("DDR4-3200")
+        tally = EnergyTally(act_pre=50, rd=1000, wr=0, ref=2,
+                            makespan_ps=10**9)
+        stats = replace(_stats(), energy_tally=tally)
+        assert energy_from_stats(config, stats) == energy_from_tally(config,
+                                                                     tally)
+
+    def test_missing_tally_is_named(self):
+        with pytest.raises(ValueError, match="no energy tally"):
+            energy_from_stats(get_config("DDR4-3200"), _stats())
 
 
 class TestMappingComparison:

@@ -9,7 +9,8 @@ the engine battery's homogeneous cases, and its schedules must
 independently satisfy the JEDEC replay checker
 (:mod:`repro.dram.trace`) for homogeneous and mixed traffic.  Where the
 compiled loop cannot run (no toolchain, ``REPRO_KERNEL_NATIVE=0``) the
-same battery checks the general-engine fallback route.
+same battery checks the general-engine fallback route.  Every run on
+every scheduler is one cold phase (``TestColdStart``).
 """
 
 import tracemalloc
@@ -32,6 +33,7 @@ from repro.dram.mixed import (
     run_mixed_phase,
     steady_state_interleaver,
 )
+from repro.dram.policy import POLICY_CLOSED_PAGE, POLICY_OPEN_PAGE
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.refresh import RefreshScheduler
 from repro.dram.simulator import simulate_phase_result
@@ -92,13 +94,6 @@ def _assert_identical(general, kernel):
     assert kernel.commands == general.commands
 
 
-def _assert_same_refresh_state(general, kernel):
-    """Both engines' refresh schedulers wait for the same next event."""
-    expected, actual = general._refresh, kernel._refresh
-    assert actual.next_deadline_ps == expected.next_deadline_ps
-    assert actual.next_bank == expected.next_bank
-
-
 class TestTable1Grid:
     """Kernel == engine on the full production grid."""
 
@@ -131,8 +126,8 @@ class TestEngineBattery:
 
     The cases span all ten configurations, queue depths 1-128, refresh
     on and off, both intake shapes and recorded commands.  Each engine
-    runs its case twice, so the second run starts from the warm bank
-    and refresh state the first left behind.
+    runs its case twice, and the second run must repeat the first: every
+    run starts cold.
     """
 
     @pytest.mark.parametrize("index", range(N_HOMOGENEOUS))
@@ -140,12 +135,14 @@ class TestEngineBattery:
         case = engine_case(index)
         kernel = KernelEngine(case.config, case.policy)
         general = SchedulingEngine(case.config, case.policy)
+        results = []
         for _ in range(2):
             expected = general.run(as_workload(case.stream()), case.op)
             result = kernel.run(as_workload(case.stream()), case.op)
             _assert_identical(expected, result)
             assert result.stats.kernel_fallback is not _kernelc.available()
-            _assert_same_refresh_state(general, kernel)
+            results.append(result)
+        _assert_identical(*results)
 
 
 class TestNativeRefresh:
@@ -158,21 +155,18 @@ class TestNativeRefresh:
         """One all-bank and one per-bank configuration."""
         config = get_config(config_name)
         mapping = _mapping(config, "row-major")
-        general = SchedulingEngine(config, RECORDING_POLICY)
-        expected = general.run(as_workload(mapping.write_addresses_array()),
-                               OP_WRITE)
+        expected = SchedulingEngine(config, RECORDING_POLICY).run(
+            as_workload(mapping.write_addresses_array()), OP_WRITE)
         assert expected.stats.refreshes > 0
 
         def due(self, now_ps):
             raise AssertionError("the native route called RefreshScheduler.due")
 
         monkeypatch.setattr(RefreshScheduler, "due", due)
-        kernel = KernelEngine(config, RECORDING_POLICY)
-        result = kernel.run(as_workload(mapping.write_addresses_array()),
-                            OP_WRITE)
+        result = KernelEngine(config, RECORDING_POLICY).run(
+            as_workload(mapping.write_addresses_array()), OP_WRITE)
         assert not result.stats.kernel_fallback
         _assert_identical(expected, result)
-        _assert_same_refresh_state(general, kernel)
 
 
 class TestBoundedIntake:
@@ -202,25 +196,49 @@ class TestBoundedIntake:
         assert stats == expected
         assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MiB"
 
-    @pytest.mark.skipif(not _kernelc.available(),
-                        reason="needs the compiled segment loop")
-    def test_intake_error_leaves_the_engine_untouched(self, ddr4):
-        """A bad request in a later batch raises after the earlier
-        batches were scheduled, but the shared state is written back
-        only when a phase completes."""
-        mapping = _mapping(ddr4, "optimized")
-        kernel = KernelEngine(ddr4, ControllerConfig())
-        kernel.run(as_workload(mapping.write_addresses_array()), OP_WRITE)
-        before = [kernel.bank_snapshot(b) for b in range(ddr4.geometry.banks)]
-        deadline = kernel._refresh.next_deadline_ps
+
+def _phase_runner(route, config, policy):
+    """One long-lived scheduler of ``route``, as ``run(chunks, op) -> stats``."""
+    if route == "controller":
+        controller = MemoryController(config, policy)
+        return lambda chunks, op: controller.run_phase(chunks, op).stats
+    engine = (KernelEngine if route == "kernel" else SchedulingEngine)(
+        config, policy)
+    return lambda chunks, op: engine.run(as_workload(chunks), op).stats
+
+
+class TestColdStart:
+    """Every run is one cold phase: a scheduler keeps no bank or refresh
+    state between runs, not even from a run an intake error cut short."""
+
+    @pytest.mark.parametrize("route,discipline", [
+        ("controller", POLICY_OPEN_PAGE),
+        ("kernel", POLICY_OPEN_PAGE),
+        ("kernel", POLICY_CLOSED_PAGE),  # the general-engine fallback
+        ("general", POLICY_OPEN_PAGE),
+    ])
+    def test_phase_after_write_and_failed_read_starts_cold(
+            self, ddr4, route, discipline):
+        # Long enough for the write phase to move the refresh deadline.
+        mapping = _mapping(ddr4, "optimized", n=128)
+        policy = ControllerConfig(discipline=discipline)
+        run = _phase_runner(route, ddr4, policy)
+        run(mapping.write_addresses_array(), OP_WRITE)
+        # The bad request sits in the last chunk, so the earlier chunks
+        # are scheduled before intake raises.
         chunks = list(mapping.read_addresses_array(chunk_size=256))
         banks, rows, cols = chunks[-1]
         chunks[-1] = (banks, rows - rows.max() - 1, cols)
         with pytest.raises(ValueError, match="row must be >= 0"):
-            kernel.run(as_workload(chunks), OP_READ)
-        assert [kernel.bank_snapshot(b)
-                for b in range(ddr4.geometry.banks)] == before
-        assert kernel._refresh.next_deadline_ps == deadline
+            run(chunks, OP_READ)
+        read = run(mapping.read_addresses_array(), OP_READ)
+        fresh = _phase_runner(route, ddr4, policy)(
+            mapping.read_addresses_array(), OP_READ)
+        assert read == fresh
+        assert read.refreshes == fresh.refreshes > 0
+        if route == "kernel":
+            assert read.kernel_fallback is (
+                discipline == POLICY_CLOSED_PAGE or not _kernelc.available())
 
 
 class TestController:
@@ -233,27 +251,6 @@ class TestController:
         general = SchedulingEngine(ddr4, ControllerConfig()).run(
             as_workload(mapping.read_addresses_array()), OP_READ).stats
         assert stats == general
-
-    def test_warm_state_alternation(self, ddr4):
-        """Two phases on one controller == two on one general engine.
-
-        The kernel shares the per-bank timestamp table with its general
-        engine by reference, so rows the write phase leaves open must be
-        visible to — and identically charged by — the read phase.
-        """
-        mapping = _mapping(ddr4, "optimized")
-        controller = MemoryController(ddr4, ControllerConfig())
-        write = controller.run_phase(mapping.write_addresses_array(),
-                                     OP_WRITE).stats
-        read = controller.run_phase(mapping.read_addresses_array(),
-                                    OP_READ).stats
-
-        engine = SchedulingEngine(ddr4, ControllerConfig())
-        write_ref = engine.run(as_workload(mapping.write_addresses_array()),
-                               OP_WRITE).stats
-        read_ref = engine.run(as_workload(mapping.read_addresses_array()),
-                              OP_READ).stats
-        assert (write, read) == (write_ref, read_ref)
 
 
 class TestMixedTraffic:

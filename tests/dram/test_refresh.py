@@ -56,23 +56,6 @@ class TestScheduler:
         assert scheduler.duration_ps == tiny_config.timing.trfc
         assert scheduler.next_bank == 0
 
-    @pytest.mark.parametrize("config_name", ("DDR4-3200", "LPDDR4-2133"))
-    @pytest.mark.parametrize("events", (0, 1, 5, 17))
-    def test_skip_matches_firing_due_calls(self, config_name, events):
-        """Both refresh modes; 17 events wrap the 8-bank round robin twice."""
-        config = get_config(config_name)
-        skipped = RefreshScheduler(config)
-        stepped = RefreshScheduler(config)
-        skipped.due(config.timing.trefi)
-        stepped.due(config.timing.trefi)
-        for _ in range(events):
-            assert stepped.due(stepped.next_deadline_ps) is not None
-        skipped.skip(events)
-        assert skipped.next_deadline_ps == stepped.next_deadline_ps
-        assert skipped.next_bank == stepped.next_bank
-        event = skipped.due(skipped.next_deadline_ps)
-        assert event == stepped.due(stepped.next_deadline_ps)
-
     def test_overhead_bound(self, tiny_config):
         scheduler = RefreshScheduler(tiny_config)
         expected = tiny_config.timing.trfc / tiny_config.timing.trefi

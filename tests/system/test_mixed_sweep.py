@@ -5,7 +5,6 @@ import pytest
 from repro.dram.controller import ControllerConfig
 from repro.dram.mixed import steady_state_interleaver
 from repro.dram.presets import get_config
-from repro.dram.simulator import simulate_mixed_interleaver
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
 from repro.system.parallel import MixedTask, run_tasks
@@ -22,13 +21,6 @@ class TestMixedTask:
                                    prefer_tall=False)
         direct = steady_state_interleaver(config, mapping, group=8)
         assert via_task == direct
-
-    def test_simulator_wrapper_matches(self):
-        config = get_config("DDR4-3200")
-        mapping = OptimizedMapping(TriangularIndexSpace(64), config.geometry,
-                                   prefer_tall=False)
-        assert simulate_mixed_interleaver(config, mapping, group=8) == \
-            steady_state_interleaver(config, mapping, group=8)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from repro.dram.stats import PhaseStats
 from repro.dram.simulator import InterleaverSimResult
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.system import sweep
+from repro.system.parallel import PhaseTask
 from repro.system.sweep import (
     Table1Row,
     ablation_factories,
@@ -119,22 +120,30 @@ class TestFormat:
 
 class TestSizeSweep:
     def test_points_cover_grid(self):
-        config = get_config("DDR3-800")
-        points = sweep_sizes(config, sizes=(32, 64))
+        points = sweep_sizes("DDR3-800", sizes=(32, 64))
         assert len(points) == 4  # 2 sizes x 2 mappings
         assert {p.n for p in points} == {32, 64}
         assert {p.mapping_name for p in points} == {"row-major", "optimized"}
 
     def test_elements_match_size(self):
-        config = get_config("DDR3-800")
-        points = sweep_sizes(config, sizes=(32,))
+        points = sweep_sizes("DDR3-800", sizes=(32,))
         assert all(p.elements == 32 * 33 // 2 for p in points)
 
     def test_min_utilization(self):
-        config = get_config("DDR3-800")
-        point = sweep_sizes(config, sizes=(48,))[0]
+        point = sweep_sizes("DDR3-800", sizes=(48,))[0]
         assert point.min_utilization == min(point.write_utilization,
                                             point.read_utilization)
+
+    def test_device_too_small_fails_before_any_task(self, monkeypatch):
+        """n=6000 does not fit LPDDR4-4266: the sweep stops before its
+        n=64 cells run, with an error naming the failing cell."""
+        executed = []
+        monkeypatch.setattr(PhaseTask, "execute",
+                            lambda task: executed.append(task))
+        with pytest.raises(ValueError,
+                           match=r"^LPDDR4-4266, row-major mapping, n=6000: "):
+            sweep_sizes("LPDDR4-4266", (64, 6000))
+        assert executed == []
 
 
 class TestParallelPlumbing:
@@ -144,9 +153,8 @@ class TestParallelPlumbing:
         assert serial[0].cells() == parallel[0].cells()
 
     def test_sweep_sizes_jobs_matches_serial(self):
-        config = get_config("DDR3-800")
-        serial = sweep_sizes(config, sizes=(32, 40), jobs=1)
-        parallel = sweep_sizes(config, sizes=(32, 40), jobs=2)
+        serial = sweep_sizes("DDR3-800", sizes=(32, 40), jobs=1)
+        parallel = sweep_sizes("DDR3-800", sizes=(32, 40), jobs=2)
         assert serial == parallel
 
     def test_tuple_and_array_table1_agree(self):
