@@ -10,7 +10,8 @@ independently satisfy the JEDEC replay checker
 (:mod:`repro.dram.trace`) for homogeneous and mixed traffic.  Where the
 compiled loop cannot run (no toolchain, ``REPRO_KERNEL_NATIVE=0``) the
 same battery checks the general-engine fallback route.  Every run on
-every scheduler is one cold phase (``TestColdStart``).
+every scheduler is one cold phase (``TestColdStart``), and both engines
+report the same ``command_counts`` keys (``TestResultKeys``).
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ import pytest
 
 from oracles.cases import N_HOMOGENEOUS, engine_case
 from repro.dram import _kernelc
+from repro.dram.commands import CommandType
 from repro.dram.controller import (
     OP_READ,
     OP_WRITE,
@@ -196,6 +198,35 @@ class TestBoundedIntake:
         assert stats == expected
         assert peak < 4 << 20, f"peak {peak / 2**20:.1f} MiB"
 
+    @pytest.mark.skipif(not _kernelc.available(),
+                        reason="needs the compiled segment loop")
+    def test_intake_error_leaves_the_engine_untouched(self, ddr4):
+        """A bad request in a later batch raises after the earlier
+        batches were scheduled, and the engine is as it was: it holds
+        only its configuration and policy, never a phase's tables."""
+        mapping = _mapping(ddr4, "optimized")
+        kernel = KernelEngine(ddr4, ControllerConfig())
+        kernel.run(as_workload(mapping.write_addresses_array()), OP_WRITE)
+        before = dict(vars(kernel))
+        assert list(before) == ["config", "policy"]
+        chunks = list(mapping.read_addresses_array(chunk_size=256))
+        assert len(chunks) > 1
+        banks, rows, cols = chunks[-1]
+        chunks[-1] = (banks, rows - rows.max() - 1, cols)
+        with pytest.raises(ValueError, match="row must be >= 0"):
+            kernel.run(as_workload(chunks), OP_READ)
+        assert vars(kernel).keys() == before.keys()
+        assert all(vars(kernel)[name] is value
+                   for name, value in before.items())
+
+
+ROUTES = [
+    ("controller", POLICY_OPEN_PAGE),
+    ("kernel", POLICY_OPEN_PAGE),
+    ("kernel", POLICY_CLOSED_PAGE),  # the general-engine fallback
+    ("general", POLICY_OPEN_PAGE),
+]
+
 
 def _phase_runner(route, config, policy):
     """One long-lived scheduler of ``route``, as ``run(chunks, op) -> stats``."""
@@ -211,18 +242,17 @@ class TestColdStart:
     """Every run is one cold phase: a scheduler keeps no bank or refresh
     state between runs, not even from a run an intake error cut short."""
 
-    @pytest.mark.parametrize("route,discipline", [
-        ("controller", POLICY_OPEN_PAGE),
-        ("kernel", POLICY_OPEN_PAGE),
-        ("kernel", POLICY_CLOSED_PAGE),  # the general-engine fallback
-        ("general", POLICY_OPEN_PAGE),
-    ])
+    @pytest.mark.parametrize("route,discipline", ROUTES)
+    # All-bank refresh, and per-bank refresh, whose scheduler also
+    # rotates through the banks and must restart that rotation.
+    @pytest.mark.parametrize("config_name", ["DDR4-3200", "LPDDR4-4266"])
     def test_phase_after_write_and_failed_read_starts_cold(
-            self, ddr4, route, discipline):
+            self, config_name, route, discipline):
+        config = get_config(config_name)
         # Long enough for the write phase to move the refresh deadline.
-        mapping = _mapping(ddr4, "optimized", n=128)
+        mapping = _mapping(config, "optimized", n=128)
         policy = ControllerConfig(discipline=discipline)
-        run = _phase_runner(route, ddr4, policy)
+        run = _phase_runner(route, config, policy)
         run(mapping.write_addresses_array(), OP_WRITE)
         # The bad request sits in the last chunk, so the earlier chunks
         # are scheduled before intake raises.
@@ -232,13 +262,44 @@ class TestColdStart:
         with pytest.raises(ValueError, match="row must be >= 0"):
             run(chunks, OP_READ)
         read = run(mapping.read_addresses_array(), OP_READ)
-        fresh = _phase_runner(route, ddr4, policy)(
+        fresh = _phase_runner(route, config, policy)(
             mapping.read_addresses_array(), OP_READ)
         assert read == fresh
         assert read.refreshes == fresh.refreshes > 0
         if route == "kernel":
             assert read.kernel_fallback is (
                 discipline == POLICY_CLOSED_PAGE or not _kernelc.available())
+
+
+class TestResultKeys:
+    """Both engines finish through one result builder, which gives
+    ``command_counts`` the same CAS keys on every route."""
+
+    @pytest.mark.parametrize("route,discipline", ROUTES[1:])
+    @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
+    def test_empty_homogeneous_run_reports_its_cas_key(
+            self, ddr4, route, discipline, op):
+        policy = ControllerConfig(discipline=discipline)
+        stats = _phase_runner(route, ddr4, policy)([], op)
+        cas = CommandType.RD if op == OP_READ else CommandType.WR
+        assert stats.command_counts == {
+            CommandType.ACT.value: 0, CommandType.PRE.value: 0,
+            cas.value: 0, CommandType.REF_ALL.value: 0}
+
+    @pytest.mark.parametrize("engine", (KernelEngine, SchedulingEngine))
+    def test_mixed_run_reports_only_the_directions_that_occurred(
+            self, ddr4, engine):
+        def cas_keys(requests):
+            counts = engine(ddr4, ControllerConfig()).run(
+                MixedSource(requests)).stats.command_counts
+            return {key for key in counts
+                    if key in (CommandType.RD.value, CommandType.WR.value)}
+
+        assert cas_keys([]) == set()
+        assert cas_keys([(True, 0, 0, 0)]) == {CommandType.RD.value}
+        assert cas_keys([(False, 0, 0, 0)]) == {CommandType.WR.value}
+        assert cas_keys([(False, 0, 0, 0), (True, 1, 0, 0)]) == {
+            CommandType.RD.value, CommandType.WR.value}
 
 
 class TestController:
@@ -251,6 +312,27 @@ class TestController:
         general = SchedulingEngine(ddr4, ControllerConfig()).run(
             as_workload(mapping.read_addresses_array()), OP_READ).stats
         assert stats == general
+
+    def test_warm_state_alternation(self, ddr4):
+        """Two phases on one controller == two on one general engine.
+
+        Neither carries the rows the write phase leaves open, or its
+        refresh deadline, into the read phase: both start every phase
+        cold, so they charge the read phase alike.
+        """
+        mapping = _mapping(ddr4, "optimized")
+        controller = MemoryController(ddr4, ControllerConfig())
+        write = controller.run_phase(mapping.write_addresses_array(),
+                                     OP_WRITE).stats
+        read = controller.run_phase(mapping.read_addresses_array(),
+                                    OP_READ).stats
+
+        engine = SchedulingEngine(ddr4, ControllerConfig())
+        write_ref = engine.run(as_workload(mapping.write_addresses_array()),
+                               OP_WRITE).stats
+        read_ref = engine.run(as_workload(mapping.read_addresses_array()),
+                              OP_READ).stats
+        assert (write, read) == (write_ref, read_ref)
 
 
 class TestMixedTraffic:
