@@ -41,7 +41,7 @@ def main() -> None:
 
     downlink = OpticalDownlink(interleaver, code, channel,
                                rng=np.random.default_rng(2024))
-    result = downlink.run(frames=60)
+    result = downlink.run_batched(frames=60)
 
     profile = result.channel_profile
     print(f"Channel produced {profile.error_symbols:,} symbol errors in "

@@ -332,11 +332,11 @@ class GilbertElliottChannel:
         status = lib.sample_fade_decode(
             rng_words, chain, count, frames,
             params.p_g2b, params.p_b2g, params.p_bad,
-            ffi.cast("int64_t *", ffi.from_buffer(word_of)),
+            ffi.from_buffer("int64_t[]", word_of),
             code.n_symbols, code.t_correctable,
-            ffi.cast("int64_t *", ffi.from_buffer(scratch)),
-            ffi.cast("int64_t *", ffi.from_buffer(columns)),
-            ffi.cast("int64_t *", ffi.from_buffer(tallies)))
+            ffi.from_buffer("int64_t[]", scratch),
+            ffi.from_buffer("int64_t[]", columns),
+            ffi.from_buffer("int64_t[]", tallies))
         if status < 0:
             raise ValueError(
                 f"word_of must map {count} channel positions into "

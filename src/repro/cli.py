@@ -42,8 +42,11 @@ FR-FCFS-cap disciplines); either way the output is byte-identical.
 ``--policy DISCIPLINE`` (plus ``--cap K`` for ``frfcfs-cap``) to swap
 the scheduling discipline; the default ``open-page`` reproduces the historical behaviour bit-for-bit.
 
-Every command prints plain text and exits non-zero on bad arguments, so
-the CLI is scriptable from shell pipelines.
+Every command prints plain text, so the CLI is scriptable from shell
+pipelines.  Bad input always ends as ``error: <message>`` on stderr and
+exit code 2, never a traceback: the library checks a grid's inputs
+before any work, and :func:`main` turns its ``KeyError`` or
+``ValueError`` into that line.
 """
 
 from __future__ import annotations
@@ -87,10 +90,9 @@ from repro.system.campaign import (
     summarize_campaign,
 )
 from repro.system.downlink import OpticalDownlink, format_gain
-from repro.system.parallel import _task_mapping, run_tasks
+from repro.system.parallel import run_tasks
 from repro.system.sweep import (
-    ablation_factories,
-    check_cells,
+    cell_mapping,
     format_e2e_table,
     format_energy_table,
     format_mixed_table,
@@ -140,13 +142,6 @@ def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default 4; ignored by other disciplines)")
 
 
-def _policy_error(args: argparse.Namespace) -> Optional[str]:
-    """Validate the ``--policy``/``--cap`` combination; message on error."""
-    if getattr(args, "cap", 4) < 1:
-        return f"--cap must be >= 1, got {args.cap}"
-    return None
-
-
 def _policy_from(args: argparse.Namespace) -> ControllerConfig:
     """The controller policy a CLI invocation selected."""
     return ControllerConfig(refresh_enabled=not getattr(args, "no_refresh",
@@ -182,22 +177,10 @@ def _add_table1(subparsers: Any) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    names = tuple(args.configs) if args.configs else TABLE1_CONFIG_NAMES
-    unknown = set(names) - set(TABLE1_CONFIG_NAMES)
-    if unknown:
-        print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
-        return 2
-    policy_error = _policy_error(args)
-    if policy_error:
-        print(f"error: {policy_error}", file=sys.stderr)
-        return 2
-    policy = _policy_from(args)
-    try:
-        rows = run_table1(n=args.n, config_names=names, policy=policy,
-                          jobs=args.jobs, store=_open_store(args))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rows = run_table1(n=args.n,
+                      config_names=args.configs or TABLE1_CONFIG_NAMES,
+                      policy=_policy_from(args), jobs=args.jobs,
+                      store=_open_store(args))
     print(format_table1(rows))
     return 0
 
@@ -222,26 +205,10 @@ def _add_mixed(subparsers: Any) -> None:
 
 
 def _cmd_mixed(args: argparse.Namespace) -> int:
-    names = tuple(args.configs) if args.configs else TABLE1_CONFIG_NAMES
-    unknown = set(names) - set(TABLE1_CONFIG_NAMES)
-    if unknown:
-        print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
-        return 2
-    if args.group < 1:
-        print("error: --group must be >= 1", file=sys.stderr)
-        return 2
-    policy_error = _policy_error(args)
-    if policy_error:
-        print(f"error: {policy_error}", file=sys.stderr)
-        return 2
-    policy = _policy_from(args)
-    try:
-        rows = run_mixed_table(n=args.n, config_names=names, group=args.group,
-                               policy=policy, jobs=args.jobs,
-                               store=_open_store(args))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rows = run_mixed_table(n=args.n,
+                           config_names=args.configs or TABLE1_CONFIG_NAMES,
+                           group=args.group, policy=_policy_from(args),
+                           jobs=args.jobs, store=_open_store(args))
     print(format_mixed_table(rows))
     return 0
 
@@ -260,24 +227,9 @@ def _add_ablation(subparsers: Any) -> None:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    names = tuple(args.configs) if args.configs else ("DDR4-3200", "LPDDR4-4266")
-    unknown = set(names) - set(TABLE1_CONFIG_NAMES)
-    if unknown:
-        print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
-        return 2
-    known_variants = ablation_factories()
-    variants = tuple(args.variants) if args.variants else tuple(known_variants)
-    unknown = set(variants) - set(known_variants)
-    if unknown:
-        print(f"error: unknown variants {sorted(unknown)}; "
-              f"known: {sorted(known_variants)}", file=sys.stderr)
-        return 2
-    try:
-        points = sweep_ablation(config_names=names, n=args.n,
-                                variants=variants, jobs=args.jobs)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    points = sweep_ablation(
+        config_names=args.configs or ("DDR4-3200", "LPDDR4-4266"), n=args.n,
+        variants=args.variants or None, jobs=args.jobs)
     print(f"{'configuration':14s} {'variant':18s} {'write':>8s} {'read':>8s} {'min':>8s}")
     for point in points:
         print(f"{point.config_name:14s} {point.variant:18s} "
@@ -312,11 +264,6 @@ def _add_energy(subparsers: Any) -> None:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
-    names = tuple(args.configs) if args.configs else TABLE1_CONFIG_NAMES
-    unknown = set(names) - set(TABLE1_CONFIG_NAMES)
-    if unknown:
-        print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
-        return 2
     if args.max_channels < 1:
         print("error: --max-channels must be >= 1", file=sys.stderr)
         return 2
@@ -324,17 +271,10 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         print("error: --csv exports the Pareto points, which --no-pareto "
               "skips", file=sys.stderr)
         return 2
-    policy_error = _policy_error(args)
-    if policy_error:
-        print(f"error: {policy_error}", file=sys.stderr)
-        return 2
-    policy = _policy_from(args)
-    try:
-        rows = run_energy_table(n=args.n, config_names=names, policy=policy,
-                                jobs=args.jobs, store=_open_store(args))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rows = run_energy_table(n=args.n,
+                            config_names=args.configs or TABLE1_CONFIG_NAMES,
+                            policy=_policy_from(args), jobs=args.jobs,
+                            store=_open_store(args))
     print(format_energy_table(rows))
     if not args.no_pareto:
         cells = [
@@ -378,32 +318,13 @@ def _add_policy(subparsers: Any) -> None:
 
 
 def _cmd_policy(args: argparse.Namespace) -> int:
-    names = tuple(args.configs) if args.configs else TABLE1_CONFIG_NAMES
-    unknown = set(names) - set(TABLE1_CONFIG_NAMES)
-    if unknown:
-        print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
-        return 2
-    disciplines = (tuple(args.disciplines) if args.disciplines
-                   else POLICY_NAMES)
-    unknown = set(disciplines) - set(POLICY_NAMES)
-    if unknown:
-        print(f"error: unknown disciplines {sorted(unknown)}; "
-              f"known: {list(POLICY_NAMES)}", file=sys.stderr)
-        return 2
-    policy_error = _policy_error(args)
-    if policy_error:
-        print(f"error: {policy_error}", file=sys.stderr)
-        return 2
     base = ControllerConfig(refresh_enabled=not args.no_refresh,
                             cap=args.cap)
-    try:
-        rows = run_policy_table(n=args.n, config_names=names,
-                                disciplines=disciplines, mapping=args.mapping,
-                                policy=base, jobs=args.jobs,
-                                store=_open_store(args))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rows = run_policy_table(n=args.n,
+                            config_names=args.configs or TABLE1_CONFIG_NAMES,
+                            disciplines=args.disciplines or POLICY_NAMES,
+                            mapping=args.mapping, policy=base, jobs=args.jobs,
+                            store=_open_store(args))
     print(format_policy_table(rows))
     return 0
 
@@ -420,11 +341,7 @@ def _add_fig1(subparsers: Any) -> None:
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
     if args.config:
-        try:
-            geometry = get_config(args.config).geometry
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        geometry = get_config(args.config).geometry
     else:
         from repro.dram.geometry import Geometry
         geometry = Geometry(bank_groups=2, banks_per_group=1, rows=256,
@@ -462,7 +379,7 @@ def _cmd_downlink(args: argparse.Namespace) -> int:
         ),
         rng=np.random.default_rng(args.seed),
     )
-    result = downlink.run(args.frames)
+    result = downlink.run_batched(args.frames)
     print(f"channel errors: {result.channel_profile.error_symbols} "
           f"(longest burst {result.channel_profile.max_burst})")
     print(f"code-word failures without interleaver: {result.baseline.failed}"
@@ -540,12 +457,9 @@ def _add_campaign(subparsers: Any) -> None:
                         help="write cells + summaries as JSON")
     parser.add_argument("--csv", metavar="PATH",
                         help="write one CSV row per cell")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="per-cell result store (always written); "
-                             "synonym of --store kept from the PR 2 cache")
     parser.add_argument("--resume", action="store_true",
                         help="reuse store entries from an earlier run "
-                             "(requires --cache-dir or --store)")
+                             "(requires --store)")
     parser.add_argument("--no-chart", action="store_true",
                         help="skip the gain-vs-fade chart")
     _add_jobs_argument(parser)
@@ -593,18 +507,13 @@ def _campaign_mode_error(args: argparse.Namespace) -> Optional[str]:
 
 def _cmd_campaign_adaptive(args: argparse.Namespace,
                            store: Optional[ResultStore]) -> int:
-    try:
-        grid = grid_from_spec(_campaign_spec(args))
-        cells = [
-            AdaptiveCell(channel=cell.channel, interleaver=cell.interleaver,
-                         code=cell.code, seed=cell.seed,
-                         max_frames=cell.frames, ci_width=args.ci_width,
-                         ci_rel=args.ci_rel, batch_frames=args.batch_frames)
-            for cell in grid
-        ]
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    cells = [
+        AdaptiveCell(channel=cell.channel, interleaver=cell.interleaver,
+                     code=cell.code, seed=cell.seed, max_frames=cell.frames,
+                     ci_width=args.ci_width, ci_rel=args.ci_rel,
+                     batch_frames=args.batch_frames)
+        for cell in grid_from_spec(_campaign_spec(args))
+    ]
     results = run_tasks(cells, jobs=args.jobs, store=store)
     print(format_adaptive(results))
     if not args.no_chart:
@@ -623,18 +532,13 @@ def _cmd_campaign_adaptive(args: argparse.Namespace,
 
 def _cmd_campaign_rare_event(args: argparse.Namespace,
                              store: Optional[ResultStore]) -> int:
-    try:
-        grid = grid_from_spec(_campaign_spec(args))
-        cells = [
-            RareEventCell(channel=cell.channel,
-                          proposal=default_proposal(cell.channel, args.boost),
-                          interleaver=cell.interleaver, code=cell.code,
-                          seed=cell.seed, frames=cell.frames)
-            for cell in grid
-        ]
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    cells = [
+        RareEventCell(channel=cell.channel,
+                      proposal=default_proposal(cell.channel, args.boost),
+                      interleaver=cell.interleaver, code=cell.code,
+                      seed=cell.seed, frames=cell.frames)
+        for cell in grid_from_spec(_campaign_spec(args))
+    ]
     results = run_tasks(cells, jobs=args.jobs, store=store)
     print(format_rare_event(results))
     return 0
@@ -684,26 +588,22 @@ def _scenario_segments(args: argparse.Namespace) -> Any:
 
 def _cmd_campaign_scenario(args: argparse.Namespace,
                            store: Optional[ResultStore]) -> int:
-    try:
-        segments = _scenario_segments(args)
-        cells = [
-            ScenarioCell(
-                segments=segments,
-                interleaver=TwoStageConfig(
-                    triangle_n=triangle_n,
-                    symbols_per_element=args.symbols_per_element,
-                    codeword_symbols=args.codeword_symbols,
-                ),
-                code=CodewordConfig(n_symbols=args.codeword_symbols,
-                                    t_correctable=args.t_correctable),
-                seed=args.seed_base + offset,
-            )
-            for triangle_n in args.triangle_n
-            for offset in range(args.seeds)
-        ]
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    segments = _scenario_segments(args)
+    cells = [
+        ScenarioCell(
+            segments=segments,
+            interleaver=TwoStageConfig(
+                triangle_n=triangle_n,
+                symbols_per_element=args.symbols_per_element,
+                codeword_symbols=args.codeword_symbols,
+            ),
+            code=CodewordConfig(n_symbols=args.codeword_symbols,
+                                t_correctable=args.t_correctable),
+            seed=args.seed_base + offset,
+        )
+        for triangle_n in args.triangle_n
+        for offset in range(args.seeds)
+    ]
     results = run_tasks(cells, jobs=args.jobs, store=store)
     blocks = []
     for triangle_n in args.triangle_n:
@@ -724,12 +624,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if mode_error:
         print(f"error: {mode_error}", file=sys.stderr)
         return 2
-    store_root = args.store or args.cache_dir
-    if args.resume and not store_root:
-        print("error: --resume requires --cache-dir or --store",
-              file=sys.stderr)
+    if args.resume and not args.store:
+        print("error: --resume requires --store", file=sys.stderr)
         return 2
-    store = ResultStore(store_root) if store_root else None
+    store = _open_store(args)
     # The non-naive estimators follow the store-native contract (hits
     # always reused when a store is given), like every other task grid;
     # --resume is the naive path's original opt-in kept for
@@ -740,13 +638,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return _cmd_campaign_rare_event(args, store)
     if args.scenario:
         return _cmd_campaign_scenario(args, store)
-    try:
-        cells = grid_from_spec(_campaign_spec(args))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    results = run_campaign(cells, jobs=args.jobs, store=store,
-                           resume=args.resume)
+    results = run_campaign(grid_from_spec(_campaign_spec(args)),
+                           jobs=args.jobs, store=store, resume=args.resume)
     summaries = summarize_campaign(results)
     print(campaign_report(results, summaries))
     if not args.no_chart:
@@ -797,31 +690,15 @@ def _add_e2e(subparsers: Any) -> None:
 
 
 def _cmd_e2e(args: argparse.Namespace) -> int:
-    names = tuple(args.configs) if args.configs else TABLE1_CONFIG_NAMES
-    unknown = set(names) - set(TABLE1_CONFIG_NAMES)
-    if unknown:
-        print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
-        return 2
-    if args.frames < 1:
-        print("error: --frames must be >= 1", file=sys.stderr)
-        return 2
-    policy_error = _policy_error(args)
-    if policy_error:
-        print(f"error: {policy_error}", file=sys.stderr)
-        return 2
-    policy = _policy_from(args)
-    try:
-        channel = coherence_params(args.fade_symbols, args.fade_fraction,
-                                   p_bad=args.p_bad, p_good=args.p_good)
-        rows = run_e2e_table(
-            n=args.n, config_names=names, frames=args.frames, channel=channel,
-            symbols_per_element=args.symbols_per_element,
-            codeword_symbols=args.codeword_symbols,
-            t_correctable=args.t_correctable, seed=args.seed, policy=policy,
-            jobs=args.jobs, store=_open_store(args))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    channel = coherence_params(args.fade_symbols, args.fade_fraction,
+                               p_bad=args.p_bad, p_good=args.p_good)
+    rows = run_e2e_table(
+        n=args.n, config_names=args.configs or TABLE1_CONFIG_NAMES,
+        frames=args.frames, channel=channel,
+        symbols_per_element=args.symbols_per_element,
+        codeword_symbols=args.codeword_symbols,
+        t_correctable=args.t_correctable, seed=args.seed,
+        policy=_policy_from(args), jobs=args.jobs, store=_open_store(args))
     first = rows[0].result
     print(f"e2e: {len(rows)} cells, {args.frames} frames each, "
           f"{first.downlink.interleaved.codewords} code words per arm")
@@ -847,16 +724,7 @@ def _cmd_provision(args: argparse.Namespace) -> int:
     if args.target_gbit <= 0:
         print("error: target-gbit must be positive", file=sys.stderr)
         return 2
-    names = tuple(args.configs) if args.configs else TABLE1_CONFIG_NAMES
-    unknown = set(names) - set(TABLE1_CONFIG_NAMES)
-    if unknown:
-        print(f"error: unknown configurations {sorted(unknown)}", file=sys.stderr)
-        return 2
-    try:
-        rows = run_table1(n=args.n, config_names=names)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rows = run_table1(n=args.n, config_names=args.configs or TABLE1_CONFIG_NAMES)
     reports = [throughput_report(get_config(row.config_name), result)
                for row in rows for result in (row.row_major, row.optimized)]
     choices = provision(reports, args.target_gbit)
@@ -942,11 +810,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.dram.trace import check_phase_commands, read_trace, write_trace
     from repro.dram.controller import OP_READ, OP_WRITE
 
-    try:
-        config = get_config(args.config)
-    except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = get_config(args.config)
     policy = ControllerConfig(refresh_enabled=not args.no_refresh,
                               record_commands=True)
 
@@ -954,7 +818,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         try:
             with open(args.replay) as stream:
                 commands = read_trace(stream)
-        except (OSError, ValueError) as error:
+        except OSError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         original_violations = check_phase_commands(config, commands)
@@ -976,12 +840,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1 if original_violations or replay_violations else 0
 
     op = OP_WRITE if args.phase == "write" else OP_READ
-    try:
-        check_cells([(config.name, args.mapping)], args.n)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    _, mapping = _task_mapping(args.mapping, config.name, args.n)
+    mapping = cell_mapping(config.name, args.mapping, args.n)
     result = simulate_phase_result(config, mapping, op, policy)
     violations = check_phase_commands(config, result.commands)
     print(f"{config.name} {mapping.name} {args.phase}: "
@@ -1066,9 +925,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one error boundary: a ``KeyError`` or ``ValueError`` out of a
+    command prints ``error: <message>`` to stderr and returns 2.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code: int = args.func(args)
+    except (KeyError, ValueError) as error:
+        # str() of a KeyError is the repr of its message; print the text.
+        message = error.args[0] if isinstance(error, KeyError) and error.args else error
+        print(f"error: {message}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

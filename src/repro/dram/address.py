@@ -1,4 +1,4 @@
-"""DRAM addresses and linear-address bit-field decoders.
+"""DRAM addresses and the linear-address bit-field decoder.
 
 Two address notions coexist:
 
@@ -7,28 +7,24 @@ Two address notions coexist:
 * *linear burst index* — position of a burst in the flat byte address
   space, used by the row-major baseline mapping.
 
-The decoders implement the DRAMSys-style configurable bit-field split
-of a linear address into (bank group, bank, row, column) fields.  A
-scheme is written as a string of field tokens from most- to
-least-significant, e.g. ``"Ro Ba Co Bg"``:
-
-``Ro`` row bits, ``Ba`` bank-in-group bits, ``Bg`` bank-group bits,
-``Co`` column (burst index within the page) bits.
-
-The default scheme used by the row-major baseline in this project is
-``"Ro Ba Co Bg"`` — bank-group bits lowest so that a sequential stream
-alternates bank groups on every burst (tCCD_S instead of tCCD_L), then
-column bits, then bank-in-group, then row.  This mirrors the bank-group
-interleaving default of production controllers and of DRAMSys; without
-it the baseline's *write* phase would already collapse on DDR4/DDR5,
-which is neither what the paper reports nor how real controllers
-behave.
+:class:`LinearDecoder` splits a linear burst index into bit fields,
+written in DRAMSys notation from most- to least-significant as
+``Ro Ba Co Bg``: ``Ro`` row bits, ``Ba`` bank-in-group bits, ``Co``
+column (burst index within the page) bits, ``Bg`` bank-group bits.
+Bank-group bits lowest make a sequential stream alternate bank groups
+on every burst (tCCD_S instead of tCCD_L), then the page fills, then
+the bank in the group advances, then the row.  This mirrors the
+bank-group interleaving default of production controllers and of
+DRAMSys; without it the row-major baseline's *write* phase would
+already collapse on DDR4/DDR5, which is neither what the paper reports
+nor how real controllers behave.  The row field is the top field, so a
+region starting at burst 0 touches every row up to its last burst's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Tuple
 
 from repro.dram.geometry import Geometry
 
@@ -60,58 +56,33 @@ class DramAddress:
         return self
 
 
-#: Field tokens accepted in decoder scheme strings.
-_FIELD_TOKENS = ("Ro", "Ba", "Bg", "Co")
-
-#: Scheme used by the row-major baseline: bank-group interleaved low.
-DEFAULT_SCHEME = "Ro Ba Co Bg"
-
-#: Classic SRAM-like scheme with no bank interleaving below the page.
-PAGE_CONTIGUOUS_SCHEME = "Ro Ba Bg Co"
-
-#: Bank-interleaved-low scheme (cache-line interleaving across all banks).
-BANK_LOW_SCHEME = "Ro Co Ba Bg"
-
-
 class LinearDecoder:
     """Splits a linear burst index into a :class:`DramAddress`.
 
+    The fields, from most- to least-significant bit, are row, bank in
+    group, column and bank group (``Ro Ba Co Bg``).  A geometry without
+    bank groups has an empty bank-group field.
+
     Args:
         geometry: the channel organization that defines field widths.
-        scheme: field order from most- to least-significant bit.  Every
-            one of ``Ro``/``Ba``/``Bg``/``Co`` must appear exactly once;
-            ``Bg`` is accepted (and ignored) for geometries without bank
-            groups so one scheme string works across standards.
     """
 
-    def __init__(self, geometry: Geometry,
-                 scheme: str = DEFAULT_SCHEME) -> None:
+    def __init__(self, geometry: Geometry) -> None:
         self.geometry = geometry
-        self.scheme = scheme
-        tokens = scheme.split()
-        if sorted(tokens) != sorted(_FIELD_TOKENS):
-            raise ValueError(
-                f"scheme must contain each of {_FIELD_TOKENS} exactly once, got {scheme!r}"
-            )
-        widths = {
-            "Ro": geometry.row_bits,
-            "Ba": geometry.bank_bits - geometry.bank_group_bits,
-            "Bg": geometry.bank_group_bits,
-            "Co": geometry.column_burst_bits,
-        }
-        # Precompute (token, shift, mask) from LSB to MSB.
-        self._fields: List[Tuple[str, int, int]] = []
-        shift = 0
-        for token in reversed(tokens):
-            width = widths[token]
-            self._fields.append((token, shift, (1 << width) - 1))
-            shift += width
-        self._total_bits = shift
+        #: Number of distinct burst indices the decoder covers.
+        self.total_bursts = geometry.total_bursts
+        self._column_shift = geometry.bank_group_bits
+        self._bank_shift = geometry.bank_group_bits + geometry.column_burst_bits
+        self._row_shift = geometry.bank_bits + geometry.column_burst_bits
 
-    @property
-    def total_bursts(self) -> int:
-        """Number of distinct burst indices the decoder covers."""
-        return 1 << self._total_bits
+    def _split(self, index: Any) -> Tuple[Any, Any, Any]:
+        """``(bank, row, column)`` of an index or an ``int64`` array."""
+        geometry = self.geometry
+        bank_group = index & (geometry.bank_groups - 1)
+        column = (index >> self._column_shift) & (geometry.bursts_per_row - 1)
+        in_group = (index >> self._bank_shift) & (geometry.banks_per_group - 1)
+        bank = in_group * geometry.bank_groups + bank_group
+        return bank, index >> self._row_shift, column
 
     def decode(self, burst_index: int) -> DramAddress:
         """Decode a linear burst index into a physical address."""
@@ -119,29 +90,7 @@ class LinearDecoder:
             raise ValueError(
                 f"burst index {burst_index} out of range [0, {self.total_bursts})"
             )
-        values = {"Ro": 0, "Ba": 0, "Bg": 0, "Co": 0}
-        for token, shift, mask in self._fields:
-            values[token] = (burst_index >> shift) & mask
-        bank = values["Ba"] * self.geometry.bank_groups + values["Bg"]
-        return DramAddress(bank=bank, row=values["Ro"], column=values["Co"])
-
-    def encode(self, address: DramAddress) -> int:
-        """Inverse of :meth:`decode`."""
-        address.validate(self.geometry)
-        values = {
-            "Ro": address.row,
-            "Ba": address.bank // self.geometry.bank_groups,
-            "Bg": address.bank % self.geometry.bank_groups,
-            "Co": address.column,
-        }
-        burst_index = 0
-        for token, shift, _mask in self._fields:
-            burst_index |= values[token] << shift
-        return burst_index
-
-    def decode_many(self, burst_indices: Iterable[int]) -> List[DramAddress]:
-        """Decode a sequence of burst indices."""
-        return [self.decode(index) for index in burst_indices]
+        return DramAddress(*self._split(burst_index))
 
     def decode_arrays(self, burst_indices: Any) -> Tuple[Any, Any, Any]:
         """Vectorized :meth:`decode` over an array of burst indices.
@@ -166,8 +115,4 @@ class LinearDecoder:
             raise ValueError(
                 f"burst indices out of range [0, {self.total_bursts})"
             )
-        values: Dict[str, Any] = {}
-        for token, shift, mask in self._fields:
-            values[token] = (indices >> shift) & mask
-        bank = values["Ba"] * self.geometry.bank_groups + values["Bg"]
-        return bank, values["Ro"], values["Co"]
+        return self._split(indices)

@@ -80,7 +80,7 @@ behind either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
@@ -274,17 +274,17 @@ class KernelEngine:
         cfg[_kernelc.C_REF_ALL_BANK] = 1 if all_bank_refresh else 0
         cfg[_kernelc.C_RING] = ring_cap
 
-        def ptr(a: "np.ndarray[Any, Any]") -> Any:
-            return ffi.cast("int64_t *", ffi.from_buffer(a))
-
-        # Slots 2-4 take each batch's (bank, row, column) columns.
-        args = [ptr(cfg), ptr(sc), None, None, None, ptr(ring), ptr(head),
-                ptr(adm), ptr(bstate), ptr(open_arr), ptr(act_time),
-                ptr(cas_allowed), ptr(pre_allowed), ptr(act_allowed),
-                ptr(bg_of), ptr(last_cas_bg), ptr(faw_ring), ptr(fresh),
-                ptr(heap), ptr(ready), ptr(rec), ptr(cas_col)]
+        # One cffi call per buffer: an ``int64_t[]`` view passes as the
+        # C side's ``int64_t *``.  Slots 2-4 take each batch's (bank,
+        # row, column) columns.
+        args = [ffi.from_buffer("int64_t[]", a) for a in (
+            cfg, sc, ring, head, adm, bstate, open_arr, act_time,
+            cas_allowed, pre_allowed, act_allowed, bg_of, last_cas_bg,
+            faw_ring, fresh, heap, ready, rec, cas_col)]
+        args[2:2] = (None, None, None)
 
         empty = np.empty(0, dtype=np.int64)
+
         batches = source.batches()
         stream_length = 0
         reason = _kernelc.EXIT_NEED_INPUT
@@ -296,11 +296,11 @@ class KernelEngine:
             if cas_times and len(cas_col) < stream_length:
                 cas_col = np.concatenate(
                     (cas_col, np.zeros(stream_length, dtype=np.int64)))
-                args[-1] = ptr(cas_col)
+                args[-1] = ffi.from_buffer("int64_t[]", cas_col)
             cfg[_kernelc.C_BATCH] = len(columns[0])
             cfg[_kernelc.C_LAST] = batch is None
             sc[_kernelc.S_POS] = 0
-            args[2:5] = map(ptr, columns)
+            args[2:5] = map(ffi.from_buffer, ("int64_t[]",) * 3, columns)
             # The C side applies refresh events itself; it returns when
             # it needs the next batch, the queues drain, the record
             # buffer needs growing, or no bank head can ever issue.
@@ -308,7 +308,7 @@ class KernelEngine:
             while reason == _kernelc.EXIT_RECORD_FULL:
                 rec = np.concatenate((rec, np.zeros_like(rec)))
                 cfg[_kernelc.C_REC_CAP] = len(rec) // 6
-                args[-2] = ptr(rec)
+                args[-2] = ffi.from_buffer("int64_t[]", rec)
                 reason = lib.run_segment(*args)
         if reason == _kernelc.EXIT_DEADLOCK:
             raise RuntimeError("scheduler deadlock: no prepared bank head")

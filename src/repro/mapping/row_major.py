@@ -4,10 +4,10 @@ This is the mapping the paper evaluates as the state of the art: the
 two-dimensional index space is packed row by row into the linear
 address space (triangular rows back to back, without padding — exactly
 how an SRAM implementation addresses the array), and the linear burst
-index is split into (bank group, bank, row, column) fields by a
-configurable bit-field decoder (:class:`repro.dram.address.LinearDecoder`).
+index is split into (bank group, bank, row, column) fields by the
+``Ro Ba Co Bg`` bit-field decoder (:class:`repro.dram.address.LinearDecoder`).
 
-With the default decoder the *write* phase is a purely sequential
+The *write* phase is then a purely sequential
 stream — page hits within every page, bank-group interleaving on the
 lowest bits, pages opened well in advance — so write utilization stays
 high everywhere, just as in Table I.  The *read* phase strides through
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.dram.address import DEFAULT_SCHEME, LinearDecoder
+from repro.dram.address import LinearDecoder
 from repro.dram.geometry import Geometry
 from repro.interleaver.triangular import IndexSpace
 from repro.mapping.base import (
@@ -37,44 +37,35 @@ from repro.mapping.base import (
 class RowMajorMapping(InterleaverMapping):
     """SRAM-style row-major linearization + bit-field address decode.
 
+    The interleaver region starts at burst 0 of the channel.
+
     Args:
         space: the interleaver index space.
         geometry: target channel organization.
-        scheme: bit-field decoder scheme (see
-            :mod:`repro.dram.address`); the default interleaves bank
-            groups on the lowest bits like production controllers.
-        base_burst: linear burst index at which the interleaver region
-            starts (allows placing it anywhere in the channel).
     """
 
     name = "row-major"
 
-    def __init__(self, space: IndexSpace, geometry: Geometry,
-                 scheme: str = DEFAULT_SCHEME, base_burst: int = 0) -> None:
+    def __init__(self, space: IndexSpace, geometry: Geometry) -> None:
         super().__init__(space, geometry)
-        if base_burst < 0:
-            raise ValueError(f"base_burst must be >= 0, got {base_burst}")
-        self.decoder = LinearDecoder(geometry, scheme)
-        self.base_burst = base_burst
-        end = base_burst + space.num_elements
+        self.decoder = LinearDecoder(geometry)
+        end = space.num_elements
         if end > self.decoder.total_bursts:
             raise ValueError(
-                f"interleaver needs bursts [{base_burst}, {end}) but the channel "
+                f"interleaver needs bursts [0, {end}) but the channel "
                 f"has only {self.decoder.total_bursts}"
             )
 
     def address_tuple(self, i: int, j: int) -> AddressTuple:
         """Linear-decode the cell's row-major index into bank/row/column."""
-        address = self.decoder.decode(self.base_burst + self.space.linear_index(i, j))
+        address = self.decoder.decode(self.space.linear_index(i, j))
         return address.bank, address.row, address.column
 
     # -- vectorized kernel ------------------------------------------------
 
     def address_arrays(self, i: Any, j: Any) -> AddressArrays:
         """Vectorized linearize-and-decode over coordinate arrays."""
-        return self.decoder.decode_arrays(
-            self.base_burst + self.space.linear_indices(i, j)
-        )
+        return self.decoder.decode_arrays(self.space.linear_indices(i, j))
 
     def write_addresses_array(
             self, chunk_size: Optional[int] = None, *,
@@ -89,25 +80,16 @@ class RowMajorMapping(InterleaverMapping):
         import numpy as np
 
         cells = _resolve_chunk_size(chunk_size, chunk_bytes)
-        base = self.base_burst
         total = self.space.num_elements
         decode_arrays = self.decoder.decode_arrays
         for start in range(0, total, cells):
             stop = min(start + cells, total)
-            yield decode_arrays(np.arange(base + start, base + stop, dtype=np.int64))
+            yield decode_arrays(np.arange(start, stop, dtype=np.int64))
 
     def rows_used(self) -> int:
-        """Distinct DRAM rows touched (depends on the decoder scheme)."""
-        seen = set()
-        decode = self.decoder.decode
-        total = self.space.num_elements
-        # The row field is periodic in the linear index; sample the
-        # period boundaries instead of every burst.
-        stride = max(1, self.decoder.total_bursts // max(self.geometry.rows, 1))
-        for linear in range(0, total, stride):
-            seen.add(decode(self.base_burst + linear).row)
-        seen.add(decode(self.base_burst + total - 1).row)
-        return len(seen)
+        """Distinct DRAM rows touched: the row field is the top field,
+        so the region covers every row up to its last burst's."""
+        return self.decoder.decode(self.space.num_elements - 1).row + 1
 
     def check_capacity(self) -> None:
         """No-op: injectivity is structural (decode is a bijection on

@@ -14,7 +14,16 @@ serial and produces identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
@@ -32,6 +41,7 @@ from repro.dram.energy import (
 from repro.dram.mixed import read_frame_mapping
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import InterleaverSimResult
+from repro.dram.stats import PhaseStats
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.interleaver.two_stage import TwoStageConfig
 from repro.mapping.base import InterleaverMapping
@@ -111,27 +121,80 @@ class Table1Row:
         )
 
 
-def check_cells(cells: Sequence[Tuple[str, str]], n: int,
-                double_buffered: bool = False) -> None:
-    """Build every ``(configuration, mapping key)`` cell's mapping once.
+def cell_mapping(config_name: str, mapping_name: str, n: int,
+                 double_buffered: bool = False) -> InterleaverMapping:
+    """One ``(configuration, mapping key, n)`` cell's mapping.
 
-    Sweeps call this before their first task, so a device too small for
-    any cell stops the sweep before any work.  ``double_buffered`` also
-    builds each cell's read frame, which mixed traffic places above the
-    write frame (:func:`~repro.dram.mixed.read_frame_mapping`).
+    ``double_buffered`` also builds the cell's read frame, which mixed
+    traffic places above the write frame
+    (:func:`~repro.dram.mixed.read_frame_mapping`).
 
     Raises:
-        ValueError: naming configuration, mapping and ``n``, when a
+        KeyError: on an unknown configuration or mapping key.
+        ValueError: naming configuration, mapping and ``n``, when the
             cell does not fit its device.
     """
-    for config_name, mapping_name in cells:
-        try:
-            _, mapping = _task_mapping(mapping_name, config_name, n)
-            if double_buffered:
-                read_frame_mapping(mapping)
-        except ValueError as error:
-            raise ValueError(f"{config_name}, {mapping_name} mapping, n={n}: "
-                             f"{error}") from None
+    try:
+        _, mapping = _task_mapping(mapping_name, config_name, n)
+        if double_buffered:
+            read_frame_mapping(mapping)
+    except ValueError as error:
+        raise ValueError(f"{config_name}, {mapping_name} mapping, n={n}: "
+                         f"{error}") from None
+    return mapping
+
+
+def check_cells(cells: Iterable[Tuple[str, str, int]],
+                double_buffered: bool = False) -> None:
+    """Build every distinct ``(configuration, mapping key, n)`` cell once.
+
+    Sweeps call this before their first task, so a device too small for
+    any cell stops the sweep before any work.  Cells are checked in
+    grid order, so the first one that fails is the one reported.
+
+    Raises:
+        KeyError: on an unknown configuration or mapping key.
+        ValueError: as :func:`cell_mapping`.
+    """
+    for config_name, mapping_name, n in dict.fromkeys(cells):
+        cell_mapping(config_name, mapping_name, n, double_buffered)
+
+
+#: One cell of a phase grid: configuration, mapping key, ``n`` and
+#: controller policy.
+PhaseCell = Tuple[str, str, int, Optional[ControllerConfig]]
+
+
+def run_phase_grid(
+    cells: Sequence[PhaseCell],
+    jobs: Optional[int] = None,
+    store: Optional["ResultStore"] = None,
+) -> List[Tuple[PhaseStats, PhaseStats]]:
+    """Both phases of every cell, checked before the first one runs.
+
+    The one runner of the phase grids (``table1``, ``energy``,
+    ``policy``, the size and ablation sweeps): :func:`check_cells`
+    first, then one write and one read
+    :class:`~repro.system.parallel.PhaseTask` per cell.
+
+    Returns:
+        One ``(write, read)`` pair of phase statistics per cell, in
+        grid order.
+
+    Raises:
+        KeyError: on an unknown configuration or mapping key.
+        ValueError: naming configuration, mapping and ``n``, when a
+            cell's mapping does not fit its device.
+    """
+    check_cells(cell[:3] for cell in cells)
+    tasks = [
+        PhaseTask(config_name=config_name, mapping=mapping, op=op, n=n,
+                  policy=policy)
+        for config_name, mapping, n, policy in cells
+        for op in (OP_WRITE, OP_READ)
+    ]
+    stats = run_tasks(tasks, jobs=jobs, store=store)
+    return list(zip(stats[::2], stats[1::2]))
 
 
 def run_table1(
@@ -159,6 +222,7 @@ def run_table1(
             are written back for later runs.
 
     Raises:
+        KeyError: before any phase runs, on an unknown configuration.
         ValueError: before any phase runs, when a cell's mapping does
             not fit its device.
     """
@@ -193,22 +257,14 @@ def _frame_results(
         ValueError: naming configuration, mapping and ``n``, when a
             cell's mapping does not fit its device.
     """
-    cells = [(config_name, mapping_name)
+    cells = [(config_name, mapping_name, n, policy)
              for config_name in config_names
              for mapping_name in ("row-major", "optimized")]
-    check_cells(cells, n)
-    tasks = [
-        PhaseTask(config_name=config_name, mapping=mapping_name, op=op, n=n,
-                  policy=policy)
-        for config_name, mapping_name in cells
-        for op in (OP_WRITE, OP_READ)
-    ]
-    stats = run_tasks(tasks, jobs=jobs, store=store)
     return [
         InterleaverSimResult(config_name=config_name,
-                             mapping_name=mapping_name,
-                             write=stats[2 * index], read=stats[2 * index + 1])
-        for index, (config_name, mapping_name) in enumerate(cells)
+                             mapping_name=mapping_name, write=write, read=read)
+        for (config_name, mapping_name, *_), (write, read)
+        in zip(cells, run_phase_grid(cells, jobs, store))
     ]
 
 
@@ -291,18 +347,19 @@ def run_mixed_table(
         store: optional shared result store (hits skip simulation).
 
     Raises:
+        KeyError: before any cell runs, on an unknown configuration.
         ValueError: before any cell runs, when a cell's frame or its
-            double-buffered read frame does not fit its device.
+            double-buffered read frame does not fit its device, or on a
+            ``group`` below 1.
     """
-    mapping_names = ("row-major", "optimized")
-    check_cells([(config_name, mapping_name)
-                  for config_name in config_names
-                  for mapping_name in mapping_names], n, double_buffered=True)
+    cells = [(config_name, mapping_name, n)
+             for config_name in config_names
+             for mapping_name in ("row-major", "optimized")]
+    check_cells(cells, double_buffered=True)
     tasks = [
         MixedTask(config_name=config_name, mapping=mapping_name, n=n,
                   group=group, policy=policy)
-        for config_name in config_names
-        for mapping_name in mapping_names
+        for config_name, mapping_name, _ in cells
     ]
     results = run_tasks(tasks, jobs=jobs, store=store)
     return [
@@ -393,6 +450,7 @@ def run_energy_table(
             (and vice versa) with zero redundant engine invocations.
 
     Raises:
+        KeyError: before any phase runs, on an unknown configuration.
         ValueError: before any phase runs, when a cell's mapping does
             not fit its device.
     """
@@ -567,16 +625,17 @@ def run_e2e_table(
         order.
 
     Raises:
-        ValueError: on inconsistent interleaver/code dimensions, or
-            before any cell runs, when a cell's mapping does not fit
-            its device.
+        KeyError: before any cell runs, on an unknown configuration.
+        ValueError: on inconsistent interleaver/code dimensions or
+            ``frames`` below 1, or before any cell runs, when a cell's
+            mapping does not fit its device.
     """
     cells = e2e_grid(n=n, config_names=config_names, frames=frames,
                      channel=channel,
                      symbols_per_element=symbols_per_element,
                      codeword_symbols=codeword_symbols,
                      t_correctable=t_correctable, seed=seed, policy=policy)
-    check_cells([(cell.config_name, cell.mapping) for cell in cells], n)
+    check_cells((cell.config_name, cell.mapping, n) for cell in cells)
     results = run_tasks(cells, jobs=jobs, store=store)
     return [
         E2ERow(config_name=cell.config_name, mapping_name=cell.mapping,
@@ -676,36 +735,23 @@ def run_policy_table(
             prior ``table1`` run pre-warms this sweep's default column.
 
     Raises:
+        KeyError: before any cell runs, on an unknown configuration.
         ValueError: on an unknown discipline name (via
             :class:`~repro.dram.controller.ControllerConfig`), or before
             any cell runs, when a configuration's mapping does not fit
             its device.
     """
     base = policy or ControllerConfig()
-    check_cells([(config_name, mapping) for config_name in config_names], n)
-    tasks = [
-        PhaseTask(config_name=config_name, mapping=mapping, op=op, n=n,
-                  policy=replace(base, discipline=discipline))
-        for config_name in config_names
-        for discipline in disciplines
-        for op in (OP_WRITE, OP_READ)
+    cells = [(config_name, mapping, n, replace(base, discipline=discipline))
+             for config_name in config_names
+             for discipline in disciplines]
+    return [
+        PolicyRow(config_name=config_name, discipline=cell_policy.discipline,
+                  write_utilization=write.utilization,
+                  read_utilization=read.utilization)
+        for (config_name, *_, cell_policy), (write, read)
+        in zip(cells, run_phase_grid(cells, jobs, store))
     ]
-    stats = run_tasks(tasks, jobs=jobs, store=store)
-    rows = []
-    cursor = 0
-    for config_name in config_names:
-        for discipline in disciplines:
-            write, read = stats[cursor], stats[cursor + 1]
-            cursor += 2
-            rows.append(
-                PolicyRow(
-                    config_name=config_name,
-                    discipline=discipline,
-                    write_utilization=write.utilization,
-                    read_utilization=read.utilization,
-                )
-            )
-    return rows
 
 
 def format_policy_table(rows: Sequence[PolicyRow]) -> str:
@@ -766,37 +812,21 @@ def sweep_sizes(
         One point per (size, mapping) sample, sizes outermost.
 
     Raises:
+        KeyError: before any phase runs, on an unknown configuration.
         ValueError: before any phase runs, when a mapping does not fit
             the device at one of the sizes.
     """
-    names = list(default_mappings())
-    for n in sizes:
-        check_cells([(config_name, name) for name in names], n)
-    tasks = [
-        PhaseTask(config_name=config_name, mapping=name, op=op, n=n,
-                  policy=policy)
-        for n in sizes
-        for name in names
-        for op in (OP_WRITE, OP_READ)
+    samples = [(n, mapping_name)
+               for n in sizes for mapping_name in default_mappings()]
+    stats = run_phase_grid([(config_name, mapping_name, n, policy)
+                            for n, mapping_name in samples], jobs)
+    return [
+        SizeSweepPoint(n=n, elements=TriangularIndexSpace(n).num_elements,
+                       mapping_name=mapping_name,
+                       write_utilization=write.utilization,
+                       read_utilization=read.utilization)
+        for (n, mapping_name), (write, read) in zip(samples, stats)
     ]
-    stats = run_tasks(tasks, jobs=jobs)
-    points = []
-    cursor = 0
-    for n in sizes:
-        elements = TriangularIndexSpace(n).num_elements
-        for name in names:
-            write, read = stats[cursor], stats[cursor + 1]
-            cursor += 2
-            points.append(
-                SizeSweepPoint(
-                    n=n,
-                    elements=elements,
-                    mapping_name=name,
-                    write_utilization=write.utilization,
-                    read_utilization=read.utilization,
-                )
-            )
-    return points
 
 
 @dataclass(frozen=True)
@@ -842,39 +872,23 @@ def sweep_ablation(
         jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
 
     Raises:
-        KeyError: on an unknown variant.
+        KeyError: on an unknown variant, or before any cell runs, on an
+            unknown configuration.
         ValueError: before any cell runs, when a variant does not fit a
             configuration's device.
     """
-    if policy is None:
-        policy = ABLATION_POLICY
-    variant_names = list(variants) if variants is not None else list(ablation_factories())
     known = ablation_factories()
+    variant_names = list(variants) if variants is not None else list(known)
     unknown = [v for v in variant_names if v not in known]
     if unknown:
         raise KeyError(f"unknown ablation variants {unknown}; known: {sorted(known)}")
-    check_cells([(config_name, variant) for config_name in config_names
-                  for variant in variant_names], n)
-    tasks = [
-        PhaseTask(config_name=config_name, mapping=variant, op=op, n=n,
-                  policy=policy)
-        for config_name in config_names
-        for variant in variant_names
-        for op in (OP_WRITE, OP_READ)
+    cells = [(config_name, variant, n, policy or ABLATION_POLICY)
+             for config_name in config_names
+             for variant in variant_names]
+    return [
+        AblationPoint(config_name=config_name, variant=variant,
+                      write_utilization=write.utilization,
+                      read_utilization=read.utilization)
+        for (config_name, variant, *_), (write, read)
+        in zip(cells, run_phase_grid(cells, jobs))
     ]
-    stats = run_tasks(tasks, jobs=jobs)
-    points = []
-    cursor = 0
-    for config_name in config_names:
-        for variant in variant_names:
-            write, read = stats[cursor], stats[cursor + 1]
-            cursor += 2
-            points.append(
-                AblationPoint(
-                    config_name=config_name,
-                    variant=variant,
-                    write_utilization=write.utilization,
-                    read_utilization=read.utilization,
-                )
-            )
-    return points

@@ -1,16 +1,8 @@
-"""DramAddress and linear bit-field decoders."""
+"""DramAddress and the linear bit-field decoder."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.dram.address import (
-    BANK_LOW_SCHEME,
-    DEFAULT_SCHEME,
-    PAGE_CONTIGUOUS_SCHEME,
-    DramAddress,
-    LinearDecoder,
-)
+from repro.dram.address import DramAddress, LinearDecoder
 from repro.dram.geometry import Geometry
 
 
@@ -40,36 +32,24 @@ class TestDecoderConstruction:
         decoder = LinearDecoder(geometry)
         assert decoder.total_bursts == geometry.total_bursts
 
-    def test_rejects_missing_field(self, geometry):
-        with pytest.raises(ValueError):
-            LinearDecoder(geometry, "Ro Ba Co")
-
-    def test_rejects_duplicate_field(self, geometry):
-        with pytest.raises(ValueError):
-            LinearDecoder(geometry, "Ro Ro Ba Co")
-
-    def test_rejects_unknown_token(self, geometry):
-        with pytest.raises(ValueError):
-            LinearDecoder(geometry, "Ro Ba Co Xx")
-
 
 class TestDefaultScheme:
     """Default: Ro Ba Co Bg — bank group interleaved on the lowest bits."""
 
     def test_sequential_rotates_bank_groups(self, geometry):
-        decoder = LinearDecoder(geometry, DEFAULT_SCHEME)
+        decoder = LinearDecoder(geometry)
         groups = [decoder.decode(i).bank % geometry.bank_groups for i in range(8)]
         assert groups == [0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_column_advances_after_groups(self, geometry):
-        decoder = LinearDecoder(geometry, DEFAULT_SCHEME)
+        decoder = LinearDecoder(geometry)
         assert decoder.decode(0).column == 0
         assert decoder.decode(1).column == 0
         assert decoder.decode(2).column == 1
 
     def test_page_span_covers_groups(self, geometry):
         """One page per group is filled before the bank-in-group advances."""
-        decoder = LinearDecoder(geometry, DEFAULT_SCHEME)
+        decoder = LinearDecoder(geometry)
         span = geometry.bursts_per_row * geometry.bank_groups
         before = decoder.decode(span - 1)
         after = decoder.decode(span)
@@ -77,43 +57,21 @@ class TestDefaultScheme:
         assert after.bank // geometry.bank_groups == 1
 
     def test_row_is_most_significant(self, geometry):
-        decoder = LinearDecoder(geometry, DEFAULT_SCHEME)
+        decoder = LinearDecoder(geometry)
         per_row = geometry.bursts_per_row * geometry.banks
         assert decoder.decode(per_row - 1).row == 0
         assert decoder.decode(per_row).row == 1
 
 
-class TestAlternativeSchemes:
-    def test_page_contiguous_keeps_bank(self, geometry):
-        decoder = LinearDecoder(geometry, PAGE_CONTIGUOUS_SCHEME)
-        banks = {decoder.decode(i).bank for i in range(geometry.bursts_per_row)}
-        assert banks == {0}
-
-    def test_bank_low_rotates_all_banks(self, geometry):
-        decoder = LinearDecoder(geometry, BANK_LOW_SCHEME)
-        banks = [decoder.decode(i).bank for i in range(geometry.banks)]
-        assert sorted(banks) == list(range(geometry.banks))
-
-
 class TestRoundtrip:
-    @pytest.mark.parametrize("scheme", [DEFAULT_SCHEME, PAGE_CONTIGUOUS_SCHEME, BANK_LOW_SCHEME])
-    def test_exhaustive_small(self, geometry, scheme):
-        decoder = LinearDecoder(geometry, scheme)
+    def test_exhaustive_small(self, geometry):
+        decoder = LinearDecoder(geometry)
         seen = set()
         for index in range(decoder.total_bursts):
             address = decoder.decode(index)
             address.validate(geometry)
-            assert decoder.encode(address) == index
             seen.add((address.bank, address.row, address.column))
         assert len(seen) == decoder.total_bursts  # bijective
-
-    @given(index=st.integers(min_value=0, max_value=4 * 16 * 8 - 1),
-           scheme=st.sampled_from([DEFAULT_SCHEME, PAGE_CONTIGUOUS_SCHEME, BANK_LOW_SCHEME]))
-    def test_property_roundtrip(self, index, scheme):
-        geometry = Geometry(bank_groups=2, banks_per_group=2, rows=16, columns=64,
-                            bus_width_bits=64, burst_length=8)
-        decoder = LinearDecoder(geometry, scheme)
-        assert decoder.encode(decoder.decode(index)) == index
 
     def test_rejects_out_of_range(self, geometry):
         decoder = LinearDecoder(geometry)
@@ -122,17 +80,12 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             decoder.decode(-1)
 
-    def test_decode_many(self, geometry):
-        decoder = LinearDecoder(geometry)
-        assert decoder.decode_many(range(3)) == [decoder.decode(i) for i in range(3)]
-
 
 class TestNoBankGroupGeometry:
     def test_bg_field_is_empty(self):
         geometry = Geometry(bank_groups=1, banks_per_group=8, rows=32, columns=64,
                             bus_width_bits=16, burst_length=16)
-        decoder = LinearDecoder(geometry, DEFAULT_SCHEME)
+        decoder = LinearDecoder(geometry)
         # Sequential accesses stay in bank 0 for a whole page.
         banks = {decoder.decode(i).bank for i in range(geometry.bursts_per_row)}
         assert banks == {0}
-        assert decoder.encode(decoder.decode(777)) == 777

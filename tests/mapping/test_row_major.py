@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.dram.address import BANK_LOW_SCHEME, PAGE_CONTIGUOUS_SCHEME
 from repro.dram.geometry import Geometry
+from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.interleaver.triangular import RectangularIndexSpace, TriangularIndexSpace
 from repro.mapping.analysis import analyze_pattern, profile_mapping
 from repro.mapping.row_major import RowMajorMapping
@@ -22,10 +22,6 @@ class TestCorrectness:
 
     def test_injective_rectangular(self, geometry):
         assert_valid(RowMajorMapping(RectangularIndexSpace(24, 32), geometry))
-
-    @pytest.mark.parametrize("scheme", [PAGE_CONTIGUOUS_SCHEME, BANK_LOW_SCHEME])
-    def test_injective_other_schemes(self, geometry, scheme):
-        assert_valid(RowMajorMapping(TriangularIndexSpace(40), geometry, scheme=scheme))
 
     def test_matches_linear_decode(self, geometry):
         space = TriangularIndexSpace(24)
@@ -49,20 +45,10 @@ class TestCorrectness:
         expected = [mapping.address_tuple(i, j) for i, j in space.read_order()]
         assert list(mapping.read_addresses()) == expected
 
-    def test_base_burst_offsets_region(self, geometry):
-        space = TriangularIndexSpace(16)
-        base = RowMajorMapping(space, geometry)
-        shifted = RowMajorMapping(space, geometry, base_burst=256)
-        assert base.address_tuple(0, 0) != shifted.address_tuple(0, 0)
-        assert_valid(shifted)
-
     def test_capacity_enforced(self, geometry):
-        with pytest.raises(ValueError, match="bursts"):
+        with pytest.raises(ValueError, match=r"^interleaver needs bursts "
+                           r"\[0, 524800\) but the channel has only 8192$"):
             RowMajorMapping(TriangularIndexSpace(1024), geometry)
-
-    def test_base_burst_negative_rejected(self, geometry):
-        with pytest.raises(ValueError):
-            RowMajorMapping(TriangularIndexSpace(16), geometry, base_burst=-1)
 
 
 class TestAccessPattern:
@@ -90,7 +76,21 @@ class TestAccessPattern:
         space = TriangularIndexSpace(40)
         mapping = RowMajorMapping(space, geometry)
         touched = {mapping.address_tuple(i, j)[1] for i, j in space.write_order()}
-        assert mapping.rows_used() >= len(touched) // 2  # sampled estimate
+        assert mapping.rows_used() == len(touched)
+
+    @pytest.mark.parametrize("config_name", TABLE1_CONFIG_NAMES)
+    @pytest.mark.parametrize("n", [1, 255, 256])
+    def test_rows_used_is_exact_on_every_device(self, config_name, n):
+        """Both phases touch exactly ``rows_used()`` distinct rows, so
+        mixed traffic's read frame starts just above the write frame."""
+        mapping = RowMajorMapping(TriangularIndexSpace(n),
+                                  get_config(config_name).geometry)
+        for chunks in (mapping.write_addresses_array(),
+                       mapping.read_addresses_array()):
+            rows = set()
+            for _, row, _ in chunks:
+                rows.update(row.tolist())
+            assert len(rows) == mapping.rows_used()
 
     def test_name(self, geometry):
         assert RowMajorMapping(TriangularIndexSpace(8), geometry).name == "row-major"

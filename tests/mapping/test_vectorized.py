@@ -14,12 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.dram.address import (
-    BANK_LOW_SCHEME,
-    DEFAULT_SCHEME,
-    PAGE_CONTIGUOUS_SCHEME,
-    LinearDecoder,
-)
+from repro.dram.address import LinearDecoder
 from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
 from repro.dram.geometry import Geometry
 from repro.dram.presets import get_config
@@ -98,26 +93,17 @@ class TestOptimizedKernel:
 
 class TestRowMajorKernel:
     @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
-    @pytest.mark.parametrize(
-        "scheme", [DEFAULT_SCHEME, PAGE_CONTIGUOUS_SCHEME, BANK_LOW_SCHEME])
-    def test_streams_identical(self, space, scheme):
-        mapping = RowMajorMapping(space, GEOMETRY, scheme=scheme)
+    def test_streams_identical(self, space):
+        mapping = RowMajorMapping(space, GEOMETRY)
         assert flatten(mapping.write_addresses_array(chunk_size=123)) == list(
             mapping.write_addresses())
         assert flatten(mapping.read_addresses_array(chunk_size=123)) == list(
             mapping.read_addresses())
 
-    def test_base_burst_offset(self, small_triangle):
-        mapping = RowMajorMapping(small_triangle, GEOMETRY, base_burst=4096)
-        assert flatten(mapping.write_addresses_array(chunk_size=100)) == list(
-            mapping.write_addresses())
-
 
 class TestDecoderArrays:
-    @pytest.mark.parametrize(
-        "scheme", [DEFAULT_SCHEME, PAGE_CONTIGUOUS_SCHEME, BANK_LOW_SCHEME])
-    def test_matches_scalar_decode(self, scheme):
-        decoder = LinearDecoder(GEOMETRY, scheme)
+    def test_matches_scalar_decode(self):
+        decoder = LinearDecoder(GEOMETRY)
         indices = np.asarray([0, 1, 17, 4096, decoder.total_bursts - 1], dtype=np.int64)
         banks, rows, columns = decoder.decode_arrays(indices)
         for k, index in enumerate(indices.tolist()):

@@ -1,5 +1,8 @@
 """Sweep harness: Table I grid, size sweeps, ablations."""
 
+import ast
+import inspect
+
 import pytest
 
 from repro.dram.controller import (OP_READ, OP_WRITE, ControllerConfig,
@@ -66,6 +69,47 @@ class TestRunTable1:
         monkeypatch.setattr(sweep, "run_tasks", no_phases)
         with pytest.raises(ValueError, match=f"^LPDDR4-4266, {prefix}"):
             run(n=n, config_names=("LPDDR4-4266",))
+
+
+class TestPhaseGrid:
+    def test_pairs_are_write_then_read_per_cell(self):
+        cells = [("DDR3-800", "row-major", 24, None),
+                 ("DDR4-3200", "no-tiling", 16,
+                  ControllerConfig(refresh_enabled=False))]
+        assert sweep.run_phase_grid(cells) == [
+            (PhaseTask(config, mapping, OP_WRITE, n, policy).execute(),
+             PhaseTask(config, mapping, OP_READ, n, policy).execute())
+            for config, mapping, n, policy in cells]
+
+    def test_checks_each_distinct_cell_once_in_grid_order(self, monkeypatch):
+        checked = []
+        build = sweep.cell_mapping
+        monkeypatch.setattr(sweep, "cell_mapping",
+                            lambda *cell: checked.append(cell[:3]) or build(*cell))
+        rows = sweep.run_policy_table(n=16, config_names=("DDR4-3200", "DDR3-800"))
+        assert len(rows) == 8
+        assert checked == [("DDR4-3200", "optimized", 16),
+                           ("DDR3-800", "optimized", 16)]
+
+    def test_unknown_configuration_fails_before_any_phase(self, monkeypatch):
+        def no_phases(*args, **kwargs):
+            raise AssertionError("a phase ran before the configuration check")
+
+        monkeypatch.setattr(sweep, "run_tasks", no_phases)
+        with pytest.raises(KeyError, match="unknown DRAM configuration 'DDR9-1'"):
+            run_table1(n=16, config_names=("DDR4-3200", "DDR9-1"))
+
+    def test_only_three_callers_check_cells(self):
+        """The phase grids check their cells through the one runner."""
+        callers = {
+            function.name
+            for function in ast.walk(ast.parse(inspect.getsource(sweep)))
+            if isinstance(function, ast.FunctionDef)
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "check_cells"
+        }
+        assert callers == {"run_phase_grid", "run_mixed_table", "run_e2e_table"}
 
 
 class TestFormat:

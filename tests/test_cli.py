@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import sys
 import pytest
 
 import repro
+from repro import cli
 from repro.cli import build_parser, main
 from repro.dram import _kernelc
 
@@ -29,6 +32,55 @@ class TestParser:
             assert command in text
 
 
+#: One bad input per command that checks its input before any work.
+BAD_INPUT = [
+    ["table1", "--configs", "DDR9-1"],
+    ["table1", "--cap", "0"],
+    ["mixed", "--n", "48", "--group", "0"],
+    ["policy", "--disciplines", "bogus"],
+    ["ablation", "--variants", "half-tiling"],
+    ["energy", "--max-channels", "0"],
+    ["e2e", "--frames", "0"],
+    ["provision", "--configs", "NOPE"],
+    ["fig1", "--config", "HBM9"],
+    ["trace", "--config", "HBM9"],
+    ["downlink", "--frames", "0"],
+    ["campaign", "--seeds", "0"],
+]
+
+
+class TestErrorBoundary:
+    """``main`` is the one place a library error becomes ``error: ...``."""
+
+    @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+    def test_bad_input_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_key_error_prints_its_message_unquoted(self, capsys):
+        assert main(["fig1", "--config", "HBM9"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown DRAM configuration 'HBM9'; known: DDR3-800, ")
+
+    def test_only_main_catches_library_errors(self):
+        """Command handlers catch ``OSError`` (and ``serve`` its
+        ``KeyboardInterrupt``), never ``KeyError`` or ``ValueError``."""
+        caught = {}
+        for function in ast.walk(ast.parse(inspect.getsource(cli))):
+            if isinstance(function, ast.FunctionDef):
+                for handler in ast.walk(function):
+                    if isinstance(handler, ast.ExceptHandler):
+                        types = handler.type
+                        names = types.elts if isinstance(types, ast.Tuple) else [types]
+                        caught.setdefault(function.name, set()).update(
+                            name.id for name in names)
+        assert caught.pop("main") == {"KeyError", "ValueError"}
+        assert set().union(*caught.values()) == {"OSError", "KeyboardInterrupt"}
+
+
 class TestConfigs:
     def test_lists_all_ten(self, capsys):
         assert main(["configs"]) == 0
@@ -46,7 +98,7 @@ class TestTable1:
 
     def test_unknown_config_fails(self, capsys):
         assert main(["table1", "--configs", "DDR9-1"]) == 2
-        assert "unknown configurations" in capsys.readouterr().err
+        assert "unknown DRAM configuration" in capsys.readouterr().err
 
     #: The first cell each grid command checks on LPDDR4-4266.
     FIRST_CELL = {"table1": "row-major", "energy": "row-major",
@@ -180,11 +232,11 @@ class TestMixed:
 
     def test_unknown_config_fails(self, capsys):
         assert main(["mixed", "--configs", "DDR9-1"]) == 2
-        assert "unknown configurations" in capsys.readouterr().err
+        assert "unknown DRAM configuration" in capsys.readouterr().err
 
     def test_rejects_bad_group(self, capsys):
         assert main(["mixed", "--n", "48", "--group", "0"]) == 2
-        assert "--group" in capsys.readouterr().err
+        assert "group must be >= 1" in capsys.readouterr().err
 
     def test_group_flag(self, capsys):
         assert main(["mixed", "--n", "48", "--group", "64",
@@ -268,11 +320,11 @@ class TestAblation:
 
     def test_unknown_config_fails(self, capsys):
         assert main(["ablation", "--configs", "DDR9-1"]) == 2
-        assert "unknown configurations" in capsys.readouterr().err
+        assert "unknown DRAM configuration" in capsys.readouterr().err
 
     def test_unknown_variant_fails(self, capsys):
         assert main(["ablation", "--variants", "half-tiling"]) == 2
-        assert "unknown variants" in capsys.readouterr().err
+        assert "unknown ablation variants" in capsys.readouterr().err
 
     def test_jobs_flag(self, capsys):
         assert main(["ablation", "--n", "32", "--configs", "DDR4-3200",
@@ -296,7 +348,7 @@ class TestEnergy:
 
     def test_unknown_config_fails(self, capsys):
         assert main(["energy", "--configs", "DDR9-1"]) == 2
-        assert "unknown configurations" in capsys.readouterr().err
+        assert "unknown DRAM configuration" in capsys.readouterr().err
 
     def test_rejects_bad_max_channels(self, capsys):
         assert main(["energy", "--n", "32", "--max-channels", "0"]) == 2
@@ -399,16 +451,9 @@ class TestCampaign:
         assert len(document["cells"]) == 2
         assert len(csv_path.read_text().strip().splitlines()) == 3
 
-    def test_cache_and_resume(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(CAMPAIGN_SMALL + ["--cache-dir", cache]) == 0
-        first = capsys.readouterr().out
-        assert main(CAMPAIGN_SMALL + ["--cache-dir", cache, "--resume"]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_resume_requires_cache_dir(self, capsys):
+    def test_resume_requires_store(self, capsys):
         assert main(CAMPAIGN_SMALL + ["--resume"]) == 2
-        assert "requires --cache-dir" in capsys.readouterr().err
+        assert "requires --store" in capsys.readouterr().err
 
     def test_rejects_bad_fade_fraction(self, capsys):
         assert main(["campaign", "--fade-fraction", "1.5",
@@ -540,11 +585,11 @@ class TestE2E:
 
     def test_unknown_config_fails(self, capsys):
         assert main(["e2e", "--configs", "DDR9-1"]) == 2
-        assert "unknown configurations" in capsys.readouterr().err
+        assert "unknown DRAM configuration" in capsys.readouterr().err
 
     def test_rejects_zero_frames(self, capsys):
         assert main(["e2e", "--frames", "0"]) == 2
-        assert "--frames" in capsys.readouterr().err
+        assert "frames must be >= 1" in capsys.readouterr().err
 
     def test_rejects_invalid_geometry(self, capsys):
         # 16*17/2 = 136 elements x 4 symbols is not a whole number of
@@ -589,10 +634,13 @@ class TestStoreFlag:
         assert main(CAMPAIGN_SMALL + ["--store", store, "--resume"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_resume_error_mentions_both_spellings(self, capsys):
+    def test_resume_error_names_the_store_flag(self, capsys):
+        """``--cache-dir``, the old synonym of ``--store``, is gone."""
         assert main(CAMPAIGN_SMALL + ["--resume"]) == 2
-        err = capsys.readouterr().err
-        assert "--cache-dir" in err and "--store" in err
+        assert capsys.readouterr().err == "error: --resume requires --store\n"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--cache-dir", "x"])
+        capsys.readouterr()
 
     def test_resume_accepts_store_without_cache_dir(self, tmp_path, capsys):
         store = str(tmp_path / "store")
