@@ -277,13 +277,11 @@ class KernelEngine:
         # One cffi call per buffer: an ``int64_t[]`` view passes as the
         # C side's ``int64_t *``.  Slots 2-4 take each batch's (bank,
         # row, column) columns.
-        args = [ffi.from_buffer("int64_t[]", a) for a in (
-            cfg, sc, ring, head, adm, bstate, open_arr, act_time,
-            cas_allowed, pre_allowed, act_allowed, bg_of, last_cas_bg,
-            faw_ring, fresh, heap, ready, rec, cas_col)]
-        args[2:2] = (None, None, None)
-
         empty = np.empty(0, dtype=np.int64)
+        args = [ffi.from_buffer("int64_t[]", a) for a in (
+            cfg, sc, empty, empty, empty, ring, head, adm, bstate, open_arr,
+            act_time, cas_allowed, pre_allowed, act_allowed, bg_of,
+            last_cas_bg, faw_ring, fresh, heap, ready, rec, cas_col)]
 
         batches = source.batches()
         stream_length = 0

@@ -7,10 +7,10 @@ how an SRAM implementation addresses the array), and the linear burst
 index is split into (bank group, bank, row, column) fields by the
 ``Ro Ba Co Bg`` bit-field decoder (:class:`repro.dram.address.LinearDecoder`).
 
-The *write* phase is then a purely sequential
-stream — page hits within every page, bank-group interleaving on the
-lowest bits, pages opened well in advance — so write utilization stays
-high everywhere, just as in Table I.  The *read* phase strides through
+The *write* phase is then a purely sequential stream — page hits
+within every page, bank-group interleaving on the lowest bits, pages
+opened well in advance — so write utilization stays high everywhere,
+just as in Table I.  The *read* phase strides through
 the linear space by one (varying) row length per access, scattering
 accesses over banks and rows: almost every access is a page miss, and
 utilization becomes limited by how fast the device can activate rows
