@@ -765,8 +765,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = create_server(args.store, host=args.host, port=args.port,
                                jobs=args.jobs)
     except OSError as error:
-        print(f"error: cannot bind {args.host}:{args.port} ({error})",
-              file=sys.stderr)
+        # The store directory is made first; only its errors name a file.
+        target = (f"create store directory {args.store}"
+                  if error.filename is not None
+                  else f"bind {args.host}:{args.port}")
+        print(f"error: cannot {target} ({error})", file=sys.stderr)
         return 2
     host, port = server.server_address[0], server.server_address[1]
     print(f"serving on http://{host}:{port} (store: {args.store})",

@@ -30,6 +30,7 @@ neither body is read.
 from __future__ import annotations
 
 import json
+import os
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
 
@@ -67,7 +68,12 @@ def create_server(store_root: str, host: str = "127.0.0.1", port: int = 0,
         port: bind port (``0`` = ephemeral; read
             ``server.server_address`` for the chosen one).
         jobs: worker processes per running job.
+
+    Raises:
+        OSError: if the store directory cannot be made (the error names
+            it) or the address cannot be bound.
     """
+    os.makedirs(store_root, exist_ok=True)  # fail here, not at the first job
     engine = JobEngine(ResultStore(store_root), jobs=jobs)
     return ReproServer((host, port), engine)
 

@@ -58,14 +58,15 @@ class ResultStore:
     stored configuration against the requested one.
 
     Attributes:
-        root: the store directory (created on construction).
+        root: the store directory, created by the first write.  Until
+            then every read of a missing root misses quietly, so a run
+            that fails its input checks leaves no directory behind.
     """
 
     def __init__(self, root: str) -> None:
-        """Open (and create if missing) the store rooted at ``root``."""
+        """Open the store rooted at ``root`` (nothing is created yet)."""
         self.root = root
         self._warned: Set[str] = set()
-        os.makedirs(root, exist_ok=True)
 
     # -- generic document layer --------------------------------------
 
@@ -96,7 +97,12 @@ class ResultStore:
         # other's half-written file.
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
-            with open(tmp, "w") as stream:
+            try:
+                stream = open(tmp, "w")
+            except FileNotFoundError:  # the first write makes the directory
+                os.makedirs(self.root, exist_ok=True)
+                stream = open(tmp, "w")
+            with stream:
                 stream.write(text)
             os.replace(tmp, path)  # atomic: never a torn entry
         except OSError:

@@ -3,8 +3,8 @@
 The naive Monte Carlo campaign of :mod:`repro.system.campaign` spends a
 fixed frame budget per cell, which wastes frames on easy cells and
 returns uselessly wide Wilson intervals on deep-fade ones.  This module
-adds the three estimators ROADMAP item 1 calls for, all riding the
-exact channel/decoder machinery the naive path proved correct:
+adds three estimators, all riding the exact channel/decoder machinery
+the naive path proved correct:
 
 * **adaptive stopping** (:class:`AdaptiveCell` /
   :func:`evaluate_adaptive`): run a cell in frame batches until the
@@ -57,8 +57,9 @@ from repro.channel.codeword import CodewordConfig, report_from_counts
 from repro.channel.gilbert_elliott import (GilbertElliottParams, coherence_params,
                                            combine_errors)
 from repro.interleaver.two_stage import TwoStageConfig, cached_interleaver
-from repro.system.campaign import (CampaignCell, CellResult, format_ci,
-                                   run_frames, wilson_interval)
+from repro.system.campaign import (CampaignCell, CellResult, TwoArmStats,
+                                   format_ci, pool_counts, run_frames,
+                                   wilson_interval)
 from repro.system.downlink import (OpticalDownlink, check_dimensions,
                                    format_gain, gain_ratio)
 
@@ -670,18 +671,13 @@ class ScenarioCell:
             raise ValueError("segments must be non-empty")
         check_dimensions(self.interleaver, self.code)
 
-    @property
-    def total_frames(self) -> int:
-        """Frames across the whole trajectory."""
-        return sum(segment.frames for segment in self.segments)
-
     def execute(self) -> ScenarioResult:
         """Run the trajectory (see :func:`evaluate_scenario`)."""
         return evaluate_scenario(self)
 
 
 @dataclass(frozen=True)
-class SegmentResult:
+class SegmentResult(TwoArmStats):
     """Decoding counts of one scenario segment (all integers).
 
     Attributes:
@@ -705,25 +701,20 @@ class SegmentResult:
     max_errors_interleaved: int
     max_errors_baseline: int
 
-    @property
-    def failure_rate_interleaved(self) -> float:
-        """Code-word failure rate with the interleaver."""
-        return self.failed_interleaved / self.codewords if self.codewords else 0.0
 
-    @property
-    def failure_rate_baseline(self) -> float:
-        """Code-word failure rate without interleaving."""
-        return self.failed_baseline / self.codewords if self.codewords else 0.0
-
-    @property
-    def gain(self) -> float:
-        """Failure-rate ratio baseline / interleaved (``inf`` = rescued all)."""
-        return gain_ratio(self.failed_baseline, self.failed_interleaved)
+def _pool_segments(members: Sequence[SegmentResult],
+                   label: str) -> SegmentResult:
+    """Pool segment results into one row named ``label``."""
+    return SegmentResult(label=label, frames=sum(m.frames for m in members),
+                         **pool_counts(members))
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(TwoArmStats):
     """Per-segment and pooled outcome of one scenario cell.
+
+    The counts and :class:`~repro.system.campaign.TwoArmStats` are
+    those of the whole trajectory, its segments pooled.
 
     Attributes:
         cell: the experiment description.
@@ -737,49 +728,22 @@ class ScenarioResult:
     @property
     def codewords(self) -> int:
         """Code words decoded per arm across the whole trajectory."""
-        return sum(segment.codewords for segment in self.segments)
+        return pool_counts(self.segments)["codewords"]
 
     @property
     def failed_interleaved(self) -> int:
         """Pooled interleaved-arm failure count."""
-        return sum(segment.failed_interleaved for segment in self.segments)
+        return pool_counts(self.segments)["failed_interleaved"]
 
     @property
     def failed_baseline(self) -> int:
         """Pooled baseline-arm failure count."""
-        return sum(segment.failed_baseline for segment in self.segments)
-
-    @property
-    def failure_rate_interleaved(self) -> float:
-        """Pooled code-word failure rate with the interleaver."""
-        codewords = self.codewords
-        return self.failed_interleaved / codewords if codewords else 0.0
-
-    @property
-    def failure_rate_baseline(self) -> float:
-        """Pooled code-word failure rate without interleaving."""
-        codewords = self.codewords
-        return self.failed_baseline / codewords if codewords else 0.0
-
-    @property
-    def interval_interleaved(self) -> Tuple[float, float]:
-        """95 % Wilson interval of the pooled interleaved rate."""
-        return wilson_interval(self.failed_interleaved, self.codewords)
-
-    @property
-    def interval_baseline(self) -> Tuple[float, float]:
-        """95 % Wilson interval of the pooled baseline rate."""
-        return wilson_interval(self.failed_baseline, self.codewords)
-
-    @property
-    def gain(self) -> float:
-        """Pooled failure-rate ratio baseline / interleaved."""
-        return gain_ratio(self.failed_baseline, self.failed_interleaved)
+        return pool_counts(self.segments)["failed_baseline"]
 
     @property
     def max_burst(self) -> int:
         """Longest fade observed anywhere in the trajectory."""
-        return max(segment.max_burst for segment in self.segments)
+        return pool_counts(self.segments)["max_burst"]
 
 
 def evaluate_scenario(cell: ScenarioCell) -> ScenarioResult:
@@ -984,24 +948,6 @@ def multi_pass_segments(
     return tuple(segments)
 
 
-def _pool_segments(results: Sequence[ScenarioResult],
-                   index: int) -> SegmentResult:
-    """Pool segment ``index`` across same-structured scenario results."""
-    members = [result.segments[index] for result in results]
-    first = members[0]
-    return SegmentResult(
-        label=first.label,
-        frames=sum(member.frames for member in members),
-        codewords=sum(member.codewords for member in members),
-        failed_interleaved=sum(m.failed_interleaved for m in members),
-        failed_baseline=sum(m.failed_baseline for m in members),
-        error_symbols=sum(m.error_symbols for m in members),
-        max_burst=max(m.max_burst for m in members),
-        max_errors_interleaved=max(m.max_errors_interleaved for m in members),
-        max_errors_baseline=max(m.max_errors_baseline for m in members),
-    )
-
-
 def format_scenario(results: Sequence[ScenarioResult]) -> str:
     """Render scenario results as a per-segment pooled text table.
 
@@ -1015,49 +961,35 @@ def format_scenario(results: Sequence[ScenarioResult]) -> str:
     """
     if not results:
         return "(no scenario results)"
-    structure = tuple((segment.label, segment.frames)
-                      for segment in results[0].cell.segments)
-    for result in results[1:]:
-        shape = tuple((segment.label, segment.frames)
-                      for segment in result.cell.segments)
-        if shape != structure:
-            raise ValueError(
-                "scenario results disagree on segment structure; pool "
-                "only same-trajectory cells")
+    shapes = {tuple((segment.label, segment.frames)
+                    for segment in result.cell.segments)
+              for result in results}
+    if len(shapes) > 1:
+        raise ValueError("scenario results disagree on segment structure; "
+                         "pool only same-trajectory cells")
     header = (
         f"{'segment':>10s} {'fade':>6s} {'frac':>7s} {'frames':>7s} "
         f"{'words':>8s} {'CWER base':>10s} {'CWER intl':>10s} "
         f"{'95% CI':>21s} {'gain':>8s}"
     )
     lines = [header]
-    pooled = [_pool_segments(results, index)
-              for index in range(len(structure))]
-    for index, segment in enumerate(pooled):
-        channel = results[0].cell.segments[index].channel
-        low, high = wilson_interval(segment.failed_interleaved,
-                                    segment.codewords)
+    segments = results[0].cell.segments
+    rows = [_pool_segments([result.segments[index] for result in results],
+                           segment.label)
+            for index, segment in enumerate(segments)]
+    rows.append(_pool_segments(rows, "total"))
+    channels = [f"{segment.channel.mean_fade_symbols:6.0f} "
+                f"{segment.channel.stationary_bad:7.4f}"
+                for segment in segments] + [f"{'':>6s} {'':>7s}"]
+    for row, channel in zip(rows, channels):
         lines.append(
-            f"{segment.label:>10s} {channel.mean_fade_symbols:6.0f} "
-            f"{channel.stationary_bad:7.4f} {segment.frames:7d} "
-            f"{segment.codewords:8d} "
-            f"{segment.failure_rate_baseline:10.2e} "
-            f"{segment.failure_rate_interleaved:10.2e} "
-            f"{format_ci(low, high):>21s} "
-            f"{format_gain(segment.gain):>8s}"
+            f"{row.label:>10s} {channel} {row.frames:7d} "
+            f"{row.codewords:8d} "
+            f"{row.failure_rate_baseline:10.2e} "
+            f"{row.failure_rate_interleaved:10.2e} "
+            f"{format_ci(*row.interval_interleaved):>21s} "
+            f"{format_gain(row.gain):>8s}"
         )
-    total_codewords = sum(segment.codewords for segment in pooled)
-    total_failed_int = sum(segment.failed_interleaved for segment in pooled)
-    total_failed_base = sum(segment.failed_baseline for segment in pooled)
-    low, high = wilson_interval(total_failed_int, total_codewords)
-    rate_base = total_failed_base / total_codewords
-    rate_int = total_failed_int / total_codewords
-    total_frames = sum(segment.frames for segment in pooled)
-    lines.append(
-        f"{'total':>10s} {'':>6s} {'':>7s} {total_frames:7d} "
-        f"{total_codewords:8d} {rate_base:10.2e} {rate_int:10.2e} "
-        f"{format_ci(low, high):>21s} "
-        f"{format_gain(gain_ratio(total_failed_base, total_failed_int)):>8s}"
-    )
     lines.append("(per-segment rows pool all seeds at the same trajectory "
                  "position; total pools the whole pass)")
     return "\n".join(lines)

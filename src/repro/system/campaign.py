@@ -49,6 +49,7 @@ from typing import (
     Sequence,
     TextIO,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -62,6 +63,7 @@ from repro.system.parallel import TaskStore, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> campaign)
     from repro.store.store import ResultStore
+    from repro.system.adaptive import SegmentResult
 
 #: Bump when the cell evaluation or result schema changes: stale cache
 #: entries from older code must miss, not resurface.
@@ -96,6 +98,67 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> Tuple[float,
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+class TwoArmStats:
+    """Failure rates, Wilson intervals and gain of the two decoding arms.
+
+    The one definition of the statistics every Monte Carlo result
+    reports: a campaign cell, a pooled summary row, a scenario segment
+    and a whole scenario.  The base holds no fields.  Each subclass
+    supplies ``codewords``, ``failed_interleaved`` and
+    ``failed_baseline``, as fields or as properties, and every
+    statistic derives from those three counts.
+    """
+
+    if TYPE_CHECKING:  # pragma: no cover - supplied by every subclass
+        @property
+        def codewords(self) -> int: ...
+        @property
+        def failed_interleaved(self) -> int: ...
+        @property
+        def failed_baseline(self) -> int: ...
+
+    @property
+    def failure_rate_interleaved(self) -> float:
+        """Code-word failure rate with the two-stage interleaver."""
+        return self.failed_interleaved / self.codewords if self.codewords else 0.0
+
+    @property
+    def failure_rate_baseline(self) -> float:
+        """Code-word failure rate without interleaving."""
+        return self.failed_baseline / self.codewords if self.codewords else 0.0
+
+    @property
+    def interval_interleaved(self) -> Tuple[float, float]:
+        """95 % Wilson interval of the interleaved failure rate."""
+        return wilson_interval(self.failed_interleaved, self.codewords)
+
+    @property
+    def interval_baseline(self) -> Tuple[float, float]:
+        """95 % Wilson interval of the baseline failure rate."""
+        return wilson_interval(self.failed_baseline, self.codewords)
+
+    @property
+    def gain(self) -> float:
+        """Failure-rate ratio baseline / interleaved (``inf`` = rescued all)."""
+        return gain_ratio(self.failed_baseline, self.failed_interleaved)
+
+    def two_arm_columns(self) -> Dict[str, object]:
+        """The nine two-arm columns of the JSON and CSV exports."""
+        low_i, high_i = self.interval_interleaved
+        low_b, high_b = self.interval_baseline
+        return {
+            "codewords": self.codewords,
+            "failed_interleaved": self.failed_interleaved,
+            "failed_baseline": self.failed_baseline,
+            "failure_rate_interleaved": self.failure_rate_interleaved,
+            "ci_low_interleaved": low_i,
+            "ci_high_interleaved": high_i,
+            "failure_rate_baseline": self.failure_rate_baseline,
+            "ci_low_baseline": low_b,
+            "ci_high_baseline": high_b,
+        }
+
+
 @dataclass(frozen=True)
 class CampaignCell:
     """One independent Monte Carlo experiment of the campaign grid.
@@ -125,12 +188,13 @@ class CampaignCell:
 
 
 @dataclass(frozen=True)
-class CellResult:
+class CellResult(TwoArmStats):
     """Aggregate outcome of one campaign cell.
 
-    All statistics (rates, intervals, gain) derive from the stored
-    counts, so equality between two results means the underlying Monte
-    Carlo runs were identical — the determinism tests rely on that.
+    All statistics (rates, intervals, gain; see :class:`TwoArmStats`)
+    derive from the stored counts, so equality between two results
+    means the underlying Monte Carlo runs were identical — the
+    determinism tests rely on that.
     """
 
     cell: CampaignCell
@@ -152,31 +216,6 @@ class CellResult:
                 raise ValueError(
                     f"{field} must be in [0, codewords={self.codewords}], "
                     f"got {value}")
-
-    @property
-    def failure_rate_interleaved(self) -> float:
-        """Code-word failure rate with the two-stage interleaver."""
-        return self.failed_interleaved / self.codewords if self.codewords else 0.0
-
-    @property
-    def failure_rate_baseline(self) -> float:
-        """Code-word failure rate without interleaving."""
-        return self.failed_baseline / self.codewords if self.codewords else 0.0
-
-    @property
-    def interval_interleaved(self) -> Tuple[float, float]:
-        """95 % Wilson interval of the interleaved failure rate."""
-        return wilson_interval(self.failed_interleaved, self.codewords)
-
-    @property
-    def interval_baseline(self) -> Tuple[float, float]:
-        """95 % Wilson interval of the baseline failure rate."""
-        return wilson_interval(self.failed_baseline, self.codewords)
-
-    @property
-    def gain(self) -> float:
-        """Failure-rate ratio baseline / interleaved (``inf`` = rescued all)."""
-        return gain_ratio(self.failed_baseline, self.failed_interleaved)
 
     @property
     def symbol_error_rate(self) -> float:
@@ -231,6 +270,26 @@ def run_frames(
         "max_burst": max_burst,
         "max_errors_interleaved": max_errors_interleaved,
         "max_errors_baseline": max_errors_baseline,
+    }
+
+
+def pool_counts(
+        members: Sequence[Union[CellResult, "SegmentResult"]]) -> Dict[str, int]:
+    """Pool the counts of several runs (non-empty), keyed like :func:`run_frames`.
+
+    The one pooling rule of the Monte Carlo results: code words, both
+    arms' failures and corrupted symbols add up; the longest fade and
+    the worst per-code-word error counts are maxima.
+    """
+    return {
+        "codewords": sum(m.codewords for m in members),
+        "failed_interleaved": sum(m.failed_interleaved for m in members),
+        "failed_baseline": sum(m.failed_baseline for m in members),
+        "error_symbols": sum(m.error_symbols for m in members),
+        "max_burst": max(m.max_burst for m in members),
+        "max_errors_interleaved": max(m.max_errors_interleaved
+                                      for m in members),
+        "max_errors_baseline": max(m.max_errors_baseline for m in members),
     }
 
 
@@ -336,8 +395,11 @@ class _WriteOnly:
 
 
 @dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(TwoArmStats):
     """Per-configuration statistics pooled across seeds.
+
+    The rates, intervals and gain (:class:`TwoArmStats`) are those of
+    the pooled counts, so a zero-failure seed cannot skew the gain.
 
     Attributes:
         channel / interleaver / code: the configuration axis values.
@@ -345,8 +407,6 @@ class CampaignSummary:
         frames: total frames across those seeds.
         codewords: total code words decoded per arm.
         failed_interleaved / failed_baseline: pooled failure counts.
-        gains: per-cell interleaving gains (``inf`` = that seed's
-            failures were fully rescued).
         max_errors_interleaved: worst per-code-word error count seen
             with interleaving across all seeds.
         max_burst: longest channel fade observed.
@@ -360,34 +420,8 @@ class CampaignSummary:
     codewords: int
     failed_interleaved: int
     failed_baseline: int
-    gains: Tuple[float, ...]
     max_errors_interleaved: int
     max_burst: int
-
-    @property
-    def failure_rate_interleaved(self) -> float:
-        """Pooled code-word failure rate with the interleaver."""
-        return self.failed_interleaved / self.codewords if self.codewords else 0.0
-
-    @property
-    def failure_rate_baseline(self) -> float:
-        """Pooled code-word failure rate without interleaving."""
-        return self.failed_baseline / self.codewords if self.codewords else 0.0
-
-    @property
-    def interval_interleaved(self) -> Tuple[float, float]:
-        """95 % Wilson interval of the pooled interleaved rate."""
-        return wilson_interval(self.failed_interleaved, self.codewords)
-
-    @property
-    def interval_baseline(self) -> Tuple[float, float]:
-        """95 % Wilson interval of the pooled baseline rate."""
-        return wilson_interval(self.failed_baseline, self.codewords)
-
-    @property
-    def pooled_gain(self) -> float:
-        """Gain of the pooled failure counts (robust to zero-failure seeds)."""
-        return gain_ratio(self.failed_baseline, self.failed_interleaved)
 
     @property
     def mean_fade_symbols(self) -> float:
@@ -407,9 +441,7 @@ class CampaignSummary:
         otherwise emit the non-RFC token ``Infinity`` that strict
         parsers (jq, ``JSON.parse``) reject.
         """
-        low_i, high_i = self.interval_interleaved
-        low_b, high_b = self.interval_baseline
-        gain = self.pooled_gain
+        gain = self.gain
         return {
             "p_g2b": self.channel.p_g2b,
             "p_b2g": self.channel.p_b2g,
@@ -423,15 +455,7 @@ class CampaignSummary:
             "t_correctable": self.code.t_correctable,
             "cells": self.cells,
             "frames": self.frames,
-            "codewords": self.codewords,
-            "failed_interleaved": self.failed_interleaved,
-            "failed_baseline": self.failed_baseline,
-            "failure_rate_interleaved": self.failure_rate_interleaved,
-            "ci_low_interleaved": low_i,
-            "ci_high_interleaved": high_i,
-            "failure_rate_baseline": self.failure_rate_baseline,
-            "ci_low_baseline": low_b,
-            "ci_high_baseline": high_b,
+            **self.two_arm_columns(),
             "pooled_gain": gain if math.isfinite(gain) else None,
             "max_errors_interleaved": self.max_errors_interleaved,
             "max_burst": self.max_burst,
@@ -445,34 +469,21 @@ def summarize_campaign(results: Sequence[CellResult]) -> List[CampaignSummary]:
     summary follows the grid layout of the input.
     """
     grouped: Dict[Tuple, List[CellResult]] = {}
-    order: List[Tuple] = []
     for result in results:
         cell = result.cell
         key = (cell.channel, cell.interleaver, cell.code)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(result)
+        grouped.setdefault(key, []).append(result)
     summaries = []
-    for key in order:
-        members = grouped[key]
-        channel, interleaver, code = key
-        summaries.append(
-            CampaignSummary(
-                channel=channel,
-                interleaver=interleaver,
-                code=code,
-                cells=len(members),
-                frames=sum(m.cell.frames for m in members),
-                codewords=sum(m.codewords for m in members),
-                failed_interleaved=sum(m.failed_interleaved for m in members),
-                failed_baseline=sum(m.failed_baseline for m in members),
-                gains=tuple(m.gain for m in members),
-                max_errors_interleaved=max(
-                    m.max_errors_interleaved for m in members),
-                max_burst=max(m.max_burst for m in members),
-            )
-        )
+    for (channel, interleaver, code), members in grouped.items():
+        counts = pool_counts(members)
+        summaries.append(CampaignSummary(
+            channel=channel, interleaver=interleaver, code=code,
+            cells=len(members), frames=sum(m.cell.frames for m in members),
+            codewords=counts["codewords"],
+            failed_interleaved=counts["failed_interleaved"],
+            failed_baseline=counts["failed_baseline"],
+            max_errors_interleaved=counts["max_errors_interleaved"],
+            max_burst=counts["max_burst"]))
     return summaries
 
 
@@ -503,7 +514,7 @@ def format_campaign(summaries: Sequence[CampaignSummary]) -> str:
             f"{format_ci(*summary.interval_baseline):>21s} "
             f"{summary.failure_rate_interleaved:10.2e} "
             f"{format_ci(*summary.interval_interleaved):>21s} "
-            f"{format_gain(summary.pooled_gain):>8s} "
+            f"{format_gain(summary.gain):>8s} "
             f"{summary.max_errors_interleaved:5d}"
         )
     lines.append("(CWER = code-word failure rate; gain = pooled base/intl ratio; "
@@ -584,18 +595,8 @@ def export_csv(results: Sequence[CellResult], stream: TextIO) -> None:
     writer.writeheader()
     for result in results:
         row = encode(result.cell)
-        low_i, high_i = result.interval_interleaved
-        low_b, high_b = result.interval_baseline
         row.update(
-            codewords=result.codewords,
-            failed_interleaved=result.failed_interleaved,
-            failed_baseline=result.failed_baseline,
-            failure_rate_interleaved=result.failure_rate_interleaved,
-            ci_low_interleaved=low_i,
-            ci_high_interleaved=high_i,
-            failure_rate_baseline=result.failure_rate_baseline,
-            ci_low_baseline=low_b,
-            ci_high_baseline=high_b,
+            result.two_arm_columns(),
             # Non-finite gains are unrepresentable in both documented
             # export formats: JSON serializes them as null, CSV as an
             # empty field.  The finite counts in the row reconstruct

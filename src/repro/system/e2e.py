@@ -200,7 +200,7 @@ def latency_percentile_ps(latencies: Sequence[int], q: float) -> int:
 class E2ECell:
     """One joint co-simulation experiment.
 
-    The full cross-product coordinate the ISSUE's tentpole names: a
+    One coordinate of the full co-simulation cross product: a
     channel, an interleaver geometry, a code, a DRAM configuration and
     an address mapping, plus the seed and frame count that make the
     Monte Carlo side reproducible.  Like

@@ -113,13 +113,12 @@ def render_campaign_gains(summaries: Iterable[CampaignSummary],
     # Log scale spanning gain 1 .. max finite observed (at least one
     # decade).  Sub-unity gains (interleaver saturation) render as an
     # empty bar; they must not stretch the axis for the positive rows.
-    above_unity = [s.pooled_gain for s in rows
-                   if 1.0 < s.pooled_gain < float("inf")]
+    above_unity = [s.gain for s in rows if 1.0 < s.gain < float("inf")]
     top = max(1.0, max((_log10(g) for g in above_unity), default=1.0))
     lines = [f"{'fade':>6s} {'frac':>7s} {'n':>4s}  "
              f"{'gain (log scale)':{width}s} {'CWER intl':>10s} {'95% CI':>21s}"]
     for summary in rows:
-        gain = summary.pooled_gain
+        gain = summary.gain
         if math.isinf(gain):
             bar = "#" * width
             label = "inf"

@@ -80,6 +80,14 @@ def poll_until_done(server, job_id):
     raise AssertionError(f"job {job_id} did not finish within {DEADLINE_S}s")
 
 
+class TestCreateServer:
+    def test_makes_the_store_directory_before_serving(self, tmp_path):
+        root = tmp_path / "a" / "store"
+        server = create_server(str(root), port=0, jobs=1)
+        server.server_close()
+        assert root.is_dir()
+
+
 class TestRoutes:
     def test_healthz(self, server):
         assert request_json(server, "/healthz") == (200, {"status": "ok"})

@@ -40,9 +40,34 @@ class TestDocumentLayer:
         assert os.path.exists(store.entry_path("phase", key))
 
     def test_creates_root_directory(self, tmp_path):
+        # Made by the first write, not by the constructor: a run that
+        # fails its input checks must leave no empty store behind.
         root = tmp_path / "a" / "b"
-        ResultStore(str(root))
+        store = ResultStore(str(root))
+        assert not (tmp_path / "a").exists()
+        key = store.write("phase", {"n": 8}, {"value": 1})
         assert root.is_dir()
+        assert os.listdir(str(root)) == [os.path.basename(
+            store.entry_path("phase", key))]
+
+    def test_missing_root_misses_cleanly(self, tmp_path, capsys):
+        root = tmp_path / "missing"
+        store = ResultStore(str(root))
+        cells = [CampaignCell(CHANNEL, INTERLEAVER, CODE, 1, 10)]
+        assert store.read("phase", {"n": 8}) is None
+        assert store.load(cells[0]) is None
+        assert store.list_entries("phase") == []
+        assert store.campaign_progress(cells) == 0
+        assert not root.exists()
+        assert capsys.readouterr().err == ""
+
+    def test_root_under_a_file_fails_the_write(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        store = ResultStore(str(blocker / "store"))
+        with pytest.raises(NotADirectoryError):
+            store.write("phase", {"n": 8}, {"value": 1})
+        assert os.listdir(str(tmp_path)) == ["file"]
 
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(str(tmp_path))

@@ -361,12 +361,12 @@ class TestSummaryAndExports:
         assert "gain" in text
 
     def test_format_campaign_infinite_gain(self):
-        # Regression: a perfect interleaved arm (pooled_gain == inf)
+        # Regression: a perfect interleaved arm (gain == inf)
         # renders as the "inf" cell without tripping float formatting.
         cell = _cells(seeds=[1], frames=10)[0]
         perfect = CellResult(cell, 100, 0, 9, 12, 4, 0, 8)
         summaries = summarize_campaign([perfect])
-        assert math.isinf(summaries[0].pooled_gain)
+        assert math.isinf(summaries[0].gain)
         lines = format_campaign(summaries).splitlines()
         assert "inf" in lines[1]
 
@@ -382,12 +382,12 @@ class TestSummaryAndExports:
         assert restored == results[0]
 
     def test_export_json_infinite_gain_is_null(self):
-        # A perfect interleaved arm yields pooled_gain == inf; the JSON
+        # A perfect interleaved arm yields gain == inf; the JSON
         # export must stay RFC-parseable (no `Infinity` token).
         cell = _cells(seeds=[1], frames=10)[0]
         perfect = CellResult(cell, 100, 0, 9, 12, 4, 0, 8)
         summaries = summarize_campaign([perfect])
-        assert summaries[0].pooled_gain == float("inf")
+        assert summaries[0].gain == float("inf")
         stream = io.StringIO()
         export_json([perfect], summaries, stream)
         text = stream.getvalue()
@@ -447,4 +447,4 @@ class TestCampaignStatistics:
         deep_summary = summarize_campaign(run_campaign(deep_cells))[0]
         assert (deep_summary.failure_rate_interleaved
                 < shallow.failure_rate_interleaved)
-        assert deep_summary.pooled_gain > 1.0
+        assert deep_summary.gain > 1.0

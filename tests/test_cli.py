@@ -60,6 +60,17 @@ class TestErrorBoundary:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--configs", "DDR9-1"],
+        ["table1", "--n", "6000", "--configs", "LPDDR4-4266"],
+    ], ids=" ".join)
+    def test_bad_input_leaves_no_store_directory(self, argv, tmp_path,
+                                                 capsys):
+        store = tmp_path / "d"
+        assert main([*argv, "--store", str(store)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not store.exists()
+
     def test_key_error_prints_its_message_unquoted(self, capsys):
         assert main(["fig1", "--config", "HBM9"]) == 2
         assert capsys.readouterr().err.startswith(
@@ -626,6 +637,18 @@ class TestStoreFlag:
 
     def test_serve_command_registered(self):
         assert "serve" in build_parser().format_help()
+
+    def test_serve_names_a_store_directory_it_cannot_make(self, tmp_path,
+                                                          capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        store = str(blocker / "sub")
+        assert main(["serve", "--store", store, "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot create store directory {store} (")
+        assert captured.err.count("\n") == 1
 
     def test_campaign_store_resume_is_byte_identical(self, tmp_path, capsys):
         store = str(tmp_path / "store")

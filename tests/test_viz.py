@@ -92,7 +92,6 @@ def _summary(fade_symbols, gain_failed_base, gain_failed_int, n=32):
         codewords=26400,
         failed_interleaved=gain_failed_int,
         failed_baseline=gain_failed_base,
-        gains=(2.0, 3.0, 4.0),
         max_errors_interleaved=5,
         max_burst=120,
     )
