@@ -17,57 +17,63 @@ Quickstart::
     mapping = OptimizedMapping(space, config.geometry)
     result = simulate_interleaver(config, mapping)
     print(result.write_utilization, result.read_utilization)
+
+Every package re-exports its names lazily (PEP 562): ``import repro``
+loads no NumPy, and a name's defining module is imported at its first
+access.
 """
 
 from __future__ import annotations
 
-from repro.channel import (
-    CodewordConfig,
-    GilbertElliottChannel,
-    GilbertElliottParams,
-    coherence_params,
-)
-from repro.dram import (
-    ControllerConfig,
-    DramAddress,
-    DramConfig,
-    Geometry,
-    InterleaverSimResult,
-    MemoryController,
-    PhaseStats,
-    TABLE1_CONFIG_NAMES,
-    TimingParams,
-    all_configs,
-    get_config,
-    simulate_interleaver,
-    simulate_phase,
-)
-from repro.interleaver import (
-    RectangularIndexSpace,
-    TriangularIndexSpace,
-    triangle_size_for_elements,
-)
-from repro.interleaver.block import BlockInterleaver, TriangularInterleaver
-from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
-from repro.mapping import (
-    InterleaverMapping,
-    OptimizedMapping,
-    RowMajorMapping,
-    profile_mapping,
-    validate_mapping,
-)
-from repro.system import (
-    OpticalDownlink,
-    energy_pareto,
-    format_e2e_table,
-    format_energy_table,
-    format_table1,
-    provision,
-    run_e2e_table,
-    run_energy_table,
-    run_table1,
-    throughput_report,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.channel.codeword import CodewordConfig
+    from repro.channel.gilbert_elliott import (
+        GilbertElliottChannel,
+        GilbertElliottParams,
+        coherence_params,
+    )
+    from repro.dram.address import DramAddress
+    from repro.dram.controller import ControllerConfig, MemoryController
+    from repro.dram.geometry import Geometry
+    from repro.dram.presets import (
+        TABLE1_CONFIG_NAMES,
+        DramConfig,
+        all_configs,
+        get_config,
+    )
+    from repro.dram.simulator import (
+        InterleaverSimResult,
+        simulate_interleaver,
+        simulate_phase,
+    )
+    from repro.dram.stats import PhaseStats
+    from repro.dram.timing import TimingParams
+    from repro.interleaver.block import BlockInterleaver, TriangularInterleaver
+    from repro.interleaver.triangular import (
+        RectangularIndexSpace,
+        TriangularIndexSpace,
+        triangle_size_for_elements,
+    )
+    from repro.interleaver.two_stage import TwoStageConfig, TwoStageInterleaver
+    from repro.mapping.analysis import profile_mapping
+    from repro.mapping.base import InterleaverMapping
+    from repro.mapping.optimized import OptimizedMapping
+    from repro.mapping.row_major import RowMajorMapping
+    from repro.mapping.validate import validate_mapping
+    from repro.system.downlink import OpticalDownlink
+    from repro.system.sweep import (
+        format_e2e_table,
+        format_energy_table,
+        format_table1,
+        run_e2e_table,
+        run_energy_table,
+        run_table1,
+    )
+    from repro.system.throughput import energy_pareto, provision, throughput_report
 
 __version__ = "1.0.0"
 
@@ -112,3 +118,34 @@ __all__ = [
     "triangle_size_for_elements",
     "validate_mapping",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.channel.codeword": ("CodewordConfig",),
+    "repro.channel.gilbert_elliott": (
+        "GilbertElliottChannel", "GilbertElliottParams", "coherence_params"),
+    "repro.dram.address": ("DramAddress",),
+    "repro.dram.controller": ("ControllerConfig", "MemoryController"),
+    "repro.dram.geometry": ("Geometry",),
+    "repro.dram.presets": (
+        "DramConfig", "TABLE1_CONFIG_NAMES", "all_configs", "get_config"),
+    "repro.dram.simulator": (
+        "InterleaverSimResult", "simulate_interleaver", "simulate_phase"),
+    "repro.dram.stats": ("PhaseStats",),
+    "repro.dram.timing": ("TimingParams",),
+    "repro.interleaver.block": ("BlockInterleaver", "TriangularInterleaver"),
+    "repro.interleaver.triangular": (
+        "RectangularIndexSpace", "TriangularIndexSpace",
+        "triangle_size_for_elements"),
+    "repro.interleaver.two_stage": ("TwoStageConfig", "TwoStageInterleaver"),
+    "repro.mapping.analysis": ("profile_mapping",),
+    "repro.mapping.base": ("InterleaverMapping",),
+    "repro.mapping.optimized": ("OptimizedMapping",),
+    "repro.mapping.row_major": ("RowMajorMapping",),
+    "repro.mapping.validate": ("validate_mapping",),
+    "repro.system.downlink": ("OpticalDownlink",),
+    "repro.system.sweep": (
+        "format_e2e_table", "format_energy_table", "format_table1",
+        "run_e2e_table", "run_energy_table", "run_table1"),
+    "repro.system.throughput": (
+        "energy_pareto", "provision", "throughput_report"),
+})

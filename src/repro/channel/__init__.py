@@ -2,27 +2,32 @@
 
 from __future__ import annotations
 
-from repro.channel.burst_stats import (
-    BurstProfile,
-    FrameBurstArrays,
-    burst_profile,
-    errors_per_codeword,
-    frame_burst_arrays,
-)
-from repro.channel.codeword import (
-    CodewordConfig,
-    DecodingReport,
-    decode_mask,
-    report_from_counts,
-    report_from_tallies,
-)
-from repro.channel.gilbert_elliott import (
-    BAD,
-    GOOD,
-    GilbertElliottChannel,
-    GilbertElliottParams,
-    coherence_params,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.channel.burst_stats import (
+        BurstProfile,
+        FrameBurstArrays,
+        burst_profile,
+        errors_per_codeword,
+        frame_burst_arrays,
+    )
+    from repro.channel.codeword import (
+        CodewordConfig,
+        DecodingReport,
+        decode_mask,
+        report_from_counts,
+        report_from_tallies,
+    )
+    from repro.channel.gilbert_elliott import (
+        BAD,
+        GOOD,
+        GilbertElliottChannel,
+        GilbertElliottParams,
+        coherence_params,
+    )
 
 __all__ = [
     "BAD",
@@ -41,3 +46,15 @@ __all__ = [
     "report_from_counts",
     "report_from_tallies",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.channel.burst_stats": (
+        "BurstProfile", "FrameBurstArrays", "burst_profile",
+        "errors_per_codeword", "frame_burst_arrays"),
+    "repro.channel.codeword": (
+        "CodewordConfig", "DecodingReport", "decode_mask",
+        "report_from_counts", "report_from_tallies"),
+    "repro.channel.gilbert_elliott": (
+        "BAD", "GOOD", "GilbertElliottChannel", "GilbertElliottParams",
+        "coherence_params"),
+})

@@ -25,11 +25,11 @@ Commands:
 * ``lint``      — run the repo-specific static analyzer (R002–R006)
 
 Simulation grids (``table1``, ``mixed``, ``ablation``, ``energy``,
-``e2e``)
-accept ``--jobs N`` to fan the (config x mapping x phase) work items
-out over N worker processes (``--jobs 0`` = all cores); results are
-identical to a serial run.  ``table1``, ``mixed``, ``energy``, ``e2e``
-and ``campaign`` also accept ``--store DIR``, the shared
+``e2e``) accept ``--jobs N`` to fan the (config x mapping x phase) work
+items out over N worker processes (``--jobs 0`` = every CPU this
+process may use); results are identical to a serial run.  ``table1``,
+``mixed``, ``energy``, ``e2e`` and ``campaign`` also accept
+``--store DIR``, the shared
 content-addressed result store: cells already persisted by *any*
 earlier run — the same command, a different sweep over the same
 (config, mapping, n) cells, or the ``serve`` job engine — are reused
@@ -47,87 +47,31 @@ pipelines.  Bad input always ends as ``error: <message>`` on stderr and
 exit code 2, never a traceback: the library checks a grid's inputs
 before any work, and :func:`main` turns its ``KeyError`` or
 ``ValueError`` into that line.
+
+Each command imports its library inside its handler, so ``--help``,
+``configs`` and ``lint`` start without NumPy or cffi.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.channel.codeword import CodewordConfig
-from repro.channel.gilbert_elliott import GilbertElliottParams, coherence_params
-from repro.dram.controller import (
-    POLICY_NAMES,
-    POLICY_OPEN_PAGE,
-    ControllerConfig,
-)
+from repro.dram.policy import POLICY_NAMES, POLICY_OPEN_PAGE
 from repro.dram.presets import TABLE1_CONFIG_NAMES, all_configs, get_config
-from repro.interleaver.triangular import RectangularIndexSpace
-from repro.interleaver.two_stage import TwoStageConfig
-from repro.store.export import open_export, write_csv_rows
-from repro.store.jobs import grid_from_spec
-from repro.store.store import ResultStore
-from repro.system.adaptive import (
-    AdaptiveCell,
-    RareEventCell,
-    ScenarioCell,
-    contact_pass_segments,
-    default_proposal,
-    format_adaptive,
-    format_rare_event,
-    format_scenario,
-    multi_pass_segments,
-    weather_segments,
-)
-from repro.system.campaign import (
-    campaign_report,
-    export_csv,
-    export_json,
-    run_campaign,
-    summarize_campaign,
-)
-from repro.system.downlink import OpticalDownlink, format_gain
-from repro.system.parallel import run_tasks
-from repro.system.sweep import (
-    cell_mapping,
-    format_e2e_table,
-    format_energy_table,
-    format_mixed_table,
-    format_policy_table,
-    format_table1,
-    run_e2e_table,
-    run_energy_table,
-    run_mixed_table,
-    run_policy_table,
-    run_table1,
-    sweep_ablation,
-)
-from repro.system.throughput import (
-    PARETO_CSV_FIELDS,
-    PROVISION_CSV_FIELDS,
-    energy_pareto,
-    pareto_csv_rows,
-    provision,
-    provision_csv_rows,
-    throughput_report,
-)
 from repro.units import gbit_per_s
-from repro.viz import (
-    render_adaptive_savings,
-    render_campaign_gains,
-    render_e2e_latency,
-    render_energy_pareto,
-    render_figure1,
-)
+
+if TYPE_CHECKING:
+    from repro.dram.controller import ControllerConfig
+    from repro.store.store import ResultStore
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the simulation grid "
-                             "(0 = all cores, default 1 = serial)")
+                             "(0 = every CPU this process may use, "
+                             "default 1 = serial)")
 
 
 def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
@@ -144,6 +88,8 @@ def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _policy_from(args: argparse.Namespace) -> ControllerConfig:
     """The controller policy a CLI invocation selected."""
+    from repro.dram.controller import ControllerConfig
+
     return ControllerConfig(refresh_enabled=not getattr(args, "no_refresh",
                                                         False),
                             discipline=getattr(args, "policy",
@@ -159,6 +105,8 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
+    from repro.store.store import ResultStore
+
     return ResultStore(args.store) if args.store else None
 
 
@@ -177,6 +125,8 @@ def _add_table1(subparsers: Any) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.system.sweep import format_table1, run_table1
+
     rows = run_table1(n=args.n,
                       config_names=args.configs or TABLE1_CONFIG_NAMES,
                       policy=_policy_from(args), jobs=args.jobs,
@@ -205,6 +155,8 @@ def _add_mixed(subparsers: Any) -> None:
 
 
 def _cmd_mixed(args: argparse.Namespace) -> int:
+    from repro.system.sweep import format_mixed_table, run_mixed_table
+
     rows = run_mixed_table(n=args.n,
                            config_names=args.configs or TABLE1_CONFIG_NAMES,
                            group=args.group, policy=_policy_from(args),
@@ -227,6 +179,8 @@ def _add_ablation(subparsers: Any) -> None:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
+    from repro.system.sweep import sweep_ablation
+
     points = sweep_ablation(
         config_names=args.configs or ("DDR4-3200", "LPDDR4-4266"), n=args.n,
         variants=args.variants or None, jobs=args.jobs)
@@ -264,6 +218,16 @@ def _add_energy(subparsers: Any) -> None:
 
 
 def _cmd_energy(args: argparse.Namespace) -> int:
+    from repro.store.export import write_csv_rows
+    from repro.system.sweep import format_energy_table, run_energy_table
+    from repro.system.throughput import (
+        PARETO_CSV_FIELDS,
+        energy_pareto,
+        pareto_csv_rows,
+        throughput_report,
+    )
+    from repro.viz import render_energy_pareto
+
     if args.max_channels < 1:
         print("error: --max-channels must be >= 1", file=sys.stderr)
         return 2
@@ -318,6 +282,9 @@ def _add_policy(subparsers: Any) -> None:
 
 
 def _cmd_policy(args: argparse.Namespace) -> int:
+    from repro.dram.controller import ControllerConfig
+    from repro.system.sweep import format_policy_table, run_policy_table
+
     base = ControllerConfig(refresh_enabled=not args.no_refresh,
                             cap=args.cap)
     rows = run_policy_table(n=args.n,
@@ -340,10 +307,13 @@ def _add_fig1(subparsers: Any) -> None:
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
+    from repro.dram.geometry import Geometry
+    from repro.interleaver.triangular import RectangularIndexSpace
+    from repro.viz import render_figure1
+
     if args.config:
         geometry = get_config(args.config).geometry
     else:
-        from repro.dram.geometry import Geometry
         geometry = Geometry(bank_groups=2, banks_per_group=1, rows=256,
                             columns=32, bus_width_bits=64, burst_length=8)
     space = RectangularIndexSpace(args.size, args.size)
@@ -364,6 +334,13 @@ def _add_downlink(subparsers: Any) -> None:
 
 
 def _cmd_downlink(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.channel.codeword import CodewordConfig
+    from repro.channel.gilbert_elliott import GilbertElliottParams
+    from repro.interleaver.two_stage import TwoStageConfig
+    from repro.system.downlink import OpticalDownlink, format_gain
+
     if args.fade_symbols <= 1 or not 0 < args.fade_fraction < 1:
         print("error: fade-symbols must be >1 and fade-fraction in (0,1)",
               file=sys.stderr)
@@ -507,6 +484,13 @@ def _campaign_mode_error(args: argparse.Namespace) -> Optional[str]:
 
 def _cmd_campaign_adaptive(args: argparse.Namespace,
                            store: Optional[ResultStore]) -> int:
+    from repro.store.export import open_export
+    from repro.store.jobs import grid_from_spec
+    from repro.system.adaptive import AdaptiveCell, format_adaptive
+    from repro.system.campaign import export_csv, export_json, summarize_campaign
+    from repro.system.parallel import run_tasks
+    from repro.viz import render_adaptive_savings
+
     cells = [
         AdaptiveCell(channel=cell.channel, interleaver=cell.interleaver,
                      code=cell.code, seed=cell.seed, max_frames=cell.frames,
@@ -532,6 +516,14 @@ def _cmd_campaign_adaptive(args: argparse.Namespace,
 
 def _cmd_campaign_rare_event(args: argparse.Namespace,
                              store: Optional[ResultStore]) -> int:
+    from repro.store.jobs import grid_from_spec
+    from repro.system.adaptive import (
+        RareEventCell,
+        default_proposal,
+        format_rare_event,
+    )
+    from repro.system.parallel import run_tasks
+
     cells = [
         RareEventCell(channel=cell.channel,
                       proposal=default_proposal(cell.channel, args.boost),
@@ -555,6 +547,12 @@ def _scenario_segments(args: argparse.Namespace) -> Any:
         ValueError: on anchor statistics or step values the builders
             reject.
     """
+    from repro.system.adaptive import (
+        contact_pass_segments,
+        multi_pass_segments,
+        weather_segments,
+    )
+
     if args.scenario == "weather":
         attenuations = (tuple(args.attenuations_db)
                         if args.attenuations_db is not None else None)
@@ -588,6 +586,11 @@ def _scenario_segments(args: argparse.Namespace) -> Any:
 
 def _cmd_campaign_scenario(args: argparse.Namespace,
                            store: Optional[ResultStore]) -> int:
+    from repro.channel.codeword import CodewordConfig
+    from repro.interleaver.two_stage import TwoStageConfig
+    from repro.system.adaptive import ScenarioCell, format_scenario
+    from repro.system.parallel import run_tasks
+
     segments = _scenario_segments(args)
     cells = [
         ScenarioCell(
@@ -617,6 +620,17 @@ def _cmd_campaign_scenario(args: argparse.Namespace,
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.store.export import open_export
+    from repro.store.jobs import grid_from_spec
+    from repro.system.campaign import (
+        campaign_report,
+        export_csv,
+        export_json,
+        run_campaign,
+        summarize_campaign,
+    )
+    from repro.viz import render_campaign_gains
+
     if args.seeds < 1 or args.frames < 1:
         print("error: --seeds and --frames must be >= 1", file=sys.stderr)
         return 2
@@ -690,6 +704,10 @@ def _add_e2e(subparsers: Any) -> None:
 
 
 def _cmd_e2e(args: argparse.Namespace) -> int:
+    from repro.channel.gilbert_elliott import coherence_params
+    from repro.system.sweep import format_e2e_table, run_e2e_table
+    from repro.viz import render_e2e_latency
+
     channel = coherence_params(args.fade_symbols, args.fade_fraction,
                                p_bad=args.p_bad, p_good=args.p_good)
     rows = run_e2e_table(
@@ -721,6 +739,15 @@ def _add_provision(subparsers: Any) -> None:
 
 
 def _cmd_provision(args: argparse.Namespace) -> int:
+    from repro.store.export import write_csv_rows
+    from repro.system.sweep import run_table1
+    from repro.system.throughput import (
+        PROVISION_CSV_FIELDS,
+        provision,
+        provision_csv_rows,
+        throughput_report,
+    )
+
     if args.target_gbit <= 0:
         print("error: target-gbit must be positive", file=sys.stderr)
         return 2
@@ -807,11 +834,13 @@ def _add_trace(subparsers: Any) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
     from repro.dram.engine import TraceReplaySource
     from repro.dram.kernel import KernelEngine
     from repro.dram.simulator import simulate_phase_result
     from repro.dram.trace import check_phase_commands, read_trace, write_trace
-    from repro.dram.controller import OP_READ, OP_WRITE
+    from repro.store.export import open_export
+    from repro.system.sweep import cell_mapping
 
     config = get_config(args.config)
     policy = ControllerConfig(refresh_enabled=not args.no_refresh,

@@ -40,9 +40,21 @@ Each entry point is compiled with the system C compiler at first use
 and cached under the user's temp directory (override with
 ``REPRO_KERNELC_CACHE``).  The segment loop's cache key is its source;
 the sampler's also covers ``numpy.__version__`` and a digest of the
-archive, so a NumPy upgrade rebuilds it.  A cache entry that exists but
-does not load is rebuilt once.  :func:`available` builds and loads
+archive, so a NumPy upgrade rebuilds it.  A shared object that exists
+but does not load is rebuilt once.  :func:`available` builds and loads
 both, so a process that calls it first never compiles later.
+
+Each entry point loads through cffi's out-of-line ABI mode.  Beside
+each shared object the cache holds a small Python *ffi module* that
+cffi generates from the entry point's C declarations
+(``FFI.set_source(name, None)`` and ``emit_python_code``); its name
+carries a digest of the declarations.  Loading runs that module and
+calls ``ffi.dlopen`` on the shared object, so no process parses C
+declarations once the cache is warm (cffi's parser, pycparser, is the
+larger part of a cold load).  A missing ffi module, or one that does
+not run (truncated, or written by a cffi this one rejects), is
+generated again, once, without rebuilding the shared object.  Only a
+build imports ``subprocess`` and looks up the compiler.
 
 When an entry point cannot be built — no compiler or ``cffi``, no
 archive for the sampler — or ``REPRO_KERNEL_NATIVE=0`` is set, its
@@ -64,10 +76,10 @@ first CAS of a phase).
 from __future__ import annotations
 
 import hashlib
+import io
 import os
-import subprocess
 import tempfile
-from shutil import which
+import threading
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy
@@ -747,6 +759,10 @@ int64_t sample_fade_decode(uint64_t *words, int64_t *chain, int64_t count,
 #: attempt, which is not retried in this process.
 _libraries: Dict[str, Optional[Tuple[Any, Any]]] = {}
 
+#: Held while an entry point is built and loaded, so a concurrent first
+#: caller waits for the result instead of taking the fallback.
+_lock = threading.Lock()
+
 #: What one entry point is built from: C source, cache key, and the
 #: extra compiler arguments (include flags, linker inputs).
 _Recipe = Tuple[str, bytes, Sequence[str]]
@@ -761,12 +777,21 @@ def _cache_path(stem: str, key: bytes) -> str:
     return os.path.join(root, f"{stem}-{digest}.so")
 
 
+def _ffi_path(so_path: str, cdef: str) -> str:
+    """Path of the ffi module beside ``so_path``, keyed by the declarations."""
+    digest = hashlib.sha256(cdef.encode("utf-8")).hexdigest()[:12]
+    return f"{so_path[:-len('.so')]}-ffi-{digest}.py"
+
+
 def _compile(so_path: str, source: str, extra: Sequence[str] = ()) -> bool:
     """Compile ``source`` to ``so_path``; ``False`` on any failure.
 
     ``extra`` follows the source file on the command line, so it can
     carry include flags as well as archives and libraries to link.
     """
+    import subprocess
+    from shutil import which
+
     compiler = which("cc") or which("gcc")
     if compiler is None:
         return False
@@ -795,22 +820,71 @@ def _compile(so_path: str, source: str, extra: Sequence[str] = ()) -> bool:
                 pass
 
 
-def _load(stem: str, cdef: str,
-          recipe: Callable[[], Optional[_Recipe]]) -> Optional[Tuple[Any, Any]]:
-    """Return ``(ffi, lib)`` for one entry point, or ``None``.
+def _run_ffi_module(path: str) -> Optional[Any]:
+    """The ``ffi`` object the ffi module at ``path`` defines, or ``None``.
 
-    Builds the shared object into the cache at first use.  A cache
-    entry that exists but does not load (truncated, or otherwise
-    corrupt) is rebuilt once and loaded again.  The result, failure
-    included, is kept for the process.
+    ``None`` when the module is missing or does not run: truncated, or
+    written by a cffi whose version this one rejects.
     """
-    if stem in _libraries:
-        return _libraries[stem]
-    _libraries[stem] = None
+    namespace: Dict[str, Any] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            exec(compile(fh.read(), path, "exec"), namespace)
+    except Exception:  # any defect of a cache file means: generate it again
+        return None
+    return namespace.get("ffi")
+
+
+def _write_ffi_module(path: str, stem: str, cdef: str) -> bool:
+    """Generate the ffi module of ``cdef`` at ``path``; ``False`` on failure.
+
+    The one place that parses C declarations (cffi's ``cdef``, through
+    pycparser).  The file is replaced atomically, so a concurrent
+    process reads either the old module or the new one.
+    """
+    try:
+        import cffi
+    except ImportError:  # pragma: no cover - cffi is in the toolchain
+        return False
+    ffi = cffi.FFI()
+    ffi.cdef(cdef)
+    ffi.set_source(f"repro_{stem}_ffi", None, compiler_verbose=False)
+    code = io.StringIO()
+    ffi.emit_python_code(code)
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            fh.write(code.getvalue())
+        os.replace(tmp_path, path)
+        return True
+    except OSError:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        return False
+
+
+def _dlopen(ffi: Any, so_path: str) -> Optional[Any]:
+    """``ffi.dlopen(so_path)``, or ``None`` if the object does not load."""
+    try:
+        return ffi.dlopen(so_path)
+    except OSError:
+        return None
+
+
+def _open(stem: str, cdef: str,
+          recipe: Callable[[], Optional[_Recipe]]) -> Optional[Tuple[Any, Any]]:
+    """Build what is missing of one entry point and load it; ``None`` on failure.
+
+    The shared object is compiled if it is not cached, and rebuilt once
+    if it is cached but does not load (truncated, or otherwise corrupt).
+    Its ffi module is generated if it is missing or does not run.
+    """
     if os.environ.get("REPRO_KERNEL_NATIVE", "1") == "0":
         return None
     try:
-        import cffi
+        import _cffi_backend  # noqa: F401  - cffi's runtime, no C parser
     except ImportError:  # pragma: no cover - cffi is in the toolchain
         return None
     built = recipe()
@@ -818,23 +892,34 @@ def _load(stem: str, cdef: str,
         return None
     source, key, extra = built
     so_path = _cache_path(stem, key)
-
-    def dlopen() -> Optional[Tuple[Any, Any]]:
-        try:
-            ffi = cffi.FFI()
-            ffi.cdef(cdef)
-            return ffi, ffi.dlopen(so_path)
-        except (OSError, cffi.error.FFIError, cffi.error.CDefError):
-            return None
-
     cached = os.path.exists(so_path)
     if not cached and not _compile(so_path, source, extra):
         return None
-    loaded = dlopen()
-    if loaded is None and cached and _compile(so_path, source, extra):
-        loaded = dlopen()
-    _libraries[stem] = loaded
-    return loaded
+    ffi_path = _ffi_path(so_path, cdef)
+    ffi = _run_ffi_module(ffi_path)
+    if ffi is None and _write_ffi_module(ffi_path, stem, cdef):
+        ffi = _run_ffi_module(ffi_path)
+    if ffi is None:
+        return None
+    lib = _dlopen(ffi, so_path)
+    if lib is None and cached and _compile(so_path, source, extra):
+        lib = _dlopen(ffi, so_path)
+    return None if lib is None else (ffi, lib)
+
+
+def _load(stem: str, cdef: str,
+          recipe: Callable[[], Optional[_Recipe]]) -> Optional[Tuple[Any, Any]]:
+    """Return ``(ffi, lib)`` for one entry point, or ``None``.
+
+    The first call builds and loads it (see :func:`_open`); the result,
+    failure included, is kept for the process.  Concurrent first calls
+    wait for that one result.
+    """
+    if stem not in _libraries:
+        with _lock:
+            if stem not in _libraries:
+                _libraries[stem] = _open(stem, cdef, recipe)
+    return _libraries[stem]
 
 
 def load() -> Optional[Tuple[Any, Any]]:

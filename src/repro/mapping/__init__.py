@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
-from repro.mapping.analysis import (
-    MappingProfile,
-    PatternMetrics,
-    analyze_pattern,
-    miss_clustering,
-    profile_mapping,
-)
-from repro.mapping.base import AddressTuple, InterleaverMapping
-from repro.mapping.optimized import OptimizedMapping
-from repro.mapping.row_major import RowMajorMapping
-from repro.mapping.tiling import TileGeometry, balanced_tile, row_strip_tile, tiles_covering
-from repro.mapping.validate import ValidationReport, assert_valid, validate_mapping
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.mapping.analysis import (
+        MappingProfile,
+        PatternMetrics,
+        analyze_pattern,
+        miss_clustering,
+        profile_mapping,
+    )
+    from repro.mapping.base import AddressTuple, InterleaverMapping
+    from repro.mapping.optimized import OptimizedMapping
+    from repro.mapping.row_major import RowMajorMapping
+    from repro.mapping.tiling import TileGeometry, balanced_tile, row_strip_tile, tiles_covering
+    from repro.mapping.validate import ValidationReport, assert_valid, validate_mapping
 
 __all__ = [
     "AddressTuple",
@@ -33,3 +38,16 @@ __all__ = [
     "tiles_covering",
     "validate_mapping",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.mapping.analysis": (
+        "MappingProfile", "PatternMetrics", "analyze_pattern",
+        "miss_clustering", "profile_mapping"),
+    "repro.mapping.base": ("AddressTuple", "InterleaverMapping"),
+    "repro.mapping.optimized": ("OptimizedMapping",),
+    "repro.mapping.row_major": ("RowMajorMapping",),
+    "repro.mapping.tiling": (
+        "TileGeometry", "balanced_tile", "row_strip_tile", "tiles_covering"),
+    "repro.mapping.validate": (
+        "ValidationReport", "assert_valid", "validate_mapping"),
+})

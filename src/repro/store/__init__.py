@@ -14,15 +14,24 @@ The package has four layers, bottom up:
 * :mod:`repro.store.jobs` / :mod:`repro.store.server` — the
   ``repro serve`` job engine: persistent, resumable, content-addressed
   campaign jobs over the store, behind a stdlib HTTP API.
+
+The names below are re-exported lazily (see :mod:`repro._lazy`): a
+batch command that writes through the store never loads the HTTP
+server.
 """
 
 from __future__ import annotations
 
-from repro.store.export import open_export, write_csv_rows, write_json_document
-from repro.store.jobs import DEFAULT_GRID_SPEC, JobEngine, JobRecord, grid_from_spec
-from repro.store.records import SCHEMA_VERSION, canonical_json, derive_key
-from repro.store.server import ReproServer, create_server
-from repro.store.store import ResultStore
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.store.export import open_export, write_csv_rows, write_json_document
+    from repro.store.jobs import DEFAULT_GRID_SPEC, JobEngine, JobRecord, grid_from_spec
+    from repro.store.records import SCHEMA_VERSION, canonical_json, derive_key
+    from repro.store.server import ReproServer, create_server
+    from repro.store.store import ResultStore
 
 __all__ = [
     "DEFAULT_GRID_SPEC",
@@ -39,3 +48,13 @@ __all__ = [
     "write_csv_rows",
     "write_json_document",
 ]
+
+__getattr__, __dir__ = attach(__name__, {
+    "repro.store.export": (
+        "open_export", "write_csv_rows", "write_json_document"),
+    "repro.store.jobs": (
+        "DEFAULT_GRID_SPEC", "JobEngine", "JobRecord", "grid_from_spec"),
+    "repro.store.records": ("SCHEMA_VERSION", "canonical_json", "derive_key"),
+    "repro.store.server": ("ReproServer", "create_server"),
+    "repro.store.store": ("ResultStore",),
+})

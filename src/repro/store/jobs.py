@@ -21,7 +21,6 @@ invocation, a crashed job or another client paid for them.
 from __future__ import annotations
 
 import threading
-import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -234,6 +233,8 @@ class JobEngine:
         try:
             self.run(record)
         except Exception as error:
+            import traceback  # only a failed job needs it
+
             traceback.print_exc()
             with self._lock:
                 self._errors[record.job_id] = (

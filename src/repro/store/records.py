@@ -46,14 +46,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 from functools import lru_cache, partial
 from operator import attrgetter
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Tuple,
@@ -68,21 +72,14 @@ from typing import (
 from repro.channel.codeword import CodewordConfig
 from repro.channel.gilbert_elliott import GilbertElliottParams
 from repro.dram.controller import ControllerConfig
-from repro.dram.mixed import MixedResult
 from repro.dram.policy import POLICY_FRFCFS_CAP, POLICY_OPEN_PAGE
-from repro.dram.stats import PhaseStats
 from repro.interleaver.two_stage import TwoStageConfig
-from repro.system.adaptive import (
-    AdaptiveCell,
-    AdaptiveResult,
-    RareEventCell,
-    RareEventResult,
-    ScenarioCell,
-    ScenarioResult,
-)
-from repro.system.campaign import CACHE_VERSION, CampaignCell, CellResult
-from repro.system.e2e import E2ECell, E2EResult
-from repro.system.parallel import MixedTask, PhaseTask
+from repro.system.campaign import CACHE_VERSION
+
+if TYPE_CHECKING:
+    from repro.system.adaptive import AdaptiveCell, RareEventCell, ScenarioCell
+    from repro.system.campaign import CampaignCell
+    from repro.system.parallel import PhaseTask
 
 #: JSON-friendly dictionary (config and payload shape).
 JSONDict = Dict[str, Any]
@@ -104,9 +101,11 @@ KIND_RARE_EVENT = "rare-event"
 KIND_SCENARIO = "scenario"
 KIND_JOB = "job"
 
-#: The cells of the four Monte Carlo estimators; see
-#: :func:`campaign_cell_config`.
-MonteCarloCell = Union[CampaignCell, AdaptiveCell, RareEventCell, ScenarioCell]
+if TYPE_CHECKING:
+    #: The cells of the four Monte Carlo estimators; see
+    #: :func:`campaign_cell_config`.
+    MonteCarloCell = Union[CampaignCell, AdaptiveCell, RareEventCell,
+                           ScenarioCell]
 
 
 def canonical_json(value: Any) -> str:
@@ -186,18 +185,18 @@ def policy_from_config(data: Optional[JSONDict]) -> Optional[ControllerConfig]:
 #: the channel/interleaver/code layout every cell kind shares.
 FLAT_TYPES = (GilbertElliottParams, TwoStageConfig, CodewordConfig)
 
-#: The fields that break the format rules, by ``(class, field)``: the
-#: key prefix of a flattened field, or ``None`` for a field the store
-#: does not keep.
-FIELD_EXCEPTIONS: Dict[Tuple[Type[Any], str], Optional[str]] = {
+#: The fields that break the format rules, by ``(class, field)`` with
+#: the class as its dotted name: the key prefix of a flattened field, or
+#: ``None`` for a field the store does not keep.
+FIELD_EXCEPTIONS: Dict[Tuple[str, str], Optional[str]] = {
     # the proposal chain's keys must not collide with the channel's
-    (RareEventCell, "proposal"): "q_",
+    ("repro.system.adaptive.RareEventCell", "proposal"): "q_",
     # an execution annotation, excluded from equality
-    (PhaseStats, "kernel_fallback"): None,
+    ("repro.dram.stats.PhaseStats", "kernel_fallback"): None,
     # recorded commands are a debugging artifact; see record_for
-    (MixedResult, "commands"): None,
+    ("repro.dram.mixed.MixedResult", "commands"): None,
     # a shared-memory handle, excluded from equality
-    (PhaseTask, "chunks"): None,
+    ("repro.system.parallel.PhaseTask", "chunks"): None,
 }
 
 #: Value converter pair: to JSON and back.
@@ -210,6 +209,11 @@ _Field = Tuple[str, str, Callable[[Any], Any], bool, Callable[[Any], Any],
                Any]
 
 _PRIMITIVES = (int, float, str, bool)
+
+
+def _dotted(cls: Type[Any]) -> str:
+    """The dotted name of a class: its module and qualified name."""
+    return f"{cls.__module__}.{cls.__qualname__}"
 
 
 def _as_is(value: Any) -> Any:
@@ -255,9 +259,10 @@ def _plan(cls: Type[Any], prefix: str) -> Tuple[_Field, ...]:
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"the store codec cannot represent {cls!r}")
     hints = get_type_hints(cls)
+    name = _dotted(cls)
     plan: List[_Field] = []
     for field in dataclasses.fields(cls):
-        rule = FIELD_EXCEPTIONS.get((cls, field.name), "")
+        rule = FIELD_EXCEPTIONS.get((name, field.name), "")
         if rule is None:
             continue
         hint = hints[field.name]
@@ -353,18 +358,64 @@ class Record(NamedTuple):
     result: Type[Any]
 
 
+class _RecordTable(Mapping[Type[Any], Record]):
+    """Task type -> its :class:`Record`, resolved one kind at a time.
+
+    The table names each task type and result type by its dotted name
+    and imports a result type's module only when a task of its kind is
+    first looked up.  A task's own module is loaded already, so a
+    ``table1``, ``e2e`` or ``campaign`` run never imports the adaptive
+    estimators.  Iterating resolves every kind.
+    """
+
+    def __init__(self, names: Dict[str, Tuple[str, Callable[[Any], JSONDict],
+                                              str]]) -> None:
+        self._names = names
+        self._resolved: Dict[Type[Any], Record] = {}
+
+    def __getitem__(self, task_type: Type[Any]) -> Record:
+        record = self._resolved.get(task_type)
+        if record is None:
+            kind, config, result = self._names[_dotted(task_type)]
+            record = self._resolved[task_type] = Record(kind, config,
+                                                        _resolve(result))
+        return record
+
+    def __iter__(self) -> Iterator[Type[Any]]:
+        return (_resolve(name) for name in self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def _resolve(dotted: str) -> Any:
+    """The object a dotted name names, importing its module."""
+    module, _, name = dotted.rpartition(".")
+    return getattr(importlib.import_module(module), name)
+
+
 #: Task type -> its :class:`Record`: the one place the store learns
 #: what a task is.
-RECORDS: Dict[Type[Any], Record] = {
-    PhaseTask: Record(KIND_PHASE, phase_task_config, PhaseStats),
-    MixedTask: Record(KIND_MIXED, encode, MixedResult),
-    E2ECell: Record(KIND_E2E, encode, E2EResult),
-    CampaignCell: Record(KIND_CAMPAIGN, campaign_cell_config, CellResult),
-    AdaptiveCell: Record(KIND_ADAPTIVE, campaign_cell_config, AdaptiveResult),
-    RareEventCell: Record(KIND_RARE_EVENT, campaign_cell_config,
-                          RareEventResult),
-    ScenarioCell: Record(KIND_SCENARIO, campaign_cell_config, ScenarioResult),
-}
+RECORDS: Mapping[Type[Any], Record] = _RecordTable({
+    "repro.system.parallel.PhaseTask": (
+        KIND_PHASE, phase_task_config, "repro.dram.stats.PhaseStats"),
+    "repro.system.parallel.MixedTask": (
+        KIND_MIXED, encode, "repro.dram.mixed.MixedResult"),
+    "repro.system.e2e.E2ECell": (
+        KIND_E2E, encode, "repro.system.e2e.E2EResult"),
+    "repro.system.campaign.CampaignCell": (
+        KIND_CAMPAIGN, campaign_cell_config,
+        "repro.system.campaign.CellResult"),
+    "repro.system.adaptive.AdaptiveCell": (
+        KIND_ADAPTIVE, campaign_cell_config,
+        "repro.system.adaptive.AdaptiveResult"),
+    "repro.system.adaptive.RareEventCell": (
+        KIND_RARE_EVENT, campaign_cell_config,
+        "repro.system.adaptive.RareEventResult"),
+    "repro.system.adaptive.ScenarioCell": (
+        KIND_SCENARIO, campaign_cell_config,
+        "repro.system.adaptive.ScenarioResult"),
+})
 
 
 def record_for(task: Any) -> Optional[Record]:
@@ -378,7 +429,8 @@ def record_for(task: Any) -> Optional[Record]:
     Raises:
         KeyError: for a task type :data:`RECORDS` does not list.
     """
-    if (isinstance(task, MixedTask) and task.policy is not None
+    record = RECORDS[type(task)]
+    if (record.kind == KIND_MIXED and task.policy is not None
             and task.policy.record_commands):
         return None
-    return RECORDS[type(task)]
+    return record

@@ -34,8 +34,6 @@ generation for a pre-materialized zero-copy
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -238,13 +236,16 @@ class MixedTask:
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalize a ``--jobs``-style argument to a worker count.
 
-    ``None`` or ``1`` mean serial; ``0`` and negative values mean "all
-    cores" (the make/pytest-xdist convention); anything else is taken
-    literally.
+    ``None`` or ``1`` mean serial; ``0`` and negative values mean one
+    worker per CPU this process may use (its scheduler affinity where
+    the platform reports one, else every core; the make/pytest-xdist
+    convention); anything else is taken literally.
     """
     if jobs is None:
         return 1
     if jobs <= 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return jobs
 
@@ -287,6 +288,11 @@ def run_tasks(
 
     workers = min(resolve_jobs(jobs), len(pending))
     if workers > 1:
+        # Imported only to start a pool: a serial run never loads
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 ordered = pool.map(execute_task,

@@ -7,8 +7,8 @@ them directly.
 
 Sweeps decompose into independent ``(config, mapping, phase)`` work
 items executed by :mod:`repro.system.parallel` — pass ``jobs`` to fan
-a grid out over worker processes (``0`` = all cores); the default stays
-serial and produces identical results.
+a grid out over worker processes (``0`` = every usable CPU); the
+default stays serial and produces identical results.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def run_table1(
         config_names: subset of Table I configurations to run.
         policy: controller policy overrides applied to every cell.
         jobs: worker processes for the grid (``None``/``1`` serial,
-            ``0`` = all cores).
+            ``0`` = every usable CPU).
         store: optional shared result store — cells persisted by any
             prior sweep (including ``energy``) are reused, the rest
             are written back for later runs.
@@ -343,7 +343,8 @@ def run_mixed_table(
         group: same-direction block length of the interleaved stream
             (larger groups amortize the turnaround penalty).
         policy: controller policy overrides applied to every cell.
-        jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
+        jobs: worker processes (``None``/``1`` serial, ``0`` = every
+            usable CPU).
         store: optional shared result store (hits skip simulation).
 
     Raises:
@@ -443,7 +444,8 @@ def run_energy_table(
         n: triangular interleaver dimension.
         config_names: subset of Table I configurations.
         policy: controller policy overrides applied to every cell.
-        jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
+        jobs: worker processes (``None``/``1`` serial, ``0`` = every
+            usable CPU).
         store: optional shared result store — each cell is keyed as its
             two *phase* records, so an ``energy`` run reuses the exact
             entries a prior ``table1`` run at the same ``n`` persisted
@@ -617,7 +619,8 @@ def run_e2e_table(
         t_correctable: decoder correction radius.
         seed: channel RNG seed shared by every cell.
         policy: controller policy overrides applied to every cell.
-        jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
+        jobs: worker processes (``None``/``1`` serial, ``0`` = every
+            usable CPU).
         store: optional shared result store (hits skip co-simulation).
 
     Returns:
@@ -729,7 +732,8 @@ def run_policy_table(
         policy: base controller policy the per-cell discipline is
             grafted onto (``None`` = defaults; its ``cap`` applies to
             the FR-FCFS-cap cells).
-        jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
+        jobs: worker processes (``None``/``1`` serial, ``0`` = every
+            usable CPU).
         store: optional shared result store — the open-page cells key
             identically to plain Table I phases at the same ``n``, so a
             prior ``table1`` run pre-warms this sweep's default column.
@@ -806,7 +810,8 @@ def sweep_sizes(
         config_name: DRAM configuration to sweep on.
         sizes: triangular interleaver dimensions to sample.
         policy: controller policy overrides applied to every sample.
-        jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
+        jobs: worker processes (``None``/``1`` serial, ``0`` = every
+            usable CPU).
 
     Returns:
         One point per (size, mapping) sample, sizes outermost.
@@ -869,7 +874,8 @@ def sweep_ablation(
             :data:`ABLATION_POLICY` (deep queues would mask the very
             effects the ablation measures — pass an explicit
             ``ControllerConfig()`` to get them anyway).
-        jobs: worker processes (``None``/``1`` serial, ``0`` = all cores).
+        jobs: worker processes (``None``/``1`` serial, ``0`` = every
+            usable CPU).
 
     Raises:
         KeyError: on an unknown variant, or before any cell runs, on an

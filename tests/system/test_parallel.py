@@ -1,5 +1,6 @@
 """Parallel sweep engine: task execution, fan-out, serial equivalence."""
 
+import concurrent.futures
 import os
 from dataclasses import dataclass, field
 
@@ -88,10 +89,19 @@ class TestResolveJobs:
         assert resolve_jobs(None) == 1
 
     def test_zero_means_all_cores(self):
-        import os
+        usable = (len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        assert resolve_jobs(0) == usable
+        assert resolve_jobs(-1) == usable
 
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
-        assert resolve_jobs(-1) == (os.cpu_count() or 1)
+    def test_zero_counts_only_the_cpus_this_process_may_use(self,
+                                                            monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no scheduler affinity on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(0) == 1
+        assert resolve_jobs(-1) == 1
 
     def test_explicit(self):
         assert resolve_jobs(3) == 3
@@ -138,7 +148,8 @@ class TestRunner:
         def no_pool(*args, **kwargs):
             raise OSError("no processes here")
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", no_pool)
+        # run_tasks imports the executor class when it starts a pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         tasks = [PhaseTask(config_name="DDR3-800", mapping="row-major",
                            op=op, n=12)
                  for op in (OP_WRITE, OP_READ)]

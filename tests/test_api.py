@@ -35,11 +35,12 @@ class TestSurface:
             assert hasattr(mapping, name), name
 
     def test_import_loads_neither_cffi_nor_numpy_random(self):
-        """The native backend and the channel's generators load at first use."""
-        probe = ("import sys, numpy; before = set(sys.modules); import repro; "
+        """``import repro`` loads no NumPy and no cffi: the package
+        re-exports lazily, so NumPy, the native backend and the
+        channel's generators load at first use."""
+        probe = ("import sys; before = set(sys.modules); import repro; "
                  "print(sorted(m for m in set(sys.modules) - before "
-                 "if m.split('.')[0] == 'cffi' "
-                 "or m.startswith('numpy.random')))")
+                 "if m.split('.')[0] in ('cffi', '_cffi_backend', 'numpy')))")
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 
@@ -90,6 +91,26 @@ class TestErrorBoundary:
                             name.id for name in names)
         assert caught.pop("main") == {"KeyError", "ValueError"}
         assert set().union(*caught.values()) == {"OSError", "KeyboardInterrupt"}
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the command quietly."""
+
+    def test_reader_closing_after_one_line_leaves_no_traceback(self):
+        # ~470 KB of panels: far more than a pipe holds, so the command
+        # is still writing when the reader goes away.
+        env = dict(os.environ, PYTHONPATH=SRC)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fig1", "--size", "128",
+             "--config", "DDR4-3200"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert "Traceback" not in stderr
+        assert stderr == ""
 
 
 class TestConfigs:
@@ -206,7 +227,7 @@ class TestKernelFallbackIdentity:
             assert main(argv) == 0
             expected.append(capsys.readouterr().out)
         monkeypatch.setenv("REPRO_KERNELC_CACHE", str(tmp_path))
-        monkeypatch.setattr(_kernelc, "which", lambda name: None)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
         monkeypatch.setattr(_kernelc, "_libraries", {})
         for argv, out in zip(commands, expected):
             assert main(argv) == 0
