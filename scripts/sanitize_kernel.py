@@ -3,8 +3,10 @@
 Compiles :data:`repro.dram._kernelc.SOURCE` with ``-O1 -g
 -fsanitize=address,undefined -fno-sanitize-recover=all`` into the
 loader's own cache slot under a fresh ``REPRO_KERNELC_CACHE``, then runs
-the kernel's differential and fuzz batteries with the compiler's
-``libasan.so`` and ``libubsan.so`` preloaded.  The first out-of-bounds
+the kernel's differential and fuzz batteries, the edge cases of its
+parked-bank mask and ready-head window, and the batch-intake tests
+(segment exits at batch boundaries) with the compiler's ``libasan.so``
+and ``libubsan.so`` preloaded.  The first out-of-bounds
 access or undefined operation in the loop aborts the run, and the
 report, which names its C line, goes to a log file this script prints,
 so pytest's output capture cannot swallow it.
@@ -35,7 +37,9 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 TESTS = ("tests/dram/test_kernel_differential.py",
-         "tests/dram/test_engine_fuzz.py")
+         "tests/dram/test_engine_fuzz.py",
+         "tests/dram/test_kernel_structures.py",
+         "tests/dram/test_controller_intake.py")
 FLAGS = ("-O1", "-g", "-fsanitize=address,undefined",
          "-fno-sanitize-recover=all", "-shared", "-fPIC")
 RUNTIMES = ("libasan.so", "libubsan.so")

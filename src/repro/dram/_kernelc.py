@@ -10,12 +10,16 @@ loaded through ``cffi``:
   admission copies each request into its bank's ring, whose capacity is
   the power of two at or above the most requests a bank can hold
   (``per_bank_depth``, or ``queue_depth`` if smaller), so ring slots
-  are found with a mask.  The CAS arbiter walks the ready bank heads
-  oldest-first, as the general engine does, from an array kept in head
-  sequence order.  The loop returns to Python only when admission reaches
-  the end of a batch with room left in the window, when the phase is
-  done (after a last, empty batch flagged as the end of the stream),
-  when the command-record buffer needs growing, or on deadlock.  Refresh
+  are found with a mask.  A deferred activation parks in its bank's
+  slot, and one 64-bit mask word names the parked banks, so a commit
+  visits them in bank order, as the general engine sorts its batch, and
+  a pass with nothing due skips the stage at once.  The CAS arbiter
+  walks the ready bank heads oldest-first, as the general engine does,
+  from a window of one-word keys kept in head sequence order.  The loop
+  returns to Python only when admission reaches the end of a batch with
+  room left in the window, when the phase is done (after a last, empty
+  batch flagged as the end of the stream), when the command-record
+  buffer needs growing, or on deadlock.  Refresh
   events are a port of the general engine's refresh block: the loop
   takes the :class:`~repro.dram.refresh.RefreshScheduler`'s next
   deadline and round-robin bank in, hands them back advanced, and counts
@@ -88,13 +92,15 @@ import numpy
 #: ``S_*`` enum in :data:`SOURCE`).  ``S_DEADLINE`` and ``S_REF_BANK``
 #: carry the refresh state in and out; ``S_REFRESHES`` counts the
 #: events the loop applied.  ``S_POS`` is the next request of the
-#: current batch to admit.
+#: current batch to admit.  ``S_READY_START`` and ``S_READY_COUNT``
+#: place the ready-head window in its buffer, and ``S_PARKED`` is the
+#: mask of banks with a deferred activation (bit b for bank b).
 (S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
  S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
  S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
- S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_REFRESHES,
- S_REF_BANK) = range(23)
-N_SCALARS = 23
+ S_READY_START, S_READY_COUNT, S_PARKED, S_FRESH_COUNT, S_REC_COUNT,
+ S_REFRESHES, S_REF_BANK) = range(24)
+N_SCALARS = 24
 
 #: Config-slot indices shared with the C side (``C_*`` enum).
 #: ``C_BATCH`` is the current batch's request count and ``C_LAST`` flags
@@ -122,11 +128,10 @@ CDEF = """
 int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t *banks, const int64_t *rows, const int64_t *cols,
     int64_t *ring, int64_t *head, int64_t *adm, int64_t *bstate,
-    int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
-    int64_t *pre_allowed, int64_t *act_allowed,
-    const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *ready, int64_t *rec,
-    int64_t *cas_time);
+    int64_t *open_row, int64_t *cas_allowed, int64_t *pre_allowed,
+    int64_t *act_allowed, const int64_t *bg_of, int64_t *last_cas_bg,
+    int64_t *faw_ring, int64_t *fresh, int64_t *heap, int64_t *ready,
+    int64_t *rec, int64_t *cas_time);
 """
 
 SOURCE = r"""
@@ -138,8 +143,8 @@ SOURCE = r"""
 enum { S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
   S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
   S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
-  S_READY_COUNT, S_HEAP_SIZE, S_FRESH_COUNT, S_REC_COUNT, S_REFRESHES,
-  S_REF_BANK };
+  S_READY_START, S_READY_COUNT, S_PARKED, S_FRESH_COUNT, S_REC_COUNT,
+  S_REFRESHES, S_REF_BANK };
 
 enum { C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
   C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
@@ -170,51 +175,70 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
  * ever overwritten. */
 #define Q_AT(b, k) (ring + ((b) * ring_cap + ((k) & ring_mask)) * 3)
 
-/* Deferred-activation entries, 5 int64 columns per slot (same fields
- * as the general engine's heap tuples).  The store is an unsorted
- * array: entries carry distinct banks, so (act_ready, bank) is a total
- * order and min-extraction visits entries in exactly the order the
- * general engine's binary heap pops them. */
-#define H_T(i)   heap[(i) * 5 + 0]
-#define H_B(i)   heap[(i) * 5 + 1]
-#define H_P(i)   heap[(i) * 5 + 2]
-#define H_E(i)   heap[(i) * 5 + 3]
-#define H_R(i)   heap[(i) * 5 + 4]
+/* Deferred activations, one slot of 4 int64 columns per bank: the
+ * general engine's heap tuple (act_ready, bank, t_pre, is_empty, row)
+ * without the bank, which the slot implies.  Bit b of the `parked` mask
+ * is set while bank b's slot holds an entry, and `min_ready` is the
+ * least act_ready among the parked banks.  A bank parks at most once
+ * before it commits, so (act_ready, bank) orders the entries totally:
+ * the set bits in ascending order are the general engine's bank-sorted
+ * commit batch, and the first strict minimum over them is its heap
+ * root. */
+#define H_T(b)   heap[(b) * 4 + 0]
+#define H_P(b)   heap[(b) * 4 + 1]
+#define H_E(b)   heap[(b) * 4 + 2]
+#define H_R(b)   heap[(b) * 4 + 3]
 
-/* Ready heads, 2 int64 columns per entry: bank, sequence number of its
- * queue head.  A bank is ready while its head is a row hit on its open
- * row.  Entries stay in sequence order, as the general engine's
- * ready_order does, so the CAS walk visits the heads oldest-first. */
-#define R_B(k)   ready[(k) * 2 + 0]
-#define R_S(k)   ready[(k) * 2 + 1]
+/* Ready heads, one int64 key per entry: the sequence number of the
+ * bank's queue head shifted left 7 bits, or'd with the bank.  A bank is
+ * ready while its head is a row hit on its open row.  Sequence numbers
+ * are distinct, so key order is head order: the keys stay sorted, as
+ * the general engine's ready_order does, and the CAS walk visits the
+ * heads oldest-first.  The keys fill the window [start, start + count)
+ * of a buffer of cap = 8 * n_banks words; a bank is ready at most once,
+ * so count <= n_banks. */
+#define KEY(seq, b)    ((seq) << 7 | (b))
+#define KEY_BANK(key)  ((key) & 127)
 
-/* Insert bank b, whose head has sequence number seq, into the first
- * count entries. */
-static inline void ready_insert(int64_t *ready, int64_t count, int64_t b,
-                                int64_t seq) {
-    int64_t k = count;
-    for (; k > 0 && R_S(k - 1) > seq; k--) {
-        R_B(k) = R_B(k - 1); R_S(k) = R_S(k - 1);
+/* Insert key into the window.  An insert that would run past the end
+ * of the buffer first moves the window back to offset 0. */
+static inline void ready_insert(int64_t *ready, int64_t *start,
+                                int64_t *count, int64_t cap, int64_t key) {
+    int64_t s = *start, n = *count;
+    if (s + n == cap) {
+        for (int64_t k = 0; k < n; k++) ready[k] = ready[s + k];
+        *start = s = 0;
     }
-    R_B(k) = b; R_S(k) = seq;
+    int64_t *w = ready + s;
+    int64_t k = n;
+    for (; k > 0 && w[k - 1] > key; k--) w[k] = w[k - 1];
+    w[k] = key;
+    *count = n + 1;
 }
 
-/* Drop entry k of the first count entries. */
-static inline void ready_remove(int64_t *ready, int64_t count, int64_t k) {
-    for (; k + 1 < count; k++) {
-        R_B(k) = R_B(k + 1); R_S(k) = R_S(k + 1);
+/* Drop window entry k, shifting whichever side of it is shorter: the
+ * entries before it move up one and the window starts one later, or
+ * the entries after it move down one.  A front entry only advances the
+ * start. */
+static inline void ready_remove(int64_t *ready, int64_t *start,
+                                int64_t *count, int64_t k) {
+    int64_t *w = ready + *start;
+    int64_t n = *count;
+    if (k < n - 1 - k) {
+        for (; k > 0; k--) w[k] = w[k - 1];
+        (*start)++;
+    } else {
+        for (; k + 1 < n; k++) w[k] = w[k + 1];
     }
+    *count = n - 1;
 }
 
-/* Entry k's head advanced to the later sequence number seq: move it
- * back past every entry that is now older. */
-static inline void ready_advance(int64_t *ready, int64_t count, int64_t k,
-                                 int64_t seq) {
-    int64_t b = R_B(k);
-    for (; k + 1 < count && R_S(k + 1) < seq; k++) {
-        R_B(k) = R_B(k + 1); R_S(k) = R_S(k + 1);
-    }
-    R_B(k) = b; R_S(k) = seq;
+/* Entry k of the count-entry window w advanced to the later key: move
+ * it back past every entry that is now older. */
+static inline void ready_advance(int64_t *w, int64_t count, int64_t k,
+                                 int64_t key) {
+    for (; k + 1 < count && w[k + 1] < key; k++) w[k] = w[k + 1];
+    w[k] = key;
 }
 
 /* Append one command record: time, kind, bank, row, column, request. */
@@ -226,7 +250,7 @@ static inline void ready_advance(int64_t *ready, int64_t count, int64_t k,
 
 /* Evaluate a newly pending bank's queue head once: a row hit goes
  * ready, otherwise its row cycle (empty bank, or a precharge first) is
- * parked in the deferred-activation store with its fixed
+ * parked in the bank's deferred-activation slot with its fixed
  * activation-ready time. */
 #define EVAL_HEAD(bank) do {                                         \
         int64_t e_ = (bank);                                         \
@@ -235,7 +259,8 @@ static inline void ready_advance(int64_t *ready, int64_t count, int64_t k,
         int64_t open_ = open_row[e_];                                \
         if (open_ == row_) {                                         \
             bstate[e_] = 2; hits++;                                  \
-            ready_insert(ready, ready_count++, e_, q_[0]);           \
+            ready_insert(ready, &ready_start, &ready_count,          \
+                         ready_cap, KEY(q_[0], e_));                 \
         } else {                                                     \
             int64_t t_pre_ = -1, ready_ = act_allowed[e_];           \
             if (open_ >= 0) {                                        \
@@ -243,20 +268,20 @@ static inline void ready_advance(int64_t *ready, int64_t count, int64_t k,
                 if (quant) t_pre_ = quantize(t_pre_, tck);           \
                 ready_ = t_pre_ + trp;                               \
             }                                                        \
-            H_T(heap_size) = ready_; H_B(heap_size) = e_;            \
-            H_P(heap_size) = t_pre_; H_E(heap_size) = open_ < 0;     \
-            H_R(heap_size) = row_; heap_size++;                      \
+            H_T(e_) = ready_; H_P(e_) = t_pre_;                      \
+            H_E(e_) = open_ < 0; H_R(e_) = row_;                     \
+            parked |= (uint64_t)1 << e_;                             \
+            if (ready_ < min_ready) min_ready = ready_;              \
         }                                                            \
     } while (0)
 
 int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t *banks, const int64_t *rows, const int64_t *cols,
     int64_t *ring, int64_t *head, int64_t *adm, int64_t *bstate,
-    int64_t *open_row, int64_t *act_time, int64_t *cas_allowed,
-    int64_t *pre_allowed, int64_t *act_allowed,
-    const int64_t *bg_of, int64_t *last_cas_bg, int64_t *faw_ring,
-    int64_t *fresh, int64_t *heap, int64_t *ready, int64_t *rec,
-    int64_t *cas_time)
+    int64_t *open_row, int64_t *cas_allowed, int64_t *pre_allowed,
+    int64_t *act_allowed, const int64_t *bg_of, int64_t *last_cas_bg,
+    int64_t *faw_ring, int64_t *fresh, int64_t *heap, int64_t *ready,
+    int64_t *rec, int64_t *cas_time)
 {
     const int64_t n_banks = cfg[C_N_BANKS];
     const int64_t tck = cfg[C_TCK];
@@ -286,6 +311,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t ref_all_bank = cfg[C_REF_ALL_BANK];
     const int64_t ring_cap = cfg[C_RING];
     const int64_t ring_mask = ring_cap - 1;
+    const int64_t ready_cap = 8 * n_banks;
 
     int64_t last_cas = sc[S_LAST_CAS];
     int64_t last_act = sc[S_LAST_ACT];
@@ -304,14 +330,19 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t rescan_all = sc[S_RESCAN_ALL];
     const int64_t have_deadline = sc[S_HAVE_DEADLINE];
     int64_t deadline = sc[S_DEADLINE];
+    int64_t ready_start = sc[S_READY_START];
     int64_t ready_count = sc[S_READY_COUNT];
-    int64_t heap_size = sc[S_HEAP_SIZE];
+    uint64_t parked = (uint64_t)sc[S_PARKED];
     int64_t fresh_count = sc[S_FRESH_COUNT];
     int64_t rec_count = sc[S_REC_COUNT];
     int64_t refreshes = sc[S_REFRESHES];
     int64_t ref_bank = sc[S_REF_BANK];
 
-    int64_t commit_idx[64];
+    int64_t min_ready = FAR_FUTURE;
+    for (uint64_t m = parked; m; m &= m - 1) {
+        int64_t t = H_T(__builtin_ctzll(m));
+        if (t < min_ready) min_ready = t;
+    }
     int64_t exit_reason = EXIT_DONE;
 
     for (;;) {
@@ -365,12 +396,11 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                 act_allowed[b] = ref_time + ref_duration;
             }
             {   /* The refreshed banks are closed: drop their heads. */
-                int64_t w = 0;
-                for (int64_t k = 0; k < ready_count; k++) {
-                    if (bstate[R_B(k)] != 2) continue;
-                    R_B(w) = R_B(k); R_S(w) = R_S(k); w++;
-                }
-                ready_count = w;
+                int64_t *w = ready + ready_start;
+                int64_t kept = 0;
+                for (int64_t k = 0; k < ready_count; k++)
+                    if (bstate[KEY_BANK(w[k])] == 2) w[kept++] = w[k];
+                ready_count = kept;
             }
             rescan_all = 1;
             refreshes++;
@@ -386,97 +416,80 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         if (rescan_all) {
             rescan_all = 0;
             fresh_count = 0;
-            heap_size = 0;
+            parked = 0;
+            min_ready = FAR_FUTURE;
             for (int64_t b = 0; b < n_banks; b++)
                 if (bstate[b] == 1) EVAL_HEAD(b);
         } else if (fresh_count) {
             /* The general engine visits fresh banks in sorted order,
              * but eval touches no shared timeline state, so per-bank
-             * outcomes are order-independent; heap extraction is by
-             * (act_ready, bank), not insertion order. */
+             * outcomes are order-independent, and a parked bank's slot
+             * does not depend on when it was filled. */
             for (int64_t i = 0; i < fresh_count; i++) EVAL_HEAD(fresh[i]);
             fresh_count = 0;
         }
 
-        /* ---- deferred-activation commits --------------------------- */
-        if (heap_size) {
-            int64_t n_commit = 0;
-            for (int64_t i = 0; i < heap_size; i++)
-                if (H_T(i) <= bus_free) commit_idx[n_commit++] = i;
-            if (!n_commit && !ready_count) {
-                /* Forced single commit: the earliest (act_ready, bank)
-                 * entry, exactly the heap's root. */
-                int64_t mi = 0;
-                for (int64_t i = 1; i < heap_size; i++)
-                    if (H_T(i) < H_T(mi) ||
-                        (H_T(i) == H_T(mi) && H_B(i) < H_B(mi))) mi = i;
-                commit_idx[n_commit++] = mi;
+        /* ---- deferred-activation commits: every parked bank the bus
+         * frontier has reached, in bank order; with none due and no
+         * head ready, the earliest (act_ready, bank) entry alone.  With
+         * none due and a head ready the stage costs one comparison. -- */
+        if (parked && (min_ready <= bus_free || !ready_count)) {
+            uint64_t due = 0;
+            int64_t rest_min = FAR_FUTURE;  /* over the entries left */
+            if (min_ready <= bus_free) {
+                for (uint64_t m = parked; m; m &= m - 1) {
+                    int64_t b = __builtin_ctzll(m);
+                    if (H_T(b) <= bus_free) due |= (uint64_t)1 << b;
+                    else if (H_T(b) < rest_min) rest_min = H_T(b);
+                }
+            } else {
+                int64_t first = 0, least = FAR_FUTURE;
+                for (uint64_t m = parked; m; m &= m - 1) {
+                    int64_t b = __builtin_ctzll(m);
+                    int64_t t = H_T(b);
+                    if (t < least) {
+                        rest_min = least; least = t; first = b;
+                    } else if (t < rest_min) {
+                        rest_min = t;
+                    }
+                }
+                due = (uint64_t)1 << first;
             }
-            if (n_commit) {
-                /* Group commits happen in bank order (the engine sorts
-                 * its batch by bank). */
-                for (int64_t i = 1; i < n_commit; i++) {
-                    int64_t ci = commit_idx[i];
-                    int64_t j = i - 1;
-                    while (j >= 0 && H_B(commit_idx[j]) > H_B(ci)) {
-                        commit_idx[j + 1] = commit_idx[j]; j--;
-                    }
-                    commit_idx[j + 1] = ci;
+            parked &= ~due;
+            min_ready = rest_min;
+            for (; due; due &= due - 1) {
+                int64_t b = __builtin_ctzll(due);
+                int64_t row = H_R(b);
+                if (H_E(b)) {
+                    empties++;
+                } else {
+                    misses++; pres++;
+                    if (do_record) RECORD(H_P(b), REC_PRE, b, -1, -1, -1);
                 }
-                for (int64_t i = 0; i < n_commit; i++) {
-                    int64_t ci = commit_idx[i];
-                    int64_t act_ready = H_T(ci);
-                    int64_t b = H_B(ci);
-                    int64_t t_pre = H_P(ci);
-                    int64_t is_empty = H_E(ci);
-                    int64_t row = H_R(ci);
-                    if (is_empty) {
-                        empties++;
-                    } else {
-                        misses++; pres++;
-                        if (do_record) RECORD(t_pre, REC_PRE, b, -1, -1, -1);
-                    }
-                    int64_t bg = bg_of[b];
-                    int64_t t_act = act_ready;
-                    if (last_act != FAR_PAST) {
-                        int64_t spacing = (bg == last_act_bg) ? trrd_l
-                                                              : trrd_s;
-                        int64_t t = last_act + spacing;
-                        if (t > t_act) t_act = t;
-                    }
-                    {
-                        int64_t t = faw_ring[faw_idx] + tfaw;
-                        if (t > t_act) t_act = t;
-                    }
-                    if (quant) t_act = quantize(t_act, tck);
-                    faw_ring[faw_idx] = t_act;
-                    faw_idx = (faw_idx + 1) & 3;
-                    last_act = t_act;
-                    last_act_bg = bg;
-                    acts++;
-                    if (do_record) RECORD(t_act, REC_ACT, b, row, -1, -1);
-                    open_row[b] = row;
-                    act_time[b] = t_act;
-                    cas_allowed[b] = t_act + trcd;
-                    pre_allowed[b] = t_act + tras;
-                    bstate[b] = 2;
-                    ready_insert(ready, ready_count++, b,
-                                 Q_AT(b, head[b])[0]);
+                int64_t bg = bg_of[b];
+                int64_t t_act = H_T(b);
+                if (last_act != FAR_PAST) {
+                    int64_t spacing = (bg == last_act_bg) ? trrd_l : trrd_s;
+                    int64_t t = last_act + spacing;
+                    if (t > t_act) t_act = t;
                 }
-                /* Compact the committed entries out of the store. */
-                int64_t w = 0;
-                for (int64_t i = 0; i < heap_size; i++) {
-                    int64_t committed = 0;
-                    for (int64_t j = 0; j < n_commit; j++)
-                        if (commit_idx[j] == i) { committed = 1; break; }
-                    if (committed) continue;
-                    if (w != i) {
-                        H_T(w) = H_T(i); H_B(w) = H_B(i); H_P(w) = H_P(i);
-                        H_E(w) = H_E(i); H_R(w) = H_R(i);
-                    }
-                    w++;
+                {
+                    int64_t t = faw_ring[faw_idx] + tfaw;
+                    if (t > t_act) t_act = t;
                 }
-                heap_size = w;
+                if (quant) t_act = quantize(t_act, tck);
+                faw_ring[faw_idx] = t_act;
+                faw_idx = (faw_idx + 1) & 3;
+                last_act = t_act;
+                last_act_bg = bg;
+                acts++;
+                if (do_record) RECORD(t_act, REC_ACT, b, row, -1, -1);
+                open_row[b] = row;
+                cas_allowed[b] = t_act + trcd;
+                pre_allowed[b] = t_act + tras;
+                bstate[b] = 2;
+                ready_insert(ready, &ready_start, &ready_count, ready_cap,
+                             KEY(Q_AT(b, head[b])[0], b));
             }
         }
 
@@ -491,11 +504,12 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             if (t > bound) bound = t;
         }
         if (quant) bound = quantize(bound, tck);
+        const int64_t *win = ready + ready_start;
         int64_t k = 0;
         int64_t chosen_i = -1;
         int64_t best_pb = FAR_FUTURE;
         for (; k < ready_count; k++) {
-            int64_t b = R_B(k);
+            int64_t b = KEY_BANK(win[k]);
             int64_t pb = cas_allowed[b];
             int64_t t = last_cas_bg[bg_of[b]] + tccd_l;
             if (t > pb) pb = t;
@@ -512,7 +526,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         } else {
             exit_reason = EXIT_DEADLOCK; break;
         }
-        const int64_t chosen = R_B(chosen_i);
+        const int64_t chosen = KEY_BANK(win[chosen_i]);
 
         /* ---- pop and timeline update ------------------------------- */
         int64_t *p = Q_AT(chosen, head[chosen]);
@@ -521,14 +535,14 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         queued--;
         if (adm[chosen] == head[chosen]) {
             bstate[chosen] = 0;
-            ready_remove(ready, ready_count--, chosen_i);
+            ready_remove(ready, &ready_start, &ready_count, chosen_i);
         } else if (Q_AT(chosen, head[chosen])[1] == open_row[chosen]) {
             hits++;
-            ready_advance(ready, ready_count, chosen_i,
-                          Q_AT(chosen, head[chosen])[0]);
+            ready_advance(ready + ready_start, ready_count, chosen_i,
+                          KEY(Q_AT(chosen, head[chosen])[0], chosen));
         } else {
             bstate[chosen] = 1;
-            ready_remove(ready, ready_count--, chosen_i);
+            ready_remove(ready, &ready_start, &ready_count, chosen_i);
             fresh[fresh_count++] = chosen;
         }
         last_cas = t_cas;
@@ -561,8 +575,9 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     sc[S_ACTS] = acts;
     sc[S_PRES] = pres;
     sc[S_RESCAN_ALL] = rescan_all;
+    sc[S_READY_START] = ready_start;
     sc[S_READY_COUNT] = ready_count;
-    sc[S_HEAP_SIZE] = heap_size;
+    sc[S_PARKED] = (int64_t)parked;
     sc[S_FRESH_COUNT] = fresh_count;
     sc[S_REC_COUNT] = rec_count;
     sc[S_DEADLINE] = deadline;

@@ -21,16 +21,16 @@ phases while producing **bit-identical** schedules:
   timestamp/queue tables and never builds a Python tuple per request,
   and no phase is ever held in memory whole;
 * **timestamp table** — per-bank next-ready timestamps
-  (``cas_allowed``/``pre_allowed``/``act_allowed``/``act_time``) live
-  in flat int64 arrays that every run builds cold: every bank
-  precharged, every window open, as the general engine starts;
+  (``cas_allowed``/``pre_allowed``/``act_allowed``) live in flat int64
+  arrays that every run builds cold: every bank precharged, every
+  window open, as the general engine starts;
 * **oldest-first arbitration** — the ready heads (banks whose queue
-  head is a row hit on the open row) live in a small array of
-  ``(bank, head sequence number)`` entries kept in sequence order, the
-  compiled twin of ``ready_order``.  Each CAS walks it oldest-first and
-  stops at the first head whose earliest slot reaches the global bound
-  (``max(last_cas + tCCD_S, bus_free - latency)``, quantized), which
-  issues at the bound; if none does, the head with the strictly
+  head is a row hit on the open row) live in a small window of one-word
+  keys, ``head sequence number << 7 | bank``, kept in sequence order:
+  the compiled twin of ``ready_order``.  Each CAS walks it oldest-first
+  and stops at the first head whose earliest slot reaches the global
+  bound (``max(last_cas + tCCD_S, bus_free - latency)``, quantized),
+  which issues at the bound; if none does, the head with the strictly
   earliest slot (ties to the oldest) issues at its own slot.  This is
   the general engine's loop, and it reads only ready heads, not every
   bank;
@@ -42,22 +42,24 @@ phases while producing **bit-identical** schedules:
   interval and round-robin bank.
 
 Eager row management is byte-for-byte the general engine's: misses and
-empties park in the same deferred-activation structure with fixed
-``(act_ready, bank, t_pre, is_empty, row)`` entries, commit in bank
-order once the bus frontier reaches them, and charge tRRD_S/L and the
-tFAW ring identically.  Refresh, intake windowing (``queue_depth`` /
-``per_bank_depth``) and command recording are likewise ports, so
-``PhaseStats``, ``EnergyTally``, ``command_counts`` and recorded
-command lists all match the general engine exactly — proven by the
-differential batteries in ``tests/dram/test_kernel_differential.py``
-across random scenarios and the full Table I grid.
+empties park with the same fixed ``(act_ready, bank, t_pre, is_empty,
+row)`` entries, one slot per bank, and a 64-bit mask word names the
+parked banks.  They commit in bank order once the bus frontier reaches
+them, and charge tRRD_S/L and the tFAW ring identically.  Refresh,
+intake windowing (``queue_depth`` / ``per_bank_depth``) and command
+recording are likewise ports, so ``PhaseStats``, ``EnergyTally``,
+``command_counts`` and recorded command lists all match the general
+engine exactly — proven by the differential batteries in
+``tests/dram/test_kernel_differential.py`` across random scenarios and
+the full Table I grid.
 
 **Fallback.**  :meth:`KernelEngine.run` delegates a phase to a fresh
 general engine — bit-identical by construction — whenever the
 compiled loop cannot run it:
 
 * no C toolchain or ``cffi`` (or ``REPRO_KERNEL_NATIVE=0``);
-* more banks than the compiled loop's commit buffer holds (64);
+* more banks than the compiled loop's parked-bank mask word has bits
+  (64);
 * the closed-page and FR-FCFS-cap disciplines, whose auto-close
   mechanism invalidates the kernel's precomputed row-hit table.
 
@@ -107,7 +109,8 @@ _FAR_PAST = -(10**15)
 #: mechanism invalidates its precomputed row-hit table.
 _FALLBACK_DISCIPLINES = frozenset({POLICY_CLOSED_PAGE, POLICY_FRFCFS_CAP})
 
-#: Bank-count limit of the compiled loop (its per-step commit buffer).
+#: Bank-count limit of the compiled loop (one bit per bank in its
+#: parked-bank mask word).
 _NATIVE_MAX_BANKS = 64
 
 #: The scalar slots :func:`~repro.dram.engine.build_result` reads its
@@ -224,7 +227,6 @@ class KernelEngine:
         bstate = np.zeros(n_banks, dtype=np.int64)
         # Every bank precharged (open row -1), every window open.
         open_arr = np.full(n_banks, -1, dtype=np.int64)
-        act_time = np.full(n_banks, _FAR_PAST, dtype=np.int64)
         cas_allowed = np.zeros(n_banks, dtype=np.int64)
         pre_allowed = np.zeros(n_banks, dtype=np.int64)
         act_allowed = np.zeros(n_banks, dtype=np.int64)
@@ -232,8 +234,8 @@ class KernelEngine:
         last_cas_bg = np.full(bank_groups, _FAR_PAST, dtype=np.int64)
         faw_ring = np.full(4, _FAR_PAST, dtype=np.int64)
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
-        heap = np.zeros((n_banks + 2) * 5, dtype=np.int64)
-        ready = np.zeros(2 * n_banks, dtype=np.int64)
+        heap = np.zeros(n_banks * 4, dtype=np.int64)
+        ready = np.zeros(8 * n_banks, dtype=np.int64)
         rec = np.zeros(4096 * 6 if record else 6, dtype=np.int64)
         cas_col = np.zeros(1, dtype=np.int64)
 
@@ -280,8 +282,8 @@ class KernelEngine:
         empty = np.empty(0, dtype=np.int64)
         args = [ffi.from_buffer("int64_t[]", a) for a in (
             cfg, sc, empty, empty, empty, ring, head, adm, bstate, open_arr,
-            act_time, cas_allowed, pre_allowed, act_allowed, bg_of,
-            last_cas_bg, faw_ring, fresh, heap, ready, rec, cas_col)]
+            cas_allowed, pre_allowed, act_allowed, bg_of, last_cas_bg,
+            faw_ring, fresh, heap, ready, rec, cas_col)]
 
         batches = source.batches()
         stream_length = 0

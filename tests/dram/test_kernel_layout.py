@@ -72,3 +72,13 @@ def test_slot_counts_match_the_c_enums():
     enums = _c_enums()
     assert _kernelc.N_SCALARS == len(enums[0])
     assert _kernelc.N_CFG == len(enums[1])
+
+
+def test_window_and_mask_slots_are_pinned():
+    """The ready window's start and count and the parked-bank mask each
+    have a slot; the deferred-activation store's size slot is gone."""
+    names = [name for name, _ in _c_enums()[0]]
+    for name in ("S_READY_START", "S_READY_COUNT", "S_PARKED"):
+        assert getattr(_kernelc, name) == names.index(name)
+    assert "S_HEAP_SIZE" not in names
+    assert not hasattr(_kernelc, "S_HEAP_SIZE")
