@@ -23,13 +23,9 @@ import pytest
 
 from oracles.scheduler import reference_run_phase
 from repro.dram import _kernelc
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource, SchedulingEngine
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import steady_state_interleaver
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -70,15 +66,15 @@ def _chunks(mapping, op):
 def _engine_grid():
     return [
         SchedulingEngine(config, ControllerConfig())
-        .run(as_workload(_chunks(mapping, op)), op).stats
+        .run(ChunkSource(_chunks(mapping, op)), op).stats
         for config, mapping, op in _phase_grid()
     ]
 
 
 def _kernel_grid():
     return [
-        MemoryController(config, ControllerConfig())
-        .run_phase(_chunks(mapping, op), op).stats
+        KernelEngine(config, ControllerConfig())
+        .run(ChunkSource(_chunks(mapping, op)), op).stats
         for config, mapping, op in _phase_grid()
     ]
 
@@ -140,7 +136,7 @@ def test_engine_vs_seed_scheduler_speedup(benchmark):
 def test_kernel_vs_engine_speedup(benchmark):
     """Wall-clock of every Table I phase, batch-advance kernel vs engine.
 
-    The kernel (the controller's scheduler) must be bit-identical to
+    The kernel (the scheduler's front door) must be bit-identical to
     the general engine (a ``SchedulingEngine`` run directly) on the
     full grid and — with
     the compiled backend available — at least

@@ -13,13 +13,14 @@ import pytest
 from oracles.energy import energy_from_commands_reference
 from repro.dram.controller import OP_READ, ControllerConfig
 from repro.dram.energy import (
+    combine_interleaver_reports,
     command_arrays,
     energy_from_commands,
+    energy_from_stats,
     energy_from_tally,
-    interleaver_energy,
 )
 from repro.dram.presets import get_config
-from repro.dram.simulator import simulate_interleaver, simulate_phase_result
+from repro.dram.simulator import simulate_interleaver, simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
@@ -43,7 +44,9 @@ def test_energy_per_bit(benchmark, config_name, bench_triangle_n):
         for mapping in (RowMajorMapping(space, config.geometry),
                         OptimizedMapping(space, config.geometry, prefer_tall=False)):
             result = simulate_interleaver(config, mapping)
-            out[mapping.name] = interleaver_energy(config, result.write, result.read)
+            out[mapping.name] = combine_interleaver_reports(
+                energy_from_stats(config, result.write),
+                energy_from_stats(config, result.read))
         return out
 
     energies = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -78,8 +81,8 @@ def test_energy_recount_vectorized_speedup(benchmark):
     config = get_config("DDR4-3200")
     space = TriangularIndexSpace(128)
     mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
-    result = simulate_phase_result(config, mapping, OP_READ,
-                                   ControllerConfig(record_commands=True))
+    result = simulate_phase(config, mapping, OP_READ,
+                            ControllerConfig(record_commands=True))
     commands = result.commands
     arrays = command_arrays(commands)
 

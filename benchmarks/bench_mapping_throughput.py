@@ -7,7 +7,9 @@ visible in CI history.
 
 import pytest
 
-from repro.dram.controller import OP_WRITE, ControllerConfig, MemoryController
+from repro.dram.controller import OP_WRITE, ControllerConfig
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.presets import get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.block import TriangularInterleaver
@@ -58,7 +60,7 @@ class TestControllerThroughput:
         mapping = OptimizedMapping(space, ddr4.geometry)
 
         def run():
-            return simulate_phase(ddr4, mapping, OP_WRITE)
+            return simulate_phase(ddr4, mapping, OP_WRITE).stats
 
         stats = benchmark(run)
         benchmark.extra_info["requests"] = stats.requests
@@ -67,8 +69,8 @@ class TestControllerThroughput:
         requests = [(i % 16, 0, (i // 16) % 128) for i in range(10_000)]
 
         def run():
-            controller = MemoryController(ddr4, ControllerConfig(refresh_enabled=False))
-            return controller.run_phase(list(requests), OP_WRITE)
+            engine = KernelEngine(ddr4, ControllerConfig(refresh_enabled=False))
+            return engine.run(TupleSource(list(requests)), OP_WRITE)
 
         result = benchmark(run)
         assert result.stats.requests == 10_000

@@ -11,7 +11,9 @@ import time
 
 import pytest
 
-from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -64,7 +66,7 @@ def test_table1_cell(benchmark, config_name, mapping_name, op, bench_triangle_n)
         args=(config, mapping, op),
         rounds=1,
         iterations=1,
-    )
+    ).stats
 
     paper_write, paper_read = PAPER_TABLE1[(config_name, mapping_name)]
     benchmark.extra_info["utilization_pct"] = round(stats.utilization * 100, 2)
@@ -78,7 +80,7 @@ def _tuple_cells(n):
     """Every Table I utilization through per-element tuple streams.
 
     The reference intake: scalar ``write_addresses`` /
-    ``read_addresses`` tuples into the controller, in the cell order
+    ``read_addresses`` tuples into the scheduler, in the cell order
     of ``Table1Row.cells()`` row by row.
     """
     cells = []
@@ -90,7 +92,8 @@ def _tuple_cells(n):
             for op in (OP_WRITE, OP_READ):
                 stream = (mapping.write_addresses() if op == OP_WRITE
                           else mapping.read_addresses())
-                stats = MemoryController(config).run_phase(stream, op).stats
+                stats = KernelEngine(config, ControllerConfig()).run(
+                    TupleSource(stream), op).stats
                 cells.append(stats.utilization)
     return cells
 
@@ -104,7 +107,7 @@ def test_table1_pipeline_speedup(benchmark):
     """Wall-clock of the full Table I grid at n=512, three ways.
 
     Compares the per-element tuple reference path against the vectorized
-    address pipeline (columnar chunks into the controller's bulk intake,
+    address pipeline (columnar chunks into the scheduler's bulk intake,
     what ``run_table1`` runs) and, when the host has more than one core,
     the process-parallel sweep engine on top.  The wall-clocks and
     speedups land in ``extra_info``; results must be identical across

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
         coherence_params,
     )
     from repro.dram.address import DramAddress
-    from repro.dram.controller import ControllerConfig, MemoryController
+    from repro.dram.controller import ControllerConfig
     from repro.dram.geometry import Geometry
     from repro.dram.presets import (
         TABLE1_CONFIG_NAMES,
@@ -88,7 +88,6 @@ __all__ = [
     "GilbertElliottParams",
     "InterleaverMapping",
     "InterleaverSimResult",
-    "MemoryController",
     "OpticalDownlink",
     "OptimizedMapping",
     "PhaseStats",
@@ -124,7 +123,7 @@ __getattr__, __dir__ = attach(__name__, {
     "repro.channel.gilbert_elliott": (
         "GilbertElliottChannel", "GilbertElliottParams", "coherence_params"),
     "repro.dram.address": ("DramAddress",),
-    "repro.dram.controller": ("ControllerConfig", "MemoryController"),
+    "repro.dram.controller": ("ControllerConfig",),
     "repro.dram.geometry": ("Geometry",),
     "repro.dram.presets": (
         "DramConfig", "TABLE1_CONFIG_NAMES", "all_configs", "get_config"),

@@ -837,7 +837,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
     from repro.dram.engine import TraceReplaySource
     from repro.dram.kernel import KernelEngine
-    from repro.dram.simulator import simulate_phase_result
+    from repro.dram.simulator import simulate_phase
     from repro.dram.trace import check_phase_commands, read_trace, write_trace
     from repro.store.export import open_export
     from repro.system.sweep import cell_mapping
@@ -873,7 +873,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     op = OP_WRITE if args.phase == "write" else OP_READ
     mapping = cell_mapping(config.name, args.mapping, args.n)
-    result = simulate_phase_result(config, mapping, op, policy)
+    result = simulate_phase(config, mapping, op, policy)
     violations = check_phase_commands(config, result.commands)
     print(f"{config.name} {mapping.name} {args.phase}: "
           f"{result.stats.requests} requests, "

@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.dram.presets.DramConfig` and
   :func:`~repro.dram.presets.get_config` /
   :func:`~repro.dram.presets.all_configs` — the ten Table I devices;
-* :class:`~repro.dram.controller.MemoryController` /
+* :class:`~repro.dram.kernel.KernelEngine` /
   :class:`~repro.dram.controller.ControllerConfig` — the scheduler;
 * :func:`~repro.dram.simulator.simulate_interleaver` — one-call
   write+read phase simulation;
@@ -31,17 +31,9 @@ if TYPE_CHECKING:
         energy_from_commands,
         energy_from_tally,
         energy_params_for,
-        interleaver_energy,
-        phase_energy,
         refresh_command_energy_pj,
     )
-    from repro.dram.controller import (
-        OP_READ,
-        OP_WRITE,
-        ControllerConfig,
-        MemoryController,
-        PhaseResult,
-    )
+    from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
     from repro.dram.engine import (
         ChunkSource,
         EngineResult,
@@ -50,7 +42,6 @@ if TYPE_CHECKING:
         TraceReplaySource,
         TupleSource,
         WorkloadSource,
-        as_workload,
     )
     from repro.dram.geometry import Geometry
     from repro.dram.presets import (
@@ -73,7 +64,6 @@ if TYPE_CHECKING:
         InterleaverSimResult,
         simulate_interleaver,
         simulate_phase,
-        simulate_phase_result,
     )
     from repro.dram.stats import EnergyTally, PhaseStats, min_phase_utilization
     from repro.dram.timing import TimingParams, from_datasheet
@@ -92,12 +82,10 @@ __all__ = [
     "Geometry",
     "InterleaverSimResult",
     "LinearDecoder",
-    "MemoryController",
     "MixedResult",
     "MixedSource",
     "OP_READ",
     "OP_WRITE",
-    "PhaseResult",
     "SchedulingEngine",
     "TraceReplaySource",
     "TupleSource",
@@ -114,7 +102,6 @@ __all__ = [
     "TraceChecker",
     "Violation",
     "all_configs",
-    "as_workload",
     "check_phase_commands",
     "combine_interleaver_reports",
     "command_arrays",
@@ -123,17 +110,14 @@ __all__ = [
     "energy_params_for",
     "refresh_command_energy_pj",
     "interleaved_stream",
-    "interleaver_energy",
     "from_datasheet",
     "get_config",
     "min_phase_utilization",
-    "phase_energy",
     "simulate_interleaver",
     "read_trace",
     "run_mixed_phase",
     "steady_state_interleaver",
     "simulate_phase",
-    "simulate_phase_result",
     "write_trace",
 ]
 
@@ -143,14 +127,11 @@ __getattr__, __dir__ = attach(__name__, {
     "repro.dram.energy": (
         "EnergyParams", "EnergyReport", "combine_interleaver_reports",
         "command_arrays", "energy_from_commands", "energy_from_tally",
-        "energy_params_for", "interleaver_energy", "phase_energy",
-        "refresh_command_energy_pj"),
-    "repro.dram.controller": (
-        "OP_READ", "OP_WRITE", "ControllerConfig", "MemoryController",
-        "PhaseResult"),
+        "energy_params_for", "refresh_command_energy_pj"),
+    "repro.dram.controller": ("OP_READ", "OP_WRITE", "ControllerConfig"),
     "repro.dram.engine": (
         "ChunkSource", "EngineResult", "MixedSource", "SchedulingEngine",
-        "TraceReplaySource", "TupleSource", "WorkloadSource", "as_workload"),
+        "TraceReplaySource", "TupleSource", "WorkloadSource"),
     "repro.dram.geometry": ("Geometry",),
     "repro.dram.presets": (
         "REFRESH_ALL_BANK", "REFRESH_PER_BANK", "TABLE1_CONFIG_NAMES",
@@ -160,8 +141,7 @@ __getattr__, __dir__ = attach(__name__, {
         "run_mixed_phase", "steady_state_interleaver"),
     "repro.dram.refresh": ("RefreshEvent", "RefreshScheduler"),
     "repro.dram.simulator": (
-        "InterleaverSimResult", "simulate_interleaver", "simulate_phase",
-        "simulate_phase_result"),
+        "InterleaverSimResult", "simulate_interleaver", "simulate_phase"),
     "repro.dram.stats": ("EnergyTally", "PhaseStats", "min_phase_utilization"),
     "repro.dram.timing": ("TimingParams", "from_datasheet"),
     "repro.dram.trace": (

@@ -37,8 +37,10 @@ class ScheduledCommand:
         bank: flat bank index (``-1`` for all-bank refresh).
         row: row address (``-1`` when not applicable).
         column: burst-granular column address (``-1`` when not applicable).
-        request_id: index of the originating request in the access
-            sequence (``-1`` for refresh and other autonomous commands).
+        request_id: issue index of a RD/WR command: the number of CAS
+            commands the phase issued before it.  Not the request's
+            position in the stream, which the scheduler reorders across
+            banks (``-1`` for ACT, PRE and refresh).
     """
 
     time_ps: int

@@ -244,30 +244,6 @@ def _build_report(config: DramConfig, params: EnergyParams, act_pre: int,
     )
 
 
-def phase_energy(config: DramConfig, stats: PhaseStats, op: str = "RD",
-                 params: Optional[EnergyParams] = None) -> EnergyReport:
-    """Energy of one phase from its statistics.
-
-    Args:
-        config: the simulated configuration (for burst size).
-        stats: phase statistics from the controller.
-        op: ``"RD"`` or ``"WR"`` — selects the burst energy.
-        params: override the preset energy parameters.
-    """
-    if op not in ("RD", "WR"):
-        raise ValueError(f"op must be 'RD' or 'WR', got {op!r}")
-    params = params or energy_params_for(config)
-    is_read = op == "RD"
-    return _build_report(
-        config, params,
-        act_pre=stats.activates,
-        rd=stats.requests if is_read else 0,
-        wr=0 if is_read else stats.requests,
-        ref=stats.refreshes,
-        makespan_ps=stats.makespan_ps,
-    )
-
-
 def energy_from_tally(config: DramConfig, tally: EnergyTally,
                       params: Optional[EnergyParams] = None) -> EnergyReport:
     """Energy of one phase from the engine's integer command tallies.
@@ -409,13 +385,4 @@ def combine_interleaver_reports(write: EnergyReport,
         background_nj=write.background_nj + read.background_nj,
         payload_bytes=write.payload_bytes,
         makespan_ps=write.makespan_ps + read.makespan_ps,
-    )
-
-
-def interleaver_energy(config: DramConfig, write: PhaseStats, read: PhaseStats,
-                       params: Optional[EnergyParams] = None) -> EnergyReport:
-    """Combined write+read energy of one interleaver frame."""
-    return combine_interleaver_reports(
-        phase_energy(config, write, "WR", params),
-        phase_energy(config, read, "RD", params),
     )

@@ -1,16 +1,17 @@
 """Unified DRAM scheduling engine: one core for every workload shape.
 
-Before this module existed the repository carried **two** copies of the
-scheduler: ``MemoryController.run_phase`` (homogeneous all-read or
-all-write phases) and ``repro.dram.mixed.run_mixed_phase`` (a fork with
-the tRTW/tWTR direction-turnaround rules bolted on).  Both now run
-through the single engine here (homogeneous phases through its compiled
-twin, :mod:`repro.dram.kernel`), which layers as
+Homogeneous all-read or all-write phases, mixed read/write traffic
+(:func:`repro.dram.mixed.run_mixed_phase`, with the tRTW/tWTR
+direction-turnaround rules) and trace replay all run through the single
+engine here.  Callers enter through
+:class:`~repro.dram.kernel.KernelEngine`, which runs homogeneous phases
+in this engine's compiled twin and hands everything else to this
+engine.  The engine layers as
 
-* **intake** — a :class:`WorkloadSource` normalizes any request-stream
-  shape into columnar batches: per-element tuples, the PR 1 columnar
-  address chunks, mixed read/write streams, and replayed command traces
-  all become sources;
+* **intake** — a :class:`WorkloadSource` turns one request-stream shape
+  into columnar batches, and the caller names the shape by picking the
+  source: per-element tuples, columnar address chunks, mixed
+  read/write streams and replayed command traces each have one;
 * **per-bank state** — array-backed per-bank queues (no per-request
   tuple or deque node is ever allocated: each bank owns flat
   ``rows``/``columns``/``sequence`` columns and a head/admitted cursor
@@ -34,9 +35,10 @@ twin, :mod:`repro.dram.kernel`), which layers as
   :class:`~repro.dram.stats.PhaseStats` and, on request, the full
   :class:`~repro.dram.commands.ScheduledCommand` list.
 
-The engine is proven bit-identical to both pre-refactor schedulers
-(kept as the test-only oracle ``tests/oracles/scheduler.py``) by the
-differential batteries in ``tests/dram/test_engine_differential.py``,
+The engine is proven bit-identical to the frozen scalar homogeneous
+and mixed schedulers (the test-only oracle
+``tests/oracles/scheduler.py``) by the differential batteries in
+``tests/dram/test_engine_differential.py``,
 and is measurably faster on the Table I phase workload (pinned by
 ``benchmarks/bench_controller.py``).
 """
@@ -47,7 +49,7 @@ import abc
 import bisect
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from typing import (TYPE_CHECKING, Any, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -214,7 +216,7 @@ class TraceReplaySource(WorkloadSource):
     """Replays a recorded command trace as a (mixed) request stream.
 
     Takes any iterable of :class:`~repro.dram.commands.ScheduledCommand`
-    (e.g. from ``PhaseResult.commands`` or
+    (e.g. from ``EngineResult.commands`` or
     :func:`repro.dram.trace.read_trace`), keeps the data-moving RD/WR
     commands in issue-time order and presents them as requests — so a
     recorded schedule can be *re-scheduled* under a different
@@ -279,27 +281,6 @@ class _PartitionedSource(WorkloadSource):
                 remapped = banks % half + np.where(reads, half, 0)
             yield remapped, rows, cols, dirs_col
             count += len(banks)
-
-
-def as_workload(requests: Any) -> WorkloadSource:
-    """Normalize ``run_phase``-style input into a :class:`WorkloadSource`.
-
-    Accepts a ready-made source (returned unchanged), an iterable of
-    ``(bank, row, column)`` tuples, or an iterable of columnar
-    ``(banks, rows, columns)`` chunks — the same shape sniffing the
-    pre-engine controller performed (the first element's bank column
-    either is a scalar or has a length).
-    """
-    if isinstance(requests, WorkloadSource):
-        return requests
-    raw = iter(requests)
-    first = next(raw, None)
-    if first is None:
-        return ChunkSource(())
-    rest = chain((first,), raw)
-    if hasattr(first[0], "__len__"):
-        return ChunkSource(rest)
-    return TupleSource(rest)
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,10 @@ Those delegations set
 ``PhaseStats.kernel_fallback``.  **Mixed
 sources** (per-request directions, turnaround rules) delegate too,
 unflagged: the turnaround rule set only exists in the general engine.
-Every library route — the controller, the co-simulation, mixed traffic
-and trace replay — enters through :class:`KernelEngine`, so this is the
-only module that builds a general engine.
+Every library route — :func:`~repro.dram.simulator.simulate_phase`,
+the co-simulation, mixed traffic and trace replay — enters through
+:class:`KernelEngine`, so this is the only module that builds a general
+engine.
 
 Both engines share one intake contract: batches are validated as they
 arrive, so an invalid request deep in a stream raises (same exception,

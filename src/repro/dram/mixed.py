@@ -12,9 +12,9 @@ tWTR between write data and a read command).
 phase through the scheduler front door,
 :class:`~repro.dram.kernel.KernelEngine`, which hands it to a fresh
 :class:`~repro.dram.engine.SchedulingEngine` — the same per-bank
-queues, eager row management and age-fair CAS arbiter as the
-homogeneous :meth:`~repro.dram.controller.MemoryController.run_phase`,
-with the engine's direction-turnaround rule set active;
+queues, eager row management and age-fair CAS arbiter as a
+homogeneous phase, with the engine's direction-turnaround rule set
+active;
 :func:`steady_state_interleaver` builds the canonical 1:1 write/read
 interleaving of two frames and reports the utilization split.  The
 result quantifies how much turnaround a fine-grained single-device
@@ -76,10 +76,9 @@ def run_mixed_phase(
 ) -> MixedResult:
     """Schedule a mixed read/write request stream.
 
-    Same engine as
-    :meth:`repro.dram.controller.MemoryController.run_phase` (per-bank
-    queues, eager row management, age-fair CAS arbiter) plus the
-    direction-turnaround rules:
+    Same engine as a homogeneous phase (per-bank queues, eager row
+    management, age-fair CAS arbiter) plus the direction-turnaround
+    rules:
 
     * read -> write: ``WR`` command at least ``tRTW`` after the ``RD``;
     * write -> read: ``RD`` command at least ``tWTR_S``/``tWTR_L``
@@ -89,7 +88,7 @@ def run_mixed_phase(
     turnaround rule set has no kernel fast path.
     """
     # Imported on first use, keeping the kernel module out of the
-    # package's import time (as in the controller).
+    # package's import time.
     from repro.dram.kernel import KernelEngine
 
     policy = policy or ControllerConfig()

@@ -1,8 +1,8 @@
 """High-level simulation entry points.
 
 Glues together an interleaver index space, an address mapping and the
-memory controller, and returns the per-phase bandwidth utilizations
-that the paper's Table I reports.
+scheduler, and returns the per-phase bandwidth utilizations that the
+paper's Table I reports.
 """
 
 from __future__ import annotations
@@ -10,13 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-    PhaseResult,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource, EngineResult
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats, min_phase_utilization
 from repro.mapping.base import InterleaverMapping
@@ -63,15 +58,22 @@ def simulate_phase(
     mapping: InterleaverMapping,
     op: str,
     policy: Optional[ControllerConfig] = None,
-) -> PhaseStats:
+) -> EngineResult:
     """Simulate a single write or read phase.
 
     The mapping's columnar address chunks
     (:meth:`~repro.mapping.base.InterleaverMapping.write_addresses_array`
     or :meth:`~repro.mapping.base.InterleaverMapping.read_addresses_array`)
-    feed the controller.  A mapping without a NumPy kernel still works,
-    through the base class's per-element
+    feed the scheduler's front door,
+    :class:`~repro.dram.kernel.KernelEngine`, as a
+    :class:`~repro.dram.engine.ChunkSource`.  A mapping without a NumPy
+    kernel still works, through the base class's per-element
     :meth:`~repro.mapping.base.InterleaverMapping.address_arrays`.
+
+    With ``policy.record_commands`` set the result carries every
+    scheduled command, ready for the independent JEDEC replay checker
+    (:mod:`repro.dram.trace`) — the integration tests replay one
+    recorded run per Table I (config, mapping) pair.
 
     Args:
         config: DRAM configuration to simulate.
@@ -81,29 +83,18 @@ def simulate_phase(
             command type and the traversal order (writes are row-wise,
             reads column-wise).
         policy: controller policy overrides.
+
+    Raises:
+        ValueError: on any other ``op``.
     """
-    return simulate_phase_result(config, mapping, op, policy).stats
+    # Imported on first use, keeping the kernel module out of the
+    # package's import time.
+    from repro.dram.kernel import KernelEngine
 
-
-def simulate_phase_result(
-    config: DramConfig,
-    mapping: InterleaverMapping,
-    op: str,
-    policy: Optional[ControllerConfig] = None,
-) -> PhaseResult:
-    """Like :func:`simulate_phase`, returning the full :class:`PhaseResult`.
-
-    With ``policy.record_commands`` set the result carries every
-    scheduled command, ready for the independent JEDEC replay checker
-    (:mod:`repro.dram.trace`) — the integration tests replay one
-    recorded run per Table I (config, mapping) pair.
-    """
-    controller = MemoryController(config, policy)
-    if op not in (OP_WRITE, OP_READ):
-        raise ValueError(f"op must be {OP_WRITE!r} or {OP_READ!r}, got {op!r}")
     addresses = (mapping.write_addresses_array() if op == OP_WRITE
                  else mapping.read_addresses_array())
-    return controller.run_phase(addresses, op)
+    return KernelEngine(config, policy or ControllerConfig()).run(
+        ChunkSource(addresses), op)
 
 
 def simulate_interleaver(
@@ -115,6 +106,6 @@ def simulate_interleaver(
     return InterleaverSimResult(
         config_name=config.name,
         mapping_name=mapping.name,
-        write=simulate_phase(config, mapping, OP_WRITE, policy),
-        read=simulate_phase(config, mapping, OP_READ, policy),
+        write=simulate_phase(config, mapping, OP_WRITE, policy).stats,
+        read=simulate_phase(config, mapping, OP_READ, policy).stats,
     )

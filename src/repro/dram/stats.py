@@ -48,16 +48,6 @@ class EnergyTally:
     ref: int = 0
     makespan_ps: int = 0
 
-    def merge(self, other: "EnergyTally") -> "EnergyTally":
-        """Combine two phases as if run back to back."""
-        return EnergyTally(
-            act_pre=self.act_pre + other.act_pre,
-            rd=self.rd + other.rd,
-            wr=self.wr + other.wr,
-            ref=self.ref + other.ref,
-            makespan_ps=self.makespan_ps + other.makespan_ps,
-        )
-
 
 @dataclass
 class PhaseStats:
@@ -119,34 +109,6 @@ class PhaseStats:
         if self.requests == 0:
             return 0.0
         return self.page_misses / self.requests
-
-    def merge(self, other: "PhaseStats") -> "PhaseStats":
-        """Combine two phases as if run back to back (for reporting)."""
-        merged = PhaseStats(
-            requests=self.requests + other.requests,
-            page_hits=self.page_hits + other.page_hits,
-            page_misses=self.page_misses + other.page_misses,
-            page_empties=self.page_empties + other.page_empties,
-            activates=self.activates + other.activates,
-            precharges=self.precharges + other.precharges,
-            refreshes=self.refreshes + other.refreshes,
-            data_time_ps=self.data_time_ps + other.data_time_ps,
-            makespan_ps=self.makespan_ps + other.makespan_ps,
-        )
-        if self.energy_tally is not None and other.energy_tally is not None:
-            merged.energy_tally = self.energy_tally.merge(other.energy_tally)
-        for counts in (self.command_counts, other.command_counts):
-            for name, count in counts.items():
-                merged.command_counts[name] = merged.command_counts.get(name, 0) + count
-        return merged
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"{self.requests} requests, util={self.utilization:.2%}, "
-            f"hits={self.page_hits}, misses={self.page_misses}, "
-            f"empties={self.page_empties}, refreshes={self.refreshes}"
-        )
 
 
 def min_phase_utilization(write: PhaseStats, read: PhaseStats) -> float:

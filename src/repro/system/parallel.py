@@ -21,7 +21,7 @@ last finished cell.  The pool is an optimization, never a requirement:
 ``jobs=1``, a single pending task and a pool that cannot start all run
 serially with identical results.
 
-Every phase schedules through the controller's default arbiter, the
+Every phase schedules through the scheduler's one front door, the
 batch-advance kernel (:mod:`repro.dram.kernel`), which falls back to
 the general engine by itself where it has no compiled path; which one
 ran is an execution detail and never part of a store key.
@@ -47,12 +47,8 @@ from typing import (
     cast,
 )
 
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource
 from repro.dram.mixed import MixedResult, steady_state_interleaver
 from repro.dram.presets import DramConfig, get_config
 from repro.dram.simulator import simulate_phase
@@ -127,7 +123,8 @@ class PhaseTask:
         """Simulate the phase to completion.
 
         A chunk-bearing task (see :func:`share_phase_chunks`) feeds its
-        shared payload straight into the controller; a declarative one
+        shared payload straight into
+        :class:`~repro.dram.kernel.KernelEngine`; a declarative one
         rebuilds the mapping and simulates through
         :func:`~repro.dram.simulator.simulate_phase`.  Both paths are
         bit-identical.
@@ -137,13 +134,17 @@ class PhaseTask:
                 registry key.
         """
         if self.chunks is not None:
-            controller = MemoryController(get_config(self.config_name),
-                                          self.policy)
-            stats = controller.run_phase(self.chunks.chunks(), self.op).stats
+            # Imported on first use, keeping the kernel module out of
+            # the package's import time.
+            from repro.dram.kernel import KernelEngine
+
+            engine = KernelEngine(get_config(self.config_name),
+                                  self.policy or ControllerConfig())
+            stats = engine.run(ChunkSource(self.chunks.chunks()), self.op).stats
             self.chunks.release()  # detach the worker-side view promptly
             return stats
         config, mapping = _task_mapping(self.mapping, self.config_name, self.n)
-        return simulate_phase(config, mapping, self.op, self.policy)
+        return simulate_phase(config, mapping, self.op, self.policy).stats
 
 
 def _task_mapping(task_mapping: str, config_name: str,

@@ -175,8 +175,8 @@ class SharedChunks:
         """The captured stream, chunk by chunk, as zero-copy views.
 
         The yielded arrays alias the backing buffer — consume them
-        before calling :meth:`release`/:meth:`unlink` (the controller
-        intake copies on entry, so a completed ``run_phase`` holds no
+        before calling :meth:`release`/:meth:`unlink` (the engine's
+        intake copies on entry, so a completed run holds no
         references).
         """
         data = self._data

@@ -14,13 +14,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource, SchedulingEngine, TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.presets import get_config
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
@@ -54,18 +50,20 @@ class TestChunkedIntake:
     @pytest.mark.parametrize("op", [OP_READ, OP_WRITE])
     def test_identical_to_tuple_path(self, tiny_config, policy, chunk_size, op):
         requests = random_requests(tiny_config.geometry.banks, 600)
-        tuples = MemoryController(tiny_config, policy).run_phase(list(requests), op)
-        chunks = MemoryController(tiny_config, policy).run_phase(
-            chunked(requests, chunk_size), op)
+        tuples = KernelEngine(tiny_config, policy).run(
+            TupleSource(list(requests)), op)
+        chunks = KernelEngine(tiny_config, policy).run(
+            ChunkSource(chunked(requests, chunk_size)), op)
         assert tuples.stats == chunks.stats
         assert tuples.commands == chunks.commands
 
     def test_identical_with_refresh(self, tiny_config):
         policy = ControllerConfig(record_commands=True)
         requests = random_requests(tiny_config.geometry.banks, 4000, seed=3)
-        tuples = MemoryController(tiny_config, policy).run_phase(list(requests), OP_READ)
-        chunks = MemoryController(tiny_config, policy).run_phase(
-            chunked(requests, 512), OP_READ)
+        tuples = KernelEngine(tiny_config, policy).run(
+            TupleSource(list(requests)), OP_READ)
+        chunks = KernelEngine(tiny_config, policy).run(
+            ChunkSource(chunked(requests, 512)), OP_READ)
         assert tuples.stats.refreshes > 0
         assert tuples.stats == chunks.stats
 
@@ -74,8 +72,10 @@ class TestChunkedIntake:
         as_lists = [([r[0] for r in requests],
                      [r[1] for r in requests],
                      [r[2] for r in requests])]
-        tuples = MemoryController(tiny_config, policy).run_phase(requests, OP_READ)
-        lists = MemoryController(tiny_config, policy).run_phase(as_lists, OP_READ)
+        tuples = KernelEngine(tiny_config, policy).run(
+            TupleSource(requests), OP_READ)
+        lists = KernelEngine(tiny_config, policy).run(
+            ChunkSource(as_lists), OP_READ)
         assert tuples.stats == lists.stats
 
     def test_empty_chunks_skipped(self, tiny_config, policy):
@@ -83,29 +83,31 @@ class TestChunkedIntake:
         stream = [(empty, empty, empty),
                   (np.asarray([0]), np.asarray([5]), np.asarray([1])),
                   (empty, empty, empty)]
-        result = MemoryController(tiny_config, policy).run_phase(stream, OP_READ)
+        result = KernelEngine(tiny_config, policy).run(
+            ChunkSource(stream), OP_READ)
         assert result.stats.requests == 1
 
     def test_empty_stream(self, tiny_config, policy):
-        stats = MemoryController(tiny_config, policy).run_phase(iter([]), OP_READ).stats
+        stats = KernelEngine(tiny_config, policy).run(
+            ChunkSource(iter([])), OP_READ).stats
         assert stats.requests == 0
         assert stats.utilization == 0.0
 
     def test_mismatched_columns_rejected(self, tiny_config, policy):
         stream = [(np.asarray([0, 1]), np.asarray([0]), np.asarray([0, 1]))]
         with pytest.raises(ValueError, match="disagree in length"):
-            MemoryController(tiny_config, policy).run_phase(stream, OP_READ)
+            KernelEngine(tiny_config, policy).run(ChunkSource(stream), OP_READ)
 
 
-def _run_controller(config, policy, stream):
-    return MemoryController(config, policy).run_phase(stream, OP_READ)
+def _run_controller(config, policy, source):
+    return KernelEngine(config, policy).run(source, OP_READ)
 
 
-def _run_general(config, policy, stream):
-    return SchedulingEngine(config, policy).run(as_workload(stream), OP_READ)
+def _run_general(config, policy, source):
+    return SchedulingEngine(config, policy).run(source, OP_READ)
 
 
-#: The controller's default route and the general engine it falls back to.
+#: The scheduler's front door and the general engine it falls back to.
 SCHEDULERS = {"controller": _run_controller, "general": _run_general}
 
 
@@ -114,31 +116,34 @@ class TestBankValidation:
         banks = tiny_config.geometry.banks
         with pytest.raises(ValueError, match=rf"request #1 \(bank={banks}, row=7, "
                                              rf"column=3\)"):
-            MemoryController(tiny_config, policy).run_phase(
-                [(0, 0, 0), (banks, 7, 3)], OP_READ)
+            KernelEngine(tiny_config, policy).run(
+                TupleSource([(0, 0, 0), (banks, 7, 3)]), OP_READ)
 
     def test_tuple_path_rejects_negative_bank(self, tiny_config, policy):
         with pytest.raises(ValueError, match="bank out of range"):
-            MemoryController(tiny_config, policy).run_phase([(-1, 0, 0)], OP_READ)
+            KernelEngine(tiny_config, policy).run(
+                TupleSource([(-1, 0, 0)]), OP_READ)
 
     def test_chunk_path_rejects_bad_bank(self, tiny_config, policy):
         banks = tiny_config.geometry.banks
         stream = [(np.asarray([0, 1, banks]), np.asarray([0, 1, 2]),
                    np.asarray([0, 0, 0]))]
         with pytest.raises(ValueError, match=r"request #2 .*bank out of range"):
-            MemoryController(tiny_config, policy).run_phase(stream, OP_READ)
+            KernelEngine(tiny_config, policy).run(ChunkSource(stream), OP_READ)
 
     def test_chunk_path_counts_across_chunks(self, tiny_config, policy):
         good = (np.asarray([0, 1]), np.asarray([0, 0]), np.asarray([0, 1]))
         bad = (np.asarray([0, -2]), np.asarray([0, 0]), np.asarray([0, 0]))
         with pytest.raises(ValueError, match=r"request #3 \(bank=-2"):
-            MemoryController(tiny_config, policy).run_phase([good, bad], OP_READ)
+            KernelEngine(tiny_config, policy).run(
+                ChunkSource([good, bad]), OP_READ)
 
     @pytest.mark.parametrize("run", SCHEDULERS.values(), ids=SCHEDULERS)
     def test_tuple_path_rejects_negative_row(self, tiny_config, policy, run):
         with pytest.raises(ValueError, match=r"^request #1 \(bank=1, row=-1, "
                                              r"column=2\): row must be >= 0$"):
-            run(tiny_config, policy, [(0, 0, 0), (1, -1, 2), (2, 3, 0)])
+            run(tiny_config, policy,
+                TupleSource([(0, 0, 0), (1, -1, 2), (2, 3, 0)]))
 
     @pytest.mark.parametrize("chunk_size", [7, 100])
     @pytest.mark.parametrize("run", SCHEDULERS.values(), ids=SCHEDULERS)
@@ -149,7 +154,8 @@ class TestBankValidation:
         requests[75] = (2, -3, 4)
         with pytest.raises(ValueError, match=r"^request #75 \(bank=2, row=-3, "
                                              r"column=4\): row must be >= 0$"):
-            run(tiny_config, policy, chunked(requests, chunk_size))
+            run(tiny_config, policy,
+                ChunkSource(chunked(requests, chunk_size)))
 
     @pytest.mark.parametrize("shape", ["tuples", "chunk"])
     @pytest.mark.parametrize("run", SCHEDULERS.values(), ids=SCHEDULERS)
@@ -159,8 +165,8 @@ class TestBankValidation:
         requests = [(0, 0, 0)] * 70 + [(banks, -1, 0), (0, -1, 0)]
 
         def stream(requests):
-            return (list(requests) if shape == "tuples"
-                    else chunked(requests, 100))
+            return (TupleSource(list(requests)) if shape == "tuples"
+                    else ChunkSource(chunked(requests, 100)))
 
         with pytest.raises(ValueError, match=r"request #70 .*bank out of range"):
             run(tiny_config, policy, stream(requests))
@@ -171,7 +177,8 @@ class TestBankValidation:
     def test_valid_banks_pass(self, tiny_config, policy):
         banks = tiny_config.geometry.banks
         requests = [(b, 0, 0) for b in range(banks)]
-        result = MemoryController(tiny_config, policy).run_phase(requests, OP_READ)
+        result = KernelEngine(tiny_config, policy).run(
+            TupleSource(requests), OP_READ)
         assert result.stats.requests == banks
 
 
@@ -188,8 +195,9 @@ class TestClockQuantization:
         config = get_config(config_name)
         space = TriangularIndexSpace(48)
         mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
-        controller = MemoryController(config, ControllerConfig(record_commands=True))
-        return config, controller.run_phase(mapping.read_addresses(), OP_READ).commands
+        engine = KernelEngine(config, ControllerConfig(record_commands=True))
+        return config, engine.run(TupleSource(mapping.read_addresses()),
+                                  OP_READ).commands
 
     @pytest.mark.parametrize("config_name", EXACT)
     def test_exact_grids_quantize(self, config_name):
@@ -213,9 +221,9 @@ class TestClockQuantization:
         clock edge, never an earlier one."""
         config = get_config("DDR4-3200")
         tck = config.timing.tck
-        controller = MemoryController(
+        engine = KernelEngine(
             config, ControllerConfig(refresh_enabled=False, record_commands=True))
-        result = controller.run_phase([(0, 0, 0), (0, 0, 1)], OP_READ)
+        result = engine.run(TupleSource([(0, 0, 0), (0, 0, 1)]), OP_READ)
         cas = [c for c in result.commands if c.command.value == "RD"]
         raw_first = config.timing.trcd
         assert cas[0].time_ps >= raw_first
@@ -228,7 +236,7 @@ class TestClockQuantization:
         config = get_config("LPDDR4-4266")
         requests = [(b, 0, c) for _ in range(40) for c in range(8)
                     for b in range(2)]
-        stats = MemoryController(
-            config, ControllerConfig(refresh_enabled=False)).run_phase(
-                requests, OP_READ).stats
+        stats = KernelEngine(
+            config, ControllerConfig(refresh_enabled=False)).run(
+                TupleSource(requests), OP_READ).stats
         assert stats.utilization > 0.95

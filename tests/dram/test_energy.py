@@ -10,8 +10,6 @@ from repro.dram.energy import (
     energy_from_stats,
     energy_from_tally,
     energy_params_for,
-    interleaver_energy,
-    phase_energy,
 )
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_interleaver
@@ -25,6 +23,15 @@ def _stats(requests=1000, activates=50, refreshes=2, makespan_ps=10**9):
     return PhaseStats(requests=requests, activates=activates,
                       refreshes=refreshes, makespan_ps=makespan_ps,
                       data_time_ps=requests * 2500)
+
+
+def _tally(requests=1000, activates=50, refreshes=2, makespan_ps=10**9,
+           op="RD"):
+    """The tally of a homogeneous phase of ``requests`` bursts."""
+    is_read = op == "RD"
+    return EnergyTally(act_pre=activates, rd=requests if is_read else 0,
+                       wr=0 if is_read else requests, ref=refreshes,
+                       makespan_ps=makespan_ps)
 
 
 class TestParams:
@@ -71,9 +78,11 @@ class TestParams:
 
 
 class TestPhaseEnergy:
+    """One phase's report from its command tally."""
+
     def test_breakdown_sums(self):
         config = get_config("DDR4-3200")
-        report = phase_energy(config, _stats(), "RD")
+        report = energy_from_tally(config, _tally())
         assert report.total_nj == pytest.approx(
             report.activation_nj + report.burst_nj
             + report.refresh_nj + report.background_nj
@@ -81,46 +90,43 @@ class TestPhaseEnergy:
 
     def test_linear_in_commands(self):
         config = get_config("DDR4-3200")
-        single = phase_energy(config, _stats(activates=1, requests=0,
-                                             refreshes=0, makespan_ps=0), "RD")
-        double = phase_energy(config, _stats(activates=2, requests=0,
-                                             refreshes=0, makespan_ps=0), "RD")
+        single = energy_from_tally(config, _tally(activates=1, requests=0,
+                                                  refreshes=0, makespan_ps=0))
+        double = energy_from_tally(config, _tally(activates=2, requests=0,
+                                                  refreshes=0, makespan_ps=0))
         assert double.activation_nj == pytest.approx(2 * single.activation_nj)
 
     def test_write_and_read_burst_energies_differ(self):
         config = get_config("DDR4-3200")
-        rd = phase_energy(config, _stats(activates=0, refreshes=0), "RD")
-        wr = phase_energy(config, _stats(activates=0, refreshes=0), "WR")
+        rd = energy_from_tally(config, _tally(activates=0, refreshes=0))
+        wr = energy_from_tally(config, _tally(activates=0, refreshes=0,
+                                              op="WR"))
         assert wr.burst_nj != rd.burst_nj
-
-    def test_rejects_bad_op(self):
-        with pytest.raises(ValueError):
-            phase_energy(get_config("DDR4-3200"), _stats(), "RMW")
 
     def test_pj_per_bit(self):
         config = get_config("DDR4-3200")
-        report = phase_energy(config, _stats(), "RD")
-        bits = _stats().requests * config.geometry.burst_bytes * 8
+        report = energy_from_tally(config, _tally())
+        bits = _tally().rd * config.geometry.burst_bytes * 8
         assert report.pj_per_bit == pytest.approx(report.total_nj * 1000 / bits)
 
     def test_empty_phase_zero_per_bit(self):
         config = get_config("DDR4-3200")
-        report = phase_energy(config, PhaseStats(), "RD")
+        report = energy_from_tally(config, EnergyTally())
         assert report.pj_per_bit == 0.0
         assert report.activation_share == 0.0
 
     def test_custom_params_override(self):
         config = get_config("DDR4-3200")
         params = EnergyParams(1000.0, 0.0, 0.0, 0.0, 0.0)
-        report = phase_energy(config, _stats(activates=10), "RD", params)
+        report = energy_from_tally(config, _tally(activates=10), params)
         assert report.total_nj == pytest.approx(10.0)
 
     def test_avg_power_over_makespan(self):
         config = get_config("DDR4-3200")
-        report = phase_energy(config, _stats(makespan_ps=10**6), "RD")
+        report = energy_from_tally(config, _tally(makespan_ps=10**6))
         # nJ over ps: total_nj / makespan_ps * 1e6 mW.
         assert report.avg_power_mw == pytest.approx(report.total_nj)
-        assert phase_energy(config, PhaseStats(), "RD").avg_power_mw == 0.0
+        assert energy_from_tally(config, EnergyTally()).avg_power_mw == 0.0
 
 
 class TestEnergyFromStats:
@@ -148,7 +154,9 @@ class TestMappingComparison:
         for mapping in (RowMajorMapping(space, config.geometry),
                         OptimizedMapping(space, config.geometry, prefer_tall=False)):
             result = simulate_interleaver(config, mapping)
-            out[mapping.name] = interleaver_energy(config, result.write, result.read)
+            out[mapping.name] = combine_interleaver_reports(
+                energy_from_stats(config, result.write),
+                energy_from_stats(config, result.read))
         return out
 
     def test_row_major_pays_more_activation_energy(self, energies):
@@ -169,11 +177,9 @@ class TestMappingComparison:
 class TestCombineReports:
     def test_components_add_and_payload_counted_once(self):
         config = get_config("DDR4-3200")
-        write = phase_energy(config, _stats(makespan_ps=10**6), "WR")
-        read = phase_energy(config, _stats(makespan_ps=3 * 10**6), "RD")
+        write = energy_from_tally(config, _tally(makespan_ps=10**6, op="WR"))
+        read = energy_from_tally(config, _tally(makespan_ps=3 * 10**6))
         combined = combine_interleaver_reports(write, read)
         assert combined.total_nj == pytest.approx(write.total_nj + read.total_nj)
         assert combined.payload_bytes == write.payload_bytes
         assert combined.makespan_ps == write.makespan_ps + read.makespan_ps
-        assert combined == interleaver_energy(
-            config, _stats(makespan_ps=10**6), _stats(makespan_ps=3 * 10**6))

@@ -27,17 +27,14 @@ from dataclasses import replace
 import pytest
 
 from oracles.energy import energy_from_commands_reference
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.energy import (
     command_arrays,
     energy_from_commands,
     energy_from_tally,
 )
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.presets import REFRESH_ALL_BANK, TABLE1_CONFIG_NAMES, get_config
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -127,5 +124,5 @@ def test_energy_battery(index):
         _assert_energy_consistent(config, result.stats, result.commands)
     else:
         op = rng.choice([OP_READ, OP_WRITE])
-        result = MemoryController(config, policy).run_phase(iter(base), op)
+        result = KernelEngine(config, policy).run(TupleSource(iter(base)), op)
         _assert_energy_consistent(config, result.stats, result.commands)

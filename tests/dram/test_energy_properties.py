@@ -15,18 +15,15 @@ directly:
 import random
 from dataclasses import replace
 
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.energy import (
     energy_from_commands,
     energy_from_tally,
     energy_params_for,
     refresh_command_energy_pj,
 )
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.presets import REFRESH_ALL_BANK, REFRESH_PER_BANK
 from repro.dram.stats import EnergyTally
@@ -39,7 +36,8 @@ def _stream(rng, n_banks, count=400, rows=64):
 
 def _run(config, requests, **policy_kwargs):
     policy = ControllerConfig(**policy_kwargs)
-    return MemoryController(config, policy).run_phase(iter(requests), OP_READ)
+    return KernelEngine(config, policy).run(TupleSource(iter(requests)),
+                                            OP_READ)
 
 
 class TestRefreshEnergy:
@@ -131,8 +129,8 @@ class TestRecordingInvariance:
     def test_write_phase_tally_charges_write_energy(self, ddr4):
         rng = random.Random(606)
         requests = _stream(rng, ddr4.geometry.banks, count=64)
-        result = MemoryController(ddr4, ControllerConfig()).run_phase(
-            iter(requests), OP_WRITE)
+        result = KernelEngine(ddr4, ControllerConfig()).run(
+            TupleSource(iter(requests)), OP_WRITE)
         tally = result.stats.energy_tally
         assert tally.rd == 0
         assert tally.wr == len(requests)

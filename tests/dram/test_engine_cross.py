@@ -1,8 +1,8 @@
 """Cross-scheduler pinning: mixed and homogeneous paths must agree.
 
-Before the unified engine, ``run_mixed_phase`` was a fork of
-``MemoryController.run_phase``; the two could drift silently.  Now both
-are adapters over one core, and this suite pins the contract directly:
+Before the unified engine, ``run_mixed_phase`` was a fork of the
+homogeneous scheduler; the two could drift silently.  Now both run on
+one core, and this suite pins the contract directly:
 a single-direction ``MixedRequest`` stream scheduled by the mixed path
 (turnaround rules armed but vacuously inactive) must produce
 :class:`~repro.dram.stats.PhaseStats` *identical* to the homogeneous
@@ -16,12 +16,9 @@ empty ``command_counts`` — is fixed by the engine, which is why plain
 
 import pytest
 
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -48,8 +45,8 @@ def test_single_direction_mixed_equals_homogeneous(config_name, mapping_name, op
                      else mapping.read_addresses())
     is_read = op == OP_READ
 
-    homogeneous = MemoryController(config, ControllerConfig()).run_phase(
-        list(addresses), op).stats
+    homogeneous = KernelEngine(config, ControllerConfig()).run(
+        TupleSource(list(addresses)), op).stats
     mixed = run_mixed_phase(
         config, [(is_read, bank, row, col) for bank, row, col in addresses],
         ControllerConfig()).stats
@@ -67,7 +64,8 @@ def test_single_direction_commands_identical(ddr4, op):
     policy = ControllerConfig(record_commands=True)
     is_read = op == OP_READ
 
-    homogeneous = MemoryController(ddr4, policy).run_phase(list(addresses), op)
+    homogeneous = KernelEngine(ddr4, policy).run(
+        TupleSource(list(addresses)), op)
     mixed = run_mixed_phase(
         ddr4, [(is_read, bank, row, col) for bank, row, col in addresses], policy)
 

@@ -15,7 +15,8 @@ independent scheduler loops.  These batteries prove the replacement is
   scheduling-visible field must match.  (``command_counts`` is compared
   for *consistency* instead of equality: filling it for mixed runs is a
   deliberate engine fix — the seed left it empty, which was the one
-  divergence the mixed fork had accumulated against ``run_phase``.)
+  divergence the mixed fork had accumulated against the homogeneous
+  scheduler.)
 
 The cases come from ``oracles.cases``, deterministic per index, so a
 failure names a reproducible case.
@@ -27,7 +28,7 @@ from oracles.cases import (N_HOMOGENEOUS, N_MIXED, SCHEDULE_FIELDS,
                            engine_case, engine_mixed_case, engine_rng)
 from oracles.scheduler import reference_run_mixed_phase, reference_run_phase
 from repro.dram.controller import OP_READ, ControllerConfig
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.engine import SchedulingEngine, TupleSource
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.presets import get_config
 
@@ -36,7 +37,7 @@ from repro.dram.presets import get_config
 def test_homogeneous_battery(index):
     case = engine_case(index)
     engine_result = SchedulingEngine(case.config, case.policy).run(
-        as_workload(case.stream()), case.op)
+        case.source(), case.op)
     reference_result = reference_run_phase(case.config, list(case.requests),
                                            case.op, case.policy)
 
@@ -100,7 +101,7 @@ def test_multi_entry_deferred_commit_matches_reference():
     requests = [(k % n_banks, (k // n_banks) % 8, k % 16)
                 for k in range(600)]
     engine_result = SchedulingEngine(config, policy).run(
-        as_workload(iter(requests)), OP_READ)
+        TupleSource(iter(requests)), OP_READ)
     reference_result = reference_run_phase(config, list(requests),
                                            OP_READ, policy)
     assert engine_result.stats == reference_result.stats

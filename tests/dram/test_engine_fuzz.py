@@ -20,13 +20,8 @@ import random
 import pytest
 
 from repro.dram import _kernelc
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import SchedulingEngine, TupleSource
 from repro.dram.geometry import Geometry
 from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
@@ -119,7 +114,7 @@ def test_homogeneous_schedule_passes_replay_checker(index):
     requests = random_stream(rng, config.geometry, rng.choice([60, 250, 700]))
     op = rng.choice([OP_READ, OP_WRITE])
 
-    result = MemoryController(config, policy).run_phase(list(requests), op)
+    result = KernelEngine(config, policy).run(TupleSource(list(requests)), op)
     violations = check_phase_commands(config, result.commands)
     assert violations == []
     assert result.stats.requests == len(requests)
@@ -149,8 +144,8 @@ def test_kernel_matches_general_engine(index):
     requests = random_stream(rng, config.geometry, rng.choice([60, 250, 700]))
     op = rng.choice([OP_READ, OP_WRITE])
 
-    expected = SchedulingEngine(config, policy).run(as_workload(requests), op)
-    result = KernelEngine(config, policy).run(as_workload(requests), op)
+    expected = SchedulingEngine(config, policy).run(TupleSource(requests), op)
+    result = KernelEngine(config, policy).run(TupleSource(requests), op)
     assert result.stats == expected.stats
     assert result.commands == expected.commands
     assert result.stats.kernel_fallback is not _kernelc.available()

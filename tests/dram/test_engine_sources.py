@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dram.commands import CommandType
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.engine import (
     ChunkSource,
     MixedSource,
@@ -19,35 +14,26 @@ from repro.dram.engine import (
     TraceReplaySource,
     TupleSource,
     WorkloadSource,
-    as_workload,
 )
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.trace import check_phase_commands, read_trace, write_trace
 
 
-class TestAsWorkload:
-    def test_tuples_detected(self, tiny_config):
-        source = as_workload([(0, 1, 2), (1, 0, 0)])
-        assert isinstance(source, TupleSource)
-        assert not source.mixed
+class TestSources:
+    def test_empty_stream(self, tiny_config):
+        policy = ControllerConfig()
+        for engine in (KernelEngine, SchedulingEngine):
+            for source in (TupleSource, ChunkSource):
+                stats = engine(tiny_config, policy).run(source(iter(()))).stats
+                assert stats.requests == 0
 
-    def test_chunks_detected(self):
-        chunk = (np.asarray([0, 1]), np.asarray([2, 3]), np.asarray([4, 5]))
-        source = as_workload([chunk])
-        assert isinstance(source, ChunkSource)
-
-    def test_plain_list_chunks_detected(self):
-        source = as_workload([([0, 1], [2, 3], [4, 5])])
-        assert isinstance(source, ChunkSource)
-
-    def test_empty_iterable(self, tiny_config):
-        source = as_workload(iter(()))
-        stats = SchedulingEngine(tiny_config, ControllerConfig()).run(source).stats
-        assert stats.requests == 0
-
-    def test_existing_source_passes_through(self):
-        source = MixedSource([(True, 0, 0, 0)])
-        assert as_workload(source) is source
+    def test_ready_made_source_runs_unchanged(self, tiny_config):
+        """The front door schedules the source it is handed: a mixed
+        source keeps its per-request directions."""
+        source = MixedSource([(True, 0, 0, 0), (False, 1, 0, 0)])
+        result = KernelEngine(tiny_config, ControllerConfig()).run(source)
+        assert (result.reads, result.writes) == (1, 1)
 
     def test_sources_are_workload_sources(self):
         for cls in (TupleSource, ChunkSource, MixedSource, TraceReplaySource):
@@ -58,7 +44,8 @@ class TestSourceEquivalence:
     def test_tuple_source_equals_raw_iterable(self, tiny_config):
         requests = [(k % 4, k % 5, k % 8) for k in range(300)]
         policy = ControllerConfig(record_commands=True)
-        direct = MemoryController(tiny_config, policy).run_phase(list(requests), OP_READ)
+        direct = KernelEngine(tiny_config, policy).run(
+            TupleSource(list(requests)), OP_READ)
         explicit = SchedulingEngine(tiny_config, policy).run(
             TupleSource(iter(requests)), op=OP_READ)
         assert direct.stats == explicit.stats
@@ -75,8 +62,10 @@ class TestSourceEquivalence:
         identically to a short one concatenated from the same data."""
         requests = [(k % 4, (k // 7) % 6, k % 8) for k in range(3000)]
         policy = ControllerConfig(record_commands=True)
-        whole = MemoryController(tiny_config, policy).run_phase(iter(requests), OP_WRITE)
-        again = MemoryController(tiny_config, policy).run_phase(list(requests), OP_WRITE)
+        whole = KernelEngine(tiny_config, policy).run(
+            TupleSource(iter(requests)), OP_WRITE)
+        again = KernelEngine(tiny_config, policy).run(
+            TupleSource(list(requests)), OP_WRITE)
         assert whole.stats == again.stats
 
 
@@ -85,7 +74,7 @@ class TestTraceReplay:
         requests = [(k % config.geometry.banks, (k // 11) % 4, k % 8)
                     for k in range(400)]
         policy = ControllerConfig(record_commands=True, refresh_enabled=False)
-        return MemoryController(config, policy).run_phase(requests, op)
+        return KernelEngine(config, policy).run(TupleSource(requests), op)
 
     @staticmethod
     def _columns(commands):
@@ -186,8 +175,8 @@ class TestLongStreams:
                 yield (k % 4, (k >> 2) % 8, k % 8)
 
         policy = ControllerConfig(refresh_enabled=False)
-        stats = MemoryController(tiny_config, policy).run_phase(
-            generate(), OP_READ).stats
+        stats = KernelEngine(tiny_config, policy).run(
+            TupleSource(generate()), OP_READ).stats
         assert stats.requests == 200_000
         growth = samples[180_000] - samples[20_000]
         assert growth < 100_000
@@ -197,13 +186,13 @@ class TestLongStreams:
         several compactions schedules identically to its chunked twin."""
         requests = [(k % 4, (k // 13) % 6, k % 8) for k in range(30_000)]
         policy = ControllerConfig(record_commands=False, refresh_enabled=False)
-        tuples = MemoryController(tiny_config, policy).run_phase(
-            iter(requests), OP_READ).stats
+        tuples = KernelEngine(tiny_config, policy).run(
+            TupleSource(iter(requests)), OP_READ).stats
         chunks = [(np.asarray([r[0] for r in requests], dtype=np.int64),
                    np.asarray([r[1] for r in requests], dtype=np.int64),
                    np.asarray([r[2] for r in requests], dtype=np.int64))]
-        arrays = MemoryController(tiny_config, policy).run_phase(
-            iter(chunks), OP_READ).stats
+        arrays = KernelEngine(tiny_config, policy).run(
+            ChunkSource(iter(chunks)), OP_READ).stats
         assert tuples == arrays
 
 

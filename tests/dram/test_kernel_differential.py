@@ -21,13 +21,8 @@ import pytest
 from oracles.cases import N_HOMOGENEOUS, engine_case
 from repro.dram import _kernelc
 from repro.dram.commands import CommandType
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
-from repro.dram.engine import MixedSource, SchedulingEngine, as_workload
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource, MixedSource, SchedulingEngine
 from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import (
     RowShiftedMapping,
@@ -38,7 +33,7 @@ from repro.dram.mixed import (
 from repro.dram.policy import POLICY_CLOSED_PAGE, POLICY_OPEN_PAGE
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.refresh import RefreshScheduler
-from repro.dram.simulator import simulate_phase_result
+from repro.dram.simulator import simulate_phase
 from repro.dram.trace import check_phase_commands
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
@@ -73,10 +68,10 @@ def _run_engines(config, mapping, op, policy=None):
     policy = policy or ControllerConfig()
     chunks = (mapping.write_addresses_array() if op == OP_WRITE
               else mapping.read_addresses_array())
-    general = SchedulingEngine(config, policy).run(as_workload(chunks), op=op)
+    general = SchedulingEngine(config, policy).run(ChunkSource(chunks), op=op)
     chunks = (mapping.write_addresses_array() if op == OP_WRITE
               else mapping.read_addresses_array())
-    kernel = KernelEngine(config, policy).run(as_workload(chunks), op=op)
+    kernel = KernelEngine(config, policy).run(ChunkSource(chunks), op=op)
     return general, kernel
 
 
@@ -119,7 +114,7 @@ class TestTable1Grid:
         chunks = (mapping.write_addresses_array() if op == OP_WRITE
                   else mapping.read_addresses_array())
         result = KernelEngine(config, RECORDING_POLICY).run(
-            as_workload(chunks), op=op, cas_times=True)
+            ChunkSource(chunks), op=op, cas_times=True)
         _assert_cas_times(result)
 
 
@@ -139,8 +134,8 @@ class TestEngineBattery:
         general = SchedulingEngine(case.config, case.policy)
         results = []
         for _ in range(2):
-            expected = general.run(as_workload(case.stream()), case.op)
-            result = kernel.run(as_workload(case.stream()), case.op)
+            expected = general.run(case.source(), case.op)
+            result = kernel.run(case.source(), case.op)
             _assert_identical(expected, result)
             assert result.stats.kernel_fallback is not _kernelc.available()
             results.append(result)
@@ -158,7 +153,7 @@ class TestNativeRefresh:
         config = get_config(config_name)
         mapping = _mapping(config, "row-major")
         expected = SchedulingEngine(config, RECORDING_POLICY).run(
-            as_workload(mapping.write_addresses_array()), OP_WRITE)
+            ChunkSource(mapping.write_addresses_array()), OP_WRITE)
         assert expected.stats.refreshes > 0
 
         def due(self, now_ps):
@@ -166,7 +161,7 @@ class TestNativeRefresh:
 
         monkeypatch.setattr(RefreshScheduler, "due", due)
         result = KernelEngine(config, RECORDING_POLICY).run(
-            as_workload(mapping.write_addresses_array()), OP_WRITE)
+            ChunkSource(mapping.write_addresses_array()), OP_WRITE)
         assert not result.stats.kernel_fallback
         _assert_identical(expected, result)
 
@@ -186,7 +181,7 @@ class TestBoundedIntake:
                       if op == OP_WRITE
                       else mapping.read_addresses_array(**chunking))
             return KernelEngine(ddr4, ControllerConfig()).run(
-                as_workload(chunks), op=op).stats
+                ChunkSource(chunks), op=op).stats
 
         expected = phase()
         tracemalloc.start()
@@ -206,7 +201,7 @@ class TestBoundedIntake:
         only its configuration and policy, never a phase's tables."""
         mapping = _mapping(ddr4, "optimized")
         kernel = KernelEngine(ddr4, ControllerConfig())
-        kernel.run(as_workload(mapping.write_addresses_array()), OP_WRITE)
+        kernel.run(ChunkSource(mapping.write_addresses_array()), OP_WRITE)
         before = dict(vars(kernel))
         assert list(before) == ["config", "policy"]
         chunks = list(mapping.read_addresses_array(chunk_size=256))
@@ -214,14 +209,13 @@ class TestBoundedIntake:
         banks, rows, cols = chunks[-1]
         chunks[-1] = (banks, rows - rows.max() - 1, cols)
         with pytest.raises(ValueError, match="row must be >= 0"):
-            kernel.run(as_workload(chunks), OP_READ)
+            kernel.run(ChunkSource(chunks), OP_READ)
         assert vars(kernel).keys() == before.keys()
         assert all(vars(kernel)[name] is value
                    for name, value in before.items())
 
 
 ROUTES = [
-    ("controller", POLICY_OPEN_PAGE),
     ("kernel", POLICY_OPEN_PAGE),
     ("kernel", POLICY_CLOSED_PAGE),  # the general-engine fallback
     ("general", POLICY_OPEN_PAGE),
@@ -230,12 +224,9 @@ ROUTES = [
 
 def _phase_runner(route, config, policy):
     """One long-lived scheduler of ``route``, as ``run(chunks, op) -> stats``."""
-    if route == "controller":
-        controller = MemoryController(config, policy)
-        return lambda chunks, op: controller.run_phase(chunks, op).stats
     engine = (KernelEngine if route == "kernel" else SchedulingEngine)(
         config, policy)
-    return lambda chunks, op: engine.run(as_workload(chunks), op).stats
+    return lambda chunks, op: engine.run(ChunkSource(chunks), op).stats
 
 
 class TestColdStart:
@@ -275,7 +266,7 @@ class TestResultKeys:
     """Both engines finish through one result builder, which gives
     ``command_counts`` the same CAS keys on every route."""
 
-    @pytest.mark.parametrize("route,discipline", ROUTES[1:])
+    @pytest.mark.parametrize("route,discipline", ROUTES)
     @pytest.mark.parametrize("op", (OP_WRITE, OP_READ))
     def test_empty_homogeneous_run_reports_its_cas_key(
             self, ddr4, route, discipline, op):
@@ -303,34 +294,33 @@ class TestResultKeys:
 
 
 class TestController:
-    """The controller schedules through the kernel, bit-identically."""
+    """The library's phases schedule through the kernel, bit-identically."""
 
-    def test_run_phase_matches_general_engine(self, ddr4):
+    def test_simulate_phase_matches_general_engine(self, ddr4):
         mapping = _mapping(ddr4, "optimized")
-        stats = MemoryController(ddr4, ControllerConfig()).run_phase(
-            mapping.read_addresses_array(), OP_READ).stats
+        stats = simulate_phase(ddr4, mapping, OP_READ).stats
         general = SchedulingEngine(ddr4, ControllerConfig()).run(
-            as_workload(mapping.read_addresses_array()), OP_READ).stats
+            ChunkSource(mapping.read_addresses_array()), OP_READ).stats
         assert stats == general
 
     def test_warm_state_alternation(self, ddr4):
-        """Two phases on one controller == two on one general engine.
+        """Two phases on one kernel == two on one general engine.
 
         Neither carries the rows the write phase leaves open, or its
         refresh deadline, into the read phase: both start every phase
         cold, so they charge the read phase alike.
         """
         mapping = _mapping(ddr4, "optimized")
-        controller = MemoryController(ddr4, ControllerConfig())
-        write = controller.run_phase(mapping.write_addresses_array(),
-                                     OP_WRITE).stats
-        read = controller.run_phase(mapping.read_addresses_array(),
-                                    OP_READ).stats
+        kernel = KernelEngine(ddr4, ControllerConfig())
+        write = kernel.run(ChunkSource(mapping.write_addresses_array()),
+                           OP_WRITE).stats
+        read = kernel.run(ChunkSource(mapping.read_addresses_array()),
+                          OP_READ).stats
 
         engine = SchedulingEngine(ddr4, ControllerConfig())
-        write_ref = engine.run(as_workload(mapping.write_addresses_array()),
+        write_ref = engine.run(ChunkSource(mapping.write_addresses_array()),
                                OP_WRITE).stats
-        read_ref = engine.run(as_workload(mapping.read_addresses_array()),
+        read_ref = engine.run(ChunkSource(mapping.read_addresses_array()),
                               OP_READ).stats
         assert (write, read) == (write_ref, read_ref)
 
@@ -358,7 +348,8 @@ class TestMixedTraffic:
         requests = [(False, 0, 0, 0), (False, 1, 0, 0),
                     (True, 0, 0, 0), (True, 2, 1, 3)]
         general = run_mixed_phase(tiny_config, requests)
-        kernel = MemoryController(tiny_config).run_phase(MixedSource(requests))
+        kernel = KernelEngine(tiny_config, ControllerConfig()).run(
+            MixedSource(requests))
         assert kernel.stats == general.stats
 
 
@@ -370,16 +361,14 @@ class TestTraceReplay:
     def test_read_phase_replay_is_clean(self, config_name, mapping_name):
         config = get_config(config_name)
         mapping = _mapping(config, mapping_name)
-        result = simulate_phase_result(config, mapping, OP_READ,
-                                       RECORDING_POLICY)
+        result = simulate_phase(config, mapping, OP_READ, RECORDING_POLICY)
         assert result.commands, "recording policy produced no commands"
         violations = check_phase_commands(config, result.commands)
         assert violations == [], violations[:5]
 
     def test_write_phase_replay_is_clean(self, ddr4):
         mapping = _mapping(ddr4, "row-major")
-        result = simulate_phase_result(ddr4, mapping, OP_WRITE,
-                                       RECORDING_POLICY)
+        result = simulate_phase(ddr4, mapping, OP_WRITE, RECORDING_POLICY)
         violations = check_phase_commands(ddr4, result.commands)
         assert violations == [], violations[:5]
 
@@ -398,18 +387,18 @@ class TestFallback:
     def _phase(self, config, policy):
         mapping = _mapping(config, "row-major", n=16)
         return KernelEngine(config, policy).run(
-            as_workload(mapping.write_addresses_array()), op=OP_WRITE)
+            ChunkSource(mapping.write_addresses_array()), op=OP_WRITE)
 
     def test_no_toolchain_delegates_with_flag(self, ddr4, monkeypatch):
         monkeypatch.setattr(_kernelc, "available", lambda: False)
         engine = KernelEngine(ddr4, ControllerConfig())
         assert not engine.native
         mapping = _mapping(ddr4, "row-major", n=16)
-        result = engine.run(as_workload(mapping.write_addresses_array()),
+        result = engine.run(ChunkSource(mapping.write_addresses_array()),
                             op=OP_WRITE)
         assert result.stats.kernel_fallback
         general = SchedulingEngine(ddr4, ControllerConfig()).run(
-            as_workload(mapping.write_addresses_array()), op=OP_WRITE)
+            ChunkSource(mapping.write_addresses_array()), op=OP_WRITE)
         assert result.stats == general.stats
 
     @pytest.mark.skipif(not _kernelc.available(),
@@ -422,7 +411,7 @@ class TestFallback:
         monkeypatch.setattr(_kernelc, "available", lambda: False)
         mapping = _mapping(ddr4, "optimized", n=24)
         result = KernelEngine(ddr4, RECORDING_POLICY).run(
-            as_workload(mapping.read_addresses_array()), op=OP_READ,
+            ChunkSource(mapping.read_addresses_array()), op=OP_READ,
             cas_times=True)
         assert result.stats.kernel_fallback
         _assert_cas_times(result)

@@ -28,7 +28,7 @@ import pytest
 from repro.dram import _kernelc
 from repro.dram.commands import CommandType
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.engine import ChunkSource, SchedulingEngine
 from repro.dram.geometry import Geometry
 from repro.dram.kernel import KernelEngine
 from repro.dram.presets import REFRESH_ALL_BANK, REFRESH_PER_BANK, DramConfig
@@ -128,9 +128,9 @@ def run_both(config, requests, op, sizes=None):
     policy = ControllerConfig(record_commands=True)
     sizes = sizes or [len(requests)]
     expected = SchedulingEngine(config, policy).run(
-        as_workload(batches(requests, sizes)), op)
+        ChunkSource(batches(requests, sizes)), op)
     result = KernelEngine(config, policy).run(
-        as_workload(batches(requests, sizes)), op)
+        ChunkSource(batches(requests, sizes)), op)
     assert result.stats == expected.stats
     assert result.commands == expected.commands
     assert result.stats.kernel_fallback is not _kernelc.available()

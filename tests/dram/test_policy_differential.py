@@ -14,7 +14,8 @@ Two layers of proof for the scheduling-policy zoo
 * **Each new discipline equals its scalar reference.**  100 seeded
   random (configuration, queue-shape, stream-locality, op, cap)
   scenarios per discipline through the general engine (every fourth
-  also through ``MemoryController.run_phase``, the kernel route) vs
+  also through :class:`~repro.dram.kernel.KernelEngine`, the front
+  door) vs
   the same oracle (the frozen scheduler plus the auto-close additions,
   or on the partition-remapped stream), plus mixed batteries against
   ``oracles.scheduler.reference_run_mixed_phase``.
@@ -31,13 +32,9 @@ from oracles.cases import (N_MIXED_PER_POLICY, N_PER_POLICY, NEW_DISCIPLINES,
                            policy_rng, table1_mapping)
 from oracles.scheduler import reference_run_mixed_phase, reference_run_phase
 from repro.dram import _kernelc
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource, SchedulingEngine, TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
@@ -51,9 +48,9 @@ from repro.dram.presets import get_config
 PAIR_IDS = [f"{c}-{m}" for c, m in TABLE1_PAIRS]
 
 
-def _general(config, policy, stream, op):
+def _general(config, policy, source, op):
     """One phase on the general engine, the kernel's fallback route."""
-    return SchedulingEngine(config, policy).run(as_workload(stream), op)
+    return SchedulingEngine(config, policy).run(source, op)
 
 
 def _assert_matches_oracle(result, oracle):
@@ -81,9 +78,10 @@ class TestOpenPageIsThePrePolicyEngine:
         mapping = table1_mapping(config, mapping_name)
         policy = ControllerConfig(record_commands=True,
                                   discipline=POLICY_OPEN_PAGE)
-        general = _general(config, policy, phase_chunks(mapping, op), op)
-        kernel = MemoryController(config, policy).run_phase(
-            phase_chunks(mapping, op), op)
+        general = _general(config, policy,
+                           ChunkSource(phase_chunks(mapping, op)), op)
+        kernel = KernelEngine(config, policy).run(
+            ChunkSource(phase_chunks(mapping, op)), op)
         oracle = reference_run_phase(config, phase_chunks(mapping, op), op,
                                      policy)
 
@@ -100,7 +98,7 @@ class TestNewPolicyHomogeneousBattery:
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
     def test_engine_matches_reference(self, discipline, index):
         case = policy_case(discipline, index)
-        engine_result = _general(case.config, case.policy, case.stream(),
+        engine_result = _general(case.config, case.policy, case.source(),
                                  case.op)
         reference_result = reference_run_phase(
             case.config, list(case.requests), case.op, case.policy)
@@ -110,13 +108,13 @@ class TestNewPolicyHomogeneousBattery:
     @pytest.mark.parametrize("index", range(0, N_PER_POLICY, 4))
     @pytest.mark.parametrize("discipline", NEW_DISCIPLINES)
     def test_kernel_route_matches_reference(self, discipline, index):
-        """The controller's kernel route — native for bank partitioning,
+        """The front door's kernel route — native for bank partitioning,
         visible fallback for the auto-close disciplines — must land on
         the same schedule as the scalar reference."""
         case = policy_case(discipline, index)
-        kernel_result = MemoryController(case.config, case.policy).run_phase(
-            case.stream(), case.op)
-        general_result = _general(case.config, case.policy, case.stream(),
+        kernel_result = KernelEngine(case.config, case.policy).run(
+            case.source(), case.op)
+        general_result = _general(case.config, case.policy, case.source(),
                                   case.op)
         reference_result = reference_run_phase(
             case.config, list(case.requests), case.op, case.policy)
@@ -157,9 +155,9 @@ class TestPolicyAlgebra:
         rng = policy_rng(99, 0)
         requests = pick_stream(rng, ddr4.geometry.banks)
         results = [
-            MemoryController(ddr4, ControllerConfig(
+            KernelEngine(ddr4, ControllerConfig(
                 record_commands=True, discipline=discipline,
-                cap=cap)).run_phase(iter(requests), OP_READ)
+                cap=cap)).run(TupleSource(iter(requests)), OP_READ)
             for discipline, cap in ((POLICY_CLOSED_PAGE, 4),
                                     (POLICY_FRFCFS_CAP, 1))
         ]
@@ -168,11 +166,11 @@ class TestPolicyAlgebra:
     def test_huge_cap_converges_to_open_page(self, ddr4):
         rng = policy_rng(99, 1)
         requests = pick_stream(rng, ddr4.geometry.banks)
-        capped = MemoryController(ddr4, ControllerConfig(
+        capped = KernelEngine(ddr4, ControllerConfig(
             record_commands=True, discipline=POLICY_FRFCFS_CAP,
-            cap=10**9)).run_phase(iter(requests), OP_READ)
-        open_page = MemoryController(ddr4, ControllerConfig(
-            record_commands=True)).run_phase(iter(requests), OP_READ)
+            cap=10**9)).run(TupleSource(iter(requests)), OP_READ)
+        open_page = KernelEngine(ddr4, ControllerConfig(
+            record_commands=True)).run(TupleSource(iter(requests)), OP_READ)
         _assert_identical(capped, open_page)
 
     def test_partition_remap_is_idempotent(self, ddr4):

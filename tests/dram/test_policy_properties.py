@@ -23,12 +23,9 @@ import random
 
 import pytest
 
-from repro.dram.controller import (
-    OP_READ,
-    OP_WRITE,
-    ControllerConfig,
-    MemoryController,
-)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
@@ -83,8 +80,8 @@ class TestClosedPage:
         rng, config, policy, requests = _fuzz_case(1, index,
                                                    POLICY_CLOSED_PAGE)
         op = rng.choice([OP_READ, OP_WRITE])
-        result = MemoryController(config, policy).run_phase(
-            list(requests), op)
+        result = KernelEngine(config, policy).run(
+            TupleSource(list(requests)), op)
         stats = result.stats
         assert stats.page_hits == 0
         assert stats.page_misses == 0
@@ -114,8 +111,8 @@ class TestFrfcfsCap:
         rng, config, policy, requests = _fuzz_case(2, index,
                                                    POLICY_FRFCFS_CAP)
         op = rng.choice([OP_READ, OP_WRITE])
-        result = MemoryController(config, policy).run_phase(
-            list(requests), op)
+        result = KernelEngine(config, policy).run(
+            TupleSource(list(requests)), op)
         assert _max_same_row_streak(result.commands) <= policy.cap
 
     def test_hot_row_stream_saturates_the_cap(self, ddr4):
@@ -124,7 +121,7 @@ class TestFrfcfsCap:
         requests = [(0, 0, k % 16) for k in range(64)]
         policy = ControllerConfig(record_commands=True,
                                   discipline=POLICY_FRFCFS_CAP, cap=4)
-        result = MemoryController(ddr4, policy).run_phase(requests, OP_READ)
+        result = KernelEngine(ddr4, policy).run(TupleSource(requests), OP_READ)
         assert _max_same_row_streak(result.commands) == 4
         assert result.stats.activates == 16
 
@@ -135,8 +132,8 @@ class TestBankPartition:
         rng, config, policy, requests = _fuzz_case(3, index,
                                                    POLICY_BANK_PARTITION)
         op = rng.choice([OP_READ, OP_WRITE])
-        result = MemoryController(config, policy).run_phase(
-            list(requests), op)
+        result = KernelEngine(config, policy).run(
+            TupleSource(list(requests)), op)
         lo, hi = partition_bounds(config.geometry.banks, op == OP_READ)
         cas_banks = {c.bank for c in result.commands
                      if c.command.value in CAS_NAMES}
@@ -172,7 +169,8 @@ class TestBankPartition:
             bus_width_bits=16, burst_length=8))
         policy = ControllerConfig(discipline=POLICY_BANK_PARTITION)
         with pytest.raises(ValueError, match="even bank count"):
-            MemoryController(single, policy).run_phase([(0, 0, 0)], OP_READ)
+            KernelEngine(single, policy).run(
+                TupleSource([(0, 0, 0)]), OP_READ)
 
     def test_partition_banks_rejects_odd_and_tiny_counts(self):
         from repro.dram.policy import partition_banks
@@ -186,7 +184,7 @@ class TestBankPartition:
         policy = ControllerConfig(discipline=POLICY_BANK_PARTITION)
         bad = ddr4.geometry.banks
         with pytest.raises(ValueError, match="bank out of range"):
-            MemoryController(ddr4, policy).run_phase([(bad, 0, 0)], OP_READ)
+            KernelEngine(ddr4, policy).run(TupleSource([(bad, 0, 0)]), OP_READ)
 
 
 class TestReplayChecker:
@@ -197,8 +195,8 @@ class TestReplayChecker:
     def test_homogeneous_schedule_passes_checker(self, discipline, index):
         rng, config, policy, requests = _fuzz_case(5, index, discipline)
         op = rng.choice([OP_READ, OP_WRITE])
-        result = MemoryController(config, policy).run_phase(
-            list(requests), op)
+        result = KernelEngine(config, policy).run(
+            TupleSource(list(requests)), op)
         assert check_phase_commands(config, result.commands) == []
         assert result.stats.requests == len(requests)
 

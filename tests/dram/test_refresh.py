@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 from repro.dram.commands import CommandType
-from repro.dram.controller import OP_READ, ControllerConfig, MemoryController
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.controller import OP_READ, ControllerConfig
+from repro.dram.engine import SchedulingEngine, TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.presets import get_config
 from repro.dram.refresh import RefreshScheduler
 
@@ -73,7 +74,8 @@ class TestControllerIntegration:
     def test_refreshes_issued_on_long_phase(self, tiny_config):
         requests = self._long_stream(tiny_config)
         policy = ControllerConfig(record_commands=True)
-        result = MemoryController(tiny_config, policy).run_phase(requests, OP_READ)
+        result = KernelEngine(tiny_config, policy).run(
+            TupleSource(requests), OP_READ)
         assert result.stats.refreshes > 0
         refs = [c for c in result.commands if c.command is CommandType.REF_ALL]
         assert len(refs) == result.stats.refreshes
@@ -81,7 +83,8 @@ class TestControllerIntegration:
     def test_refresh_spacing_close_to_trefi(self, tiny_config):
         requests = self._long_stream(tiny_config, 8000)
         policy = ControllerConfig(record_commands=True)
-        result = MemoryController(tiny_config, policy).run_phase(requests, OP_READ)
+        result = KernelEngine(tiny_config, policy).run(
+            TupleSource(requests), OP_READ)
         refs = sorted(c.time_ps for c in result.commands
                       if c.command is CommandType.REF_ALL)
         assert len(refs) >= 2
@@ -94,12 +97,12 @@ class TestControllerIntegration:
         banks = tiny_config.geometry.banks
         cols = tiny_config.geometry.bursts_per_row
         requests = [(i % banks, 0, (i // banks) % cols) for i in range(6000)]
-        on = MemoryController(
+        on = KernelEngine(
             tiny_config, ControllerConfig(refresh_enabled=True)
-        ).run_phase(list(requests), OP_READ).stats
-        off = MemoryController(
+        ).run(TupleSource(list(requests)), OP_READ).stats
+        off = KernelEngine(
             tiny_config, ControllerConfig(refresh_enabled=False)
-        ).run_phase(list(requests), OP_READ).stats
+        ).run(TupleSource(list(requests)), OP_READ).stats
         assert off.refreshes == 0
         assert on.refreshes > 0
         assert off.utilization > on.utilization
@@ -110,8 +113,8 @@ class TestControllerIntegration:
         banks = config.geometry.banks
         cols = config.geometry.bursts_per_row
         requests = [(i % banks, 0, (i // banks) % cols) for i in range(20000)]
-        stats = MemoryController(config, ControllerConfig()).run_phase(
-            requests, OP_READ
+        stats = KernelEngine(config, ControllerConfig()).run(
+            TupleSource(requests), OP_READ
         ).stats
         assert stats.refreshes > 0
         # Page-hit streaming with hidden refresh: utilization stays high.
@@ -130,7 +133,7 @@ class TestZeroInterval:
     def test_both_engines_reject_it_at_construction(self):
         config = self._config()
         with pytest.raises(ValueError, match="trefi"):
-            MemoryController(config)
+            KernelEngine(config, ControllerConfig())
         with pytest.raises(ValueError, match="trefi"):
             SchedulingEngine(config, ControllerConfig())
 
@@ -138,9 +141,10 @@ class TestZeroInterval:
         config = self._config()
         policy = ControllerConfig(refresh_enabled=False)
         requests = [(0, 0, 0), (1, 0, 0)]
-        kernel = MemoryController(config, policy).run_phase(requests, OP_READ)
+        kernel = KernelEngine(config, policy).run(
+            TupleSource(requests), OP_READ)
         general = SchedulingEngine(config, policy).run(
-            as_workload(requests), OP_READ)
+            TupleSource(requests), OP_READ)
         assert kernel.stats.requests == general.stats.requests == 2
         assert kernel.stats == general.stats
         assert kernel.stats.refreshes == 0

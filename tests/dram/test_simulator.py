@@ -16,12 +16,12 @@ def mapping(tiny_config):
 
 class TestSimulatePhase:
     def test_write_phase(self, tiny_config, mapping):
-        stats = simulate_phase(tiny_config, mapping, OP_WRITE)
+        stats = simulate_phase(tiny_config, mapping, OP_WRITE).stats
         assert stats.requests == mapping.space.num_elements
         assert 0 < stats.utilization <= 1.0
 
     def test_read_phase(self, tiny_config, mapping):
-        stats = simulate_phase(tiny_config, mapping, OP_READ)
+        stats = simulate_phase(tiny_config, mapping, OP_READ).stats
         assert stats.requests == mapping.space.num_elements
 
     def test_rejects_bad_op(self, tiny_config, mapping):
@@ -30,9 +30,9 @@ class TestSimulatePhase:
 
     def test_policy_passthrough(self, tiny_config, mapping):
         with_ref = simulate_phase(tiny_config, mapping, OP_READ,
-                                  ControllerConfig(refresh_enabled=True))
+                                  ControllerConfig(refresh_enabled=True)).stats
         without = simulate_phase(tiny_config, mapping, OP_READ,
-                                 ControllerConfig(refresh_enabled=False))
+                                 ControllerConfig(refresh_enabled=False)).stats
         assert without.refreshes == 0
         assert without.utilization >= with_ref.utilization
 

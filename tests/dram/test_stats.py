@@ -39,26 +39,6 @@ class TestDerivedRates:
         assert empty.hit_rate == 0.0 and empty.miss_rate == 0.0
 
 
-class TestMerge:
-    def test_counters_add(self):
-        merged = _stats().merge(_stats())
-        assert merged.requests == 200
-        assert merged.page_hits == 140
-        assert merged.data_time_ps == 500_000
-        assert merged.makespan_ps == 625_000
-
-    def test_merge_preserves_utilization(self):
-        a = _stats()
-        merged = a.merge(a)
-        assert merged.utilization == pytest.approx(a.utilization)
-
-    def test_command_counts_merge(self):
-        a = _stats(command_counts={"ACT": 3, "PRE": 1})
-        b = _stats(command_counts={"ACT": 2, "RD": 7})
-        merged = a.merge(b)
-        assert merged.command_counts == {"ACT": 5, "PRE": 1, "RD": 7}
-
-
 class TestMinPhase:
     def test_min_picks_lower(self):
         write = _stats(data_time_ps=240_000)   # 76.8 %
@@ -68,10 +48,3 @@ class TestMinPhase:
     def test_symmetric(self):
         a, b = _stats(), _stats(data_time_ps=100_000)
         assert min_phase_utilization(a, b) == min_phase_utilization(b, a)
-
-
-class TestSummary:
-    def test_summary_mentions_key_counts(self):
-        text = _stats().summary()
-        assert "100 requests" in text
-        assert "util=80.00%" in text

@@ -5,7 +5,9 @@ import io
 import pytest
 
 from repro.dram.commands import CommandType, ScheduledCommand
-from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig, MemoryController
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.trace import TraceChecker, check_phase_commands, read_trace, write_trace
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
@@ -121,7 +123,7 @@ class TestControllerIsClean:
         mapping = OptimizedMapping(space, any_config.geometry, prefer_tall=False)
         policy = ControllerConfig(record_commands=True)
         sequence = mapping.write_addresses() if op == OP_WRITE else mapping.read_addresses()
-        result = MemoryController(any_config, policy).run_phase(sequence, op)
+        result = KernelEngine(any_config, policy).run(TupleSource(sequence), op)
         violations = TraceChecker(any_config).check(result.commands)
         assert violations == [], violations[:3]
 
@@ -131,7 +133,7 @@ class TestControllerIsClean:
         mapping = RowMajorMapping(space, any_config.geometry)
         policy = ControllerConfig(record_commands=True)
         sequence = mapping.write_addresses() if op == OP_WRITE else mapping.read_addresses()
-        result = MemoryController(any_config, policy).run_phase(sequence, op)
+        result = KernelEngine(any_config, policy).run(TupleSource(sequence), op)
         violations = TraceChecker(any_config).check(result.commands)
         assert violations == [], violations[:3]
 
@@ -139,8 +141,8 @@ class TestControllerIsClean:
         space = TriangularIndexSpace(16)
         mapping = OptimizedMapping(space, tiny_config.geometry)
         policy = ControllerConfig(record_commands=True)
-        result = MemoryController(tiny_config, policy).run_phase(
-            mapping.write_addresses(), OP_WRITE
+        result = KernelEngine(tiny_config, policy).run(
+            TupleSource(mapping.write_addresses()), OP_WRITE
         )
         path = tmp_path / "phase.trace"
         with open(path, "w") as stream:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
-from repro.dram.engine import SchedulingEngine, as_workload
+from repro.dram.engine import ChunkSource, SchedulingEngine
 from repro.dram.presets import get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -38,13 +38,13 @@ def _engine_stats(config, mapping, op):
     stream = (mapping.write_addresses_array() if op == OP_WRITE
               else mapping.read_addresses_array())
     return SchedulingEngine(config, ControllerConfig()).run(
-        as_workload(stream), op).stats
+        ChunkSource(stream), op).stats
 
 
 @pytest.mark.parametrize("config_name", ["DDR3-800", "LPDDR4-4266"])
 @pytest.mark.parametrize("op", [OP_WRITE, OP_READ])
 def test_compacted_phase_stats_equal_rectangular(config_name, op):
     (config, rectangular), (small, compacted) = _mappings(config_name)
-    expected = simulate_phase(config, rectangular, op)
-    assert simulate_phase(small, compacted, op) == expected
+    expected = simulate_phase(config, rectangular, op).stats
+    assert simulate_phase(small, compacted, op).stats == expected
     assert _engine_stats(small, compacted, op) == expected

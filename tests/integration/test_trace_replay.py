@@ -13,7 +13,7 @@ import pytest
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
-from repro.dram.simulator import simulate_phase, simulate_phase_result
+from repro.dram.simulator import simulate_phase
 from repro.dram.trace import check_phase_commands
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
@@ -38,8 +38,7 @@ def _run_recorded(config_name, mapping_name, op, n=48):
     config = get_config(config_name)
     space = TriangularIndexSpace(n)
     mapping = MAPPING_FACTORIES[mapping_name](space, config.geometry)
-    return config, simulate_phase_result(config, mapping, op,
-                                         RECORDING_POLICY)
+    return config, simulate_phase(config, mapping, op, RECORDING_POLICY)
 
 
 class TestTable1TraceReplay:
@@ -66,20 +65,21 @@ class TestTable1TraceReplay:
 
 class TestSimulatorResultApi:
     def test_stats_match_simulate_phase(self, ddr4):
+        """Recording the commands leaves the statistics alone."""
         space = TriangularIndexSpace(32)
         mapping = OptimizedMapping(space, ddr4.geometry, prefer_tall=False)
-        result = simulate_phase_result(ddr4, mapping, OP_READ, RECORDING_POLICY)
-        stats = simulate_phase(ddr4, mapping, OP_READ, RECORDING_POLICY)
+        result = simulate_phase(ddr4, mapping, OP_READ, RECORDING_POLICY)
+        stats = simulate_phase(ddr4, mapping, OP_READ).stats
         assert result.stats == stats
 
     def test_no_recording_without_policy(self, ddr4):
         space = TriangularIndexSpace(16)
         mapping = RowMajorMapping(space, ddr4.geometry)
-        result = simulate_phase_result(ddr4, mapping, OP_WRITE)
+        result = simulate_phase(ddr4, mapping, OP_WRITE)
         assert result.commands == []
 
     def test_rejects_bad_op(self, ddr4):
         space = TriangularIndexSpace(8)
         mapping = RowMajorMapping(space, ddr4.geometry)
         with pytest.raises(ValueError, match="op must be"):
-            simulate_phase_result(ddr4, mapping, "erase")
+            simulate_phase(ddr4, mapping, "erase")

@@ -9,7 +9,9 @@ phases.
 
 import pytest
 
-from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource, TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
@@ -29,7 +31,8 @@ def tuple_stats(config, mapping, op):
     """One phase through per-element ``(bank, row, column)`` tuples."""
     stream = (mapping.write_addresses() if op == OP_WRITE
               else mapping.read_addresses())
-    return MemoryController(config).run_phase(stream, op).stats
+    return KernelEngine(config, ControllerConfig()).run(
+        TupleSource(stream), op).stats
 
 
 @pytest.mark.parametrize("config_name", TABLE1_CONFIG_NAMES)
@@ -39,8 +42,8 @@ def test_phase_stats_identical(config_name, mapping_name, op):
     config = get_config(config_name)
     space = TriangularIndexSpace(N)
     mapping = build_mapping(mapping_name, space, config.geometry)
-    assert simulate_phase(config, mapping, op) == tuple_stats(config,
-                                                              mapping, op)
+    assert simulate_phase(config, mapping, op).stats == tuple_stats(
+        config, mapping, op)
 
 
 @pytest.mark.parametrize("op", [OP_WRITE, OP_READ])
@@ -52,5 +55,6 @@ def test_small_chunks_do_not_change_results(op):
     mapping = build_mapping("optimized", space, config.geometry)
     chunks = (mapping.write_addresses_array(chunk_size=13) if op == OP_WRITE
               else mapping.read_addresses_array(chunk_size=13))
-    tiny_chunks = MemoryController(config).run_phase(chunks, op).stats
+    tiny_chunks = KernelEngine(config, ControllerConfig()).run(
+        ChunkSource(chunks), op).stats
     assert tiny_chunks == tuple_stats(config, mapping, op)

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro.dram.address import LinearDecoder
-from repro.dram.controller import OP_READ, OP_WRITE, MemoryController
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.geometry import Geometry
 from repro.dram.presets import get_config
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.simulator import simulate_phase
 from repro.interleaver.triangular import RectangularIndexSpace, TriangularIndexSpace
 from repro.mapping.base import InterleaverMapping
@@ -246,5 +248,6 @@ class TestBaseFallback:
         mapping = ShiftMapping(small_triangle, config.geometry)
         tuples = (mapping.write_addresses() if op == OP_WRITE
                   else mapping.read_addresses())
-        expected = MemoryController(config).run_phase(tuples, op).stats
-        assert simulate_phase(config, mapping, op) == expected
+        expected = KernelEngine(config, ControllerConfig()).run(
+            TupleSource(tuples), op).stats
+        assert simulate_phase(config, mapping, op).stats == expected

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource, TupleSource, WorkloadSource
 from repro.dram.geometry import Geometry
 from repro.dram.mixed import MixedRequest
 from repro.dram.policy import (POLICY_BANK_PARTITION, POLICY_CLOSED_PAGE,
@@ -80,6 +81,15 @@ class PhaseCase:
         if self.chunk_size:
             return as_chunks(self.requests, self.chunk_size)
         return iter(self.requests)
+
+    def source(self) -> WorkloadSource:
+        """The engine source of a fresh :meth:`stream`."""
+        if not self.chunk_size:
+            return TupleSource(iter(self.requests))
+        # Typed as a mapping's chunks: an ndarray is no ``Sequence``.
+        chunks: Iterator[AddressArrays] = as_chunks(self.requests,
+                                                   self.chunk_size)
+        return ChunkSource(chunks)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from itertools import chain
 from typing import Any, Deque, Iterator, List, Optional, Set, Tuple
 
 from repro.dram.commands import CommandType, ScheduledCommand
-from repro.dram.controller import (OP_READ, OP_WRITE, ControllerConfig,
-                                   PhaseResult)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import EngineResult
 from repro.dram.mixed import MixedRequest, MixedResult
 from repro.dram.policy import (POLICY_BANK_PARTITION, POLICY_CLOSED_PAGE,
                                POLICY_FRFCFS_CAP, partition_bank,
@@ -95,12 +95,15 @@ def partition_mixed_stream(requests: Any,
 
 def reference_run_phase(config: DramConfig, requests: Any, op: str = OP_READ,
                         policy: Optional[ControllerConfig] = None
-                        ) -> PhaseResult:
+                        ) -> EngineResult:
     """The seed homogeneous-phase scheduler, under any discipline.
 
-    Accepts the same (tuple-iterable or columnar-chunk) request streams
-    as :meth:`repro.dram.controller.MemoryController.run_phase` and
-    returns the same :class:`~repro.dram.controller.PhaseResult`.
+    Accepts the request streams the engine's
+    :class:`~repro.dram.engine.TupleSource` and
+    :class:`~repro.dram.engine.ChunkSource` carry (an iterable of
+    ``(bank, row, column)`` tuples or of columnar chunks) and returns an
+    :class:`~repro.dram.engine.EngineResult` with its statistics and
+    commands.
     Bank partitioning remaps a tuple stream at entry; the lines marked
     ``# auto-close`` are the streak counters, their reset at ACT, and
     the cap check plus auto-PRE around the pop.
@@ -577,7 +580,7 @@ def reference_run_phase(config: DramConfig, requests: Any, op: str = OP_READ,
         (CommandType.RD if is_read else CommandType.WR).value: n_requests,
         (CommandType.REF_ALL if all_bank_refresh else CommandType.REF_BANK).value: refs,
     }
-    return PhaseResult(stats=stats, commands=commands)
+    return EngineResult(stats=stats, commands=commands)
 
 
 def reference_run_mixed_phase(config: DramConfig, requests: Any,

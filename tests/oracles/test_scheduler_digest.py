@@ -24,8 +24,8 @@ from oracles.cases import (N_HOMOGENEOUS, N_MIXED, N_MIXED_PER_POLICY,
                            engine_mixed_case, phase_chunks, policy_case,
                            policy_mixed_case, table1_mapping)
 from oracles.scheduler import reference_run_mixed_phase, reference_run_phase
-from repro.dram.controller import (OP_READ, OP_WRITE, ControllerConfig,
-                                   PhaseResult)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import EngineResult
 from repro.dram.mixed import MixedResult
 from repro.dram.policy import POLICY_OPEN_PAGE
 from repro.dram.presets import get_config
@@ -36,7 +36,7 @@ def _schedule(stats: PhaseStats) -> str:
     return repr(tuple(getattr(stats, name) for name in SCHEDULE_FIELDS))
 
 
-def _phase_record(result: PhaseResult) -> str:
+def _phase_record(result: EngineResult) -> str:
     tape = [(c.time_ps, c.command.value, c.bank, c.row, c.column,
              c.request_id) for c in result.commands]
     return (_schedule(result.stats)

@@ -16,6 +16,7 @@ from repro.dram.controller import (
 )
 from repro.dram.engine import SchedulingEngine
 from repro.dram.geometry import Geometry
+from repro.dram.kernel import KernelEngine
 from repro.dram.presets import get_config
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.interleaver.two_stage import TwoStageConfig
@@ -24,12 +25,14 @@ from repro.mapping.row_major import RowMajorMapping
 from repro.system.e2e import (
     E2ECell,
     FrameStreamSource,
+    _fold_frame_latencies,
     _run_dram_phase,
     latency_percentile_ps,
     run_e2e,
 )
 from repro.system.parallel import run_tasks
-from repro.system.sweep import E2ERow, format_e2e_table, run_e2e_table
+from repro.system.sweep import (E2ERow, cell_mapping, format_e2e_table,
+                                run_e2e_table)
 
 CODE = CodewordConfig(n_symbols=24, t_correctable=2)
 
@@ -309,6 +312,45 @@ class TestDifferentialBattery:
         stats, latencies = run(_run_dram_phase)
         assert (stats, latencies) == run(run_dram_phase_reference)
         assert len(latencies) == frames
+
+
+class TestFrameLatencyFold:
+    """The frame fold against frame ends recomputed in stream order."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the fold cuts the issue-ordered CAS-time column into blocks of "
+        "consecutive entries, but the schedulers reorder requests across "
+        "frame boundaries"))
+    @pytest.mark.parametrize("op", [OP_WRITE, OP_READ])
+    def test_frame_fold_matches_stream_order(self, op):
+        """DDR4-3200, optimized, n=32, 40 frames: a default e2e cell."""
+        n, frames = 32, 40
+        config = get_config("DDR4-3200")
+        mapping = cell_mapping(config.name, "optimized", n)
+        interleaver = small_interleaver(n)
+        per_frame = interleaver.elements_per_frame
+
+        def source():
+            return FrameStreamSource(mapping, interleaver, frames, op)
+
+        result = KernelEngine(config, ControllerConfig(record_commands=True)).run(
+            source(), op, cas_times=True)
+        stream_banks = np.concatenate([batch[0] for batch in source().batches()])
+        cas = sorted((c for c in result.commands if c.moves_data),
+                     key=lambda c: c.request_id)
+        data = config.burst_duration_ps + (
+            config.timing.cl if op == OP_READ else config.timing.cwl)
+        # Banks serve their FIFOs in order: the k-th CAS on bank b moves
+        # the k-th request of bank b in the stream.
+        ends = np.zeros(frames, dtype=np.int64)
+        for bank in np.unique(stream_banks):
+            frame_of = np.flatnonzero(stream_banks == bank) // per_frame
+            times = np.asarray([c.time_ps for c in cas if c.bank == bank])
+            np.maximum.at(ends, frame_of, times + data)
+        completion = np.maximum.accumulate(ends)
+        expected = tuple(np.diff(completion, prepend=0).tolist())
+        assert _fold_frame_latencies(result.cas_times, frames, per_frame,
+                                     config, op) == expected
 
 
 class TestParallelTasks:

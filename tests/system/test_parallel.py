@@ -55,7 +55,7 @@ class TestExecute:
         config = get_config("DDR4-3200")
         space = TriangularIndexSpace(48)
         mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
-        direct = simulate_phase(config, mapping, OP_READ)
+        direct = simulate_phase(config, mapping, OP_READ).stats
         task = PhaseTask(config_name="DDR4-3200", mapping="optimized",
                          op=OP_READ, n=48)
         assert task.execute() == direct

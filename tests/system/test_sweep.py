@@ -5,8 +5,9 @@ import inspect
 
 import pytest
 
-from repro.dram.controller import (OP_READ, OP_WRITE, ControllerConfig,
-                                   MemoryController)
+from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import TupleSource
+from repro.dram.kernel import KernelEngine
 from repro.dram.presets import get_config
 from repro.dram.stats import PhaseStats
 from repro.dram.simulator import InterleaverSimResult
@@ -211,7 +212,8 @@ class TestParallelPlumbing:
             mapping = factory(space, config.geometry)
             for op, stream in ((OP_WRITE, mapping.write_addresses()),
                                (OP_READ, mapping.read_addresses())):
-                stats = MemoryController(config).run_phase(stream, op).stats
+                stats = KernelEngine(config, ControllerConfig()).run(
+                    TupleSource(stream), op).stats
                 tuples.append(stats.utilization)
         assert list(row.cells()) == tuples
 
