@@ -39,6 +39,44 @@ class TestSources:
         for cls in (TupleSource, ChunkSource, MixedSource, TraceReplaySource):
             assert issubclass(cls, WorkloadSource)
 
+    def test_direction_flag_follows_the_shape(self):
+        """Tuple and chunk streams run in the phase's one direction;
+        mixed and replayed streams carry a direction per request."""
+        assert not TupleSource([]).mixed
+        assert not ChunkSource([]).mixed
+        assert MixedSource([]).mixed
+        assert TraceReplaySource([]).mixed
+
+    def test_chunk_source_passes_chunks_through(self):
+        chunk = (np.asarray([0, 1]), np.asarray([2, 3]), np.asarray([4, 5]))
+        (banks, rows, cols, directions), = ChunkSource([chunk]).batches()
+        assert banks is chunk[0] and rows is chunk[1] and cols is chunk[2]
+        assert directions is None
+
+    def test_tuple_batches_concatenate_to_the_stream(self):
+        requests = [(k % 4, k % 5, k % 8) for k in range(2500)]
+        batches = list(TupleSource(iter(requests)).batches())
+        assert len(batches) > 1
+        assert all(directions is None for *_, directions in batches)
+        columns = [[value for batch in batches for value in batch[i]]
+                   for i in range(3)]
+        assert list(zip(*columns)) == requests
+
+    @pytest.mark.parametrize("engine", (KernelEngine, SchedulingEngine))
+    def test_plain_list_chunks_schedule_as_arrays(self, tiny_config, engine):
+        """A chunk's columns may be plain lists: intake converts them,
+        and the schedule is the one of their int64-array twin."""
+        requests = [(k % 4, (k // 3) % 6, k % 8) for k in range(500)]
+        lists = tuple(list(column) for column in zip(*requests))
+        arrays = tuple(np.asarray(column, dtype=np.int64) for column in lists)
+        policy = ControllerConfig(record_commands=True)
+        from_lists = engine(tiny_config, policy).run(
+            ChunkSource([lists]), OP_WRITE)
+        from_arrays = engine(tiny_config, policy).run(
+            ChunkSource([arrays]), OP_WRITE)
+        assert from_lists.stats.requests == len(requests)
+        assert from_lists == from_arrays
+
 
 class TestSourceEquivalence:
     def test_tuple_source_equals_raw_iterable(self, tiny_config):

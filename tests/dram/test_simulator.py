@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.dram.commands import CAS_COMMANDS, CommandType
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
+from repro.dram.engine import ChunkSource
+from repro.dram.kernel import KernelEngine
+from repro.dram.policy import POLICY_CLOSED_PAGE
 from repro.dram.simulator import simulate_interleaver, simulate_phase
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.mapping.optimized import OptimizedMapping
@@ -28,6 +32,35 @@ class TestSimulatePhase:
         with pytest.raises(ValueError):
             simulate_phase(tiny_config, mapping, "ERASE")
 
+    @pytest.mark.parametrize("op,traversal", [
+        (OP_WRITE, "write_addresses_array"),
+        (OP_READ, "read_addresses_array"),
+    ])
+    def test_runs_its_traversal_through_the_kernel(
+            self, tiny_config, mapping, op, traversal):
+        """Writes traverse the mapping row-wise and reads column-wise,
+        and the phase is the kernel's run of that traversal."""
+        policy = ControllerConfig(record_commands=True)
+        expected = KernelEngine(tiny_config, policy).run(
+            ChunkSource(getattr(mapping, traversal)()), op)
+        assert simulate_phase(tiny_config, mapping, op, policy) == expected
+
+    def test_default_policy(self, tiny_config, mapping):
+        assert simulate_phase(tiny_config, mapping, OP_READ) == simulate_phase(
+            tiny_config, mapping, OP_READ, ControllerConfig())
+
+    @pytest.mark.parametrize("op,cas", [(OP_WRITE, CommandType.WR),
+                                        (OP_READ, CommandType.RD)])
+    def test_every_request_moves_data_in_the_phase_direction(
+            self, tiny_config, mapping, op, cas):
+        result = simulate_phase(tiny_config, mapping, op,
+                                ControllerConfig(record_commands=True))
+        n = mapping.space.num_elements
+        assert (result.writes, result.reads) == (
+            (n, 0) if op == OP_WRITE else (0, n))
+        assert [c.command for c in result.commands
+                if c.command in CAS_COMMANDS] == [cas] * n
+
     def test_policy_passthrough(self, tiny_config, mapping):
         with_ref = simulate_phase(tiny_config, mapping, OP_READ,
                                   ControllerConfig(refresh_enabled=True)).stats
@@ -38,6 +71,18 @@ class TestSimulatePhase:
 
 
 class TestSimulateInterleaver:
+    @pytest.mark.parametrize("policy", [
+        None, ControllerConfig(discipline=POLICY_CLOSED_PAGE)],
+        ids=["default", "closed-page"])
+    def test_phases_are_simulate_phase(self, tiny_config, mapping, policy):
+        """Both phases run through :func:`simulate_phase` under the one
+        policy given."""
+        result = simulate_interleaver(tiny_config, mapping, policy)
+        assert result.write == simulate_phase(
+            tiny_config, mapping, OP_WRITE, policy).stats
+        assert result.read == simulate_phase(
+            tiny_config, mapping, OP_READ, policy).stats
+
     def test_result_fields(self, tiny_config, mapping):
         result = simulate_interleaver(tiny_config, mapping)
         assert result.config_name == tiny_config.name
