@@ -1,8 +1,9 @@
 """Address-pipeline chunk sizing: throughput vs in-flight byte budget.
 
 The vectorized address pipeline batches its work into columnar chunks
-sized by a byte budget (``chunk_bytes``, default 6 MiB — see
-:data:`repro.interleaver.triangular.DEFAULT_CHUNK_BYTES`).  Too small a
+sized by a byte budget (default 6 MiB — see
+:data:`repro.interleaver.triangular.DEFAULT_CHUNK_BYTES`), handed to the
+address iterators as ``budget // CELL_BYTES`` cells.  Too small a
 budget drowns the pipeline in per-chunk Python/NumPy call overhead; too
 large a budget spills the working set out of cache and grows the
 footprint without gaining anything.  This benchmark drains the full
@@ -16,7 +17,11 @@ import time
 import pytest
 
 from repro.dram.presets import get_config
-from repro.interleaver.triangular import DEFAULT_CHUNK_BYTES, TriangularIndexSpace
+from repro.interleaver.triangular import (
+    CELL_BYTES,
+    DEFAULT_CHUNK_BYTES,
+    TriangularIndexSpace,
+)
 from repro.mapping.optimized import OptimizedMapping
 
 #: The default budget must be within this factor of the sweep's best
@@ -34,12 +39,13 @@ BUDGETS = tuple(DEFAULT_CHUNK_BYTES * k // 256 for k in (1, 16, 64)) + (
 N = 2048
 
 
-def _drain(mapping, chunk_bytes):
+def _drain(mapping, budget):
     """Consume both pipeline directions; return (bursts, checksum)."""
+    cells = budget // CELL_BYTES
     bursts = 0
     checksum = 0
-    for stream in (mapping.write_addresses_array(chunk_bytes=chunk_bytes),
-                   mapping.read_addresses_array(chunk_bytes=chunk_bytes)):
+    for stream in (mapping.write_addresses_array(cells),
+                   mapping.read_addresses_array(cells)):
         for banks, rows, columns in stream:
             bursts += int(banks.shape[0])
             checksum += int(banks.sum()) + int(rows.sum()) + int(columns.sum())
@@ -56,8 +62,7 @@ def test_default_chunk_bytes_on_flat_part_of_curve(benchmark):
     ``--benchmark-disable`` (CI smoke) only the content check runs.
     """
     config = get_config("DDR4-3200")
-    mapping = OptimizedMapping(TriangularIndexSpace(N), config.geometry,
-                               prefer_tall=False)
+    mapping = OptimizedMapping(TriangularIndexSpace(N), config.geometry)
 
     expected = benchmark.pedantic(_drain, args=(mapping, DEFAULT_CHUNK_BYTES),
                                   rounds=1, iterations=1)

@@ -53,7 +53,7 @@ def _phase_grid():
         config = get_config(config_name)
         space = TriangularIndexSpace(N)
         for mapping in (RowMajorMapping(space, config.geometry),
-                        OptimizedMapping(space, config.geometry, prefer_tall=False)):
+                        OptimizedMapping(space, config.geometry)):
             for op in (OP_WRITE, OP_READ):
                 yield config, mapping, op
 
@@ -173,8 +173,7 @@ def test_mixed_steady_state_cell(benchmark):
     ``extra_info``.
     """
     config = get_config("DDR4-3200")
-    mapping = OptimizedMapping(TriangularIndexSpace(192), config.geometry,
-                               prefer_tall=False)
+    mapping = OptimizedMapping(TriangularIndexSpace(192), config.geometry)
 
     result = benchmark.pedantic(
         steady_state_interleaver,

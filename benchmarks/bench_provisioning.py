@@ -36,7 +36,7 @@ def test_oversizing_per_config(benchmark, config_name, bench_triangle_n):
             config, simulate_interleaver(config, RowMajorMapping(space, config.geometry)))
         optimized = throughput_report(
             config, simulate_interleaver(
-                config, OptimizedMapping(space, config.geometry, prefer_tall=False)))
+                config, OptimizedMapping(space, config.geometry)))
         return row_major, optimized
 
     row_major, optimized = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -65,7 +65,7 @@ def test_provisioning_ranking(benchmark, bench_triangle_n):
         for name in CONFIGS:
             config = get_config(name)
             for mapping in (RowMajorMapping(space, config.geometry),
-                            OptimizedMapping(space, config.geometry, prefer_tall=False)):
+                            OptimizedMapping(space, config.geometry)):
                 result = simulate_interleaver(config, mapping)
                 reports.append((config, throughput_report(config, result)))
         return reports

@@ -22,7 +22,7 @@ FAST_GRADES = ("DDR3-1600", "DDR4-3200", "DDR5-6400", "LPDDR4-4266", "LPDDR5-853
 def test_refresh_disabled_utilization(benchmark, config_name, bench_triangle_n):
     config = get_config(config_name)
     space = TriangularIndexSpace(bench_triangle_n)
-    mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
+    mapping = OptimizedMapping(space, config.geometry)
 
     def run():
         off = simulate_interleaver(config, mapping,

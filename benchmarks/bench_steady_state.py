@@ -26,8 +26,7 @@ GROUPS = (1, 16, 256)
 @pytest.mark.parametrize("group", GROUPS)
 def test_steady_state_utilization(benchmark, config_name, group):
     config = get_config(config_name)
-    mapping = OptimizedMapping(TriangularIndexSpace(192), config.geometry,
-                               prefer_tall=False)
+    mapping = OptimizedMapping(TriangularIndexSpace(192), config.geometry)
 
     result = benchmark.pedantic(
         steady_state_interleaver, args=(config, mapping, group),
@@ -42,8 +41,7 @@ def test_steady_state_utilization(benchmark, config_name, group):
 @pytest.mark.parametrize("config_name", CONFIGS)
 def test_block_size_recovers_phase_separated_value(benchmark, config_name):
     config = get_config(config_name)
-    mapping = OptimizedMapping(TriangularIndexSpace(192), config.geometry,
-                               prefer_tall=False)
+    mapping = OptimizedMapping(TriangularIndexSpace(192), config.geometry)
 
     def run():
         fine = steady_state_interleaver(config, mapping, group=1)

@@ -49,7 +49,7 @@ PAPER_TABLE1 = {
 def _mapping(name, space, geometry):
     if name == "row-major":
         return RowMajorMapping(space, geometry)
-    return OptimizedMapping(space, geometry, prefer_tall=False)
+    return OptimizedMapping(space, geometry)
 
 
 @pytest.mark.paper_artifact("Table I")

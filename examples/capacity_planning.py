@@ -34,7 +34,7 @@ def main() -> None:
     for name in TABLE1_CONFIG_NAMES:
         config = get_config(name)
         for mapping in (RowMajorMapping(space, config.geometry),
-                        OptimizedMapping(space, config.geometry, prefer_tall=False)):
+                        OptimizedMapping(space, config.geometry)):
             result = simulate_interleaver(config, mapping)
             report = throughput_report(config, result)
             reports.append(report)

@@ -3,8 +3,9 @@
 
 Renders the four panels for a figure-scale device (2 banks, 4-burst
 pages) on an 8x8 index-space excerpt, plus the triangular variant that
-the real interleaver uses and its compacted rows on a device too small
-for the rectangular layout (footnote 1 of the paper).
+the real interleaver uses (on the same 2x4 page tile as the Fig. 1
+panels) and its compacted rows on a device too small for the
+rectangular layout (footnote 1 of the paper).
 
 Run:  python examples/mapping_visualizer.py
 """

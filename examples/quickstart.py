@@ -30,7 +30,7 @@ def main() -> None:
           f"({space.num_elements:,} burst elements)\n")
 
     for mapping in (RowMajorMapping(space, config.geometry),
-                    OptimizedMapping(space, config.geometry, prefer_tall=False)):
+                    OptimizedMapping(space, config.geometry)):
         result = simulate_interleaver(config, mapping)
         print(f"{mapping.name} mapping")
         print(f"  write {result.write_utilization:7.2%}  "

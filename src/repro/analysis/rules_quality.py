@@ -43,8 +43,6 @@ HOT_PATHS: Dict[str, str] = {
         "the dense batched channel core (every dense-path batch)",
     "repro.dram.engine._PartitionedSource.batches":
         "the bank-partition intake remap (every partitioned chunk)",
-    "repro.dram.energy.energy_from_commands":
-        "the vectorized energy recount",
     "repro.system.campaign.run_frames":
         "the Monte Carlo batch loop (every campaign, adaptive and "
         "scenario cell)",

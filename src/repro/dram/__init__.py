@@ -27,8 +27,6 @@ if TYPE_CHECKING:
         EnergyParams,
         EnergyReport,
         combine_interleaver_reports,
-        command_arrays,
-        energy_from_commands,
         energy_from_tally,
         energy_params_for,
         refresh_command_energy_pj,
@@ -104,8 +102,6 @@ __all__ = [
     "all_configs",
     "check_phase_commands",
     "combine_interleaver_reports",
-    "command_arrays",
-    "energy_from_commands",
     "energy_from_tally",
     "energy_params_for",
     "refresh_command_energy_pj",
@@ -126,8 +122,8 @@ __getattr__, __dir__ = attach(__name__, {
     "repro.dram.commands": ("CommandType", "ScheduledCommand"),
     "repro.dram.energy": (
         "EnergyParams", "EnergyReport", "combine_interleaver_reports",
-        "command_arrays", "energy_from_commands", "energy_from_tally",
-        "energy_params_for", "refresh_command_energy_pj"),
+        "energy_from_tally", "energy_params_for",
+        "refresh_command_energy_pj"),
     "repro.dram.controller": ("OP_READ", "OP_WRITE", "ControllerConfig"),
     "repro.dram.engine": (
         "ChunkSource", "EngineResult", "MixedSource", "SchedulingEngine",

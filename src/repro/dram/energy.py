@@ -25,33 +25,23 @@ its own preset (:func:`energy_params_for`): the faster grade of each
 family pays slightly less per access (newer bins) but more background
 power (interface and clocking running at speed).
 
-Two equivalent accounting paths exist, proven exactly equal to each
-other and to a scalar per-command recount (the test-only oracle
-``tests/oracles/energy.py``, also the baseline of the
-``benchmarks/bench_energy.py`` speedup assertion) by the differential
-battery in ``tests/dram/test_energy_differential.py``:
-
-* :func:`energy_from_tally` — from the integer
-  :class:`~repro.dram.stats.EnergyTally` the scheduling engine fills on
-  every :class:`~repro.dram.stats.PhaseStats` (free: the engine already
-  keeps every counter the model charges; :func:`energy_from_stats`
-  reads it off the statistics);
-* :func:`energy_from_commands` — the vectorized NumPy recount over a
-  recorded command list or prebuilt :func:`command_arrays`.
-
-All of them count commands first and multiply counts by per-command
-energies once, so float summation order can never make them disagree.
+Phase energy has one accounting path, :func:`energy_from_tally`: the
+scheduling engine fills an integer :class:`~repro.dram.stats.EnergyTally`
+on every :class:`~repro.dram.stats.PhaseStats` from counters it already
+keeps, and :func:`energy_from_stats` reads it off the statistics.  The
+proof that the tally is right is a scalar per-command recount of the
+recorded command list (the test-only oracle ``tests/oracles/energy.py``);
+the differential battery in ``tests/dram/test_energy_differential.py``
+holds the two exactly equal.  Both count commands first and multiply
+counts by per-command energies once (``_build_report``), so float
+summation order can never make them disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional
 
-import numpy as np
-from numpy.typing import NDArray
-
-from repro.dram.commands import CommandType, ScheduledCommand
 from repro.dram.presets import REFRESH_PER_BANK, DramConfig
 from repro.dram.stats import EnergyTally, PhaseStats
 from repro.units import PS_PER_S
@@ -225,9 +215,9 @@ def _build_report(config: DramConfig, params: EnergyParams, act_pre: int,
                   rd: int, wr: int, ref: int, makespan_ps: int) -> EnergyReport:
     """The one place count tallies turn into joules.
 
-    Every accounting path (stats, tally, vectorized or scalar command
-    recount) funnels through this function with plain integer counts,
-    so identical counts produce bit-identical float reports.
+    The tally path and the scalar command-recount oracle both funnel
+    through this function with plain integer counts, so identical
+    counts produce bit-identical float reports.
     """
     activation_nj = act_pre * params.e_act_pre_pj / 1000.0
     burst_nj = (rd * params.e_rd_pj + wr * params.e_wr_pj) / 1000.0
@@ -248,11 +238,12 @@ def energy_from_tally(config: DramConfig, tally: EnergyTally,
                       params: Optional[EnergyParams] = None) -> EnergyReport:
     """Energy of one phase from the engine's integer command tallies.
 
-    This is the zero-cost production path: the scheduling engine fills
+    The one production path: the scheduling engine fills
     ``stats.energy_tally`` on every run from counters it already keeps,
     and this function turns those counts into an :class:`EnergyReport`.
-    Exactly equal — not approximately — to recounting the recorded
-    command list with :func:`energy_from_commands`.
+    Its proof is the scalar per-command recount in
+    ``tests/oracles/energy.py``, which the differential battery holds
+    exactly equal — not approximately — to this report.
     """
     params = params or energy_params_for(config)
     return _build_report(config, params, act_pre=tally.act_pre, rd=tally.rd,
@@ -272,102 +263,6 @@ def energy_from_stats(config: DramConfig, stats: PhaseStats) -> EnergyReport:
     if stats.energy_tally is None:
         raise ValueError("phase statistics carry no energy tally")
     return energy_from_tally(config, stats.energy_tally)
-
-
-#: Integer codes for the vectorized command recount.
-_CODE_OF: Dict[CommandType, int] = {
-    CommandType.ACT: 0,
-    CommandType.PRE: 1,
-    CommandType.RD: 2,
-    CommandType.WR: 3,
-    CommandType.REF_ALL: 4,
-    CommandType.REF_BANK: 5,
-}
-
-#: A command list lowered to columnar arrays: (codes int8, times int64).
-CommandArrays = Tuple[NDArray[Any], NDArray[Any]]
-
-
-def command_arrays(commands: Sequence[ScheduledCommand]) -> CommandArrays:
-    """Lower a recorded command list to ``(codes, times)`` NumPy arrays.
-
-    The columnar shape :func:`energy_from_commands` consumes directly;
-    lower once, recount as often as needed (e.g. under several
-    parameter sets) at pure-NumPy speed.
-    """
-    n = len(commands)
-    codes = np.fromiter((_CODE_OF[c.command] for c in commands),
-                        dtype=np.int8, count=n)
-    times = np.fromiter((c.time_ps for c in commands),
-                        dtype=np.int64, count=n)
-    return codes, times
-
-
-def _trace_makespan(config: DramConfig, rd_times: NDArray[Any],
-                    wr_times: NDArray[Any]) -> int:
-    """End of the last data burst implied by the CAS issue times.
-
-    Data-burst ends are strictly increasing in issue order (the bus is
-    serialized), so the maximum over per-direction ends equals the
-    engine's ``makespan_ps`` exactly.
-    """
-    timing = config.timing
-    burst = config.burst_duration_ps
-    makespan = 0
-    if len(rd_times):
-        makespan = int(rd_times.max()) + timing.cl + burst
-    if len(wr_times):
-        wr_end = int(wr_times.max()) + timing.cwl + burst
-        if wr_end > makespan:
-            makespan = wr_end
-    return makespan
-
-
-def energy_from_commands(
-    config: DramConfig,
-    commands: Union[Sequence[ScheduledCommand], CommandArrays],
-    params: Optional[EnergyParams] = None,
-) -> EnergyReport:
-    """Vectorized energy recount over a recorded command stream.
-
-    Args:
-        config: the configuration the commands were scheduled for.
-        commands: a recorded :class:`ScheduledCommand` sequence (from
-            ``policy.record_commands``) or the prebuilt
-            :func:`command_arrays` columnar form.
-        params: override the preset energy parameters.
-
-    The independent reference for the engine's zero-cost tallies:
-    command-type counts come from one ``np.bincount`` and the makespan
-    from the latest data-burst end, then the identical count-based
-    arithmetic as :func:`energy_from_tally` applies — so the two paths
-    are exactly equal whenever the recorded command list is consistent
-    with the engine's counters.
-    """
-    params = params or energy_params_for(config)
-    if isinstance(commands, tuple) and len(commands) == 2 \
-            and isinstance(commands[0], np.ndarray):
-        codes, times = commands
-    else:
-        codes, times = command_arrays(
-            commands if hasattr(commands, "__len__") else list(commands))
-    counts = np.bincount(codes, minlength=len(_CODE_OF))
-    rd = int(counts[_CODE_OF[CommandType.RD]])
-    wr = int(counts[_CODE_OF[CommandType.WR]])
-    makespan = _trace_makespan(
-        config,
-        times[codes == _CODE_OF[CommandType.RD]] if rd else times[:0],
-        times[codes == _CODE_OF[CommandType.WR]] if wr else times[:0],
-    )
-    return _build_report(
-        config, params,
-        act_pre=int(counts[_CODE_OF[CommandType.ACT]]),
-        rd=rd,
-        wr=wr,
-        ref=int(counts[_CODE_OF[CommandType.REF_ALL]]
-                + counts[_CODE_OF[CommandType.REF_BANK]]),
-        makespan_ps=makespan,
-    )
 
 
 def combine_interleaver_reports(write: EnergyReport,

@@ -44,30 +44,12 @@ CELL_BYTES = 24
 DEFAULT_CHUNK_BYTES = 6 << 20
 
 
-def chunk_cells(target_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
-    """Cells per chunk for an in-flight byte budget.
-
-    Sizing by bytes instead of a fixed element count keeps the memory
-    footprint of the address pipeline independent of how wide its
-    columns are.
-
-    Args:
-        target_bytes: byte budget one chunk may occupy at the
-            pipeline's widest point (:data:`CELL_BYTES` per cell).
-
-    Raises:
-        ValueError: when the budget is not positive.
-    """
-    if target_bytes <= 0:
-        raise ValueError(f"target_bytes must be > 0, got {target_bytes}")
-    return max(1, target_bytes // CELL_BYTES)
-
-
-#: Default traversal chunk size (cells) for the vectorized coordinate
-#: iterators — the byte budget above expressed in cells (exactly
-#: ``1 << 18`` for the 6 MiB default, pinned by the chunking tests so
-#: chunk boundaries — and therefore results — never drift).
-DEFAULT_COORD_CHUNK = chunk_cells()
+#: Default traversal chunk size (cells) of the vectorized coordinate
+#: iterators and the mappings' address iterators — the byte budget
+#: above expressed in cells (exactly ``1 << 18`` for the 6 MiB default,
+#: pinned by the chunking tests so chunk boundaries — and therefore
+#: results — never drift).
+DEFAULT_COORD_CHUNK = DEFAULT_CHUNK_BYTES // CELL_BYTES
 
 
 def check_chunk_size(chunk_size: int) -> None:

@@ -10,44 +10,17 @@ share a (bank, row, column) triple — which is property-tested in
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Tuple
 
 from repro.dram.address import DramAddress
 from repro.dram.geometry import Geometry
-from repro.interleaver.triangular import (
-    DEFAULT_COORD_CHUNK,
-    IndexSpace,
-    check_chunk_size,
-    chunk_cells,
-)
+from repro.interleaver.triangular import DEFAULT_COORD_CHUNK, IndexSpace
 
 #: The (bank, row, column) tuples the controller consumes.
 AddressTuple = Tuple[int, int, int]
 
 #: One columnar address chunk: (banks, rows, columns) int64 arrays.
 AddressArrays = Tuple[Any, Any, Any]
-
-#: Default chunk size (bursts) of the array traversal fast paths —
-#: the pipeline-wide byte budget of
-#: :data:`repro.interleaver.triangular.DEFAULT_CHUNK_BYTES` expressed
-#: in cells; bounded memory even at paper scale (12.5 M cells => ~48
-#: chunks).  Shared with the index spaces' coordinate iterators so both
-#: sides of the pipeline chunk identically.
-DEFAULT_CHUNK = DEFAULT_COORD_CHUNK
-
-
-def _resolve_chunk_size(chunk_size: Optional[int],
-                        chunk_bytes: Optional[int]) -> int:
-    """Bursts per chunk from an explicit count or a byte budget."""
-    if chunk_size is not None and chunk_bytes is not None:
-        raise ValueError("pass chunk_size or chunk_bytes, not both")
-    if chunk_bytes is not None:
-        return chunk_cells(chunk_bytes)
-    if chunk_size is None:
-        return DEFAULT_CHUNK
-    check_chunk_size(chunk_size)
-    return chunk_size
-
 
 class InterleaverMapping(abc.ABC):
     """Maps a 2-D interleaver index space onto one DRAM channel.
@@ -127,38 +100,36 @@ class InterleaverMapping(abc.ABC):
             np.asarray(columns, dtype=np.int64),
         )
 
-    def write_addresses_array(self, chunk_size: Optional[int] = None, *,
-                              chunk_bytes: Optional[int] = None,
-                              ) -> Iterator[AddressArrays]:
+    def write_addresses_array(
+            self,
+            chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[AddressArrays]:
         """Write-order addresses as columnar array chunks.
 
         Yields the exact address sequence of :meth:`write_addresses` in
         ``(bank, row, column)`` array chunks of ``<= ~chunk_size``
         bursts — the shape the controller's chunked intake consumes.
-
-        Chunk granularity is set either as an element count
-        (``chunk_size``) or adaptively as an in-flight byte budget
-        (``chunk_bytes``, converted at
-        :data:`~repro.interleaver.triangular.CELL_BYTES` per burst);
-        passing both raises :class:`ValueError`.  The default is the
-        pipeline-wide 6 MiB budget (see
+        The default,
+        :data:`~repro.interleaver.triangular.DEFAULT_COORD_CHUNK`, is
+        the pipeline-wide 6 MiB budget in cells (see
         ``benchmarks/bench_chunk_size.py`` for the flat part of the
-        size/throughput curve it sits on).  Granularity never changes
+        size/throughput curve it sits on), the same chunking as the
+        index spaces' coordinate iterators.  Granularity never changes
         the address sequence, only its batching.
+
+        Raises:
+            ValueError: when ``chunk_size < 1`` (on iteration).
         """
-        cells = _resolve_chunk_size(chunk_size, chunk_bytes)
-        for i, j in self.space.write_coord_chunks(cells):
+        for i, j in self.space.write_coord_chunks(chunk_size):
             yield self.address_arrays(i, j)
 
-    def read_addresses_array(self, chunk_size: Optional[int] = None, *,
-                             chunk_bytes: Optional[int] = None,
-                             ) -> Iterator[AddressArrays]:
+    def read_addresses_array(
+            self,
+            chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[AddressArrays]:
         """Read-order addresses as columnar array chunks.
 
         Same granularity contract as :meth:`write_addresses_array`.
         """
-        cells = _resolve_chunk_size(chunk_size, chunk_bytes)
-        for i, j in self.space.read_coord_chunks(cells):
+        for i, j in self.space.read_coord_chunks(chunk_size):
             yield self.address_arrays(i, j)
 
     def rows_used(self) -> int:

@@ -85,9 +85,9 @@ class OptimizedMapping(InterleaverMapping):
             row-wise sweeps get maximal page runs, column-wise sweeps
             miss on every access (the SRAM-style failure mode).
         enable_offset: optimization 3 (bank-staggered circular shift).
-        prefer_tall: give the column-wise (read) direction the longer
-            page runs when the balanced tile cannot be square.
 
+    With every switch on (the defaults) this is the mapping Table I
+    reports, on the :func:`~repro.mapping.tiling.balanced_tile` tile.
     The device picks the row layout: rectangular when its tile grid
     fits in ``geometry.rows``, compacted over the tiles in use
     otherwise.
@@ -103,7 +103,6 @@ class OptimizedMapping(InterleaverMapping):
         enable_bank_rotation: bool = True,
         enable_tiling: bool = True,
         enable_offset: bool = True,
-        prefer_tall: bool = True,
     ) -> None:
         super().__init__(space, geometry)
         self.enable_bank_rotation = enable_bank_rotation
@@ -114,7 +113,7 @@ class OptimizedMapping(InterleaverMapping):
         page = geometry.bursts_per_row
         if enable_bank_rotation:
             if enable_tiling:
-                self.tile: Optional[TileGeometry] = balanced_tile(geometry, prefer_tall)
+                self.tile: Optional[TileGeometry] = balanced_tile(geometry)
             else:
                 self.tile = row_strip_tile(geometry)
             self._tile_h = self.tile.tile_h

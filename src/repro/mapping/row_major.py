@@ -21,17 +21,16 @@ on LPDDR4-4266).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from repro.dram.address import LinearDecoder
 from repro.dram.geometry import Geometry
-from repro.interleaver.triangular import IndexSpace
-from repro.mapping.base import (
-    AddressArrays,
-    AddressTuple,
-    InterleaverMapping,
-    _resolve_chunk_size,
+from repro.interleaver.triangular import (
+    DEFAULT_COORD_CHUNK,
+    IndexSpace,
+    check_chunk_size,
 )
+from repro.mapping.base import AddressArrays, AddressTuple, InterleaverMapping
 
 
 class RowMajorMapping(InterleaverMapping):
@@ -68,8 +67,8 @@ class RowMajorMapping(InterleaverMapping):
         return self.decoder.decode_arrays(self.space.linear_indices(i, j))
 
     def write_addresses_array(
-            self, chunk_size: Optional[int] = None, *,
-            chunk_bytes: Optional[int] = None) -> Iterator[AddressArrays]:
+            self,
+            chunk_size: int = DEFAULT_COORD_CHUNK) -> Iterator[AddressArrays]:
         """Sequential burst indices decoded in bulk (fastest path).
 
         The write order is the linear order, so the coordinate step is
@@ -79,11 +78,11 @@ class RowMajorMapping(InterleaverMapping):
         """
         import numpy as np
 
-        cells = _resolve_chunk_size(chunk_size, chunk_bytes)
+        check_chunk_size(chunk_size)
         total = self.space.num_elements
         decode_arrays = self.decoder.decode_arrays
-        for start in range(0, total, cells):
-            stop = min(start + cells, total)
+        for start in range(0, total, chunk_size):
+            stop = min(start + chunk_size, total)
             yield decode_arrays(np.arange(start, stop, dtype=np.int64))
 
     def rows_used(self) -> int:

@@ -71,15 +71,14 @@ class TileGeometry:
         return longer / shorter
 
 
-def balanced_tile(geometry: Geometry, prefer_tall: bool = True) -> TileGeometry:
+def balanced_tile(geometry: Geometry) -> TileGeometry:
     """Compute the balanced page tile for a channel geometry.
 
     The cell count per tile is fixed at ``B * P`` (one page per bank);
     with ``B`` and ``P`` powers of two the dimensions are the two middle
     powers of two, both at least ``B``.  When the product has an odd
-    number of bits, the extra bit goes to the height by default
-    (``prefer_tall``), favoring the column-wise (read) direction —
-    the phase the row-major baseline loses.
+    number of bits, the extra bit goes to the width, favoring the
+    row-wise (write) direction: the tile behind every Table I result.
 
     Raises:
         ValueError: if the page holds fewer bursts than there are banks
@@ -93,17 +92,12 @@ def balanced_tile(geometry: Geometry, prefer_tall: bool = True) -> TileGeometry:
             f"page of {page} bursts is smaller than the {banks}-bank diagonal; "
             "the balanced tiling needs bursts_per_page >= banks"
         )
+    # page >= banks puts log2(B) <= total_bits // 2, so both sides are
+    # at least B.
     total_bits = log2_int(banks) + log2_int(page)
-    bank_bits = log2_int(banks)
-    if prefer_tall:
-        h_bits = (total_bits + 1) // 2
-    else:
-        h_bits = total_bits // 2
-    h_bits = max(h_bits, bank_bits)
-    h_bits = min(h_bits, total_bits - bank_bits)
-    tile_h = 1 << h_bits
-    tile_w = 1 << (total_bits - h_bits)
-    return TileGeometry(banks=banks, bursts_per_page=page, tile_h=tile_h, tile_w=tile_w)
+    h_bits = total_bits // 2
+    return TileGeometry(banks=banks, bursts_per_page=page, tile_h=1 << h_bits,
+                        tile_w=1 << (total_bits - h_bits))
 
 
 def row_strip_tile(geometry: Geometry) -> TileGeometry:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import attach
 
 if TYPE_CHECKING:
-    from repro.store.export import open_export, write_csv_rows, write_json_document
+    from repro.store.export import open_export, write_csv_rows
     from repro.store.jobs import DEFAULT_GRID_SPEC, JobEngine, JobRecord, grid_from_spec
     from repro.store.records import SCHEMA_VERSION, canonical_json, derive_key
     from repro.store.server import ReproServer, create_server
@@ -46,12 +46,11 @@ __all__ = [
     "grid_from_spec",
     "open_export",
     "write_csv_rows",
-    "write_json_document",
 ]
 
 __getattr__, __dir__ = attach(__name__, {
     "repro.store.export": (
-        "open_export", "write_csv_rows", "write_json_document"),
+        "open_export", "write_csv_rows"),
     "repro.store.jobs": (
         "DEFAULT_GRID_SPEC", "JobEngine", "JobRecord", "grid_from_spec"),
     "repro.store.records": ("SCHEMA_VERSION", "canonical_json", "derive_key"),

@@ -13,16 +13,15 @@ move:
   to die with a raw ``FileNotFoundError`` traceback; the opener now
   creates intermediate directories first.
 
-The row-level helpers (:func:`write_json_document`, :func:`write_csv_rows`)
-are the store-level exporters the sweep commands share, so every export
-carries the same canonical JSON settings (sorted keys,
-``allow_nan=False``) as the store documents themselves.
+The row-level helper :func:`write_csv_rows` is the CSV exporter the
+sweep commands share; JSON documents are written by their commands
+(``campaign.export_json``) with the store's canonical settings (sorted
+keys, ``allow_nan=False``).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import os
 from typing import Any, Dict, IO, Iterable, Sequence
 
@@ -41,23 +40,6 @@ def open_export(path: str) -> IO[str]:
     if parent:
         os.makedirs(parent, exist_ok=True)
     return open(path, "w", newline="")
-
-
-def write_json_document(path: str, document: Any) -> None:
-    """Write one JSON document with the store's canonical settings.
-
-    Sorted keys, two-space indent, a trailing newline, and
-    ``allow_nan=False`` so non-RFC ``Infinity``/``NaN`` tokens fail
-    loud at export time instead of breaking downstream parsers.
-
-    Args:
-        path: destination file (parents created).
-        document: any JSON-serializable value.
-    """
-    with open_export(path) as stream:
-        json.dump(document, stream, indent=2, sort_keys=True,
-                  allow_nan=False)
-        stream.write("\n")
 
 
 def write_csv_rows(path: str, fieldnames: Sequence[str],

@@ -62,18 +62,14 @@ def default_mappings() -> Dict[str, MappingFactory]:
     """The two mappings of Table I."""
     return {
         "row-major": lambda space, geometry: RowMajorMapping(space, geometry),
-        "optimized": lambda space, geometry: OptimizedMapping(
-            space, geometry, prefer_tall=False
-        ),
+        "optimized": lambda space, geometry: OptimizedMapping(space, geometry),
     }
 
 
 def ablation_factories() -> Dict[str, MappingFactory]:
     """Optimized-mapping variants with each optimization toggled off."""
     def make(**kwargs: bool) -> MappingFactory:
-        return lambda space, geometry: OptimizedMapping(
-            space, geometry, prefer_tall=False, **kwargs
-        )
+        return lambda space, geometry: OptimizedMapping(space, geometry, **kwargs)
 
     return {
         "full": make(),

@@ -145,13 +145,19 @@ def provision(
 
     Returns:
         Feasible choices sorted by total peak bandwidth bought
-        (ascending, i.e. cheapest first).
+        (ascending, i.e. cheapest first).  Reports that sustain no
+        throughput are skipped.
+
+    Raises:
+        ValueError: on a non-positive target, from
+            :func:`required_channels` at the first report that sustains
+            throughput.
     """
     choices = []
     for report in reports:
         if report.sustained_gbit <= 0:
             continue
-        channels = max(1, math.ceil(target_gbit / report.sustained_gbit))
+        channels = required_channels(report, target_gbit)
         if max_channels is not None and channels > max_channels:
             continue
         choices.append(ProvisioningChoice(target_gbit=target_gbit, report=report,

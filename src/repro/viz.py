@@ -71,12 +71,10 @@ def render_full(mapping: OptimizedMapping) -> str:
     return render_grid(mapping.space, label)
 
 
-def render_figure1(space: IndexSpace, geometry: Geometry,
-                   prefer_tall: bool = False) -> str:
+def render_figure1(space: IndexSpace, geometry: Geometry) -> str:
     """All four Fig. 1 panels for a small space/geometry pair."""
-    base = dict(prefer_tall=prefer_tall)
-    no_offset = OptimizedMapping(space, geometry, enable_offset=False, **base)
-    full = OptimizedMapping(space, geometry, **base)
+    no_offset = OptimizedMapping(space, geometry, enable_offset=False)
+    full = OptimizedMapping(space, geometry)
     sections = [
         ("(a) Banks (diagonal rotation)", render_banks(full)),
         ("(b) Page-tile columns", render_columns(no_offset)),

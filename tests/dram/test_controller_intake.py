@@ -194,7 +194,7 @@ class TestClockQuantization:
     def _commands_for(config_name):
         config = get_config(config_name)
         space = TriangularIndexSpace(48)
-        mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
+        mapping = OptimizedMapping(space, config.geometry)
         engine = KernelEngine(config, ControllerConfig(record_commands=True))
         return config, engine.run(TupleSource(mapping.read_addresses()),
                                   OP_READ).commands

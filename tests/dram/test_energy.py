@@ -152,7 +152,7 @@ class TestMappingComparison:
         space = TriangularIndexSpace(256)
         out = {}
         for mapping in (RowMajorMapping(space, config.geometry),
-                        OptimizedMapping(space, config.geometry, prefer_tall=False)):
+                        OptimizedMapping(space, config.geometry)):
             result = simulate_interleaver(config, mapping)
             out[mapping.name] = combine_interleaver_reports(
                 energy_from_stats(config, result.write),

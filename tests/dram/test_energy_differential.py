@@ -1,4 +1,4 @@
-"""Differential energy battery: engine tallies vs command recounts.
+"""Differential energy battery: engine tallies vs a command recount.
 
 The scheduling engine fills an :class:`~repro.dram.stats.EnergyTally`
 on every run from counters it already keeps.  This battery proves that
@@ -6,16 +6,10 @@ tally **exactly** equals an independent recount of the recorded command
 list — across ~100 random (configuration/speed grade, refresh mode,
 queue depth, stream pattern/mapping) scenarios, homogeneous and mixed,
 mirroring the scheduling battery in ``test_engine_differential.py``:
-
-* :func:`~repro.dram.energy.energy_from_tally` (the zero-cost
-  production path),
-* :func:`~repro.dram.energy.energy_from_commands` (vectorized NumPy
-  recount, over both a raw command list and prebuilt
-  :func:`~repro.dram.energy.command_arrays`),
-* ``oracles.energy.energy_from_commands_reference`` (the scalar
-  per-command oracle)
-
-must all return identical — not approximately equal — reports.
+:func:`~repro.dram.energy.energy_from_tally` (the one production path)
+and ``oracles.energy.energy_from_commands_reference`` (the scalar
+per-command oracle) must return identical — not approximately equal —
+reports.
 
 Scenario construction is deterministic per index, so a failure names a
 reproducible case.
@@ -28,11 +22,7 @@ import pytest
 
 from oracles.energy import energy_from_commands_reference
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
-from repro.dram.energy import (
-    command_arrays,
-    energy_from_commands,
-    energy_from_tally,
-)
+from repro.dram.energy import energy_from_tally
 from repro.dram.engine import TupleSource
 from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
@@ -82,7 +72,7 @@ def _mapping_stream(rng: random.Random, config):
     if rng.random() < 0.5:
         mapping = RowMajorMapping(space, config.geometry)
     else:
-        mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
+        mapping = OptimizedMapping(space, config.geometry)
     addresses = (mapping.write_addresses() if rng.random() < 0.5
                  else mapping.read_addresses())
     return list(addresses)
@@ -91,14 +81,9 @@ def _mapping_stream(rng: random.Random, config):
 def _assert_energy_consistent(config, stats, commands):
     tally = stats.energy_tally
     assert tally is not None
-    from_tally = energy_from_tally(config, tally)
-    vectorized = energy_from_commands(config, commands)
-    from_arrays = energy_from_commands(config, command_arrays(commands))
-    scalar = energy_from_commands_reference(config, commands)
-    # Exact equality: all paths count commands and multiply once.
-    assert from_tally == vectorized
-    assert from_tally == from_arrays
-    assert from_tally == scalar
+    # Exact equality: both paths count commands and multiply once.
+    assert energy_from_tally(config, tally) == energy_from_commands_reference(
+        config, commands)
     # The tally must agree with the scheduling statistics it rode in on.
     assert tally.act_pre == stats.activates
     assert tally.ref == stats.refreshes

@@ -15,9 +15,9 @@ directly:
 import random
 from dataclasses import replace
 
+from oracles.energy import energy_from_commands_reference
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.energy import (
-    energy_from_commands,
     energy_from_tally,
     energy_params_for,
     refresh_command_energy_pj,
@@ -74,7 +74,8 @@ class TestRefreshEnergy:
             result = _run(config, requests, record_commands=True)
             tally = result.stats.energy_tally
             report = energy_from_tally(config, tally)
-            assert report == energy_from_commands(config, result.commands)
+            assert report == energy_from_commands_reference(
+                config, result.commands)
             if tally.ref:
                 per_command[config.refresh_mode] = report.refresh_nj / tally.ref
         if len(per_command) == 2:

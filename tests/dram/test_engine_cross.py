@@ -31,7 +31,7 @@ N = 48
 def _mapping(name, space, geometry):
     if name == "row-major":
         return RowMajorMapping(space, geometry)
-    return OptimizedMapping(space, geometry, prefer_tall=False)
+    return OptimizedMapping(space, geometry)
 
 
 @pytest.mark.parametrize("config_name", TABLE1_CONFIG_NAMES)

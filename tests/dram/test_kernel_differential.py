@@ -45,8 +45,7 @@ RECORDING_POLICY = ControllerConfig(record_commands=True)
 
 MAPPING_FACTORIES = {
     "row-major": lambda space, geometry: RowMajorMapping(space, geometry),
-    "optimized": lambda space, geometry: OptimizedMapping(
-        space, geometry, prefer_tall=False),
+    "optimized": lambda space, geometry: OptimizedMapping(space, geometry),
 }
 
 TABLE1_PAIRS = [

@@ -19,8 +19,7 @@ from repro.system.sweep import default_mappings
 
 @pytest.fixture
 def ddr4_mapping(ddr4):
-    return OptimizedMapping(TriangularIndexSpace(96), ddr4.geometry,
-                            prefer_tall=False)
+    return OptimizedMapping(TriangularIndexSpace(96), ddr4.geometry)
 
 
 class TestRunMixedPhase:
@@ -150,7 +149,6 @@ class TestAcrossConfigs:
     @pytest.mark.parametrize("name", ["DDR3-1600", "LPDDR4-4266", "DDR5-6400"])
     def test_steady_state_positive_utilization(self, name):
         config = get_config(name)
-        mapping = OptimizedMapping(TriangularIndexSpace(64), config.geometry,
-                                   prefer_tall=False)
+        mapping = OptimizedMapping(TriangularIndexSpace(64), config.geometry)
         result = steady_state_interleaver(config, mapping, group=32)
         assert 0.2 < result.utilization <= 1.0

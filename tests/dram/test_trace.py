@@ -120,7 +120,7 @@ class TestControllerIsClean:
     @pytest.mark.parametrize("op", [OP_READ, OP_WRITE])
     def test_optimized_mapping_trace_clean(self, any_config, op):
         space = TriangularIndexSpace(64)
-        mapping = OptimizedMapping(space, any_config.geometry, prefer_tall=False)
+        mapping = OptimizedMapping(space, any_config.geometry)
         policy = ControllerConfig(record_commands=True)
         sequence = mapping.write_addresses() if op == OP_WRITE else mapping.read_addresses()
         result = KernelEngine(any_config, policy).run(TupleSource(sequence), op)

@@ -28,8 +28,8 @@ def _mappings(config_name):
     config = get_config(config_name)
     small = replace(config, geometry=replace(config.geometry, rows=ROWS))
     space = TriangularIndexSpace(N)
-    rectangular = OptimizedMapping(space, config.geometry, prefer_tall=False)
-    compacted = OptimizedMapping(space, small.geometry, prefer_tall=False)
+    rectangular = OptimizedMapping(space, config.geometry)
+    compacted = OptimizedMapping(space, small.geometry)
     assert compacted.rows_used() <= ROWS < rectangular.rows_used()
     return (config, rectangular), (small, compacted)
 

@@ -62,7 +62,7 @@ class TestSystemStory:
         space = TriangularIndexSpace(192)
         row_major = simulate_interleaver(config, RowMajorMapping(space, config.geometry))
         optimized = simulate_interleaver(
-            config, OptimizedMapping(space, config.geometry, prefer_tall=False))
+            config, OptimizedMapping(space, config.geometry))
 
         # 1. The baseline read phase collapses; the optimized one does not.
         assert row_major.read_utilization < 0.55
@@ -104,7 +104,7 @@ class TestLargerScale:
         space = TriangularIndexSpace(768)
         row_major = simulate_interleaver(config, RowMajorMapping(space, config.geometry))
         optimized = simulate_interleaver(
-            config, OptimizedMapping(space, config.geometry, prefer_tall=False))
+            config, OptimizedMapping(space, config.geometry))
         assert row_major.read_utilization < 0.55      # paper: 43.5 %
         assert row_major.write_utilization > 0.90     # paper: 91.8 %
         assert optimized.min_utilization > 0.80       # paper: 91.9 %

@@ -29,7 +29,7 @@ def results():
             "row-major": simulate_interleaver(
                 config, RowMajorMapping(space, config.geometry)),
             "optimized": simulate_interleaver(
-                config, OptimizedMapping(space, config.geometry, prefer_tall=False)),
+                config, OptimizedMapping(space, config.geometry)),
         }
     return out
 
@@ -99,7 +99,7 @@ class TestRefreshDisabled:
     def test_refresh_off_improves(self, name, results):
         config = get_config(name)
         space = TriangularIndexSpace(256)
-        mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
+        mapping = OptimizedMapping(space, config.geometry)
         off = simulate_interleaver(config, mapping,
                                    ControllerConfig(refresh_enabled=False))
         on = results[name]["optimized"]

@@ -23,8 +23,7 @@ RECORDING_POLICY = ControllerConfig(record_commands=True)
 
 MAPPING_FACTORIES = {
     "row-major": lambda space, geometry: RowMajorMapping(space, geometry),
-    "optimized": lambda space, geometry: OptimizedMapping(
-        space, geometry, prefer_tall=False),
+    "optimized": lambda space, geometry: OptimizedMapping(space, geometry),
 }
 
 TABLE1_PAIRS = [
@@ -67,7 +66,7 @@ class TestSimulatorResultApi:
     def test_stats_match_simulate_phase(self, ddr4):
         """Recording the commands leaves the statistics alone."""
         space = TriangularIndexSpace(32)
-        mapping = OptimizedMapping(space, ddr4.geometry, prefer_tall=False)
+        mapping = OptimizedMapping(space, ddr4.geometry)
         result = simulate_phase(ddr4, mapping, OP_READ, RECORDING_POLICY)
         stats = simulate_phase(ddr4, mapping, OP_READ).stats
         assert result.stats == stats

@@ -24,7 +24,7 @@ N = 64
 def build_mapping(mapping_name, space, geometry):
     if mapping_name == "row-major":
         return RowMajorMapping(space, geometry)
-    return OptimizedMapping(space, geometry, prefer_tall=False)
+    return OptimizedMapping(space, geometry)
 
 
 def tuple_stats(config, mapping, op):

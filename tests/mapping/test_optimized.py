@@ -30,7 +30,6 @@ class TestInjectivity:
         {"enable_bank_rotation": False},
         {"enable_bank_rotation": False, "enable_offset": False},
         {"enable_tiling": False, "enable_offset": False},
-        {"prefer_tall": True},
     ])
     def test_triangular_variants(self, kwargs):
         mapping = OptimizedMapping(TriangularIndexSpace(40), _geometry(), **kwargs)
@@ -42,9 +41,7 @@ class TestInjectivity:
         assert_valid(mapping)
 
     def test_all_real_geometries(self, any_config):
-        mapping = OptimizedMapping(
-            TriangularIndexSpace(96), any_config.geometry, prefer_tall=False
-        )
+        mapping = OptimizedMapping(TriangularIndexSpace(96), any_config.geometry)
         assert_valid(mapping)
 
     @settings(max_examples=25, deadline=None)
@@ -54,14 +51,11 @@ class TestInjectivity:
         banks_per_group=st.sampled_from([2, 4]),
         bursts=st.sampled_from([16, 32]),
         offset=st.booleans(),
-        tall=st.booleans(),
     )
-    def test_property_injective(self, n, bank_groups, banks_per_group, bursts, offset, tall):
+    def test_property_injective(self, n, bank_groups, banks_per_group, bursts, offset):
         geometry = _geometry(bank_groups, banks_per_group, rows=256, bursts=bursts)
-        mapping = OptimizedMapping(
-            TriangularIndexSpace(n), geometry,
-            enable_offset=offset, prefer_tall=tall,
-        )
+        mapping = OptimizedMapping(TriangularIndexSpace(n), geometry,
+                                   enable_offset=offset)
         report = validate_mapping(mapping)
         assert report.ok
 

@@ -37,13 +37,10 @@ class TestBalancedTile:
         tile = balanced_tile(geometry)
         assert (tile.tile_h, tile.tile_w) == (32, 32)
 
-    def test_prefer_tall(self):
+    def test_odd_bit_count_gives_the_extra_bit_to_the_width(self):
         geometry = _geometry(4, 4, 128)  # B=16, P=128 -> 2048 cells
-        tall = balanced_tile(geometry, prefer_tall=True)
-        wide = balanced_tile(geometry, prefer_tall=False)
-        assert tall.tile_h > tall.tile_w
-        assert wide.tile_w > wide.tile_h
-        assert tall.tile_h * tall.tile_w == wide.tile_h * wide.tile_w == 2048
+        tile = balanced_tile(geometry)
+        assert (tile.tile_h, tile.tile_w) == (32, 64)
 
     def test_both_dimensions_at_least_banks(self, any_config):
         tile = balanced_tile(any_config.geometry)

@@ -21,7 +21,13 @@ from repro.dram.presets import get_config
 from repro.dram.engine import TupleSource
 from repro.dram.kernel import KernelEngine
 from repro.dram.simulator import simulate_phase
-from repro.interleaver.triangular import RectangularIndexSpace, TriangularIndexSpace
+from repro.interleaver.triangular import (
+    CELL_BYTES,
+    DEFAULT_CHUNK_BYTES,
+    DEFAULT_COORD_CHUNK,
+    RectangularIndexSpace,
+    TriangularIndexSpace,
+)
 from repro.mapping.base import InterleaverMapping
 from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
@@ -51,7 +57,6 @@ OPTIMIZED_VARIANTS = {
     "no-offset": {"enable_offset": False},
     "tiling-only": {"enable_bank_rotation": False, "enable_offset": False},
     "rotation-only": {"enable_tiling": False, "enable_offset": False},
-    "prefer-tall": {"prefer_tall": True},
 }
 
 
@@ -59,8 +64,7 @@ class TestOptimizedKernel:
     @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
     @pytest.mark.parametrize("variant", sorted(OPTIMIZED_VARIANTS))
     def test_streams_identical(self, space, variant):
-        kwargs = {"prefer_tall": False, **OPTIMIZED_VARIANTS[variant]}
-        mapping = OptimizedMapping(space, GEOMETRY, **kwargs)
+        mapping = OptimizedMapping(space, GEOMETRY, **OPTIMIZED_VARIANTS[variant])
         assert flatten(mapping.write_addresses_array(chunk_size=257)) == list(
             mapping.write_addresses())
         assert flatten(mapping.read_addresses_array(chunk_size=257)) == list(
@@ -70,7 +74,7 @@ class TestOptimizedKernel:
     def test_compacted_streams_identical(self, variant):
         """A device too small for the rectangular grid gets compacted rows."""
         space = TriangularIndexSpace(200)
-        kwargs = {"prefer_tall": False, **OPTIMIZED_VARIANTS[variant]}
+        kwargs = OPTIMIZED_VARIANTS[variant]
         need = OptimizedMapping(space, SMALL_PAGE_GEOMETRY, **kwargs).rows_used()
         # The largest device below the rectangular need: each variant's
         # compacted layout still fits it at this size.
@@ -84,7 +88,7 @@ class TestOptimizedKernel:
             mapping.read_addresses())
 
     def test_kernel_matches_scalar_pointwise(self, small_triangle):
-        mapping = OptimizedMapping(small_triangle, GEOMETRY, prefer_tall=False)
+        mapping = OptimizedMapping(small_triangle, GEOMETRY)
         i = np.asarray([0, 1, 5, 20, 47, 0], dtype=np.int64)
         j = np.asarray([0, 3, 7, 11, 0, 47], dtype=np.int64)
         banks, rows, columns = mapping.address_arrays(i, j)
@@ -186,6 +190,10 @@ class TestCoordChunks:
                   else space.read_coord_chunks)
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             list(chunks(chunk_size))
+
+    def test_default_chunk_is_the_byte_budget_in_cells(self):
+        assert DEFAULT_COORD_CHUNK == DEFAULT_CHUNK_BYTES // CELL_BYTES
+        assert DEFAULT_COORD_CHUNK == 1 << 18
 
     @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
     def test_write_chunks_cover_write_order(self, space):

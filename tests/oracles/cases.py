@@ -57,8 +57,7 @@ TABLE1_N = 32
 MAPPING_FACTORIES: Dict[
         str, Callable[[TriangularIndexSpace, Geometry], InterleaverMapping]] = {
     "row-major": lambda space, geometry: RowMajorMapping(space, geometry),
-    "optimized": lambda space, geometry: OptimizedMapping(
-        space, geometry, prefer_tall=False),
+    "optimized": lambda space, geometry: OptimizedMapping(space, geometry),
 }
 
 #: Every (configuration, mapping) cell of the Table I grid.

@@ -1,10 +1,11 @@
 """Scalar per-command energy recount: the readable energy oracle.
 
-:func:`energy_from_commands_reference` is exactly equal to the
-vectorized :func:`repro.dram.energy.energy_from_commands` (same
-counts, same arithmetic); the energy battery
-(``tests/dram/test_energy_differential.py``) checks that, and
-``benchmarks/bench_energy.py`` pins the vectorized speedup over it.
+:func:`energy_from_commands_reference` recounts a recorded command list
+one command at a time and prices the counts with the model's own
+arithmetic.  The energy battery
+(``tests/dram/test_energy_differential.py``) holds the engine's
+zero-cost tally (:func:`repro.dram.energy.energy_from_tally`, the one
+production path) exactly equal to it.
 """
 
 from __future__ import annotations

@@ -1,10 +1,6 @@
-"""Export helpers: parent creation, CSV newline discipline, JSON canon."""
+"""Export helpers: parent creation and CSV newline discipline."""
 
-import json
-
-import pytest
-
-from repro.store.export import open_export, write_csv_rows, write_json_document
+from repro.store.export import open_export, write_csv_rows
 
 
 class TestOpenExport:
@@ -35,18 +31,3 @@ class TestWriteCsvRows:
         body = path.read_bytes()
         assert body == b"a,b\r\n1,2.5\r\n3,x\r\n"
         assert b"\r\r" not in body
-
-
-class TestWriteJsonDocument:
-    def test_canonical_settings(self, tmp_path):
-        path = tmp_path / "doc.json"
-        write_json_document(str(path), {"b": 1, "a": [1, 2]})
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert text.index('"a"') < text.index('"b"')  # sorted keys
-        assert json.loads(text) == {"b": 1, "a": [1, 2]}
-
-    def test_rejects_nan(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_json_document(str(tmp_path / "doc.json"),
-                                {"x": float("nan")})

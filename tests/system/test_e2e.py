@@ -61,8 +61,7 @@ class TestFrameStreamSource:
         self.interleaver = small_interleaver()
         config = get_config("DDR4-3200")
         space = TriangularIndexSpace(self.interleaver.triangle_n)
-        self.mapping = OptimizedMapping(space, config.geometry,
-                                        prefer_tall=False)
+        self.mapping = OptimizedMapping(space, config.geometry)
 
     def test_is_homogeneous_source(self):
         source = FrameStreamSource(self.mapping, self.interleaver, 2)
@@ -102,8 +101,7 @@ class TestFrameStreamSource:
 
     def test_size_mismatch_raises(self):
         config = get_config("DDR4-3200")
-        wrong = OptimizedMapping(TriangularIndexSpace(16), config.geometry,
-                                 prefer_tall=False)
+        wrong = OptimizedMapping(TriangularIndexSpace(16), config.geometry)
         with pytest.raises(ValueError, match="disagree"):
             FrameStreamSource(wrong, self.interleaver, 1)
 
@@ -121,7 +119,7 @@ class TestFrameStreamSource:
         # own capacity validation: the bridge re-checks rows_used.
         mapping = OptimizedMapping(
             TriangularIndexSpace(self.interleaver.triangle_n),
-            get_config("DDR4-3200").geometry, prefer_tall=False)
+            get_config("DDR4-3200").geometry)
         mapping.rows_used = lambda: mapping.geometry.rows + 1
         with pytest.raises(ValueError, match="rows"):
             FrameStreamSource(mapping, self.interleaver, 1)
@@ -302,7 +300,7 @@ class TestDifferentialBattery:
         config = get_config("DDR4-3200")
         interleaver = small_interleaver()
         mapping = OptimizedMapping(TriangularIndexSpace(interleaver.triangle_n),
-                                   config.geometry, prefer_tall=False)
+                                   config.geometry)
 
         def run(phase):
             source = FrameStreamSource(mapping, interleaver, frames, op)

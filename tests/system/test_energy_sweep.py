@@ -102,6 +102,6 @@ class TestEnergyCells:
         assert row_major == direct
         # the reassembled cell carries the mapping's own display name
         direct = simulate_interleaver(
-            config, OptimizedMapping(space, config.geometry, prefer_tall=False))
+            config, OptimizedMapping(space, config.geometry))
         assert optimized == direct
         assert optimized.mapping_name == direct.mapping_name

@@ -17,8 +17,7 @@ class TestMixedTask:
                          group=8)
         via_task = task.execute()
         config = get_config("DDR4-3200")
-        mapping = OptimizedMapping(TriangularIndexSpace(64), config.geometry,
-                                   prefer_tall=False)
+        mapping = OptimizedMapping(TriangularIndexSpace(64), config.geometry)
         direct = steady_state_interleaver(config, mapping, group=8)
         assert via_task == direct
 

@@ -54,7 +54,7 @@ class TestExecute:
     def test_matches_direct_simulation(self):
         config = get_config("DDR4-3200")
         space = TriangularIndexSpace(48)
-        mapping = OptimizedMapping(space, config.geometry, prefer_tall=False)
+        mapping = OptimizedMapping(space, config.geometry)
         direct = simulate_phase(config, mapping, OP_READ).stats
         task = PhaseTask(config_name="DDR4-3200", mapping="optimized",
                          op=OP_READ, n=48)

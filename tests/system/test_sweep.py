@@ -3,6 +3,7 @@
 import ast
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
@@ -12,6 +13,7 @@ from repro.dram.presets import get_config
 from repro.dram.stats import PhaseStats
 from repro.dram.simulator import InterleaverSimResult
 from repro.interleaver.triangular import TriangularIndexSpace
+from repro.mapping.optimized import OptimizedMapping
 from repro.system import sweep
 from repro.system.parallel import PhaseTask
 from repro.system.sweep import (
@@ -255,6 +257,19 @@ class TestFactories:
         registry = mapping_registry()
         assert set(default_mappings()) <= set(registry)
         assert set(ablation_factories()) <= set(registry)
+
+    def test_default_optimized_mapping_is_table1s(self, any_config):
+        """``OptimizedMapping(space, geometry)`` is the mapping Table I runs."""
+        space = TriangularIndexSpace(96)
+        default = OptimizedMapping(space, any_config.geometry)
+        table1 = mapping_registry()["optimized"](space, any_config.geometry)
+        for stream in ("write_addresses_array", "read_addresses_array"):
+            ours = [np.concatenate(column)
+                    for column in zip(*getattr(default, stream)())]
+            theirs = [np.concatenate(column)
+                      for column in zip(*getattr(table1, stream)())]
+            for a, b in zip(ours, theirs):
+                np.testing.assert_array_equal(a, b)
 
     def test_ablation_factories_build(self):
         config = get_config("DDR4-3200")

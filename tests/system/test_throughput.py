@@ -149,6 +149,10 @@ class TestProvisionEdgeCases:
     def test_all_zero_reports_yield_no_choices(self):
         assert provision([self._report("dead", 0.0)], target_gbit=10.0) == []
 
+    def test_non_positive_target_rejected(self):
+        with pytest.raises(ValueError, match="target_gbit must be positive"):
+            provision([self._report("fit", 50.0)], target_gbit=0.0)
+
     def test_ideal_device_oversizing_factor_is_one(self):
         """A perfect device (sustained = peak/2) bought exactly at the
         target has zero bandwidth tax."""
