@@ -10,8 +10,10 @@ Usage::
     python benchmarks/run_table1.py --configs DDR4-3200 LPDDR4-4266
 
 The paper simulates 12.5 M elements (N=5000); ``--paper-scale`` runs
-that size serially in about 65 s with a 99 MiB peak RSS (2-core Xeon,
+that size serially in about 36 s with an 80 MiB peak RSS (2-core Xeon,
 Python 3.11, NumPy 2.4; the output is kept in paper_scale_table1.txt).
+It runs one configuration at a time, so unlike ``repro table1`` it
+does not share address streams between speed grades.
 Utilizations stabilize well before that (see
 bench_interleaver_size.py).
 """

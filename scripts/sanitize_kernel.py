@@ -4,8 +4,9 @@ Compiles :data:`repro.dram._kernelc.SOURCE` with ``-O1 -g
 -fsanitize=address,undefined -fno-sanitize-recover=all`` into the
 loader's own cache slot under a fresh ``REPRO_KERNELC_CACHE``, then runs
 the kernel's differential and fuzz batteries, the edge cases of its
-parked-bank mask and ready-head window, and the batch-intake tests
-(segment exits at batch boundaries) with the compiler's ``libasan.so``
+parked-bank mask and ready-head window, the batch-intake tests
+(segment exits at batch boundaries) and the shared-stream group tests
+(several runs fed the same batches) with the compiler's ``libasan.so``
 and ``libubsan.so`` preloaded.  The first out-of-bounds
 access or undefined operation in the loop aborts the run, and the
 report, which names its C line, goes to a log file this script prints,
@@ -39,7 +40,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 TESTS = ("tests/dram/test_kernel_differential.py",
          "tests/dram/test_engine_fuzz.py",
          "tests/dram/test_kernel_structures.py",
-         "tests/dram/test_controller_intake.py")
+         "tests/dram/test_controller_intake.py",
+         "tests/dram/test_engine_groups.py")
 FLAGS = ("-O1", "-g", "-fsanitize=address,undefined",
          "-fno-sanitize-recover=all", "-shared", "-fPIC")
 RUNTIMES = ("libasan.so", "libubsan.so")

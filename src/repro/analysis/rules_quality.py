@@ -33,8 +33,8 @@ from repro.analysis.findings import Finding
 HOT_PATHS: Dict[str, str] = {
     "repro.dram.engine.SchedulingEngine.run":
         "the engine arbiter walk (every scheduled command)",
-    "repro.dram.kernel.KernelEngine._run_native":
-        "the compiled-kernel driver (every native phase)",
+    "repro.dram.kernel._run_native":
+        "the compiled-kernel driver (every native batch of every phase)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fade_runs":
         "the channel dwell loop (every dense-path frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":

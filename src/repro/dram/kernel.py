@@ -53,9 +53,19 @@ engine exactly — proven by the differential batteries in
 ``tests/dram/test_kernel_differential.py`` across random scenarios and
 the full Table I grid.
 
-**Fallback.**  :meth:`KernelEngine.run` delegates a phase to a fresh
-general engine — bit-identical by construction — whenever the
-compiled loop cannot run it:
+**One stream, several speed grades.**  :func:`run_shared` is the one
+driver of the compiled loop, and :meth:`KernelEngine.run` is its
+one-engine case.  Speed grades of one family share a geometry, so an
+address mapping gives them the same request stream; given engines of
+one geometry and policy, the driver draws each batch once, validates it
+once and feeds it to every engine's compiled run (its own tables, its
+own cold phase) before drawing the next.  Memory holds one
+batch plus one set of tables per engine, and each result equals the
+engine's own run.
+
+**Fallback.**  The driver delegates a phase to a fresh general engine
+— bit-identical by construction — whenever the compiled loop cannot
+run it, and each delegated engine draws a fresh stream:
 
 * no C toolchain or ``cffi`` (or ``REPRO_KERNEL_NATIVE=0``);
 * more banks than the compiled loop's parked-bank mask word has bits
@@ -83,7 +93,8 @@ behind either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Callable, List, Sequence
 
 import numpy as np
 
@@ -157,18 +168,20 @@ class KernelEngine:
                 and self.config.geometry.banks <= _NATIVE_MAX_BANKS
                 and _kernelc.available())
 
+
     def run(self, source: WorkloadSource, op: str = OP_READ,
             cas_times: bool = False) -> EngineResult:
         """Schedule one workload source to completion.
 
         Same contract as
-        :meth:`repro.dram.engine.SchedulingEngine.run`.  Homogeneous
-        sources take the compiled loop when :attr:`native` holds (bank
-        partitioning is an intake remap that keeps the kernel's row-hit
-        precompute valid); every other phase delegates to a fresh
-        general engine, bit-identically, with ``stats.kernel_fallback``
-        set.  Mixed sources always delegate (the turnaround rule set
-        has no fast path), unflagged.
+        :meth:`repro.dram.engine.SchedulingEngine.run`: the one-engine
+        case of :func:`run_shared`.  Homogeneous sources take the
+        compiled loop when :attr:`native` holds (bank partitioning is an
+        intake remap that keeps the kernel's row-hit precompute valid);
+        every other phase delegates to a fresh general engine,
+        bit-identically, with ``stats.kernel_fallback`` set.  Mixed
+        sources always delegate (the turnaround rule set has no fast
+        path), unflagged.
 
         Args:
             source: the request stream.
@@ -177,47 +190,120 @@ class KernelEngine:
             cas_times: fill ``EngineResult.cas_times``
                 (one CAS issue time per request, in issue order).
         """
-        if op not in (OP_READ, OP_WRITE):
-            raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
-        if source.mixed or not self.native:
-            result = SchedulingEngine(self.config, self.policy).run(
-                source, op, cas_times=cas_times)
-            result.stats.kernel_fallback = not source.mixed
-            return result
-        if self.policy.discipline == POLICY_BANK_PARTITION:
-            n_banks = self.config.geometry.banks
-            partition_banks(n_banks)  # even bank count required
-            source = _PartitionedSource(source, n_banks, op == OP_READ)
-        return self._run_native(source, op, cas_times)
+        return run_shared([self], lambda: source, op, cas_times)[0]
 
-    def _run_native(self, source: WorkloadSource, op: str,
-                    cas_times: bool) -> EngineResult:
-        """Homogeneous run through the compiled segment loop.
 
-        The C side owns the whole cycle, admission and refresh events
-        included (ports of the general engine's intake and refresh
-        blocks), over flat int64 state tables.  It takes the stream one
-        validated batch at a time, copying each admitted request into
-        its bank's ring, and returns when it needs the next batch, when
-        the command-record buffer needs growing, when the phase is done,
-        or on deadlock; a last, empty batch flags the end of the stream.
-        The tables start cold, as the general engine's do.
-        """
-        loaded = _kernelc.load()
-        assert loaded is not None  # guarded by self.native
-        ffi, lib = loaded
-        config = self.config
-        policy = self.policy
+def run_shared(engines: Sequence[KernelEngine],
+               sources: Callable[[], WorkloadSource], op: str = OP_READ,
+               cas_times: bool = False) -> List[EngineResult]:
+    """Schedule one request stream on several engines, each a cold phase.
+
+    The engines share one geometry and one policy, so the stream, its
+    validation and its bank partitioning are the same for all of them;
+    they differ in timing only (speed grades of one family).  On the
+    compiled loop they share one pass over ``sources()``: each batch is
+    validated once (:func:`~repro.dram.engine.check_batch`) and fed to
+    every engine's run before the next batch is drawn, so memory holds
+    one batch plus one set of tables per engine.  Otherwise (a mixed
+    source, or an engine that is not :attr:`~KernelEngine.native`) each
+    engine runs its own ``sources()`` on a fresh general engine.  Every
+    result equals the engine's own :meth:`~KernelEngine.run` on the
+    stream, and an invalid request raises the error a single run
+    raises.
+
+    Args:
+        engines: the engines to run, one result each.
+        sources: makes the request stream; called once for the shared
+            compiled pass, else once per engine.
+        op: :data:`~repro.dram.engine.OP_READ` or
+            :data:`~repro.dram.engine.OP_WRITE`.
+        cas_times: fill every result's ``cas_times``.
+
+    Returns:
+        One :class:`~repro.dram.engine.EngineResult` per engine, in
+        order.
+
+    Raises:
+        ValueError: on an unknown ``op``, on engines that differ in
+            geometry or policy, or naming the first invalid request.
+    """
+    if op not in (OP_READ, OP_WRITE):
+        raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
+    if len({(engine.config.geometry, engine.policy) for engine in engines}) > 1:
+        raise ValueError("engines sharing a stream must share one geometry "
+                         "and one policy")
+    results: List[EngineResult] = []
+    for engine in engines:
+        source = sources()
+        # One geometry and policy: every engine is native, or none is.
+        if not source.mixed and engine.native:
+            return _run_native(engines, source, op, cas_times)
+        result = SchedulingEngine(engine.config, engine.policy).run(
+            source, op, cas_times=cas_times)
+        result.stats.kernel_fallback = not source.mixed
+        results.append(result)
+    return results
+
+
+def _run_native(engines: Sequence[KernelEngine], source: WorkloadSource,
+                op: str, cas_times: bool) -> List[EngineResult]:
+    """Homogeneous runs of native engines through the compiled loop.
+
+    Draws the stream one batch at a time, validates it once, and hands
+    it to every engine's ``_NativeRun`` before drawing the next; a
+    last, empty batch flags the end of the stream.
+    """
+    loaded = _kernelc.load()
+    assert loaded is not None  # guarded by KernelEngine.native
+    ffi, lib = loaded
+    first = engines[0]
+    n_banks = first.config.geometry.banks
+    if first.policy.discipline == POLICY_BANK_PARTITION:
+        partition_banks(n_banks)  # even bank count required
+        source = _PartitionedSource(source, n_banks, op == OP_READ)
+    runs = [_NativeRun(engine, op, cas_times, ffi, lib) for engine in engines]
+    empty = np.empty(0, dtype=np.int64)
+    stream_length = 0
+    for batch in chain(source.batches(), (None,)):
+        columns = ((empty,) * 3 if batch is None else
+                   check_batch(*batch[:3], n_banks, stream_length))
+        stream_length += len(columns[0])
+        views = tuple(map(ffi.from_buffer, ("int64_t[]",) * 3, columns))
+        for run in runs:
+            run.feed(views, len(columns[0]), batch is None, stream_length)
+    return [run.result() for run in runs]
+
+
+class _NativeRun:
+    """One engine's phase on the compiled segment loop.
+
+    The C side owns the whole cycle, admission and refresh events
+    included (ports of the general engine's intake and refresh blocks),
+    over flat int64 state tables that start cold, as the general
+    engine's do.  Each :meth:`feed` hands it one validated batch; the
+    loop copies each admitted request into its bank's ring and returns
+    when it needs the next batch, when the command-record buffer needs
+    growing, when the phase is done, or on deadlock.
+    """
+
+    def __init__(self, engine: KernelEngine, op: str, cas_times: bool,
+                 ffi: Any, lib: Any) -> None:
+        self.config = config = engine.config
+        policy = engine.policy
+        self.op = op
+        self.lib = lib
+        self.ffi = ffi
+        self.cas_times = cas_times
         timing = config.timing
         burst = config.burst_duration_ps
         tck = timing.tck if burst % timing.tck == 0 else 1
-        is_read = op == OP_READ
+        self.is_read = is_read = op == OP_READ
         latency = timing.cl if is_read else timing.cwl
         n_banks = config.geometry.banks
         bank_groups = config.geometry.bank_groups
-        record = policy.record_commands
+        self.record = record = policy.record_commands
         refresh = RefreshScheduler(config, enabled=policy.refresh_enabled)
-        all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
+        self.all_bank_refresh = config.refresh_mode == REFRESH_ALL_BANK
         # A bank never holds more than either depth allows.
         depth = min(policy.queue_depth, policy.per_bank_depth)
         ring_cap = 1 << (depth - 1).bit_length()
@@ -237,10 +323,10 @@ class KernelEngine:
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
         heap = np.zeros(n_banks * 4, dtype=np.int64)
         ready = np.zeros(8 * n_banks, dtype=np.int64)
-        rec = np.zeros(4096 * 6 if record else 6, dtype=np.int64)
-        cas_col = np.zeros(1, dtype=np.int64)
+        self.rec = np.zeros(4096 * 6 if record else 6, dtype=np.int64)
+        self.cas_col = np.zeros(1, dtype=np.int64)
 
-        sc = np.zeros(_kernelc.N_SCALARS, dtype=np.int64)
+        self.sc = sc = np.zeros(_kernelc.N_SCALARS, dtype=np.int64)
         sc[_kernelc.S_LAST_CAS] = _FAR_PAST
         sc[_kernelc.S_LAST_ACT] = _FAR_PAST
         sc[_kernelc.S_LAST_ACT_BG] = -1
@@ -249,7 +335,7 @@ class KernelEngine:
         sc[_kernelc.S_DEADLINE] = deadline or 0
         sc[_kernelc.S_REF_BANK] = refresh.next_bank
 
-        cfg = np.zeros(_kernelc.N_CFG, dtype=np.int64)
+        self.cfg = cfg = np.zeros(_kernelc.N_CFG, dtype=np.int64)
         cfg[_kernelc.C_N_BANKS] = n_banks
         cfg[_kernelc.C_BANK_GROUPS] = bank_groups
         cfg[_kernelc.C_TCK] = tck
@@ -270,61 +356,70 @@ class KernelEngine:
         cfg[_kernelc.C_QUEUE_DEPTH] = policy.queue_depth
         cfg[_kernelc.C_PER_BANK_DEPTH] = policy.per_bank_depth
         cfg[_kernelc.C_RECORD] = 1 if record else 0
-        cfg[_kernelc.C_REC_CAP] = len(rec) // 6
+        cfg[_kernelc.C_REC_CAP] = len(self.rec) // 6
         cfg[_kernelc.C_CAS_TIMES] = 1 if cas_times else 0
         cfg[_kernelc.C_REF_INTERVAL] = refresh.interval_ps
         cfg[_kernelc.C_REF_DURATION] = refresh.duration_ps
-        cfg[_kernelc.C_REF_ALL_BANK] = 1 if all_bank_refresh else 0
+        cfg[_kernelc.C_REF_ALL_BANK] = 1 if self.all_bank_refresh else 0
         cfg[_kernelc.C_RING] = ring_cap
 
         # One cffi call per buffer: an ``int64_t[]`` view passes as the
         # C side's ``int64_t *``.  Slots 2-4 take each batch's (bank,
         # row, column) columns.
         empty = np.empty(0, dtype=np.int64)
-        args = [ffi.from_buffer("int64_t[]", a) for a in (
+        self.args = [ffi.from_buffer("int64_t[]", a) for a in (
             cfg, sc, empty, empty, empty, ring, head, adm, bstate, open_arr,
             cas_allowed, pre_allowed, act_allowed, bg_of, last_cas_bg,
-            faw_ring, fresh, heap, ready, rec, cas_col)]
+            faw_ring, fresh, heap, ready, self.rec, self.cas_col)]
 
-        batches = source.batches()
-        stream_length = 0
-        reason = _kernelc.EXIT_NEED_INPUT
-        while reason == _kernelc.EXIT_NEED_INPUT:
-            batch = next(batches, None)
-            columns = ((empty,) * 3 if batch is None else
-                       check_batch(*batch[:3], n_banks, stream_length))
-            stream_length += len(columns[0])
-            if cas_times and len(cas_col) < stream_length:
-                cas_col = np.concatenate(
-                    (cas_col, np.zeros(stream_length, dtype=np.int64)))
-                args[-1] = ffi.from_buffer("int64_t[]", cas_col)
-            cfg[_kernelc.C_BATCH] = len(columns[0])
-            cfg[_kernelc.C_LAST] = batch is None
-            sc[_kernelc.S_POS] = 0
-            args[2:5] = map(ffi.from_buffer, ("int64_t[]",) * 3, columns)
-            # The C side applies refresh events itself; it returns when
-            # it needs the next batch, the queues drain, the record
-            # buffer needs growing, or no bank head can ever issue.
-            reason = lib.run_segment(*args)
-            while reason == _kernelc.EXIT_RECORD_FULL:
-                rec = np.concatenate((rec, np.zeros_like(rec)))
-                cfg[_kernelc.C_REC_CAP] = len(rec) // 6
-                args[-2] = ffi.from_buffer("int64_t[]", rec)
-                reason = lib.run_segment(*args)
+    def feed(self, views: Sequence[Any], size: int, last: bool,
+             stream_length: int) -> None:
+        """Run the loop over one validated batch until it needs the next.
+
+        ``views`` are the batch's (bank, row, column) columns as cffi
+        ``int64_t[]`` views, ``size`` their length and
+        ``stream_length`` the requests drawn so far, this batch
+        included.  After the last batch the phase is done.
+
+        Raises:
+            RuntimeError: when no bank head can ever issue.
+        """
+        args = self.args
+        cfg = self.cfg
+        if self.cas_times and len(self.cas_col) < stream_length:
+            self.cas_col = np.concatenate(
+                (self.cas_col, np.zeros(stream_length, dtype=np.int64)))
+            args[-1] = self.ffi.from_buffer("int64_t[]", self.cas_col)
+        cfg[_kernelc.C_BATCH] = size
+        cfg[_kernelc.C_LAST] = last
+        self.sc[_kernelc.S_POS] = 0
+        args[2:5] = views
+        # The C side applies refresh events itself; it returns when it
+        # needs the next batch, the queues drain, the record buffer
+        # needs growing, or no bank head can ever issue.
+        reason = self.lib.run_segment(*args)
+        while reason == _kernelc.EXIT_RECORD_FULL:
+            self.rec = np.concatenate((self.rec, np.zeros_like(self.rec)))
+            cfg[_kernelc.C_REC_CAP] = len(self.rec) // 6
+            args[-2] = self.ffi.from_buffer("int64_t[]", self.rec)
+            reason = self.lib.run_segment(*args)
         if reason == _kernelc.EXIT_DEADLOCK:
             raise RuntimeError("scheduler deadlock: no prepared bank head")
 
+    def result(self) -> EngineResult:
+        """The finished phase: counters, recorded commands, CAS times."""
+        sc = self.sc
         commands: List[ScheduledCommand] = []
-        if record:
-            cas_kind = CommandType.RD if is_read else CommandType.WR
-            ref_kind = (CommandType.REF_ALL if all_bank_refresh
+        if self.record:
+            cas_kind = CommandType.RD if self.is_read else CommandType.WR
+            ref_kind = (CommandType.REF_ALL if self.all_bank_refresh
                         else CommandType.REF_BANK)
             kind_by_code = {_kernelc.REC_ACT: CommandType.ACT,
                             _kernelc.REC_PRE: CommandType.PRE,
                             _kernelc.REC_CAS: cas_kind,
                             _kernelc.REC_REF: ref_kind}
             rec_count = int(sc[_kernelc.S_REC_COUNT])
-            flat = rec[:rec_count * 6].tolist()
+            flat = self.rec[:rec_count * 6].tolist()
             for i in range(0, rec_count * 6, 6):
                 commands.append(ScheduledCommand(
                     flat[i], kind_by_code[flat[i + 1]], bank=flat[i + 2],
@@ -333,6 +428,6 @@ class KernelEngine:
 
         counters = sc[_COUNTER_SLOTS].tolist()
         n_requests = counters[0]
-        return build_result(config, op, counters, commands,
-                            cas_col[:n_requests] if cas_times else None)
-
+        return build_result(self.config, self.op, counters, commands,
+                            self.cas_col[:n_requests] if self.cas_times
+                            else None)

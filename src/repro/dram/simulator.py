@@ -8,13 +8,13 @@ paper's Table I reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.engine import ChunkSource, EngineResult
 from repro.dram.presets import DramConfig
 from repro.dram.stats import PhaseStats, min_phase_utilization
-from repro.mapping.base import InterleaverMapping
+from repro.mapping.base import AddressArrays, InterleaverMapping
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,19 @@ class InterleaverSimResult:
         return self.min_utilization * config.peak_bandwidth_bytes_per_s
 
 
+def phase_addresses(mapping: InterleaverMapping,
+                    op: str) -> Iterator[AddressArrays]:
+    """A phase's traversal of ``mapping`` as columnar address chunks.
+
+    Writes traverse row-wise
+    (:meth:`~repro.mapping.base.InterleaverMapping.write_addresses_array`),
+    reads column-wise
+    (:meth:`~repro.mapping.base.InterleaverMapping.read_addresses_array`).
+    """
+    return (mapping.write_addresses_array() if op == OP_WRITE
+            else mapping.read_addresses_array())
+
+
 def simulate_phase(
     config: DramConfig,
     mapping: InterleaverMapping,
@@ -61,9 +74,7 @@ def simulate_phase(
 ) -> EngineResult:
     """Simulate a single write or read phase.
 
-    The mapping's columnar address chunks
-    (:meth:`~repro.mapping.base.InterleaverMapping.write_addresses_array`
-    or :meth:`~repro.mapping.base.InterleaverMapping.read_addresses_array`)
+    The mapping's columnar address chunks (:func:`phase_addresses`)
     feed the scheduler's front door,
     :class:`~repro.dram.kernel.KernelEngine`, as a
     :class:`~repro.dram.engine.ChunkSource`.  A mapping without a NumPy
@@ -91,10 +102,8 @@ def simulate_phase(
     # package's import time.
     from repro.dram.kernel import KernelEngine
 
-    addresses = (mapping.write_addresses_array() if op == OP_WRITE
-                 else mapping.read_addresses_array())
     return KernelEngine(config, policy or ControllerConfig()).run(
-        ChunkSource(addresses), op)
+        ChunkSource(phase_addresses(mapping, op)), op)
 
 
 def simulate_interleaver(

@@ -71,10 +71,9 @@ class IndexSpace(Protocol):
 
     The shared surface of :class:`TriangularIndexSpace` and
     :class:`RectangularIndexSpace` that the interleaver and mapping
-    layers program against.  Runtime duck typing is looser — a space
-    offering only ``num_elements``/``contains`` and the traversal
-    iterators still works through the generic fallback paths — but
-    production code types against the full protocol.
+    layers program against.  A space must offer all of it: the
+    mappings' address iterators call ``write_coord_chunks`` and
+    ``read_coord_chunks`` on every space, with no per-element fallback.
     """
 
     @property

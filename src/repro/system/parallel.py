@@ -4,9 +4,12 @@ Every sweep (Table I, size sweeps, ablations, mixed traffic, energy,
 e2e, campaigns and the adaptive, rare-event and scenario estimators)
 decomposes into independent cells.  A **task** is any frozen cell with
 an ``execute()`` method returning the cell's result (:class:`Task`):
-:class:`PhaseTask` and :class:`MixedTask` here, and the cells of
-:mod:`repro.system.e2e`, :mod:`repro.system.campaign` and
-:mod:`repro.system.adaptive`.  Cells are declarative (a
+:class:`PhaseTask`, :class:`PhaseGroupTask` and :class:`MixedTask`
+here, and the cells of :mod:`repro.system.e2e`,
+:mod:`repro.system.campaign` and :mod:`repro.system.adaptive`.  A
+:class:`PhaseGroupTask` runs the phases of one address stream (the
+speed grades of one geometry, :func:`phase_groups`) from one pass over
+it; its phases stay the store's unit.  Cells are declarative (a
 :class:`PhaseTask` names a preset config and a registry mapping key
 rather than holding live objects), so they pickle cheaply and each
 worker rebuilds its own state — no shared state, deterministic results,
@@ -38,10 +41,12 @@ from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
+    Dict,
     Iterable,
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     TypeVar,
     cast,
@@ -51,7 +56,7 @@ from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.engine import ChunkSource
 from repro.dram.mixed import MixedResult, steady_state_interleaver
 from repro.dram.presets import DramConfig, get_config
-from repro.dram.simulator import simulate_phase
+from repro.dram.simulator import phase_addresses, simulate_phase
 from repro.dram.stats import PhaseStats
 from repro.interleaver.triangular import TriangularIndexSpace
 from repro.system.shm import SharedChunks
@@ -190,10 +195,86 @@ def share_phase_chunks(task: PhaseTask,
         prefer_shared: forwarded to :class:`~repro.system.shm.SharedChunks`
             (``False`` forces the inline pickle fallback).
     """
-    config, mapping = _task_mapping(task.mapping, task.config_name, task.n)
-    stream = (mapping.write_addresses_array() if task.op == OP_WRITE
-              else mapping.read_addresses_array())
-    return replace(task, chunks=SharedChunks(stream, prefer_shared=prefer_shared))
+    _, mapping = _task_mapping(task.mapping, task.config_name, task.n)
+    return replace(task, chunks=SharedChunks(phase_addresses(mapping, task.op),
+                                             prefer_shared=prefer_shared))
+
+
+@dataclass(frozen=True)
+class PhaseGroupTask:
+    """Phases of one address stream, run from one pass over it.
+
+    A mapping depends only on the channel geometry, the mapping key and
+    ``n``, so the speed grades of one family schedule the same request
+    stream.  A group builds that mapping once and feeds each address
+    chunk to every phase's engine before making the next
+    (:func:`~repro.dram.kernel.run_shared`); phases on the general
+    engine each draw a fresh stream from the same mapping.  Each phase's
+    statistics equal its own :meth:`PhaseTask.execute`, and the phases
+    stay the store's unit: the group has no store record of its own.
+
+    Attributes:
+        phases: the group's phase tasks, equal in every field but
+            ``config_name``; their configurations share one geometry.
+
+    Raises:
+        ValueError: when the phases differ in mapping, ``op``, ``n`` or
+            policy.
+    """
+
+    phases: Tuple[PhaseTask, ...]
+
+    def __post_init__(self) -> None:
+        if len({_stream_key(phase) for phase in self.phases}) > 1:
+            raise ValueError("a phase group's tasks must share mapping, op, "
+                             "n and policy")
+
+    def execute(self) -> Tuple[PhaseStats, ...]:
+        """Simulate every phase to completion; statistics in order.
+
+        Raises:
+            KeyError: on an unknown configuration or mapping key.
+            ValueError: when the configurations differ in geometry.
+        """
+        # Imported on first use, keeping the kernel module out of the
+        # package's import time.
+        from repro.dram.kernel import KernelEngine, run_shared
+
+        first, *others = self.phases
+        config, mapping = _task_mapping(first.mapping, first.config_name,
+                                        first.n)
+        policy = first.policy or ControllerConfig()
+        engines = [KernelEngine(config, policy)] + [
+            KernelEngine(get_config(phase.config_name), policy)
+            for phase in others]
+        results = run_shared(
+            engines, lambda: ChunkSource(phase_addresses(mapping, first.op)),
+            first.op)
+        return tuple(result.stats for result in results)
+
+
+def _stream_key(task: PhaseTask) -> Tuple[str, str, int,
+                                         Optional[ControllerConfig]]:
+    """What a phase's request stream depends on, beyond the geometry."""
+    return task.mapping, task.op, task.n, task.policy
+
+
+def phase_groups(tasks: Sequence[PhaseTask]) -> List[List[int]]:
+    """Indices of the tasks that share one address stream.
+
+    Tasks group by geometry, mapping key, ``op``, ``n`` and policy;
+    groups come in the order of their first task, each in task order.
+
+    Raises:
+        KeyError: on an unknown configuration.
+    """
+    geometries = {name: get_config(name).geometry
+                  for name in dict.fromkeys(task.config_name for task in tasks)}
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    for index, task in enumerate(tasks):
+        key = (geometries[task.config_name], *_stream_key(task))
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
+    cast,
 )
 
 from repro.channel.codeword import CodewordConfig
@@ -38,6 +41,7 @@ from repro.dram.energy import (
     combine_interleaver_reports,
     energy_from_stats,
 )
+from repro.dram.geometry import Geometry
 from repro.dram.mixed import read_frame_mapping
 from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.dram.simulator import InterleaverSimResult
@@ -49,7 +53,15 @@ from repro.mapping.optimized import OptimizedMapping
 from repro.mapping.row_major import RowMajorMapping
 from repro.system.downlink import format_gain
 from repro.system.e2e import E2ECell, E2EResult
-from repro.system.parallel import MixedTask, PhaseTask, _task_mapping, run_tasks
+from repro.system.parallel import (
+    MixedTask,
+    PhaseGroupTask,
+    PhaseTask,
+    Task,
+    _task_mapping,
+    phase_groups,
+    run_tasks,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> sweep deps)
     from repro.store.store import ResultStore
@@ -142,18 +154,27 @@ def cell_mapping(config_name: str, mapping_name: str, n: int,
 
 def check_cells(cells: Iterable[Tuple[str, str, int]],
                 double_buffered: bool = False) -> None:
-    """Build every distinct ``(configuration, mapping key, n)`` cell once.
+    """Build every distinct ``(geometry, mapping key, n)`` mapping once.
 
     Sweeps call this before their first task, so a device too small for
-    any cell stops the sweep before any work.  Cells are checked in
-    grid order, so the first one that fails is the one reported.
+    any cell stops the sweep before any work.  A mapping depends on the
+    configuration only through its geometry, so speed grades of one
+    family share one build.  Cells are checked in grid order, so the
+    first one that fails is the one reported.
 
     Raises:
         KeyError: on an unknown configuration or mapping key.
         ValueError: as :func:`cell_mapping`.
     """
-    for config_name, mapping_name, n in dict.fromkeys(cells):
-        cell_mapping(config_name, mapping_name, n, double_buffered)
+    geometries: Dict[str, Geometry] = {}
+    built: Set[Tuple[Geometry, str, int]] = set()
+    for config_name, mapping_name, n in cells:
+        if config_name not in geometries:
+            geometries[config_name] = get_config(config_name).geometry
+        key = (geometries[config_name], mapping_name, n)
+        if key not in built:
+            cell_mapping(config_name, mapping_name, n, double_buffered)
+            built.add(key)
 
 
 #: One cell of a phase grid: configuration, mapping key, ``n`` and
@@ -171,7 +192,13 @@ def run_phase_grid(
     The one runner of the phase grids (``table1``, ``energy``,
     ``policy``, the size and ablation sweeps): :func:`check_cells`
     first, then one write and one read
-    :class:`~repro.system.parallel.PhaseTask` per cell.
+    :class:`~repro.system.parallel.PhaseTask` per cell.  With a store,
+    each phase loads on its own; the misses are grouped by address
+    stream (:func:`~repro.system.parallel.phase_groups`: the speed
+    grades of one geometry share one), and each group of two or more
+    runs as one :class:`~repro.system.parallel.PhaseGroupTask`, so
+    Table I's 40 phases take 20 tasks.  Each phase is saved as its group
+    finishes.
 
     Returns:
         One ``(write, read)`` pair of phase statistics per cell, in
@@ -183,14 +210,54 @@ def run_phase_grid(
             cell's mapping does not fit its device.
     """
     check_cells(cell[:3] for cell in cells)
-    tasks = [
+    phases = [
         PhaseTask(config_name=config_name, mapping=mapping, op=op, n=n,
                   policy=policy)
         for config_name, mapping, n, policy in cells
         for op in (OP_WRITE, OP_READ)
     ]
-    stats = run_tasks(tasks, jobs=jobs, store=store)
-    return list(zip(stats[::2], stats[1::2]))
+    stats: List[Optional[PhaseStats]] = (
+        [None] * len(phases) if store is None
+        else [store.load(phase) for phase in phases])
+    missing = [index for index, found in enumerate(stats) if found is None]
+    groups = [[missing[k] for k in group]
+              for group in phase_groups([phases[i] for i in missing])]
+    tasks: List[Task[Any]] = [
+        phases[group[0]] if len(group) == 1
+        else PhaseGroupTask(tuple(phases[index] for index in group))
+        for group in groups]
+    finished = run_tasks(tasks, jobs=jobs,
+                         store=None if store is None else _PhaseSaver(store))
+    for group, result in zip(groups, finished):
+        for index, phase_stats in zip(group, result if len(group) > 1
+                                      else (result,)):
+            stats[index] = phase_stats
+    done = cast(List[PhaseStats], stats)
+    return list(zip(done[::2], done[1::2]))
+
+
+class _PhaseSaver:
+    """The store :func:`run_phase_grid` hands the task runner.
+
+    Only misses are dispatched, so every load misses; a finished group
+    is saved phase by phase, each under its own
+    :class:`~repro.system.parallel.PhaseTask` key.
+    """
+
+    def __init__(self, store: "ResultStore") -> None:
+        self._store = store
+
+    def load(self, task: Any) -> None:
+        """A miss: the grid has already loaded its hits phase by phase."""
+        return None
+
+    def save(self, task: Any, result: Any) -> None:
+        """Persist every phase of a finished phase or phase group."""
+        if isinstance(task, PhaseGroupTask):
+            for phase, phase_stats in zip(task.phases, result):
+                self._store.save(phase, phase_stats)
+        else:
+            self._store.save(task, result)
 
 
 def run_table1(
