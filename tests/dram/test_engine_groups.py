@@ -258,17 +258,23 @@ class TestPhaseGrid:
                 for result in (row.row_major, row.optimized)
                 for stats in (result.write, result.read)] == singles
 
-    def test_store_serves_one_grade_and_computes_the_other(self, tmp_path,
-                                                           dispatched):
+    def test_store_serves_one_grade_and_computes_the_other(
+            self, tmp_path, dispatched, monkeypatch):
         slow, fast = FAMILIES[3]
         store = ResultStore(str(tmp_path))
         sweep.run_table1(n=24, config_names=(slow,), store=store)
         assert len(store.list_entries("phase")) == 4
         del dispatched[:]
+        saved = []
+        save = store.save
+        monkeypatch.setattr(store, "save", lambda task, result: (
+            saved.append(task.config_name), save(task, result)))
         warm = sweep.run_table1(n=24, config_names=(slow, fast), store=store)
-        # only the missing grade's four phases run, each on its own
+        # only the missing grade's four phases run, each on its own, and
+        # only they are written
         assert [(type(task), task.config_name) for task in dispatched] == \
             [(PhaseTask, fast)] * 4
+        assert saved == [fast] * 4
         assert len(store.list_entries("phase")) == 8
         assert warm == sweep.run_table1(n=24, config_names=(slow, fast))
 
