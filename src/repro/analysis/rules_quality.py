@@ -35,6 +35,11 @@ HOT_PATHS: Dict[str, str] = {
         "the engine arbiter walk (every scheduled command)",
     "repro.dram.kernel._run_native":
         "the compiled-kernel driver (every native batch of every phase)",
+    "repro.dram.kernel._NativeRun.feed":
+        "one engine's compiled run (every batch, every record-buffer "
+        "growth)",
+    "repro.dram.kernel._NativeRun.result":
+        "the recorded-command decode (every recorded command)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fade_runs":
         "the channel dwell loop (every dense-path frame)",
     "repro.channel.gilbert_elliott.GilbertElliottChannel._fill_state_row":

@@ -324,18 +324,29 @@ _BUILDERS: Dict[str, Callable[[], DramConfig]] = {
 TABLE1_CONFIG_NAMES: Tuple[str, ...] = tuple(_BUILDERS)
 
 
+#: Presets built so far, by name.  A configuration is frozen, so one
+#: object serves every caller.
+_BUILT: Dict[str, DramConfig] = {}
+
+
 def get_config(name: str) -> DramConfig:
     """Return the preset configuration with the given canonical name.
+
+    Each preset is built once per process and then shared.
 
     Raises:
         KeyError: if ``name`` is not one of :data:`TABLE1_CONFIG_NAMES`.
     """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        known = ", ".join(TABLE1_CONFIG_NAMES)
-        raise KeyError(f"unknown DRAM configuration {name!r}; known: {known}") from None
-    return builder()
+    config = _BUILT.get(name)
+    if config is None:
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            known = ", ".join(TABLE1_CONFIG_NAMES)
+            raise KeyError(f"unknown DRAM configuration {name!r}; "
+                           f"known: {known}") from None
+        config = _BUILT[name] = builder()
+    return config
 
 
 def all_configs() -> Tuple[DramConfig, ...]:

@@ -54,6 +54,7 @@ from typing import (
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
 from repro.dram.engine import ChunkSource
+from repro.dram.geometry import Geometry
 from repro.dram.mixed import MixedResult, steady_state_interleaver
 from repro.dram.presets import DramConfig, get_config
 from repro.dram.simulator import phase_addresses, simulate_phase
@@ -218,23 +219,23 @@ class PhaseGroupTask:
             ``config_name``; their configurations share one geometry.
 
     Raises:
-        ValueError: when the phases differ in mapping, ``op``, ``n`` or
-            policy.
+        KeyError: on an unknown configuration.
+        ValueError: when the phases differ in geometry, mapping, ``op``,
+            ``n`` or policy.
     """
 
     phases: Tuple[PhaseTask, ...]
 
     def __post_init__(self) -> None:
         if len({_stream_key(phase) for phase in self.phases}) > 1:
-            raise ValueError("a phase group's tasks must share mapping, op, "
-                             "n and policy")
+            raise ValueError("a phase group's tasks must share geometry, "
+                             "mapping, op, n and policy")
 
     def execute(self) -> Tuple[PhaseStats, ...]:
         """Simulate every phase to completion; statistics in order.
 
         Raises:
-            KeyError: on an unknown configuration or mapping key.
-            ValueError: when the configurations differ in geometry.
+            KeyError: on an unknown mapping key.
         """
         # Imported on first use, keeping the kernel module out of the
         # package's import time.
@@ -253,27 +254,44 @@ class PhaseGroupTask:
         return tuple(result.stats for result in results)
 
 
-def _stream_key(task: PhaseTask) -> Tuple[str, str, int,
-                                         Optional[ControllerConfig]]:
-    """What a phase's request stream depends on, beyond the geometry."""
-    return task.mapping, task.op, task.n, task.policy
+def _mapping_key(config_name: str, mapping: str,
+                 n: int) -> Tuple[Geometry, str, int]:
+    """What a cell's mapping depends on: geometry, mapping key and ``n``.
 
-
-def phase_groups(tasks: Sequence[PhaseTask]) -> List[List[int]]:
-    """Indices of the tasks that share one address stream.
-
-    Tasks group by geometry, mapping key, ``op``, ``n`` and policy;
-    groups come in the order of their first task, each in task order.
+    The speed grades of one family share a geometry, so they share one
+    mapping and its address stream.
 
     Raises:
         KeyError: on an unknown configuration.
     """
-    geometries = {name: get_config(name).geometry
-                  for name in dict.fromkeys(task.config_name for task in tasks)}
+    return get_config(config_name).geometry, mapping, n
+
+
+def _stream_key(task: PhaseTask) -> Tuple[Any, ...]:
+    """What a phase's request stream depends on: mapping, op and policy."""
+    return (*_mapping_key(task.config_name, task.mapping, task.n), task.op,
+            task.policy)
+
+
+def phase_groups(tasks: Sequence[PhaseTask],
+                 jobs: Optional[int] = None) -> List[List[int]]:
+    """Indices of the tasks to run as one :class:`PhaseGroupTask` each.
+
+    Tasks share a group when they share an address stream: geometry,
+    mapping key, ``op``, ``n`` and policy.  Groups come in the order of
+    their first task, each in task order.  A group runs its phases one
+    after another in one worker, so grouping pays only while the tasks
+    outnumber the workers: when ``jobs`` (:func:`resolve_jobs`) gives
+    every task a worker of its own, every task is a group of its own.
+
+    Raises:
+        KeyError: on an unknown configuration, when it groups.
+    """
+    if resolve_jobs(jobs) >= len(tasks):
+        return [[index] for index in range(len(tasks))]
     groups: Dict[Tuple[Any, ...], List[int]] = {}
     for index, task in enumerate(tasks):
-        key = (geometries[task.config_name], *_stream_key(task))
-        groups.setdefault(key, []).append(index)
+        groups.setdefault(_stream_key(task), []).append(index)
     return list(groups.values())
 
 

@@ -57,7 +57,7 @@ from repro.system.parallel import (
     MixedTask,
     PhaseGroupTask,
     PhaseTask,
-    Task,
+    _mapping_key,
     _task_mapping,
     phase_groups,
     run_tasks,
@@ -166,15 +166,12 @@ def check_cells(cells: Iterable[Tuple[str, str, int]],
         KeyError: on an unknown configuration or mapping key.
         ValueError: as :func:`cell_mapping`.
     """
-    geometries: Dict[str, Geometry] = {}
-    built: Set[Tuple[Geometry, str, int]] = set()
+    checked: Set[Tuple[Geometry, str, int]] = set()
     for config_name, mapping_name, n in cells:
-        if config_name not in geometries:
-            geometries[config_name] = get_config(config_name).geometry
-        key = (geometries[config_name], mapping_name, n)
-        if key not in built:
+        key = _mapping_key(config_name, mapping_name, n)
+        if key not in checked:
+            checked.add(key)
             cell_mapping(config_name, mapping_name, n, double_buffered)
-            built.add(key)
 
 
 #: One cell of a phase grid: configuration, mapping key, ``n`` and
@@ -193,11 +190,12 @@ def run_phase_grid(
     ``policy``, the size and ablation sweeps): :func:`check_cells`
     first, then one write and one read
     :class:`~repro.system.parallel.PhaseTask` per cell.  With a store,
-    each phase loads on its own; the misses are grouped by address
-    stream (:func:`~repro.system.parallel.phase_groups`: the speed
-    grades of one geometry share one), and each group of two or more
-    runs as one :class:`~repro.system.parallel.PhaseGroupTask`, so
-    Table I's 40 phases take 20 tasks.  Each phase is saved as its group
+    each phase loads on its own.  The misses run grouped by address
+    stream, one :class:`~repro.system.parallel.PhaseGroupTask` per
+    group (:func:`~repro.system.parallel.phase_groups`: the speed
+    grades of one geometry share one), so Table I's 40 phases take 20
+    tasks; when ``jobs`` gives every missing phase a worker of its own,
+    each phase is a group of its own.  Each phase is saved as its group
     finishes.
 
     Returns:
@@ -220,18 +218,14 @@ def run_phase_grid(
         [None] * len(phases) if store is None
         else [store.load(phase) for phase in phases])
     missing = [index for index, found in enumerate(stats) if found is None]
-    groups = [[missing[k] for k in group]
-              for group in phase_groups([phases[i] for i in missing])]
-    tasks: List[Task[Any]] = [
-        phases[group[0]] if len(group) == 1
-        else PhaseGroupTask(tuple(phases[index] for index in group))
-        for group in groups]
+    groups = phase_groups([phases[index] for index in missing], jobs)
+    tasks = [PhaseGroupTask(tuple(phases[missing[k]] for k in group))
+             for group in groups]
     finished = run_tasks(tasks, jobs=jobs,
                          store=None if store is None else _PhaseSaver(store))
-    for group, result in zip(groups, finished):
-        for index, phase_stats in zip(group, result if len(group) > 1
-                                      else (result,)):
-            stats[index] = phase_stats
+    for group, results in zip(groups, finished):
+        for k, phase_stats in zip(group, results):
+            stats[missing[k]] = phase_stats
     done = cast(List[PhaseStats], stats)
     return list(zip(done[::2], done[1::2]))
 
@@ -239,9 +233,10 @@ def run_phase_grid(
 class _PhaseSaver:
     """The store :func:`run_phase_grid` hands the task runner.
 
-    Only misses are dispatched, so every load misses; a finished group
-    is saved phase by phase, each under its own
-    :class:`~repro.system.parallel.PhaseTask` key.
+    Only misses are dispatched, so every load misses; a finished
+    :class:`~repro.system.parallel.PhaseGroupTask` is saved phase by
+    phase, each under its own :class:`~repro.system.parallel.PhaseTask`
+    key.
     """
 
     def __init__(self, store: "ResultStore") -> None:
@@ -251,13 +246,11 @@ class _PhaseSaver:
         """A miss: the grid has already loaded its hits phase by phase."""
         return None
 
-    def save(self, task: Any, result: Any) -> None:
-        """Persist every phase of a finished phase or phase group."""
-        if isinstance(task, PhaseGroupTask):
-            for phase, phase_stats in zip(task.phases, result):
-                self._store.save(phase, phase_stats)
-        else:
-            self._store.save(task, result)
+    def save(self, task: PhaseGroupTask,
+             result: Tuple[PhaseStats, ...]) -> None:
+        """Persist every phase of a finished group."""
+        for phase, phase_stats in zip(task.phases, result):
+            self._store.save(phase, phase_stats)
 
 
 def run_table1(

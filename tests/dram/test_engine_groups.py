@@ -213,8 +213,16 @@ class TestPhaseGroupTask:
     def test_phases_must_share_their_stream(self):
         write = PhaseTask("DDR4-1600", "optimized", OP_WRITE, 24)
         read = PhaseTask("DDR4-3200", "optimized", OP_READ, 24)
-        with pytest.raises(ValueError, match="must share mapping, op"):
-            PhaseGroupTask((write, read))
+        ddr3 = PhaseTask("DDR3-800", "optimized", OP_READ, 24)
+        for phases in ((write, read), (ddr3, read)):
+            with pytest.raises(ValueError, match="must share geometry, "
+                                                 "mapping, op"):
+                PhaseGroupTask(phases)
+
+    def test_one_phase_group_equals_its_phase(self):
+        for name in ("DDR3-800", "LPDDR4-4266"):
+            phase = PhaseTask(name, "row-major", OP_WRITE, 24)
+            assert PhaseGroupTask((phase,)).execute() == (phase.execute(),)
 
     def test_groups_by_geometry_in_first_task_order(self):
         tasks = [PhaseTask(name, mapping, op, 16)
@@ -229,6 +237,15 @@ class TestPhaseGroupTask:
                  for policy in (None, ControllerConfig(refresh_enabled=False))
                  for name in FAMILIES[0]]
         assert phase_groups(tasks) == [[0, 1], [2, 3]]
+
+    def test_a_worker_per_task_leaves_every_task_alone(self):
+        # A group runs its phases one after another, so it pays only
+        # while the tasks outnumber the workers.
+        tasks = [PhaseTask(name, "row-major", op, 16)
+                 for name in FAMILIES[0] for op in (OP_WRITE, OP_READ)]
+        assert phase_groups(tasks, jobs=3) == [[0, 2], [1, 3]]
+        assert phase_groups(tasks, jobs=4) == [[0], [1], [2], [3]]
+        assert phase_groups(tasks, jobs=5) == [[0], [1], [2], [3]]
 
 
 @pytest.fixture
@@ -272,11 +289,24 @@ class TestPhaseGrid:
         warm = sweep.run_table1(n=24, config_names=(slow, fast), store=store)
         # only the missing grade's four phases run, each on its own, and
         # only they are written
-        assert [(type(task), task.config_name) for task in dispatched] == \
-            [(PhaseTask, fast)] * 4
+        assert [tuple(phase.config_name for phase in task.phases)
+                for task in dispatched] == [(fast,)] * 4
         assert saved == [fast] * 4
         assert len(store.list_entries("phase")) == 8
         assert warm == sweep.run_table1(n=24, config_names=(slow, fast))
+
+    def test_wide_pool_runs_one_phase_per_task(self, monkeypatch):
+        runs = []
+
+        def serial(tasks, jobs=None, store=None):
+            runs.append((jobs, [len(task.phases) for task in tasks]))
+            return parallel_module.run_tasks(tasks, jobs=1, store=store)
+
+        monkeypatch.setattr(sweep, "run_tasks", serial)
+        wide = sweep.run_table1(n=24, config_names=FAMILIES[3], jobs=8)
+        narrow = sweep.run_table1(n=24, config_names=FAMILIES[3], jobs=7)
+        assert runs == [(8, [1] * 8), (7, [2] * 4)]
+        assert wide == narrow
 
     def test_store_saves_every_phase_of_a_group(self, tmp_path, dispatched):
         store = ResultStore(str(tmp_path))

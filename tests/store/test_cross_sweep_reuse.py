@@ -11,7 +11,7 @@ import pytest
 from repro.store.store import ResultStore
 from repro.system import parallel as parallel_module
 from repro.system.e2e import E2ECell
-from repro.system.parallel import MixedTask, PhaseTask
+from repro.system.parallel import MixedTask, PhaseGroupTask, PhaseTask
 from repro.system.sweep import (
     format_energy_table,
     format_table1,
@@ -28,13 +28,19 @@ N = 16
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Count every entry into the simulation engine, per task type."""
+    """Count every entry into the simulation engine, per task type.
+
+    A phase group counts each of its phases.
+    """
     counts = {"phase": 0, "mixed": 0, "e2e": 0}
     names = {PhaseTask: "phase", MixedTask: "mixed", E2ECell: "e2e"}
     worker = parallel_module.execute_task
 
     def counting(task):
-        counts[names[type(task)]] += 1
+        if isinstance(task, PhaseGroupTask):
+            counts["phase"] += len(task.phases)
+        else:
+            counts[names[type(task)]] += 1
         return worker(task)
 
     monkeypatch.setattr(parallel_module, "execute_task", counting)

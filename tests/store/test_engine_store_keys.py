@@ -25,7 +25,12 @@ from repro.store.records import (
 )
 from repro.store.store import ResultStore
 from repro.system import parallel as parallel_module
-from repro.system.parallel import MixedTask, PhaseTask, share_phase_chunks
+from repro.system.parallel import (
+    MixedTask,
+    PhaseGroupTask,
+    PhaseTask,
+    share_phase_chunks,
+)
 from repro.system.sweep import run_table1
 
 N = 16
@@ -70,13 +75,15 @@ class TestKeyDerivation:
 class TestCrossRouteCacheHits:
     @pytest.fixture
     def phase_counter(self, monkeypatch):
-        """Count phase tasks entering the worker."""
+        """Count phases entering the worker, one per phase of a group."""
         counts = {"phase": 0}
         inner = parallel_module.execute_task
 
         def counting(task):
             if isinstance(task, PhaseTask):
                 counts["phase"] += 1
+            elif isinstance(task, PhaseGroupTask):
+                counts["phase"] += len(task.phases)
             return inner(task)
 
         monkeypatch.setattr(parallel_module, "execute_task", counting)
