@@ -10,20 +10,21 @@ Usage::
     python benchmarks/run_table1.py --configs DDR4-3200 LPDDR4-4266
 
 The paper simulates 12.5 M elements (N=5000); ``--paper-scale`` runs
-that size serially in about 36 s with an 80 MiB peak RSS (2-core Xeon,
-Python 3.11, NumPy 2.4; the output is kept in paper_scale_table1.txt).
-It runs one configuration at a time, so unlike ``repro table1`` it
-does not share address streams between speed grades.
-Utilizations stabilize well before that (see
-bench_interleaver_size.py).
+that size serially (the output and its wall time and peak RSS are kept
+in paper_scale_table1.txt).  It runs one family at a time, the
+consecutive configurations of one geometry, so the two speed grades of
+a family share each address stream as in ``repro table1``, and prints
+each family's rows as they finish.  Utilizations stabilize well before
+that size (see bench_interleaver_size.py).
 """
 
 import argparse
+import itertools
 import sys
 import time
 
 from repro.dram.controller import ControllerConfig
-from repro.dram.presets import TABLE1_CONFIG_NAMES
+from repro.dram.presets import TABLE1_CONFIG_NAMES, get_config
 from repro.system.sweep import run_table1
 
 PAPER = {
@@ -65,19 +66,21 @@ def main(argv=None):
     print(f"{'DRAM':14s} {'Row-Major Mapping':>24s}   {'Optimized Mapping':>24s}")
     print(f"{'Configuration':14s} {'Write':>11s} {'Read':>11s}   {'Write':>11s} {'Read':>11s}")
 
+    def cell(value, reference):
+        return f"{value:6.2f}({reference:5.1f})"
+
     start = time.time()
-    for name in names:
-        rows = run_table1(n=n, config_names=(name,), policy=policy)
-        row = rows[0]
-        rm_w, rm_r, opt_w, opt_r = (value * 100 for value in row.cells())
-        paper = PAPER[name]
-
-        def cell(value, reference):
-            return f"{value:6.2f}({reference:5.1f})"
-
-        print(f"{name:14s} {cell(rm_w, paper[0]):>11s} {cell(rm_r, paper[1]):>11s}   "
-              f"{cell(opt_w, paper[2]):>11s} {cell(opt_r, paper[3]):>11s}",
-              flush=True)
+    # A family: consecutive configurations of one geometry, whose speed
+    # grades share each address stream within one run_table1 call.
+    for _, family in itertools.groupby(
+            names, key=lambda name: get_config(name).geometry):
+        for row in run_table1(n=n, config_names=tuple(family), policy=policy):
+            rm_w, rm_r, opt_w, opt_r = (value * 100 for value in row.cells())
+            paper = PAPER[row.config_name]
+            print(f"{row.config_name:14s} {cell(rm_w, paper[0]):>11s} "
+                  f"{cell(rm_r, paper[1]):>11s}   "
+                  f"{cell(opt_w, paper[2]):>11s} {cell(opt_r, paper[3]):>11s}",
+                  flush=True)
     print(f"# (paper values in parentheses)  elapsed {time.time() - start:.0f}s")
     return 0
 

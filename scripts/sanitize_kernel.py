@@ -4,7 +4,7 @@ Compiles :data:`repro.dram._kernelc.SOURCE` with ``-O1 -g
 -fsanitize=address,undefined -fno-sanitize-recover=all`` into the
 loader's own cache slot under a fresh ``REPRO_KERNELC_CACHE``, then runs
 the kernel's differential and fuzz batteries, the edge cases of its
-parked-bank mask and ready-head window, the batch-intake tests
+parked-bank mask, ready-head window and pending FIFO, the batch-intake tests
 (segment exits at batch boundaries) and the shared-stream group tests
 (several runs fed the same batches) with the compiler's ``libasan.so``
 and ``libubsan.so`` preloaded.  The first out-of-bounds

@@ -15,7 +15,13 @@ loaded through ``cffi``:
   visits them in bank order, as the general engine sorts its batch, and
   a pass with nothing due skips the stage at once.  The CAS arbiter
   walks the ready bank heads oldest-first, as the general engine does,
-  from a window of one-word keys kept in head sequence order.  The loop
+  from a window of one-word keys kept in head sequence order.  A head
+  whose activation commits with its tRCD running past the issue-slot
+  bound waits instead in a pending FIFO, in commit order, which is
+  ``cas_allowed`` order; it moves into the walk window once the bound
+  reaches its ``cas_allowed``, so the walk does not pass over it on
+  every CAS.  The FIFO is probed, from its front, only when no window
+  head reaches the bound.  The loop
   returns to Python only when admission reaches the end of a batch with
   room left in the window, when the phase is done (after a last, empty
   batch flagged as the end of the stream), when the command-record
@@ -93,14 +99,16 @@ import numpy
 #: carry the refresh state in and out; ``S_REFRESHES`` counts the
 #: events the loop applied.  ``S_POS`` is the next request of the
 #: current batch to admit.  ``S_READY_START`` and ``S_READY_COUNT``
-#: place the ready-head window in its buffer, and ``S_PARKED`` is the
-#: mask of banks with a deferred activation (bit b for bank b).
+#: place the ready-head window in its buffer, ``S_PENDING_START`` and
+#: ``S_PENDING_COUNT`` the pending FIFO in its own, and ``S_PARKED`` is
+#: the mask of banks with a deferred activation (bit b for bank b).
 (S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
  S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
  S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
- S_READY_START, S_READY_COUNT, S_PARKED, S_FRESH_COUNT, S_REC_COUNT,
- S_REFRESHES, S_REF_BANK) = range(24)
-N_SCALARS = 24
+ S_READY_START, S_READY_COUNT, S_PENDING_START, S_PENDING_COUNT,
+ S_PARKED, S_FRESH_COUNT, S_REC_COUNT, S_REFRESHES,
+ S_REF_BANK) = range(26)
+N_SCALARS = 26
 
 #: Config-slot indices shared with the C side (``C_*`` enum).
 #: ``C_BATCH`` is the current batch's request count and ``C_LAST`` flags
@@ -143,8 +151,8 @@ SOURCE = r"""
 enum { S_LAST_CAS, S_LAST_ACT, S_LAST_ACT_BG, S_FAW_IDX, S_BUS_FREE,
   S_LAST_DATA_END, S_POS, S_QUEUED, S_N_REQUESTS, S_HITS, S_MISSES,
   S_EMPTIES, S_ACTS, S_PRES, S_RESCAN_ALL, S_HAVE_DEADLINE, S_DEADLINE,
-  S_READY_START, S_READY_COUNT, S_PARKED, S_FRESH_COUNT, S_REC_COUNT,
-  S_REFRESHES, S_REF_BANK };
+  S_READY_START, S_READY_COUNT, S_PENDING_START, S_PENDING_COUNT,
+  S_PARKED, S_FRESH_COUNT, S_REC_COUNT, S_REFRESHES, S_REF_BANK };
 
 enum { C_N_BANKS, C_BANK_GROUPS, C_TCK, C_QUANT, C_TRP, C_TRCD, C_TRAS,
   C_TRRD_S, C_TRRD_L, C_TFAW, C_TCCD_S, C_TCCD_L, C_TWR, C_TRTP,
@@ -192,34 +200,63 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
 /* Ready heads, one int64 key per entry: the sequence number of the
  * bank's queue head shifted left 7 bits, or'd with the bank.  A bank is
  * ready while its head is a row hit on its open row.  Sequence numbers
- * are distinct, so key order is head order: the keys stay sorted, as
- * the general engine's ready_order does, and the CAS walk visits the
- * heads oldest-first.  The keys fill the window [start, start + count)
- * of a buffer of cap = 8 * n_banks words; a bank is ready at most once,
- * so count <= n_banks. */
+ * are distinct, so key order is head order.
+ *
+ * The ready heads live in two windows, each [start, start + count) of
+ * its own buffer of cap = 8 * n_banks words (the `ready` buffer holds
+ * both, the pending FIFO's in its second half).  A bank is ready at
+ * most once, so the two counts sum to at most n_banks.
+ *
+ * - The walk window keeps its keys sorted, as the general engine's
+ *   ready_order does, so the CAS walk visits its heads oldest-first.
+ * - The pending FIFO holds, in commit order, the heads whose ACT
+ *   committed with cas_allowed beyond the issue-slot bound.  ACT times
+ *   never fall and cas_allowed = t_act + tRCD, so commit order is
+ *   cas_allowed order; the bound never falls either, so each CAS moves
+ *   the FIFO's front entries that the bound has reached into the walk
+ *   window, where they stay.  A head left in the FIFO cannot reach the
+ *   bound, so the walk needs it only when no window head does. */
 #define KEY(seq, b)    ((seq) << 7 | (b))
 #define KEY_BANK(key)  ((key) & 127)
 
-/* Insert key into the window.  An insert that would run past the end
- * of the buffer first moves the window back to offset 0. */
-static inline void ready_insert(int64_t *ready, int64_t *start,
-                                int64_t *count, int64_t cap, int64_t key) {
-    int64_t s = *start, n = *count;
-    if (s + n == cap) {
-        for (int64_t k = 0; k < n; k++) ready[k] = ready[s + k];
+/* The window of a buffer, with room for one more entry at its end: a
+ * window that reaches the end of the buffer first moves back to offset
+ * 0. */
+static inline int64_t *window_room(int64_t *buf, int64_t *start,
+                                   int64_t count, int64_t cap) {
+    int64_t s = *start;
+    if (s + count == cap) {
+        for (int64_t k = 0; k < count; k++) buf[k] = buf[s + k];
         *start = s = 0;
     }
-    int64_t *w = ready + s;
+    return buf + s;
+}
+
+/* Insert key into the walk window at its place in key order. */
+static inline void ready_insert(int64_t *ready, int64_t *start,
+                                int64_t *count, int64_t cap, int64_t key) {
+    int64_t n = *count;
+    int64_t *w = window_room(ready, start, n, cap);
     int64_t k = n;
     for (; k > 0 && w[k - 1] > key; k--) w[k] = w[k - 1];
     w[k] = key;
     *count = n + 1;
 }
 
+/* Keep the count-entry window w's heads of banks still ready (bstate
+ * 2), in order; returns how many are left. */
+static inline int64_t keep_ready(int64_t *w, int64_t count,
+                                 const int64_t *bstate) {
+    int64_t kept = 0;
+    for (int64_t k = 0; k < count; k++)
+        if (bstate[KEY_BANK(w[k])] == 2) w[kept++] = w[k];
+    return kept;
+}
+
 /* Drop window entry k, shifting whichever side of it is shorter: the
  * entries before it move up one and the window starts one later, or
  * the entries after it move down one.  A front entry only advances the
- * start. */
+ * start.  Either way the order of the others is kept. */
 static inline void ready_remove(int64_t *ready, int64_t *start,
                                 int64_t *count, int64_t k) {
     int64_t *w = ready + *start;
@@ -240,6 +277,11 @@ static inline void ready_advance(int64_t *w, int64_t count, int64_t k,
     for (; k + 1 < count && w[k + 1] < key; k++) w[k] = w[k + 1];
     w[k] = key;
 }
+
+/* cas_allowed of the pending FIFO's front head; far future when the
+ * FIFO is empty. */
+#define PEND_FRONT() (pend_count ? cas_allowed[KEY_BANK(pend[pend_start])] \
+                                 : FAR_FUTURE)
 
 /* Append one command record: time, kind, bank, row, column, request. */
 #define RECORD(t, kind, bank, row, col, req) do {                    \
@@ -312,6 +354,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     const int64_t ring_cap = cfg[C_RING];
     const int64_t ring_mask = ring_cap - 1;
     const int64_t ready_cap = 8 * n_banks;
+    int64_t *const pend = ready + ready_cap;  /* the pending FIFO's buffer */
 
     int64_t last_cas = sc[S_LAST_CAS];
     int64_t last_act = sc[S_LAST_ACT];
@@ -332,12 +375,17 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     int64_t deadline = sc[S_DEADLINE];
     int64_t ready_start = sc[S_READY_START];
     int64_t ready_count = sc[S_READY_COUNT];
+    int64_t pend_start = sc[S_PENDING_START];
+    int64_t pend_count = sc[S_PENDING_COUNT];
     uint64_t parked = (uint64_t)sc[S_PARKED];
     int64_t fresh_count = sc[S_FRESH_COUNT];
     int64_t rec_count = sc[S_REC_COUNT];
     int64_t refreshes = sc[S_REFRESHES];
     int64_t ref_bank = sc[S_REF_BANK];
 
+    /* cas_allowed of the FIFO's front head, kept in a local so that the
+     * per-CAS promotion test is one comparison. */
+    int64_t pend_front = PEND_FRONT();
     int64_t min_ready = FAR_FUTURE;
     for (uint64_t m = parked; m; m &= m - 1) {
         int64_t t = H_T(__builtin_ctzll(m));
@@ -395,13 +443,11 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                 if (bstate[b] == 2) bstate[b] = 1;
                 act_allowed[b] = ref_time + ref_duration;
             }
-            {   /* The refreshed banks are closed: drop their heads. */
-                int64_t *w = ready + ready_start;
-                int64_t kept = 0;
-                for (int64_t k = 0; k < ready_count; k++)
-                    if (bstate[KEY_BANK(w[k])] == 2) w[kept++] = w[k];
-                ready_count = kept;
-            }
+            /* The refreshed banks are closed: drop their heads from
+             * both windows. */
+            ready_count = keep_ready(ready + ready_start, ready_count, bstate);
+            pend_count = keep_ready(pend + pend_start, pend_count, bstate);
+            pend_front = PEND_FRONT();
             rescan_all = 1;
             refreshes++;
             if (do_record)
@@ -429,11 +475,30 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             fresh_count = 0;
         }
 
+        /* ---- the issue-slot bound: the earliest slot any head could
+         * get.  The commit stage moves neither of its terms. ---------- */
+        int64_t bound = last_cas + tccd_s;
+        {
+            int64_t t = bus_free - latency;
+            if (t > bound) bound = t;
+        }
+        if (quant) bound = quantize(bound, tck);
+        /* The bound never falls, so a promoted head stays in the walk
+         * window until it issues or a refresh closes its bank. */
+        while (pend_front <= bound) {
+            ready_insert(ready, &ready_start, &ready_count, ready_cap,
+                         pend[pend_start]);
+            pend_start++; pend_count--;
+            pend_front = PEND_FRONT();
+        }
+
         /* ---- deferred-activation commits: every parked bank the bus
          * frontier has reached, in bank order; with none due and no
          * head ready, the earliest (act_ready, bank) entry alone.  With
-         * none due and a head ready the stage costs one comparison. -- */
-        if (parked && (min_ready <= bus_free || !ready_count)) {
+         * none due and a head ready the stage costs one comparison.  A
+         * committed head whose tRCD ends beyond the bound joins the
+         * pending FIFO. -------------------------------------------------- */
+        if (parked && (min_ready <= bus_free || !(ready_count + pend_count))) {
             uint64_t due = 0;
             int64_t rest_min = FAR_FUTURE;  /* over the entries left */
             if (min_ready <= bus_free) {
@@ -488,25 +553,30 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                 cas_allowed[b] = t_act + trcd;
                 pre_allowed[b] = t_act + tras;
                 bstate[b] = 2;
-                ready_insert(ready, &ready_start, &ready_count, ready_cap,
-                             KEY(Q_AT(b, head[b])[0], b));
+                int64_t key = KEY(Q_AT(b, head[b])[0], b);
+                if (cas_allowed[b] > bound) {
+                    if (!pend_count) pend_front = cas_allowed[b];
+                    window_room(pend, &pend_start, pend_count,
+                                ready_cap)[pend_count] = key;
+                    pend_count++;
+                } else {
+                    ready_insert(ready, &ready_start, &ready_count,
+                                 ready_cap, key);
+                }
             }
         }
 
         /* ---- CAS arbitration: the general engine's walk over the
-         * ready heads, oldest first.  `bound` is the earliest slot any
-         * head could get; the first head that reaches it issues there.
-         * If none does, the strictly earliest slot wins, so ties go to
-         * the older head. --------------------------------------------- */
-        int64_t bound = last_cas + tccd_s;
-        {
-            int64_t t = bus_free - latency;
-            if (t > bound) bound = t;
-        }
-        if (quant) bound = quantize(bound, tck);
+         * ready heads, oldest first.  The first head that reaches the
+         * bound issues there; no pending head can.  If none does, the
+         * strictly earliest slot wins, ties to the older head: the
+         * window's best, or a pending head that beats it.  The FIFO is
+         * in cas_allowed order, so the probe stops at the first entry
+         * whose cas_allowed is past the best slot so far. ------------- */
         const int64_t *win = ready + ready_start;
         int64_t k = 0;
-        int64_t chosen_i = -1;
+        int64_t chosen_i = -1;  /* walk-window index of the chosen head */
+        int64_t pick = -1;      /* FIFO index of the chosen head */
         int64_t best_pb = FAR_FUTURE;
         for (; k < ready_count; k++) {
             int64_t b = KEY_BANK(win[k]);
@@ -520,20 +590,49 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         if (k < ready_count) {
             chosen_i = k;
             t_cas = bound;
-        } else if (chosen_i >= 0) {
+        } else {
+            const int64_t *fifo = pend + pend_start;
+            int64_t best_key = chosen_i >= 0 ? win[chosen_i] : 0;
+            for (int64_t j = 0; j < pend_count; j++) {
+                int64_t b = KEY_BANK(fifo[j]);
+                int64_t pb = cas_allowed[b];
+                if (pb > best_pb) break;
+                int64_t t = last_cas_bg[bg_of[b]] + tccd_l;
+                if (t > pb) pb = t;
+                if (pb < best_pb || (pb == best_pb && fifo[j] < best_key)) {
+                    best_pb = pb; best_key = fifo[j]; pick = j;
+                }
+            }
+            if (chosen_i < 0 && pick < 0) {
+                exit_reason = EXIT_DEADLOCK; break;
+            }
             t_cas = best_pb;
             if (quant) t_cas = quantize(t_cas, tck);
-        } else {
-            exit_reason = EXIT_DEADLOCK; break;
         }
-        const int64_t chosen = KEY_BANK(win[chosen_i]);
+        const int64_t chosen = KEY_BANK(pick >= 0 ? pend[pend_start + pick]
+                                                  : win[chosen_i]);
 
         /* ---- pop and timeline update ------------------------------- */
         int64_t *p = Q_AT(chosen, head[chosen]);
         int64_t p_row = p[1], p_col = p[2];
         head[chosen]++;
         queued--;
-        if (adm[chosen] == head[chosen]) {
+        if (pick >= 0) {
+            /* The head leaves the FIFO; a following row hit enters the
+             * walk window, where its tRCD has passed. */
+            ready_remove(pend, &pend_start, &pend_count, pick);
+            if (!pick) pend_front = PEND_FRONT();
+            if (adm[chosen] == head[chosen]) {
+                bstate[chosen] = 0;
+            } else if (Q_AT(chosen, head[chosen])[1] == open_row[chosen]) {
+                hits++;
+                ready_insert(ready, &ready_start, &ready_count, ready_cap,
+                             KEY(Q_AT(chosen, head[chosen])[0], chosen));
+            } else {
+                bstate[chosen] = 1;
+                fresh[fresh_count++] = chosen;
+            }
+        } else if (adm[chosen] == head[chosen]) {
             bstate[chosen] = 0;
             ready_remove(ready, &ready_start, &ready_count, chosen_i);
         } else if (Q_AT(chosen, head[chosen])[1] == open_row[chosen]) {
@@ -577,6 +676,8 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
     sc[S_RESCAN_ALL] = rescan_all;
     sc[S_READY_START] = ready_start;
     sc[S_READY_COUNT] = ready_count;
+    sc[S_PENDING_START] = pend_start;
+    sc[S_PENDING_COUNT] = pend_count;
     sc[S_PARKED] = (int64_t)parked;
     sc[S_FRESH_COUNT] = fresh_count;
     sc[S_REC_COUNT] = rec_count;

@@ -33,7 +33,11 @@ phases while producing **bit-identical** schedules:
   which issues at the bound; if none does, the head with the strictly
   earliest slot (ties to the oldest) issues at its own slot.  This is
   the general engine's loop, and it reads only ready heads, not every
-  bank;
+  bank.  A head whose ACT commits with its tRCD ending past the bound
+  cannot reach it, so it waits in a pending FIFO (commit order, which
+  is ``cas_allowed`` order) and joins the window once the bound passes
+  its ``cas_allowed``; the FIFO is probed, front first, only when no
+  window head reaches the bound;
 * **compiled segment loop** — the admit / refresh / eval / commit /
   arbitrate / pop cycle runs as a single compiled loop
   (:mod:`repro.dram._kernelc`) over the same int64 tables, one call per
@@ -322,7 +326,9 @@ class _NativeRun:
         faw_ring = np.full(4, _FAR_PAST, dtype=np.int64)
         fresh = np.zeros(2 * n_banks + 4, dtype=np.int64)
         heap = np.zeros(n_banks * 4, dtype=np.int64)
-        ready = np.zeros(8 * n_banks, dtype=np.int64)
+        # The ready-head walk window, then the pending FIFO: 8 words
+        # per bank each.
+        ready = np.zeros(16 * n_banks, dtype=np.int64)
         self.rec = np.zeros(4096 * 6 if record else 6, dtype=np.int64)
         self.cas_col = np.zeros(1, dtype=np.int64)
 

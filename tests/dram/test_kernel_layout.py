@@ -75,10 +75,12 @@ def test_slot_counts_match_the_c_enums():
 
 
 def test_window_and_mask_slots_are_pinned():
-    """The ready window's start and count and the parked-bank mask each
-    have a slot; the deferred-activation store's size slot is gone."""
+    """The ready window's and the pending FIFO's start and count and the
+    parked-bank mask each have a slot; the deferred-activation store's
+    size slot is gone."""
     names = [name for name, _ in _c_enums()[0]]
-    for name in ("S_READY_START", "S_READY_COUNT", "S_PARKED"):
+    for name in ("S_READY_START", "S_READY_COUNT", "S_PENDING_START",
+                 "S_PENDING_COUNT", "S_PARKED"):
         assert getattr(_kernelc, name) == names.index(name)
     assert "S_HEAP_SIZE" not in names
     assert not hasattr(_kernelc, "S_HEAP_SIZE")

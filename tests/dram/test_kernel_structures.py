@@ -1,19 +1,25 @@
-"""Edge cases of the compiled loop's parked-bank mask and ready-head window.
+"""Edge cases of the compiled loop's parked-bank mask, ready-head window
+and pending FIFO.
 
 The segment loop parks each deferred activation in its bank's slot and
-names the parked banks in one 64-bit mask word; it keeps the ready heads
-as one-word keys in a window that drifts through its buffer and moves
-back to offset 0 before it would overrun it (``repro.dram._kernelc``).
-Every case here must give equal ``PhaseStats`` and equal recorded
-commands on :class:`~repro.dram.kernel.KernelEngine` and the general
+names the parked banks in one 64-bit mask word.  It keeps the ready
+heads as one-word keys in two windows, each drifting through its own
+buffer and moving back to offset 0 before it would overrun it: the walk
+window, in key order, and the pending FIFO, in commit order, which holds
+heads whose tRCD had not passed the issue-slot bound when their ACT
+committed (``repro.dram._kernelc``).  Every case here must give equal
+``PhaseStats`` and equal recorded commands on
+:class:`~repro.dram.kernel.KernelEngine` and the general
 :class:`~repro.dram.engine.SchedulingEngine`:
 
 * a 64-bank device whose bank 63, the mask's top bit, parks;
 * two parked banks with equal activation-ready times under a forced
   commit, where the lower bank must go first;
 * a phase fed in batches of 1-7 requests, so the loop exits for input
-  while the window is offset and activations are parked;
-* refreshes that drop ready heads from an offset window.
+  while the window is offset, activations are parked and heads are
+  pending, and the FIFO moves back to offset 0;
+* refreshes that drop ready heads from an offset window;
+* per-bank and all-bank refreshes that land while heads are pending.
 
 Where the compiled loop runs, a probe around it reads the scalar block
 at every segment exit, so each case also shows that it reached the
@@ -92,7 +98,11 @@ def batches(requests, sizes):
 
 
 class Probe:
-    """The loaded segment loop, recording the scalar block at every exit."""
+    """The loaded segment loop, recording the scalar block at every exit.
+
+    It also records the banks of the pending FIFO's heads, read from the
+    second half of the ``ready`` buffer (argument 18).
+    """
 
     def __init__(self, lib):
         self.lib = lib
@@ -101,12 +111,21 @@ class Probe:
     def run_segment(self, *args):
         reason = self.lib.run_segment(*args)
         scalars = args[1]
+        n_banks = args[0][_kernelc.C_N_BANKS]
+        pending_start = scalars[_kernelc.S_PENDING_START]
+        pending_count = scalars[_kernelc.S_PENDING_COUNT]
+        fifo = args[18][8 * n_banks + pending_start:
+                        8 * n_banks + pending_start + pending_count]
         self.exits.append({
             "reason": reason,
             "parked": scalars[_kernelc.S_PARKED],
             "start": scalars[_kernelc.S_READY_START],
             "count": scalars[_kernelc.S_READY_COUNT],
+            "pending_start": pending_start,
+            "pending_count": pending_count,
+            "pending_banks": {key & 127 for key in fifo},
             "refreshes": scalars[_kernelc.S_REFRESHES],
+            "ref_bank": scalars[_kernelc.S_REF_BANK],
         })
         return reason
 
@@ -123,9 +142,9 @@ def probe(monkeypatch):
     return wrapped
 
 
-def run_both(config, requests, op, sizes=None):
+def run_both(config, requests, op, sizes=None,
+             policy=ControllerConfig(record_commands=True)):
     """Both engines on one stream; asserts equal stats and commands."""
-    policy = ControllerConfig(record_commands=True)
     sizes = sizes or [len(requests)]
     expected = SchedulingEngine(config, policy).run(
         ChunkSource(batches(requests, sizes)), op)
@@ -220,3 +239,44 @@ def test_refresh_drops_heads_from_an_offset_window(probe, mode):
         assert any(a["start"] > 0 and a["count"] > 0
                    and b["refreshes"] > a["refreshes"]
                    for a, b in zip(probe.exits, probe.exits[1:]))
+
+
+@pytest.mark.parametrize("op", [OP_READ, OP_WRITE])
+@pytest.mark.parametrize("seed", range(4))
+def test_small_batches_exit_with_pending_heads(probe, op, seed):
+    """Row misses keep activations committing with tRCD still to run,
+    while batches of 1-7 requests end a segment every few requests."""
+    config = device(4, 4)
+    rng = random.Random(100 + seed)
+    requests = [(rng.randrange(16), rng.randrange(4), rng.randrange(8))
+                for _ in range(3000)]
+    run_both(config, requests, op, random_sizes(rng, len(requests)))
+    if probe is not None:
+        assert any(e["pending_count"] > 0 for e in probe.exits
+                   if e["reason"] == _kernelc.EXIT_NEED_INPUT)
+        # Only a move back to offset 0 lowers the FIFO's start.
+        starts = [e["pending_start"] for e in probe.exits]
+        assert any(b < a for a, b in zip(starts, starts[1:]))
+
+
+@pytest.mark.parametrize("mode", [REFRESH_PER_BANK, REFRESH_ALL_BANK])
+def test_refresh_lands_while_heads_are_pending(probe, mode):
+    """One-request batches into a full window: once the window is full,
+    each segment admits one request, applies the refreshes due and
+    issues one CAS, and no bank's depth can hold admission back.  So a
+    refresh counted in a segment landed on the pending FIFO the previous
+    exit recorded; a per-bank refresh takes the bank that exit names."""
+    config = device(4, 4, mode, trefi_us=0.4875)
+    rng = random.Random(11)
+    requests = [(rng.randrange(16), rng.randrange(4), rng.randrange(8))
+                for _ in range(4000)]
+    policy = ControllerConfig(record_commands=True, per_bank_depth=64)
+    result = run_both(config, requests, OP_READ, [1] * len(requests),
+                      policy)
+    assert result.stats.refreshes > 10
+    if probe is not None:
+        landed = [a for a, b in zip(probe.exits, probe.exits[1:])
+                  if b["refreshes"] > a["refreshes"] and a["pending_count"]]
+        if mode == REFRESH_PER_BANK:
+            landed = [a for a in landed if a["ref_bank"] in a["pending_banks"]]
+        assert landed

@@ -9,7 +9,11 @@ produces (:mod:`repro.dram.policy`):
   column accesses to the same activated row;
 * **bank-partition** — no CAS is ever served on a bank outside the
   issuing stream class's partition (:func:`~repro.dram.policy
-  .partition_bounds`).
+  .partition_bounds`).  Its homogeneous phases also run on the compiled
+  loop, so each must equal the general
+  :class:`~repro.dram.engine.SchedulingEngine`'s run, stats and commands:
+  on their devices a pending head behind the FIFO's front can win when
+  tCCD_L holds the front back.
 
 Each promise is checked directly on recorded command tapes over random
 (geometry, speed grade, queue shape) devices far outside the curated
@@ -24,7 +28,7 @@ import random
 import pytest
 
 from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
-from repro.dram.engine import TupleSource
+from repro.dram.engine import SchedulingEngine, TupleSource
 from repro.dram.kernel import KernelEngine
 from repro.dram.mixed import run_mixed_phase
 from repro.dram.policy import (
@@ -139,6 +143,10 @@ class TestBankPartition:
                      if c.command.value in CAS_NAMES}
         assert cas_banks <= set(range(lo, hi))
         assert result.stats.requests == len(requests)
+        expected = SchedulingEngine(config, policy).run(
+            TupleSource(list(requests)), op)
+        assert result.stats == expected.stats
+        assert result.commands == expected.commands
 
     @pytest.mark.parametrize("index", range(N_COMBOS))
     def test_mixed_stream_never_crosses_classes(self, index):
