@@ -21,7 +21,8 @@ loaded through ``cffi``:
   ``cas_allowed`` order; it moves into the walk window once the bound
   reaches its ``cas_allowed``, so the walk does not pass over it on
   every CAS.  The FIFO is probed, from its front, only when no window
-  head reaches the bound.  The loop
+  head reaches the bound, and a pending head that wins moves to the
+  walk window to be popped.  The loop
   returns to Python only when admission reaches the end of a batch with
   room left in the window, when the phase is done (after a last, empty
   batch flagged as the end of the stream), when the command-record
@@ -175,6 +176,17 @@ static inline int64_t quantize(int64_t v, int64_t tck) {
     return v;
 }
 
+/* The issue-slot bound: the earliest slot any ready head could get,
+ * max(last_cas + tCCD_S, bus_free - latency) on the command clock.  A
+ * CAS moves both terms forward, so the bound never falls. */
+static inline int64_t issue_bound(int64_t last_cas, int64_t tccd_s,
+                                  int64_t bus_free, int64_t latency,
+                                  int64_t quant, int64_t tck) {
+    int64_t bound = last_cas + tccd_s;
+    if (bus_free - latency > bound) bound = bus_free - latency;
+    return quant ? quantize(bound, tck) : bound;
+}
+
 /* Per-bank request rings, 3 int64 columns per slot: stream sequence
  * number, row, column.  head[b] and adm[b] count bank b's served and
  * admitted requests; its k-th request sits in slot k & (ring_cap - 1)
@@ -232,15 +244,17 @@ static inline int64_t *window_room(int64_t *buf, int64_t *start,
     return buf + s;
 }
 
-/* Insert key into the walk window at its place in key order. */
-static inline void ready_insert(int64_t *ready, int64_t *start,
-                                int64_t *count, int64_t cap, int64_t key) {
+/* Insert key into the walk window at its place in key order; returns
+ * that place. */
+static inline int64_t ready_insert(int64_t *ready, int64_t *start,
+                                   int64_t *count, int64_t cap, int64_t key) {
     int64_t n = *count;
     int64_t *w = window_room(ready, start, n, cap);
     int64_t k = n;
     for (; k > 0 && w[k - 1] > key; k--) w[k] = w[k - 1];
     w[k] = key;
     *count = n + 1;
+    return k;
 }
 
 /* Keep the count-entry window w's heads of banks still ready (bstate
@@ -475,30 +489,16 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
             fresh_count = 0;
         }
 
-        /* ---- the issue-slot bound: the earliest slot any head could
-         * get.  The commit stage moves neither of its terms. ---------- */
-        int64_t bound = last_cas + tccd_s;
-        {
-            int64_t t = bus_free - latency;
-            if (t > bound) bound = t;
-        }
-        if (quant) bound = quantize(bound, tck);
-        /* The bound never falls, so a promoted head stays in the walk
-         * window until it issues or a refresh closes its bank. */
-        while (pend_front <= bound) {
-            ready_insert(ready, &ready_start, &ready_count, ready_cap,
-                         pend[pend_start]);
-            pend_start++; pend_count--;
-            pend_front = PEND_FRONT();
-        }
-
         /* ---- deferred-activation commits: every parked bank the bus
          * frontier has reached, in bank order; with none due and no
          * head ready, the earliest (act_ready, bank) entry alone.  With
          * none due and a head ready the stage costs one comparison.  A
-         * committed head whose tRCD ends beyond the bound joins the
-         * pending FIFO. -------------------------------------------------- */
+         * committed head whose tRCD ends beyond the issue-slot bound
+         * joins the pending FIFO.  The stage moves neither term of the
+         * bound, so the walk below sees the same one. ------------------ */
         if (parked && (min_ready <= bus_free || !(ready_count + pend_count))) {
+            const int64_t bound = issue_bound(last_cas, tccd_s, bus_free,
+                                              latency, quant, tck);
             uint64_t due = 0;
             int64_t rest_min = FAR_FUTURE;  /* over the entries left */
             if (min_ready <= bus_free) {
@@ -567,16 +567,25 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         }
 
         /* ---- CAS arbitration: the general engine's walk over the
-         * ready heads, oldest first.  The first head that reaches the
-         * bound issues there; no pending head can.  If none does, the
-         * strictly earliest slot wins, ties to the older head: the
-         * window's best, or a pending head that beats it.  The FIFO is
-         * in cas_allowed order, so the probe stops at the first entry
-         * whose cas_allowed is past the best slot so far. ------------- */
+         * ready heads, oldest first.  First the FIFO's front heads that
+         * the bound has reached join the walk window, where they stay.
+         * The first head that reaches the bound issues there; no
+         * pending head can.  If none does, the strictly earliest slot
+         * wins, ties to the older head: the window's best, or a pending
+         * head that beats it.  The FIFO is in cas_allowed order, so the
+         * probe stops at the first entry whose cas_allowed is past the
+         * best slot so far. ------------------------------------------- */
+        const int64_t bound = issue_bound(last_cas, tccd_s, bus_free,
+                                          latency, quant, tck);
+        while (pend_front <= bound) {
+            ready_insert(ready, &ready_start, &ready_count, ready_cap,
+                         pend[pend_start]);
+            pend_start++; pend_count--;
+            pend_front = PEND_FRONT();
+        }
         const int64_t *win = ready + ready_start;
         int64_t k = 0;
-        int64_t chosen_i = -1;  /* walk-window index of the chosen head */
-        int64_t pick = -1;      /* FIFO index of the chosen head */
+        int64_t chosen_i = -1;
         int64_t best_pb = FAR_FUTURE;
         for (; k < ready_count; k++) {
             int64_t b = KEY_BANK(win[k]);
@@ -593,6 +602,7 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
         } else {
             const int64_t *fifo = pend + pend_start;
             int64_t best_key = chosen_i >= 0 ? win[chosen_i] : 0;
+            int64_t pick = -1;
             for (int64_t j = 0; j < pend_count; j++) {
                 int64_t b = KEY_BANK(fifo[j]);
                 int64_t pb = cas_allowed[b];
@@ -603,36 +613,28 @@ int64_t run_segment(const int64_t *cfg, int64_t *sc,
                     best_pb = pb; best_key = fifo[j]; pick = j;
                 }
             }
-            if (chosen_i < 0 && pick < 0) {
+            if (pick >= 0) {
+                /* The chosen head leaves the FIFO for the walk window,
+                 * whose pop below it then takes, as any other head. */
+                ready_remove(pend, &pend_start, &pend_count, pick);
+                if (!pick) pend_front = PEND_FRONT();
+                chosen_i = ready_insert(ready, &ready_start, &ready_count,
+                                        ready_cap, best_key);
+                win = ready + ready_start;
+            } else if (chosen_i < 0) {
                 exit_reason = EXIT_DEADLOCK; break;
             }
             t_cas = best_pb;
             if (quant) t_cas = quantize(t_cas, tck);
         }
-        const int64_t chosen = KEY_BANK(pick >= 0 ? pend[pend_start + pick]
-                                                  : win[chosen_i]);
+        const int64_t chosen = KEY_BANK(win[chosen_i]);
 
         /* ---- pop and timeline update ------------------------------- */
         int64_t *p = Q_AT(chosen, head[chosen]);
         int64_t p_row = p[1], p_col = p[2];
         head[chosen]++;
         queued--;
-        if (pick >= 0) {
-            /* The head leaves the FIFO; a following row hit enters the
-             * walk window, where its tRCD has passed. */
-            ready_remove(pend, &pend_start, &pend_count, pick);
-            if (!pick) pend_front = PEND_FRONT();
-            if (adm[chosen] == head[chosen]) {
-                bstate[chosen] = 0;
-            } else if (Q_AT(chosen, head[chosen])[1] == open_row[chosen]) {
-                hits++;
-                ready_insert(ready, &ready_start, &ready_count, ready_cap,
-                             KEY(Q_AT(chosen, head[chosen])[0], chosen));
-            } else {
-                bstate[chosen] = 1;
-                fresh[fresh_count++] = chosen;
-            }
-        } else if (adm[chosen] == head[chosen]) {
+        if (adm[chosen] == head[chosen]) {
             bstate[chosen] = 0;
             ready_remove(ready, &ready_start, &ready_count, chosen_i);
         } else if (Q_AT(chosen, head[chosen])[1] == open_row[chosen]) {
