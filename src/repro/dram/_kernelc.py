@@ -22,15 +22,15 @@ loaded through ``cffi``:
   reaches its ``cas_allowed``, so the walk does not pass over it on
   every CAS.  The FIFO is probed, from its front, only when no window
   head reaches the bound, and a pending head that wins moves to the
-  walk window to be popped.  The loop
-  returns to Python only when admission reaches the end of a batch with
-  room left in the window, when the phase is done (after a last, empty
-  batch flagged as the end of the stream), when the command-record
-  buffer needs growing, or on deadlock.  Refresh
-  events are a port of the general engine's refresh block: the loop
-  takes the :class:`~repro.dram.refresh.RefreshScheduler`'s next
-  deadline and round-robin bank in, hands them back advanced, and counts
-  the events it applied.  Besides the optional command records the loop
+  walk window to be popped.  The loop returns to Python only when
+  admission reaches the end of a batch with room left in the window,
+  when the phase is done (after a last, empty batch flagged as the end
+  of the stream), when the command-record buffer needs growing, or on
+  deadlock.  Refresh events are a port of the general engine's refresh
+  block: the loop takes the
+  :class:`~repro.dram.refresh.RefreshScheduler`'s next deadline and
+  round-robin bank in, hands them back advanced, and counts the events
+  it applied.  Besides the optional command records the loop
   can write one CAS issue time per request (the ``cas_time`` column the
   end-to-end latency fold reads).
 * :func:`load_sampler` — the Gilbert–Elliott frame loop behind

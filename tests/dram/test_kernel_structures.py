@@ -17,7 +17,7 @@ committed (``repro.dram._kernelc``).  Every case here must give equal
   commit, where the lower bank must go first;
 * a phase fed in batches of 1-7 requests, so the loop exits for input
   while the window is offset, activations are parked and heads are
-  pending, and the FIFO moves back to offset 0;
+  pending, and the window and the FIFO each move back to offset 0;
 * refreshes that drop ready heads from an offset window;
 * per-bank and all-bank refreshes that land while heads are pending.
 
@@ -207,7 +207,9 @@ def test_forced_commit_of_equal_ready_times_takes_the_lower_bank():
 @pytest.mark.parametrize("seed", range(4))
 def test_small_batches_exit_with_offset_window_and_parked_banks(probe, op,
                                                                   seed):
-    """Batches of 1-7 requests end a segment every few requests."""
+    """Batches of 1-7 requests end a segment every few requests, while
+    row misses keep activations parked and committing with tRCD still
+    to run."""
     config = device(4, 4)
     rng = random.Random(seed)
     rows = rng.choice([2, 4])
@@ -219,10 +221,12 @@ def test_small_batches_exit_with_offset_window_and_parked_banks(probe, op,
                       if e["reason"] == _kernelc.EXIT_NEED_INPUT]
         assert any(e["start"] > 0 and e["count"] > 0 and e["parked"]
                    for e in need_input)
-        # The window moved back to offset 0 between two exits at least
-        # once: only a move back lowers its start.
-        starts = [e["start"] for e in probe.exits]
-        assert any(b < a for a, b in zip(starts, starts[1:]))
+        assert any(e["pending_count"] > 0 for e in need_input)
+        # The window and the FIFO each moved back to offset 0 between
+        # two exits at least once: only a move back lowers a start.
+        for name in ("start", "pending_start"):
+            starts = [e[name] for e in probe.exits]
+            assert any(b < a for a, b in zip(starts, starts[1:])), name
 
 
 @pytest.mark.parametrize("mode", [REFRESH_PER_BANK, REFRESH_ALL_BANK])
@@ -239,24 +243,6 @@ def test_refresh_drops_heads_from_an_offset_window(probe, mode):
         assert any(a["start"] > 0 and a["count"] > 0
                    and b["refreshes"] > a["refreshes"]
                    for a, b in zip(probe.exits, probe.exits[1:]))
-
-
-@pytest.mark.parametrize("op", [OP_READ, OP_WRITE])
-@pytest.mark.parametrize("seed", range(4))
-def test_small_batches_exit_with_pending_heads(probe, op, seed):
-    """Row misses keep activations committing with tRCD still to run,
-    while batches of 1-7 requests end a segment every few requests."""
-    config = device(4, 4)
-    rng = random.Random(100 + seed)
-    requests = [(rng.randrange(16), rng.randrange(4), rng.randrange(8))
-                for _ in range(3000)]
-    run_both(config, requests, op, random_sizes(rng, len(requests)))
-    if probe is not None:
-        assert any(e["pending_count"] > 0 for e in probe.exits
-                   if e["reason"] == _kernelc.EXIT_NEED_INPUT)
-        # Only a move back to offset 0 lowers the FIFO's start.
-        starts = [e["pending_start"] for e in probe.exits]
-        assert any(b < a for a, b in zip(starts, starts[1:]))
 
 
 @pytest.mark.parametrize("mode", [REFRESH_PER_BANK, REFRESH_ALL_BANK])
