@@ -25,6 +25,7 @@ TARGET_GBIT = 100.0
 
 
 def main() -> None:
+    """Size the memory for both mappings on every configuration and print it."""
     space = TriangularIndexSpace(256)
     reports = []
     print(f"Sizing for a {TARGET_GBIT:.0f} Gbit/s interleaver "

@@ -18,6 +18,7 @@ from repro.viz import render_banks, render_figure1, render_full
 
 
 def main() -> None:
+    """Render the Fig. 1 panels and the triangular variant."""
     # Two banks (one per bank group) and four bursts per page: the same
     # scale as the paper's Fig. 1.
     geometry = Geometry(bank_groups=2, banks_per_group=1, rows=256,

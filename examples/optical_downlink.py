@@ -11,12 +11,15 @@ symbol error rate.
 Run:  python examples/optical_downlink.py
 """
 
+import math
+
 import numpy as np
 
 from repro import CodewordConfig, GilbertElliottParams, OpticalDownlink, TwoStageConfig
 
 
 def main() -> None:
+    """Compare code-word failures with and without interleaving."""
     # Channel: fades last ~60 symbols (a scaled stand-in for the >2 ms
     # coherence time at >100 Gbit/s), link spends 0.4 % of time faded.
     channel = GilbertElliottParams(
@@ -57,7 +60,7 @@ def main() -> None:
               f"worst word: {worst} errors)")
 
     gain = result.gain
-    gain_text = "all failures eliminated" if gain == float("inf") else f"{gain:.1f}x"
+    gain_text = "all failures eliminated" if math.isinf(gain) else f"{gain:.1f}x"
     print(f"\nInterleaving gain: {gain_text}")
     print("Same errors, same code — the interleaver only *disperses* the")
     print("fades so no single code word exceeds the correction radius.")

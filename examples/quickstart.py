@@ -21,6 +21,7 @@ from repro.viz import utilization_bar
 
 
 def main() -> None:
+    """Simulate both mappings on DDR4-3200 and print their utilizations."""
     config = get_config("DDR4-3200")
     space = TriangularIndexSpace(384)          # ~74 k burst elements
     print(f"Device: {config.name} ({config.geometry.banks} banks, "

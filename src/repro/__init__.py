@@ -20,7 +20,8 @@ Quickstart::
 
 Every package re-exports its names lazily (PEP 562): ``import repro``
 loads no NumPy, and a name's defining module is imported at its first
-access.
+access.  Each package's ``if TYPE_CHECKING:`` block is its one list of
+public names (see :mod:`repro._lazy`).
 """
 
 from __future__ import annotations
@@ -77,74 +78,4 @@ if TYPE_CHECKING:
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BlockInterleaver",
-    "CodewordConfig",
-    "ControllerConfig",
-    "DramAddress",
-    "DramConfig",
-    "Geometry",
-    "GilbertElliottChannel",
-    "GilbertElliottParams",
-    "InterleaverMapping",
-    "InterleaverSimResult",
-    "OpticalDownlink",
-    "OptimizedMapping",
-    "PhaseStats",
-    "RectangularIndexSpace",
-    "RowMajorMapping",
-    "TABLE1_CONFIG_NAMES",
-    "TimingParams",
-    "TriangularIndexSpace",
-    "TriangularInterleaver",
-    "TwoStageConfig",
-    "TwoStageInterleaver",
-    "all_configs",
-    "coherence_params",
-    "energy_pareto",
-    "format_e2e_table",
-    "format_energy_table",
-    "format_table1",
-    "get_config",
-    "profile_mapping",
-    "provision",
-    "run_e2e_table",
-    "run_energy_table",
-    "run_table1",
-    "simulate_interleaver",
-    "simulate_phase",
-    "throughput_report",
-    "triangle_size_for_elements",
-    "validate_mapping",
-]
-
-__getattr__, __dir__ = attach(__name__, {
-    "repro.channel.codeword": ("CodewordConfig",),
-    "repro.channel.gilbert_elliott": (
-        "GilbertElliottChannel", "GilbertElliottParams", "coherence_params"),
-    "repro.dram.address": ("DramAddress",),
-    "repro.dram.controller": ("ControllerConfig",),
-    "repro.dram.geometry": ("Geometry",),
-    "repro.dram.presets": (
-        "DramConfig", "TABLE1_CONFIG_NAMES", "all_configs", "get_config"),
-    "repro.dram.simulator": (
-        "InterleaverSimResult", "simulate_interleaver", "simulate_phase"),
-    "repro.dram.stats": ("PhaseStats",),
-    "repro.dram.timing": ("TimingParams",),
-    "repro.interleaver.block": ("BlockInterleaver", "TriangularInterleaver"),
-    "repro.interleaver.triangular": (
-        "RectangularIndexSpace", "TriangularIndexSpace",
-        "triangle_size_for_elements"),
-    "repro.interleaver.two_stage": ("TwoStageConfig", "TwoStageInterleaver"),
-    "repro.mapping.analysis": ("profile_mapping",),
-    "repro.mapping.base": ("InterleaverMapping",),
-    "repro.mapping.optimized": ("OptimizedMapping",),
-    "repro.mapping.row_major": ("RowMajorMapping",),
-    "repro.mapping.validate": ("validate_mapping",),
-    "repro.system.downlink": ("OpticalDownlink",),
-    "repro.system.sweep": (
-        "format_e2e_table", "format_energy_table", "format_table1",
-        "run_e2e_table", "run_energy_table", "run_table1"),
-    "repro.system.throughput": (
-        "energy_pareto", "provision", "throughput_report"),
-})
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -29,32 +29,4 @@ if TYPE_CHECKING:
         coherence_params,
     )
 
-__all__ = [
-    "BAD",
-    "BurstProfile",
-    "FrameBurstArrays",
-    "CodewordConfig",
-    "DecodingReport",
-    "GOOD",
-    "GilbertElliottChannel",
-    "GilbertElliottParams",
-    "burst_profile",
-    "coherence_params",
-    "decode_mask",
-    "errors_per_codeword",
-    "frame_burst_arrays",
-    "report_from_counts",
-    "report_from_tallies",
-]
-
-__getattr__, __dir__ = attach(__name__, {
-    "repro.channel.burst_stats": (
-        "BurstProfile", "FrameBurstArrays", "burst_profile",
-        "errors_per_codeword", "frame_burst_arrays"),
-    "repro.channel.codeword": (
-        "CodewordConfig", "DecodingReport", "decode_mask",
-        "report_from_counts", "report_from_tallies"),
-    "repro.channel.gilbert_elliott": (
-        "BAD", "GOOD", "GilbertElliottChannel", "GilbertElliottParams",
-        "coherence_params"),
-})
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -75,6 +75,13 @@ if TYPE_CHECKING:
 OP_READ = "RD"
 OP_WRITE = "WR"
 
+
+def check_op(op: str) -> None:
+    """Raise ``ValueError`` unless ``op`` is :data:`OP_READ` or :data:`OP_WRITE`."""
+    if op not in (OP_READ, OP_WRITE):
+        raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
+
+
 _FAR_PAST = -(10**15)
 _FAR_FUTURE = 10**18
 
@@ -415,8 +422,7 @@ class SchedulingEngine:
                 is negative (validated at intake, naming the offending
                 request).
         """
-        if op not in (OP_READ, OP_WRITE):
-            raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
+        check_op(op)
         config = self.config
         policy = self.policy
         n_banks = config.geometry.banks

@@ -104,9 +104,9 @@ import numpy as np
 
 from repro.dram import _kernelc
 from repro.dram.commands import CommandType, ScheduledCommand
-from repro.dram.engine import (OP_READ, OP_WRITE, EngineResult,
-                               SchedulingEngine, WorkloadSource,
-                               _PartitionedSource, build_result, check_batch)
+from repro.dram.engine import (OP_READ, EngineResult, SchedulingEngine,
+                               WorkloadSource, _PartitionedSource,
+                               build_result, check_batch, check_op)
 from repro.dram.policy import (
     POLICY_BANK_PARTITION,
     POLICY_CLOSED_PAGE,
@@ -231,8 +231,7 @@ def run_shared(engines: Sequence[KernelEngine],
         ValueError: on an unknown ``op``, on engines that differ in
             geometry or policy, or naming the first invalid request.
     """
-    if op not in (OP_READ, OP_WRITE):
-        raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
+    check_op(op)
     if len({(engine.config.geometry, engine.policy) for engine in engines}) > 1:
         raise ValueError("engines sharing a stream must share one geometry "
                          "and one policy")

@@ -14,15 +14,4 @@ if TYPE_CHECKING:
         triangle_size_for_elements,
     )
 
-__all__ = [
-    "RectangularIndexSpace",
-    "TriangularIndexSpace",
-    "interleaver_delay",
-    "triangle_size_for_elements",
-]
-
-__getattr__, __dir__ = attach(__name__, {
-    "repro.interleaver.triangular": (
-        "RectangularIndexSpace", "TriangularIndexSpace", "interleaver_delay",
-        "triangle_size_for_elements"),
-})
+__getattr__, __dir__ = attach(__name__, __file__)

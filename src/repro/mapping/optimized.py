@@ -55,20 +55,9 @@ from typing import Any, Optional, Tuple
 from repro.dram.geometry import Geometry
 from repro.interleaver.triangular import IndexSpace
 from repro.mapping.base import AddressArrays, AddressTuple, InterleaverMapping
-from repro.mapping.tiling import TileGeometry, balanced_tile, row_strip_tile, tiles_covering
+from repro.mapping.tiling import (TileGeometry, balanced_tile, row_strip_tile,
+                                  tile_sides, tiles_covering)
 from repro.units import log2_int
-
-
-def _single_bank_tile(bursts_per_page: int) -> Tuple[int, int]:
-    """Balanced tile dimensions for the no-rotation ablation.
-
-    Without the diagonal bank rotation a whole tile belongs to one bank,
-    so the tile holds exactly one page: ``tile_h * tile_w = P`` with the
-    two middle powers of two.
-    """
-    bits = bursts_per_page.bit_length() - 1
-    h_bits = (bits + 1) // 2
-    return 1 << h_bits, 1 << (bits - h_bits)
 
 
 class OptimizedMapping(InterleaverMapping):
@@ -121,7 +110,8 @@ class OptimizedMapping(InterleaverMapping):
         else:
             self.tile = None
             if enable_tiling:
-                self._tile_h, self._tile_w = _single_bank_tile(page)
+                # A whole tile belongs to one bank: it holds one page.
+                self._tile_h, self._tile_w = tile_sides(page)
             else:
                 self._tile_h, self._tile_w = 1, page
 

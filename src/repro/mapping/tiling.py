@@ -19,9 +19,10 @@ the paper (Fig. 1b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.dram.geometry import Geometry
-from repro.units import is_power_of_two, log2_int
+from repro.units import log2_int
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,22 @@ def balanced_tile(geometry: Geometry) -> TileGeometry:
             f"page of {page} bursts is smaller than the {banks}-bank diagonal; "
             "the balanced tiling needs bursts_per_page >= banks"
         )
-    # page >= banks puts log2(B) <= total_bits // 2, so both sides are
+    # page >= banks puts log2(B) <= log2(B * P) // 2, so both sides are
     # at least B.
-    total_bits = log2_int(banks) + log2_int(page)
-    h_bits = total_bits // 2
-    return TileGeometry(banks=banks, bursts_per_page=page, tile_h=1 << h_bits,
-                        tile_w=1 << (total_bits - h_bits))
+    tile_h, tile_w = tile_sides(banks * page)
+    return TileGeometry(banks=banks, bursts_per_page=page, tile_h=tile_h,
+                        tile_w=tile_w)
+
+
+def tile_sides(cells: int) -> Tuple[int, int]:
+    """``(tile_h, tile_w)`` of a tile of ``cells``, a power of two.
+
+    The two middle powers of two; an odd bit count's extra bit goes to
+    the width.  The balanced tile and the no-rotation ablation's
+    one-page tile both split here, so they share one orientation.
+    """
+    bits = log2_int(cells)
+    return 1 << (bits // 2), 1 << (bits - bits // 2)
 
 
 def row_strip_tile(geometry: Geometry) -> TileGeometry:

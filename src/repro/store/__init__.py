@@ -33,27 +33,4 @@ if TYPE_CHECKING:
     from repro.store.server import ReproServer, create_server
     from repro.store.store import ResultStore
 
-__all__ = [
-    "DEFAULT_GRID_SPEC",
-    "JobEngine",
-    "JobRecord",
-    "ReproServer",
-    "ResultStore",
-    "SCHEMA_VERSION",
-    "canonical_json",
-    "create_server",
-    "derive_key",
-    "grid_from_spec",
-    "open_export",
-    "write_csv_rows",
-]
-
-__getattr__, __dir__ = attach(__name__, {
-    "repro.store.export": (
-        "open_export", "write_csv_rows"),
-    "repro.store.jobs": (
-        "DEFAULT_GRID_SPEC", "JobEngine", "JobRecord", "grid_from_spec"),
-    "repro.store.records": ("SCHEMA_VERSION", "canonical_json", "derive_key"),
-    "repro.store.server": ("ReproServer", "create_server"),
-    "repro.store.store": ("ResultStore",),
-})
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -76,95 +76,4 @@ if TYPE_CHECKING:
         throughput_report,
     )
 
-__all__ = [
-    "AdaptiveCell",
-    "AdaptiveResult",
-    "CampaignCell",
-    "CampaignSummary",
-    "CellResult",
-    "DownlinkResult",
-    "E2ECell",
-    "E2EResult",
-    "E2ERow",
-    "FrameStreamSource",
-    "EnergyProvisioningPoint",
-    "EnergyRow",
-    "OpticalDownlink",
-    "ProvisioningChoice",
-    "campaign_grid",
-    "evaluate_cell",
-    "format_campaign",
-    "run_campaign",
-    "summarize_campaign",
-    "wilson_interval",
-    "MixedRow",
-    "MixedTask",
-    "PhaseTask",
-    "RareEventCell",
-    "RareEventResult",
-    "ScenarioCell",
-    "ScenarioResult",
-    "ScenarioSegment",
-    "SegmentResult",
-    "SizeSweepPoint",
-    "Table1Row",
-    "Task",
-    "ThroughputReport",
-    "ablation_factories",
-    "contact_pass_segments",
-    "default_mappings",
-    "default_proposal",
-    "energy_pareto",
-    "evaluate_adaptive",
-    "evaluate_rare_event",
-    "evaluate_scenario",
-    "format_adaptive",
-    "format_rare_event",
-    "format_scenario",
-    "frame_weight",
-    "half_width",
-    "transition_counts",
-    "format_e2e_table",
-    "format_energy_table",
-    "format_mixed_table",
-    "format_table1",
-    "latency_percentile_ps",
-    "provision",
-    "required_channels",
-    "run_e2e",
-    "run_e2e_table",
-    "run_energy_table",
-    "run_mixed_table",
-    "run_table1",
-    "run_tasks",
-    "sweep_sizes",
-    "throughput_report",
-]
-
-__getattr__, __dir__ = attach(__name__, {
-    "repro.system.adaptive": (
-        "AdaptiveCell", "AdaptiveResult", "RareEventCell", "RareEventResult",
-        "ScenarioCell", "ScenarioResult", "ScenarioSegment", "SegmentResult",
-        "contact_pass_segments", "default_proposal", "evaluate_adaptive",
-        "evaluate_rare_event", "evaluate_scenario", "format_adaptive",
-        "format_rare_event", "format_scenario", "frame_weight", "half_width",
-        "transition_counts"),
-    "repro.system.campaign": (
-        "CampaignCell", "CampaignSummary", "CellResult", "campaign_grid",
-        "evaluate_cell", "format_campaign", "run_campaign",
-        "summarize_campaign", "wilson_interval"),
-    "repro.system.downlink": ("DownlinkResult", "OpticalDownlink"),
-    "repro.system.e2e": (
-        "E2ECell", "E2EResult", "FrameStreamSource", "latency_percentile_ps",
-        "run_e2e"),
-    "repro.system.parallel": ("MixedTask", "PhaseTask", "Task", "run_tasks"),
-    "repro.system.sweep": (
-        "E2ERow", "EnergyRow", "MixedRow", "SizeSweepPoint", "Table1Row",
-        "ablation_factories", "default_mappings", "format_e2e_table",
-        "format_energy_table", "format_mixed_table", "format_table1",
-        "run_e2e_table", "run_energy_table", "run_mixed_table", "run_table1",
-        "sweep_sizes"),
-    "repro.system.throughput": (
-        "EnergyProvisioningPoint", "ProvisioningChoice", "ThroughputReport",
-        "energy_pareto", "provision", "required_channels", "throughput_report"),
-})
+__getattr__, __dir__ = attach(__name__, __file__)

@@ -58,8 +58,9 @@ from repro.dram.energy import (
     combine_interleaver_reports,
     energy_from_stats,
 )
-from repro.dram.engine import Batch, WorkloadSource
+from repro.dram.engine import Batch, WorkloadSource, check_op
 from repro.dram.presets import DramConfig
+from repro.dram.simulator import phase_addresses
 from repro.dram.stats import PhaseStats
 from repro.interleaver.triangular import DEFAULT_COORD_CHUNK
 from repro.interleaver.two_stage import TwoStageConfig
@@ -138,15 +139,13 @@ class FrameStreamSource(WorkloadSource):
         _check_bridge(interleaver, mapping)
         if frames < 0:
             raise ValueError(f"frames must be >= 0, got {frames}")
-        if op not in (OP_READ, OP_WRITE):
-            raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {op!r}")
+        check_op(op)
         self.mapping = mapping
         self.interleaver = interleaver
         self.frames = frames
         self.op = op
-        chunks = (mapping.write_addresses_array() if op == OP_WRITE
-                  else mapping.read_addresses_array())
-        self._frame = [np.concatenate(column) for column in zip(*chunks)]
+        self._frame = [np.concatenate(column)
+                       for column in zip(*phase_addresses(mapping, op))]
 
     @property
     def elements_per_frame(self) -> int:

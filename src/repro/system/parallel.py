@@ -52,8 +52,8 @@ from typing import (
     cast,
 )
 
-from repro.dram.controller import OP_READ, OP_WRITE, ControllerConfig
-from repro.dram.engine import ChunkSource
+from repro.dram.controller import ControllerConfig
+from repro.dram.engine import ChunkSource, check_op
 from repro.dram.geometry import Geometry
 from repro.dram.mixed import MixedResult, steady_state_interleaver
 from repro.dram.presets import DramConfig, get_config
@@ -120,8 +120,7 @@ class PhaseTask:
     chunks: Optional[SharedChunks] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.op not in (OP_READ, OP_WRITE):
-            raise ValueError(f"op must be {OP_READ!r} or {OP_WRITE!r}, got {self.op!r}")
+        check_op(self.op)
         if self.n < 1:
             raise ValueError(f"interleaver dimension must be >= 1, got {self.n}")
 

@@ -126,6 +126,18 @@ class TestTiling:
         geometry = any_config.geometry
         assert tile_h * tile_w == geometry.banks * geometry.bursts_per_row
 
+    def test_no_rotation_tile_holds_one_page_in_the_balanced_orientation(
+            self, any_config):
+        """Without the rotation a tile is one bank's page, split like the
+        balanced tile: an odd bit count's extra bit goes to the width, so
+        the ablation changes the rotation and not the orientation too."""
+        geometry = any_config.geometry
+        mapping = OptimizedMapping(TriangularIndexSpace(64), geometry,
+                                   enable_bank_rotation=False)
+        tile_h, tile_w = mapping.tile_shape
+        assert tile_h * tile_w == geometry.bursts_per_row
+        assert tile_w >= tile_h
+
 
 class TestOffset:
     """Optimization 3: page misses staggered across banks."""

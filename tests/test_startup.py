@@ -139,3 +139,61 @@ class TestLazyPackages:
             "assert e2e.__name__ == 'repro.system.e2e'\n"
             "assert parallel.__name__ == 'repro.system.parallel'")
         assert {"repro.system.e2e", "repro.system.parallel"} <= loaded
+
+
+def _run_fresh(code, *flags, path=SRC):
+    """Run ``code`` in a fresh interpreter with ``path`` on its path."""
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestTypeCheckingBlock:
+    """The ``TYPE_CHECKING`` block is each package's one list of names."""
+
+    def test_import_repro_loads_no_ast(self):
+        """The block is read at the first lookup, not at import."""
+        assert "ast" not in _loaded_after("import repro")
+
+    @pytest.mark.parametrize("package, first_lookup", [
+        ("repro.dram", "namespace = {}\n"
+                       "exec('from repro.dram import *', namespace)\n"
+                       "names = set(namespace) - {'__builtins__'}"),
+        ("repro.system", "import repro.system\n"
+                         "names = repro.system.__all__"),
+    ], ids=["star-import", "__all__"])
+    def test_first_lookup_gives_the_block_names(self, package, first_lookup):
+        done = _run_fresh(first_lookup +
+                          "\nimport json; print(json.dumps(sorted(names)))")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == sorted(
+            _type_checking_imports(package))
+
+    @pytest.mark.parametrize("statement", [
+        "import os",
+        "from os import path as ospath",
+        "from os import *",
+        "from . import _private",
+        "from os import _exit",
+        "names = ['path']",
+    ])
+    def test_other_statements_fail_the_first_lookup_naming_the_file(
+            self, tmp_path, statement):
+        """Checked by a raise, so ``python -O`` keeps it; a private name
+        is never a re-export, so importing a private submodule reads no
+        block."""
+        package = tmp_path / "badpkg"
+        package.mkdir()
+        (package / "_private.py").write_text("")
+        (package / "__init__.py").write_text(
+            "from typing import TYPE_CHECKING\n"
+            "from repro._lazy import attach\n"
+            "if TYPE_CHECKING:\n"
+            "    from os import path\n"
+            f"    {statement}\n"
+            "__getattr__, __dir__ = attach(__name__, __file__)\n")
+        done = _run_fresh("from badpkg import _private\nprint('imported')\n"
+                          "import badpkg\nbadpkg.path",
+                          "-O", path=SRC + os.pathsep + str(tmp_path))
+        assert done.stdout == "imported\n"
+        assert f"ImportError: {package / '__init__.py'}:5: " in done.stderr
